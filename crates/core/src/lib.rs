@@ -50,5 +50,4 @@ pub use optimal::{
 pub use throughput::{sta_makespan, steady_state_period, steady_state_throughput};
 pub use tree::BroadcastStructure;
 
-pub use bcast_lp::{PricingRule, SimplexEngine};
 pub use bcast_platform::{CommModel, MessageSpec, Platform};

@@ -50,8 +50,8 @@ use crate::optimal::{
     PortKey,
 };
 use bcast_lp::{
-    Constraint, ConstraintOp, LpError, LpProblem, LpSolution, NewCol, PricingRule, RowId,
-    RowUpdate, SimplexEngine, SimplexOptions, SimplexSnapshot, SimplexState, VarId,
+    Constraint, ConstraintOp, LpError, LpProblem, LpSolution, NewCol, RowId, RowUpdate,
+    SimplexOptions, SimplexSnapshot, SimplexState, VarId,
 };
 use bcast_net::maxflow::MaxFlowSolver;
 use bcast_net::NodeId;
@@ -127,13 +127,6 @@ pub struct CutGenOptions {
     /// round — the pre-incremental behaviour, kept as the reference side of
     /// the differential tests.
     pub warm_start: bool,
-    /// Which simplex engine backs the master LP: the sparse revised simplex
-    /// (the default) or the dense full tableau, kept as the differential
-    /// oracle and the ablation baseline.
-    pub lp_engine: SimplexEngine,
-    /// Pricing rule of the sparse engine (Devex by default; Dantzig for
-    /// ablation). The dense engine ignores it.
-    pub pricing: PricingRule,
     /// Cheap separation screening (the default): each destination's last
     /// measured max-flow is kept as a *flow certificate* — the per-edge
     /// flows of its support — and the destination is skipped when the old
@@ -171,8 +164,6 @@ impl Default for CutGenOptions {
             purge_after: Some(2),
             seed_cuts: Vec::new(),
             warm_start: true,
-            lp_engine: SimplexEngine::Sparse,
-            pricing: PricingRule::Devex,
             screen_separation: true,
             separation_threads: default_separation_threads(),
             iteration_budget: None,
@@ -192,8 +183,6 @@ impl CutGenOptions {
     /// The simplex options the master LP is solved with.
     fn simplex_options(&self) -> SimplexOptions {
         SimplexOptions {
-            engine: self.lp_engine,
-            pricing: self.pricing,
             max_iterations: self.iteration_budget.unwrap_or(0),
             ..SimplexOptions::default()
         }
@@ -350,8 +339,8 @@ impl CutGenSession {
         let m = platform.edge_count();
         let (vars_only, tp, n_vars) = edge_lp_vars(m);
         // Note on vertex selection: the warm master returns the *nearest*
-        // repaired vertex rather than the vertex a cold Dantzig solve would
-        // find, which can cost extra separation rounds on large degenerate
+        // repaired vertex rather than the vertex a cold solve would find,
+        // which can cost extra separation rounds on large degenerate
         // instances (measured in EXPERIMENTS.md). `SimplexState` supports a
         // secondary objective over the optimal face for deliberate
         // tie-breaking; the obvious candidate (maximise total edge load)
@@ -1674,37 +1663,102 @@ mod tests {
     }
 
     #[test]
-    fn churn_session_survives_dense_engine_and_cold_mode() {
+    fn churn_session_survives_cold_mode() {
         use bcast_platform::drift::{DriftConfig, DriftTrace};
         let mut rng = StdRng::seed_from_u64(43);
         let platform = random_platform(&RandomPlatformConfig::paper(10, 0.2), &mut rng);
         let trace = DriftTrace::generate(&platform, NodeId(0), &DriftConfig::with_churn(6, 7));
-        for options in [
-            CutGenOptions {
-                lp_engine: SimplexEngine::Dense,
-                ..CutGenOptions::default()
-            },
-            CutGenOptions {
-                warm_start: false,
-                ..CutGenOptions::default()
-            },
-        ] {
-            let mut session = CutGenSession::new(&platform, NodeId(0), 1.0e6, options).unwrap();
-            for step in 0..trace.len() {
-                let snapshot = trace.platform_at(step);
-                let remap = if step == 0 {
-                    ChurnRemap::identity(snapshot.node_count(), snapshot.edge_count())
-                } else {
-                    trace.remap(step - 1, step)
-                };
-                let warm = session.solve_step_churn(&snapshot, &remap).unwrap();
-                let fresh = solve(&snapshot, trace.source_at(step), 1.0e6).unwrap();
+        let options = CutGenOptions {
+            warm_start: false,
+            ..CutGenOptions::default()
+        };
+        let mut session = CutGenSession::new(&platform, NodeId(0), 1.0e6, options).unwrap();
+        for step in 0..trace.len() {
+            let snapshot = trace.platform_at(step);
+            let remap = if step == 0 {
+                ChurnRemap::identity(snapshot.node_count(), snapshot.edge_count())
+            } else {
+                trace.remap(step - 1, step)
+            };
+            let cold = session.solve_step_churn(&snapshot, &remap).unwrap();
+            let fresh = solve(&snapshot, trace.source_at(step), 1.0e6).unwrap();
+            assert!(
+                (cold.optimal.throughput - fresh.throughput).abs()
+                    <= 1e-6 * fresh.throughput.max(1e-12),
+                "step {step}: {} vs {}",
+                cold.optimal.throughput,
+                fresh.throughput
+            );
+        }
+    }
+
+    /// The TP-level differential against the dense oracle. Every positive
+    /// dual of the final master sits on a tight cut, so the skeleton plus
+    /// the result's binding cuts is a smaller LP with the same optimum;
+    /// `solve_dense` solves it cold and the sparse cut-generation TP must
+    /// match at 1e-6 — on all three families at 20 nodes and on the
+    /// Tiers-65 point. The sparse loads must also carry the TP to every
+    /// destination (primal feasibility of the full cut LP).
+    #[test]
+    fn tp_matches_the_dense_oracle_on_the_rebuilt_final_master() {
+        use bcast_platform::generators::tiers::{tiers_platform, TiersConfig};
+        use bcast_platform::generators::{gaussian_platform, GaussianPlatformConfig};
+        let slice = 1.0e6;
+        let platforms = [
+            (
+                "random-20",
+                random_platform(
+                    &RandomPlatformConfig::paper(20, 0.12),
+                    &mut StdRng::seed_from_u64(5024),
+                ),
+            ),
+            (
+                "tiers-20",
+                tiers_platform(
+                    &TiersConfig::paper(20, 0.10),
+                    &mut StdRng::seed_from_u64(5025),
+                ),
+            ),
+            (
+                "gaussian-20",
+                gaussian_platform(
+                    &GaussianPlatformConfig::paper(20),
+                    &mut StdRng::seed_from_u64(5026),
+                ),
+            ),
+            (
+                "tiers-65",
+                tiers_platform(
+                    &TiersConfig::paper(65, 0.06),
+                    &mut StdRng::seed_from_u64(65),
+                ),
+            ),
+        ];
+        for (label, platform) in &platforms {
+            let result = solve_with(platform, NodeId(0), slice, &CutGenOptions::default()).unwrap();
+            let (mut lp, tp, n_vars) = edge_lp_skeleton(platform, slice);
+            for cut in &result.binding_cuts {
+                lp.add_ge(
+                    &cut_row_terms(&cut.crossing_edges(platform), tp, &n_vars),
+                    0.0,
+                );
+            }
+            let dense = bcast_lp::solve_dense(&lp, &SimplexOptions::default())
+                .expect("the rebuilt master is solvable");
+            let sparse_tp = result.optimal.throughput;
+            assert!(
+                (sparse_tp - dense.objective).abs() <= 1e-6 * dense.objective.max(1e-12),
+                "{label}: sparse TP {sparse_tp} vs dense oracle {}",
+                dense.objective
+            );
+            for w in platform.nodes().filter(|&w| w != NodeId(0)) {
+                let flow = bcast_net::maxflow::max_flow(platform.graph(), NodeId(0), w, |e, _| {
+                    result.optimal.edge_load[e.index()]
+                });
                 assert!(
-                    (warm.optimal.throughput - fresh.throughput).abs()
-                        <= 1e-6 * fresh.throughput.max(1e-12),
-                    "step {step}: {} vs {}",
-                    warm.optimal.throughput,
-                    fresh.throughput
+                    flow.value >= sparse_tp * (1.0 - 1e-5),
+                    "{label}: destination {w} flow {} < TP {sparse_tp}",
+                    flow.value
                 );
             }
         }

@@ -16,8 +16,8 @@
 //!    pivots, and wall-clock on the Tiers sweep points.
 //!
 //! Ablation 6 (dynamic platforms) lives in the `drift` binary and
-//! ablation 7 (dense tableau vs sparse revised simplex vs pricing rule)
-//! in the `bench_simplex` binary.
+//! ablation 7 (how the sparse revised-simplex master LP scales with
+//! platform size) in the `bench_simplex` binary.
 //!
 //! ```text
 //! cargo run --release -p bcast-experiments --bin ablation -- [--configs N] [--seed S]

@@ -1,17 +1,17 @@
-//! **Ablation 7** — the master-LP simplex engine: dense full tableau vs the
-//! sparse revised simplex (Markowitz LU basis), and Devex vs Dantzig vs
-//! Forrest–Goldfarb steepest-edge pricing, across platform sizes up to
-//! 1000 nodes on all three families.
+//! **Ablation 7** — how the master-LP engine (the sparse revised simplex:
+//! Markowitz LU basis, Devex pricing) scales with platform size, up to 1000
+//! nodes on all three families. The engine × pricing grid that chose this
+//! engine is recorded in EXPERIMENTS.md.
 //!
 //! Three modes:
 //!
 //! ```text
-//! # The ablation table (default n ≤ 500; --quick restricts to n ≤ 65,
-//! # --full adds the dense engine at 130 nodes and the 1000-node points):
+//! # The scaling table (default n ≤ 500; --quick restricts to n ≤ 65,
+//! # --full adds the 1000-node points):
 //! cargo run --release -p bcast-experiments --bin bench_simplex
 //!
 //! # Write the machine-readable perf baseline (Tiers-65 and Tiers-500 cut
-//! # generation, sparse engine, min wall-clock of three runs per point):
+//! # generation, min wall-clock of three runs per point):
 //! cargo run --release -p bcast-experiments --bin bench_simplex -- --emit-baseline BENCH_simplex.json
 //!
 //! # CI perf-regression smoke: fail (exit 1) when any measured point's
@@ -23,7 +23,7 @@
 //! vendors no JSON crate); values other than `cutgen_ms` are informational.
 
 use bcast_core::optimal::cut_gen;
-use bcast_core::{CutGenOptions, PricingRule, SimplexEngine};
+use bcast_core::CutGenOptions;
 use bcast_experiments::{finish_journal_or_exit, install_journal_or_exit, AsciiTable};
 use bcast_net::NodeId;
 use bcast_platform::generators::random::{random_platform, RandomPlatformConfig};
@@ -41,8 +41,8 @@ const SLICE: f64 = 1.0e6;
 const BASELINE_POINTS: [(usize, u64); 2] = [(65, 65), (500, 500)];
 /// The CI smoke fails when the measured wall-clock exceeds this multiple of
 /// the committed baseline (the baseline is emitted on a developer machine,
-/// so the factor doubles as hardware slack; a real regression — the dense
-/// engine was 34x slower on the Tiers-65 point — blows far past it).
+/// so the factor doubles as hardware slack; a real regression — the old
+/// dense engine was 34x slower on the Tiers-65 point — blows far past it).
 const REGRESSION_FACTOR: f64 = 2.0;
 
 fn main() {
@@ -55,7 +55,6 @@ fn main() {
     let mut journal: Option<String> = None;
     let mut family: Option<String> = None;
     let mut nodes: Option<usize> = None;
-    let mut pricing: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
@@ -81,15 +80,6 @@ fn main() {
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| usage("--nodes needs a number")),
                 )
-            }
-            "--pricing" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| usage("--pricing needs a rule"));
-                if !["devex", "dantzig", "steepest"].contains(&v.as_str()) {
-                    usage(&format!("unknown pricing rule: {v}"));
-                }
-                pricing = Some(v);
             }
             "--journal" => {
                 journal = Some(
@@ -119,14 +109,7 @@ fn main() {
     } else if let Some(path) = check {
         check_baseline(&path);
     } else {
-        ablation_table(
-            quick,
-            full,
-            seed,
-            family.as_deref(),
-            nodes,
-            pricing.as_deref(),
-        );
+        ablation_table(quick, full, seed, family.as_deref(), nodes);
     }
     finish_journal_or_exit();
 }
@@ -137,31 +120,17 @@ fn usage(message: &str) -> ! {
     }
     eprintln!(
         "usage: bench_simplex [--quick|--full] [--seed S] \
-         [--family random|tiers|gaussian] [--nodes N] \
-         [--pricing devex|dantzig|steepest] [--journal PATH] \
+         [--family random|tiers|gaussian] [--nodes N] [--journal PATH] \
          [--emit-baseline PATH | --check-baseline PATH]"
     );
     std::process::exit(2);
 }
 
 /// One timed cut-generation run; returns `(tp, pivots, rounds, seconds)`.
-fn run(
-    platform: &Platform,
-    engine: SimplexEngine,
-    pricing: PricingRule,
-) -> (f64, usize, usize, f64) {
+fn run(platform: &Platform) -> (f64, usize, usize, f64) {
     let (r, elapsed) = bcast_obs::timed("bench.cutgen", || {
-        cut_gen::solve_with(
-            platform,
-            NodeId(0),
-            SLICE,
-            &CutGenOptions {
-                lp_engine: engine,
-                pricing,
-                ..CutGenOptions::default()
-            },
-        )
-        .expect("solvable instance")
+        cut_gen::solve_with(platform, NodeId(0), SLICE, &CutGenOptions::default())
+            .expect("solvable instance")
     });
     (
         r.optimal.throughput,
@@ -193,26 +162,20 @@ fn make_platform(family: &str, nodes: usize, seed: u64) -> Platform {
     }
 }
 
-/// Ablation 7: dense vs sparse vs pricing rule, per family and size.
-/// `family_filter`/`nodes_filter`/`pricing_filter` restrict the table to
-/// one family, size, and/or pricing rule (handy for producing a
-/// single-point `--journal`, e.g. the Tiers-130 profile EXPERIMENTS.md
-/// walks through, or for running the hour-scale Tiers-1000 point with one
-/// rule only).
+/// Ablation 7: the engine's scaling table, per family and size.
+/// `family_filter`/`nodes_filter` restrict the table to one family and/or
+/// size (handy for producing a single-point `--journal`, e.g. the
+/// Tiers-500 profile EXPERIMENTS.md walks through, or for running the
+/// minute-scale Tiers-1000 point alone).
 fn ablation_table(
     quick: bool,
     full: bool,
     seed: u64,
     family_filter: Option<&str>,
     nodes_filter: Option<usize>,
-    pricing_filter: Option<&str>,
 ) {
     println!(
-        "Ablation 7 — master-LP engine: dense tableau vs sparse revised simplex (Markowitz-LU basis)"
-    );
-    println!(
-        "(dense runs are limited to n ≤ {} — the dense tableau is the scaling wall this ablation documents)",
-        if full { 130 } else { 65 }
+        "Ablation 7 — master-LP engine scaling: sparse revised simplex (Markowitz-LU basis, Devex)"
     );
     let size_override = nodes_filter.map(|n| [n]);
     let sizes: &[usize] = match &size_override {
@@ -221,78 +184,29 @@ fn ablation_table(
         None if full => &[20, 65, 130, 200, 500, 1000],
         None => &[20, 65, 130, 200, 500],
     };
-    let mut table = AsciiTable::new(vec![
-        "family",
-        "nodes",
-        "engine",
-        "TP rel. gap",
-        "pivots",
-        "rounds",
-        "wall ms",
-    ]);
+    let mut table = AsciiTable::new(vec!["family", "nodes", "TP", "pivots", "rounds", "wall ms"]);
     for family in ["random", "tiers", "gaussian"] {
         if family_filter.is_some_and(|f| f != family) {
             continue;
         }
         for &nodes in sizes {
             let platform = make_platform(family, nodes, seed);
-            let dense_cap = if full { 130 } else { 65 };
-            let mut reference: Option<f64> = None;
-            for (label, engine, pricing) in [
-                ("sparse devex", SimplexEngine::Sparse, PricingRule::Devex),
-                (
-                    "sparse steepest",
-                    SimplexEngine::Sparse,
-                    PricingRule::SteepestEdge,
-                ),
-                (
-                    "sparse dantzig",
-                    SimplexEngine::Sparse,
-                    PricingRule::Dantzig,
-                ),
-                ("dense", SimplexEngine::Dense, PricingRule::Devex),
-            ] {
-                if engine == SimplexEngine::Dense && nodes > dense_cap {
-                    continue;
-                }
-                let rule_name = match pricing {
-                    PricingRule::Devex => "devex",
-                    PricingRule::Dantzig => "dantzig",
-                    PricingRule::SteepestEdge => "steepest",
-                };
-                if pricing_filter.is_some_and(|p| p != rule_name) {
-                    continue;
-                }
-                // Dantzig at 200 nodes is ~10x the Devex wall-clock; keep
-                // the default table responsive.
-                if pricing == PricingRule::Dantzig && nodes > 130 && !full {
-                    continue;
-                }
-                let (tp, pivots, rounds, secs) = run(&platform, engine, pricing);
-                let gap = match reference {
-                    None => {
-                        reference = Some(tp);
-                        0.0
-                    }
-                    Some(r) => (tp - r).abs() / r.max(1e-12),
-                };
-                table.add_row(vec![
-                    family.to_string(),
-                    nodes.to_string(),
-                    label.to_string(),
-                    format!("{gap:.1e}"),
-                    pivots.to_string(),
-                    rounds.to_string(),
-                    format!("{:.1}", secs * 1e3),
-                ]);
-            }
+            let (tp, pivots, rounds, secs) = run(&platform);
+            table.add_row(vec![
+                family.to_string(),
+                nodes.to_string(),
+                format!("{tp:.6}"),
+                pivots.to_string(),
+                rounds.to_string(),
+                format!("{:.1}", secs * 1e3),
+            ]);
         }
     }
     println!("{}", table.render());
 }
 
-/// Measures one baseline point: Tiers-`nodes` cut generation, sparse
-/// engine, minimum wall-clock over three runs (the minimum is the least
+/// Measures one baseline point: Tiers-`nodes` cut generation, minimum
+/// wall-clock over three runs (the minimum is the least
 /// noisy estimator of the achievable time). The 500-node point runs once —
 /// its solve is long enough that timer noise is negligible and three runs
 /// would dominate the CI smoke's wall-clock.
@@ -301,7 +215,7 @@ fn measure_baseline(nodes: usize, seed: u64) -> (f64, usize, usize, f64) {
     let platform = make_platform("tiers", nodes, seed - nodes as u64);
     let mut best: Option<(f64, usize, usize, f64)> = None;
     for _ in 0..runs {
-        let sample = run(&platform, SimplexEngine::Sparse, PricingRule::Devex);
+        let sample = run(&platform);
         if best.is_none_or(|b| sample.3 < b.3) {
             best = Some(sample);
         }

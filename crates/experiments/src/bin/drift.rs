@@ -63,7 +63,7 @@ const BATCH: usize = 16;
 
 /// Simplex iteration budget of the cold from-scratch baseline solves.
 ///
-/// The engines' automatic budget (`200·(rows+cols) + 2000`) is sized for
+/// The simplex engine's automatic budget (`200·(rows+cols) + 2000`) is sized for
 /// warm-started master re-solves; a cold phase-1/phase-2 walk over a
 /// heavily degenerate drift snapshot can legitimately need more (the
 /// seed-2004 random-20 stall documented in EXPERIMENTS.md exhausted it on

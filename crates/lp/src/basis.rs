@@ -31,8 +31,8 @@
 //! drift further from `B⁻¹` as it grows; [`EtaBasis::should_refactorize`]
 //! triggers a periodic refactorization, and a refactorization that fails
 //! (numerically singular basis) tells the caller to fall back to a cold
-//! solve — the same "cold fallback is authoritative" contract as the dense
-//! engine.
+//! solve — or, when the cold solve itself cannot factorize, to report
+//! `LpError::Singular`.
 
 /// One eta matrix: identity except for column `pivot`, which holds the
 /// transformed entering column. Applying it to a vector `w`:

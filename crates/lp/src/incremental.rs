@@ -1,40 +1,42 @@
-//! Incremental LP solving: a persistent simplex basis re-optimized by the
-//! **dual simplex** method as rows are appended and deleted.
+//! Incremental LP solving: a persistent sparse simplex basis re-optimized
+//! by the **dual simplex** method as rows and columns are appended,
+//! deleted, and edited.
 //!
 //! The cut-generation master LP of the broadcast-throughput bound is the
 //! textbook use case: every master round *appends* a handful of violated cut
 //! rows to a previously optimal LP (and occasionally *deletes* stale ones).
 //! Re-solving from scratch discards the basis, rebuilds phase 1 and walks the
-//! whole phase-2 path again; warm-starting reuses all of it:
+//! whole phase-2 path again; warm-starting reuses all of it. The live state
+//! is the sparse revised simplex of [`crate::sparse`] (Markowitz LU basis,
+//! Devex pricing), refactorized lazily on the next re-solve after an edit:
 //!
-//! * **Append** — a new `≤` row gets a fresh slack column. Expressed in the
-//!   current basis (one elimination pass over the tableau) the row's
-//!   right-hand side may turn negative, but the reduced costs of all old
-//!   columns are untouched and the new slack prices out at zero — the basis
-//!   stays *dual feasible*. [`simplex::dual_simplex`] then restores primal
-//!   feasibility in a few pivots instead of a full re-solve.
-//! * **Delete** — a row whose slack is *basic* has a unit slack column, so
-//!   dropping the tableau row it is basic in (plus the column) removes the
-//!   constraint exactly, leaves every other row untouched, and preserves both
+//! * **Append** — a new `≤` row gets a fresh basic slack column. The old
+//!   columns stay basic, the reduced costs of all old columns are untouched
+//!   and the new slack prices out at zero — the basis stays *dual
+//!   feasible*, only the new row's basic value may be negative. The dual
+//!   simplex then restores primal feasibility in a few pivots instead of a
+//!   full re-solve.
+//! * **Delete** — a row whose slack is *basic* owns a unit slack column, so
+//!   dropping the row together with that column removes the constraint
+//!   exactly, leaves every other basic value untouched, and preserves both
 //!   primal and dual feasibility (the deleted row was non-binding, so its
 //!   multiplier was zero). Deleting a *binding* row would genuinely change
 //!   the basis; that rare case falls back to a cold refactorization and is
 //!   counted in [`IncrementalStats::refactorizations`].
-//!
 //! * **Update** — [`SimplexState::update_coeffs`] edits the coefficients
 //!   and right-hand sides of *existing* rows in place, the substrate for
 //!   chained LP instances whose data drifts (dynamic platforms: link costs
-//!   change, the constraint structure does not). The tableau is re-derived
-//!   from the stored rows **in the current basis** (a Gauss–Jordan pass per
-//!   basic column) and then repaired: a still-dual-feasible basis goes
-//!   through the dual simplex as after an append; a basis that lost dual
+//!   change, the constraint structure does not). The edited rows are
+//!   rewritten and the **current basis** is refactorized under the new
+//!   coefficients, then repaired: a still-dual-feasible basis goes through
+//!   the dual simplex as after an append; a basis that lost dual
 //!   feasibility but kept primal feasibility goes straight to the primal
 //!   pass; a basis that lost both runs a zero-objective dual phase (any
 //!   basis is dual feasible for a zero objective) to restore primal
 //!   feasibility first. Anything the in-place path cannot express — a
-//!   singular rebuilt basis, rows carrying artificials, a stalled repair —
-//!   falls back to a cold refactorization, so an update can never change
-//!   *what* is computed, only how many pivots it takes.
+//!   singular basis, rows carrying artificials, a stalled repair — falls
+//!   back to a cold refactorization, so an update can never change *what*
+//!   is computed, only how many pivots it takes.
 //!
 //! The state is created from an [`LpProblem`] snapshot (the immutable
 //! "skeleton": variables, objective, base rows); rows appended through
@@ -45,7 +47,7 @@
 
 use crate::basis::ScatterVec;
 use crate::model::{Constraint, ConstraintOp, LpError, LpProblem, LpSolution, Sense, VarId};
-use crate::simplex::{self, SimplexEngine, SimplexOptions, SolveStatus, Tableau};
+use crate::simplex::{self, SimplexOptions, SolveStatus};
 use crate::sparse::{self, SparseSimplex};
 
 /// Stable handle of a row added to (or created with) a [`SimplexState`].
@@ -146,7 +148,7 @@ pub struct IncrementalStats {
 }
 
 /// One stored (problem-form) row; kept so cold refactorizations can rebuild
-/// the tableau from first principles.
+/// the LP from first principles.
 #[derive(Clone, Debug)]
 struct StoredRow {
     terms: Vec<(VarId, f64)>,
@@ -183,24 +185,11 @@ impl RowUpdate {
     }
 }
 
-/// The live dense tableau plus the bookkeeping that ties physical rows to
-/// their auxiliary columns ([`SimplexEngine::Dense`]).
-struct DenseFact {
-    tab: Tableau,
-    /// Maximization-form cost per column (structural costs + zeros).
-    cost: Vec<f64>,
-    /// Per *physical* row: its slack/surplus column, if any.
-    slack_col: Vec<Option<usize>>,
-    /// Per *physical* row: its artificial column, if any.
-    art_col: Vec<Option<usize>>,
-    /// True when rows were appended since the last optimization (the basis
-    /// may be primal infeasible and needs a dual-simplex pass).
-    stale: bool,
-}
-
-/// The live sparse revised-simplex state plus the physical-row bookkeeping
-/// ([`SimplexEngine::Sparse`], the default).
-struct SparseFact {
+/// The live sparse revised-simplex state plus the bookkeeping that ties
+/// physical rows to their assembled rows and auxiliary columns. Appends
+/// keep the basis dual feasible, non-binding deletions are exact and free,
+/// and anything inexpressible falls back to an authoritative cold solve.
+struct Fact {
     sim: SparseSimplex,
     /// Maximization-form cost per column (structural costs + zeros).
     cost: Vec<f64>,
@@ -213,15 +202,6 @@ struct SparseFact {
     row_of: Vec<Option<usize>>,
     /// True when rows were appended or updated since the last optimization.
     stale: bool,
-}
-
-/// The engine-specific live factorization of a [`SimplexState`]. Both
-/// variants honour the same contract: append keeps the basis dual feasible,
-/// non-binding deletion is exact and free, and anything inexpressible falls
-/// back to an authoritative cold solve.
-enum Fact {
-    Dense(DenseFact),
-    Sparse(Box<SparseFact>),
 }
 
 /// A linear program whose optimal basis persists across row additions and
@@ -410,9 +390,8 @@ impl SimplexState {
     }
 
     /// Appends several constraints (see [`add_row`](Self::add_row)) and
-    /// returns one handle per constraint. Batching matters on a live
-    /// factorization: the tableau is widened by all the new slack columns in
-    /// one re-stride instead of once per row.
+    /// returns one handle per constraint. On a live factorization the whole
+    /// batch is absorbed by one refactorization at the next re-solve.
     pub fn add_rows(&mut self, rows: &[Constraint]) -> Result<Vec<RowId>, LpError> {
         for con in rows {
             self.validate_terms(&con.terms, con.rhs)?;
@@ -453,24 +432,20 @@ impl SimplexState {
             self.stats.rows_added += physical.len();
             ids.push(self.push_group(physical, con.op));
         }
-        let count = self.rows.len() - first_physical;
-        match self.fact.as_mut() {
-            Some(Fact::Dense(fact)) => {
-                // One re-stride for the whole batch: every new physical row
-                // gets the next slack column in order.
-                let first_slack = fact.tab.cols;
-                grow_columns(&mut fact.tab, count);
-                fact.cost.resize(fact.tab.cols, 0.0);
-                for (i, p) in (first_physical..first_physical + count).enumerate() {
-                    self.append_to_tableau(p, first_slack + i);
-                }
+        if let Some(fact) = self.fact.as_mut() {
+            fact.slack_col.resize(self.rows.len(), None);
+            fact.art_col.resize(self.rows.len(), None);
+            fact.row_of.resize(self.rows.len(), None);
+            // Each stored row (always `≤` form) gets a fresh basic slack; the
+            // basis (old columns + new slacks) carries over verbatim, so dual
+            // feasibility is preserved and the next refactorization absorbs
+            // the new rows.
+            for (p, row) in self.rows.iter().enumerate().skip(first_physical) {
+                fact.row_of[p] = Some(fact.sim.prob.m);
+                fact.slack_col[p] = Some(fact.sim.append_le_row(&row.terms, row.rhs));
+                fact.cost.push(0.0);
+                fact.stale = true;
             }
-            Some(Fact::Sparse(_)) => {
-                for p in first_physical..first_physical + count {
-                    self.append_to_sparse(p);
-                }
-            }
-            None => {}
         }
         Ok(ids)
     }
@@ -495,14 +470,8 @@ impl SimplexState {
                 }
                 self.live[p] = false;
                 self.stats.rows_deleted += 1;
-                match self.fact.as_mut() {
-                    Some(Fact::Dense(fact)) => {
-                        needs_refactor |= !remove_physical_row(fact, p);
-                    }
-                    Some(Fact::Sparse(fact)) => {
-                        needs_refactor |= !remove_physical_row_sparse(fact, p);
-                    }
-                    None => {}
+                if let Some(fact) = self.fact.as_mut() {
+                    needs_refactor |= !remove_physical_row(fact, p);
                 }
             }
         }
@@ -527,15 +496,15 @@ impl SimplexState {
     /// a failed call can never leave the factorization disagreeing with the
     /// stored rows.
     ///
-    /// With a live factorization the tableau is re-derived from the stored
-    /// rows **in the current basis** and the next
-    /// [`resolve`](Self::resolve) repairs it (dual pass, primal pass, or a
-    /// zero-objective dual phase when both feasibilities were lost). A
-    /// rebuilt basis the in-place path cannot express (rows carrying
-    /// artificials, a basis gone singular under the new coefficients) falls
-    /// back to a cold refactorization — exactly like a binding-row
-    /// deletion, and counted the same way — so updating coefficients can
-    /// never change the returned verdict, only the pivot count.
+    /// With a live factorization the edited rows are rewritten, the
+    /// **current basis** is refactorized under the new coefficients, and the
+    /// next [`resolve`](Self::resolve) repairs it (dual pass, primal pass,
+    /// or a zero-objective dual phase when both feasibilities were lost). An
+    /// edit the in-place path cannot express (rows carrying artificials, a
+    /// basis gone singular under the new coefficients) falls back to a cold
+    /// refactorization — exactly like a binding-row deletion, and counted
+    /// the same way — so updating coefficients can never change the
+    /// returned verdict, only the pivot count.
     pub fn update_coeffs(&mut self, updates: &[RowUpdate]) -> Result<(), LpError> {
         for update in updates {
             let RowId(id) = update.row;
@@ -561,34 +530,17 @@ impl SimplexState {
                 self.stats.rows_updated += 1;
             }
         }
-        match self.fact.as_mut() {
-            Some(Fact::Dense(fact)) => {
-                if rebuild_in_basis(
-                    fact,
-                    &self.rows,
-                    &self.live,
-                    self.objective.len(),
-                    &self.options,
-                ) {
-                    fact.stale = true;
-                } else {
-                    self.fact = None;
-                    self.note_cold_fallback();
-                }
+        if let Some(fact) = self.fact.as_mut() {
+            let touched: Vec<usize> = updates
+                .iter()
+                .flat_map(|u| self.groups[u.row.0].clone())
+                .collect();
+            if rewrite_rows(fact, &self.rows, &touched, &self.options) {
+                fact.stale = true;
+            } else {
+                self.fact = None;
+                self.note_cold_fallback();
             }
-            Some(Fact::Sparse(fact)) => {
-                let touched: Vec<usize> = updates
-                    .iter()
-                    .flat_map(|u| self.groups[u.row.0].clone())
-                    .collect();
-                if rewrite_rows_sparse(fact, &self.rows, &touched, &self.options) {
-                    fact.stale = true;
-                } else {
-                    self.fact = None;
-                    self.note_cold_fallback();
-                }
-            }
-            None => {}
         }
         Ok(())
     }
@@ -599,10 +551,9 @@ impl SimplexState {
     /// primal feasible and the next [`resolve`](Self::resolve) merely prices
     /// the new columns in (normally a short primal pass from the old
     /// vertex). With a live factorization the system is re-derived from the
-    /// stored rows **in the current basis** — exactly like
-    /// [`update_coeffs`](Self::update_coeffs) — and anything the in-place
-    /// path cannot express falls back to an authoritative cold
-    /// refactorization, so adding columns can never change the verdict.
+    /// stored rows **in the current basis**, and anything the in-place path
+    /// cannot express falls back to an authoritative cold refactorization,
+    /// so adding columns can never change the verdict.
     ///
     /// The batch is **atomic**: every column is validated up front
     /// ([`LpError::UnknownRow`] for a dead or foreign row handle,
@@ -625,7 +576,6 @@ impl SimplexState {
         if cols.is_empty() {
             return Ok(Vec::new());
         }
-        let n_old = self.objective.len();
         let mut ids = Vec::with_capacity(cols.len());
         for col in cols {
             let var = VarId(self.objective.len());
@@ -661,61 +611,14 @@ impl SimplexState {
             }
         }
         self.stats.cols_added += cols.len();
-        let n_new = self.objective.len();
-        let k = n_new - n_old;
-        let sign = match self.sense {
-            Sense::Maximize => 1.0,
-            Sense::Minimize => -1.0,
-        };
-        match self.fact.as_mut() {
-            Some(Fact::Dense(fact)) => {
-                // Widen the structural block in place: every auxiliary
-                // column index shifts right by the number of new variables,
-                // then the tableau is re-derived from the stored rows in the
-                // index-shifted current basis.
-                for bc in fact.tab.basis.iter_mut() {
-                    if *bc >= n_old {
-                        *bc += k;
-                    }
-                }
-                for col in fact.slack_col.iter_mut().flatten() {
-                    if *col >= n_old {
-                        *col += k;
-                    }
-                }
-                for col in fact.art_col.iter_mut().flatten() {
-                    if *col >= n_old {
-                        *col += k;
-                    }
-                }
-                let aux_allowed = fact.tab.allowed.split_off(n_old);
-                fact.tab.allowed.extend(std::iter::repeat_n(true, k));
-                fact.tab.allowed.extend(aux_allowed);
-                fact.tab.cols += k;
-                fact.cost = vec![0.0; fact.tab.cols];
-                for (j, &c) in self.objective.iter().enumerate() {
-                    fact.cost[j] = sign * c;
-                }
-                if rebuild_in_basis(fact, &self.rows, &self.live, n_new, &self.options) {
-                    fact.stale = true;
-                } else {
-                    self.fact = None;
-                    self.note_cold_fallback();
-                }
+        if let Some(fact) = self.fact.as_mut() {
+            if rebuild_grown(fact, &self.rows, &self.live, self.objective.len()) {
+                fact.cost = maximization_cost(self.sense, &self.objective, fact.sim.prob.ncols);
+                fact.stale = true;
+            } else {
+                self.fact = None;
+                self.note_cold_fallback();
             }
-            Some(Fact::Sparse(fact)) => {
-                if rebuild_sparse_grown(fact, &self.rows, &self.live, n_new) {
-                    fact.cost = vec![0.0; fact.sim.prob.ncols];
-                    for (j, &c) in self.objective.iter().enumerate() {
-                        fact.cost[j] = sign * c;
-                    }
-                    fact.stale = true;
-                } else {
-                    self.fact = None;
-                    self.note_cold_fallback();
-                }
-            }
-            None => {}
         }
         Ok(ids)
     }
@@ -757,58 +660,21 @@ impl SimplexState {
         let options = self.options;
         let mut pivots = 0usize;
         let mut ok = true;
-        match self.fact.as_mut() {
-            Some(Fact::Dense(fact)) => {
-                for &ColId(id) in ids {
-                    fact.cost[id] = 0.0;
-                    if let Some(r) = fact.tab.basis.iter().position(|&bc| bc == id) {
-                        // Drive the doomed column out: the largest-magnitude
-                        // eligible entry of its basis row enters in its
-                        // place. No eligible pivot means only a cold
-                        // refactorization can express the deletion.
-                        let mut entering: Option<usize> = None;
-                        let mut best = options.pivot_tolerance;
-                        for j in 0..fact.tab.cols {
-                            if j == id || !fact.tab.allowed[j] || fact.tab.basis.contains(&j) {
-                                continue;
-                            }
-                            let mag = fact.tab.at(r, j).abs();
-                            if mag > best {
-                                best = mag;
-                                entering = Some(j);
-                            }
-                        }
-                        let Some(q) = entering else {
-                            ok = false;
-                            break;
-                        };
-                        fact.tab.pivot(r, q);
-                        fact.tab.basis[r] = q;
-                        pivots += 1;
-                    }
-                    bar_column(&mut fact.tab, id);
+        if let Some(fact) = self.fact.as_mut() {
+            for &ColId(id) in ids {
+                fact.cost[id] = 0.0;
+                let was_basic = fact.sim.prob.basis.contains(&id);
+                if !fact.sim.delete_column(id, &options) {
+                    ok = false;
+                    break;
                 }
-                if ok {
-                    fact.stale = true;
+                if was_basic {
+                    pivots += 1;
                 }
             }
-            Some(Fact::Sparse(fact)) => {
-                for &ColId(id) in ids {
-                    fact.cost[id] = 0.0;
-                    let was_basic = fact.sim.prob.basis.contains(&id);
-                    if !fact.sim.delete_column(id, &options) {
-                        ok = false;
-                        break;
-                    }
-                    if was_basic {
-                        pivots += 1;
-                    }
-                }
-                if ok {
-                    fact.stale = true;
-                }
+            if ok {
+                fact.stale = true;
             }
-            None => {}
         }
         self.stats.total_pivots += pivots;
         bcast_obs::counter_add(bcast_obs::names::LP_PIVOTS, pivots as u64);
@@ -837,17 +703,7 @@ impl SimplexState {
         self.objective.clear();
         self.objective.extend_from_slice(coefficients);
         if let Some(fact) = self.fact.as_mut() {
-            let sign = match self.sense {
-                Sense::Maximize => 1.0,
-                Sense::Minimize => -1.0,
-            };
-            let cost = match fact {
-                Fact::Dense(f) => &mut f.cost,
-                Fact::Sparse(f) => &mut f.cost,
-            };
-            for (j, &c) in coefficients.iter().enumerate() {
-                cost[j] = sign * c;
-            }
+            fact.cost = maximization_cost(self.sense, &self.objective, fact.cost.len());
         }
         Ok(())
     }
@@ -864,7 +720,7 @@ impl SimplexState {
     /// pass certifies optimality. Falls back to a cold two-phase solve when
     /// no factorization is alive.
     ///
-    /// The warm passes run under a budget proportional to the tableau size;
+    /// The warm passes run under a budget proportional to the LP size;
     /// any outcome other than a clean optimum (degenerate stall, apparent
     /// infeasibility, numerical drift) discards the factorization and
     /// re-solves cold, which is authoritative for the feasible / unbounded
@@ -898,10 +754,6 @@ impl SimplexState {
             } else {
                 bcast_obs::LpSolveKind::Cold
             },
-            engine: match self.options.engine {
-                SimplexEngine::Sparse => "sparse",
-                SimplexEngine::Dense => "dense",
-            },
             rows,
             cols,
             pivots,
@@ -912,135 +764,11 @@ impl SimplexState {
     }
 
     fn resolve_inner(&mut self) -> Result<LpSolution, LpError> {
-        if self.fact.is_none() {
-            return self.cold_solve();
-        }
         let options = self.options;
-        let mut pivots = 0usize;
-        let mut dual_pivots = 0usize;
-        let mut clean = true;
-        match self.fact.as_mut().expect("factorization alive") {
-            Fact::Dense(fact) => {
-                // Deliberately far below the cold solver's budget: a warm
-                // re-solve normally needs a handful of pivots, and a warm
-                // pass that does not converge quickly is numerically suspect
-                // — better to refactorize than to chase a drifting basis.
-                let budget = (4 * (fact.tab.rows + fact.tab.cols)).max(200);
-                if fact.stale {
-                    // Classify the start basis. Pure row appends leave the
-                    // old reduced costs untouched — dual feasible — and are
-                    // repaired by the dual simplex as before. A coefficient
-                    // update can break dual feasibility: if the basis at
-                    // least stayed primal feasible, the primal pass below
-                    // re-optimizes directly; if it lost both, a dual phase
-                    // with a zero objective (for which any basis prices out)
-                    // restores primal feasibility first.
-                    let d = simplex::reduced_costs(&fact.tab, &fact.cost);
-                    let dual_feasible = d
-                        .iter()
-                        .zip(&fact.tab.allowed)
-                        .all(|(&dj, &ok)| !ok || dj <= options.cost_tolerance);
-                    if dual_feasible {
-                        let (status, iters) = simplex::dual_simplex(
-                            &mut fact.tab,
-                            &fact.cost,
-                            &options,
-                            budget,
-                            Some(d),
-                        );
-                        pivots += iters;
-                        dual_pivots += iters;
-                        clean = status == SolveStatus::Optimal;
-                    } else if fact
-                        .tab
-                        .b
-                        .iter()
-                        .any(|&bi| bi < -options.feasibility_tolerance)
-                    {
-                        let zero = vec![0.0; fact.tab.cols];
-                        let (status, iters) =
-                            simplex::dual_simplex(&mut fact.tab, &zero, &options, budget, None);
-                        pivots += iters;
-                        dual_pivots += iters;
-                        clean = status == SolveStatus::Optimal;
-                    }
-                }
-                if clean {
-                    // Primal cleanup: after a clean dual pass (or a pure
-                    // deletion) the basis is already optimal and this prices
-                    // out in zero pivots; it guards the rare case where
-                    // floating-point drift left a column with a marginally
-                    // positive reduced cost.
-                    let remaining = budget.saturating_sub(pivots).max(100);
-                    let (status, iters) =
-                        simplex::optimize(&mut fact.tab, &fact.cost, &options, remaining);
-                    pivots += iters;
-                    clean = status == SolveStatus::Optimal;
-                }
-            }
-            Fact::Sparse(fact) => {
-                // Same classification and budget policy, on the revised
-                // engine: refactorize the (possibly grown/edited) basis,
-                // read the reduced costs, pick the repair pass.
-                let budget = (4 * (fact.sim.prob.m + fact.sim.prob.ncols)).max(200);
-                // `primary_fresh`: the factorization is live and the
-                // reduced costs match `fact.cost`, so the next pass may
-                // skip its entry refresh (each refresh is a full
-                // refactorization — the dominant cost of a zero-pivot warm
-                // re-solve).
-                let mut primary_fresh = false;
-                if fact.stale {
-                    if fact.sim.factorize(&options) {
-                        fact.sim.compute_reduced_costs(&fact.cost);
-                        primary_fresh = true;
-                        let dual_feasible = fact
-                            .sim
-                            .reduced_costs()
-                            .iter()
-                            .zip(&fact.sim.prob.allowed)
-                            .all(|(&dj, &ok)| !ok || dj <= options.cost_tolerance);
-                        if dual_feasible {
-                            let (status, iters) = fact.sim.dual(&fact.cost, &options, budget, true);
-                            pivots += iters;
-                            dual_pivots += iters;
-                            clean = status == SolveStatus::Optimal;
-                        } else if fact
-                            .sim
-                            .x_b
-                            .iter()
-                            .any(|&bi| bi < -options.feasibility_tolerance)
-                        {
-                            let zero = vec![0.0; fact.sim.prob.ncols];
-                            // The factorization from the classification
-                            // above is still live — only the reduced costs
-                            // must be redone for the zero objective (one
-                            // BTRAN + column pass, far below another full
-                            // refactorization).
-                            fact.sim.compute_reduced_costs(&zero);
-                            let (status, iters) = fact.sim.dual(&zero, &options, budget, true);
-                            pivots += iters;
-                            dual_pivots += iters;
-                            clean = status == SolveStatus::Optimal;
-                            // `d` now belongs to the zero cost; the primal
-                            // pass below must refresh for the real one.
-                            primary_fresh = false;
-                        }
-                    } else {
-                        // Singular under the edited coefficients: only a
-                        // cold solve can answer.
-                        clean = false;
-                    }
-                }
-                if clean {
-                    let remaining = budget.saturating_sub(pivots).max(100);
-                    let (status, iters) =
-                        fact.sim
-                            .primal(&fact.cost, &options, remaining, primary_fresh);
-                    pivots += iters;
-                    clean = status == SolveStatus::Optimal;
-                }
-            }
-        }
+        let Some(fact) = self.fact.as_mut() else {
+            return self.cold_solve();
+        };
+        let (clean, pivots, dual_pivots) = fact.reoptimize(&options);
         self.stats.dual_pivots += dual_pivots;
         if !clean {
             self.stats.total_pivots += pivots;
@@ -1056,12 +784,9 @@ impl SimplexState {
             solution.iterations += pivots;
             return Ok(solution);
         }
-        pivots += self.push_secondary();
+        let pivots = pivots + self.push_secondary();
         self.stats.total_pivots += pivots;
-        match self.fact.as_mut().expect("factorization alive") {
-            Fact::Dense(fact) => fact.stale = false,
-            Fact::Sparse(fact) => fact.stale = false,
-        }
+        self.fact.as_mut().expect("factorization alive").stale = false;
         self.stats.warm_solves += 1;
         Ok(self.extract(pivots))
     }
@@ -1112,159 +837,35 @@ impl SimplexState {
     /// Cold path: assemble every live row from scratch and run the ordinary
     /// two-phase solve, then adopt the resulting basis as the warm state.
     fn cold_solve(&mut self) -> Result<LpSolution, LpError> {
-        let n = self.num_vars();
         let live_physical: Vec<usize> = (0..self.rows.len()).filter(|&p| self.live[p]).collect();
         let constraints: Vec<Constraint> = live_physical
             .iter()
             .map(|&p| self.rows[p].as_constraint())
             .collect();
-        let sign = match self.sense {
-            Sense::Maximize => 1.0,
-            Sense::Minimize => -1.0,
+        let prob = sparse::assemble_sparse(self.num_vars(), &constraints);
+        let cost = maximization_cost(self.sense, &self.objective, prob.ncols);
+        let mut slack_col = vec![None; self.rows.len()];
+        let mut art_col = vec![None; self.rows.len()];
+        let mut row_of = vec![None; self.rows.len()];
+        for (i, &p) in live_physical.iter().enumerate() {
+            slack_col[p] = prob.slack_col[i];
+            art_col[p] = prob.art_col[i];
+            row_of[p] = Some(i);
+        }
+        let mut fact = Fact {
+            sim: SparseSimplex::new(prob),
+            cost,
+            slack_col,
+            art_col,
+            row_of,
+            stale: false,
         };
-        let pivots = match self.options.engine {
-            SimplexEngine::Dense => {
-                let asm = simplex::assemble(n, &constraints);
-                let mut cost = vec![0.0; asm.tab.cols];
-                for (j, &c) in self.objective.iter().enumerate() {
-                    cost[j] = sign * c;
-                }
-                // Scatter the per-assembled-row column map onto physical rows.
-                let mut slack_col = vec![None; self.rows.len()];
-                let mut art_col = vec![None; self.rows.len()];
-                for (i, &p) in live_physical.iter().enumerate() {
-                    slack_col[p] = asm.slack_col[i];
-                    art_col[p] = asm.art_col[i];
-                }
-                let mut fact = DenseFact {
-                    tab: asm.tab,
-                    cost,
-                    slack_col,
-                    art_col,
-                    stale: false,
-                };
-                let pivots = match simplex::two_phase(
-                    &mut fact.tab,
-                    &asm.artificial_cols,
-                    &fact.cost,
-                    &self.options,
-                ) {
-                    Ok(pivots) => pivots,
-                    Err(e) => {
-                        self.fact = None;
-                        return Err(e);
-                    }
-                };
-                self.fact = Some(Fact::Dense(fact));
-                pivots
-            }
-            SimplexEngine::Sparse => {
-                let prob = sparse::assemble_sparse(n, &constraints);
-                let mut cost = vec![0.0; prob.ncols];
-                for (j, &c) in self.objective.iter().enumerate() {
-                    cost[j] = sign * c;
-                }
-                let mut slack_col = vec![None; self.rows.len()];
-                let mut art_col = vec![None; self.rows.len()];
-                let mut row_of = vec![None; self.rows.len()];
-                for (i, &p) in live_physical.iter().enumerate() {
-                    slack_col[p] = prob.slack_col[i];
-                    art_col[p] = prob.art_col[i];
-                    row_of[p] = Some(i);
-                }
-                let mut fact = SparseFact {
-                    sim: SparseSimplex::new(prob),
-                    cost,
-                    slack_col,
-                    art_col,
-                    row_of,
-                    stale: false,
-                };
-                let pivots = match fact.sim.two_phase(&fact.cost, &self.options) {
-                    Ok(pivots) => pivots,
-                    Err(e) => {
-                        self.fact = None;
-                        return Err(e);
-                    }
-                };
-                self.fact = Some(Fact::Sparse(Box::new(fact)));
-                pivots
-            }
-        };
+        let pivots = fact.sim.two_phase(&fact.cost, &self.options)?;
+        self.fact = Some(fact);
         let pivots = pivots + self.push_secondary();
         self.stats.cold_solves += 1;
         self.stats.total_pivots += pivots;
         Ok(self.extract(pivots))
-    }
-
-    /// Physically appends stored row `p` (always `≤` form) to the live
-    /// tableau, into the pre-widened `slack` column: one elimination pass to
-    /// express the row in the current basis, slack basic. The right-hand
-    /// side may come out negative — that is the dual simplex's cue.
-    fn append_to_tableau(&mut self, p: usize, slack: usize) {
-        let n = self.num_vars();
-        let Some(Fact::Dense(fact)) = self.fact.as_mut() else {
-            unreachable!("dense factorization alive");
-        };
-        fact.slack_col.resize(self.rows.len(), None);
-        fact.art_col.resize(self.rows.len(), None);
-        let tab = &mut fact.tab;
-
-        let mut raw = vec![0.0; tab.cols];
-        for &(v, c) in &self.rows[p].terms {
-            raw[v.index()] += c;
-        }
-        let mut rhs = self.rows[p].rhs;
-        simplex::equilibrate_row(&mut raw[..n], &mut rhs);
-        raw[slack] = 1.0;
-        // Express the row in the current basis: subtract multiples of the
-        // existing tableau rows until every basic column is zero. The basic
-        // columns form an identity submatrix, so one ascending pass is exact.
-        for r in 0..tab.rows {
-            let bc = tab.basis[r];
-            let factor = raw[bc];
-            if factor == 0.0 {
-                continue;
-            }
-            let row = tab.row(r).to_vec();
-            for (value, &coeff) in raw.iter_mut().zip(&row) {
-                *value -= factor * coeff;
-            }
-            raw[bc] = 0.0;
-            rhs -= factor * tab.b[r];
-        }
-        tab.a.extend_from_slice(&raw);
-        tab.b.push(rhs);
-        tab.basis.push(slack);
-        tab.rows += 1;
-        fact.slack_col[p] = Some(slack);
-        fact.art_col[p] = None;
-        fact.stale = true;
-    }
-
-    /// Sparse analogue of [`append_to_tableau`](Self::append_to_tableau):
-    /// appends stored row `p` (always `≤` form) to the live sparse problem
-    /// with a fresh basic slack. The revised engine needs no per-row
-    /// elimination pass — the next factorization absorbs the new row in one
-    /// sparse Gauss–Jordan sweep while the basis (old columns + new slacks)
-    /// is carried over verbatim, so dual feasibility is preserved exactly
-    /// as in the dense path.
-    fn append_to_sparse(&mut self, p: usize) {
-        let row = &self.rows[p];
-        let (terms, rhs) = (row.terms.clone(), row.rhs);
-        let Some(Fact::Sparse(fact)) = self.fact.as_mut() else {
-            unreachable!("sparse factorization alive");
-        };
-        fact.slack_col.resize(self.rows.len(), None);
-        fact.art_col.resize(self.rows.len(), None);
-        fact.row_of.resize(self.rows.len(), None);
-        let row_index = fact.sim.prob.m;
-        let slack = fact.sim.append_le_row(&terms, rhs);
-        fact.cost.push(0.0);
-        fact.slack_col[p] = Some(slack);
-        fact.art_col[p] = None;
-        fact.row_of[p] = Some(row_index);
-        fact.stale = true;
     }
 
     /// Optimizes the secondary objective over the primary-optimal face:
@@ -1278,54 +879,32 @@ impl SimplexState {
             return 0;
         };
         let options = self.options;
-        match self.fact.as_mut().expect("factorization alive") {
-            Fact::Dense(fact) => {
-                let tab = &mut fact.tab;
-                let d = simplex::reduced_costs(tab, &fact.cost);
-                let mut barred: Vec<usize> = Vec::new();
-                for (j, &dj) in d.iter().enumerate() {
-                    if tab.allowed[j] && dj < -options.cost_tolerance {
-                        tab.allowed[j] = false;
-                        barred.push(j);
-                    }
-                }
-                let mut cost2 = vec![0.0; tab.cols];
-                cost2[..secondary.len()].copy_from_slice(secondary);
-                let budget = (4 * (tab.rows + tab.cols)).max(200);
-                let (_, iterations) = simplex::optimize(tab, &cost2, &options, budget);
-                for j in barred {
-                    tab.allowed[j] = true;
-                }
-                iterations
-            }
-            Fact::Sparse(fact) => {
-                fact.sim.compute_reduced_costs(&fact.cost);
-                let mut barred: Vec<usize> = Vec::new();
-                for j in 0..fact.sim.prob.ncols {
-                    if fact.sim.prob.allowed[j]
-                        && fact.sim.reduced_costs()[j] < -options.cost_tolerance
-                    {
-                        fact.sim.prob.allowed[j] = false;
-                        barred.push(j);
-                    }
-                }
-                let mut cost2 = vec![0.0; fact.sim.prob.ncols];
-                cost2[..secondary.len()].copy_from_slice(secondary);
-                let budget = (4 * (fact.sim.prob.m + fact.sim.prob.ncols)).max(200);
-                let (_, iterations) = fact.sim.primal(&cost2, &options, budget, false);
-                for j in barred {
-                    fact.sim.prob.allowed[j] = true;
-                }
-                iterations
+        let fact = self.fact.as_mut().expect("factorization alive");
+        fact.sim.compute_reduced_costs(&fact.cost);
+        let mut barred: Vec<usize> = Vec::new();
+        for j in 0..fact.sim.prob.ncols {
+            if fact.sim.prob.allowed[j] && fact.sim.reduced_costs()[j] < -options.cost_tolerance {
+                fact.sim.prob.allowed[j] = false;
+                barred.push(j);
             }
         }
+        let mut cost2 = vec![0.0; fact.sim.prob.ncols];
+        cost2[..secondary.len()].copy_from_slice(secondary);
+        let budget = (4 * (fact.sim.prob.m + fact.sim.prob.ncols)).max(200);
+        let (_, iterations) = fact.sim.primal(&cost2, &options, budget, false);
+        for j in barred {
+            fact.sim.prob.allowed[j] = true;
+        }
+        iterations
     }
 
     fn extract(&self, pivots: usize) -> LpSolution {
-        let values = match self.fact.as_ref().expect("factorization alive") {
-            Fact::Dense(fact) => simplex::extract_values(&fact.tab, self.num_vars()),
-            Fact::Sparse(fact) => fact.sim.extract_values(self.num_vars()),
-        };
+        let values = self
+            .fact
+            .as_ref()
+            .expect("factorization alive")
+            .sim
+            .extract_values(self.num_vars());
         let objective = self.objective.iter().zip(&values).map(|(c, x)| c * x).sum();
         LpSolution {
             objective,
@@ -1334,24 +913,6 @@ impl SimplexState {
             iterations: pivots,
         }
     }
-}
-
-/// Widens the tableau by `extra` (zero) columns in one re-stride,
-/// preserving row contents.
-fn grow_columns(tab: &mut Tableau, extra: usize) {
-    if extra == 0 {
-        return;
-    }
-    let old_cols = tab.cols;
-    let new_cols = old_cols + extra;
-    let mut a = vec![0.0; tab.rows * new_cols];
-    for r in 0..tab.rows {
-        a[r * new_cols..r * new_cols + old_cols]
-            .copy_from_slice(&tab.a[r * old_cols..(r + 1) * old_cols]);
-    }
-    tab.a = a;
-    tab.cols = new_cols;
-    tab.allowed.resize(new_cols, true);
 }
 
 /// The stored (physical) form of a row declared as `terms op rhs`: base
@@ -1396,170 +957,154 @@ fn regenerate_stored_rows(
     }
 }
 
-/// Re-derives the live tableau from the stored rows while keeping the
-/// current basis: fresh slack-form rows are assembled and one Gauss–Jordan
-/// pass per old basic column pivots the basis back in (partial pivoting:
-/// the largest-magnitude eligible row). This is how a coefficient update is
-/// carried into the factorization without discarding the basis.
-///
-/// Returns `false` when the rebuilt system cannot adopt the old basis — a
-/// live row without a plain slack column (initial `=`/`≥` rows carrying
-/// artificials), a basis containing a barred column, or a basis gone
-/// numerically singular under the new coefficients — in which case the
-/// caller must refactorize cold.
-fn rebuild_in_basis(
-    fact: &mut DenseFact,
-    rows: &[StoredRow],
-    live: &[bool],
-    n: usize,
-    options: &SimplexOptions,
-) -> bool {
-    let live_rows: Vec<usize> = (0..rows.len()).filter(|&p| live[p]).collect();
-    if live_rows.len() != fact.tab.rows {
-        return false;
-    }
-    for &p in &live_rows {
-        if fact.slack_col[p].is_none() || fact.art_col[p].is_some() {
-            return false;
-        }
-    }
-    let cols = fact.tab.cols;
-    let old_basis = fact.tab.basis.clone();
-    if old_basis.iter().any(|&c| c >= cols || !fact.tab.allowed[c]) {
-        return false;
-    }
-    let m = live_rows.len();
-    let mut a = vec![0.0; m * cols];
-    let mut b = vec![0.0; m];
-    for (r, &p) in live_rows.iter().enumerate() {
-        // Reassemble the row the way its live slack column was introduced,
-        // so the slack keeps its meaning: appended rows (always stored `≤`)
-        // and `≤`-assembled base rows sit in the tableau verbatim, while a
-        // base `≥` row with `rhs ≤ 0` was written *sign-flipped* by the
-        // cold assembly (the artificial-free `≥ 0` rewrite — see
-        // `simplex::normalize_constraint`). Any other slack-form shape
-        // would carry an artificial and has been rejected above; bail out
-        // defensively rather than guess an orientation.
-        let sign = match rows[p].op {
-            ConstraintOp::Le => 1.0,
-            ConstraintOp::Ge if rows[p].rhs <= 0.0 => -1.0,
-            _ => return false,
-        };
-        let base = r * cols;
-        for &(v, c) in &rows[p].terms {
-            a[base + v.index()] += sign * c;
-        }
-        b[r] = sign * rows[p].rhs;
-        simplex::equilibrate_row(&mut a[base..base + n], &mut b[r]);
-        a[base + fact.slack_col[p].expect("checked above")] = 1.0;
-    }
-    let mut tab = Tableau {
-        rows: m,
-        cols,
-        a,
-        b,
-        basis: vec![usize::MAX; m],
-        allowed: fact.tab.allowed.clone(),
-    };
-    let mut placed = vec![false; m];
-    for &col in &old_basis {
-        let mut best: Option<(f64, usize)> = None;
-        for (r, _) in placed.iter().enumerate().filter(|&(_, &done)| !done) {
-            let mag = tab.at(r, col).abs();
-            if mag > options.pivot_tolerance && best.is_none_or(|(bm, _)| mag > bm) {
-                best = Some((mag, r));
+impl Fact {
+    /// The warm repair after edits: refactorize the (possibly grown or
+    /// edited) basis, read the reduced costs, pick the repair pass, then
+    /// certify optimality with a primal pass. Returns `(clean, pivots,
+    /// dual_pivots)`; anything but a clean optimum sends the caller cold.
+    ///
+    /// The budget sits deliberately far below the cold solver's: a warm
+    /// re-solve normally needs a handful of pivots, and a warm pass that
+    /// does not converge quickly is numerically suspect — better to
+    /// refactorize than to chase a drifting basis.
+    fn reoptimize(&mut self, options: &SimplexOptions) -> (bool, usize, usize) {
+        let budget = (4 * (self.sim.prob.m + self.sim.prob.ncols)).max(200);
+        let mut pivots = 0usize;
+        let mut dual_pivots = 0usize;
+        let mut clean = true;
+        // `primary_fresh`: the factorization is live and the reduced costs
+        // match `self.cost`, so the next pass may skip its entry refresh
+        // (each refresh is a full refactorization — the dominant cost of a
+        // zero-pivot warm re-solve).
+        let mut primary_fresh = false;
+        if self.stale {
+            if self.sim.factorize(options) {
+                // Classify the start basis. Pure row appends leave the old
+                // reduced costs untouched — dual feasible — and are repaired
+                // by the dual simplex. A coefficient update can break dual
+                // feasibility: if the basis at least stayed primal feasible,
+                // the primal pass below re-optimizes directly; if it lost
+                // both, a dual phase with a zero objective (for which any
+                // basis prices out) restores primal feasibility first.
+                self.sim.compute_reduced_costs(&self.cost);
+                primary_fresh = true;
+                let dual_feasible = self
+                    .sim
+                    .reduced_costs()
+                    .iter()
+                    .zip(&self.sim.prob.allowed)
+                    .all(|(&dj, &ok)| !ok || dj <= options.cost_tolerance);
+                if dual_feasible {
+                    let (status, iters) = self.sim.dual(&self.cost, options, budget, true);
+                    pivots += iters;
+                    dual_pivots += iters;
+                    clean = status == SolveStatus::Optimal;
+                } else if self
+                    .sim
+                    .x_b
+                    .iter()
+                    .any(|&bi| bi < -options.feasibility_tolerance)
+                {
+                    let zero = vec![0.0; self.sim.prob.ncols];
+                    // The factorization from the classification above is
+                    // still live — only the reduced costs must be redone for
+                    // the zero objective (one BTRAN + column pass, far below
+                    // another full refactorization).
+                    self.sim.compute_reduced_costs(&zero);
+                    let (status, iters) = self.sim.dual(&zero, options, budget, true);
+                    pivots += iters;
+                    dual_pivots += iters;
+                    clean = status == SolveStatus::Optimal;
+                    // `d` now belongs to the zero cost; the primal pass below
+                    // must refresh for the real one.
+                    primary_fresh = false;
+                }
+            } else {
+                // Singular under the edited coefficients: only a cold solve
+                // can answer.
+                clean = false;
             }
         }
-        let Some((_, r)) = best else {
-            return false;
-        };
-        tab.pivot(r, col);
-        placed[r] = true;
-    }
-    fact.tab = tab;
-    true
-}
-
-/// Tries to remove physical row `p` from the live tableau without breaking
-/// the basis. Returns `false` when only a cold refactorization can express
-/// the deletion (binding row, or a row still carrying a basic artificial).
-fn remove_physical_row(fact: &mut DenseFact, p: usize) -> bool {
-    // A lingering basic artificial (degenerate redundant row) pins the
-    // basis in a way plain row removal cannot untangle.
-    if let Some(art) = fact.art_col[p] {
-        if fact.tab.basis.contains(&art) {
-            return false;
+        if clean {
+            // Primal cleanup: after a clean dual pass (or a pure deletion)
+            // the basis is already optimal and this prices out in zero
+            // pivots; it guards the rare case where floating-point drift
+            // left a column with a marginally positive reduced cost.
+            let remaining = budget.saturating_sub(pivots).max(100);
+            let (status, iters) = self
+                .sim
+                .primal(&self.cost, options, remaining, primary_fresh);
+            pivots += iters;
+            clean = status == SolveStatus::Optimal;
         }
-        bar_column(&mut fact.tab, art);
+        (clean, pivots, dual_pivots)
     }
-    let Some(slack) = fact.slack_col[p] else {
-        // An initial `=` row has no slack; there is no column to carry the
-        // deletion through the basis.
-        return false;
-    };
-    // The slack basic in some row k means its tableau column is the unit
-    // vector e_k: the constraint's only footprint is tableau row k, so
-    // removing that row (and the column) removes the constraint exactly and
-    // leaves every other row, the right-hand sides, and the reduced costs
-    // untouched — the remaining basis is still primal and dual feasible.
-    let Some(k) = fact.tab.basis.iter().position(|&bc| bc == slack) else {
-        // Slack nonbasic: the row is binding, deletion moves the optimum.
-        return false;
-    };
-    let tab = &mut fact.tab;
-    let cols = tab.cols;
-    tab.a.drain(k * cols..(k + 1) * cols);
-    tab.b.remove(k);
-    tab.basis.remove(k);
-    tab.rows -= 1;
-    bar_column(tab, slack);
-    fact.slack_col[p] = None;
-    fact.art_col[p] = None;
-    true
-}
 
-/// Bars a (now meaningless) column from ever entering the basis and zeroes
-/// its residual coefficients so stale values cannot perturb later pivots.
-fn bar_column(tab: &mut Tableau, col: usize) {
-    tab.allowed[col] = false;
-    for r in 0..tab.rows {
-        tab.a[r * tab.cols + col] = 0.0;
+    /// True when physical row `p` (stored as `row`) sits in the live
+    /// problem as a plain slack-form row — a slack, no artificial, an
+    /// assembled position — in an orientation [`slack_form_sign`] can
+    /// reproduce: the acceptance rule of every in-place rebuild.
+    fn is_slack_form(&self, p: usize, row: &StoredRow) -> bool {
+        self.slack_col[p].is_some()
+            && self.art_col[p].is_none()
+            && self.row_of[p].is_some()
+            && slack_form_sign(row).is_some()
     }
 }
 
-/// Sparse analogue of [`rebuild_in_basis`] for a *grown* variable space:
-/// re-derives the whole sparse problem from the stored rows with `n`
-/// structural columns — old structural columns keep their indices, every
-/// auxiliary column shifts right by the growth — while keeping the current
-/// basis (the new columns enter nonbasic, so the basic values are
-/// unchanged). Returns `false` when the system cannot adopt the old basis
-/// (a live row carrying an artificial, or a row shape the slack-form
-/// rebuild cannot express), in which case the caller refactorizes cold.
-fn rebuild_sparse_grown(
-    fact: &mut SparseFact,
+/// The orientation a live slack-form row was assembled with: appended rows
+/// (always stored `≤`) and `≤` base rows sit verbatim (`+1`), while a base
+/// `≥` row with `rhs ≤ 0` was assembled sign-flipped (`-1`, the
+/// artificial-free `≥ 0` rewrite — see `simplex::normalize_constraint`).
+/// Any other shape carries an artificial under cold assembly, so the
+/// in-place paths refuse it (`None`) rather than guess an orientation.
+fn slack_form_sign(row: &StoredRow) -> Option<f64> {
+    match row.op {
+        ConstraintOp::Le => Some(1.0),
+        ConstraintOp::Ge if row.rhs <= 0.0 => Some(-1.0),
+        _ => None,
+    }
+}
+
+/// Assembles the stored rows `rows[p]` for `p` in `order` (assembled-row
+/// order) in their slack-form orientation over `n` structural columns, each
+/// with its slack column `slack_of(p)`. Every row must pass
+/// [`slack_form_sign`]. Returns the sparse rows and right-hand sides.
+fn assemble_slack_rows(
     rows: &[StoredRow],
-    live: &[bool],
+    order: &[usize],
     n: usize,
-) -> bool {
+    slack_of: impl Fn(usize) -> usize,
+) -> (Vec<Vec<(u32, f64)>>, Vec<f64>) {
+    let mut scratch = ScatterVec::default();
+    let mut row_nz = Vec::with_capacity(order.len());
+    let mut b = Vec::with_capacity(order.len());
+    for &p in order {
+        let sign = slack_form_sign(&rows[p]).expect("checked by the caller");
+        let mut rhs = sign * rows[p].rhs;
+        let mut row = sparse::build_structural_row(n, &rows[p].terms, sign, &mut rhs, &mut scratch);
+        row.push((slack_of(p) as u32, 1.0));
+        row_nz.push(row);
+        b.push(rhs);
+    }
+    (row_nz, b)
+}
+
+/// Re-derives the whole sparse problem from the stored rows for a *grown*
+/// variable space of `n` structural columns — old structural columns keep
+/// their indices, every auxiliary column shifts right by the growth — while
+/// keeping the current basis (the new columns enter nonbasic, so the basic
+/// values are unchanged). Returns `false` when the system cannot adopt the
+/// old basis (a live row failing [`Fact::is_slack_form`], or a basis
+/// holding a barred column), in which case the caller refactorizes cold.
+fn rebuild_grown(fact: &mut Fact, rows: &[StoredRow], live: &[bool], n: usize) -> bool {
     let n_old = fact.sim.prob.n_struct;
     debug_assert!(n >= n_old);
     let k = n - n_old;
     let m = fact.sim.prob.m;
     let live_rows: Vec<usize> = (0..rows.len()).filter(|&p| live[p]).collect();
-    if live_rows.len() != m {
+    if live_rows.len() != m || live_rows.iter().any(|&p| !fact.is_slack_form(p, &rows[p])) {
         return false;
-    }
-    // Same acceptance rule as the in-place rewrite: every live row must be a
-    // plain slack-form row in the orientation it was assembled with.
-    for &p in &live_rows {
-        if fact.slack_col[p].is_none() || fact.art_col[p].is_some() || fact.row_of[p].is_none() {
-            return false;
-        }
-        match rows[p].op {
-            ConstraintOp::Le => {}
-            ConstraintOp::Ge if rows[p].rhs <= 0.0 => {}
-            _ => return false,
-        }
     }
     let shift = |c: usize| if c >= n_old { c + k } else { c };
     let old = &fact.sim.prob;
@@ -1581,22 +1126,9 @@ fn rebuild_sparse_grown(
     for &p in &live_rows {
         pos_to_p[fact.row_of[p].expect("checked above")] = p;
     }
-    let mut scratch = ScatterVec::default();
-    let mut row_nz = Vec::with_capacity(m);
-    let mut b = Vec::with_capacity(m);
-    for &p in &pos_to_p {
-        let sign = match rows[p].op {
-            ConstraintOp::Le => 1.0,
-            ConstraintOp::Ge => -1.0,
-            ConstraintOp::Eq => unreachable!("rejected above"),
-        };
-        let mut rhs = sign * rows[p].rhs;
-        let mut row = sparse::build_structural_row(n, &rows[p].terms, sign, &mut rhs, &mut scratch);
-        let slack = shift(fact.slack_col[p].expect("checked above"));
-        row.push((slack as u32, 1.0));
-        row_nz.push(row);
-        b.push(rhs);
-    }
+    let (row_nz, b) = assemble_slack_rows(rows, &pos_to_p, n, |p| {
+        shift(fact.slack_col[p].expect("checked above"))
+    });
     let mut prob = sparse::SparseProblem {
         m,
         n_struct: n,
@@ -1626,18 +1158,23 @@ fn rebuild_sparse_grown(
     true
 }
 
-/// Sparse analogue of [`remove_physical_row`]: the same non-binding test
-/// (the row's slack must be basic; a basic artificial pins the basis), but
-/// the removal itself drops the constraint row and slack column from the
-/// sparse store — the remaining basic values are provably unchanged (the
-/// slack column is a unit vector), so the deletion stays free.
-fn remove_physical_row_sparse(fact: &mut SparseFact, p: usize) -> bool {
+/// Tries to remove physical row `p` from the live problem without breaking
+/// the basis: the row's slack must be basic (a non-binding row), and no
+/// basic artificial may pin it. The removal drops the constraint row and
+/// its unit slack column from the sparse store — the remaining basic values
+/// are provably unchanged, so the deletion stays free. Returns `false` when
+/// only a cold refactorization can express the deletion.
+fn remove_physical_row(fact: &mut Fact, p: usize) -> bool {
+    // A lingering basic artificial (degenerate redundant row) pins the
+    // basis in a way plain row removal cannot untangle.
     if let Some(art) = fact.art_col[p] {
         if fact.sim.prob.basis.contains(&art) {
             return false;
         }
         fact.sim.bar_column(art);
     }
+    // An initial `=` row has no slack; there is no column to carry the
+    // deletion through the basis.
     let Some(slack) = fact.slack_col[p] else {
         return false;
     };
@@ -1659,45 +1196,26 @@ fn remove_physical_row_sparse(fact: &mut SparseFact, p: usize) -> bool {
     true
 }
 
-/// Sparse analogue of [`rebuild_in_basis`] for in-place coefficient edits:
-/// only the `touched` physical rows are rewritten (the revised engine keeps
-/// the rest verbatim), each must still be a plain slack-form row in the
-/// orientation it was assembled with — the same acceptance rule as the
-/// dense path, see the match below — and the batch ends with a same-basis
+/// In-place coefficient edits: only the `touched` physical rows are
+/// rewritten (the rest stay verbatim), each must still pass
+/// [`Fact::is_slack_form`], and the batch ends with a same-basis
 /// refactorization. Returns `false` when the edit cannot be expressed
 /// in-place (changed row shape, or the old basis gone singular under the
 /// new coefficients), in which case the caller refactorizes cold.
-fn rewrite_rows_sparse(
-    fact: &mut SparseFact,
+fn rewrite_rows(
+    fact: &mut Fact,
     rows: &[StoredRow],
     touched: &[usize],
     options: &SimplexOptions,
 ) -> bool {
-    for &p in touched {
-        if fact.slack_col[p].is_none() || fact.art_col[p].is_some() || fact.row_of[p].is_none() {
-            return false;
-        }
-        // Same orientation rule as the dense rebuild: appended rows (always
-        // stored `≤`) and `≤`-assembled base rows sit verbatim, a base `≥`
-        // row with `rhs ≤ 0` was assembled sign-flipped (the
-        // artificial-free rewrite); any other shape would carry an
-        // artificial under cold assembly — refuse rather than guess.
-        match rows[p].op {
-            ConstraintOp::Le => {}
-            ConstraintOp::Ge if rows[p].rhs <= 0.0 => {}
-            _ => return false,
-        }
+    if touched.iter().any(|&p| !fact.is_slack_form(p, &rows[p])) {
+        return false;
     }
     for &p in touched {
-        let sign = match rows[p].op {
-            ConstraintOp::Le => 1.0,
-            ConstraintOp::Ge => -1.0,
-            ConstraintOp::Eq => unreachable!("rejected above"),
-        };
         fact.sim.rewrite_row(
             fact.row_of[p].expect("checked above"),
             &rows[p].terms,
-            sign,
+            slack_form_sign(&rows[p]).expect("checked above"),
             rows[p].rhs,
             fact.slack_col[p].expect("checked above"),
         );
@@ -1722,29 +1240,25 @@ pub struct SnapshotRow {
 }
 
 /// Capture of the live factorization's *restorable* core: the basis and the
-/// row/column bookkeeping, deliberately **without** the LU/eta factors,
-/// pricing weights, or tableau numbers — those are rebuilt deterministically
-/// by [`SimplexState::restore`], which is what makes a restored state
+/// row/column bookkeeping, deliberately **without** the LU factors, pricing
+/// weights, or basic values — those are rebuilt deterministically by
+/// [`SimplexState::restore`], which is what makes a restored state
 /// *canonical* (two restores from equal snapshots are bit-identical).
 #[derive(Clone, Debug, PartialEq)]
 pub struct FactSnapshot {
-    /// Which engine the factorization was live on.
-    pub engine: SimplexEngine,
     /// Total column count (structural + slack + artificial).
     pub cols: usize,
     /// Basic column per assembled row.
     pub basis: Vec<usize>,
     /// Enterable flag per column (barred tombstones stay barred).
     pub allowed: Vec<bool>,
-    /// Artificial column indices of the original cold assembly (sparse
-    /// engine bookkeeping; empty on the dense engine).
+    /// Artificial column indices of the original cold assembly.
     pub artificial_cols: Vec<usize>,
     /// Per *physical* row: its slack/surplus column, if any.
     pub slack_col: Vec<Option<usize>>,
     /// Per *physical* row: its artificial column, if any.
     pub art_col: Vec<Option<usize>>,
-    /// Per *physical* row: its assembled-row index (sparse engine; empty on
-    /// the dense engine, whose assembled order is the live-row order).
+    /// Per *physical* row: its assembled-row index.
     pub row_of: Vec<Option<usize>>,
 }
 
@@ -1788,27 +1302,14 @@ impl SimplexState {
     /// [`snapshot`](Self::snapshot), which does both) when bit-identical
     /// recovery is required.
     pub fn capture(&self) -> SimplexSnapshot {
-        let fact = self.fact.as_ref().map(|fact| match fact {
-            Fact::Dense(f) => FactSnapshot {
-                engine: SimplexEngine::Dense,
-                cols: f.tab.cols,
-                basis: f.tab.basis.clone(),
-                allowed: f.tab.allowed.clone(),
-                artificial_cols: Vec::new(),
-                slack_col: f.slack_col.clone(),
-                art_col: f.art_col.clone(),
-                row_of: Vec::new(),
-            },
-            Fact::Sparse(f) => FactSnapshot {
-                engine: SimplexEngine::Sparse,
-                cols: f.sim.prob.ncols,
-                basis: f.sim.prob.basis.clone(),
-                allowed: f.sim.prob.allowed.clone(),
-                artificial_cols: f.sim.prob.artificial_cols.clone(),
-                slack_col: f.slack_col.clone(),
-                art_col: f.art_col.clone(),
-                row_of: f.row_of.clone(),
-            },
+        let fact = self.fact.as_ref().map(|f| FactSnapshot {
+            cols: f.sim.prob.ncols,
+            basis: f.sim.prob.basis.clone(),
+            allowed: f.sim.prob.allowed.clone(),
+            artificial_cols: f.sim.prob.artificial_cols.clone(),
+            slack_col: f.slack_col.clone(),
+            art_col: f.art_col.clone(),
+            row_of: f.row_of.clone(),
         });
         SimplexSnapshot {
             options: self.options,
@@ -1838,14 +1339,14 @@ impl SimplexState {
     ///
     /// The factorization core is re-adopted **warm** when the snapshot's
     /// basis passes the same acceptance rules as the in-place rebuild paths
-    /// (plain slack-form rows, no live artificials, non-singular basis);
+    /// (plain slack-form rows, no live artificials);
     /// otherwise — including any basis the rules refuse — the factorization
     /// is dropped and the next [`resolve`](Self::resolve) answers with an
     /// authoritative cold solve, counted like every other cold fallback.
     /// Either way the rebuilt state is *canonical*: every
     /// restore of an equal snapshot produces bit-identical solver behaviour,
-    /// because all transient numbers (LU/eta factors, pricing weights,
-    /// tableau entries) are re-derived from the snapshot data alone.
+    /// because all transient numbers (LU factors, pricing weights, basic
+    /// values) are re-derived from the snapshot data alone.
     ///
     /// Structurally invalid snapshots (inconsistent lengths, out-of-range
     /// indices, non-finite data) are rejected with
@@ -1901,9 +1402,6 @@ impl SimplexState {
     /// of the in-place rebuild paths. Returns `false` on refusal (caller
     /// falls back to a cold solve).
     fn adopt_fact(&mut self, fs: &FactSnapshot) -> bool {
-        if fs.engine != self.options.engine {
-            return false;
-        }
         let n = self.objective.len();
         let live_rows: Vec<usize> = (0..self.rows.len()).filter(|&p| self.live[p]).collect();
         let m = live_rows.len();
@@ -1912,7 +1410,7 @@ impl SimplexState {
         }
         if fs.slack_col.len() != self.rows.len()
             || fs.art_col.len() != self.rows.len()
-            || (fs.engine == SimplexEngine::Sparse && fs.row_of.len() != self.rows.len())
+            || fs.row_of.len() != self.rows.len()
         {
             return false;
         }
@@ -1920,129 +1418,75 @@ impl SimplexState {
             let Some(slack) = fs.slack_col[p] else {
                 return false;
             };
-            if slack >= fs.cols || fs.art_col[p].is_some() {
+            if slack >= fs.cols
+                || fs.art_col[p].is_some()
+                || slack_form_sign(&self.rows[p]).is_none()
+            {
                 return false;
-            }
-            match self.rows[p].op {
-                ConstraintOp::Le => {}
-                ConstraintOp::Ge if self.rows[p].rhs <= 0.0 => {}
-                _ => return false,
             }
         }
         if fs.basis.iter().any(|&bc| bc >= fs.cols || !fs.allowed[bc]) {
             return false;
         }
-        match fs.engine {
-            SimplexEngine::Dense => {
-                let mut fact = DenseFact {
-                    tab: Tableau {
-                        rows: m,
-                        cols: fs.cols,
-                        a: vec![0.0; m * fs.cols],
-                        b: vec![0.0; m],
-                        basis: fs.basis.clone(),
-                        allowed: fs.allowed.clone(),
-                    },
-                    cost: self.maximization_cost(fs.cols),
-                    slack_col: fs.slack_col.clone(),
-                    art_col: fs.art_col.clone(),
-                    stale: true,
-                };
-                // `rebuild_in_basis` re-derives every tableau number from
-                // the stored rows and pivots the captured basis back in; it
-                // never reads the zeroed placeholder above.
-                if !rebuild_in_basis(&mut fact, &self.rows, &self.live, n, &self.options) {
-                    return false;
-                }
-                fact.stale = true;
-                self.fact = Some(Fact::Dense(fact));
-                true
+        // Assembled-row order must be a permutation of the live rows.
+        let mut pos_to_p = vec![usize::MAX; m];
+        for &p in &live_rows {
+            let Some(pos) = fs.row_of[p] else {
+                return false;
+            };
+            if pos >= m || pos_to_p[pos] != usize::MAX {
+                return false;
             }
-            SimplexEngine::Sparse => {
-                // Assembled-row order must be a permutation of the live rows.
-                let mut pos_to_p = vec![usize::MAX; m];
-                for &p in &live_rows {
-                    let Some(pos) = fs.row_of[p] else {
-                        return false;
-                    };
-                    if pos >= m || pos_to_p[pos] != usize::MAX {
-                        return false;
-                    }
-                    pos_to_p[pos] = p;
-                }
-                if fs.artificial_cols.iter().any(|&c| c >= fs.cols) {
-                    return false;
-                }
-                let mut scratch = ScatterVec::default();
-                let mut row_nz = Vec::with_capacity(m);
-                let mut b = Vec::with_capacity(m);
-                for &p in &pos_to_p {
-                    let sign = match self.rows[p].op {
-                        ConstraintOp::Le => 1.0,
-                        ConstraintOp::Ge => -1.0,
-                        ConstraintOp::Eq => unreachable!("rejected above"),
-                    };
-                    let mut rhs = sign * self.rows[p].rhs;
-                    let mut row = sparse::build_structural_row(
-                        n,
-                        &self.rows[p].terms,
-                        sign,
-                        &mut rhs,
-                        &mut scratch,
-                    );
-                    row.push((fs.slack_col[p].expect("checked above") as u32, 1.0));
-                    row_nz.push(row);
-                    b.push(rhs);
-                }
-                let prob_slack_col: Vec<Option<usize>> =
-                    pos_to_p.iter().map(|&p| fs.slack_col[p]).collect();
-                let prob_art_col: Vec<Option<usize>> =
-                    pos_to_p.iter().map(|&p| fs.art_col[p]).collect();
-                let mut prob = sparse::SparseProblem {
-                    m,
-                    n_struct: n,
-                    ncols: fs.cols,
-                    row_nz,
-                    col_nz: vec![Vec::new(); fs.cols],
-                    b,
-                    allowed: fs.allowed.clone(),
-                    basis: fs.basis.clone(),
-                    artificial_cols: fs.artificial_cols.clone(),
-                    slack_col: prob_slack_col,
-                    art_col: prob_art_col,
-                    cols_stale: false,
-                };
-                prob.rebuild_cols();
-                // `SparseSimplex::new` is the canonical reset: fresh eta
-                // file, pricing weights, and scratch — everything transient
-                // is re-derived on the next factorization.
-                let mut fact = SparseFact {
-                    sim: SparseSimplex::new(prob),
-                    cost: self.maximization_cost(fs.cols),
-                    slack_col: fs.slack_col.clone(),
-                    art_col: fs.art_col.clone(),
-                    row_of: fs.row_of.clone(),
-                    stale: true,
-                };
-                fact.stale = true;
-                self.fact = Some(Fact::Sparse(Box::new(fact)));
-                true
-            }
+            pos_to_p[pos] = p;
         }
-    }
-
-    /// Maximization-form cost vector over `cols` total columns.
-    fn maximization_cost(&self, cols: usize) -> Vec<f64> {
-        let sign = match self.sense {
-            Sense::Maximize => 1.0,
-            Sense::Minimize => -1.0,
+        if fs.artificial_cols.iter().any(|&c| c >= fs.cols) {
+            return false;
+        }
+        let (row_nz, b) = assemble_slack_rows(&self.rows, &pos_to_p, n, |p| {
+            fs.slack_col[p].expect("checked above")
+        });
+        let mut prob = sparse::SparseProblem {
+            m,
+            n_struct: n,
+            ncols: fs.cols,
+            row_nz,
+            col_nz: vec![Vec::new(); fs.cols],
+            b,
+            allowed: fs.allowed.clone(),
+            basis: fs.basis.clone(),
+            artificial_cols: fs.artificial_cols.clone(),
+            slack_col: pos_to_p.iter().map(|&p| fs.slack_col[p]).collect(),
+            art_col: pos_to_p.iter().map(|&p| fs.art_col[p]).collect(),
+            cols_stale: false,
         };
-        let mut cost = vec![0.0; cols];
-        for (j, &c) in self.objective.iter().enumerate() {
-            cost[j] = sign * c;
-        }
-        cost
+        prob.rebuild_cols();
+        // `SparseSimplex::new` is the canonical reset: fresh LU factors,
+        // pricing weights, and scratch — everything transient is re-derived
+        // on the next factorization.
+        self.fact = Some(Fact {
+            sim: SparseSimplex::new(prob),
+            cost: maximization_cost(self.sense, &self.objective, fs.cols),
+            slack_col: fs.slack_col.clone(),
+            art_col: fs.art_col.clone(),
+            row_of: fs.row_of.clone(),
+            stale: true,
+        });
+        true
     }
+}
+
+/// Maximization-form cost vector over `cols` total columns: the structural
+/// objective in the sense of the solver, zeros on every auxiliary column.
+fn maximization_cost(sense: Sense, objective: &[f64], cols: usize) -> Vec<f64> {
+    let sign = match sense {
+        Sense::Maximize => 1.0,
+        Sense::Minimize => -1.0,
+    };
+    let mut cost = vec![0.0; cols];
+    for (j, &c) in objective.iter().enumerate() {
+        cost[j] = sign * c;
+    }
+    cost
 }
 
 /// Structural validation of a snapshot before any of it is indexed: every
@@ -2549,238 +1993,213 @@ mod tests {
         );
     }
 
-    fn for_both_engines(test: impl Fn(SimplexOptions)) {
-        for engine in [SimplexEngine::Dense, SimplexEngine::Sparse] {
-            test(SimplexOptions {
-                engine,
-                ..SimplexOptions::default()
-            });
-        }
-    }
-
     #[test]
     fn appended_column_is_priced_in_warm() {
-        for_both_engines(|options| {
-            let (lp, _, _) = base_problem();
-            let mut state = SimplexState::new(&lp, options).unwrap();
-            state.solve().unwrap();
-            let rows = state.base_rows();
-            // A profitable new activity consuming the binding row's capacity.
-            let cols = state
-                .add_cols(&[NewCol::new(4.0, vec![(rows[2], 2.0)])])
-                .unwrap();
-            assert_eq!(cols.len(), 1);
-            let warm = state.resolve().unwrap();
-            let cold = state.to_problem().solve().unwrap();
-            assert_close(warm.objective, cold.objective);
-            assert_eq!(state.stats().cold_solves, 1, "column append went cold");
-            // The new variable is addressable in later rows.
-            state
-                .add_row(&[(cols[0].var(), 1.0)], ConstraintOp::Le, 1.0)
-                .unwrap();
-            let warm = state.resolve().unwrap();
-            assert_close(
-                warm.objective,
-                state.to_problem().solve().unwrap().objective,
-            );
-        });
+        let (lp, _, _) = base_problem();
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        let rows = state.base_rows();
+        // A profitable new activity consuming the binding row's capacity.
+        let cols = state
+            .add_cols(&[NewCol::new(4.0, vec![(rows[2], 2.0)])])
+            .unwrap();
+        assert_eq!(cols.len(), 1);
+        let warm = state.resolve().unwrap();
+        let cold = state.to_problem().solve().unwrap();
+        assert_close(warm.objective, cold.objective);
+        assert_eq!(state.stats().cold_solves, 1, "column append went cold");
+        // The new variable is addressable in later rows.
+        state
+            .add_row(&[(cols[0].var(), 1.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
+        let warm = state.resolve().unwrap();
+        assert_close(
+            warm.objective,
+            state.to_problem().solve().unwrap().objective,
+        );
     }
 
     #[test]
     fn unprofitable_appended_column_costs_nothing() {
-        for_both_engines(|options| {
-            let (lp, _, _) = base_problem();
-            let mut state = SimplexState::new(&lp, options).unwrap();
-            state.solve().unwrap();
-            let rows = state.base_rows();
-            let pivots_before = state.stats().total_pivots;
-            state
-                .add_cols(&[NewCol::new(-1.0, vec![(rows[0], 1.0)])])
-                .unwrap();
-            let warm = state.resolve().unwrap();
-            assert_close(warm.objective, 36.0);
-            assert_eq!(state.stats().total_pivots, pivots_before);
-            assert_eq!(state.stats().cold_solves, 1);
-        });
+        let (lp, _, _) = base_problem();
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        let rows = state.base_rows();
+        let pivots_before = state.stats().total_pivots;
+        state
+            .add_cols(&[NewCol::new(-1.0, vec![(rows[0], 1.0)])])
+            .unwrap();
+        let warm = state.resolve().unwrap();
+        assert_close(warm.objective, 36.0);
+        assert_eq!(state.stats().total_pivots, pivots_before);
+        assert_eq!(state.stats().cold_solves, 1);
     }
 
     #[test]
     fn deleting_a_nonbasic_column_is_free_and_a_basic_one_is_driven_out() {
-        for_both_engines(|options| {
-            let mut lp = LpProblem::new(Sense::Maximize);
-            let x = lp.add_var("x", 3.0);
-            let y = lp.add_var("y", 5.0);
-            let z = lp.add_var("z", 0.1); // never worth using: nonbasic at opt
-            lp.add_le(&[(x, 1.0)], 4.0);
-            lp.add_le(&[(y, 2.0)], 12.0);
-            lp.add_le(&[(x, 3.0), (y, 2.0), (z, 5.0)], 18.0);
-            let mut state = SimplexState::new(&lp, options).unwrap();
-            state.solve().unwrap();
-            // z is nonbasic: deletion must not refactorize or pivot.
-            let pivots_before = state.stats().total_pivots;
-            state.delete_cols(&[ColId(z.index())]).unwrap();
-            let warm = state.resolve().unwrap();
-            assert_close(warm.objective, 36.0);
-            assert_eq!(state.stats().total_pivots, pivots_before);
-            assert_eq!(state.stats().refactorizations, 0);
-            // x is basic at (2, 6): deletion drives it out and repairs.
-            state.delete_cols(&[ColId(x.index())]).unwrap();
-            let warm = state.resolve().unwrap();
-            let cold = state.to_problem().solve().unwrap();
-            assert_close(warm.objective, cold.objective);
-            assert_close(warm.objective, 30.0); // max 5y, 2y ≤ 12
-            assert_close(warm.value(x), 0.0);
-            assert_eq!(state.stats().cols_deleted, 2);
-        });
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 3.0);
+        let y = lp.add_var("y", 5.0);
+        let z = lp.add_var("z", 0.1); // never worth using: nonbasic at opt
+        lp.add_le(&[(x, 1.0)], 4.0);
+        lp.add_le(&[(y, 2.0)], 12.0);
+        lp.add_le(&[(x, 3.0), (y, 2.0), (z, 5.0)], 18.0);
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        // z is nonbasic: deletion must not refactorize or pivot.
+        let pivots_before = state.stats().total_pivots;
+        state.delete_cols(&[ColId(z.index())]).unwrap();
+        let warm = state.resolve().unwrap();
+        assert_close(warm.objective, 36.0);
+        assert_eq!(state.stats().total_pivots, pivots_before);
+        assert_eq!(state.stats().refactorizations, 0);
+        // x is basic at (2, 6): deletion drives it out and repairs.
+        state.delete_cols(&[ColId(x.index())]).unwrap();
+        let warm = state.resolve().unwrap();
+        let cold = state.to_problem().solve().unwrap();
+        assert_close(warm.objective, cold.objective);
+        assert_close(warm.objective, 30.0); // max 5y, 2y ≤ 12
+        assert_close(warm.value(x), 0.0);
+        assert_eq!(state.stats().cols_deleted, 2);
     }
 
     #[test]
     fn column_edits_keep_varid_indexing_stable() {
-        for_both_engines(|options| {
-            let (lp, x, y) = base_problem();
-            let mut state = SimplexState::new(&lp, options).unwrap();
-            state.solve().unwrap();
-            let rows = state.base_rows();
-            let added = state
-                .add_cols(&[NewCol::new(1.0, vec![(rows[0], 1.0)])])
-                .unwrap();
-            state.delete_cols(&[ColId(x.index())]).unwrap();
-            // The tombstone keeps y and the appended column at their indices.
-            assert_eq!(added[0].var(), VarId(2));
-            let warm = state.resolve().unwrap();
-            let cold = state.to_problem().solve().unwrap();
-            assert_close(warm.objective, cold.objective);
-            assert_close(warm.value(y), cold.value(y));
-            assert_close(warm.value(added[0].var()), cold.value(added[0].var()));
-            // Referencing the deleted variable in new data is rejected.
-            assert_eq!(
-                state
-                    .add_row(&[(x, 1.0)], ConstraintOp::Le, 1.0)
-                    .unwrap_err(),
-                LpError::UnknownVariable(x)
-            );
-        });
+        let (lp, x, y) = base_problem();
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        let rows = state.base_rows();
+        let added = state
+            .add_cols(&[NewCol::new(1.0, vec![(rows[0], 1.0)])])
+            .unwrap();
+        state.delete_cols(&[ColId(x.index())]).unwrap();
+        // The tombstone keeps y and the appended column at their indices.
+        assert_eq!(added[0].var(), VarId(2));
+        let warm = state.resolve().unwrap();
+        let cold = state.to_problem().solve().unwrap();
+        assert_close(warm.objective, cold.objective);
+        assert_close(warm.value(y), cold.value(y));
+        assert_close(warm.value(added[0].var()), cold.value(added[0].var()));
+        // Referencing the deleted variable in new data is rejected.
+        assert_eq!(
+            state
+                .add_row(&[(x, 1.0)], ConstraintOp::Le, 1.0)
+                .unwrap_err(),
+            LpError::UnknownVariable(x)
+        );
     }
 
     #[test]
     fn unknown_column_deletes_are_atomic() {
-        for_both_engines(|options| {
-            let (lp, x, _) = base_problem();
-            let mut state = SimplexState::new(&lp, options).unwrap();
-            state.solve().unwrap();
-            let before = state.resolve().unwrap().objective;
-            // Never-issued handle.
-            let err = state
-                .delete_cols(&[ColId(x.index()), ColId(999)])
-                .unwrap_err();
-            assert_eq!(err, LpError::UnknownCol(999));
-            // A repeated handle within one batch is as bad.
-            let err = state
-                .delete_cols(&[ColId(x.index()), ColId(x.index())])
-                .unwrap_err();
-            assert_eq!(err, LpError::UnknownCol(x.index()));
-            assert_eq!(state.stats().cols_deleted, 0);
-            assert_close(state.resolve().unwrap().objective, before);
-            // An already-deleted handle is as unknown as a foreign one.
-            state.delete_cols(&[ColId(x.index())]).unwrap();
-            let err = state.delete_cols(&[ColId(x.index())]).unwrap_err();
-            assert_eq!(err, LpError::UnknownCol(x.index()));
-        });
+        let (lp, x, _) = base_problem();
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        let before = state.resolve().unwrap().objective;
+        // Never-issued handle.
+        let err = state
+            .delete_cols(&[ColId(x.index()), ColId(999)])
+            .unwrap_err();
+        assert_eq!(err, LpError::UnknownCol(999));
+        // A repeated handle within one batch is as bad.
+        let err = state
+            .delete_cols(&[ColId(x.index()), ColId(x.index())])
+            .unwrap_err();
+        assert_eq!(err, LpError::UnknownCol(x.index()));
+        assert_eq!(state.stats().cols_deleted, 0);
+        assert_close(state.resolve().unwrap().objective, before);
+        // An already-deleted handle is as unknown as a foreign one.
+        state.delete_cols(&[ColId(x.index())]).unwrap();
+        let err = state.delete_cols(&[ColId(x.index())]).unwrap_err();
+        assert_eq!(err, LpError::UnknownCol(x.index()));
     }
 
     #[test]
     fn add_cols_validates_handles_and_data_atomically() {
-        for_both_engines(|options| {
-            let (lp, _, _) = base_problem();
-            let mut state = SimplexState::new(&lp, options).unwrap();
-            state.solve().unwrap();
-            let rows = state.base_rows();
-            let err = state
-                .add_cols(&[NewCol::new(1.0, vec![(RowId(77), 1.0)])])
-                .unwrap_err();
-            assert_eq!(err, LpError::UnknownRow(77));
-            let err = state
-                .add_cols(&[NewCol::new(f64::NAN, vec![])])
-                .unwrap_err();
-            assert_eq!(err, LpError::NotFinite);
-            let err = state
-                .add_cols(&[NewCol::new(1.0, vec![(rows[0], f64::INFINITY)])])
-                .unwrap_err();
-            assert_eq!(err, LpError::NotFinite);
-            assert_eq!(state.stats().cols_added, 0);
-            assert_eq!(state.num_vars(), 2);
-            assert_close(state.resolve().unwrap().objective, 36.0);
-        });
+        let (lp, _, _) = base_problem();
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        let rows = state.base_rows();
+        let err = state
+            .add_cols(&[NewCol::new(1.0, vec![(RowId(77), 1.0)])])
+            .unwrap_err();
+        assert_eq!(err, LpError::UnknownRow(77));
+        let err = state
+            .add_cols(&[NewCol::new(f64::NAN, vec![])])
+            .unwrap_err();
+        assert_eq!(err, LpError::NotFinite);
+        let err = state
+            .add_cols(&[NewCol::new(1.0, vec![(rows[0], f64::INFINITY)])])
+            .unwrap_err();
+        assert_eq!(err, LpError::NotFinite);
+        assert_eq!(state.stats().cols_added, 0);
+        assert_eq!(state.num_vars(), 2);
+        assert_close(state.resolve().unwrap().objective, 36.0);
     }
 
     #[test]
     fn columns_into_appended_ge_and_eq_rows_keep_their_normalization() {
-        for_both_engines(|options| {
-            let (lp, x, y) = base_problem();
-            let mut state = SimplexState::new(&lp, options).unwrap();
-            state.solve().unwrap();
-            let ge = state
-                .add_row(&[(x, 1.0), (y, -1.0)], ConstraintOp::Ge, -10.0)
-                .unwrap();
-            let eq = state.add_row(&[(x, 1.0)], ConstraintOp::Eq, 2.0).unwrap();
-            state.resolve().unwrap();
-            // A column with coefficients in the `≥` row and the `=` pair:
-            // the stored (negated) physical rows must see mirrored signs.
-            state
-                .add_cols(&[NewCol::new(2.0, vec![(ge, 1.0), (eq, 1.0)])])
-                .unwrap();
-            let warm = state.resolve().unwrap();
-            let cold = state.to_problem().solve().unwrap();
-            assert_close(warm.objective, cold.objective);
-        });
+        let (lp, x, y) = base_problem();
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        let ge = state
+            .add_row(&[(x, 1.0), (y, -1.0)], ConstraintOp::Ge, -10.0)
+            .unwrap();
+        let eq = state.add_row(&[(x, 1.0)], ConstraintOp::Eq, 2.0).unwrap();
+        state.resolve().unwrap();
+        // A column with coefficients in the `≥` row and the `=` pair:
+        // the stored (negated) physical rows must see mirrored signs.
+        state
+            .add_cols(&[NewCol::new(2.0, vec![(ge, 1.0), (eq, 1.0)])])
+            .unwrap();
+        let warm = state.resolve().unwrap();
+        let cold = state.to_problem().solve().unwrap();
+        assert_close(warm.objective, cold.objective);
     }
 
     #[test]
     fn column_and_row_edits_compose() {
-        for_both_engines(|options| {
-            let (lp, x, y) = base_problem();
-            let mut state = SimplexState::new(&lp, options).unwrap();
-            state.solve().unwrap();
-            let rows = state.base_rows();
-            let cols = state
-                .add_cols(&[
-                    NewCol::new(4.0, vec![(rows[2], 2.0)]),
-                    NewCol::new(1.0, vec![(rows[0], 1.0), (rows[1], 1.0)]),
-                ])
-                .unwrap();
-            assert_close(
-                state.resolve().unwrap().objective,
-                state.to_problem().solve().unwrap().objective,
-            );
-            let cut = state
-                .add_row(&[(x, 1.0), (cols[0].var(), 1.0)], ConstraintOp::Le, 3.0)
-                .unwrap();
-            assert_close(
-                state.resolve().unwrap().objective,
-                state.to_problem().solve().unwrap().objective,
-            );
-            state
-                .update_coeffs(&[RowUpdate::new(
-                    cut,
-                    vec![(y, 1.0), (cols[1].var(), 2.0)],
-                    4.0,
-                )])
-                .unwrap();
-            assert_close(
-                state.resolve().unwrap().objective,
-                state.to_problem().solve().unwrap().objective,
-            );
-            state.delete_cols(&[cols[0]]).unwrap();
-            assert_close(
-                state.resolve().unwrap().objective,
-                state.to_problem().solve().unwrap().objective,
-            );
-            state.delete_rows(&[cut]).unwrap();
-            assert_close(
-                state.resolve().unwrap().objective,
-                state.to_problem().solve().unwrap().objective,
-            );
-        });
+        let (lp, x, y) = base_problem();
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        let rows = state.base_rows();
+        let cols = state
+            .add_cols(&[
+                NewCol::new(4.0, vec![(rows[2], 2.0)]),
+                NewCol::new(1.0, vec![(rows[0], 1.0), (rows[1], 1.0)]),
+            ])
+            .unwrap();
+        assert_close(
+            state.resolve().unwrap().objective,
+            state.to_problem().solve().unwrap().objective,
+        );
+        let cut = state
+            .add_row(&[(x, 1.0), (cols[0].var(), 1.0)], ConstraintOp::Le, 3.0)
+            .unwrap();
+        assert_close(
+            state.resolve().unwrap().objective,
+            state.to_problem().solve().unwrap().objective,
+        );
+        state
+            .update_coeffs(&[RowUpdate::new(
+                cut,
+                vec![(y, 1.0), (cols[1].var(), 2.0)],
+                4.0,
+            )])
+            .unwrap();
+        assert_close(
+            state.resolve().unwrap().objective,
+            state.to_problem().solve().unwrap().objective,
+        );
+        state.delete_cols(&[cols[0]]).unwrap();
+        assert_close(
+            state.resolve().unwrap().objective,
+            state.to_problem().solve().unwrap().objective,
+        );
+        state.delete_rows(&[cut]).unwrap();
+        assert_close(
+            state.resolve().unwrap().objective,
+            state.to_problem().solve().unwrap().objective,
+        );
     }
 
     #[test]

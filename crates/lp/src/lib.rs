@@ -3,23 +3,22 @@
 //! The paper computes the optimal broadcast throughput of the
 //! Multiple-Tree-Pipelined (MTP) problem by solving a linear program with
 //! Maple or MuPAD. This crate replaces those external tools with a
-//! from-scratch two-phase simplex solver in two interchangeable engines:
+//! from-scratch two-phase simplex solver built on one engine, a **sparse
+//! revised simplex**: column-wise constraint storage, a Markowitz sparse LU
+//! basis with bounded eta updates and periodic refactorization, sparse
+//! FTRAN/BTRAN kernels, and Devex pricing for both the primal and the dual
+//! method.
 //!
 //! * [`LpProblem`] — a model builder: named non-negative variables, linear
 //!   constraints (`≤`, `≥`, `=`), a linear objective to maximise or minimise.
-//! * [`solve`] / [`LpProblem::solve`] — two-phase simplex. The default
-//!   engine ([`SimplexEngine::Sparse`]) is a **sparse revised simplex**:
-//!   column-wise constraint storage, a product-form-of-inverse basis (eta
-//!   files with periodic refactorization), sparse FTRAN/BTRAN kernels, and
-//!   [`PricingRule::Devex`] pricing for both the primal and the dual
-//!   method. The dense full-tableau engine ([`SimplexEngine::Dense`],
-//!   [`solve_dense`]) is kept as the differential oracle and ablation
-//!   baseline.
+//! * [`solve`] / [`LpProblem::solve`] — a one-shot two-phase solve.
 //! * [`SimplexState`] — an *incremental* solver: the optimal basis persists
-//!   across appended, deleted, and coefficient-updated rows and is
-//!   re-optimized by warm-started dual simplex (the cut-generation master
-//!   LP is the intended customer). Runs on either engine.
+//!   across appended, deleted, and coefficient-updated rows and columns and
+//!   is re-optimized by warm-started dual simplex (the cut-generation master
+//!   LP is the intended customer).
 //! * [`LpSolution`] — objective value and per-variable values.
+//! * [`solve_dense`] — a cold one-shot dense-tableau solver, kept only as
+//!   the differential oracle the tests compare the sparse engine against.
 //!
 //! The solver is exact enough for the LPs of this reproduction (hundreds of
 //! variables, thousands of rows at the 200-node platform scale); it is not
@@ -53,7 +52,7 @@ pub use incremental::{
     SnapshotRow,
 };
 pub use model::{Constraint, ConstraintOp, LpError, LpProblem, LpSolution, Sense, VarId};
-pub use simplex::{solve, solve_dense, PricingRule, SimplexEngine, SimplexOptions, SolveStatus};
+pub use simplex::{solve, solve_dense, SimplexOptions, SolveStatus};
 
 #[cfg(test)]
 mod tests_prop;

@@ -68,6 +68,10 @@ pub enum LpError {
     Unbounded,
     /// The iteration limit was exceeded before reaching optimality.
     IterationLimit,
+    /// The simplex basis could not be factorized, even with per-pivot
+    /// refactorization: a numerical defeat that a larger iteration budget
+    /// cannot cure.
+    Singular,
     /// A constraint or the objective referenced an unknown variable.
     UnknownVariable(VarId),
     /// A row handle passed to the incremental solver was never issued by it
@@ -91,6 +95,7 @@ impl fmt::Display for LpError {
             LpError::Infeasible => write!(f, "the linear program is infeasible"),
             LpError::Unbounded => write!(f, "the linear program is unbounded"),
             LpError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
+            LpError::Singular => write!(f, "the simplex basis became numerically singular"),
             LpError::UnknownVariable(v) => write!(f, "unknown variable x{}", v.0),
             LpError::UnknownRow(r) => write!(f, "unknown row handle #{r}"),
             LpError::UnknownCol(c) => write!(f, "unknown column handle #{c}"),

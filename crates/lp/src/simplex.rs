@@ -1,6 +1,11 @@
-//! Dense two-phase primal simplex.
+//! Simplex options, outcome types, and the dense two-phase tableau oracle.
 //!
-//! The implementation follows the classical tableau method:
+//! The production engine behind [`solve`] and
+//! [`crate::incremental::SimplexState`] is the sparse revised simplex of
+//! [`crate::sparse`]. This module holds what both sides share — the
+//! [`SimplexOptions`], the constraint normalization, the iteration budget —
+//! plus [`solve_dense`], a cold one-shot full-tableau solver kept only as
+//! the differential oracle the tests compare the sparse engine against:
 //!
 //! 1. The model is normalised so every right-hand side is non-negative;
 //!    `≤` rows get a slack, `≥` rows a surplus plus an artificial, `=` rows
@@ -11,11 +16,11 @@
 //!    basis produced by phase 1 (artificial columns are barred from
 //!    re-entering the basis).
 //!
-//! Pricing uses Dantzig's rule (most negative reduced cost) and switches to
-//! Bland's rule after a run of degenerate pivots, which guarantees
-//! termination. All arithmetic is `f64` with explicit tolerances; the LPs of
-//! this project are small and well-scaled (costs and capacities are O(1)),
-//! so double precision is ample.
+//! The oracle prices with Dantzig's rule (most negative reduced cost) and
+//! switches to Bland's rule after a run of degenerate pivots, which
+//! guarantees termination. All arithmetic is `f64` with explicit
+//! tolerances; the LPs of this project are small and well-scaled (costs and
+//! capacities are O(1)), so double precision is ample.
 
 use crate::model::{ConstraintOp, LpError, LpProblem, LpSolution, Sense};
 
@@ -32,34 +37,6 @@ pub enum SolveStatus {
     IterationLimit,
 }
 
-/// Which engine executes the simplex method.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SimplexEngine {
-    /// The sparse revised simplex with an eta-file basis (the default):
-    /// per-pivot work proportional to the nonzeros involved.
-    Sparse,
-    /// The dense full-tableau engine: every pivot touches all
-    /// `rows × cols` entries. Kept as the differential oracle for the
-    /// sparse engine and for ablation.
-    Dense,
-}
-
-/// Pricing rule of the sparse revised-simplex engine (the dense engine
-/// always prices with Dantzig's rule; both fall back to Bland's rule after
-/// a degenerate run).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PricingRule {
-    /// Devex reference weights (the default): approximate steepest edge at
-    /// a fraction of the cost, decisive on the dual-degenerate cut masters.
-    Devex,
-    /// Most-negative reduced cost / most-infeasible row.
-    Dantzig,
-    /// Forrest–Goldfarb steepest edge: exact recurrences for the column
-    /// norms `γ_j = 1 + ‖B⁻¹a_j‖²` (primal) and row norms
-    /// `δ_r = ‖B⁻ᵀe_r‖²` (dual), at one extra BTRAN/FTRAN per pivot.
-    SteepestEdge,
-}
-
 /// Tunable parameters of the simplex solver.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimplexOptions {
@@ -73,16 +50,12 @@ pub struct SimplexOptions {
     /// Hard cap on pivots (both phases combined). `0` means "choose
     /// automatically from the problem size".
     pub max_iterations: usize,
-    /// Number of consecutive degenerate pivots after which pricing switches
-    /// from Dantzig's rule to Bland's rule.
+    /// Base length of the degenerate run after which pricing falls back to
+    /// Bland's rule (the sparse engine adds the row count to it).
     pub bland_threshold: usize,
-    /// Which engine runs the pivots (sparse revised simplex by default).
-    pub engine: SimplexEngine,
-    /// Pricing rule of the sparse engine (ignored by the dense engine).
-    pub pricing: PricingRule,
-    /// Eta-file length at which the sparse engine refactorizes its basis
-    /// (sparse engine only). Small values trade speed for numerical
-    /// freshness; `0` refactorizes after every pivot.
+    /// Number of basis updates after which the sparse engine refactorizes
+    /// its LU factors. Small values trade speed for numerical freshness;
+    /// `0` refactorizes after every pivot.
     pub refactor_interval: usize,
 }
 
@@ -94,44 +67,39 @@ impl Default for SimplexOptions {
             feasibility_tolerance: 1e-7,
             max_iterations: 0,
             bland_threshold: 64,
-            engine: SimplexEngine::Sparse,
-            pricing: PricingRule::Devex,
             refactor_interval: 64,
         }
     }
 }
 
-/// Dense simplex tableau: `rows × cols` coefficients plus a right-hand side.
-///
-/// Shared between the one-shot two-phase solver below and the incremental
-/// [`crate::incremental::SimplexState`], which keeps a tableau alive across
-/// row additions and deletions.
-pub(crate) struct Tableau {
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
+/// Dense simplex tableau of the [`solve_dense`] oracle: `rows × cols`
+/// coefficients plus a right-hand side.
+struct Tableau {
+    rows: usize,
+    cols: usize,
     /// Row-major coefficient matrix (`rows × cols`).
-    pub(crate) a: Vec<f64>,
+    a: Vec<f64>,
     /// Right-hand side, one entry per row.
-    pub(crate) b: Vec<f64>,
+    b: Vec<f64>,
     /// Index of the basic variable of each row.
-    pub(crate) basis: Vec<usize>,
+    basis: Vec<usize>,
     /// Columns that may enter the basis (artificials are barred in phase 2).
-    pub(crate) allowed: Vec<bool>,
+    allowed: Vec<bool>,
 }
 
 impl Tableau {
     #[inline]
-    pub(crate) fn at(&self, r: usize, c: usize) -> f64 {
+    fn at(&self, r: usize, c: usize) -> f64 {
         self.a[r * self.cols + c]
     }
 
     #[inline]
-    pub(crate) fn row(&self, r: usize) -> &[f64] {
+    fn row(&self, r: usize) -> &[f64] {
         &self.a[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Performs the elimination step for a chosen pivot.
-    pub(crate) fn pivot(&mut self, pivot_row: usize, pivot_col: usize) {
+    fn pivot(&mut self, pivot_row: usize, pivot_col: usize) {
         let cols = self.cols;
         // Normalise the pivot row.
         let pv = self.at(pivot_row, pivot_col);
@@ -173,7 +141,7 @@ impl Tableau {
 /// Runs the simplex method on `tab`, maximising the objective whose
 /// coefficients are `cost` (one per tableau column). Returns the status and
 /// the number of pivots performed.
-pub(crate) fn optimize(
+fn optimize(
     tab: &mut Tableau,
     cost: &[f64],
     options: &SimplexOptions,
@@ -266,7 +234,7 @@ pub(crate) fn optimize(
 }
 
 /// Reduced-cost row of `tab` for `cost`: `d[j] = c[j] − c_B' B^{-1} A_j`.
-pub(crate) fn reduced_costs(tab: &Tableau, cost: &[f64]) -> Vec<f64> {
+fn reduced_costs(tab: &Tableau, cost: &[f64]) -> Vec<f64> {
     let mut d = cost.to_vec();
     for r in 0..tab.rows {
         let cb = cost[tab.basis[r]];
@@ -278,176 +246,6 @@ pub(crate) fn reduced_costs(tab: &Tableau, cost: &[f64]) -> Vec<f64> {
         }
     }
     d
-}
-
-/// Runs the **dual simplex** method on `tab`, maximising the objective whose
-/// coefficients are `cost`.
-///
-/// Preconditions: the current basis is *dual feasible* (every allowed column
-/// prices out, `d[j] ≤ cost_tolerance`) but possibly primal infeasible (some
-/// `b[r] < 0`). This is exactly the state after appending rows to a
-/// previously optimal tableau: the old reduced costs are untouched, the new
-/// rows' slacks price out at zero, and only the right-hand sides of the new
-/// rows may be violated.
-///
-/// Each iteration chooses the most-infeasible row to leave the basis and the
-/// entering column by the dual ratio test `min d[j] / a[r][j]` over
-/// `a[r][j] < 0`, which keeps the reduced costs non-positive. A row with no
-/// negative entry proves the appended constraint cannot be satisfied, i.e.
-/// the problem became [`SolveStatus::Infeasible`]. Like the primal loop,
-/// pricing falls back to a Bland-style smallest-index rule after a run of
-/// degenerate steps so termination is guaranteed.
-///
-/// `reduced` lets a caller that already computed the reduced-cost row for
-/// `cost` (the incremental solver classifies the basis with it before
-/// choosing a repair strategy) hand it over instead of paying the full
-/// O(rows·cols) scan twice; pass `None` to compute it here.
-pub(crate) fn dual_simplex(
-    tab: &mut Tableau,
-    cost: &[f64],
-    options: &SimplexOptions,
-    max_iterations: usize,
-    reduced: Option<Vec<f64>>,
-) -> (SolveStatus, usize) {
-    let rows = tab.rows;
-    let mut d = reduced.unwrap_or_else(|| reduced_costs(tab, cost));
-    debug_assert_eq!(d.len(), tab.cols);
-    let feas = options.feasibility_tolerance;
-    let mut iterations = 0usize;
-    let mut degenerate_run = 0usize;
-    let mut bland_sticky = false;
-    // Stall detection: dual-degenerate plateaus on cut LPs can be thousands
-    // of pivots deep, and walking them is slower than handing the problem
-    // back for a cold re-solve. Track the total primal infeasibility and
-    // give up after a long run without improvement (or when the tableau
-    // magnitudes blow up, the signature of repeated near-tolerance pivots).
-    let infeasibility =
-        |tab: &Tableau| -> f64 { tab.b.iter().map(|&v| (-v).max(0.0)).sum::<f64>() };
-    let initial_infeasibility = infeasibility(tab);
-    let mut best_infeasibility = initial_infeasibility;
-    let mut no_progress = 0usize;
-    let stall_limit = 4 * options.bland_threshold.max(16);
-    loop {
-        if degenerate_run >= options.bland_threshold {
-            bland_sticky = true;
-        }
-        // Leaving row: most negative right-hand side (under the Bland
-        // fallback: the infeasible row whose basic variable has the smallest
-        // index, which breaks dual-degenerate cycles).
-        let mut leaving: Option<usize> = None;
-        if bland_sticky {
-            let mut best_basis = usize::MAX;
-            for r in 0..rows {
-                if tab.b[r] < -feas && tab.basis[r] < best_basis {
-                    best_basis = tab.basis[r];
-                    leaving = Some(r);
-                }
-            }
-        } else {
-            let mut most_negative = -feas;
-            for r in 0..rows {
-                if tab.b[r] < most_negative {
-                    most_negative = tab.b[r];
-                    leaving = Some(r);
-                }
-            }
-        }
-        let Some(row) = leaving else {
-            // Primal feasible again; combined with dual feasibility this
-            // basis is optimal.
-            return (SolveStatus::Optimal, iterations);
-        };
-        if iterations >= max_iterations {
-            return (SolveStatus::IterationLimit, iterations);
-        }
-        // Entering column: dual ratio test. `d[j] ≤ 0` (up to tolerance) and
-        // `a[row][j] < 0`, so the ratio is non-negative; the minimum ratio
-        // keeps every reduced cost non-positive after the pivot.
-        //
-        // Cut-generation masters are massively dual degenerate (most reduced
-        // costs sit at zero), so the minimum ratio is usually attained by
-        // many columns at once. Picking among them blindly invites pivots on
-        // near-tolerance elements whose division blows the tableau up, so a
-        // second pass chooses the largest-magnitude pivot among the
-        // near-minimal ratios (a poor man's Harris test). The Bland fallback
-        // instead takes the smallest column index, whose anti-cycling
-        // guarantee needs the exact minimum.
-        let mut best_ratio = f64::INFINITY;
-        let mut entering: Option<usize> = None;
-        {
-            let tab_row = tab.row(row);
-            for (&a, (&dj, &ok)) in tab_row.iter().zip(d.iter().zip(&tab.allowed)) {
-                if !ok || a >= -options.pivot_tolerance {
-                    continue;
-                }
-                let ratio = dj.min(0.0) / a;
-                if ratio < best_ratio {
-                    best_ratio = ratio;
-                }
-            }
-            if best_ratio.is_finite() {
-                let ratio_slack = 1e-9 * (1.0 + best_ratio.abs());
-                let mut best_pivot = 0.0f64;
-                for (j, (&a, (&dj, &ok))) in
-                    tab_row.iter().zip(d.iter().zip(&tab.allowed)).enumerate()
-                {
-                    if !ok || a >= -options.pivot_tolerance {
-                        continue;
-                    }
-                    let ratio = dj.min(0.0) / a;
-                    if ratio > best_ratio + ratio_slack {
-                        continue;
-                    }
-                    if bland_sticky {
-                        // Smallest index attaining (near) the minimum.
-                        entering = Some(j);
-                        break;
-                    }
-                    if a.abs() > best_pivot {
-                        best_pivot = a.abs();
-                        entering = Some(j);
-                    }
-                }
-            }
-        }
-        let Some(col) = entering else {
-            // The violated row has only non-negative coefficients on the
-            // non-basic side: it can never be satisfied by x ≥ 0.
-            return (SolveStatus::Infeasible, iterations);
-        };
-        degenerate_run = if best_ratio.abs() <= 1e-9 {
-            degenerate_run + 1
-        } else {
-            0
-        };
-        tab.pivot(row, col);
-        // Update the reduced-cost row by the same elimination.
-        let factor = d[col];
-        if factor != 0.0 {
-            let prow = tab.row(row).to_vec();
-            for (j, dj) in d.iter_mut().enumerate() {
-                *dj -= factor * prow[j];
-            }
-            d[col] = 0.0;
-        }
-        iterations += 1;
-        if iterations.is_multiple_of(512) {
-            d = reduced_costs(tab, cost);
-        }
-        let current = infeasibility(tab);
-        if current < best_infeasibility * (1.0 - 1e-9) {
-            best_infeasibility = current;
-            no_progress = 0;
-        } else {
-            no_progress += 1;
-            if no_progress >= stall_limit {
-                return (SolveStatus::IterationLimit, iterations);
-            }
-        }
-        if !current.is_finite() || current > 1e8 * initial_infeasibility.max(1.0) {
-            return (SolveStatus::IterationLimit, iterations);
-        }
-    }
 }
 
 /// Normalizes one constraint for tableau assembly: returns the effective
@@ -482,25 +280,16 @@ pub(crate) fn normalize_constraint(con: &crate::model::Constraint) -> (Constrain
     (op, sign)
 }
 
-/// A freshly assembled tableau plus the per-row auxiliary-column map.
-///
-/// The map (`slack_col[r]` / `art_col[r]`) is what lets the incremental
-/// solver delete a row later: a row whose slack is basic can be dropped
-/// together with its (unit) slack column without disturbing the rest of the
-/// basis.
-pub(crate) struct Assembled {
-    pub(crate) tab: Tableau,
+/// A freshly assembled tableau plus its artificial columns.
+struct Assembled {
+    tab: Tableau,
     /// Every artificial column, in assembly order (phase-1 objective).
-    pub(crate) artificial_cols: Vec<usize>,
-    /// Slack/surplus column of each row, if the row got one.
-    pub(crate) slack_col: Vec<Option<usize>>,
-    /// Artificial column of each row, if the row got one.
-    pub(crate) art_col: Vec<Option<usize>>,
+    artificial_cols: Vec<usize>,
 }
 
 /// Assembles the tableau for `constraints` over `n` structural variables.
 /// Column layout: `[structural | slack/surplus | artificial]`.
-pub(crate) fn assemble(n: usize, constraints: &[crate::model::Constraint]) -> Assembled {
+fn assemble(n: usize, constraints: &[crate::model::Constraint]) -> Assembled {
     let m = constraints.len();
     // Count auxiliary columns with the same normalization the assembly loop
     // applies, so the column layout and the written rows cannot desync.
@@ -533,8 +322,6 @@ pub(crate) fn assemble(n: usize, constraints: &[crate::model::Constraint]) -> As
     let mut next_slack = slack_base;
     let mut next_art = art_base;
     let mut artificial_cols: Vec<usize> = Vec::with_capacity(num_artificial);
-    let mut slack_col: Vec<Option<usize>> = vec![None; rows];
-    let mut art_col: Vec<Option<usize>> = vec![None; rows];
     for (r, con) in constraints.iter().enumerate() {
         let (op, sign) = normalize_constraint(con);
         let base = r * cols;
@@ -551,23 +338,19 @@ pub(crate) fn assemble(n: usize, constraints: &[crate::model::Constraint]) -> As
             ConstraintOp::Le => {
                 tab.a[base + next_slack] = 1.0;
                 tab.basis[r] = next_slack;
-                slack_col[r] = Some(next_slack);
                 next_slack += 1;
             }
             ConstraintOp::Ge => {
                 tab.a[base + next_slack] = -1.0;
-                slack_col[r] = Some(next_slack);
                 next_slack += 1;
                 tab.a[base + next_art] = 1.0;
                 tab.basis[r] = next_art;
-                art_col[r] = Some(next_art);
                 artificial_cols.push(next_art);
                 next_art += 1;
             }
             ConstraintOp::Eq => {
                 tab.a[base + next_art] = 1.0;
                 tab.basis[r] = next_art;
-                art_col[r] = Some(next_art);
                 artificial_cols.push(next_art);
                 next_art += 1;
             }
@@ -576,14 +359,13 @@ pub(crate) fn assemble(n: usize, constraints: &[crate::model::Constraint]) -> As
     Assembled {
         tab,
         artificial_cols,
-        slack_col,
-        art_col,
     }
 }
 
 /// Scales a row so its largest structural coefficient has magnitude 1 when
-/// its natural scale is far from unity (shared by assembly and row appends).
-pub(crate) fn equilibrate_row(structural: &mut [f64], rhs: &mut f64) {
+/// its natural scale is far from unity (the sparse assembly applies the
+/// same rule in `sparse::build_structural_row`).
+fn equilibrate_row(structural: &mut [f64], rhs: &mut f64) {
     let row_scale = structural.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
     if row_scale > 0.0 && !(1e-3..=1e3).contains(&row_scale) {
         for value in structural.iter_mut() {
@@ -593,7 +375,7 @@ pub(crate) fn equilibrate_row(structural: &mut [f64], rhs: &mut f64) {
     }
 }
 
-/// Default pivot budget for a tableau of the given size: simplex rarely
+/// Default pivot budget for an LP of the given size: simplex rarely
 /// needs more than a few times `rows + cols` pivots on well-scaled problems.
 pub(crate) fn default_iteration_budget(
     options: &SimplexOptions,
@@ -611,7 +393,7 @@ pub(crate) fn default_iteration_budget(
 /// tableau. `phase2_cost` must already be in *maximization* form (one entry
 /// per column). Returns the total pivot count; on success the tableau holds
 /// an optimal basis.
-pub(crate) fn two_phase(
+fn two_phase(
     tab: &mut Tableau,
     artificial_cols: &[usize],
     phase2_cost: &[f64],
@@ -678,7 +460,7 @@ pub(crate) fn two_phase(
 }
 
 /// Extracts the structural-variable values from an optimal tableau.
-pub(crate) fn extract_values(tab: &Tableau, n: usize) -> Vec<f64> {
+fn extract_values(tab: &Tableau, n: usize) -> Vec<f64> {
     let mut values = vec![0.0; n];
     for r in 0..tab.rows {
         let bc = tab.basis[r];
@@ -702,24 +484,20 @@ pub(crate) fn maximization_cost(problem: &LpProblem, cols: usize) -> Vec<f64> {
     cost
 }
 
-/// Solves `problem` with the given options, dispatching on
-/// [`SimplexOptions::engine`].
+/// Solves `problem` with the sparse revised simplex (the engine of
+/// [`crate::sparse`]).
 pub fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
     if !bcast_obs::enabled() {
-        return solve_inner(problem, options);
+        return crate::sparse::solve(problem, options);
     }
     let _span = bcast_obs::span!(bcast_obs::names::SPAN_LP_SOLVE);
     let start = std::time::Instant::now();
-    let result = solve_inner(problem, options);
+    let result = crate::sparse::solve(problem, options);
     let pivots = result.as_ref().map_or(0, |sol| sol.iterations) as u64;
     bcast_obs::counter_add(bcast_obs::names::LP_COLD_SOLVES, 1);
     bcast_obs::counter_add(bcast_obs::names::LP_PIVOTS, pivots);
     bcast_obs::emit_with(|| bcast_obs::Event::LpSolve {
         kind: bcast_obs::LpSolveKind::Cold,
-        engine: match options.engine {
-            SimplexEngine::Sparse => "sparse",
-            SimplexEngine::Dense => "dense",
-        },
         rows: problem.constraints().len(),
         cols: problem.num_vars(),
         pivots,
@@ -729,13 +507,6 @@ pub fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution
     result
 }
 
-fn solve_inner(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
-    match options.engine {
-        SimplexEngine::Sparse => crate::sparse::solve(problem, options),
-        SimplexEngine::Dense => solve_dense(problem, options),
-    }
-}
-
 /// Journal status tag of a solve outcome.
 pub(crate) fn solve_status_str(result: &Result<LpSolution, LpError>) -> &'static str {
     match result {
@@ -743,13 +514,15 @@ pub(crate) fn solve_status_str(result: &Result<LpSolution, LpError>) -> &'static
         Err(LpError::Infeasible) => "infeasible",
         Err(LpError::Unbounded) => "unbounded",
         Err(LpError::IterationLimit) => "iteration_limit",
+        Err(LpError::Singular) => "singular",
         Err(_) => "error",
     }
 }
 
-/// Solves `problem` with the dense full-tableau engine regardless of
-/// [`SimplexOptions::engine`] — the differential oracle for the sparse
-/// engine and the reference side of `tests/lp_sparse.rs`.
+/// Solves `problem` cold with the dense full-tableau method — the
+/// differential oracle the tests compare the sparse engine against. Only
+/// the [`SimplexOptions`] tolerances, the iteration cap and the Bland
+/// threshold apply; nothing outside the tests calls it.
 pub fn solve_dense(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
     problem.validate()?;
     let n = problem.num_vars();

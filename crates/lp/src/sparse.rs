@@ -1,34 +1,35 @@
-//! Sparse **revised simplex** engine: column-wise constraint storage, an
-//! eta-file basis ([`crate::basis`]), sparse FTRAN/BTRAN kernels, and
-//! Devex pricing for both the primal and the dual method.
+//! The **sparse revised simplex**, the one LP engine behind
+//! [`crate::solve`] and [`crate::incremental::SimplexState`]: column-wise
+//! constraint storage, a Markowitz sparse LU basis with bounded eta updates
+//! ([`crate::basis`]), sparse FTRAN/BTRAN kernels, and Devex pricing for
+//! both the primal and the dual method.
 //!
-//! The dense tableau engine in [`crate::simplex`] touches all
-//! `rows × cols` entries on every pivot. The LPs of this project are the
-//! opposite of dense: a port row has one nonzero per incident edge, a cut
-//! row one nonzero per crossing edge — a handful of entries over ~n² edge
-//! variables. The revised method only ever works with
+//! The LPs of this project are far from dense: a port row has one nonzero
+//! per incident edge, a cut row one nonzero per crossing edge — a handful
+//! of entries over ~n² edge variables. The revised method only ever works
+//! with
 //!
 //! * one FTRAN (`B⁻¹ a_q`, the entering column) per pivot,
 //! * one BTRAN (`B⁻ᵀ e_r`, the leaving row's pricing vector) per pivot,
 //! * one sparse row pass (`ρᵀ A`) to update the reduced costs,
 //!
 //! all proportional to the nonzeros actually involved, which is what makes
-//! 200-node platforms tractable. Pricing is Devex by default (one reference
-//! framework per pricing pass, surviving refactorizations) with Dantzig
-//! available for ablation, and both loops keep a Bland anti-cycling
-//! fallback — latched on genuine lack of progress, scaled with problem
-//! size — so the incremental layer's "cold fallback is authoritative"
-//! contract carries over unchanged.
+//! 500- and 1000-node platforms tractable. Devex keeps one reference
+//! framework per pricing pass, surviving refactorizations, and both loops
+//! keep a Bland anti-cycling fallback — latched on genuine lack of
+//! progress, scaled with problem size — so the incremental layer's "cold
+//! fallback is authoritative" contract holds.
 //!
-//! The assembly applies the *same* normalization as the dense engine
-//! ([`simplex::normalize_constraint`], row equilibration, artificial-free
-//! `≥ 0` rewrite), so the two engines solve literally the same standard
-//! form and their optima agree to solver tolerance — asserted by the
-//! differential proptests in `tests_prop.rs` and by `tests/lp_sparse.rs`.
+//! The assembly applies the *same* normalization as the dense oracle
+//! [`simplex::solve_dense`] ([`simplex::normalize_constraint`], row
+//! equilibration, artificial-free `≥ 0` rewrite), so both solve literally
+//! the same standard form and their optima agree to solver tolerance —
+//! asserted by the differential proptests in `tests_prop.rs` and by
+//! `tests/lp_sparse.rs`.
 
 use crate::basis::{EtaBasis, ScatterVec};
 use crate::model::{Constraint, ConstraintOp, LpError, LpProblem, LpSolution};
-use crate::simplex::{self, PricingRule, SimplexOptions, SolveStatus};
+use crate::simplex::{self, SimplexOptions, SolveStatus};
 
 /// The assembled LP in sparse standard form `Ax = b` (after slack /
 /// artificial augmentation), plus the per-row auxiliary-column map that the
@@ -81,7 +82,7 @@ impl SparseProblem {
 }
 
 /// Sums sparse `(var, coeff)` terms into dense-indexed structural values,
-/// applies the row-equilibration rule shared with the dense assembly, and
+/// applies the row-equilibration rule of the dense oracle's assembly, and
 /// returns the surviving nonzeros (exact zeros are dropped).
 pub(crate) fn build_structural_row(
     n: usize,
@@ -121,7 +122,7 @@ pub(crate) fn build_structural_row(
 }
 
 /// Assembles `constraints` over `n` structural variables into sparse
-/// standard form, mirroring the dense `simplex::assemble` exactly (same
+/// standard form, mirroring the dense oracle's assembly exactly (same
 /// normalization, same column layout `[structural | slack | artificial]`,
 /// same starting basis).
 pub(crate) fn assemble_sparse(n: usize, constraints: &[Constraint]) -> SparseProblem {
@@ -205,11 +206,9 @@ pub(crate) struct SparseSimplex {
     pub(crate) x_b: Vec<f64>,
     /// Reduced costs per column, for the cost vector of the running loop.
     d: Vec<f64>,
-    /// Primal pricing weights (per column): Devex reference weights or
-    /// Forrest–Goldfarb steepest-edge norms `γ_j = 1 + ‖B⁻¹a_j‖²`.
+    /// Primal Devex reference weights (per column).
     w_col: Vec<f64>,
-    /// Dual pricing weights (per row): Devex reference weights or
-    /// steepest-edge row norms `δ_r = ‖B⁻ᵀe_r‖²`.
+    /// Dual Devex reference weights (per row).
     w_row: Vec<f64>,
     /// Basic membership per column — pricing must never re-enter a basic
     /// column: reduced-cost drift can make a basic column *look* attractive
@@ -221,13 +220,11 @@ pub(crate) struct SparseSimplex {
     ws_btran: ScatterVec,
     ws_tab: ScatterVec,
     ws_fact: ScatterVec,
-    /// Steepest-edge scratch: `τ = B⁻ᵀα` (primal) / `τ = B⁻¹ρ` (dual).
-    ws_se: ScatterVec,
     /// False whenever the factorization no longer matches `prob` (structural
     /// edits, appended/deleted rows); the loops refactorize on entry.
     factorized: bool,
-    /// True when the last solve attempt aborted on a singular
-    /// refactorization (see [`Self::singular_bailout`]).
+    /// True when the running solve attempt aborted on a singular
+    /// refactorization (reported as [`LpError::Singular`]).
     singular: bool,
 }
 
@@ -247,7 +244,6 @@ impl SparseSimplex {
             ws_btran: ScatterVec::default(),
             ws_tab: ScatterVec::default(),
             ws_fact: ScatterVec::default(),
-            ws_se: ScatterVec::default(),
             factorized: false,
             singular: false,
         }
@@ -281,12 +277,11 @@ impl SparseSimplex {
         // assignment comes back *permuted*: `new_basis[r]` need not be the
         // old `basis[r]`. The row-indexed dual pricing weights must follow
         // their variables through that permutation — `w_row[r]` describes
-        // the basic variable assigned to row `r` (for steepest edge it *is*
-        // `‖e_rᵀB⁻¹‖²`, and permuting the basis columns permutes the rows
-        // of `B⁻¹` identically), and leaving it position-indexed scrambles
-        // the pricing framework at every refactorization. On the 200-node
-        // cut masters that scrambling turned ~100-pivot warm dual re-solves
-        // into multi-thousand-pivot plateau walks.
+        // the basic variable assigned to row `r`, and leaving it
+        // position-indexed scrambles the pricing framework at every
+        // refactorization. On the 200-node cut masters that scrambling
+        // turned ~100-pivot warm dual re-solves into multi-thousand-pivot
+        // plateau walks.
         if self.w_row.len() == m && self.prob.basis.len() == m {
             let mut old_row = vec![usize::MAX; self.prob.ncols];
             for (r, &bc) in self.prob.basis.iter().enumerate() {
@@ -450,105 +445,6 @@ impl SparseSimplex {
         self.w_row[r] = (wr / (alpha_r * alpha_r)).max(1.0);
     }
 
-    /// Initializes the primal steepest-edge norms at the start of a pass:
-    /// `γ_j = 1 + ‖a_j‖²` — exact for a slack/artificial (identity) basis
-    /// and the standard cheap reference start otherwise (the Forrest–
-    /// Goldfarb recurrence keeps them exact from here on).
-    fn init_primal_steepest(&mut self) {
-        self.w_col.clear();
-        self.w_col.reserve(self.prob.ncols);
-        for col in &self.prob.col_nz {
-            let norm2: f64 = col.iter().map(|&(_, v)| v * v).sum();
-            self.w_col.push(1.0 + norm2);
-        }
-    }
-
-    /// Forrest–Goldfarb primal steepest-edge update after a pivot on
-    /// `(q, r)`: `ws_ftran` holds `α = B⁻¹a_q` (pivot element `alpha_r`),
-    /// `ws_tab` the tableau row. Must run *before* [`Self::apply_pivot`]
-    /// (the recurrence needs the pre-pivot `B`). One extra BTRAN computes
-    /// `τ = B⁻ᵀα`, then for every nonbasic `j` in the tableau-row support
-    ///
-    /// ```text
-    ///   γ_j ← max(γ_j − 2·(ᾱ_j/α_r)·a_jᵀτ + (ᾱ_j/α_r)²·γ_q, 1 + (ᾱ_j/α_r)²)
-    /// ```
-    fn update_primal_steepest(&mut self, q: usize, leaving_col: usize, alpha_r: f64) {
-        // Exact norm of the entering column (self-correcting: drift in
-        // w_col[q] does not propagate).
-        let mut gamma_q = 1.0f64;
-        for &i in self.ws_ftran.support() {
-            let a = self.ws_ftran.get(i);
-            gamma_q += a * a;
-        }
-        self.ws_se.ensure_len(self.prob.m);
-        self.ws_se.clear();
-        for &i in self.ws_ftran.support() {
-            let a = self.ws_ftran.get(i);
-            if a != 0.0 {
-                self.ws_se.add(i, a);
-            }
-        }
-        self.eta.btran(&mut self.ws_se);
-        for &j in self.ws_tab.support() {
-            let j = j as usize;
-            if j == q || !self.prob.allowed[j] || self.in_basis[j] {
-                continue;
-            }
-            let ratio = self.ws_tab.get(j as u32) / alpha_r;
-            if ratio == 0.0 {
-                continue;
-            }
-            let dot: f64 = self.prob.col_nz[j]
-                .iter()
-                .map(|&(i, v)| v * self.ws_se.get(i))
-                .sum();
-            let candidate = self.w_col[j] - 2.0 * ratio * dot + ratio * ratio * gamma_q;
-            self.w_col[j] = candidate.max(1.0 + ratio * ratio);
-        }
-        self.w_col[leaving_col] = (gamma_q / (alpha_r * alpha_r)).max(1.0);
-    }
-
-    /// Forrest–Goldfarb dual steepest-edge update after a pivot leaving at
-    /// row `r`: `ws_btran` holds `ρ = B⁻ᵀe_r` (left by
-    /// [`Self::compute_tab_row`]), `ws_ftran` the FTRAN'd entering column
-    /// (pivot element `alpha_r`). Must run *before* [`Self::apply_pivot`].
-    /// One extra FTRAN computes `τ = B⁻¹ρ`, then for every row `i ≠ r` in
-    /// the entering column's support
-    ///
-    /// ```text
-    ///   δ_i ← max(δ_i − 2·(α_i/α_r)·τ_i + (α_i/α_r)²·δ_r, floor)
-    /// ```
-    fn update_dual_steepest(&mut self, r: usize, alpha_r: f64) {
-        let mut delta_r = 0.0f64;
-        for &i in self.ws_btran.support() {
-            let y = self.ws_btran.get(i);
-            delta_r += y * y;
-        }
-        self.ws_se.ensure_len(self.prob.m);
-        self.ws_se.clear();
-        for &i in self.ws_btran.support() {
-            let y = self.ws_btran.get(i);
-            if y != 0.0 {
-                self.ws_se.add(i, y);
-            }
-        }
-        self.eta.ftran(&mut self.ws_se);
-        for &i in self.ws_ftran.support() {
-            let i = i as usize;
-            if i == r {
-                continue;
-            }
-            let ratio = self.ws_ftran.get(i as u32) / alpha_r;
-            if ratio == 0.0 {
-                continue;
-            }
-            let candidate =
-                self.w_row[i] - 2.0 * ratio * self.ws_se.get(i as u32) + ratio * ratio * delta_r;
-            self.w_row[i] = candidate.max(1e-10);
-        }
-        self.w_row[r] = (delta_r / (alpha_r * alpha_r)).max(1e-10);
-    }
-
     /// Ensures the factorization is live and the reduced costs match `cost`.
     /// Returns `false` on a singular basis.
     fn refresh(&mut self, cost: &[f64], options: &SimplexOptions) -> bool {
@@ -559,16 +455,15 @@ impl SparseSimplex {
         true
     }
 
-    /// The revised **primal** simplex, maximising `cost`. Mirrors the dense
-    /// `simplex::optimize` contract: starts from a primal-feasible basis,
-    /// returns `(status, pivots)`.
+    /// The revised **primal** simplex, maximising `cost`: starts from a
+    /// primal-feasible basis, returns `(status, pivots)`.
     ///
     /// `assume_fresh` skips the entry refresh — only for callers that *just*
     /// ran [`factorize`](Self::factorize) +
     /// [`compute_reduced_costs`](Self::compute_reduced_costs) with the same
     /// `cost` (or got the state back from a loop that ended on a fresh
-    /// verdict): every refactorization is a full sparse Gauss–Jordan pass,
-    /// and the warm re-solves of the incremental layer are often
+    /// verdict): every refactorization is a full Markowitz LU pass, and the
+    /// warm re-solves of the incremental layer are often
     /// zero-pivot, so redundant refreshes would dominate their cost.
     pub(crate) fn primal(
         &mut self,
@@ -581,14 +476,9 @@ impl SparseSimplex {
         if !assume_fresh && !self.refresh(cost, options) {
             return (SolveStatus::IterationLimit, 0);
         }
-        // Fresh pricing framework for this pass: Devex reference weights,
-        // or steepest-edge norms seeded from the raw column norms.
-        if options.pricing == PricingRule::SteepestEdge {
-            self.init_primal_steepest();
-        } else {
-            self.w_col.clear();
-            self.w_col.resize(self.prob.ncols, 1.0);
-        }
+        // Fresh Devex reference framework for this pass.
+        self.w_col.clear();
+        self.w_col.resize(self.prob.ncols, 1.0);
         let mut iterations = 0usize;
         let mut degenerate_run = 0usize;
         let mut bland_sticky = false;
@@ -607,7 +497,7 @@ impl SparseSimplex {
             // on the first strictly improving pivot. Bland's rule guarantees
             // escape from the plateau it latched on, and once the objective
             // strictly moves no earlier basis can recur, so handing pricing
-            // back to Devex/steepest is safe. A permanently sticky latch at
+            // back to Devex is safe. A permanently sticky latch at
             // a flat 64-pivot trigger turned the 500-node cold masters into
             // ~800k-pivot Bland walks — first-index pricing is the
             // anti-cycling tool of last resort, not a pricing rule.
@@ -625,26 +515,13 @@ impl SparseSimplex {
                     .zip(self.prob.allowed.iter().zip(&self.in_basis))
                     .position(|(&dj, (&ok, &basic))| ok && !basic && dj > options.cost_tolerance);
             } else {
-                match options.pricing {
-                    PricingRule::Dantzig => {
-                        let mut best = options.cost_tolerance;
-                        for (j, (&dj, &ok)) in self.d.iter().zip(&self.prob.allowed).enumerate() {
-                            if ok && !self.in_basis[j] && dj > best {
-                                best = dj;
-                                entering = Some(j);
-                            }
-                        }
-                    }
-                    PricingRule::Devex | PricingRule::SteepestEdge => {
-                        let mut best = 0.0f64;
-                        for (j, (&dj, &ok)) in self.d.iter().zip(&self.prob.allowed).enumerate() {
-                            if ok && !self.in_basis[j] && dj > options.cost_tolerance {
-                                let score = dj * dj / self.w_col[j];
-                                if score > best {
-                                    best = score;
-                                    entering = Some(j);
-                                }
-                            }
+                let mut best = 0.0f64;
+                for (j, (&dj, &ok)) in self.d.iter().zip(&self.prob.allowed).enumerate() {
+                    if ok && !self.in_basis[j] && dj > options.cost_tolerance {
+                        let score = dj * dj / self.w_col[j];
+                        if score > best {
+                            best = score;
+                            entering = Some(j);
                         }
                     }
                 }
@@ -684,11 +561,11 @@ impl SparseSimplex {
                 }
                 return (SolveStatus::Unbounded, iterations);
             }
-            // The tie window is deliberately wider than the dense engine's
+            // The tie window is deliberately wider than the dense oracle's
             // (1e-9 relative vs 1e-12): grouping near-degenerate ratios and
             // taking the largest pivot magnitude among them keeps the
-            // revised method off noise-sized pivots that the eta file would
-            // amplify.
+            // revised method off noise-sized pivots that the basis updates
+            // would amplify.
             let slack = 1e-9 * (1.0 + best_ratio.abs());
             let mut leaving: Option<usize> = None;
             let mut best_key = (0.0f64, usize::MAX);
@@ -744,21 +621,17 @@ impl SparseSimplex {
             let leaving_col = self.prob.basis[r];
             self.compute_tab_row(r);
             self.update_reduced_costs(q, pivot_val);
-            match options.pricing {
-                PricingRule::Devex => self.update_primal_devex(q, leaving_col, pivot_val),
-                PricingRule::SteepestEdge => self.update_primal_steepest(q, leaving_col, pivot_val),
-                PricingRule::Dantzig => {}
-            }
+            self.update_primal_devex(q, leaving_col, pivot_val);
             self.apply_pivot(q, r);
             iterations += 1;
         }
     }
 
-    /// The revised **dual** simplex, maximising `cost`. Mirrors the dense
-    /// `simplex::dual_simplex` contract: starts from a dual-feasible basis,
-    /// restores primal feasibility, with the same plateau/blow-up stall
-    /// detection (a stall returns [`SolveStatus::IterationLimit`] so the
-    /// incremental layer refactorizes cold).
+    /// The revised **dual** simplex, maximising `cost`: starts from a
+    /// dual-feasible basis and restores primal feasibility. A numeric
+    /// blow-up or an exhausted budget returns
+    /// [`SolveStatus::IterationLimit`] so the incremental layer
+    /// refactorizes cold.
     pub(crate) fn dual(
         &mut self,
         cost: &[f64],
@@ -770,9 +643,7 @@ impl SparseSimplex {
         if !assume_fresh && !self.refresh(cost, options) {
             return (SolveStatus::IterationLimit, 0);
         }
-        // Fresh pricing framework for this pass (`δ_r = 1` is also the
-        // steepest-edge start: exact for a fresh slack basis, reference
-        // otherwise — the recurrence keeps it exact from here).
+        // Fresh Devex reference framework for this pass.
         self.w_row.clear();
         self.w_row.resize(self.prob.m, 1.0);
         let feas = options.feasibility_tolerance;
@@ -819,26 +690,13 @@ impl SparseSimplex {
                     }
                 }
             } else {
-                match options.pricing {
-                    PricingRule::Dantzig => {
-                        let mut most_negative = -feas;
-                        for (r, &xb) in self.x_b.iter().enumerate() {
-                            if xb < most_negative {
-                                most_negative = xb;
-                                leaving = Some(r);
-                            }
-                        }
-                    }
-                    PricingRule::Devex | PricingRule::SteepestEdge => {
-                        let mut best = 0.0f64;
-                        for (r, &xb) in self.x_b.iter().enumerate() {
-                            if xb < -feas {
-                                let score = xb * xb / self.w_row[r];
-                                if score > best {
-                                    best = score;
-                                    leaving = Some(r);
-                                }
-                            }
+                let mut best = 0.0f64;
+                for (r, &xb) in self.x_b.iter().enumerate() {
+                    if xb < -feas {
+                        let score = xb * xb / self.w_row[r];
+                        if score > best {
+                            best = score;
+                            leaving = Some(r);
                         }
                     }
                 }
@@ -929,11 +787,7 @@ impl SparseSimplex {
                 return (SolveStatus::IterationLimit, iterations);
             }
             self.update_reduced_costs(q, self.ws_tab.get(q as u32));
-            match options.pricing {
-                PricingRule::Devex => self.update_dual_devex(r, alpha_r),
-                PricingRule::SteepestEdge => self.update_dual_steepest(r, alpha_r),
-                PricingRule::Dantzig => {}
-            }
+            self.update_dual_devex(r, alpha_r);
             self.apply_pivot(q, r);
             iterations += 1;
             let current = infeasibility(&self.x_b);
@@ -952,25 +806,20 @@ impl SparseSimplex {
         }
     }
 
-    /// Runs phase 1 (when artificials exist) and phase 2, mirroring the
-    /// dense `simplex::two_phase` semantics and error mapping.
+    /// Runs phase 1 (when artificials exist) and phase 2, with the dense
+    /// oracle's error mapping.
     ///
     /// An [`LpError::IterationLimit`] from the first attempt is retried once
     /// from the initial basis with per-pivot refactorization
-    /// (`refactor_interval = 1`): virtually every such failure is eta-file
-    /// drift — a pivot taken on accumulated FTRAN noise can make the basis
-    /// exactly singular on the ±1 cut-row structure, and a maximally fresh
-    /// factorization cannot accumulate that noise.
+    /// (`refactor_interval = 1`): a pivot taken on accumulated FTRAN noise
+    /// can make the basis exactly singular on the ±1 cut-row structure, and
+    /// a maximally fresh factorization cannot accumulate that noise.
     ///
-    /// The retry does **not** rescue a trajectory that walks into a basis
-    /// whose refactorization is singular even when freshly built every
-    /// pivot (seen with Devex on a drifted random-20 master at seed 2004:
-    /// the restricted partial pivoting of the eta LU loses the basis to
-    /// cancellation while the dense tableau's full-row pivoting solves the
-    /// same LP in a few hundred pivots). Those failures leave
-    /// [`singular_bailout`](Self::singular_bailout) set so [`solve`] can
-    /// distinguish them from genuine budget exhaustion and fall back to
-    /// the dense engine.
+    /// An attempt that still ends on a singular refactorization is a
+    /// factorization defeat, not a budget verdict: it is reported as
+    /// [`LpError::Singular`] (and counted in `lp.singular_fallback`), so a
+    /// caller is never told to raise a budget that cannot help. Genuine
+    /// budget exhaustion stays [`LpError::IterationLimit`].
     pub(crate) fn two_phase(
         &mut self,
         phase2_cost: &[f64],
@@ -991,14 +840,11 @@ impl SparseSimplex {
             };
             result = self.two_phase_inner(phase2_cost, &retry);
         }
+        if matches!(result, Err(LpError::IterationLimit)) && self.singular {
+            bcast_obs::counter_add(bcast_obs::names::LP_SINGULAR_FALLBACK, 1);
+            return Err(LpError::Singular);
+        }
         result
-    }
-
-    /// True when the last [`two_phase`](Self::two_phase) attempt hit a
-    /// singular refactorization (as opposed to exhausting the iteration
-    /// budget).
-    pub(crate) fn singular_bailout(&self) -> bool {
-        self.singular
     }
 
     fn two_phase_inner(
@@ -1242,31 +1088,15 @@ impl SparseSimplex {
     }
 }
 
-/// Solves `problem` with the sparse revised-simplex engine (one-shot,
-/// two-phase). The entry point behind [`crate::solve`] when
-/// [`SimplexOptions::engine`] is [`crate::simplex::SimplexEngine::Sparse`].
+/// Solves `problem` with the sparse revised simplex (one-shot, two-phase):
+/// the entry point behind [`crate::solve`].
 pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
     problem.validate()?;
     let n = problem.num_vars();
     let prob = assemble_sparse(n, problem.constraints());
     let cost = simplex::maximization_cost(problem, prob.ncols);
     let mut sim = SparseSimplex::new(prob);
-    let iterations = match sim.two_phase(&cost, options) {
-        Ok(iterations) => iterations,
-        // A singular bailout is a factorization defeat, not a budget
-        // verdict. With the Markowitz LU's threshold pivoting it should no
-        // longer happen (the old restricted-row pivoting could lose a
-        // legitimately reached basis to cancellation), but the dense engine
-        // stays wired in as the authoritative safety net — answering slowly
-        // beats not answering. The counter lets the regression suite assert
-        // the net is never hit. Genuine budget exhaustion (no singular
-        // flag) still surfaces as `IterationLimit`.
-        Err(LpError::IterationLimit) if sim.singular_bailout() => {
-            bcast_obs::counter_add(bcast_obs::names::LP_SINGULAR_FALLBACK, 1);
-            return simplex::solve_dense(problem, options);
-        }
-        Err(e) => return Err(e),
-    };
+    let iterations = sim.two_phase(&cost, options)?;
     let values = sim.extract_values(n);
     let objective = problem.eval_objective(&values);
     Ok(LpSolution {
@@ -1281,14 +1111,6 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
 mod tests {
     use super::*;
     use crate::model::{Sense, VarId};
-    use crate::simplex::SimplexEngine;
-
-    fn sparse_options() -> SimplexOptions {
-        SimplexOptions {
-            engine: SimplexEngine::Sparse,
-            ..SimplexOptions::default()
-        }
-    }
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-7, "expected {b}, got {a}");
@@ -1302,7 +1124,7 @@ mod tests {
         lp.add_le(&[(x, 1.0)], 4.0);
         lp.add_le(&[(y, 2.0)], 12.0);
         lp.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
-        let sol = solve(&lp, &sparse_options()).unwrap();
+        let sol = solve(&lp, &SimplexOptions::default()).unwrap();
         assert_close(sol.objective, 36.0);
         assert_close(sol.value(x), 2.0);
         assert_close(sol.value(y), 6.0);
@@ -1316,7 +1138,7 @@ mod tests {
         lp.add_le(&[(x, 1.0)], 1.0);
         lp.add_ge(&[(x, 1.0)], 2.0);
         assert_eq!(
-            solve(&lp, &sparse_options()).unwrap_err(),
+            solve(&lp, &SimplexOptions::default()).unwrap_err(),
             LpError::Infeasible
         );
         // Unbounded.
@@ -1325,7 +1147,7 @@ mod tests {
         let y = lp.add_var("y", 0.0);
         lp.add_ge(&[(x, 1.0), (y, -1.0)], 0.0);
         assert_eq!(
-            solve(&lp, &sparse_options()).unwrap_err(),
+            solve(&lp, &SimplexOptions::default()).unwrap_err(),
             LpError::Unbounded
         );
         // Equality + minimization with ≥ rows.
@@ -1334,7 +1156,7 @@ mod tests {
         let y = lp.add_var("y", 3.0);
         lp.add_ge(&[(x, 1.0), (y, 1.0)], 4.0);
         lp.add_ge(&[(x, 1.0), (y, 2.0)], 6.0);
-        let sol = solve(&lp, &sparse_options()).unwrap();
+        let sol = solve(&lp, &SimplexOptions::default()).unwrap();
         assert_close(sol.objective, 10.0);
     }
 
@@ -1348,75 +1170,8 @@ mod tests {
         lp.add_le(&[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)], 0.0);
         lp.add_le(&[(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)], 0.0);
         lp.add_le(&[(x3, 1.0)], 1.0);
-        let sol = solve(&lp, &sparse_options()).unwrap();
+        let sol = solve(&lp, &SimplexOptions::default()).unwrap();
         assert_close(sol.objective, 0.05);
-    }
-
-    #[test]
-    fn dantzig_pricing_reaches_the_same_optimum() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let vars: Vec<VarId> = (0..6)
-            .map(|i| lp.add_var(format!("x{i}"), 1.0 + i as f64))
-            .collect();
-        for (i, &v) in vars.iter().enumerate() {
-            lp.add_le(&[(v, 1.0)], 1.0 + (i % 3) as f64);
-        }
-        let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-        lp.add_le(&terms, 5.5);
-        let devex = solve(&lp, &sparse_options()).unwrap();
-        let dantzig = solve(
-            &lp,
-            &SimplexOptions {
-                pricing: PricingRule::Dantzig,
-                ..sparse_options()
-            },
-        )
-        .unwrap();
-        assert_close(devex.objective, dantzig.objective);
-    }
-
-    #[test]
-    fn steepest_edge_pricing_reaches_the_same_optimum() {
-        // Same family of LPs as the Dantzig agreement test, but bigger and
-        // denser so steepest edge actually exercises its norm recurrences
-        // across several pivots (primal and, via the two-phase entry, dual).
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let vars: Vec<VarId> = (0..10)
-            .map(|i| lp.add_var(format!("x{i}"), 1.0 + (i as f64) * 0.7))
-            .collect();
-        let mut state = 0xBEEFu64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
-        };
-        for _ in 0..14 {
-            let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 0.05 + next())).collect();
-            lp.add_le(&terms, 0.5 + 3.0 * next());
-        }
-        let devex = solve(&lp, &sparse_options()).unwrap();
-        let steepest = solve(
-            &lp,
-            &SimplexOptions {
-                pricing: PricingRule::SteepestEdge,
-                ..sparse_options()
-            },
-        )
-        .unwrap();
-        assert_close(devex.objective, steepest.objective);
-        // And at a tight refactorization interval, which interleaves the
-        // norm recurrences with LU rebuilds.
-        let steepest_tight = solve(
-            &lp,
-            &SimplexOptions {
-                pricing: PricingRule::SteepestEdge,
-                refactor_interval: 1,
-                ..sparse_options()
-            },
-        )
-        .unwrap();
-        assert_close(devex.objective, steepest_tight.objective);
     }
 
     #[test]
@@ -1439,13 +1194,13 @@ mod tests {
             let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 0.1 + next())).collect();
             lp.add_le(&terms, 1.0 + 4.0 * next());
         }
-        let reference = solve(&lp, &sparse_options()).unwrap();
+        let reference = solve(&lp, &SimplexOptions::default()).unwrap();
         for interval in [0usize, 1, 2, 3, 1000] {
             let sol = solve(
                 &lp,
                 &SimplexOptions {
                     refactor_interval: interval,
-                    ..sparse_options()
+                    ..SimplexOptions::default()
                 },
             )
             .unwrap();
@@ -1468,13 +1223,29 @@ mod tests {
         let y = lp.add_var("y", 1.0);
         lp.add_le(&[(x, 2.0e6), (y, 1.0e6)], 4.0e6);
         lp.add_le(&[(y, 1.0)], 1.5);
-        let sparse = solve(&lp, &sparse_options()).unwrap();
-        let dense = lp
-            .solve_with(&SimplexOptions {
-                engine: SimplexEngine::Dense,
-                ..SimplexOptions::default()
-            })
-            .unwrap();
+        let sparse = solve(&lp, &SimplexOptions::default()).unwrap();
+        let dense = simplex::solve_dense(&lp, &SimplexOptions::default()).unwrap();
         assert_close(sparse.objective, dense.objective);
+    }
+
+    #[test]
+    fn singular_start_basis_is_reported_as_singular() {
+        // Columns x and y are parallel ((1, 2) each), so a basis holding
+        // both cannot be factorized. Both the first attempt and the
+        // interval-1 retry start from that basis: the verdict must be
+        // `Singular`, never a budget verdict.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 1.0);
+        let y = lp.add_var("y", 1.0);
+        lp.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
+        lp.add_le(&[(x, 2.0), (y, 2.0)], 8.0);
+        let mut prob = assemble_sparse(lp.num_vars(), lp.constraints());
+        prob.basis = vec![x.index(), y.index()];
+        let cost = simplex::maximization_cost(&lp, prob.ncols);
+        let mut sim = SparseSimplex::new(prob);
+        assert_eq!(
+            sim.two_phase(&cost, &SimplexOptions::default()),
+            Err(LpError::Singular)
+        );
     }
 }

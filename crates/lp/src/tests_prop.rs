@@ -4,17 +4,10 @@
 use crate::basis::{EtaBasis, ScatterVec};
 use crate::incremental::RowUpdate;
 use crate::{
-    ColId, ConstraintOp, LpError, LpProblem, NewCol, RowId, Sense, SimplexEngine, SimplexOptions,
+    solve_dense, ColId, ConstraintOp, LpError, LpProblem, NewCol, RowId, Sense, SimplexOptions,
     SimplexState, VarId,
 };
 use proptest::prelude::*;
-
-fn dense_options() -> SimplexOptions {
-    SimplexOptions {
-        engine: SimplexEngine::Dense,
-        ..SimplexOptions::default()
-    }
-}
 
 /// A random packing LP: maximise Σ cᵢ xᵢ subject to Ax ≤ b with non-negative
 /// data. Always feasible (x = 0) and always bounded whenever every variable
@@ -157,26 +150,27 @@ impl ChurnDriver {
 }
 
 /// Builds the protected-base warm state both walks start from.
-fn churn_base(options: SimplexOptions, lp: &PackingLp) -> (SimplexState, ChurnDriver) {
+fn churn_base(lp: &PackingLp) -> (SimplexState, ChurnDriver) {
     let (mut problem, vars) = build(lp);
     let all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
     problem.add_le(&all, 100.0);
-    let mut warm = SimplexState::new(&problem, options).expect("valid base");
+    let mut warm = SimplexState::new(&problem, SimplexOptions::default()).expect("valid base");
     warm.solve().expect("base solvable");
     let driver = ChurnDriver::new(&warm, vars);
     (warm, driver)
 }
 
 /// Replays `ops` against one warm state, re-solving and differencing
-/// against a cold solve of the materialised problem after every operation.
+/// against the dense oracle's cold solve of the materialised problem after
+/// every operation.
 ///
 /// Boundedness/feasibility invariant: a protected base row caps the sum of
 /// every column — present and future — at 100 (each appended column carries
 /// a positive coefficient there), and every row of the walk is `≤` with a
 /// non-negative rhs, so `x = 0` stays feasible and the walk can never make
 /// the LP unbounded or infeasible.
-fn churn_walk(options: SimplexOptions, lp: &PackingLp, ops: &[ChurnOp]) {
-    let (mut warm, mut driver) = churn_base(options, lp);
+fn churn_walk(lp: &PackingLp, ops: &[ChurnOp]) {
+    let (mut warm, mut driver) = churn_base(lp);
     for &op in ops {
         if !driver.apply(&mut warm, op) {
             continue;
@@ -184,12 +178,11 @@ fn churn_walk(options: SimplexOptions, lp: &PackingLp, ops: &[ChurnOp]) {
         let kind = op.0;
         let w = warm.resolve().expect("churn keeps the LP solvable");
         let cold_problem = warm.to_problem();
-        let c = cold_problem
-            .solve_with(&options)
-            .expect("cold agrees on solvability");
+        let c = solve_dense(&cold_problem, &SimplexOptions::default())
+            .expect("the dense oracle agrees on solvability");
         prop_assert!(
             (w.objective - c.objective).abs() <= 1e-9 * c.objective.abs().max(1.0),
-            "churn op {kind}: warm {} vs cold {}",
+            "churn op {kind}: warm {} vs dense {}",
             w.objective,
             c.objective
         );
@@ -208,8 +201,8 @@ fn churn_walk(options: SimplexOptions, lp: &PackingLp, ops: &[ChurnOp]) {
 /// byte-for-byte the snapshot it just returned — without perturbing the
 /// optimum. The walk then *keeps solving on the canonicalized state*, so
 /// later ops exercise warm churn on top of a restored factorization.
-fn snapshot_round_trip_walk(options: SimplexOptions, lp: &PackingLp, ops: &[ChurnOp]) {
-    let (mut warm, mut driver) = churn_base(options, lp);
+fn snapshot_round_trip_walk(lp: &PackingLp, ops: &[ChurnOp]) {
+    let (mut warm, mut driver) = churn_base(lp);
     for &op in ops {
         if !driver.apply(&mut warm, op) {
             continue;
@@ -688,15 +681,15 @@ proptest! {
             "failed update changed the optimum: {before} -> {after}");
     }
 
-    /// The sparse revised-simplex engine is a drop-in replacement for the
-    /// dense tableau: identical status and objective (1e-9 relative) on
-    /// random packing LPs, and the sparse engine's point is feasible for
-    /// the model.
+    /// The sparse revised simplex agrees with the dense tableau oracle:
+    /// identical status and objective (1e-9 relative) on random packing
+    /// LPs, and the sparse engine's point is feasible for the model.
     #[test]
     fn sparse_engine_matches_dense_on_packing_lps(lp in packing_strategy()) {
         let (problem, _) = build(&lp);
         let sparse = problem.solve().expect("sparse solves packing LPs");
-        let dense = problem.solve_with(&dense_options()).expect("dense solves packing LPs");
+        let dense = solve_dense(&problem, &SimplexOptions::default())
+            .expect("dense solves packing LPs");
         prop_assert!((sparse.objective - dense.objective).abs()
             <= 1e-9 * dense.objective.abs().max(1.0),
             "sparse {} vs dense {}", sparse.objective, dense.objective);
@@ -725,13 +718,16 @@ proptest! {
                 problem.add_ge(&[(a, 1.0), (b, -1.0)], 0.0);
             }
         }
-        // An equality row exercises phase 1 on both engines.
+        // An equality row exercises phase 1 on both solvers.
         problem.add_eq(&[(vars[0], 1.0)], pin.min(lp.bounds[0]));
         let sparse_opts = SimplexOptions {
             refactor_interval: interval,
             ..SimplexOptions::default()
         };
-        match (problem.solve_with(&sparse_opts), problem.solve_with(&dense_options())) {
+        match (
+            problem.solve_with(&sparse_opts),
+            solve_dense(&problem, &SimplexOptions::default()),
+        ) {
             (Ok(s), Ok(d)) => {
                 prop_assert!((s.objective - d.objective).abs()
                     <= 1e-9 * d.objective.abs().max(1.0),
@@ -743,7 +739,7 @@ proptest! {
         }
     }
 
-    /// Sparse ≡ dense on *infeasible* models: both engines must return
+    /// Sparse ≡ dense on *infeasible* models: both solvers must return
     /// `Infeasible`, never a bogus optimum.
     #[test]
     fn sparse_engine_matches_dense_on_infeasible_lps(
@@ -757,27 +753,26 @@ proptest! {
         problem.add_ge(&[(v, 1.0)], lp.bounds[k % vars.len()] + gap);
         prop_assert_eq!(problem.solve().unwrap_err(), LpError::Infeasible);
         prop_assert_eq!(
-            problem.solve_with(&dense_options()).unwrap_err(),
+            solve_dense(&problem, &SimplexOptions::default()).unwrap_err(),
             LpError::Infeasible
         );
     }
 
     /// Random interleavings of `add_cols` / `delete_cols` / `add_row` /
-    /// `update_coeffs` keep the warm state equal to a cold solve of the
-    /// materialised problem at 1e-9 relative after **every** operation, on
-    /// both engines — the node-churn substrate of the dynamic-platform
+    /// `update_coeffs` keep the warm state equal to the dense oracle's cold
+    /// solve of the materialised problem at 1e-9 relative after **every**
+    /// operation — the node-churn substrate of the dynamic-platform
     /// pipeline.
     #[test]
     fn column_churn_interleavings_keep_warm_equal_to_cold(
         lp in packing_strategy(),
         ops in churn_ops(),
     ) {
-        churn_walk(dense_options(), &lp, &ops);
-        churn_walk(SimplexOptions::default(), &lp, &ops);
+        churn_walk(&lp, &ops);
     }
 
-    /// Snapshot round-trip under the same random churn interleavings, on
-    /// both engines: after every operation, `capture` → `restore` →
+    /// Snapshot round-trip under the same random churn interleavings: after
+    /// every operation, `capture` → `restore` →
     /// `resolve` agrees with the live state at 1e-9 relative, the restored
     /// point is feasible, and the canonicalizing `snapshot` is a fixed
     /// point of `capture` that leaves the optimum untouched — the
@@ -787,8 +782,7 @@ proptest! {
         lp in packing_strategy(),
         ops in churn_ops(),
     ) {
-        snapshot_round_trip_walk(dense_options(), &lp, &ops);
-        snapshot_round_trip_walk(SimplexOptions::default(), &lp, &ops);
+        snapshot_round_trip_walk(&lp, &ops);
     }
 
     /// Deleting an unknown or already-deleted column handle fails atomically
@@ -801,47 +795,47 @@ proptest! {
         bogus in 1000usize..2000,
         obj in 0.5f64..4.0,
     ) {
-        for options in [dense_options(), SimplexOptions::default()] {
-            let (mut problem, vars) = build(&lp);
-            let all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-            problem.add_le(&all, 100.0);
-            let mut warm = SimplexState::new(&problem, options).expect("valid base");
-            let before = warm.solve().expect("base solvable").objective;
-            let protect = *warm.base_rows().last().expect("protected row exists");
-            // Never-issued handle.
-            prop_assert_eq!(
-                warm.delete_cols(&[ColId(bogus)]).unwrap_err(),
-                LpError::UnknownCol(bogus)
-            );
-            // A batch mixing a live handle with a bogus one deletes nothing.
-            let cols = warm
-                .add_cols(&[NewCol::new(obj, vec![(protect, 1.0)])])
-                .expect("valid column");
-            warm.resolve().expect("solvable with the new column");
-            prop_assert_eq!(
-                warm.delete_cols(&[cols[0], ColId(bogus)]).unwrap_err(),
-                LpError::UnknownCol(bogus)
-            );
-            let with_col = warm.resolve().expect("column survived").objective;
-            let cold_problem = warm.to_problem();
-            let cold = cold_problem.solve_with(&options).expect("cold agrees").objective;
-            prop_assert!(
-                (with_col - cold).abs() <= 1e-9 * cold.abs().max(1.0),
-                "failed batch changed the state: warm {with_col} vs cold {cold}"
-            );
-            // Deleting twice: the second attempt is rejected and the
-            // restored base optimum is intact.
-            warm.delete_cols(&[cols[0]]).expect("live handle");
-            prop_assert_eq!(
-                warm.delete_cols(&[cols[0]]).unwrap_err(),
-                LpError::UnknownCol(cols[0].index())
-            );
-            let after = warm.resolve().expect("solvable").objective;
-            prop_assert!(
-                (after - before).abs() <= 1e-6 * before.abs().max(1.0),
-                "restored {after} vs base {before}"
-            );
-        }
+        let (mut problem, vars) = build(&lp);
+        let all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+        problem.add_le(&all, 100.0);
+        let mut warm = SimplexState::new(&problem, SimplexOptions::default()).expect("valid base");
+        let before = warm.solve().expect("base solvable").objective;
+        let protect = *warm.base_rows().last().expect("protected row exists");
+        // Never-issued handle.
+        prop_assert_eq!(
+            warm.delete_cols(&[ColId(bogus)]).unwrap_err(),
+            LpError::UnknownCol(bogus)
+        );
+        // A batch mixing a live handle with a bogus one deletes nothing.
+        let cols = warm
+            .add_cols(&[NewCol::new(obj, vec![(protect, 1.0)])])
+            .expect("valid column");
+        warm.resolve().expect("solvable with the new column");
+        prop_assert_eq!(
+            warm.delete_cols(&[cols[0], ColId(bogus)]).unwrap_err(),
+            LpError::UnknownCol(bogus)
+        );
+        let with_col = warm.resolve().expect("column survived").objective;
+        let cold_problem = warm.to_problem();
+        let cold = solve_dense(&cold_problem, &SimplexOptions::default())
+            .expect("cold agrees")
+            .objective;
+        prop_assert!(
+            (with_col - cold).abs() <= 1e-9 * cold.abs().max(1.0),
+            "failed batch changed the state: warm {with_col} vs cold {cold}"
+        );
+        // Deleting twice: the second attempt is rejected and the
+        // restored base optimum is intact.
+        warm.delete_cols(&[cols[0]]).expect("live handle");
+        prop_assert_eq!(
+            warm.delete_cols(&[cols[0]]).unwrap_err(),
+            LpError::UnknownCol(cols[0].index())
+        );
+        let after = warm.resolve().expect("solvable").objective;
+        prop_assert!(
+            (after - before).abs() <= 1e-6 * before.abs().max(1.0),
+            "restored {after} vs base {before}"
+        );
     }
 
     /// Scaling every coefficient of the objective scales the optimum.

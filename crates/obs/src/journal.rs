@@ -29,7 +29,7 @@ use std::time::Instant;
 
 /// The journal schema version, written into the `meta` record. Bump it
 /// whenever a record type, field, or stable dotted name changes meaning.
-pub const SCHEMA: &str = "bcast-obs/1";
+pub const SCHEMA: &str = "bcast-obs/2";
 
 /// What produced an `lp_solve` record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,12 +74,10 @@ impl RepairKind {
 /// order; see the module docs for the schema.
 #[derive(Clone, Debug)]
 pub enum Event {
-    /// One LP solve (either engine, cold or warm).
+    /// One LP solve, cold or warm.
     LpSolve {
         /// Cold solve or incremental resolve.
         kind: LpSolveKind,
-        /// `"sparse"` or `"dense"`.
-        engine: &'static str,
         /// Constraint rows at solve time.
         rows: usize,
         /// Structural columns at solve time.
@@ -203,7 +201,6 @@ impl Event {
         match self {
             Event::LpSolve {
                 kind,
-                engine,
                 rows,
                 cols,
                 pivots,
@@ -214,10 +211,9 @@ impl Event {
                 push_json_str(&mut s, span);
                 let _ = write!(
                     s,
-                    ",\"kind\":\"{}\",\"engine\":\"{}\",\"rows\":{rows},\"cols\":{cols},\
+                    ",\"kind\":\"{}\",\"rows\":{rows},\"cols\":{cols},\
                      \"pivots\":{pivots},\"status\":\"{status}\",\"t_ns\":{t_ns}}}",
                     kind.as_str(),
-                    engine,
                 );
             }
             Event::SepRound {
@@ -415,7 +411,6 @@ mod tests {
             let _s = crate::span::SpanGuard::enter("phase");
             emit(Event::LpSolve {
                 kind: LpSolveKind::Resolve,
-                engine: "sparse",
                 rows: 12,
                 cols: 30,
                 pivots: 44,
@@ -439,13 +434,12 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines[0],
-            "{\"type\":\"meta\",\"schema\":\"bcast-obs/1\",\"binary\":\"unit-test\"}"
+            "{\"type\":\"meta\",\"schema\":\"bcast-obs/2\",\"binary\":\"unit-test\"}"
         );
         assert_eq!(
             lines[1],
             "{\"type\":\"lp_solve\",\"span\":\"phase\",\"kind\":\"resolve\",\
-             \"engine\":\"sparse\",\"rows\":12,\"cols\":30,\"pivots\":44,\
-             \"status\":\"optimal\",\"t_ns\":1234}"
+             \"rows\":12,\"cols\":30,\"pivots\":44,\"status\":\"optimal\",\"t_ns\":1234}"
         );
         assert_eq!(
             lines[2],

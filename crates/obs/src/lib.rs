@@ -1,6 +1,6 @@
 //! # bcast-obs — zero-cost instrumentation for the solver pipeline
 //!
-//! Every layer of the broadcast-trees pipeline — the simplex engines, the
+//! Every layer of the broadcast-trees pipeline — the simplex engine, the
 //! cut-generation loop, schedule synthesis/repair, the simulator, and the
 //! experiment binaries — instruments itself through this crate:
 //!

@@ -8,10 +8,9 @@
 
 // ---- counters ----------------------------------------------------------
 
-/// Simplex pivots, both engines, primal and dual passes.
+/// Simplex pivots, primal and dual passes, cold and warm solves.
 pub const LP_PIVOTS: &str = "lp.pivots";
-/// Basis refactorizations (sparse eta-file rebuilds and dense incremental
-/// refactorizations alike).
+/// Basis refactorizations (Markowitz LU rebuilds of the sparse basis).
 pub const LP_REFACTORIZATIONS: &str = "lp.refactorizations";
 /// LP (re-)solves that went through an incremental [`SimplexState`] resolve.
 pub const LP_RESOLVES: &str = "lp.resolves";
@@ -39,9 +38,11 @@ pub const SCHED_KEPT_TREES: &str = "sched.repair.kept_trees";
 pub const SCHED_FULL_REBUILDS: &str = "sched.repair.full_rebuilds";
 /// Point-to-point transfers replayed by the schedule simulator.
 pub const SIM_TRANSFERS: &str = "sim.transfers";
-/// Sparse LP solves that bailed out to the dense engine on a (claimed)
-/// singular basis. With the Markowitz LU this should stay 0 — the
-/// regression suite asserts it.
+/// Cold LP solves that ended in `LpError::Singular`: the basis could not
+/// be factorized even with per-pivot refactorization. With the Markowitz
+/// LU this should stay 0 — the regression suite asserts it. (The name
+/// predates the typed error, when these solves fell back to a dense
+/// engine; it is kept so recorded journals stay comparable.)
 pub const LP_SINGULAR_FALLBACK: &str = "lp.singular_fallback";
 /// Separation max-flow batches executed by parallel workers (one increment
 /// per sharded batch, not per destination).
@@ -78,13 +79,13 @@ pub const CUTGEN_SEP_WORKERS: &str = "cut_gen.sep_workers";
 pub const SPAN_FTRAN: &str = "lp.ftran";
 /// Sparse BTRAN kernel (`B⁻ᵀ y`).
 pub const SPAN_BTRAN: &str = "lp.btran";
-/// Basis refactorization (sparse Gauss–Jordan eta rebuild).
+/// Basis refactorization (a Markowitz sparse LU of the current basis).
 pub const SPAN_REFACTOR: &str = "lp.refactor";
 /// Markowitz sparse LU factorization (nested under `lp.refactor`).
 pub const SPAN_LU_FACTOR: &str = "lu.factor";
 /// One eta-on-LU pivot update of the sparse basis.
 pub const SPAN_LU_UPDATE: &str = "lu.update";
-/// One-shot LP solve (either engine).
+/// Cold LP solve (one-shot, or the cold path of a [`SimplexState`]).
 pub const SPAN_LP_SOLVE: &str = "lp.solve";
 /// Incremental re-optimization of a persistent [`SimplexState`].
 pub const SPAN_LP_RESOLVE: &str = "lp.resolve";

@@ -208,7 +208,6 @@ fn required_fields(record_type: &str) -> Option<&'static [(&'static str, Kind)]>
         "lp_solve" => &[
             ("span", Str),
             ("kind", Str),
-            ("engine", Str),
             ("rows", Num),
             ("cols", Num),
             ("pivots", Num),
@@ -589,11 +588,11 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = concat!(
-        "{\"type\":\"meta\",\"schema\":\"bcast-obs/1\",\"binary\":\"test\"}\n",
+        "{\"type\":\"meta\",\"schema\":\"bcast-obs/2\",\"binary\":\"test\"}\n",
         "{\"type\":\"lp_solve\",\"span\":\"run/cut_gen.solve/lp.resolve\",\"kind\":\"resolve\",",
-        "\"engine\":\"sparse\",\"rows\":10,\"cols\":20,\"pivots\":7,\"status\":\"optimal\",\"t_ns\":500}\n",
+        "\"rows\":10,\"cols\":20,\"pivots\":7,\"status\":\"optimal\",\"t_ns\":500}\n",
         "{\"type\":\"lp_solve\",\"span\":\"run/cut_gen.solve/lp.solve\",\"kind\":\"cold\",",
-        "\"engine\":\"sparse\",\"rows\":10,\"cols\":20,\"pivots\":13,\"status\":\"optimal\",\"t_ns\":900}\n",
+        "\"rows\":10,\"cols\":20,\"pivots\":13,\"status\":\"optimal\",\"t_ns\":900}\n",
         "{\"type\":\"span\",\"path\":\"run\",\"calls\":1,\"total_ns\":1000}\n",
         "{\"type\":\"span\",\"path\":\"run/cut_gen.solve\",\"calls\":2,\"total_ns\":800}\n",
         "{\"type\":\"span\",\"path\":\"run/cut_gen.solve/lp.ftran\",\"calls\":40,\"total_ns\":300}\n",
@@ -621,7 +620,7 @@ mod tests {
         );
         assert!(check("{\"type\":\"run_end\",\"wall_ns\":1}").is_err());
         let missing_field = concat!(
-            "{\"type\":\"meta\",\"schema\":\"bcast-obs/1\",\"binary\":\"x\"}\n",
+            "{\"type\":\"meta\",\"schema\":\"bcast-obs/2\",\"binary\":\"x\"}\n",
             "{\"type\":\"span\",\"path\":\"a\",\"calls\":1}\n",
             "{\"type\":\"run_end\",\"wall_ns\":1}\n"
         );

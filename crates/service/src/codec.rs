@@ -15,46 +15,14 @@
 use crate::wire::{Reader, WireError, Writer};
 use bcast_core::{CutGenOptions, CutSnapshot, NodeCutSet, ScreenSnapshot, SessionSnapshot};
 use bcast_lp::{
-    ConstraintOp, FactSnapshot, IncrementalStats, PricingRule, Sense, SimplexEngine,
-    SimplexOptions, SimplexSnapshot, SnapshotRow, VarId,
+    ConstraintOp, FactSnapshot, IncrementalStats, Sense, SimplexOptions, SimplexSnapshot,
+    SnapshotRow, VarId,
 };
 use bcast_net::EdgeId;
 use bcast_platform::CommModel;
 use bcast_sched::{RoundedLoads, ScheduleParts, ScheduleRound, ScheduledTransfer};
 
 // ---- small enums -------------------------------------------------------
-
-fn put_engine(w: &mut Writer, engine: SimplexEngine) {
-    w.put_u8(match engine {
-        SimplexEngine::Sparse => 0,
-        SimplexEngine::Dense => 1,
-    });
-}
-
-fn get_engine(r: &mut Reader) -> Result<SimplexEngine, WireError> {
-    match r.get_u8()? {
-        0 => Ok(SimplexEngine::Sparse),
-        1 => Ok(SimplexEngine::Dense),
-        t => Err(WireError::BadTag(t)),
-    }
-}
-
-fn put_pricing(w: &mut Writer, pricing: PricingRule) {
-    w.put_u8(match pricing {
-        PricingRule::Devex => 0,
-        PricingRule::Dantzig => 1,
-        PricingRule::SteepestEdge => 2,
-    });
-}
-
-fn get_pricing(r: &mut Reader) -> Result<PricingRule, WireError> {
-    match r.get_u8()? {
-        0 => Ok(PricingRule::Devex),
-        1 => Ok(PricingRule::Dantzig),
-        2 => Ok(PricingRule::SteepestEdge),
-        t => Err(WireError::BadTag(t)),
-    }
-}
 
 fn put_sense(w: &mut Writer, sense: Sense) {
     w.put_u8(match sense {
@@ -113,8 +81,6 @@ fn put_simplex_options(w: &mut Writer, o: &SimplexOptions) {
     w.put_f64(o.feasibility_tolerance);
     w.put_usize(o.max_iterations);
     w.put_usize(o.bland_threshold);
-    put_engine(w, o.engine);
-    put_pricing(w, o.pricing);
     w.put_usize(o.refactor_interval);
 }
 
@@ -125,8 +91,6 @@ fn get_simplex_options(r: &mut Reader) -> Result<SimplexOptions, WireError> {
         feasibility_tolerance: r.get_f64()?,
         max_iterations: r.get_usize()?,
         bland_threshold: r.get_usize()?,
-        engine: get_engine(r)?,
-        pricing: get_pricing(r)?,
         refactor_interval: r.get_usize()?,
     })
 }
@@ -149,7 +113,6 @@ fn get_snapshot_row(r: &mut Reader) -> Result<SnapshotRow, WireError> {
 }
 
 fn put_fact(w: &mut Writer, f: &FactSnapshot) {
-    put_engine(w, f.engine);
     w.put_usize(f.cols);
     w.put_seq(&f.basis, |w, &b| w.put_usize(b));
     w.put_seq(&f.allowed, |w, &a| w.put_bool(a));
@@ -161,7 +124,6 @@ fn put_fact(w: &mut Writer, f: &FactSnapshot) {
 
 fn get_fact(r: &mut Reader) -> Result<FactSnapshot, WireError> {
     Ok(FactSnapshot {
-        engine: get_engine(r)?,
         cols: r.get_usize()?,
         basis: r.get_seq(8, |r| r.get_usize())?,
         allowed: r.get_seq(1, |r| r.get_bool())?,
@@ -244,8 +206,6 @@ fn put_cut_gen_options(w: &mut Writer, o: &CutGenOptions) {
         w.put_seq(&cut.source_side, |w, &s| w.put_bool(s))
     });
     w.put_bool(o.warm_start);
-    put_engine(w, o.lp_engine);
-    put_pricing(w, o.pricing);
     w.put_bool(o.screen_separation);
     w.put_usize(o.separation_threads);
     w.put_opt_usize(&o.iteration_budget);
@@ -260,8 +220,6 @@ fn get_cut_gen_options(r: &mut Reader) -> Result<CutGenOptions, WireError> {
             })
         })?,
         warm_start: r.get_bool()?,
-        lp_engine: get_engine(r)?,
-        pricing: get_pricing(r)?,
         screen_separation: r.get_bool()?,
         separation_threads: r.get_usize()?,
         iteration_budget: r.get_opt_usize()?,

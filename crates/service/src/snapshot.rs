@@ -30,7 +30,10 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 const SNAP_MAGIC: &[u8; 4] = b"BSNP";
-const SNAP_VERSION: u32 = 1;
+/// Version 2 dropped the engine and pricing bytes from the encoded
+/// `SimplexOptions`, `FactSnapshot` and `CutGenOptions`; older files are
+/// rejected as corrupt and recovery replays the WAL instead.
+const SNAP_VERSION: u32 = 2;
 
 /// Everything a snapshot file holds.
 #[derive(Clone, Debug, PartialEq)]

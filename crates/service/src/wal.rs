@@ -31,6 +31,9 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 const WAL_MAGIC: &[u8; 4] = b"BWAL";
+/// WAL records carry commands and session specs but no solver options, so
+/// the snapshot format's version 2 (which dropped the engine and pricing
+/// option bytes) left the log format unchanged at version 1.
 const WAL_VERSION: u32 = 1;
 
 /// How reading the log ended.
