@@ -20,6 +20,12 @@ pub enum CoreError {
     Lp(LpError),
     /// The platform is empty (no processors).
     EmptyPlatform,
+    /// A session step was handed a platform or node-churn remap that does
+    /// not continue the session's topology (the reason says which count
+    /// differs, or that the remap drops the broadcast source). Checked
+    /// before the session is touched, so it can still solve its own
+    /// topology afterwards.
+    TopologyMismatch(String),
 }
 
 impl fmt::Display for CoreError {
@@ -32,6 +38,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidStructure(e) => write!(f, "invalid broadcast structure: {e}"),
             CoreError::Lp(e) => write!(f, "linear-program solver failed: {e}"),
             CoreError::EmptyPlatform => write!(f, "the platform has no processors"),
+            CoreError::TopologyMismatch(reason) => write!(f, "topology mismatch: {reason}"),
         }
     }
 }
@@ -65,5 +72,7 @@ mod tests {
         assert!(lp.to_string().contains("infeasible"));
         let sp: CoreError = SpanningError::RootHasParent { root: NodeId(0) }.into();
         assert!(sp.to_string().contains("invalid broadcast structure"));
+        let mismatch = CoreError::TopologyMismatch("3 nodes, expected 4".into());
+        assert!(mismatch.to_string().contains("3 nodes, expected 4"));
     }
 }

@@ -262,10 +262,14 @@ pub fn solve_with(
 }
 
 /// A cut-generation solver whose master LP — simplex basis **and** cut pool
-/// — persists across a *chain of platform snapshots* with identical
-/// topology but drifting link costs (the dynamic-platform workload).
+/// — persists across a *chain of platform snapshots* whose link costs drift
+/// and whose node set may change (the dynamic-platform workload).
 ///
-/// Per snapshot, [`solve_step`](CutGenSession::solve_step):
+/// Every step goes through [`solve_step_churn`](CutGenSession::solve_step_churn);
+/// a cost-only step is the identity remap, which
+/// [`solve_step`](CutGenSession::solve_step) supplies. Per snapshot, the
+/// session first translates its state through the remap when the node set
+/// changed (see `solve_step_churn`), then:
 ///
 /// 1. rewrites the one-port rows' coefficients in place
 ///    ([`SimplexState::update_coeffs`]) — the only part of the master that
@@ -279,7 +283,8 @@ pub fn solve_with(
 /// Warm-starting never changes *what* is computed: every path that cannot
 /// be expressed incrementally falls back to a cold solve inside the LP
 /// layer, and termination is certified by the separation oracle either way
-/// (`tests/dynamic_drift.rs` pins warm ≡ cold per step differentially).
+/// (`tests/dynamic_drift.rs` and `tests/churn_drift.rs` pin warm ≡ cold
+/// per step differentially).
 pub struct CutGenSession {
     options: CutGenOptions,
     source: NodeId,
@@ -324,8 +329,8 @@ struct DestScreen {
 
 impl CutGenSession {
     /// Prepares a session for platforms with the topology of `platform`
-    /// (later snapshots must keep its node and edge identities; only link
-    /// costs may differ). Nothing is solved yet.
+    /// (later snapshots keep its node and edge identities, or say through a
+    /// [`ChurnRemap`] how they changed). Nothing is solved yet.
     pub fn new(
         platform: &Platform,
         source: NodeId,
@@ -341,11 +346,8 @@ impl CutGenSession {
         // Note on vertex selection: the warm master returns the *nearest*
         // repaired vertex rather than the vertex a cold solve would find,
         // which can cost extra separation rounds on large degenerate
-        // instances (measured in EXPERIMENTS.md). `SimplexState` supports a
-        // secondary objective over the optimal face for deliberate
-        // tie-breaking; the obvious candidate (maximise total edge load)
-        // measurably *hurt* separation here, so none is installed — finding
-        // a separation-aware tie-break is an open item in ROADMAP.md.
+        // instances (measured in EXPERIMENTS.md, which also records the
+        // unmeasured tie-break that was tried and dropped).
         let (master, port_rows, port_keys) = if options.warm_start {
             let mut state =
                 SimplexState::new(&vars_only, options.simplex_options()).map_err(CoreError::Lp)?;
@@ -619,32 +621,26 @@ impl CutGenSession {
         Ok(solution)
     }
 
-    /// Solves one platform snapshot to optimality and returns its result.
-    /// The first call is the ordinary cut-generation solve; later calls
-    /// re-solve from the previous step's basis and cut pool after updating
-    /// the port-row coefficients in place.
+    /// Solves one platform snapshot of the session's topology to optimality:
+    /// [`solve_step_churn`](Self::solve_step_churn) under the identity
+    /// remap. The first call is the ordinary cut-generation solve; later
+    /// calls re-solve from the previous step's basis and cut pool after
+    /// updating the port-row coefficients in place.
     ///
-    /// # Panics
-    /// Panics when `platform` does not share the session's topology (node
-    /// or edge count differs) — snapshots of one drift trace always do.
+    /// A `platform` whose node or edge count differs from the session's is
+    /// rejected with [`CoreError::TopologyMismatch`].
     pub fn solve_step(&mut self, platform: &Platform) -> Result<CutGenResult, CoreError> {
-        assert!(
-            platform.node_count() == self.nodes && platform.edge_count() == self.edges,
-            "drift snapshots must keep the session's topology \
-             ({}/{} nodes, {}/{} edges)",
-            platform.node_count(),
-            self.nodes,
-            platform.edge_count(),
-            self.edges,
-        );
-        self.solve_inner(platform)
+        self.solve_step_churn(platform, &ChurnRemap::identity(self.nodes, self.edges))
     }
 
-    /// Solves a snapshot whose node set *changed* relative to the previous
-    /// step, translating the whole session state — master-LP columns, port
-    /// rows, cut pool, separation scratch — through `remap` (typically
-    /// [`bcast_platform::drift::DriftTrace::remap`] between consecutive
-    /// steps) instead of rebuilding it:
+    /// Solves the next snapshot of a changing platform, where `remap`
+    /// (typically [`bcast_platform::drift::DriftTrace::remap`] between
+    /// consecutive steps) leads from the session's current topology to
+    /// `platform`'s. A cost-only step passes the identity remap and goes
+    /// straight to the warm re-solve. A step that changes the node set
+    /// first translates the whole session state — master-LP columns, port
+    /// rows, cut pool, separation scratch — through `remap` instead of
+    /// rebuilding it:
     ///
     /// * edge-load columns of departed edges are deleted from the live
     ///   master and columns for new attachment edges appended (they enter
@@ -663,37 +659,34 @@ impl CutGenSession {
     /// inside it, and termination is certified by the separation oracle
     /// over the new platform either way.
     ///
-    /// # Panics
-    /// Panics when `remap` does not lead from the session's current
-    /// topology to `platform`'s, or when the broadcast source departs.
+    /// A `remap` that does not start from the session's topology, does not
+    /// target `platform`'s, or drops the broadcast source is rejected with
+    /// [`CoreError::TopologyMismatch`] before the session is touched.
     pub fn solve_step_churn(
         &mut self,
         platform: &Platform,
         remap: &ChurnRemap,
     ) -> Result<CutGenResult, CoreError> {
-        assert!(
-            remap.node_map.len() == self.nodes && remap.edge_map.len() == self.edges,
-            "remap must start from the session's topology \
-             ({}/{} nodes, {}/{} edges)",
-            remap.node_map.len(),
-            self.nodes,
-            remap.edge_map.len(),
-            self.edges,
-        );
-        assert!(
-            platform.node_count() == remap.nodes && platform.edge_count() == remap.edges,
-            "remap must target the snapshot's topology \
-             ({}/{} nodes, {}/{} edges)",
-            remap.nodes,
-            platform.node_count(),
-            remap.edges,
-            platform.edge_count(),
-        );
+        let session = (self.nodes, self.edges);
+        let from = (remap.node_map.len(), remap.edge_map.len());
+        let to = (remap.nodes, remap.edges);
+        let given = (platform.node_count(), platform.edge_count());
+        if from != session || given != to {
+            return Err(CoreError::TopologyMismatch(format!(
+                "the session has {}/{} nodes/edges, the remap maps {}/{} to {}/{}, \
+                 the platform has {}/{}",
+                session.0, session.1, from.0, from.1, to.0, to.1, given.0, given.1
+            )));
+        }
+        let Some(new_source) = remap.node_map[self.source.index()] else {
+            return Err(CoreError::TopologyMismatch(format!(
+                "the remap drops the broadcast source {}",
+                self.source
+            )));
+        };
         if remap.is_identity() {
             return self.solve_inner(platform);
         }
-        let new_source = remap.node_map[self.source.index()]
-            .expect("the broadcast source cannot leave the platform");
 
         // ---- Plan the cut pool in the new compact id space. ----
         // A cut survives iff every source-side node survives and at least
@@ -712,27 +705,27 @@ impl CutGenSession {
         let mut planned_by_edges: HashMap<Vec<u32>, usize> = HashMap::new();
         let mut dead_rows: Vec<RowId> = Vec::new();
         for cut in &self.cuts {
+            let mut side = vec![false; remap.nodes];
             let survives = cut
                 .side
                 .iter()
-                .enumerate()
-                .all(|(u, &inside)| !inside || remap.node_map[u].is_some());
+                .zip(&remap.node_map)
+                .all(|(&inside, mapped)| {
+                    match (inside, mapped) {
+                        (true, Some(u)) => side[u.index()] = true,
+                        (true, None) => return false,
+                        (false, _) => {}
+                    }
+                    true
+                });
             let mut kept = None;
-            if survives {
-                let mut side = vec![false; remap.nodes];
-                for (u, &inside) in cut.side.iter().enumerate() {
-                    if inside {
-                        side[remap.node_map[u].expect("checked above").index()] = true;
-                    }
-                }
-                if side.iter().any(|&inside| !inside) {
-                    let probe = NodeCutSet {
-                        source_side: side.clone(),
-                    };
-                    let edges = probe.crossing_edges(platform);
-                    if !edges.is_empty() {
-                        kept = Some((side, edges));
-                    }
+            if survives && side.iter().any(|&inside| !inside) {
+                let probe = NodeCutSet {
+                    source_side: side.clone(),
+                };
+                let edges = probe.crossing_edges(platform);
+                if !edges.is_empty() {
+                    kept = Some((side, edges));
                 }
             }
             match kept {
@@ -931,10 +924,10 @@ impl CutGenSession {
         self.solve_inner(platform)
     }
 
-    /// The shared solve path of [`solve_step`](Self::solve_step) and
-    /// [`solve_step_churn`](Self::solve_step_churn): instrumentation shell
-    /// around [`solve_loop`](Self::solve_loop). One relaxed atomic load
-    /// when the observability sink is off.
+    /// The solve of [`solve_step_churn`](Self::solve_step_churn) once the
+    /// session matches `platform`: instrumentation shell around
+    /// [`solve_loop`](Self::solve_loop). One relaxed atomic load when the
+    /// observability sink is off.
     fn solve_inner(&mut self, platform: &Platform) -> Result<CutGenResult, CoreError> {
         if !bcast_obs::enabled() {
             return self.solve_loop(platform);
@@ -1293,8 +1286,8 @@ impl CutGenSession {
     /// unchanged.
     ///
     /// # Panics
-    /// Panics when `platform` does not share the session's topology, like
-    /// [`solve_step`](CutGenSession::solve_step).
+    /// Panics when `platform` does not share the session's topology (the
+    /// steps reject such a platform with [`CoreError::TopologyMismatch`]).
     pub fn snapshot(&mut self, platform: &Platform) -> SessionSnapshot {
         assert!(
             platform.node_count() == self.nodes && platform.edge_count() == self.edges,
@@ -1789,7 +1782,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "topology")]
     fn session_rejects_topology_changes() {
         let mut b = Platform::builder();
         let p = b.add_processors(3);
@@ -1803,7 +1795,24 @@ mod tests {
         let p = b.add_processors(2);
         b.add_bidirectional_link(p[0], p[1], LinkCost::one_port(0.0, 1.0));
         let smaller = b.build();
-        let _ = session.solve_step(&smaller);
+        let err = session.solve_step(&smaller).unwrap_err();
+        assert!(matches!(err, CoreError::TopologyMismatch(_)), "{err:?}");
+        // A remap from another topology, and one that drops the source.
+        let other = ChurnRemap::identity(2, 2);
+        let err = session.solve_step_churn(&smaller, &other).unwrap_err();
+        assert!(matches!(err, CoreError::TopologyMismatch(_)), "{err:?}");
+        let mut no_source = ChurnRemap::identity(3, 4);
+        no_source.node_map[0] = None;
+        let err = session.solve_step_churn(&platform, &no_source).unwrap_err();
+        assert!(matches!(err, CoreError::TopologyMismatch(_)), "{err:?}");
+        // The rejected steps left the session untouched.
+        let again = session.solve_step(&platform).unwrap();
+        let fresh = CutGenSession::new(&platform, NodeId(0), 1.0, CutGenOptions::default())
+            .unwrap()
+            .solve_step(&platform)
+            .unwrap();
+        assert_eq!(again.optimal.throughput, fresh.optimal.throughput);
+        assert_eq!(session.steps(), 2);
     }
 
     #[test]

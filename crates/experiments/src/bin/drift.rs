@@ -1,37 +1,39 @@
-//! Dynamic platforms (ablation 6): link-cost drift traces, solved per step
-//! by the cross-step warm-started cut-generation session and repaired by
-//! incremental schedule re-synthesis, against the cold per-step baseline.
+//! Dynamic platforms (ablations 6 and 8): traces of a changing platform,
+//! solved per step by the cross-step warm-started cut-generation session
+//! and repaired by incremental schedule re-synthesis, against the cold
+//! per-step baseline.
 //!
-//! For every platform family (Random-20, Tiers-40, Gaussian-20 — `--quick`
-//! restricts to Tiers-20) the binary generates a deterministic drift trace
-//! (multiplicative link-cost perturbations plus link failure/recovery
-//! events) and walks it twice:
+//! Every trace is walked by one loop, twice:
 //!
 //! * **warm** — one [`bcast_core::CutGenSession`] carries the simplex basis
-//!   *and* the cut pool across steps (the one-port rows are coefficient-
-//!   updated in place), and `bcast_sched::resynthesize_schedule` repairs
-//!   the previous period's trees instead of rebuilding them;
+//!   *and* the cut pool across steps (`solve_step_churn`), and
+//!   `bcast_sched::resynthesize_schedule_churn` repairs the previous
+//!   period's trees instead of rebuilding them. Both get the trace's remap
+//!   from the previous step: the identity when the node set is unchanged,
+//!   a real remap when processors joined or left (cut-pool remapping,
+//!   in-place LP column add/delete, joiners grafted, leavers pruned);
 //! * **cold** — every step re-solves the LP from scratch
 //!   (`warm_start: false`, no carried cuts) and synthesizes a fresh
 //!   schedule.
 //!
-//! Both sides replay the resulting schedule through `bcast-sim` and report
-//! the simulated throughput; per step the table shows TP, simplex pivots,
-//! master rounds, reused cuts, schedule repair operations, and schedule
-//! efficiency; the footer shows the warm-vs-cold totals (the ablation
-//! number: total pivots must drop ≥ 5× on Tiers-40, asserted at test scale
-//! by `tests/dynamic_drift.rs`).
+//! The warm schedule is replayed through `bcast-sim` for its simulated
+//! throughput. Two sections walk two kinds of trace:
 //!
-//! A second section (ablation 8) adds **node churn**: traces where
-//! processors join and leave are swept over (join, leave) rate pairs; the
-//! warm side survives the node-set changes via `solve_step_churn` (cut-pool
-//! remapping plus in-place LP column add/delete) and
-//! `resynthesize_schedule_churn` (grafting joiners, pruning leavers), again
-//! against cold from-scratch re-solves. Every churn trace is seed-probed to
-//! exercise at least one join *and* one leave — including under `--quick`,
-//! so the CI smoke genuinely covers both event kinds
-//! (`tests/churn_drift.rs` asserts the equivalence and the pivot drop at
-//! test scale).
+//! * **Ablation 6, drift** — for every platform family (Random-20,
+//!   Tiers-40, Gaussian-20; `--quick` restricts to Tiers-20) a
+//!   deterministic trace of multiplicative link-cost perturbations plus
+//!   link failure/recovery events. Per step the table shows TP, simplex
+//!   pivots, master rounds, reused cuts, schedule repair operations, and
+//!   schedule efficiency; the footer shows the warm-vs-cold totals (the
+//!   ablation number: total pivots must drop ≥ 5× on Tiers-40, asserted at
+//!   test scale by `tests/dynamic_drift.rs`).
+//! * **Ablation 8, node churn** — traces where processors also join and
+//!   leave, swept over (join, leave) rate pairs; the table shows grafted
+//!   and pruned nodes in place of the round counts. Every churn trace is
+//!   seed-probed to exercise at least one join *and* one leave — including
+//!   under `--quick`, so the CI smoke genuinely covers both event kinds
+//!   (`tests/churn_drift.rs` asserts the equivalence and the pivot drop at
+//!   test scale).
 //!
 //! ```text
 //! cargo run --release -p bcast-experiments --bin drift -- [--configs N] [--seed S] [--quick] [--csv PATH] [--journal PATH]
@@ -43,18 +45,18 @@ use bcast_experiments::{
     finish_journal_or_exit, install_journal_or_exit, write_csv_or_exit, AsciiTable, ExperimentArgs,
 };
 use bcast_net::NodeId;
-use bcast_platform::drift::{DriftConfig, DriftEvent, DriftTrace};
+use bcast_platform::drift::{ChurnRemap, DriftConfig, DriftEvent, DriftTrace};
 use bcast_platform::generators::gaussian_field::{gaussian_platform, GaussianPlatformConfig};
 use bcast_platform::generators::random::{random_platform, RandomPlatformConfig};
 use bcast_platform::generators::tiers::{tiers_platform, TiersConfig};
 use bcast_platform::{MessageSpec, Platform};
 use bcast_sched::{
-    resynthesize_schedule, resynthesize_schedule_churn, synthesize_schedule, PeriodicSchedule,
-    SynthesisConfig,
+    resynthesize_schedule_churn, synthesize_schedule, PeriodicSchedule, SynthesisConfig,
 };
 use bcast_sim::simulate_schedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt;
 
 const SLICE: f64 = 1.0e6;
 const DRIFT_STEPS: usize = 10;
@@ -78,6 +80,26 @@ fn tp_rel_err(warm_tp: f64, cold_tp: f64) -> f64 {
     (warm_tp - cold_tp).abs() / cold_tp.abs().max(f64::MIN_POSITIVE)
 }
 
+/// The journal names of one ablation's walks: the `DriftStep.kind` (also
+/// the CSV's `ablation` column) and the warm and cold timers.
+struct Ablation {
+    kind: &'static str,
+    warm_timer: &'static str,
+    cold_timer: &'static str,
+}
+
+const DRIFT: Ablation = Ablation {
+    kind: "drift",
+    warm_timer: "drift.warm",
+    cold_timer: "drift.cold",
+};
+
+const CHURN: Ablation = Ablation {
+    kind: "churn",
+    warm_timer: "churn.warm",
+    cold_timer: "churn.cold",
+};
+
 struct StepRecord {
     step: usize,
     tp: f64,
@@ -88,11 +110,116 @@ struct StepRecord {
     reused_cuts: usize,
     repair_ops: usize,
     kept_trees: usize,
+    grafted: usize,
+    pruned: usize,
     efficiency: f64,
     sim_tp: f64,
 }
 
+/// A column of a per-step table: its header and its cell.
+type Column = (&'static str, fn(&StepRecord) -> String);
+
+const DRIFT_COLUMNS: [Column; 11] = [
+    ("step", |r| r.step.to_string()),
+    ("TP", |r| format!("{:.3}", r.tp)),
+    ("warm piv", |r| r.warm_pivots.to_string()),
+    ("cold piv", |r| r.cold_pivots.to_string()),
+    ("w rounds", |r| r.warm_rounds.to_string()),
+    ("c rounds", |r| r.cold_rounds.to_string()),
+    ("cuts reused", |r| r.reused_cuts.to_string()),
+    ("kept", |r| r.kept_trees.to_string()),
+    ("repairs", |r| r.repair_ops.to_string()),
+    ("sched eff", |r| format!("{:.3}", r.efficiency)),
+    ("sim TP", |r| format!("{:.3}", r.sim_tp)),
+];
+
+const CHURN_COLUMNS: [Column; 11] = [
+    ("step", |r| r.step.to_string()),
+    ("TP", |r| format!("{:.3}", r.tp)),
+    ("warm piv", |r| r.warm_pivots.to_string()),
+    ("cold piv", |r| r.cold_pivots.to_string()),
+    ("cuts reused", |r| r.reused_cuts.to_string()),
+    ("kept", |r| r.kept_trees.to_string()),
+    ("repairs", |r| r.repair_ops.to_string()),
+    ("grafted", |r| r.grafted.to_string()),
+    ("pruned", |r| r.pruned.to_string()),
+    ("sched eff", |r| format!("{:.3}", r.efficiency)),
+    ("sim TP", |r| format!("{:.3}", r.sim_tp)),
+];
+
+fn render(columns: &[Column], records: &[StepRecord]) -> String {
+    let mut table = AsciiTable::new(columns.iter().map(|c| c.0).collect());
+    for r in records {
+        table.add_row(columns.iter().map(|c| (c.1)(r)).collect());
+    }
+    table.render()
+}
+
+/// The CSV row of one step; `rates` is the trace's (join, leave) rate
+/// pair, zero on drift traces.
+fn csv_row(
+    ablation: &Ablation,
+    family: &str,
+    instance: usize,
+    rates: (f64, f64),
+    r: &StepRecord,
+) -> Vec<String> {
+    vec![
+        ablation.kind.to_string(),
+        family.to_string(),
+        instance.to_string(),
+        format!("{}", rates.0),
+        format!("{}", rates.1),
+        r.step.to_string(),
+        format!("{}", r.tp),
+        r.warm_pivots.to_string(),
+        r.cold_pivots.to_string(),
+        r.warm_rounds.to_string(),
+        r.cold_rounds.to_string(),
+        r.reused_cuts.to_string(),
+        r.kept_trees.to_string(),
+        r.repair_ops.to_string(),
+        r.grafted.to_string(),
+        r.pruned.to_string(),
+        format!("{}", r.efficiency),
+        format!("{}", r.sim_tp),
+    ]
+}
+
+/// Warm-vs-cold totals over the steps after step 0 (step 0 is a cold
+/// start for both sides and would dilute the comparison identically on
+/// each).
+#[derive(Default)]
+struct Totals {
+    warm_pivots: usize,
+    cold_pivots: usize,
+    warm_ms: f64,
+    cold_ms: f64,
+}
+
+impl fmt::Display for Totals {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "warm {} pivots vs cold {} pivots ({:.1}x drop), wall-clock warm {:.0} ms vs cold \
+             {:.0} ms",
+            self.warm_pivots,
+            self.cold_pivots,
+            self.cold_pivots as f64 / self.warm_pivots.max(1) as f64,
+            self.warm_ms,
+            self.cold_ms
+        )
+    }
+}
+
 type PlatformGenerator = Box<dyn Fn(u64) -> Platform>;
+
+fn tiers(nodes: usize) -> PlatformGenerator {
+    Box::new(move |seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        tiers_platform(&TiersConfig::paper(nodes, 0.10), &mut rng)
+    })
+}
 
 fn main() {
     let args = ExperimentArgs::from_env(3);
@@ -110,13 +237,7 @@ fn main() {
         args.configs
     );
     let families: Vec<(&str, PlatformGenerator)> = if args.quick {
-        vec![(
-            "tiers-20",
-            Box::new(|seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                tiers_platform(&TiersConfig::paper(20, 0.10), &mut rng)
-            }),
-        )]
+        vec![("tiers-20", tiers(20))]
     } else {
         vec![
             (
@@ -124,15 +245,9 @@ fn main() {
                 Box::new(|seed| {
                     let mut rng = StdRng::seed_from_u64(seed);
                     random_platform(&RandomPlatformConfig::paper(20, 0.12), &mut rng)
-                }) as PlatformGenerator,
-            ),
-            (
-                "tiers-40",
-                Box::new(|seed| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    tiers_platform(&TiersConfig::paper(40, 0.10), &mut rng)
                 }),
             ),
+            ("tiers-40", tiers(40)),
             (
                 "gaussian-20",
                 Box::new(|seed| {
@@ -145,10 +260,7 @@ fn main() {
 
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     for (label, generate) in &families {
-        let mut total_warm = 0usize;
-        let mut total_cold = 0usize;
-        let mut warm_ms = 0.0f64;
-        let mut cold_ms = 0.0f64;
+        let mut totals = Totals::default();
         for instance in 0..args.configs {
             let platform = generate(args.seed + 101 * instance as u64);
             let trace = DriftTrace::generate(
@@ -156,90 +268,24 @@ fn main() {
                 NodeId(0),
                 &DriftConfig::with_failures(DRIFT_STEPS, args.seed + instance as u64),
             );
-            let (records, w_ms, c_ms) = run_trace(&trace, &options);
-            warm_ms += w_ms;
-            cold_ms += c_ms;
+            let records = walk(&trace, &options, &DRIFT, &mut totals);
             if instance == 0 {
-                let mut table = AsciiTable::new(vec![
-                    "step",
-                    "TP",
-                    "warm piv",
-                    "cold piv",
-                    "w rounds",
-                    "c rounds",
-                    "cuts reused",
-                    "kept",
-                    "repairs",
-                    "sched eff",
-                    "sim TP",
-                ]);
-                for r in &records {
-                    table.add_row(vec![
-                        r.step.to_string(),
-                        format!("{:.3}", r.tp),
-                        r.warm_pivots.to_string(),
-                        r.cold_pivots.to_string(),
-                        r.warm_rounds.to_string(),
-                        r.cold_rounds.to_string(),
-                        r.reused_cuts.to_string(),
-                        r.kept_trees.to_string(),
-                        r.repair_ops.to_string(),
-                        format!("{:.3}", r.efficiency),
-                        format!("{:.3}", r.sim_tp),
-                    ]);
-                }
-                println!("{label} (instance 0):\n{}", table.render());
+                println!(
+                    "{label} (instance 0):\n{}",
+                    render(&DRIFT_COLUMNS, &records)
+                );
             }
             for r in &records {
-                if r.step > 0 {
-                    total_warm += r.warm_pivots;
-                    total_cold += r.cold_pivots;
-                }
-                csv_rows.push(vec![
-                    "drift".to_string(),
-                    label.to_string(),
-                    instance.to_string(),
-                    "0".to_string(),
-                    "0".to_string(),
-                    r.step.to_string(),
-                    format!("{}", r.tp),
-                    r.warm_pivots.to_string(),
-                    r.cold_pivots.to_string(),
-                    r.warm_rounds.to_string(),
-                    r.cold_rounds.to_string(),
-                    r.reused_cuts.to_string(),
-                    r.kept_trees.to_string(),
-                    r.repair_ops.to_string(),
-                    "0".to_string(),
-                    "0".to_string(),
-                    format!("{}", r.efficiency),
-                    format!("{}", r.sim_tp),
-                ]);
+                csv_rows.push(csv_row(&DRIFT, label, instance, (0.0, 0.0), r));
             }
         }
-        println!(
-            "{label} drift-step totals: warm {total_warm} pivots vs cold {total_cold} pivots \
-             ({:.1}x drop), wall-clock warm {warm_ms:.0} ms vs cold {cold_ms:.0} ms\n",
-            total_cold as f64 / total_warm.max(1) as f64
-        );
+        println!("{label} drift-step totals: {totals}\n");
     }
     // ---- Ablation 8: node churn (join/leave rate sweep). -----------------
-    let (churn_label, churn_gen): (&str, PlatformGenerator) = if args.quick {
-        (
-            "tiers-20",
-            Box::new(|seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                tiers_platform(&TiersConfig::paper(20, 0.10), &mut rng)
-            }),
-        )
+    let (churn_label, churn_gen) = if args.quick {
+        ("tiers-20", tiers(20))
     } else {
-        (
-            "tiers-40",
-            Box::new(|seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                tiers_platform(&TiersConfig::paper(40, 0.10), &mut rng)
-            }),
-        )
+        ("tiers-40", tiers(40))
     };
     let rate_points: &[(f64, f64)] = if args.quick {
         &[(0.45, 0.35)]
@@ -251,12 +297,9 @@ fn main() {
          ({CHURN_STEPS} churn steps per trace, every trace exercises ≥ 1 join and ≥ 1 leave)\n"
     );
     for (point, &(join_rate, leave_rate)) in rate_points.iter().enumerate() {
-        let mut total_warm = 0usize;
-        let mut total_cold = 0usize;
+        let mut totals = Totals::default();
         let mut total_joins = 0usize;
         let mut total_leaves = 0usize;
-        let mut warm_ms = 0.0f64;
-        let mut cold_ms = 0.0f64;
         for instance in 0..args.configs {
             let platform = churn_gen(args.seed + 101 * instance as u64);
             let trace = churn_trace(
@@ -268,76 +311,26 @@ fn main() {
             let (joins, leaves) = churn_events(&trace);
             total_joins += joins;
             total_leaves += leaves;
-            let (records, w_ms, c_ms) = run_churn_trace(&trace, &options);
-            warm_ms += w_ms;
-            cold_ms += c_ms;
+            let records = walk(&trace, &options, &CHURN, &mut totals);
             if instance == 0 {
-                let mut table = AsciiTable::new(vec![
-                    "step",
-                    "TP",
-                    "warm piv",
-                    "cold piv",
-                    "cuts reused",
-                    "kept",
-                    "repairs",
-                    "grafted",
-                    "pruned",
-                    "sched eff",
-                    "sim TP",
-                ]);
-                for r in &records {
-                    table.add_row(vec![
-                        r.step.to_string(),
-                        format!("{:.3}", r.tp),
-                        r.warm_pivots.to_string(),
-                        r.cold_pivots.to_string(),
-                        r.reused_cuts.to_string(),
-                        r.kept_trees.to_string(),
-                        r.repair_ops.to_string(),
-                        r.grafted.to_string(),
-                        r.pruned.to_string(),
-                        format!("{:.3}", r.efficiency),
-                        format!("{:.3}", r.sim_tp),
-                    ]);
-                }
                 println!(
                     "{churn_label} join {join_rate:.2} / leave {leave_rate:.2} (instance 0):\n{}",
-                    table.render()
+                    render(&CHURN_COLUMNS, &records)
                 );
             }
             for r in &records {
-                if r.step > 0 {
-                    total_warm += r.warm_pivots;
-                    total_cold += r.cold_pivots;
-                }
-                csv_rows.push(vec![
-                    "churn".to_string(),
-                    churn_label.to_string(),
-                    instance.to_string(),
-                    format!("{join_rate}"),
-                    format!("{leave_rate}"),
-                    r.step.to_string(),
-                    format!("{}", r.tp),
-                    r.warm_pivots.to_string(),
-                    r.cold_pivots.to_string(),
-                    r.warm_rounds.to_string(),
-                    r.cold_rounds.to_string(),
-                    r.reused_cuts.to_string(),
-                    r.kept_trees.to_string(),
-                    r.repair_ops.to_string(),
-                    r.grafted.to_string(),
-                    r.pruned.to_string(),
-                    format!("{}", r.efficiency),
-                    format!("{}", r.sim_tp),
-                ]);
+                csv_rows.push(csv_row(
+                    &CHURN,
+                    churn_label,
+                    instance,
+                    (join_rate, leave_rate),
+                    r,
+                ));
             }
         }
         println!(
             "{churn_label} join {join_rate:.2} / leave {leave_rate:.2} churn-step totals: \
-             {total_joins} joins, {total_leaves} leaves; warm {total_warm} pivots vs cold \
-             {total_cold} pivots ({:.1}x drop), wall-clock warm {warm_ms:.0} ms vs cold \
-             {cold_ms:.0} ms\n",
-            total_cold as f64 / total_warm.max(1) as f64
+             {total_joins} joins, {total_leaves} leaves; {totals}\n"
         );
     }
     if let Some(path) = &args.csv {
@@ -367,105 +360,6 @@ fn main() {
         write_csv_or_exit(path, &header, &csv_rows);
     }
     finish_journal_or_exit();
-}
-
-/// Walks one trace warm and cold; returns the per-step records plus the two
-/// wall-clock totals in milliseconds.
-fn run_trace(trace: &DriftTrace, options: &CutGenOptions) -> (Vec<StepRecord>, f64, f64) {
-    let source = trace.source();
-    let config = SynthesisConfig::with_batch(BATCH);
-    let spec = MessageSpec::new(4.0 * BATCH as f64 * SLICE, SLICE);
-    let mut session = CutGenSession::new(trace.base(), source, SLICE, options.clone())
-        .expect("trace base is solvable");
-    let mut previous: Option<PeriodicSchedule> = None;
-    let mut records = Vec::with_capacity(trace.len());
-    let mut warm_ms = 0.0f64;
-    let mut cold_ms = 0.0f64;
-    for step in 0..trace.len() {
-        let snapshot = trace.platform_at(step);
-        let ((warm, schedule, report), warm_t) = bcast_obs::timed("drift.warm", || {
-            let warm = session.solve_step(&snapshot).expect("warm step solvable");
-            let (schedule, report) = match &previous {
-                None => {
-                    let s = synthesize_schedule(&snapshot, source, &warm.optimal, SLICE, &config)
-                        .expect("synthesis succeeds");
-                    (s, Default::default())
-                }
-                Some(prev) => {
-                    resynthesize_schedule(&snapshot, source, &warm.optimal, SLICE, &config, prev)
-                        .expect("repair succeeds")
-                }
-            };
-            (warm, schedule, report)
-        });
-        // Wall-clock totals cover the *drift steps* only, matching the
-        // pivot totals in the footer (step 0 is a cold start for both
-        // sides and would dilute the comparison identically on each).
-        if step > 0 {
-            warm_ms += warm_t.as_secs_f64() * 1000.0;
-        }
-        let (cold, cold_t) = bcast_obs::timed("drift.cold", || {
-            let cold = cut_gen::solve_with(
-                &snapshot,
-                source,
-                SLICE,
-                &CutGenOptions {
-                    warm_start: false,
-                    iteration_budget: Some(COLD_ITERATION_BUDGET),
-                    ..options.clone()
-                },
-            )
-            .expect("cold step solvable");
-            // Built (and timed) so the cold side pays the same synthesis
-            // cost the warm side's repair is being compared against.
-            let _cold_schedule =
-                synthesize_schedule(&snapshot, source, &cold.optimal, SLICE, &config)
-                    .expect("cold synthesis succeeds");
-            cold
-        });
-        if step > 0 {
-            cold_ms += cold_t.as_secs_f64() * 1000.0;
-        }
-        bcast_obs::emit_with(|| bcast_obs::Event::DriftStep {
-            step: step as u64,
-            kind: "drift",
-            warm_ns: warm_t.as_nanos() as u64,
-            cold_ns: cold_t.as_nanos() as u64,
-            tp_rel_err: tp_rel_err(warm.optimal.throughput, cold.optimal.throughput),
-        });
-        let sim = simulate_schedule(&snapshot, &schedule, &spec);
-        records.push(StepRecord {
-            step,
-            tp: warm.optimal.throughput,
-            warm_pivots: warm.optimal.simplex_iterations,
-            cold_pivots: cold.optimal.simplex_iterations,
-            warm_rounds: warm.optimal.iterations,
-            cold_rounds: cold.optimal.iterations,
-            reused_cuts: warm.reused_cuts,
-            repair_ops: report.repair_ops(),
-            kept_trees: report.kept_trees,
-            efficiency: schedule.efficiency(),
-            sim_tp: sim.batch_throughput(schedule.slices_per_period()),
-        });
-        previous = Some(schedule);
-    }
-    (records, warm_ms, cold_ms)
-}
-
-struct ChurnStepRecord {
-    step: usize,
-    tp: f64,
-    warm_pivots: usize,
-    cold_pivots: usize,
-    warm_rounds: usize,
-    cold_rounds: usize,
-    reused_cuts: usize,
-    repair_ops: usize,
-    kept_trees: usize,
-    grafted: usize,
-    pruned: usize,
-    efficiency: f64,
-    sim_tp: f64,
 }
 
 /// Counts the trace's node-join and node-leave events.
@@ -510,15 +404,14 @@ fn churn_trace(platform: &Platform, join_rate: f64, leave_rate: f64, seed: u64) 
     panic!("no seed in [{seed}, {seed} + 64000) produced both a join and a leave");
 }
 
-/// Walks one churn trace warm and cold, mirroring [`run_trace`] but across
-/// node-set changes: the warm side carries the session through
-/// `solve_step_churn` (cut-pool remap + LP column add/delete) and repairs
-/// the schedule with `resynthesize_schedule_churn` (graft joiners, prune
-/// leavers); the cold side re-solves and re-synthesizes from scratch.
-fn run_churn_trace(
+/// Walks one trace warm and cold (see the module docs), adds the steps
+/// after step 0 to `totals`, and returns the per-step records.
+fn walk(
     trace: &DriftTrace,
     options: &CutGenOptions,
-) -> (Vec<ChurnStepRecord>, f64, f64) {
+    ablation: &Ablation,
+    totals: &mut Totals,
+) -> Vec<StepRecord> {
     let config = SynthesisConfig::with_batch(BATCH);
     let spec = MessageSpec::new(4.0 * BATCH as f64 * SLICE, SLICE);
     let snap0 = trace.platform_at(0);
@@ -526,19 +419,17 @@ fn run_churn_trace(
         .expect("step-0 platform solvable");
     let mut previous: Option<PeriodicSchedule> = None;
     let mut records = Vec::with_capacity(trace.len());
-    let mut warm_ms = 0.0f64;
-    let mut cold_ms = 0.0f64;
     for step in 0..trace.len() {
         let snapshot = trace.platform_at(step);
         let source = trace.source_at(step);
-        let ((warm, schedule, report), warm_t) = bcast_obs::timed("churn.warm", || {
-            let warm = if step == 0 {
-                session.solve_step(&snapshot).expect("warm step solvable")
-            } else {
-                session
-                    .solve_step_churn(&snapshot, &trace.remap(step - 1, step))
-                    .expect("warm churn step solvable")
-            };
+        let remap = match step {
+            0 => ChurnRemap::identity(snapshot.node_count(), snapshot.edge_count()),
+            _ => trace.remap(step - 1, step),
+        };
+        let ((warm, schedule, report), warm_t) = bcast_obs::timed(ablation.warm_timer, || {
+            let warm = session
+                .solve_step_churn(&snapshot, &remap)
+                .expect("warm step solvable");
             let (schedule, report) = match &previous {
                 None => {
                     let s = synthesize_schedule(&snapshot, source, &warm.optimal, SLICE, &config)
@@ -552,16 +443,13 @@ fn run_churn_trace(
                     SLICE,
                     &config,
                     prev,
-                    &trace.remap(step - 1, step),
+                    &remap,
                 )
-                .expect("churn repair succeeds"),
+                .expect("repair succeeds"),
             };
             (warm, schedule, report)
         });
-        if step > 0 {
-            warm_ms += warm_t.as_secs_f64() * 1000.0;
-        }
-        let (cold, cold_t) = bcast_obs::timed("churn.cold", || {
+        let (cold, cold_t) = bcast_obs::timed(ablation.cold_timer, || {
             let cold = cut_gen::solve_with(
                 &snapshot,
                 source,
@@ -573,23 +461,28 @@ fn run_churn_trace(
                 },
             )
             .expect("cold step solvable");
+            // Built (and timed) so the cold side pays the same synthesis
+            // cost the warm side's repair is being compared against.
             let _cold_schedule =
                 synthesize_schedule(&snapshot, source, &cold.optimal, SLICE, &config)
                     .expect("cold synthesis succeeds");
             cold
         });
         if step > 0 {
-            cold_ms += cold_t.as_secs_f64() * 1000.0;
+            totals.warm_pivots += warm.optimal.simplex_iterations;
+            totals.cold_pivots += cold.optimal.simplex_iterations;
+            totals.warm_ms += warm_t.as_secs_f64() * 1000.0;
+            totals.cold_ms += cold_t.as_secs_f64() * 1000.0;
         }
         bcast_obs::emit_with(|| bcast_obs::Event::DriftStep {
             step: step as u64,
-            kind: "churn",
+            kind: ablation.kind,
             warm_ns: warm_t.as_nanos() as u64,
             cold_ns: cold_t.as_nanos() as u64,
             tp_rel_err: tp_rel_err(warm.optimal.throughput, cold.optimal.throughput),
         });
         let sim = simulate_schedule(&snapshot, &schedule, &spec);
-        records.push(ChurnStepRecord {
+        records.push(StepRecord {
             step,
             tp: warm.optimal.throughput,
             warm_pivots: warm.optimal.simplex_iterations,
@@ -606,5 +499,5 @@ fn run_churn_trace(
         });
         previous = Some(schedule);
     }
-    (records, warm_ms, cold_ms)
+    records
 }

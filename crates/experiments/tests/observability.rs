@@ -1,8 +1,8 @@
 //! Integration tests of the `bcast-obs` instrumentation layer as the
 //! experiment binaries use it: the disabled-overhead guard, the journal
 //! golden (bit-identical across runs after scrubbing wall-clock fields),
-//! and the `solver_report` contract (schema check + span coverage) on a
-//! real drift walk.
+//! the `solver_report` contract (schema check + span coverage) on a real
+//! drift walk, and the schedule-repair label on a churn walk.
 //!
 //! The obs sink is process-global, so every test serializes on [`LOCK`]
 //! and leaves the sink disabled and reset behind itself.
@@ -15,7 +15,10 @@ use bcast_obs::report;
 use bcast_platform::drift::{DriftConfig, DriftTrace};
 use bcast_platform::generators::tiers::{tiers_platform, TiersConfig};
 use bcast_platform::Platform;
-use bcast_sched::{resynthesize_schedule, synthesize_schedule, PeriodicSchedule, SynthesisConfig};
+use bcast_sched::{
+    resynthesize_schedule, resynthesize_schedule_churn, synthesize_schedule, PeriodicSchedule,
+    SynthesisConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -140,6 +143,79 @@ fn journal_golden_check_and_coverage() {
         rep.coverage * 100.0
     );
     assert_eq!(rep.binary, "observability-test");
+}
+
+/// The repair label follows the remap, not the entry point: a churn trace
+/// walked through `resynthesize_schedule_churn` alone journals `repair`
+/// (span `sched.repair`) on exactly the steps whose remap is the identity
+/// and `repair_churn` (span `sched.repair_churn`) on the others. Records
+/// of the full syntheses a repair may fall back to are nested inside the
+/// repair and skipped.
+#[test]
+fn repair_label_follows_the_remap() {
+    let _guard = LOCK.lock().unwrap();
+    let platform = tiers(16, 0.12, 41);
+    let trace = DriftTrace::generate(&platform, NodeId(0), &DriftConfig::with_churn(10, 123));
+    let config = SynthesisConfig::with_batch(8);
+    let snap0 = trace.platform_at(0);
+    let mut session =
+        CutGenSession::new(&snap0, trace.source_at(0), SLICE, CutGenOptions::default())
+            .expect("step-0 platform solvable");
+    let first = session.solve_step(&snap0).expect("step 0 solvable");
+    let mut schedule =
+        synthesize_schedule(&snap0, trace.source_at(0), &first.optimal, SLICE, &config)
+            .expect("synthesis succeeds");
+
+    let path = std::env::temp_dir().join("bcast_obs_repair_labels.jsonl");
+    bcast_obs::install_journal(&path, "observability-test").expect("journal installs");
+    let mut expected = Vec::new();
+    for step in 1..trace.len() {
+        let snapshot = trace.platform_at(step);
+        let remap = trace.remap(step - 1, step);
+        let optimal = session
+            .solve_step_churn(&snapshot, &remap)
+            .expect("warm step solvable")
+            .optimal;
+        schedule = resynthesize_schedule_churn(
+            &snapshot,
+            trace.source_at(step),
+            &optimal,
+            SLICE,
+            &config,
+            &schedule,
+            &remap,
+        )
+        .expect("repair succeeds")
+        .0;
+        expected.push(if remap.is_identity() {
+            ("repair", "sched.repair")
+        } else {
+            ("repair_churn", "sched.repair_churn")
+        });
+    }
+    bcast_obs::flush_journal().expect("journal flushes");
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    let _ = std::fs::remove_file(&path);
+
+    assert!(
+        expected.iter().any(|e| e.0 == "repair") && expected.iter().any(|e| e.0 == "repair_churn"),
+        "the trace must mix identity and churn steps: {expected:?}"
+    );
+    let field = |record: &report::Record, key: &str| match record.get(key) {
+        Some(report::Value::Str(value)) => value.clone(),
+        other => panic!("journal field {key}: {other:?}"),
+    };
+    let labels: Vec<(String, String)> = text
+        .lines()
+        .map(|line| report::parse_line(line).expect("journal line parses"))
+        .filter(|r| field(r, "type") == "sched_repair" && field(r, "kind") != "synthesize")
+        .map(|r| (field(&r, "kind"), field(&r, "span")))
+        .collect();
+    let labels: Vec<(&str, &str)> = labels
+        .iter()
+        .map(|(k, s)| (k.as_str(), s.as_str()))
+        .collect();
+    assert_eq!(labels, expected);
 }
 
 /// The disabled-sink cost of the instrumentation on a Tiers-65 cut

@@ -7,8 +7,9 @@
 //! rows to a previously optimal LP (and occasionally *deletes* stale ones).
 //! Re-solving from scratch discards the basis, rebuilds phase 1 and walks the
 //! whole phase-2 path again; warm-starting reuses all of it. The live state
-//! is the sparse revised simplex of [`crate::sparse`] (Markowitz LU basis,
-//! Devex pricing), refactorized lazily on the next re-solve after an edit:
+//! is the sparse revised simplex of the private `sparse` module (Markowitz
+//! LU basis, Devex pricing), refactorized lazily on the next re-solve after
+//! an edit:
 //!
 //! * **Append** — a new `≤` row gets a fresh basic slack column. The old
 //!   columns stay basic, the reduced costs of all old columns are untouched
@@ -250,10 +251,6 @@ pub struct SimplexState {
     /// Number of groups that came from the base [`LpProblem`] (their stored
     /// rows are verbatim; appended groups are normalized to `≤` form).
     base_groups: usize,
-    /// Optional secondary objective (maximization form, one coefficient per
-    /// structural variable) optimized over the primary-optimal face after
-    /// every warm re-solve; see [`set_secondary_objective`](Self::set_secondary_objective).
-    secondary: Option<Vec<f64>>,
     fact: Option<Fact>,
     stats: IncrementalStats,
 }
@@ -274,7 +271,6 @@ impl SimplexState {
             groups: Vec::new(),
             group_ops: Vec::new(),
             base_groups: 0,
-            secondary: None,
             fact: None,
             stats: IncrementalStats::default(),
         };
@@ -325,39 +321,6 @@ impl SimplexState {
     /// The accumulated work counters.
     pub fn stats(&self) -> IncrementalStats {
         self.stats
-    }
-
-    /// Installs a secondary objective (maximization, one coefficient per
-    /// structural variable) that every [`resolve`](Self::resolve) optimizes
-    /// *within the optimal face* of the primary objective: only columns
-    /// whose primary reduced cost is zero may enter, so the primary optimum
-    /// is provably unchanged (pivoting on a zero-reduced-cost column leaves
-    /// the whole primary reduced-cost row, and hence dual feasibility,
-    /// intact).
-    ///
-    /// Dual re-optimization repairs the basis with the *nearest* vertex,
-    /// which for cut-generation masters is a lazily-patched degenerate
-    /// vertex whose loads separate poorly; pushing a tie-breaking objective
-    /// (e.g. "maximise the total edge load") across the optimal face gives
-    /// the separation oracle a deliberately chosen vertex instead.
-    pub fn set_secondary_objective(&mut self, coefficients: Vec<f64>) {
-        assert_eq!(
-            coefficients.len(),
-            self.num_vars(),
-            "secondary objective must have one coefficient per variable"
-        );
-        self.secondary = Some(coefficients);
-    }
-
-    /// Discards the live factorization so the next
-    /// [`resolve`](Self::resolve) solves cold and adopts the fresh basis —
-    /// an escape hatch when the caller has reason to distrust the current
-    /// basis. Counted in [`IncrementalStats::refactorizations`] only when a
-    /// factorization was actually alive.
-    pub fn invalidate(&mut self) {
-        if self.fact.take().is_some() {
-            self.note_cold_fallback();
-        }
     }
 
     /// Bookkeeping of every path that discards the live factorization: the
@@ -582,9 +545,6 @@ impl SimplexState {
             ids.push(ColId(var.0));
             self.objective.push(col.objective);
             self.cols_live.push(true);
-            if let Some(sec) = self.secondary.as_mut() {
-                sec.push(0.0);
-            }
             for &(RowId(id), c) in &col.terms {
                 for (slot, &p) in self.groups[id].clone().iter().enumerate() {
                     // Base rows are stored verbatim; appended groups were
@@ -649,9 +609,6 @@ impl SimplexState {
         for &ColId(id) in ids {
             self.cols_live[id] = false;
             self.objective[id] = 0.0;
-            if let Some(sec) = self.secondary.as_mut() {
-                sec[id] = 0.0;
-            }
             for row in self.rows.iter_mut() {
                 row.terms.retain(|&(v, _)| v.index() != id);
             }
@@ -681,29 +638,6 @@ impl SimplexState {
         if !ok {
             self.fact = None;
             self.note_cold_fallback();
-        }
-        Ok(())
-    }
-
-    /// Replaces the structural objective (one coefficient per variable, in
-    /// the problem's original sense). The current basis stays primal
-    /// feasible, so no repair is needed: the next
-    /// [`resolve`](Self::resolve) re-optimizes with the primal simplex from
-    /// the still-feasible vertex (and falls back to a cold solve if that
-    /// stalls, as always).
-    pub fn update_objective(&mut self, coefficients: &[f64]) -> Result<(), LpError> {
-        assert_eq!(
-            coefficients.len(),
-            self.num_vars(),
-            "objective must have one coefficient per variable"
-        );
-        if coefficients.iter().any(|c| !c.is_finite()) {
-            return Err(LpError::NotFinite);
-        }
-        self.objective.clear();
-        self.objective.extend_from_slice(coefficients);
-        if let Some(fact) = self.fact.as_mut() {
-            fact.cost = maximization_cost(self.sense, &self.objective, fact.cost.len());
         }
         Ok(())
     }
@@ -784,7 +718,6 @@ impl SimplexState {
             solution.iterations += pivots;
             return Ok(solution);
         }
-        let pivots = pivots + self.push_secondary();
         self.stats.total_pivots += pivots;
         self.fact.as_mut().expect("factorization alive").stale = false;
         self.stats.warm_solves += 1;
@@ -862,40 +795,9 @@ impl SimplexState {
         };
         let pivots = fact.sim.two_phase(&fact.cost, &self.options)?;
         self.fact = Some(fact);
-        let pivots = pivots + self.push_secondary();
         self.stats.cold_solves += 1;
         self.stats.total_pivots += pivots;
         Ok(self.extract(pivots))
-    }
-
-    /// Optimizes the secondary objective over the primary-optimal face:
-    /// columns with a strictly negative primary reduced cost are barred, so
-    /// every pivot exchanges degenerate-optimal vertices and the primary
-    /// reduced-cost row (hence both primal and dual feasibility of the
-    /// primary problem) is left exactly intact. Best effort: a stall simply
-    /// keeps the current (already optimal) vertex. Returns the pivot count.
-    fn push_secondary(&mut self) -> usize {
-        let Some(secondary) = self.secondary.as_ref() else {
-            return 0;
-        };
-        let options = self.options;
-        let fact = self.fact.as_mut().expect("factorization alive");
-        fact.sim.compute_reduced_costs(&fact.cost);
-        let mut barred: Vec<usize> = Vec::new();
-        for j in 0..fact.sim.prob.ncols {
-            if fact.sim.prob.allowed[j] && fact.sim.reduced_costs()[j] < -options.cost_tolerance {
-                fact.sim.prob.allowed[j] = false;
-                barred.push(j);
-            }
-        }
-        let mut cost2 = vec![0.0; fact.sim.prob.ncols];
-        cost2[..secondary.len()].copy_from_slice(secondary);
-        let budget = (4 * (fact.sim.prob.m + fact.sim.prob.ncols)).max(200);
-        let (_, iterations) = fact.sim.primal(&cost2, &options, budget, false);
-        for j in barred {
-            fact.sim.prob.allowed[j] = true;
-        }
-        iterations
     }
 
     fn extract(&self, pivots: usize) -> LpSolution {
@@ -1286,8 +1188,6 @@ pub struct SimplexSnapshot {
     pub group_ops: Vec<ConstraintOp>,
     /// Number of groups that came from the base problem.
     pub base_groups: usize,
-    /// Optional secondary objective (maximization form).
-    pub secondary: Option<Vec<f64>>,
     /// Work counters carried across the snapshot boundary.
     pub stats: IncrementalStats,
     /// Restorable core of the live factorization, if one was alive.
@@ -1329,7 +1229,6 @@ impl SimplexState {
             groups: self.groups.clone(),
             group_ops: self.group_ops.clone(),
             base_groups: self.base_groups,
-            secondary: self.secondary.clone(),
             stats: self.stats,
             fact,
         }
@@ -1371,7 +1270,6 @@ impl SimplexState {
             groups: snapshot.groups.clone(),
             group_ops: snapshot.group_ops.clone(),
             base_groups: snapshot.base_groups,
-            secondary: snapshot.secondary.clone(),
             fact: None,
             stats: snapshot.stats,
         };
@@ -1502,11 +1400,6 @@ fn validate_snapshot(s: &SimplexSnapshot) -> Result<(), LpError> {
     }
     if s.objective.iter().any(|c| !c.is_finite()) {
         return Err(bad());
-    }
-    if let Some(sec) = &s.secondary {
-        if sec.len() != n || sec.iter().any(|c| !c.is_finite()) {
-            return Err(bad());
-        }
     }
     for row in &s.rows {
         if !row.rhs.is_finite() {
@@ -1697,32 +1590,6 @@ mod tests {
     }
 
     #[test]
-    fn secondary_objective_picks_a_vertex_of_the_optimal_face() {
-        // max x + y s.t. x + y ≤ 4, x ≤ 3, y ≤ 3: the optimal face is the
-        // whole segment x + y = 4, x ∈ [1, 3]. The secondary objective
-        // "maximise x" must land on (3, 1) without degrading the optimum,
-        // and must keep holding across warm re-solves.
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 1.0);
-        lp.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
-        lp.add_le(&[(x, 1.0)], 3.0);
-        lp.add_le(&[(y, 1.0)], 3.0);
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
-        state.set_secondary_objective(vec![1.0, 0.0]);
-        let sol = state.solve().unwrap();
-        assert_close(sol.objective, 4.0);
-        assert_close(sol.value(x), 3.0);
-        assert_close(sol.value(y), 1.0);
-        // Append x ≤ 2: the face shifts; the secondary pick follows it.
-        state.add_row(&[(x, 1.0)], ConstraintOp::Le, 2.0).unwrap();
-        let sol = state.resolve().unwrap();
-        assert_close(sol.objective, 4.0);
-        assert_close(sol.value(x), 2.0);
-        assert_close(sol.value(y), 2.0);
-    }
-
-    #[test]
     fn delete_with_an_unknown_id_is_rejected_and_leaves_the_state_untouched() {
         let (lp, x, y) = base_problem();
         let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
@@ -1740,24 +1607,6 @@ mod tests {
         let sol = state.resolve().unwrap();
         assert_close(sol.objective, constrained.objective);
         assert_close(sol.objective, state.to_problem().solve().unwrap().objective);
-    }
-
-    #[test]
-    fn invalidate_forces_a_cold_resolve_with_the_same_optimum() {
-        let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
-        state.solve().unwrap();
-        state
-            .add_row(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 6.0)
-            .unwrap();
-        let warm = state.resolve().unwrap();
-        state.invalidate();
-        assert_eq!(state.stats().refactorizations, 1);
-        state.invalidate(); // no factorization alive: a no-op
-        assert_eq!(state.stats().refactorizations, 1);
-        let cold = state.resolve().unwrap();
-        assert_close(cold.objective, warm.objective);
-        assert_eq!(state.stats().cold_solves, 2);
     }
 
     #[test]
@@ -1938,24 +1787,6 @@ mod tests {
             .update_coeffs(&[RowUpdate::new(id, vec![(x, 1.0)], 10.0)])
             .unwrap();
         assert_close(state.resolve().unwrap().objective, 36.0);
-    }
-
-    #[test]
-    fn update_objective_reoptimizes_from_the_warm_basis() {
-        let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
-        assert_close(state.solve().unwrap().objective, 36.0);
-        // Flip the objective to favour x: max 5x + y → (4, 3), z = 23.
-        state.update_objective(&[5.0, 1.0]).unwrap();
-        let warm = state.resolve().unwrap();
-        assert_close(warm.objective, 23.0);
-        assert_close(warm.value(x), 4.0);
-        assert_close(warm.value(y), 3.0);
-        assert_eq!(state.stats().cold_solves, 1, "objective update went cold");
-        assert_eq!(
-            state.update_objective(&[f64::INFINITY, 0.0]).unwrap_err(),
-            LpError::NotFinite
-        );
     }
 
     #[test]

@@ -83,9 +83,9 @@ pub enum LpError {
     /// A coefficient or right-hand side was not finite.
     NotFinite,
     /// A [`SimplexSnapshot`](crate::incremental::SimplexSnapshot) failed the
-    /// structural validation of [`SimplexState::restore`]
-    /// (crate::incremental::SimplexState::restore): inconsistent lengths,
-    /// out-of-range indices, or non-finite data.
+    /// structural validation of
+    /// [`SimplexState::restore`](crate::incremental::SimplexState::restore):
+    /// inconsistent lengths, out-of-range indices, or non-finite data.
     CorruptSnapshot,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The production engine behind [`solve`] and
 //! [`crate::incremental::SimplexState`] is the sparse revised simplex of
-//! [`crate::sparse`]. This module holds what both sides share — the
+//! the private `sparse` module. This module holds what both sides share — the
 //! [`SimplexOptions`], the constraint normalization, the iteration budget —
 //! plus [`solve_dense`], a cold one-shot full-tableau solver kept only as
 //! the differential oracle the tests compare the sparse engine against:
@@ -484,8 +484,8 @@ pub(crate) fn maximization_cost(problem: &LpProblem, cols: usize) -> Vec<f64> {
     cost
 }
 
-/// Solves `problem` with the sparse revised simplex (the engine of
-/// [`crate::sparse`]).
+/// Solves `problem` with the sparse revised simplex (the engine of the
+/// private `sparse` module).
 pub fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
     if !bcast_obs::enabled() {
         return crate::sparse::solve(problem, options);

@@ -54,9 +54,10 @@ impl LpSolveKind {
 pub enum RepairKind {
     /// A full schedule synthesis from an optimal solution.
     Synthesize,
-    /// An incremental repair after link-cost drift.
+    /// An incremental repair of a step that kept the node set (an
+    /// identity remap: only link costs drifted).
     Repair,
-    /// An incremental repair after node churn.
+    /// An incremental repair of a step that changed the node set.
     RepairChurn,
 }
 

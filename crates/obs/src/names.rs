@@ -12,7 +12,7 @@
 pub const LP_PIVOTS: &str = "lp.pivots";
 /// Basis refactorizations (Markowitz LU rebuilds of the sparse basis).
 pub const LP_REFACTORIZATIONS: &str = "lp.refactorizations";
-/// LP (re-)solves that went through an incremental [`SimplexState`] resolve.
+/// LP (re-)solves that went through an incremental `SimplexState` resolve.
 pub const LP_RESOLVES: &str = "lp.resolves";
 /// One-shot (cold) LP solves.
 pub const LP_COLD_SOLVES: &str = "lp.cold_solves";
@@ -85,9 +85,9 @@ pub const SPAN_REFACTOR: &str = "lp.refactor";
 pub const SPAN_LU_FACTOR: &str = "lu.factor";
 /// One eta-on-LU pivot update of the sparse basis.
 pub const SPAN_LU_UPDATE: &str = "lu.update";
-/// Cold LP solve (one-shot, or the cold path of a [`SimplexState`]).
+/// Cold LP solve (one-shot, or the cold path of a `SimplexState`).
 pub const SPAN_LP_SOLVE: &str = "lp.solve";
-/// Incremental re-optimization of a persistent [`SimplexState`].
+/// Incremental re-optimization of a persistent `SimplexState`.
 pub const SPAN_LP_RESOLVE: &str = "lp.resolve";
 /// One cut-generation solve (a `CutGenSession` step or one-shot solve).
 pub const SPAN_CUTGEN_SOLVE: &str = "cut_gen.solve";
@@ -97,9 +97,9 @@ pub const SPAN_CUTGEN_MASTER: &str = "cut_gen.master";
 pub const SPAN_CUTGEN_SEPARATION: &str = "cut_gen.separation";
 /// Full schedule synthesis.
 pub const SPAN_SCHED_SYNTHESIZE: &str = "sched.synthesize";
-/// Incremental schedule repair (drift).
+/// Incremental schedule repair of a step that kept the node set.
 pub const SPAN_SCHED_REPAIR: &str = "sched.repair";
-/// Incremental schedule repair across node churn.
+/// Incremental schedule repair of a step that changed the node set.
 pub const SPAN_SCHED_REPAIR_CHURN: &str = "sched.repair_churn";
 /// Schedule replay in the simulator.
 pub const SPAN_SIM_REPLAY: &str = "sim.replay";

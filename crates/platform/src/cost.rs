@@ -56,7 +56,7 @@ impl LinkCost {
     ///
     /// The paper's multi-port experiments use `overlap = 0.8` applied to the
     /// *fastest* outgoing link of the sender; see
-    /// [`crate::platform::PlatformBuilder::apply_multiport_overheads`].
+    /// [`Platform::with_multiport_overheads`](crate::Platform::with_multiport_overheads).
     pub fn multi_port(alpha: f64, beta: f64, overlap: f64) -> Self {
         assert!(overlap > 0.0 && overlap <= 1.0, "overlap must be in (0, 1]");
         LinkCost {

@@ -35,6 +35,9 @@ pub enum SchedError {
     },
     /// A synthesized schedule failed validation (internal bug).
     Invalid(String),
+    /// A repair was handed a node-churn remap that does not target the
+    /// platform (the reason says which count differs).
+    TopologyMismatch(String),
 }
 
 impl fmt::Display for SchedError {
@@ -60,6 +63,7 @@ impl fmt::Display for SchedError {
                 write!(f, "arborescence packing failed while building tree {tree}")
             }
             SchedError::Invalid(reason) => write!(f, "invalid schedule: {reason}"),
+            SchedError::TopologyMismatch(reason) => write!(f, "topology mismatch: {reason}"),
         }
     }
 }
@@ -86,5 +90,8 @@ mod tests {
             .to_string()
             .contains('3'));
         assert!(SchedError::Invalid("x".into()).to_string().contains('x'));
+        assert!(SchedError::TopologyMismatch("y".into())
+            .to_string()
+            .contains("topology mismatch: y"));
     }
 }

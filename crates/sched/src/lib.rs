@@ -248,11 +248,11 @@ pub fn synthesize_schedule_with_tree_fallback(
 }
 
 /// How much of the previous period survived an incremental re-synthesis
-/// (see [`resynthesize_schedule`]).
+/// (see [`resynthesize_schedule_churn`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairReport {
-    /// Trees of the previous period kept verbatim (they still fit the new
-    /// rounded multiplicities).
+    /// Trees of the previous period carried into the new one (verbatim on
+    /// a cost-only step, re-grafted across node churn).
     pub kept_trees: usize,
     /// Trees re-packed against the residual capacities.
     pub rebuilt_trees: usize,
@@ -260,12 +260,11 @@ pub struct RepairReport {
     /// residual packing failed, or there was no usable previous schedule)
     /// and the schedule was synthesized from scratch.
     pub full_rebuild: bool,
-    /// Joining nodes grafted onto the kept trees by the churn repair path
-    /// (see [`resynthesize_schedule_churn`]); counted once per node, not
-    /// once per tree. Zero for cost-only repairs and full rebuilds.
+    /// Joining nodes grafted onto the kept trees; counted once per node,
+    /// not once per tree. Zero on cost-only steps and full rebuilds.
     pub grafted_nodes: usize,
-    /// Leaving nodes pruned out of the previous period's trees by the churn
-    /// repair path. Zero for cost-only repairs and full rebuilds.
+    /// Leaving nodes pruned out of the previous period's trees. Zero on
+    /// cost-only steps and full rebuilds.
     pub pruned_nodes: usize,
 }
 
@@ -287,35 +286,8 @@ impl RepairReport {
 const REPAIR_EFFICIENCY_FLOOR: f64 = 0.85;
 
 /// Re-synthesizes a periodic schedule after the platform's link costs
-/// drifted, **repairing** the previous period instead of rebuilding it.
-///
-/// The LP re-solve hands back new edge loads; this entry point keeps the
-/// previous schedule's batch size and trees and only rebuilds what the
-/// drift actually broke:
-///
-/// 1. every previous arborescence whose edges are all still *serviceable*
-///    (not failed/dominated: an edge slower per slice than the whole ideal
-///    period — the soft-failure representation of a drift trace) is kept
-///    verbatim, its capacity grandfathered into the multiplicity vector.
-///    The new LP vertex's loads are deliberately **not** the keep
-///    criterion: the master LP is massively degenerate, so loads can swing
-///    between equivalent vertices while the timetable cost of a kept tree
-///    changes only with the drift itself;
-/// 2. trees hit by a failure are re-packed against the residual capacities
-///    (the new rounded multiplicities minus what the kept trees consume);
-/// 3. the timetable and the causality lags are re-derived for the new
-///    costs (mandatory either way — every transfer's duration changed).
-///
-/// Repair is heuristic, so it is guarded: when the residual packing fails,
-/// the batch size changed, or the repaired schedule falls below
-/// [`REPAIR_EFFICIENCY_FLOOR`] of the current LP bound, the function
-/// transparently falls back to a full [`synthesize_schedule`] — the
-/// returned schedule is always valid and never silently degraded; the
-/// [`RepairReport`] says which path ran.
-///
-/// The returned schedule passes [`PeriodicSchedule::validate`] against
-/// `platform` (debug-asserted here, re-checked by the drift test suite at
-/// every step).
+/// drifted: [`resynthesize_schedule_churn`] under
+/// [`ChurnRemap::identity`] of `platform`.
 pub fn resynthesize_schedule(
     platform: &Platform,
     source: NodeId,
@@ -324,79 +296,145 @@ pub fn resynthesize_schedule(
     config: &SynthesisConfig,
     previous: &PeriodicSchedule,
 ) -> Result<(PeriodicSchedule, RepairReport), SchedError> {
-    if !bcast_obs::enabled() {
-        return resynthesize_schedule_inner(
-            platform, source, optimal, slice_size, config, previous,
-        );
-    }
-    let _span = bcast_obs::span!(bcast_obs::names::SPAN_SCHED_REPAIR);
-    let start = std::time::Instant::now();
-    let result =
-        resynthesize_schedule_inner(platform, source, optimal, slice_size, config, previous);
-    if let Ok((schedule, report)) = &result {
-        record_repair(
-            bcast_obs::RepairKind::Repair,
-            schedule,
-            report,
-            start.elapsed().as_nanos() as u64,
-        );
-    }
-    result
+    let remap = ChurnRemap::identity(platform.node_count(), platform.edge_count());
+    resynthesize_schedule_churn(
+        platform, source, optimal, slice_size, config, previous, &remap,
+    )
 }
 
-/// Shared counter/journal bookkeeping of the two repair entry points.
-fn record_repair(
-    kind: bcast_obs::RepairKind,
-    schedule: &PeriodicSchedule,
-    report: &RepairReport,
-    t_ns: u64,
-) {
-    use bcast_obs::names;
-    bcast_obs::counter_add(names::SCHED_KEPT_TREES, report.kept_trees as u64);
-    bcast_obs::counter_add(names::SCHED_FULL_REBUILDS, report.full_rebuild as u64);
-    bcast_obs::counter_add(names::SCHED_GRAFTS, report.grafted_nodes as u64);
-    bcast_obs::counter_add(names::SCHED_PRUNES, report.pruned_nodes as u64);
-    bcast_obs::emit_with(|| bcast_obs::Event::SchedRepair {
-        kind,
-        full_rebuild: report.full_rebuild,
-        kept: report.kept_trees as u64,
-        grafted: report.grafted_nodes as u64,
-        pruned: report.pruned_nodes as u64,
-        efficiency: schedule.efficiency(),
-        t_ns,
-    });
-}
-
-fn resynthesize_schedule_inner(
+/// Re-synthesizes a periodic schedule for the next snapshot of a changing
+/// platform, **repairing** the previous period instead of rebuilding it.
+///
+/// `remap` (from
+/// [`DriftTrace::remap`](bcast_platform::drift::DriftTrace::remap)) says how
+/// the previous snapshot's compact ids map onto `platform`'s; a cost-only
+/// step passes [`ChurnRemap::identity`], as [`resynthesize_schedule`] does.
+/// `platform`, `source` and `optimal` live in the **new** snapshot's id
+/// space, `previous` in the old one. The repair keeps the previous batch
+/// size and rebuilds only what the step broke:
+///
+/// 1. **Keep.** A previous tree is carried over and its capacity
+///    grandfathered into the multiplicity vector. Under the identity remap
+///    it is kept verbatim unless one of its edges is *dominated* — per
+///    [`round_loads`], slower per slice than the whole ideal period: the
+///    soft-failure representation of a failed link. Otherwise it is
+///    translated through `remap.edge_map`: edges of leaving nodes and
+///    dominated links drop out, **pruning** the leavers while keeping the
+///    orphaned subtrees intact, and each orphaned subtree root and each
+///    joining node is **grafted** back under the cheapest serviceable
+///    parent (ranked by link time plus the parent's port load over the
+///    period so far). The new LP vertex's loads are deliberately **not**
+///    the keep criterion: the master LP is massively degenerate, so loads
+///    can swing between equivalent vertices while the timetable cost of a
+///    kept tree changes only with the drift itself.
+/// 2. **Re-pack.** Trees that cannot be kept are re-packed against the
+///    residual capacities (the new rounded multiplicities minus what the
+///    kept trees consume).
+/// 3. **Re-time.** The timetable and the causality lags are re-derived for
+///    the new costs (mandatory either way — every transfer's duration
+///    changed).
+///
+/// Repair is heuristic, so it is guarded: when the previous schedule is
+/// unusable (other source, other batch shape), the residual packing fails,
+/// or the repaired schedule falls below 85% of the current LP bound and a
+/// fresh synthesis does better, the function falls back to a full
+/// [`synthesize_schedule`]. The returned schedule is always valid for the
+/// new platform (debug-asserted here, re-checked by the drift and churn
+/// suites at every step) and never silently degraded; the [`RepairReport`]
+/// says which path ran. The journal labels the repair `sched.repair` /
+/// `repair` under the identity remap and `sched.repair_churn` /
+/// `repair_churn` otherwise.
+///
+/// A `remap` whose target node or edge count differs from `platform`'s is
+/// rejected with [`SchedError::TopologyMismatch`].
+pub fn resynthesize_schedule_churn(
     platform: &Platform,
     source: NodeId,
     optimal: &OptimalThroughput,
     slice_size: f64,
     config: &SynthesisConfig,
     previous: &PeriodicSchedule,
+    remap: &ChurnRemap,
 ) -> Result<(PeriodicSchedule, RepairReport), SchedError> {
-    let full_rebuild =
-        |platform: &Platform| -> Result<(PeriodicSchedule, RepairReport), SchedError> {
-            let schedule = synthesize_schedule(platform, source, optimal, slice_size, config)?;
-            let report = RepairReport {
-                rebuilt_trees: schedule.slices_per_period(),
-                full_rebuild: true,
-                ..RepairReport::default()
-            };
-            Ok((schedule, report))
+    let given = (platform.node_count(), platform.edge_count());
+    if given != (remap.nodes, remap.edges) {
+        return Err(SchedError::TopologyMismatch(format!(
+            "the remap targets {}/{} nodes/edges, the platform has {}/{}",
+            remap.nodes, remap.edges, given.0, given.1
+        )));
+    }
+    let identity = remap.is_identity();
+    if !bcast_obs::enabled() {
+        return repair(
+            platform, source, optimal, slice_size, config, previous, remap, identity,
+        );
+    }
+    use bcast_obs::{names, RepairKind};
+    let (span, kind) = if identity {
+        (names::SPAN_SCHED_REPAIR, RepairKind::Repair)
+    } else {
+        (names::SPAN_SCHED_REPAIR_CHURN, RepairKind::RepairChurn)
+    };
+    let _span = bcast_obs::span!(span);
+    let start = std::time::Instant::now();
+    let result = repair(
+        platform, source, optimal, slice_size, config, previous, remap, identity,
+    );
+    if let Ok((schedule, report)) = &result {
+        bcast_obs::counter_add(names::SCHED_KEPT_TREES, report.kept_trees as u64);
+        bcast_obs::counter_add(names::SCHED_FULL_REBUILDS, report.full_rebuild as u64);
+        bcast_obs::counter_add(names::SCHED_GRAFTS, report.grafted_nodes as u64);
+        bcast_obs::counter_add(names::SCHED_PRUNES, report.pruned_nodes as u64);
+        bcast_obs::emit_with(|| bcast_obs::Event::SchedRepair {
+            kind,
+            full_rebuild: report.full_rebuild,
+            kept: report.kept_trees as u64,
+            grafted: report.grafted_nodes as u64,
+            pruned: report.pruned_nodes as u64,
+            efficiency: schedule.efficiency(),
+            t_ns: start.elapsed().as_nanos() as u64,
+        });
+    }
+    result
+}
+
+/// The repair of [`resynthesize_schedule_churn`]; `identity` is
+/// `remap.is_identity()`, which picks the per-tree keep rule.
+#[allow(clippy::too_many_arguments)]
+fn repair(
+    platform: &Platform,
+    source: NodeId,
+    optimal: &OptimalThroughput,
+    slice_size: f64,
+    config: &SynthesisConfig,
+    previous: &PeriodicSchedule,
+    remap: &ChurnRemap,
+    identity: bool,
+) -> Result<(PeriodicSchedule, RepairReport), SchedError> {
+    let full_rebuild = || -> Result<(PeriodicSchedule, RepairReport), SchedError> {
+        let schedule = synthesize_schedule(platform, source, optimal, slice_size, config)?;
+        let report = RepairReport {
+            rebuilt_trees: schedule.slices_per_period(),
+            full_rebuild: true,
+            ..RepairReport::default()
         };
+        Ok((schedule, report))
+    };
     let batch = previous.slices_per_period();
     let n = platform.node_count();
-    let m = platform.edge_count();
+    let old_n = remap.node_map.len();
+    let old_m = remap.edge_map.len();
     let usable = n > 1
-        && previous.source() == source
+        && batch > 0
+        && previous.source().index() < old_n
+        && remap.node_map[previous.source().index()] == Some(source)
         && previous.trees().len() == batch
         && previous
             .trees()
             .iter()
-            .all(|t| t.len() == n - 1 && t.iter().all(|e| e.index() < m));
+            .all(|t| t.len() == old_n - 1 && t.iter().all(|e| e.index() < old_m));
     if !usable {
-        return full_rebuild(platform);
+        return full_rebuild();
     }
     if matches!(config.model, CommModel::OnePortUnidirectional) {
         return Err(SchedError::UnsupportedModel);
@@ -421,19 +459,43 @@ fn resynthesize_schedule_inner(
         slice_size,
         &rounding_config,
     )?;
-    // 1. Keep the previous trees whose edges are all serviceable — i.e.
-    //    not *dominated* per `round_loads` (per-slice time beyond the
-    //    ideal period with only a sub-slice LP artifact on the edge:
-    //    failed links of a drift trace land there; ordinary drifted links
-    //    never do).
+    // 1. Keep what the step left serviceable. `used` counts the kept
+    //    trees' edges; the port loads over the period so far are the graft
+    //    cost model, so successive trees spread their grafts over parents
+    //    instead of serialising on one port.
     let mut used = vec![0u32; platform.edge_count()];
     let mut kept: Vec<Vec<EdgeId>> = Vec::with_capacity(batch);
+    let mut out_load = vec![0.0f64; n];
+    let mut in_load = vec![0.0f64; n];
     for tree in previous.trees() {
-        if tree.iter().all(|&e| !rounded.dominated[e.index()]) {
-            for &e in tree {
+        let carried = if identity {
+            // `regraft_tree` would reconnect a tree around a failed link
+            // and re-emit every tree in its own order; a cost-only step
+            // keeps the intact trees as they are and re-packs the rest.
+            tree.iter()
+                .all(|&e| !rounded.dominated[e.index()])
+                .then(|| tree.clone())
+        } else {
+            regraft_tree(
+                platform,
+                source,
+                remap,
+                &rounded.dominated,
+                slice_size,
+                tree,
+                &out_load,
+                &in_load,
+            )
+        };
+        if let Some(tree) = carried {
+            for &e in &tree {
                 used[e.index()] += 1;
+                let (u, v) = platform.graph().endpoints(e);
+                let time = platform.link_time(e, slice_size);
+                out_load[u.index()] += time;
+                in_load[v.index()] += time;
             }
-            kept.push(tree.clone());
+            kept.push(tree);
         }
     }
     let missing = batch - kept.len();
@@ -441,7 +503,8 @@ fn resynthesize_schedule_inner(
         kept_trees: kept.len(),
         rebuilt_trees: missing,
         full_rebuild: false,
-        ..RepairReport::default()
+        grafted_nodes: remap.new_nodes.len(),
+        pruned_nodes: remap.node_map.iter().filter(|m| m.is_none()).count(),
     };
     // Grandfather the kept trees' capacity: the multiplicity vector is the
     // schedule's bookkeeping bound (validate: usage ≤ multiplicity), and a
@@ -461,14 +524,12 @@ fn resynthesize_schedule_inner(
             .collect();
         match pack_arborescences(platform, source, &residual, missing) {
             Ok(rebuilt) => trees.extend(rebuilt),
-            Err(_) => {
-                // The kept subset left an unpackable residual: repair is
-                // impossible, synthesize from scratch.
-                return full_rebuild(platform);
-            }
+            // The kept subset left an unpackable residual: repair is
+            // impossible, synthesize from scratch.
+            Err(_) => return full_rebuild(),
         }
     }
-    // 3. Re-time the period against the drifted costs.
+    // 3. Re-time the period against the new costs.
     let schedule = schedule::assemble(
         platform,
         source,
@@ -487,217 +548,7 @@ fn resynthesize_schedule_inner(
     // pay for the full synthesis once and keep whichever schedule is
     // actually better (ties keep the repair, preserving the trees).
     if schedule.efficiency() < REPAIR_EFFICIENCY_FLOOR {
-        let (fresh, fresh_report) = full_rebuild(platform)?;
-        if fresh.efficiency() > schedule.efficiency() + 1e-12 {
-            return Ok((fresh, fresh_report));
-        }
-    }
-    Ok((schedule, report))
-}
-
-/// Re-synthesizes a periodic schedule after **node churn**: the platform
-/// gained and/or lost processors, and `remap` (from
-/// [`DriftTrace::remap`](bcast_platform::drift::DriftTrace::remap)) says how
-/// the previous snapshot's compact ids map onto the new one.
-///
-/// Where [`resynthesize_schedule`] repairs a period whose *costs* drifted,
-/// this entry point repairs a period whose *node set* changed:
-///
-/// 1. every previous tree is translated edge-by-edge through
-///    `remap.edge_map`; edges of leaving nodes (and freshly failed /
-///    dominated links) drop out, **pruning** the leavers while keeping the
-///    orphaned subtrees intact;
-/// 2. each orphaned subtree root and each joining node is **grafted** back
-///    under the cheapest serviceable parent — candidate in-edges from the
-///    already-connected part, ranked by link time inflated by the parent's
-///    current fan-out in that tree (the one-port budget pressure: a parent
-///    already feeding `k` children serialises, so its next child costs
-///    `(k+1)·T`);
-/// 3. a tree that cannot be reconnected through serviceable links is
-///    surrendered to the residual re-pack, exactly like a failed tree in
-///    cost-only repair.
-///
-/// The same guards apply as for [`resynthesize_schedule`]: unusable previous
-/// schedules, failed residual packings, and repairs below
-/// [`REPAIR_EFFICIENCY_FLOOR`] of the LP bound fall back to a full
-/// [`synthesize_schedule`], so the returned schedule is always valid for the
-/// *new* platform. An identity `remap` delegates to
-/// [`resynthesize_schedule`] unchanged.
-///
-/// `platform`, `source`, and `optimal` all live in the **new** snapshot's
-/// compact id space; `previous` lives in the old one.
-pub fn resynthesize_schedule_churn(
-    platform: &Platform,
-    source: NodeId,
-    optimal: &OptimalThroughput,
-    slice_size: f64,
-    config: &SynthesisConfig,
-    previous: &PeriodicSchedule,
-    remap: &ChurnRemap,
-) -> Result<(PeriodicSchedule, RepairReport), SchedError> {
-    if !bcast_obs::enabled() {
-        return resynthesize_schedule_churn_inner(
-            platform, source, optimal, slice_size, config, previous, remap,
-        );
-    }
-    let _span = bcast_obs::span!(bcast_obs::names::SPAN_SCHED_REPAIR_CHURN);
-    let start = std::time::Instant::now();
-    let result = resynthesize_schedule_churn_inner(
-        platform, source, optimal, slice_size, config, previous, remap,
-    );
-    if let Ok((schedule, report)) = &result {
-        record_repair(
-            bcast_obs::RepairKind::RepairChurn,
-            schedule,
-            report,
-            start.elapsed().as_nanos() as u64,
-        );
-    }
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn resynthesize_schedule_churn_inner(
-    platform: &Platform,
-    source: NodeId,
-    optimal: &OptimalThroughput,
-    slice_size: f64,
-    config: &SynthesisConfig,
-    previous: &PeriodicSchedule,
-    remap: &ChurnRemap,
-) -> Result<(PeriodicSchedule, RepairReport), SchedError> {
-    assert_eq!(
-        platform.node_count(),
-        remap.nodes,
-        "remap must target the snapshot's topology"
-    );
-    assert_eq!(
-        platform.edge_count(),
-        remap.edges,
-        "remap must target the snapshot's topology"
-    );
-    if remap.is_identity() {
-        // Inner variant: the churn wrapper already owns the span and the
-        // journal record for this repair; going through the public cost-
-        // repair entry point would journal the same repair twice.
-        return resynthesize_schedule_inner(
-            platform, source, optimal, slice_size, config, previous,
-        );
-    }
-    let full_rebuild =
-        |platform: &Platform| -> Result<(PeriodicSchedule, RepairReport), SchedError> {
-            let schedule = synthesize_schedule(platform, source, optimal, slice_size, config)?;
-            let report = RepairReport {
-                rebuilt_trees: schedule.slices_per_period(),
-                full_rebuild: true,
-                ..RepairReport::default()
-            };
-            Ok((schedule, report))
-        };
-    let batch = previous.slices_per_period();
-    let n = platform.node_count();
-    let old_n = remap.node_map.len();
-    let old_m = remap.edge_map.len();
-    let usable = n > 1
-        && batch > 0
-        && previous.source().index() < old_n
-        && remap.node_map[previous.source().index()] == Some(source)
-        && previous.trees().len() == batch
-        && previous
-            .trees()
-            .iter()
-            .all(|t| t.len() == old_n - 1 && t.iter().all(|e| e.index() < old_m));
-    if !usable {
-        return full_rebuild(platform);
-    }
-    if matches!(config.model, CommModel::OnePortUnidirectional) {
-        return Err(SchedError::UnsupportedModel);
-    }
-    if !platform.is_broadcast_feasible(source) {
-        return Err(SchedError::Unreachable { source });
-    }
-    if !(optimal.throughput.is_finite() && optimal.throughput > 0.0) {
-        return Err(SchedError::NonPositiveThroughput);
-    }
-    let rounding_config = RoundingConfig {
-        slices_per_period: Some(batch),
-        ..config.rounding
-    };
-    let mut rounded = round_loads(
-        platform,
-        source,
-        &optimal.edge_load,
-        optimal.throughput,
-        slice_size,
-        &rounding_config,
-    )?;
-    let mut used = vec![0u32; platform.edge_count()];
-    let mut kept: Vec<Vec<EdgeId>> = Vec::with_capacity(batch);
-    // Port busy time accumulated across the whole period so far: the graft
-    // cost model, so successive trees spread their grafts over parents
-    // instead of serialising on one port.
-    let mut out_load = vec![0.0f64; n];
-    let mut in_load = vec![0.0f64; n];
-    for tree in previous.trees() {
-        if let Some(repaired) = regraft_tree(
-            platform,
-            source,
-            remap,
-            &rounded.dominated,
-            slice_size,
-            tree,
-            &out_load,
-            &in_load,
-        ) {
-            for &e in &repaired {
-                used[e.index()] += 1;
-                let (u, v) = platform.graph().endpoints(e);
-                let time = platform.link_time(e, slice_size);
-                out_load[u.index()] += time;
-                in_load[v.index()] += time;
-            }
-            kept.push(repaired);
-        }
-    }
-    let missing = batch - kept.len();
-    let report = RepairReport {
-        kept_trees: kept.len(),
-        rebuilt_trees: missing,
-        full_rebuild: false,
-        grafted_nodes: remap.new_nodes.len(),
-        pruned_nodes: remap.node_map.iter().filter(|m| m.is_none()).count(),
-    };
-    // Grandfather the repaired trees' capacity, as in cost-only repair.
-    for (mult, &usage) in rounded.multiplicity.iter_mut().zip(&used) {
-        *mult = (*mult).max(usage);
-    }
-    let mut trees = kept;
-    if missing > 0 {
-        let residual: Vec<u32> = rounded
-            .multiplicity
-            .iter()
-            .zip(&used)
-            .map(|(&cap, &u)| cap - u)
-            .collect();
-        match pack_arborescences(platform, source, &residual, missing) {
-            Ok(rebuilt) => trees.extend(rebuilt),
-            Err(_) => {
-                return full_rebuild(platform);
-            }
-        }
-    }
-    let schedule = schedule::assemble(
-        platform,
-        source,
-        config.model,
-        slice_size,
-        optimal.throughput,
-        rounded,
-        trees,
-    );
-    debug_assert!(schedule.validate(platform).is_ok());
-    if schedule.efficiency() < REPAIR_EFFICIENCY_FLOOR {
-        let (fresh, fresh_report) = full_rebuild(platform)?;
+        let (fresh, fresh_report) = full_rebuild()?;
         if fresh.efficiency() > schedule.efficiency() + 1e-12 {
             return Ok((fresh, fresh_report));
         }
@@ -1257,6 +1108,30 @@ mod tests {
         assert_eq!(plain.trees(), churn.trees());
         assert_eq!(churn_report.grafted_nodes, 0);
         assert_eq!(churn_report.pruned_nodes, 0);
+    }
+
+    #[test]
+    fn churn_resynthesis_rejects_a_remap_for_another_platform() {
+        use bcast_platform::drift::ChurnRemap;
+        let mut rng = StdRng::seed_from_u64(73);
+        let platform = random_platform(&RandomPlatformConfig::paper(12, 0.15), &mut rng);
+        let optimal =
+            optimal_throughput(&platform, NodeId(0), SLICE, OptimalMethod::CutGeneration).unwrap();
+        let config = SynthesisConfig::with_batch(8);
+        let schedule = synthesize_schedule(&platform, NodeId(0), &optimal, SLICE, &config).unwrap();
+        // The identity remap of a platform with one more node and link.
+        let other = ChurnRemap::identity(platform.node_count() + 1, platform.edge_count() + 2);
+        let err = resynthesize_schedule_churn(
+            &platform,
+            NodeId(0),
+            &optimal,
+            SLICE,
+            &config,
+            &schedule,
+            &other,
+        )
+        .unwrap_err();
+        assert!(matches!(err, SchedError::TopologyMismatch(_)), "{err:?}");
     }
 
     #[test]

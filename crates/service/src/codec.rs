@@ -175,7 +175,6 @@ pub fn put_simplex_snapshot(w: &mut Writer, s: &SimplexSnapshot) {
     });
     w.put_seq(&s.group_ops, |w, &op| put_op(w, op));
     w.put_usize(s.base_groups);
-    w.put_opt(&s.secondary, |w, sec| w.put_seq(sec, |w, &c| w.put_f64(c)));
     put_incremental_stats(w, &s.stats);
     w.put_opt(&s.fact, put_fact);
 }
@@ -192,7 +191,6 @@ pub fn get_simplex_snapshot(r: &mut Reader) -> Result<SimplexSnapshot, WireError
         groups: r.get_seq(8, |r| r.get_seq(8, |r| r.get_usize()))?,
         group_ops: r.get_seq(1, get_op)?,
         base_groups: r.get_usize()?,
-        secondary: r.get_opt(|r| r.get_seq(8, |r| r.get_f64()))?,
         stats: get_incremental_stats(r)?,
         fact: r.get_opt(get_fact)?,
     })

@@ -77,17 +77,20 @@ pub enum Command {
         /// The session's workload.
         spec: SessionSpec,
     },
-    /// Advances the named session one step along its trace through the
-    /// cost-drift path. Rejected (deterministically, without mutating)
-    /// when the next step changes the node set — that step is a
-    /// [`Command::NodeChurn`] — or when the trace is exhausted.
+    /// Advances the named session one step along its trace, a step that
+    /// keeps the node set (link costs drift, links fail or recover).
+    /// Rejected (deterministically, without mutating) when the next step
+    /// changes the node set — that step is a [`Command::NodeChurn`] — or
+    /// when the trace is exhausted. Both commands run the same step; they
+    /// differ only in which steps they accept.
     DriftStep {
         /// Target session.
         session: String,
     },
-    /// Advances the named session one step through the churn path
-    /// (cut-pool remap, LP column add/delete, schedule grafting).
-    /// Rejected when the next step does *not* change the node set.
+    /// Advances the named session one step that changes the node set (the
+    /// step remaps the cut pool, adds and deletes LP columns, and grafts
+    /// and prunes schedule trees). Rejected when the next step does *not*
+    /// change the node set.
     NodeChurn {
         /// Target session.
         session: String,

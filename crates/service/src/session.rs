@@ -1,29 +1,28 @@
-//! One live solver session: a drifting platform trace plus the persistent
+//! One live solver session: a changing platform trace plus the persistent
 //! cut-generation state and the current schedule, advanced one trace step
 //! per command.
 //!
-//! The step dispatch mirrors the drift ablation binary exactly: step 0 is
-//! a cold `solve_step` + full synthesis; a later step whose
-//! [`ChurnRemap`] is the identity goes through `solve_step` +
-//! `resynthesize_schedule`; a step that changes the node set goes through
-//! `solve_step_churn` + `resynthesize_schedule_churn`. Every step is
-//! finished by a simulator replay of the repaired schedule, and the
-//! per-step statistics (throughput, pivots, rounds, repair operations,
-//! simulated throughput) are appended to the session's log — that log is
-//! what the crash-equivalence harness compares bit for bit.
+//! Every step has one path, as in the drift ablation binary: the trace's
+//! [`ChurnRemap`] from the previous step (the identity when the node set is
+//! unchanged) drives `solve_step_churn` and, after step 0's full
+//! synthesis, `resynthesize_schedule_churn`. Every step is finished by a
+//! simulator replay of the repaired schedule, and the per-step statistics
+//! (throughput, pivots, rounds, repair operations, simulated throughput)
+//! are appended to the session's log — that log is what the
+//! crash-equivalence harness compares bit for bit.
 
 use crate::command::{PlatformFamily, SessionSpec};
 use crate::error::ServiceError;
 use bcast_core::{CutGenOptions, CutGenSession, SessionSnapshot};
 use bcast_net::NodeId;
-use bcast_platform::drift::{DriftConfig, DriftTrace};
+use bcast_platform::drift::{ChurnRemap, DriftConfig, DriftTrace};
 use bcast_platform::generators::gaussian_field::{gaussian_platform, GaussianPlatformConfig};
 use bcast_platform::generators::random::{random_platform, RandomPlatformConfig};
 use bcast_platform::generators::tiers::{tiers_platform, TiersConfig};
 use bcast_platform::{MessageSpec, Platform};
 use bcast_sched::{
-    resynthesize_schedule, resynthesize_schedule_churn, synthesize_schedule, PeriodicSchedule,
-    RepairReport, ScheduleParts, SynthesisConfig,
+    resynthesize_schedule_churn, synthesize_schedule, PeriodicSchedule, RepairReport,
+    ScheduleParts, SynthesisConfig,
 };
 use bcast_sim::simulate_schedule;
 use rand::rngs::StdRng;
@@ -46,11 +45,13 @@ pub struct StepStats {
     pub reused_cuts: usize,
     /// Previous-period trees kept by the schedule repair.
     pub kept_trees: usize,
-    /// Repair operations (grafts + prunes + rebuilds).
+    /// Repair operations, [`RepairReport::repair_ops`]: trees re-packed by
+    /// the repair, or the whole batch when it fell back to a full
+    /// synthesis. Grafts and prunes are counted in `grafted` and `pruned`.
     pub repair_ops: usize,
-    /// Nodes grafted by churn repair.
+    /// Joining nodes grafted by the repair.
     pub grafted: usize,
-    /// Nodes pruned by churn repair.
+    /// Leaving nodes pruned by the repair.
     pub pruned: usize,
     /// Schedule efficiency (`throughput / lp_throughput`).
     pub efficiency: f64,
@@ -230,9 +231,9 @@ impl Session {
         }
     }
 
-    /// Executes the next trace step (drift or churn path per the trace)
-    /// and appends its [`StepStats`] to the log. The caller has already
-    /// checked [`advance_rejection`](Session::advance_rejection).
+    /// Executes the next trace step and appends its [`StepStats`] to the
+    /// log. The caller has already checked
+    /// [`advance_rejection`](Session::advance_rejection).
     pub fn advance(&mut self) -> Result<StepStats, ServiceError> {
         let step = self.steps_done;
         let platform = self.trace.platform_at(step);
@@ -242,13 +243,11 @@ impl Session {
             4.0 * self.spec.batch as f64 * self.spec.slice_size,
             self.spec.slice_size,
         );
-        let churn_remap = (step > 0)
-            .then(|| self.trace.remap(step - 1, step))
-            .filter(|remap| !remap.is_identity());
-        let result = match &churn_remap {
-            Some(remap) => self.solver.solve_step_churn(&platform, remap)?,
-            None => self.solver.solve_step(&platform)?,
+        let remap = match step {
+            0 => ChurnRemap::identity(platform.node_count(), platform.edge_count()),
+            _ => self.trace.remap(step - 1, step),
         };
+        let result = self.solver.solve_step_churn(&platform, &remap)?;
         let (schedule, report): (PeriodicSchedule, RepairReport) = match &self.schedule {
             None => {
                 let s = synthesize_schedule(
@@ -260,25 +259,15 @@ impl Session {
                 )?;
                 (s, RepairReport::default())
             }
-            Some(prev) => match &churn_remap {
-                Some(remap) => resynthesize_schedule_churn(
-                    &platform,
-                    source,
-                    &result.optimal,
-                    self.spec.slice_size,
-                    &config,
-                    prev,
-                    remap,
-                )?,
-                None => resynthesize_schedule(
-                    &platform,
-                    source,
-                    &result.optimal,
-                    self.spec.slice_size,
-                    &config,
-                    prev,
-                )?,
-            },
+            Some(prev) => resynthesize_schedule_churn(
+                &platform,
+                source,
+                &result.optimal,
+                self.spec.slice_size,
+                &config,
+                prev,
+                &remap,
+            )?,
         };
         let sim = simulate_schedule(&platform, &schedule, &spec);
         let stats = StepStats {

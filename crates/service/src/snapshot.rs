@@ -31,9 +31,10 @@ use std::path::Path;
 
 const SNAP_MAGIC: &[u8; 4] = b"BSNP";
 /// Version 2 dropped the engine and pricing bytes from the encoded
-/// `SimplexOptions`, `FactSnapshot` and `CutGenOptions`; older files are
-/// rejected as corrupt and recovery replays the WAL instead.
-const SNAP_VERSION: u32 = 2;
+/// `SimplexOptions`, `FactSnapshot` and `CutGenOptions`; version 3 dropped
+/// the secondary objective from the encoded `SimplexSnapshot`. Older files
+/// are rejected as corrupt and recovery replays the WAL instead.
+const SNAP_VERSION: u32 = 3;
 
 /// Everything a snapshot file holds.
 #[derive(Clone, Debug, PartialEq)]

@@ -348,11 +348,11 @@ fn corrupt_snapshot_degrades_to_wal_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot written by the previous format (version field 1, which still
-/// encoded the removed engine and pricing option bytes) is rejected as
-/// `Corrupt` with the version message — the version sits outside the
-/// checksummed payload, so nothing else trips — and recovery replays the
-/// whole WAL to the same per-step logs as the uninterrupted run.
+/// A snapshot written by the previous format (version field 2, which still
+/// encoded the removed secondary objective) is rejected as `Corrupt` with
+/// the version message — the version sits outside the checksummed
+/// payload, so nothing else trips — and recovery replays the whole WAL to
+/// the same per-step logs as the uninterrupted run.
 #[test]
 fn old_snapshot_version_is_rejected_and_replayed() {
     let (name, spec) = ("tiers-12", fixtures().remove(1).1);
@@ -368,13 +368,13 @@ fn old_snapshot_version_is_rejected_and_replayed() {
     }
     let snap = dir.join("snapshot.bin");
     let mut bytes = std::fs::read(&snap).expect("snapshot written");
-    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
     std::fs::write(&snap, &bytes).expect("rewrite snapshot");
     match bcast_service::snapshot::decode_snapshot(&bytes) {
         Err(ServiceError::Corrupt(message)) => {
-            assert_eq!(message, "snapshot version 1 (expected 2)")
+            assert_eq!(message, "snapshot version 2 (expected 3)")
         }
-        other => panic!("a version-1 snapshot must be rejected as corrupt: {other:?}"),
+        other => panic!("a version-2 snapshot must be rejected as corrupt: {other:?}"),
     }
     let service = Service::open(&dir, FaultPlan::none()).expect("old snapshot not fatal");
     assert!(service.recovery().snapshot_rejected, "old version detected");
