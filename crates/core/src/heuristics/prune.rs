@@ -89,6 +89,11 @@ fn node_metric(
 /// metric (weighted out-degree for the one-port model, node period for the
 /// multi-port model) and delete the heaviest outgoing edge whose removal
 /// keeps every processor reachable from the source, then start over.
+///
+/// Ties go to the smaller node id, then to the smaller edge id. A node's
+/// metric depends only on its own live out-edges, so it is computed once
+/// per node and, after each deletion, again only for the deleted edge's
+/// tail.
 pub fn prune_degree(
     platform: &Platform,
     source: NodeId,
@@ -99,16 +104,20 @@ pub fn prune_degree(
     let n = platform.node_count();
     let mut mask = vec![true; platform.edge_count()];
     let mut live = platform.edge_count();
+    let mut metric: Vec<f64> = platform
+        .nodes()
+        .map(|u| node_metric(platform, &mask, u, model, slice_size))
+        .collect();
 
     while live > n.saturating_sub(1) {
         let mut nodes: Vec<NodeId> = platform.nodes().collect();
         nodes.sort_by(|&a, &b| {
-            node_metric(platform, &mask, b, model, slice_size)
-                .partial_cmp(&node_metric(platform, &mask, a, model, slice_size))
+            metric[b.index()]
+                .partial_cmp(&metric[a.index()])
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        let mut deleted = false;
+        let mut deleted = None;
         'nodes: for &u in &nodes {
             let mut out: Vec<EdgeId> = graph
                 .out_edges(u)
@@ -126,17 +135,18 @@ pub fn prune_degree(
                 mask[e.index()] = false;
                 if traversal::all_reachable_from(graph, source, Some(&mask)) {
                     live -= 1;
-                    deleted = true;
+                    deleted = Some(u);
                     break 'nodes;
                 }
                 mask[e.index()] = true;
             }
         }
-        if !deleted {
+        let Some(tail) = deleted else {
             // No edge can be removed without disconnecting the platform; this
             // can only happen when the graph is already minimal, i.e. a tree.
             break;
-        }
+        };
+        metric[tail.index()] = node_metric(platform, &mask, tail, model, slice_size);
     }
     let edges: Vec<EdgeId> = platform.edges().filter(|e| mask[e.index()]).collect();
     BroadcastStructure::new(platform, source, edges)
@@ -146,10 +156,113 @@ pub fn prune_degree(
 mod tests {
     use super::*;
     use crate::throughput::steady_state_throughput;
+    use bcast_platform::generators::gaussian_field::{gaussian_platform, GaussianPlatformConfig};
     use bcast_platform::generators::random::{random_platform, RandomPlatformConfig};
+    use bcast_platform::generators::tiers::{tiers_platform, TiersConfig};
     use bcast_platform::LinkCost;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Refined Platform Pruning as first written: both node metrics are
+    /// recomputed from the live out-edges inside every sort comparison.
+    /// The reference the incremental [`prune_degree`] must match.
+    fn prune_degree_recomputing(
+        platform: &Platform,
+        source: NodeId,
+        model: CommModel,
+        slice_size: f64,
+    ) -> Vec<EdgeId> {
+        let graph = platform.graph();
+        let n = platform.node_count();
+        let mut mask = vec![true; platform.edge_count()];
+        let mut live = platform.edge_count();
+        while live > n.saturating_sub(1) {
+            let mut nodes: Vec<NodeId> = platform.nodes().collect();
+            nodes.sort_by(|&a, &b| {
+                node_metric(platform, &mask, b, model, slice_size)
+                    .partial_cmp(&node_metric(platform, &mask, a, model, slice_size))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            let mut deleted = false;
+            'nodes: for &u in &nodes {
+                let mut out: Vec<EdgeId> = graph
+                    .out_edges(u)
+                    .filter(|e| mask[e.id.index()])
+                    .map(|e| e.id)
+                    .collect();
+                out.sort_by(|&a, &b| {
+                    platform
+                        .link_time(b, slice_size)
+                        .partial_cmp(&platform.link_time(a, slice_size))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+                for e in out {
+                    mask[e.index()] = false;
+                    if traversal::all_reachable_from(graph, source, Some(&mask)) {
+                        live -= 1;
+                        deleted = true;
+                        break 'nodes;
+                    }
+                    mask[e.index()] = true;
+                }
+            }
+            if !deleted {
+                break;
+            }
+        }
+        platform.edges().filter(|e| mask[e.index()]).collect()
+    }
+
+    /// Asserts that [`prune_degree`] picks the reference's edges under both
+    /// port models, from two sources.
+    fn assert_matches_recomputing(platform: &Platform, label: &str) {
+        let multiport = platform.with_multiport_overheads(0.8, 1.0e6);
+        for (p, model) in [
+            (platform, CommModel::OnePort),
+            (&multiport, CommModel::MultiPort),
+        ] {
+            for source in [NodeId(0), NodeId((p.node_count() / 2) as u32)] {
+                let fast = prune_degree(p, source, model, 1.0e6).unwrap();
+                let reference = prune_degree_recomputing(p, source, model, 1.0e6);
+                assert_eq!(
+                    fast.edges(),
+                    reference.as_slice(),
+                    "{label}, {model:?}, source {source}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prune_degree_matches_the_recomputing_reference() {
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let random = random_platform(&RandomPlatformConfig::paper(20, 0.15), &mut rng);
+            assert_matches_recomputing(&random, &format!("random seed {seed}"));
+            let tiers = tiers_platform(&TiersConfig::paper(30, 0.10), &mut rng);
+            assert_matches_recomputing(&tiers, &format!("tiers seed {seed}"));
+            let gaussian = gaussian_platform(&GaussianPlatformConfig::paper(20), &mut rng);
+            assert_matches_recomputing(&gaussian, &format!("gaussian seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn prune_degree_breaks_metric_ties_by_node_id() {
+        // A complete digraph of identical links: every node starts with the
+        // same metric and ties recur after each deletion, so every choice
+        // falls to the id tie-breaks.
+        let mut b = Platform::builder();
+        let p = b.add_processors(7);
+        for i in 0..p.len() {
+            for j in i + 1..p.len() {
+                b.add_bidirectional_link(p[i], p[j], LinkCost::one_port(0.0, 1.0));
+            }
+        }
+        let uniform = b.build();
+        assert_matches_recomputing(&uniform, "uniform complete graph");
+    }
 
     /// A 4-node platform where the naive "delete the heaviest edges" strategy
     /// and the refined strategy give different trees: node 0 has three cheap

@@ -74,6 +74,17 @@ const SEPARATION_TOL: f64 = 1e-7;
 /// costlier measurements.
 const SCREEN_HEADROOM: f64 = 0.1;
 
+/// Separation work — max-flows in a batch × platform edges — below which
+/// the batch runs serially on the calling thread whatever
+/// [`CutGenOptions::separation_threads`] says. Timed on two cores, two
+/// workers took 1.25–2.6× the serial time on 14- and 20-node platforms
+/// (work ≈ 400–900) and 1.08–1.5× on Random-24 (≈ 1,900–2,600), were 4%
+/// slower on average on Tiers-40 (≈ 6,100), and won on Tiers-60
+/// (≈ 16,800: 11% on average) and Tiers-80 (≈ 40,000: 22%);
+/// EXPERIMENTS.md has the timings. Results are bit-identical at any worker
+/// count, so the cut-off changes no answer.
+pub const PARALLEL_SEPARATION_MIN_WORK: usize = 8192;
+
 /// A source→destination cut stored as a node partition: `source_side[u]` is
 /// true when node `u` lies on the source side. The induced inequality is
 /// `Σ n_e ≥ TP` over the platform edges leaving the source side.
@@ -146,7 +157,9 @@ pub struct CutGenOptions {
     /// destination order — results (and stdout, and goldens) are
     /// byte-identical at any thread count. Defaults to
     /// `min(available_parallelism, 4)`; `1` runs in place on the calling
-    /// thread.
+    /// thread. A batch whose work — max-flows × platform edges — is below
+    /// [`PARALLEL_SEPARATION_MIN_WORK`] also runs in place, whatever this
+    /// says: spawning workers costs more than such a batch.
     pub separation_threads: usize,
     /// Overrides the per-solve simplex iteration budget of the *cold*
     /// master solves (`None`, the default, keeps the engine's
@@ -435,12 +448,23 @@ impl CutGenSession {
         certified >= tp_value
     }
 
+    /// Workers a separation batch of `batch` max-flows runs on:
+    /// [`CutGenOptions::separation_threads`], capped by the batch, and a
+    /// single in-place worker when the batch's work (`batch` × platform
+    /// edges) is below [`PARALLEL_SEPARATION_MIN_WORK`].
+    fn separation_workers(&self, batch: usize) -> usize {
+        if batch.saturating_mul(self.edges) < PARALLEL_SEPARATION_MIN_WORK {
+            return 1;
+        }
+        self.options.separation_threads.max(1).min(batch)
+    }
+
     /// Runs the separation max-flows for `items` (`(destination index,
     /// node)` pairs) against `point`, sharded across
-    /// [`CutGenOptions::separation_threads`] scoped workers with cloned
-    /// [`MaxFlowSolver`] scratch. Returns, per item *in input order*, the
-    /// measured flow, its support (the screen's certificate), and the
-    /// min-cut source side when the destination was violated.
+    /// [`separation_workers`](Self::separation_workers) scoped workers with
+    /// cloned [`MaxFlowSolver`] scratch. Returns, per item *in input
+    /// order*, the measured flow, its support (the screen's certificate),
+    /// and the min-cut source side when the destination was violated.
     /// Observability stays on the calling thread.
     #[allow(clippy::type_complexity)]
     fn run_separations(
@@ -459,7 +483,7 @@ impl CutGenSession {
         // only ever *under*-reported, so the violation test and the
         // screen's certificate both stay conservative.
         let limit = tp_value * (1.0 + SCREEN_HEADROOM) + tol;
-        let threads = self.options.separation_threads.max(1).min(items.len());
+        let threads = self.separation_workers(items.len());
         bcast_obs::counter_add(bcast_obs::names::CUTGEN_SEPARATIONS_RUN, items.len() as u64);
         bcast_obs::gauge_set(bcast_obs::names::CUTGEN_SEP_WORKERS, threads as f64);
         let separate = |solver: &mut MaxFlowSolver, w: NodeId| {
@@ -1876,9 +1900,15 @@ mod tests {
     fn separation_is_bit_identical_across_thread_counts() {
         // The parallel oracle plans and reduces in fixed destination order:
         // every result field — loads included — must be *bit*-equal between
-        // a serial run and any sharded run.
+        // a serial run and any sharded run. A full batch of this platform is
+        // above the serial cut-off, so the sharded runs really shard.
         let mut rng = StdRng::seed_from_u64(53);
-        let platform = random_platform(&RandomPlatformConfig::paper(24, 0.12), &mut rng);
+        let platform = random_platform(&RandomPlatformConfig::paper(48, 0.12), &mut rng);
+        let work = (platform.node_count() - 1) * platform.edge_count();
+        assert!(
+            work >= PARALLEL_SEPARATION_MIN_WORK,
+            "separation work {work} is below the serial cut-off"
+        );
         let solve_at = |threads: usize| {
             solve_with(
                 &platform,
@@ -1915,6 +1945,30 @@ mod tests {
             assert_eq!(serial.skipped_separations, sharded.skipped_separations);
             assert_eq!(serial.binding_cuts.len(), sharded.binding_cuts.len());
         }
+    }
+
+    #[test]
+    fn small_separation_batches_run_on_one_worker() {
+        // A 14-node platform's whole destination batch is below the
+        // cut-off: four requested threads still give one worker. A
+        // 48-node batch is above it and gets all four.
+        let options = CutGenOptions {
+            separation_threads: 4,
+            ..CutGenOptions::default()
+        };
+        let mut rng = StdRng::seed_from_u64(53);
+        let small = random_platform(&RandomPlatformConfig::paper(14, 0.12), &mut rng);
+        let session = CutGenSession::new(&small, NodeId(0), 1.0e6, options.clone()).unwrap();
+        let batch = small.node_count() - 1;
+        assert!(batch * small.edge_count() < PARALLEL_SEPARATION_MIN_WORK);
+        assert_eq!(session.separation_workers(batch), 1);
+
+        let large = random_platform(&RandomPlatformConfig::paper(48, 0.12), &mut rng);
+        let session = CutGenSession::new(&large, NodeId(0), 1.0e6, options).unwrap();
+        let batch = large.node_count() - 1;
+        assert!(batch * large.edge_count() >= PARALLEL_SEPARATION_MIN_WORK);
+        assert_eq!(session.separation_workers(batch), 4);
+        assert_eq!(session.separation_workers(1), 1);
     }
 
     #[test]

@@ -224,8 +224,11 @@ fn tiers(nodes: usize) -> PlatformGenerator {
 fn main() {
     let args = ExperimentArgs::from_env(3);
     install_journal_or_exit(&args.journal, "drift");
-    // Results are byte-identical at any separation thread count; the CI
-    // smoke passes `--separation-threads 4` to exercise the sharded oracle.
+    // Results are byte-identical at any separation thread count. Every
+    // family here is below the serial cut-off
+    // (`cut_gen::PARALLEL_SEPARATION_MIN_WORK`), so its batches run on one
+    // thread whatever this says; `tests/sharded_sessions.rs` covers sharded
+    // session steps.
     let mut options = CutGenOptions::default();
     if let Some(threads) = args.separation_threads {
         options.separation_threads = threads;

@@ -62,6 +62,10 @@ impl Default for GaussianPlatformConfig {
 
 /// Generates a clustered geometric platform following `config`.
 ///
+/// A link's bandwidth is drawn around the distance-decayed mean, itself
+/// clamped at `bandwidth_floor`, so a link spanning far-apart clusters
+/// gets the floor as its mean.
+///
 /// Connectivity is guaranteed: besides the nearest-neighbour links, each
 /// node (after the first) links to the closest already-placed node, which
 /// yields a spanning backbone. Every physical link is bidirectional with
@@ -100,7 +104,11 @@ pub fn gaussian_platform<R: Rng + ?Sized>(
             return;
         }
         let d = distance(a, b);
-        let base = config.bandwidth_at_zero * 0.5f64.powf(d / config.half_distance);
+        // The decayed mean drops below the floor beyond
+        // log2(bandwidth_at_zero / bandwidth_floor) half-distances (about
+        // 1.08 units at the defaults); such a link draws around the floor.
+        let base = (config.bandwidth_at_zero * 0.5f64.powf(d / config.half_distance))
+            .max(config.bandwidth_floor);
         let bandwidth = sample_normal_at_least(
             rng,
             base,
@@ -150,6 +158,32 @@ mod tests {
                     p.is_broadcast_feasible(source),
                     "{nodes}-node platform unreachable from {source}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn link_beyond_the_floor_distance_yields_a_feasible_platform() {
+        // Seed 13 at 20 nodes draws a link whose decayed mean is below the
+        // bandwidth floor; the mean is clamped there instead of panicking.
+        let config = GaussianPlatformConfig::paper(20);
+        let p = gaussian_platform(&config, &mut StdRng::seed_from_u64(13));
+        assert_eq!(p.node_count(), 20);
+        for source in p.nodes() {
+            assert!(p.is_broadcast_feasible(source), "unreachable from {source}");
+        }
+        for e in p.edges() {
+            assert!(p.link_cost(e).bandwidth() >= config.bandwidth_floor);
+        }
+    }
+
+    #[test]
+    fn no_seed_panics() {
+        for nodes in [14, 20] {
+            let config = GaussianPlatformConfig::paper(nodes);
+            for seed in 0..2000 {
+                let p = gaussian_platform(&config, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(p.node_count(), nodes, "seed {seed}");
             }
         }
     }

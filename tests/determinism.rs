@@ -611,10 +611,17 @@ fn parallel_separation_is_bit_identical_to_serial() {
     // results: for any `separation_threads`, the workers only fill
     // per-destination slots and the main thread reduces them in fixed
     // destination order, so every float of the solve — not just the
-    // converged throughput — is bit-for-bit the serial value.
+    // converged throughput — is bit-for-bit the serial value. The platform
+    // is large enough that a full batch is above the serial cut-off, so
+    // the threaded solve really shards.
     use broadcast_trees::core::optimal::cut_gen;
     let mut rng = StdRng::seed_from_u64(SEED);
-    let platform = tiers_platform(&TiersConfig::paper(40, 0.10), &mut rng);
+    let platform = tiers_platform(&TiersConfig::paper(60, 0.08), &mut rng);
+    let work = (platform.node_count() - 1) * platform.edge_count();
+    assert!(
+        work >= cut_gen::PARALLEL_SEPARATION_MIN_WORK,
+        "separation work {work} is below the serial cut-off"
+    );
     let solve = |threads: usize| {
         cut_gen::solve_with(
             &platform,
@@ -625,7 +632,7 @@ fn parallel_separation_is_bit_identical_to_serial() {
                 ..CutGenOptions::default()
             },
         )
-        .expect("tiers-40 fixture is solvable")
+        .expect("tiers-60 fixture is solvable")
     };
     let serial = solve(1);
     let threaded = solve(4);
