@@ -161,14 +161,6 @@ pub struct CutGenOptions {
     /// [`PARALLEL_SEPARATION_MIN_WORK`] also runs in place, whatever this
     /// says: spawning workers costs more than such a batch.
     pub separation_threads: usize,
-    /// Overrides the per-solve simplex iteration budget of the *cold*
-    /// master solves (`None`, the default, keeps the engine's
-    /// size-derived budget). Warm re-solves budget themselves. Raising
-    /// this rescues rare cold-solve stalls where a long degenerate
-    /// plateau exhausts the default budget (and its refactor-interval-1
-    /// retry) before optimality — seen once on the 40-node drift-ablation
-    /// platform at seed 2004; see EXPERIMENTS.md.
-    pub iteration_budget: Option<usize>,
 }
 
 impl Default for CutGenOptions {
@@ -179,7 +171,6 @@ impl Default for CutGenOptions {
             warm_start: true,
             screen_separation: true,
             separation_threads: default_separation_threads(),
-            iteration_budget: None,
         }
     }
 }
@@ -190,16 +181,6 @@ impl Default for CutGenOptions {
 /// spawn overhead before it pays.
 fn default_separation_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
-}
-
-impl CutGenOptions {
-    /// The simplex options the master LP is solved with.
-    fn simplex_options(&self) -> SimplexOptions {
-        SimplexOptions {
-            max_iterations: self.iteration_budget.unwrap_or(0),
-            ..SimplexOptions::default()
-        }
-    }
 }
 
 /// Outcome of [`solve_with`] / [`CutGenSession::solve_step`]: the optimal
@@ -363,7 +344,7 @@ impl CutGenSession {
         // unmeasured tie-break that was tried and dropped).
         let (master, port_rows, port_keys) = if options.warm_start {
             let mut state =
-                SimplexState::new(&vars_only, options.simplex_options()).map_err(CoreError::Lp)?;
+                SimplexState::new(&vars_only, SimplexOptions::default()).map_err(CoreError::Lp)?;
             // The port rows are appended (not part of the construction
             // snapshot's constraints) so the session holds their handles
             // for the per-step coefficient updates. The assembled tableau
@@ -637,8 +618,7 @@ impl CutGenSession {
                 for cut in self.cuts.iter().filter(|c| c.active) {
                     lp.add_ge(&cut_row_terms(&cut.edges, self.tp, &self.n_vars), 0.0);
                 }
-                lp.solve_with(&self.options.simplex_options())
-                    .map_err(CoreError::Lp)?
+                lp.solve().map_err(CoreError::Lp)?
             }
         };
         *simplex_iterations += solution.iterations;
@@ -1512,17 +1492,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(14);
         let platform = random_platform(&RandomPlatformConfig::paper(12, 0.15), &mut rng);
         let o = solve(&platform, NodeId(0), 1.0e6).unwrap();
-        for w in platform.nodes().filter(|&w| w != NodeId(0)) {
-            let flow = bcast_net::maxflow::max_flow(platform.graph(), NodeId(0), w, |e, _| {
-                o.edge_load[e.index()]
-            });
-            assert!(
-                flow.value >= o.throughput * (1.0 - 1e-5),
-                "destination {w}: flow {} < TP {}",
-                flow.value,
-                o.throughput
-            );
-        }
+        let (w, flow) = o.min_destination_flow(&platform, NodeId(0));
+        assert!(
+            flow >= o.throughput * (1.0 - 1e-5),
+            "destination {w}: flow {flow} < TP {}",
+            o.throughput
+        );
     }
 
     #[test]
@@ -1768,16 +1743,11 @@ mod tests {
                 "{label}: sparse TP {sparse_tp} vs dense oracle {}",
                 dense.objective
             );
-            for w in platform.nodes().filter(|&w| w != NodeId(0)) {
-                let flow = bcast_net::maxflow::max_flow(platform.graph(), NodeId(0), w, |e, _| {
-                    result.optimal.edge_load[e.index()]
-                });
-                assert!(
-                    flow.value >= sparse_tp * (1.0 - 1e-5),
-                    "{label}: destination {w} flow {} < TP {sparse_tp}",
-                    flow.value
-                );
-            }
+            let (w, flow) = result.optimal.min_destination_flow(platform, NodeId(0));
+            assert!(
+                flow >= sparse_tp * (1.0 - 1e-5),
+                "{label}: destination {w} flow {flow} < TP {sparse_tp}"
+            );
         }
     }
 

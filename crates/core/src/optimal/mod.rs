@@ -29,6 +29,7 @@ pub use cut_gen::{
 
 use crate::error::CoreError;
 use bcast_lp::{Constraint, ConstraintOp, LpProblem, Sense, VarId};
+use bcast_net::maxflow::MaxFlowSolver;
 use bcast_net::NodeId;
 use bcast_platform::Platform;
 use serde::{Deserialize, Serialize};
@@ -174,6 +175,24 @@ impl OptimalThroughput {
     /// `slice_size` bytes.
     pub fn bandwidth(&self, slice_size: f64) -> f64 {
         self.throughput * slice_size
+    }
+
+    /// The destination with the smallest maximum flow from `source` when
+    /// the edge loads are the capacities, and that flow. The loads carry
+    /// the throughput to every destination exactly when this flow is at
+    /// least `TP`, which is the feasibility certificate the differential
+    /// tests check. With no destination (a single node) the answer is
+    /// `(source, f64::INFINITY)`.
+    pub fn min_destination_flow(&self, platform: &Platform, source: NodeId) -> (NodeId, f64) {
+        let mut solver = MaxFlowSolver::new(platform.graph());
+        let mut min = (source, f64::INFINITY);
+        for w in platform.nodes().filter(|&w| w != source) {
+            let flow = solver.solve(source, w, |e| self.edge_load[e.index()]);
+            if flow < min.1 {
+                min = (w, flow);
+            }
+        }
+        min
     }
 }
 

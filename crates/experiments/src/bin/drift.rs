@@ -63,16 +63,6 @@ const DRIFT_STEPS: usize = 10;
 const CHURN_STEPS: usize = 8;
 const BATCH: usize = 16;
 
-/// Simplex iteration budget of the cold from-scratch baseline solves.
-///
-/// The simplex engine's automatic budget (`200·(rows+cols) + 2000`) is sized for
-/// warm-started master re-solves; a cold phase-1/phase-2 walk over a
-/// heavily degenerate drift snapshot can legitimately need more (the
-/// seed-2004 random-20 stall documented in EXPERIMENTS.md exhausted it on
-/// a dual plateau). The baseline is the *measurement yardstick* here, so
-/// it gets generous headroom rather than a competitive cap.
-const COLD_ITERATION_BUDGET: usize = 400_000;
-
 /// Relative throughput disagreement between the warm and cold solves of
 /// one step (the differential tests bound this at 1e-6; the journal
 /// records it per step).
@@ -459,7 +449,6 @@ fn walk(
                 SLICE,
                 &CutGenOptions {
                     warm_start: false,
-                    iteration_budget: Some(COLD_ITERATION_BUDGET),
                     ..options.clone()
                 },
             )

@@ -48,7 +48,7 @@
 
 use crate::basis::ScatterVec;
 use crate::model::{Constraint, ConstraintOp, LpError, LpProblem, LpSolution, Sense, VarId};
-use crate::simplex::{self, SimplexOptions, SolveStatus};
+use crate::simplex::{self, SimplexOptions, SolveStatus, COST_TOLERANCE, FEASIBILITY_TOLERANCE};
 use crate::sparse::{self, SparseSimplex};
 
 /// Stable handle of a row added to (or created with) a [`SimplexState`].
@@ -498,7 +498,7 @@ impl SimplexState {
                 .iter()
                 .flat_map(|u| self.groups[u.row.0].clone())
                 .collect();
-            if rewrite_rows(fact, &self.rows, &touched, &self.options) {
+            if rewrite_rows(fact, &self.rows, &touched) {
                 fact.stale = true;
             } else {
                 self.fact = None;
@@ -614,14 +614,13 @@ impl SimplexState {
             }
         }
         self.stats.cols_deleted += ids.len();
-        let options = self.options;
         let mut pivots = 0usize;
         let mut ok = true;
         if let Some(fact) = self.fact.as_mut() {
             for &ColId(id) in ids {
                 fact.cost[id] = 0.0;
                 let was_basic = fact.sim.prob.basis.contains(&id);
-                if !fact.sim.delete_column(id, &options) {
+                if !fact.sim.delete_column(id) {
                     ok = false;
                     break;
                 }
@@ -880,7 +879,7 @@ impl Fact {
         // zero-pivot warm re-solve).
         let mut primary_fresh = false;
         if self.stale {
-            if self.sim.factorize(options) {
+            if self.sim.factorize() {
                 // Classify the start basis. Pure row appends leave the old
                 // reduced costs untouched — dual feasible — and are repaired
                 // by the dual simplex. A coefficient update can break dual
@@ -895,18 +894,13 @@ impl Fact {
                     .reduced_costs()
                     .iter()
                     .zip(&self.sim.prob.allowed)
-                    .all(|(&dj, &ok)| !ok || dj <= options.cost_tolerance);
+                    .all(|(&dj, &ok)| !ok || dj <= COST_TOLERANCE);
                 if dual_feasible {
                     let (status, iters) = self.sim.dual(&self.cost, options, budget, true);
                     pivots += iters;
                     dual_pivots += iters;
                     clean = status == SolveStatus::Optimal;
-                } else if self
-                    .sim
-                    .x_b
-                    .iter()
-                    .any(|&bi| bi < -options.feasibility_tolerance)
-                {
+                } else if self.sim.x_b.iter().any(|&bi| bi < -FEASIBILITY_TOLERANCE) {
                     let zero = vec![0.0; self.sim.prob.ncols];
                     // The factorization from the classification above is
                     // still live — only the reduced costs must be redone for
@@ -1104,12 +1098,7 @@ fn remove_physical_row(fact: &mut Fact, p: usize) -> bool {
 /// refactorization. Returns `false` when the edit cannot be expressed
 /// in-place (changed row shape, or the old basis gone singular under the
 /// new coefficients), in which case the caller refactorizes cold.
-fn rewrite_rows(
-    fact: &mut Fact,
-    rows: &[StoredRow],
-    touched: &[usize],
-    options: &SimplexOptions,
-) -> bool {
+fn rewrite_rows(fact: &mut Fact, rows: &[StoredRow], touched: &[usize]) -> bool {
     if touched.iter().any(|&p| !fact.is_slack_form(p, &rows[p])) {
         return false;
     }
@@ -1122,7 +1111,7 @@ fn rewrite_rows(
             fact.slack_col[p].expect("checked above"),
         );
     }
-    fact.sim.refactor_same_basis(options)
+    fact.sim.refactor_same_basis()
 }
 
 // ---------------------------------------------------------------------------

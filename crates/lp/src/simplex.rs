@@ -37,22 +37,25 @@ pub enum SolveStatus {
     IterationLimit,
 }
 
-/// Tunable parameters of the simplex solver.
+/// Tolerance on reduced costs: a column prices out when its reduced cost
+/// exceeds this value.
+pub(crate) const COST_TOLERANCE: f64 = 1e-9;
+/// Tolerance below which a pivot element is considered zero.
+pub(crate) const PIVOT_TOLERANCE: f64 = 1e-7;
+/// Feasibility tolerance used to declare phase 1 successful.
+pub(crate) const FEASIBILITY_TOLERANCE: f64 = 1e-7;
+/// Base length of the degenerate run after which pricing falls back to
+/// Bland's rule (the sparse engine adds the row count to it).
+pub(crate) const BLAND_THRESHOLD: usize = 64;
+
+/// Tunable parameters of the simplex solver. The tolerances (reduced cost
+/// 1e-9, pivot 1e-7, phase-1 feasibility 1e-7) and the Bland's-rule
+/// threshold (64) are fixed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimplexOptions {
-    /// Tolerance on reduced costs: a column prices out when its reduced cost
-    /// exceeds this value.
-    pub cost_tolerance: f64,
-    /// Tolerance below which a pivot element is considered zero.
-    pub pivot_tolerance: f64,
-    /// Feasibility tolerance used to declare phase 1 successful.
-    pub feasibility_tolerance: f64,
     /// Hard cap on pivots (both phases combined). `0` means "choose
     /// automatically from the problem size".
     pub max_iterations: usize,
-    /// Base length of the degenerate run after which pricing falls back to
-    /// Bland's rule (the sparse engine adds the row count to it).
-    pub bland_threshold: usize,
     /// Number of basis updates after which the sparse engine refactorizes
     /// its LU factors. Small values trade speed for numerical freshness;
     /// `0` refactorizes after every pivot.
@@ -62,11 +65,7 @@ pub struct SimplexOptions {
 impl Default for SimplexOptions {
     fn default() -> Self {
         SimplexOptions {
-            cost_tolerance: 1e-9,
-            pivot_tolerance: 1e-7,
-            feasibility_tolerance: 1e-7,
             max_iterations: 0,
-            bland_threshold: 64,
             refactor_interval: 64,
         }
     }
@@ -141,12 +140,7 @@ impl Tableau {
 /// Runs the simplex method on `tab`, maximising the objective whose
 /// coefficients are `cost` (one per tableau column). Returns the status and
 /// the number of pivots performed.
-fn optimize(
-    tab: &mut Tableau,
-    cost: &[f64],
-    options: &SimplexOptions,
-    max_iterations: usize,
-) -> (SolveStatus, usize) {
+fn optimize(tab: &mut Tableau, cost: &[f64], max_iterations: usize) -> (SolveStatus, usize) {
     let rows = tab.rows;
     // Reduced-cost row: d[j] = c[j] - c_B' B^{-1} A_j. A column may enter
     // while d[j] > tolerance.
@@ -161,7 +155,7 @@ fn optimize(
         if iterations >= max_iterations {
             return (SolveStatus::IterationLimit, iterations);
         }
-        if degenerate_run >= options.bland_threshold {
+        if degenerate_run >= BLAND_THRESHOLD {
             bland_sticky = true;
         }
         let use_bland = bland_sticky;
@@ -171,9 +165,9 @@ fn optimize(
             entering = d
                 .iter()
                 .zip(&tab.allowed)
-                .position(|(&dj, &ok)| ok && dj > options.cost_tolerance);
+                .position(|(&dj, &ok)| ok && dj > COST_TOLERANCE);
         } else {
-            let mut best = options.cost_tolerance;
+            let mut best = COST_TOLERANCE;
             for (j, (&dj, &ok)) in d.iter().zip(&tab.allowed).enumerate() {
                 if ok && dj > best {
                     best = dj;
@@ -189,7 +183,7 @@ fn optimize(
         let mut best_ratio = f64::INFINITY;
         for r in 0..rows {
             let arc = tab.at(r, col);
-            if arc > options.pivot_tolerance {
+            if arc > PIVOT_TOLERANCE {
                 let ratio = tab.b[r] / arc;
                 let better = match leaving {
                     None => true,
@@ -411,7 +405,7 @@ fn two_phase(
         for &c in artificial_cols {
             phase1_cost[c] = -1.0; // maximise -(sum of artificials)
         }
-        let (status, iters) = optimize(tab, &phase1_cost, options, max_iterations);
+        let (status, iters) = optimize(tab, &phase1_cost, max_iterations);
         total_iterations += iters;
         match status {
             SolveStatus::Optimal => {}
@@ -428,15 +422,13 @@ fn two_phase(
             .filter(|&(_, &bc)| bc >= art_base)
             .map(|(r, _)| tab.b[r])
             .sum();
-        if artificial_sum > options.feasibility_tolerance {
+        if artificial_sum > FEASIBILITY_TOLERANCE {
             return Err(LpError::Infeasible);
         }
         // Pivot basic artificials (at value ~0) out of the basis when possible.
         for r in 0..rows {
             if tab.basis[r] >= art_base {
-                if let Some(col) =
-                    (0..art_base).find(|&c| tab.at(r, c).abs() > options.pivot_tolerance)
-                {
+                if let Some(col) = (0..art_base).find(|&c| tab.at(r, c).abs() > PIVOT_TOLERANCE) {
                     tab.pivot(r, col);
                 }
             }
@@ -449,7 +441,7 @@ fn two_phase(
 
     // Phase 2: optimise the real objective.
     let remaining = max_iterations.saturating_sub(total_iterations).max(100);
-    let (status, iters) = optimize(tab, phase2_cost, options, remaining);
+    let (status, iters) = optimize(tab, phase2_cost, remaining);
     total_iterations += iters;
     match status {
         SolveStatus::Optimal => Ok(total_iterations),

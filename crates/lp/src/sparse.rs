@@ -29,7 +29,10 @@
 
 use crate::basis::{EtaBasis, ScatterVec};
 use crate::model::{Constraint, ConstraintOp, LpError, LpProblem, LpSolution};
-use crate::simplex::{self, SimplexOptions, SolveStatus};
+use crate::simplex::{
+    self, SimplexOptions, SolveStatus, BLAND_THRESHOLD, COST_TOLERANCE, FEASIBILITY_TOLERANCE,
+    PIVOT_TOLERANCE,
+};
 
 /// The assembled LP in sparse standard form `Ax = b` (after slack /
 /// artificial augmentation), plus the per-row auxiliary-column map that the
@@ -257,7 +260,7 @@ impl SparseSimplex {
 
     /// Refactorizes the current basis and recomputes `x_B`. Returns `false`
     /// when the basis is numerically singular (caller must fall back cold).
-    pub(crate) fn factorize(&mut self, options: &SimplexOptions) -> bool {
+    pub(crate) fn factorize(&mut self) -> bool {
         if self.prob.cols_stale {
             self.prob.rebuild_cols();
         }
@@ -267,7 +270,7 @@ impl SparseSimplex {
             m,
             &self.prob.basis,
             |j| &cols[j],
-            options.pivot_tolerance,
+            PIVOT_TOLERANCE,
             &mut self.ws_fact,
         ) else {
             self.singular = true;
@@ -447,8 +450,8 @@ impl SparseSimplex {
 
     /// Ensures the factorization is live and the reduced costs match `cost`.
     /// Returns `false` on a singular basis.
-    fn refresh(&mut self, cost: &[f64], options: &SimplexOptions) -> bool {
-        if !self.factorize(options) {
+    fn refresh(&mut self, cost: &[f64]) -> bool {
+        if !self.factorize() {
             return false;
         }
         self.compute_reduced_costs(cost);
@@ -473,7 +476,7 @@ impl SparseSimplex {
         assume_fresh: bool,
     ) -> (SolveStatus, usize) {
         debug_assert!(!assume_fresh || self.factorized);
-        if !assume_fresh && !self.refresh(cost, options) {
+        if !assume_fresh && !self.refresh(cost) {
             return (SolveStatus::IterationLimit, 0);
         }
         // Fresh Devex reference framework for this pass.
@@ -483,9 +486,7 @@ impl SparseSimplex {
         let mut degenerate_run = 0usize;
         let mut bland_sticky = false;
         loop {
-            if self.eta.should_refactorize(options.refactor_interval)
-                && !self.refresh(cost, options)
-            {
+            if self.eta.should_refactorize(options.refactor_interval) && !self.refresh(cost) {
                 return (SolveStatus::IterationLimit, iterations);
             }
             if iterations >= max_iterations {
@@ -501,7 +502,7 @@ impl SparseSimplex {
             // a flat 64-pivot trigger turned the 500-node cold masters into
             // ~800k-pivot Bland walks — first-index pricing is the
             // anti-cycling tool of last resort, not a pricing rule.
-            if degenerate_run >= options.bland_threshold + self.prob.m {
+            if degenerate_run >= BLAND_THRESHOLD + self.prob.m {
                 bland_sticky = true;
             } else if degenerate_run == 0 {
                 bland_sticky = false;
@@ -513,11 +514,11 @@ impl SparseSimplex {
                     .d
                     .iter()
                     .zip(self.prob.allowed.iter().zip(&self.in_basis))
-                    .position(|(&dj, (&ok, &basic))| ok && !basic && dj > options.cost_tolerance);
+                    .position(|(&dj, (&ok, &basic))| ok && !basic && dj > COST_TOLERANCE);
             } else {
                 let mut best = 0.0f64;
                 for (j, (&dj, &ok)) in self.d.iter().zip(&self.prob.allowed).enumerate() {
-                    if ok && !self.in_basis[j] && dj > options.cost_tolerance {
+                    if ok && !self.in_basis[j] && dj > COST_TOLERANCE {
                         let score = dj * dj / self.w_col[j];
                         if score > best {
                             best = score;
@@ -531,7 +532,7 @@ impl SparseSimplex {
                 // eta file accumulates drift, and "prices out" measured on a
                 // stale file can be noise. Refactorize and re-verify.
                 if self.eta.updates_since_refactor() > 0 {
-                    if !self.refresh(cost, options) {
+                    if !self.refresh(cost) {
                         return (SolveStatus::IterationLimit, iterations);
                     }
                     continue;
@@ -545,7 +546,7 @@ impl SparseSimplex {
             let mut best_ratio = f64::INFINITY;
             for &r in self.ws_ftran.support() {
                 let a = self.ws_ftran.get(r);
-                if a > options.pivot_tolerance {
+                if a > PIVOT_TOLERANCE {
                     let ratio = self.x_b[r as usize] / a;
                     if ratio < best_ratio {
                         best_ratio = ratio;
@@ -554,7 +555,7 @@ impl SparseSimplex {
             }
             if !best_ratio.is_finite() {
                 if self.eta.updates_since_refactor() > 0 {
-                    if !self.refresh(cost, options) {
+                    if !self.refresh(cost) {
                         return (SolveStatus::IterationLimit, iterations);
                     }
                     continue;
@@ -572,7 +573,7 @@ impl SparseSimplex {
             for &r in self.ws_ftran.support() {
                 let r = r as usize;
                 let a = self.ws_ftran.get(r as u32);
-                if a <= options.pivot_tolerance {
+                if a <= PIVOT_TOLERANCE {
                     continue;
                 }
                 let ratio = self.x_b[r] / a;
@@ -593,7 +594,7 @@ impl SparseSimplex {
             }
             let Some(r) = leaving else {
                 if self.eta.updates_since_refactor() > 0 {
-                    if !self.refresh(cost, options) {
+                    if !self.refresh(cost) {
                         return (SolveStatus::IterationLimit, iterations);
                     }
                     continue;
@@ -606,12 +607,12 @@ impl SparseSimplex {
                 0
             };
             let pivot_val = self.ws_ftran.get(r as u32);
-            if pivot_val.abs() <= options.pivot_tolerance {
+            if pivot_val.abs() <= PIVOT_TOLERANCE {
                 // Numerically unusable pivot: flush the eta file and retry
                 // once from a fresh factorization; persisting means the
                 // caller must go cold.
                 if self.eta.updates_since_refactor() > 0 {
-                    if !self.refresh(cost, options) {
+                    if !self.refresh(cost) {
                         return (SolveStatus::IterationLimit, iterations);
                     }
                     continue;
@@ -640,13 +641,13 @@ impl SparseSimplex {
         assume_fresh: bool,
     ) -> (SolveStatus, usize) {
         debug_assert!(!assume_fresh || self.factorized);
-        if !assume_fresh && !self.refresh(cost, options) {
+        if !assume_fresh && !self.refresh(cost) {
             return (SolveStatus::IterationLimit, 0);
         }
         // Fresh Devex reference framework for this pass.
         self.w_row.clear();
         self.w_row.resize(self.prob.m, 1.0);
-        let feas = options.feasibility_tolerance;
+        let feas = FEASIBILITY_TOLERANCE;
         let mut iterations = 0usize;
         let mut bland_sticky = false;
         let infeasibility =
@@ -662,9 +663,7 @@ impl SparseSimplex {
         // Bland latch below, and a numeric blow-up still bails out early.
         let stall_limit = max_iterations;
         loop {
-            if self.eta.should_refactorize(options.refactor_interval)
-                && !self.refresh(cost, options)
-            {
+            if self.eta.should_refactorize(options.refactor_interval) && !self.refresh(cost) {
                 return (SolveStatus::IterationLimit, iterations);
             }
             // The anti-cycling latch keys on the *infeasibility plateau*,
@@ -676,7 +675,7 @@ impl SparseSimplex {
             // progress, which `no_progress` catches — scaled with the row
             // count, because legitimate plateaus deepen with problem size
             // and the latch permanently trades Devex for Bland's crawl.
-            if no_progress >= 4 * options.bland_threshold + self.prob.m {
+            if no_progress >= 4 * BLAND_THRESHOLD + self.prob.m {
                 bland_sticky = true;
             }
             // Leaving row.
@@ -705,7 +704,7 @@ impl SparseSimplex {
                 // As in the primal loop: only certify optimality from a
                 // freshly refactorized basis.
                 if self.eta.updates_since_refactor() > 0 {
-                    if !self.refresh(cost, options) {
+                    if !self.refresh(cost) {
                         return (SolveStatus::IterationLimit, iterations);
                     }
                     continue;
@@ -724,7 +723,7 @@ impl SparseSimplex {
                     continue;
                 }
                 let a = self.ws_tab.get(j as u32);
-                if a >= -options.pivot_tolerance {
+                if a >= -PIVOT_TOLERANCE {
                     continue;
                 }
                 let ratio = self.d[j].min(0.0) / a;
@@ -736,7 +735,7 @@ impl SparseSimplex {
                 // The violated row has no negative entry: unsatisfiable —
                 // but only certify it from a fresh factorization.
                 if self.eta.updates_since_refactor() > 0 {
-                    if !self.refresh(cost, options) {
+                    if !self.refresh(cost) {
                         return (SolveStatus::IterationLimit, iterations);
                     }
                     continue;
@@ -753,7 +752,7 @@ impl SparseSimplex {
                     continue;
                 }
                 let a = self.ws_tab.get(j as u32);
-                if a >= -options.pivot_tolerance {
+                if a >= -PIVOT_TOLERANCE {
                     continue;
                 }
                 let ratio = self.d[j].min(0.0) / a;
@@ -777,9 +776,9 @@ impl SparseSimplex {
             };
             self.ftran_column(q);
             let alpha_r = self.ws_ftran.get(r as u32);
-            if alpha_r.abs() <= options.pivot_tolerance {
+            if alpha_r.abs() <= PIVOT_TOLERANCE {
                 if self.eta.updates_since_refactor() > 0 {
-                    if !self.refresh(cost, options) {
+                    if !self.refresh(cost) {
                         return (SolveStatus::IterationLimit, iterations);
                     }
                     continue;
@@ -877,7 +876,7 @@ impl SparseSimplex {
                 .filter(|&(_, &bc)| bc >= art_base)
                 .map(|(r, _)| self.x_b[r])
                 .sum();
-            if artificial_sum > options.feasibility_tolerance {
+            if artificial_sum > FEASIBILITY_TOLERANCE {
                 return Err(LpError::Infeasible);
             }
             // Pivot basic artificials (at value ~0) out where possible.
@@ -891,7 +890,7 @@ impl SparseSimplex {
                     let j = j as usize;
                     if j < art_base
                         && !self.in_basis[j]
-                        && self.ws_tab.get(j as u32).abs() > options.pivot_tolerance
+                        && self.ws_tab.get(j as u32).abs() > PIVOT_TOLERANCE
                         && candidate.is_none_or(|c| j < c)
                     {
                         candidate = Some(j);
@@ -899,7 +898,7 @@ impl SparseSimplex {
                 }
                 if let Some(c) = candidate {
                     self.ftran_column(c);
-                    if self.ws_ftran.get(r as u32).abs() > options.pivot_tolerance {
+                    if self.ws_ftran.get(r as u32).abs() > PIVOT_TOLERANCE {
                         self.apply_pivot(c, r);
                     }
                 }
@@ -1038,9 +1037,9 @@ impl SparseSimplex {
     /// after a batch of [`rewrite_row`](Self::rewrite_row) edits. Returns
     /// `false` when the old basis is singular under the new coefficients
     /// (caller must refactorize cold).
-    pub(crate) fn refactor_same_basis(&mut self, options: &SimplexOptions) -> bool {
+    pub(crate) fn refactor_same_basis(&mut self) -> bool {
         self.prob.rebuild_cols();
-        self.factorize(options)
+        self.factorize()
     }
 
     /// Deletes structural column `col` from the live system. A nonbasic
@@ -1050,7 +1049,7 @@ impl SparseSimplex {
     /// primal or dual feasibility; the caller repairs that on the next
     /// re-solve. Returns `false` when no eligible pivot exists (the caller
     /// must refactorize cold).
-    pub(crate) fn delete_column(&mut self, col: usize, options: &SimplexOptions) -> bool {
+    pub(crate) fn delete_column(&mut self, col: usize) -> bool {
         if self.prob.cols_stale {
             self.prob.rebuild_cols();
         }
@@ -1058,12 +1057,12 @@ impl SparseSimplex {
             self.bar_column(col);
             return true;
         };
-        if !self.factorized && !self.factorize(options) {
+        if !self.factorized && !self.factorize() {
             return false;
         }
         self.compute_tab_row(r);
         let mut entering: Option<usize> = None;
-        let mut best = options.pivot_tolerance;
+        let mut best = PIVOT_TOLERANCE;
         for &j in self.ws_tab.support() {
             let j = j as usize;
             if j == col || !self.prob.allowed[j] || self.in_basis[j] {
@@ -1079,7 +1078,7 @@ impl SparseSimplex {
             return false;
         };
         self.ftran_column(q);
-        if self.ws_ftran.get(r as u32).abs() <= options.pivot_tolerance {
+        if self.ws_ftran.get(r as u32).abs() <= PIVOT_TOLERANCE {
             return false;
         }
         self.apply_pivot(q, r);

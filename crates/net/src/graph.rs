@@ -171,22 +171,10 @@ impl<N, E> DiGraph<N, E> {
         &self.nodes[node.index()].payload
     }
 
-    /// Returns a mutable reference to the payload of `node`.
-    #[inline]
-    pub fn node_mut(&mut self, node: NodeId) -> &mut N {
-        &mut self.nodes[node.index()].payload
-    }
-
     /// Returns a reference to the payload of `edge`.
     #[inline]
     pub fn edge(&self, edge: EdgeId) -> &E {
         &self.edges[edge.index()].payload
-    }
-
-    /// Returns a mutable reference to the payload of `edge`.
-    #[inline]
-    pub fn edge_mut(&mut self, edge: EdgeId) -> &mut E {
-        &mut self.edges[edge.index()].payload
     }
 
     /// Returns the `(src, dst)` endpoints of `edge`.
@@ -242,16 +230,6 @@ impl<N, E> DiGraph<N, E> {
             .in_edges
             .iter()
             .map(move |&id| self.edge_ref(id))
-    }
-
-    /// Iterates over the out-neighbours of `node` (with multiplicity).
-    pub fn out_neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_edges(node).map(|e| e.dst)
-    }
-
-    /// Iterates over the in-neighbours of `node` (with multiplicity).
-    pub fn in_neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_edges(node).map(|e| e.src)
     }
 
     /// Out-degree of `node` (number of outgoing edges).
@@ -317,11 +295,6 @@ impl<N, E> DiGraph<N, E> {
                 .collect(),
         }
     }
-
-    /// Collects node payloads into a vector indexed by [`NodeId`].
-    pub fn node_payloads(&self) -> Vec<&N> {
-        self.nodes.iter().map(|n| &n.payload).collect()
-    }
 }
 
 impl<N: Default, E> DiGraph<N, E> {
@@ -361,9 +334,9 @@ mod tests {
     #[test]
     fn adjacency_is_correct() {
         let g = diamond();
-        let out0: Vec<_> = g.out_neighbors(NodeId(0)).collect();
+        let out0: Vec<_> = g.out_edges(NodeId(0)).map(|e| e.dst).collect();
         assert_eq!(out0, vec![NodeId(1), NodeId(2)]);
-        let in3: Vec<_> = g.in_neighbors(NodeId(3)).collect();
+        let in3: Vec<_> = g.in_edges(NodeId(3)).map(|e| e.src).collect();
         assert_eq!(in3, vec![NodeId(1), NodeId(2)]);
         assert_eq!(g.out_degree(NodeId(0)), 2);
         assert_eq!(g.in_degree(NodeId(0)), 0);
@@ -381,18 +354,6 @@ mod tests {
         assert!(g.has_edge(NodeId(0), NodeId(1)));
         assert!(!g.has_edge(NodeId(1), NodeId(0)));
         assert!(g.find_edge(NodeId(3), NodeId(0)).is_none());
-    }
-
-    #[test]
-    fn payload_mutation() {
-        let mut g = diamond();
-        let e = g.find_edge(NodeId(0), NodeId(1)).unwrap();
-        *g.edge_mut(e) = 10.0;
-        assert_eq!(*g.edge(e), 10.0);
-        let mut g2: DiGraph<i32, ()> = DiGraph::new();
-        let n = g2.add_node(5);
-        *g2.node_mut(n) = 7;
-        assert_eq!(*g2.node(n), 7);
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //!
 //! * [`DiGraph`] — a directed multigraph with typed node/edge indices,
 //!   node and edge payloads, and O(1) access to in/out adjacency.
-//! * [`traversal`] — breadth-first and depth-first traversals, reachability.
-//! * [`connectivity`] — union–find ([`connectivity::DisjointSets`]),
-//!   weak connectivity, strongly connected components (Tarjan).
-//! * [`shortest_path`] — Dijkstra and unweighted BFS shortest paths.
+//! * [`traversal`] — breadth-first search and reachability over a set of
+//!   live edges.
+//! * [`shortest_path`] — Dijkstra shortest paths.
 //! * [`maxflow`] — Dinic maximum flow and minimum s–t cuts on `f64`
-//!   capacities (the separation oracle of the cut-generation optimal
-//!   broadcast-throughput solver).
+//!   capacities: the reusable [`maxflow::MaxFlowSolver`] (the separation
+//!   oracle of the cut-generation optimal broadcast-throughput solver) and
+//!   the one-shot [`max_flow`].
 //! * [`spanning`] — spanning-arborescence utilities: validation, parent
 //!   maps, conversion between edge lists and rooted trees.
 //!
@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod connectivity;
 pub mod graph;
 pub mod maxflow;
 pub mod shortest_path;
@@ -29,5 +28,5 @@ pub mod spanning;
 pub mod traversal;
 
 pub use graph::{DiGraph, EdgeId, EdgeRef, NodeId};
-pub use maxflow::{max_flow, min_cut, FlowNetwork, MaxFlowResult};
+pub use maxflow::{max_flow, MaxFlowResult};
 pub use spanning::{Arborescence, SpanningError};

@@ -3,10 +3,11 @@
 //! The cut-generation solver for the optimal broadcast throughput (paper
 //! Section 4) needs, for every destination `w`, the maximum flow that the
 //! current per-edge capacity allocation `n_{u,v}` can carry from the source
-//! to `w`, together with a minimum cut when that flow is insufficient. This
-//! module provides a standalone [`FlowNetwork`] (residual-graph structure
-//! with paired arcs) plus convenience wrappers [`max_flow`] and [`min_cut`]
-//! operating directly on a [`DiGraph`].
+//! to `w`, together with a minimum cut when that flow is insufficient. Two
+//! entry points share one private residual network with paired arcs:
+//! [`MaxFlowSolver`], built once per topology and re-solved under new
+//! capacities, and the one-shot [`max_flow`], which builds a network per
+//! call and reports per-edge flows and the cut edges too.
 
 use crate::graph::{DiGraph, EdgeId, NodeId};
 use std::collections::VecDeque;
@@ -29,9 +30,9 @@ struct Arc {
     origin: Option<EdgeId>,
 }
 
-/// A flow network over `n` nodes supporting repeated max-flow computations.
+/// The residual network over `n` nodes behind both entry points.
 #[derive(Clone, Debug)]
-pub struct FlowNetwork {
+struct FlowNetwork {
     /// `arcs[u]` lists the residual arcs leaving node `u`.
     arcs: Vec<Vec<Arc>>,
     /// BFS level of each node (Dinic).
@@ -42,7 +43,7 @@ pub struct FlowNetwork {
 
 impl FlowNetwork {
     /// Creates an empty network over `n` nodes.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         FlowNetwork {
             arcs: vec![Vec::new(); n],
             level: vec![-1; n],
@@ -50,17 +51,12 @@ impl FlowNetwork {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.arcs.len()
-    }
-
     /// Adds a directed edge `u -> v` with the given capacity.
     ///
     /// Negative capacities are clamped to zero. `origin` optionally records
     /// the platform edge this capacity came from so that cuts can be reported
     /// in terms of platform edges.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId, capacity: f64, origin: Option<EdgeId>) {
+    fn add_edge(&mut self, u: NodeId, v: NodeId, capacity: f64, origin: Option<EdgeId>) {
         let capacity = capacity.max(0.0);
         let (ui, vi) = (u.index(), v.index());
         assert!(
@@ -83,16 +79,6 @@ impl FlowNetwork {
             rev: bwd_rev,
             origin: None,
         });
-    }
-
-    /// Resets every arc to its original capacity, allowing the network to be
-    /// re-used for another source/sink pair.
-    pub fn reset(&mut self) {
-        for arcs in &mut self.arcs {
-            for arc in arcs {
-                arc.residual = arc.capacity;
-            }
-        }
     }
 
     /// Builds the Dinic level graph. Returns `true` when the sink is reachable.
@@ -171,18 +157,12 @@ impl FlowNetwork {
     }
 
     /// Computes the maximum flow from `source` to `sink` on the current
-    /// residual capacities (so call [`FlowNetwork::reset`] first when re-using
-    /// the network).
-    pub fn max_flow(&mut self, source: NodeId, sink: NodeId) -> f64 {
-        self.max_flow_limited(source, sink, f64::INFINITY)
-    }
-
-    /// Like [`max_flow`](Self::max_flow), but stops augmenting once `limit`
-    /// flow has been reached. The separation oracle only needs to know
-    /// whether a destination's flow clears the current throughput target —
-    /// pushing further is wasted work (and the min cut is only consulted
-    /// when the limit was *not* reached, where the flow is exact).
-    pub fn max_flow_limited(&mut self, source: NodeId, sink: NodeId, limit: f64) -> f64 {
+    /// residual capacities, but stops augmenting once `limit` flow has been
+    /// reached. The separation oracle only needs to know whether a
+    /// destination's flow clears the current throughput target — pushing
+    /// further is wasted work (and the min cut is only consulted when the
+    /// limit was *not* reached, where the flow is exact).
+    fn max_flow_limited(&mut self, source: NodeId, sink: NodeId, limit: f64) -> f64 {
         let (s, t) = (source.index(), sink.index());
         assert!(
             s < self.arcs.len() && t < self.arcs.len(),
@@ -205,7 +185,7 @@ impl FlowNetwork {
 
     /// After a max-flow computation, returns the source side of a minimum cut
     /// (the set of nodes reachable from `source` in the residual graph).
-    pub fn min_cut_source_side(&self, source: NodeId) -> Vec<bool> {
+    fn min_cut_source_side(&self, source: NodeId) -> Vec<bool> {
         let n = self.arcs.len();
         let mut visited = vec![false; n];
         let mut queue = VecDeque::new();
@@ -224,7 +204,7 @@ impl FlowNetwork {
 
     /// After a max-flow computation, lists the *origin* platform edges that
     /// cross the minimum cut from the source side to the sink side.
-    pub fn min_cut_edges(&self, source: NodeId) -> Vec<EdgeId> {
+    fn min_cut_edges(&self, source: NodeId) -> Vec<EdgeId> {
         let side = self.min_cut_source_side(source);
         let mut cut = Vec::new();
         for (u, arcs) in self.arcs.iter().enumerate() {
@@ -246,7 +226,7 @@ impl FlowNetwork {
 
     /// Flow currently carried by the arc created from platform edge `origin`
     /// (sum over all arcs sharing that origin).
-    pub fn flow_on_origin(&self, origin: EdgeId) -> f64 {
+    fn flow_on_origin(&self, origin: EdgeId) -> f64 {
         let mut f = 0.0;
         for arcs in &self.arcs {
             for arc in arcs {
@@ -314,9 +294,10 @@ impl MaxFlowSolver {
         self.solve_limited(source, sink, capacity, f64::INFINITY)
     }
 
-    /// Like [`solve`](Self::solve) but stops once `limit` flow is reached
-    /// (see [`FlowNetwork::max_flow_limited`]). The returned value is exact
-    /// whenever it is below `limit`.
+    /// Like [`solve`](Self::solve) but stops augmenting once `limit` flow is
+    /// reached: the separation oracle only asks whether a destination's flow
+    /// clears the throughput target. The returned value is exact whenever it
+    /// is below `limit`.
     pub fn solve_limited<C: FnMut(EdgeId) -> f64>(
         &mut self,
         source: NodeId,
@@ -401,7 +382,7 @@ where
     for e in graph.edges() {
         net.add_edge(e.src, e.dst, capacity(e.id, e.payload), Some(e.id));
     }
-    let value = net.max_flow(source, sink);
+    let value = net.max_flow_limited(source, sink, f64::INFINITY);
     let edge_flow = graph.edge_ids().map(|e| net.flow_on_origin(e)).collect();
     let source_side = net.min_cut_source_side(source);
     let cut_edges = net.min_cut_edges(source);
@@ -411,23 +392,6 @@ where
         source_side,
         cut_edges,
     }
-}
-
-/// Computes a minimum `source -> sink` cut and its capacity.
-///
-/// Returns `(cut_capacity, cut_edges)`. By max-flow/min-cut duality the
-/// capacity equals the maximum flow value.
-pub fn min_cut<N, E, C>(
-    graph: &DiGraph<N, E>,
-    source: NodeId,
-    sink: NodeId,
-    capacity: C,
-) -> (f64, Vec<EdgeId>)
-where
-    C: FnMut(EdgeId, &E) -> f64,
-{
-    let result = max_flow(graph, source, sink, capacity);
-    (result.value, result.cut_edges)
 }
 
 #[cfg(test)]
@@ -541,23 +505,10 @@ mod tests {
 
     #[test]
     fn source_equals_sink_is_infinite() {
-        let mut net = FlowNetwork::new(2);
-        net.add_edge(NodeId(0), NodeId(1), 1.0, None);
-        assert!(net.max_flow(NodeId(0), NodeId(0)).is_infinite());
-    }
-
-    #[test]
-    fn reset_allows_reuse() {
-        let mut net = FlowNetwork::new(3);
-        net.add_edge(NodeId(0), NodeId(1), 2.0, None);
-        net.add_edge(NodeId(1), NodeId(2), 2.0, None);
-        let first = net.max_flow(NodeId(0), NodeId(2));
-        assert!((first - 2.0).abs() < 1e-12);
-        // Without reset the residuals are exhausted.
-        assert!(net.max_flow(NodeId(0), NodeId(2)) < 1e-12);
-        net.reset();
-        let again = net.max_flow(NodeId(0), NodeId(2));
-        assert!((again - 2.0).abs() < 1e-12);
+        let mut g: DiGraph<(), f64> = DiGraph::with_nodes(2);
+        g.add_edge(NodeId(0), NodeId(1), 1.0);
+        let mut solver = MaxFlowSolver::new(&g);
+        assert!(solver.solve(NodeId(0), NodeId(0), |_| 1.0).is_infinite());
     }
 
     #[test]

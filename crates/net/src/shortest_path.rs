@@ -1,4 +1,4 @@
-//! Shortest paths: Dijkstra on non-negative `f64` weights and unweighted BFS.
+//! Shortest paths: Dijkstra on non-negative `f64` weights.
 //!
 //! The binomial-tree heuristic of the paper (Algorithm 4) routes a logical
 //! transfer `u -> v` along the shortest path of the platform graph whenever
@@ -75,17 +75,6 @@ impl ShortestPaths {
         edges.reverse();
         Some(edges)
     }
-
-    /// Reconstructs the node sequence of a shortest path from the source to
-    /// `target` (inclusive of both endpoints).
-    pub fn path_nodes<N, E>(&self, graph: &DiGraph<N, E>, target: NodeId) -> Option<Vec<NodeId>> {
-        let edges = self.path_edges(graph, target)?;
-        let mut nodes = vec![self.source];
-        for e in edges {
-            nodes.push(graph.dst(e));
-        }
-        Some(nodes)
-    }
 }
 
 /// Dijkstra's algorithm from `source` using `weight(edge)` as edge length.
@@ -142,11 +131,6 @@ where
     }
 }
 
-/// Unweighted shortest paths (hop count) from `source` via BFS.
-pub fn bfs_hops<N, E>(graph: &DiGraph<N, E>, source: NodeId, mask: EdgeMask<'_>) -> ShortestPaths {
-    dijkstra(graph, source, mask, |_, _| 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,8 +155,9 @@ mod tests {
         assert_eq!(sp.distance(NodeId(1)), 1.0);
         assert_eq!(sp.distance(NodeId(2)), 2.0);
         assert_eq!(sp.distance(NodeId(3)), 2.0);
-        let nodes = sp.path_nodes(&g, NodeId(3)).unwrap();
-        assert_eq!(nodes, vec![NodeId(0), NodeId(1), NodeId(3)]);
+        // 0 -> 1 (e0), then 1 -> 3 (e1).
+        let edges = sp.path_edges(&g, NodeId(3)).unwrap();
+        assert_eq!(edges, vec![EdgeId(0), EdgeId(1)]);
     }
 
     #[test]
@@ -182,7 +167,6 @@ mod tests {
         let sp = dijkstra(&g, NodeId(0), None, |_, &w| w);
         assert!(!sp.reachable(NodeId(2)));
         assert!(sp.path_edges(&g, NodeId(2)).is_none());
-        assert!(sp.path_nodes(&g, NodeId(2)).is_none());
     }
 
     #[test]
@@ -196,21 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn bfs_hops_counts_edges() {
-        let g = weighted_graph();
-        let sp = bfs_hops(&g, NodeId(0), None);
-        // Direct edge 0->3 exists, so hop distance is 1 regardless of weight.
-        assert_eq!(sp.distance(NodeId(3)), 1.0);
-        let edges = sp.path_edges(&g, NodeId(3)).unwrap();
-        assert_eq!(edges.len(), 1);
-    }
-
-    #[test]
     fn path_to_source_is_empty() {
         let g = weighted_graph();
         let sp = dijkstra(&g, NodeId(0), None, |_, &w| w);
         assert_eq!(sp.path_edges(&g, NodeId(0)).unwrap(), Vec::<EdgeId>::new());
-        assert_eq!(sp.path_nodes(&g, NodeId(0)).unwrap(), vec![NodeId(0)]);
     }
 
     #[test]
@@ -223,7 +196,7 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(3), 1.0);
         let a = dijkstra(&g, NodeId(0), None, |_, &w| w);
         let b = dijkstra(&g, NodeId(0), None, |_, &w| w);
-        assert_eq!(a.path_nodes(&g, NodeId(3)), b.path_nodes(&g, NodeId(3)));
+        assert_eq!(a.path_edges(&g, NodeId(3)), b.path_edges(&g, NodeId(3)));
         assert_eq!(a.distance(NodeId(3)), 2.0);
     }
 }

@@ -230,11 +230,6 @@ impl Arborescence {
         self.children[node.index()].len()
     }
 
-    /// True when `node` is a leaf (no children).
-    pub fn is_leaf(&self, node: NodeId) -> bool {
-        self.children[node.index()].is_empty()
-    }
-
     /// Nodes in breadth-first order starting at the root.
     pub fn bfs_order(&self) -> &[NodeId] {
         &self.bfs_order
@@ -337,8 +332,7 @@ mod tests {
         assert_eq!(t.parent(NodeId(3)), Some(NodeId(2)));
         assert_eq!(t.parent(NodeId(0)), None);
         assert_eq!(t.child_count(NodeId(0)), 1);
-        assert!(t.is_leaf(NodeId(3)));
-        assert!(!t.is_leaf(NodeId(0)));
+        assert_eq!(t.child_count(NodeId(3)), 0);
         assert_eq!(t.depth(NodeId(3)), 3);
         assert_eq!(t.height(), 3);
         assert_eq!(t.bfs_order()[0], NodeId(0));

@@ -1,4 +1,4 @@
-//! Graph traversals: breadth-first, depth-first, reachability.
+//! Breadth-first traversal and reachability.
 //!
 //! All traversals optionally restrict themselves to a caller-provided set of
 //! *live* edges. The pruning heuristics of the paper repeatedly ask "is the
@@ -54,48 +54,6 @@ pub fn bfs_directed<N, E>(graph: &DiGraph<N, E>, start: NodeId, mask: EdgeMask<'
     }
 }
 
-/// Breadth-first search treating every edge as bidirectional (weak reachability).
-pub fn bfs_undirected<N, E>(graph: &DiGraph<N, E>, start: NodeId, mask: EdgeMask<'_>) -> BfsResult {
-    let n = graph.node_count();
-    let mut visited = vec![false; n];
-    let mut parent_edge = vec![None; n];
-    let mut order = Vec::with_capacity(n);
-    let mut queue = std::collections::VecDeque::new();
-    visited[start.index()] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for e in graph.out_edges(u) {
-            if !edge_live(mask, e.id) {
-                continue;
-            }
-            let v = e.dst;
-            if !visited[v.index()] {
-                visited[v.index()] = true;
-                parent_edge[v.index()] = Some(e.id);
-                queue.push_back(v);
-            }
-        }
-        for e in graph.in_edges(u) {
-            if !edge_live(mask, e.id) {
-                continue;
-            }
-            let v = e.src;
-            if !visited[v.index()] {
-                visited[v.index()] = true;
-                parent_edge[v.index()] = Some(e.id);
-                queue.push_back(v);
-            }
-        }
-    }
-    BfsResult {
-        start,
-        visited,
-        parent_edge,
-        order,
-    }
-}
-
 /// Result of a breadth-first search.
 #[derive(Clone, Debug)]
 pub struct BfsResult {
@@ -110,11 +68,6 @@ pub struct BfsResult {
 }
 
 impl BfsResult {
-    /// Number of nodes reached (including the start node).
-    pub fn reached_count(&self) -> usize {
-        self.visited.iter().filter(|&&v| v).count()
-    }
-
     /// True when every node of the graph was reached.
     pub fn all_reached(&self) -> bool {
         self.visited.iter().all(|&v| v)
@@ -132,55 +85,6 @@ impl BfsResult {
 /// tree must allow the source to reach every destination.
 pub fn all_reachable_from<N, E>(graph: &DiGraph<N, E>, source: NodeId, mask: EdgeMask<'_>) -> bool {
     bfs_directed(graph, source, mask).all_reached()
-}
-
-/// Depth-first post-order of the nodes reachable from `start` (directed).
-pub fn dfs_post_order<N, E>(
-    graph: &DiGraph<N, E>,
-    start: NodeId,
-    mask: EdgeMask<'_>,
-) -> Vec<NodeId> {
-    let n = graph.node_count();
-    let mut visited = vec![false; n];
-    let mut post = Vec::with_capacity(n);
-    // Iterative DFS with an explicit stack of (node, next-out-edge-cursor).
-    let mut stack: Vec<(NodeId, usize)> = Vec::new();
-    visited[start.index()] = true;
-    stack.push((start, 0));
-    while let Some(&(u, cursor)) = stack.last() {
-        let out: Vec<_> = graph.out_edges(u).collect();
-        let mut next_cursor = cursor;
-        let mut advanced = false;
-        while next_cursor < out.len() {
-            let e = &out[next_cursor];
-            next_cursor += 1;
-            if !edge_live(mask, e.id) {
-                continue;
-            }
-            let v = e.dst;
-            if !visited[v.index()] {
-                visited[v.index()] = true;
-                stack.last_mut().expect("non-empty stack").1 = next_cursor;
-                stack.push((v, 0));
-                advanced = true;
-                break;
-            }
-        }
-        if !advanced {
-            post.push(u);
-            stack.pop();
-        }
-    }
-    post
-}
-
-/// Computes the set of nodes reachable from `start` following directed live edges.
-pub fn reachable_set<N, E>(
-    graph: &DiGraph<N, E>,
-    start: NodeId,
-    mask: EdgeMask<'_>,
-) -> Vec<NodeId> {
-    bfs_directed(graph, start, mask).order.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -201,7 +105,7 @@ mod tests {
     fn bfs_reaches_ring_but_not_isolated() {
         let g = ring_plus_isolated();
         let r = bfs_directed(&g, NodeId(0), None);
-        assert_eq!(r.reached_count(), 4);
+        assert_eq!(r.order.len(), 4);
         assert!(!r.all_reached());
         assert!(r.reached(NodeId(3)));
         assert!(!r.reached(NodeId(4)));
@@ -233,40 +137,6 @@ mod tests {
         assert!(!r.reached(NodeId(2)));
         assert!(!r.reached(NodeId(3)));
         assert!(!all_reachable_from(&g, NodeId(0), Some(&mask)));
-    }
-
-    #[test]
-    fn undirected_bfs_ignores_direction() {
-        let mut g: DiGraph<(), ()> = DiGraph::with_nodes(3);
-        g.add_edge(NodeId(1), NodeId(0), ());
-        g.add_edge(NodeId(2), NodeId(1), ());
-        let directed = bfs_directed(&g, NodeId(0), None);
-        assert_eq!(directed.reached_count(), 1);
-        let undirected = bfs_undirected(&g, NodeId(0), None);
-        assert_eq!(undirected.reached_count(), 3);
-    }
-
-    #[test]
-    fn dfs_post_order_finishes_children_first() {
-        // 0 -> 1 -> 2 ; 0 -> 3
-        let mut g: DiGraph<(), ()> = DiGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1), ());
-        g.add_edge(NodeId(1), NodeId(2), ());
-        g.add_edge(NodeId(0), NodeId(3), ());
-        let post = dfs_post_order(&g, NodeId(0), None);
-        let pos = |n: u32| post.iter().position(|&x| x == NodeId(n)).unwrap();
-        assert!(pos(2) < pos(1));
-        assert!(pos(1) < pos(0));
-        assert!(pos(3) < pos(0));
-        assert_eq!(post.len(), 4);
-    }
-
-    #[test]
-    fn reachable_set_matches_bfs() {
-        let g = ring_plus_isolated();
-        let set = reachable_set(&g, NodeId(1), None);
-        assert_eq!(set.len(), 4);
-        assert!(!set.contains(&NodeId(4)));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! flow conservation, Dijkstra consistency and spanning-tree invariants on
 //! randomly generated directed graphs.
 
-use bcast_net::{connectivity, max_flow, shortest_path, spanning, traversal, DiGraph, NodeId};
+use bcast_net::{max_flow, shortest_path, spanning, traversal, DiGraph, NodeId};
 use proptest::prelude::*;
 
 /// A random directed graph description: node count plus a list of
@@ -125,29 +125,4 @@ proptest! {
         }
     }
 
-    /// Union–find component counting agrees with BFS-based weak components.
-    #[test]
-    fn components_agree_with_bfs(desc in graph_strategy(14, 30)) {
-        let g = build(&desc);
-        let (labels, count) = connectivity::weak_components(&g, None);
-        // Count components independently with undirected BFS sweeps.
-        let mut seen = vec![false; g.node_count()];
-        let mut bfs_count = 0;
-        for u in g.node_ids() {
-            if !seen[u.index()] {
-                bfs_count += 1;
-                for v in traversal::bfs_undirected(&g, u, None).order {
-                    seen[v.index()] = true;
-                }
-            }
-        }
-        prop_assert_eq!(count, bfs_count);
-        // Labels are consistent: same component ⇔ mutually weakly reachable.
-        for u in g.node_ids() {
-            let reach = traversal::bfs_undirected(&g, u, None);
-            for v in g.node_ids() {
-                prop_assert_eq!(labels[u.index()] == labels[v.index()], reach.reached(v));
-            }
-        }
-    }
 }

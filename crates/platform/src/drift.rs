@@ -26,9 +26,6 @@
 
 use crate::cost::LinkCost;
 use crate::generators::gaussian::{sample_normal, sample_normal_at_least};
-use crate::generators::gaussian_field::GaussianPlatformConfig;
-use crate::generators::random::RandomPlatformConfig;
-use crate::generators::tiers::TiersConfig;
 use crate::platform::Platform;
 use bcast_net::{traversal, EdgeId, NodeId};
 use rand::rngs::StdRng;
@@ -40,11 +37,11 @@ use rand::{Rng, SeedableRng};
 /// load to numerical zero.
 pub const FAILED_COST_FACTOR: f64 = 1.0e6;
 
-/// Link-cost distribution for nodes joining a drift trace: the generator
-/// parameters of the base platform's *family*, so a joiner's attachment
-/// links are fresh draws from the same distribution the original links
-/// were sampled from — not empirical copies of existing (possibly already
-/// drifted or atypical) links.
+/// Link-cost distribution for nodes joining a drift trace: a joiner's
+/// attachment links are fresh draws from it, not empirical copies of
+/// existing (possibly already drifted or atypical) links. Every trace in
+/// this repository uses [`JoinCostModel::default`], the paper's Table 2
+/// distribution, whatever family the base platform came from.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JoinCostModel {
     /// Mean link bandwidth in bytes/second.
@@ -55,41 +52,6 @@ pub struct JoinCostModel {
     pub bandwidth_floor: f64,
     /// Per-link start-up latency in seconds.
     pub latency: f64,
-}
-
-impl JoinCostModel {
-    /// The family parameters of a [`RandomPlatformConfig`] platform.
-    pub fn from_random(config: &RandomPlatformConfig) -> Self {
-        JoinCostModel {
-            bandwidth_mean: config.bandwidth_mean,
-            bandwidth_dev: config.bandwidth_dev,
-            bandwidth_floor: config.bandwidth_floor,
-            latency: config.latency,
-        }
-    }
-
-    /// The family parameters of a [`TiersConfig`] platform (Tiers links
-    /// carry no start-up latency).
-    pub fn from_tiers(config: &TiersConfig) -> Self {
-        JoinCostModel {
-            bandwidth_mean: config.bandwidth_mean,
-            bandwidth_dev: config.bandwidth_dev,
-            bandwidth_floor: config.bandwidth_floor,
-            latency: 0.0,
-        }
-    }
-
-    /// The family parameters of a [`GaussianPlatformConfig`] platform,
-    /// collapsed to its zero-distance marginal: mean `bandwidth_at_zero`
-    /// with the configured relative jitter as deviation.
-    pub fn from_gaussian(config: &GaussianPlatformConfig) -> Self {
-        JoinCostModel {
-            bandwidth_mean: config.bandwidth_at_zero,
-            bandwidth_dev: config.bandwidth_jitter * config.bandwidth_at_zero,
-            bandwidth_floor: config.bandwidth_floor,
-            latency: 0.0,
-        }
-    }
 }
 
 impl Default for JoinCostModel {
@@ -130,8 +92,8 @@ pub struct DriftConfig {
     pub seed: u64,
     /// Per-step probability that a new node joins the platform. Joiners
     /// attach bidirectionally to [`DriftConfig::attach_degree`] distinct
-    /// alive nodes; each attachment link's cost is a fresh draw from the
-    /// platform family's generator parameters ([`DriftConfig::join_cost`]).
+    /// alive nodes; each attachment link's cost is a fresh draw from
+    /// [`DriftConfig::join_cost`].
     /// `0.0` — the default of every cost-only constructor — disables
     /// topology churn entirely and keeps the RNG stream bit-identical to
     /// pre-churn traces.
@@ -152,9 +114,9 @@ pub struct DriftConfig {
     /// Number of distinct alive nodes a joining node attaches to (clamped
     /// to the current alive count).
     pub attach_degree: usize,
-    /// Link-cost distribution for joining nodes' attachment links. Defaults
-    /// to the paper's Table 2 parameters; pass the matching `from_*`
-    /// constructor when the base platform came from a non-default family.
+    /// Link-cost distribution for joining nodes' attachment links. Every
+    /// constructor sets the paper's Table 2 parameters
+    /// ([`JoinCostModel::default`]) on every platform family.
     pub join_cost: JoinCostModel,
 }
 
@@ -546,11 +508,9 @@ impl DriftTrace {
             // 5. At most one join per step: a fresh node attached
             //    bidirectionally to `attach_degree` distinct alive nodes.
             //    Each physical attachment link's bandwidth is a fresh draw
-            //    from the platform family's generator parameters
-            //    (`config.join_cost`) — both directions share the sample,
-            //    matching the generators' bidirectional one-port links —
-            //    so joiners obey the distribution the base platform was
-            //    sampled from rather than copying existing (drifted) links.
+            //    from `config.join_cost` — both directions share the
+            //    sample, matching the generators' bidirectional one-port
+            //    links — rather than a copy of an existing (drifted) link.
             //    New links start at cost factor 1.0 and drift from the
             //    next step on.
             if config.join_rate > 0.0 && rng.gen_range(0.0..1.0) < config.join_rate {

@@ -76,21 +76,13 @@ fn get_model(r: &mut Reader) -> Result<CommModel, WireError> {
 // ---- bcast-lp: SimplexSnapshot -----------------------------------------
 
 fn put_simplex_options(w: &mut Writer, o: &SimplexOptions) {
-    w.put_f64(o.cost_tolerance);
-    w.put_f64(o.pivot_tolerance);
-    w.put_f64(o.feasibility_tolerance);
     w.put_usize(o.max_iterations);
-    w.put_usize(o.bland_threshold);
     w.put_usize(o.refactor_interval);
 }
 
 fn get_simplex_options(r: &mut Reader) -> Result<SimplexOptions, WireError> {
     Ok(SimplexOptions {
-        cost_tolerance: r.get_f64()?,
-        pivot_tolerance: r.get_f64()?,
-        feasibility_tolerance: r.get_f64()?,
         max_iterations: r.get_usize()?,
-        bland_threshold: r.get_usize()?,
         refactor_interval: r.get_usize()?,
     })
 }
@@ -206,7 +198,6 @@ fn put_cut_gen_options(w: &mut Writer, o: &CutGenOptions) {
     w.put_bool(o.warm_start);
     w.put_bool(o.screen_separation);
     w.put_usize(o.separation_threads);
-    w.put_opt_usize(&o.iteration_budget);
 }
 
 fn get_cut_gen_options(r: &mut Reader) -> Result<CutGenOptions, WireError> {
@@ -220,7 +211,6 @@ fn get_cut_gen_options(r: &mut Reader) -> Result<CutGenOptions, WireError> {
         warm_start: r.get_bool()?,
         screen_separation: r.get_bool()?,
         separation_threads: r.get_usize()?,
-        iteration_budget: r.get_opt_usize()?,
     })
 }
 

@@ -15,6 +15,7 @@
 //! proportional to solver state rather than to trace length.
 
 use crate::wire::{Reader, WireError, Writer};
+use bcast_sched::RoundingConfig;
 
 /// Which platform generator a session draws its base platform from (the
 /// paper's three families, `paper`-parameterised).
@@ -63,6 +64,46 @@ pub struct SessionSpec {
     /// trace (`DriftConfig::with_failures`). The broadcast source is node
     /// 0 in both, as in the drift ablation binary.
     pub churn: bool,
+}
+
+impl SessionSpec {
+    /// Why a session cannot be built from this spec, if it cannot: the
+    /// generators, the solver and the schedule synthesis assert their
+    /// input ranges, so `CreateSession` checks them first and rejects
+    /// instead of panicking (live and again on every replay). Accepted:
+    /// random platforms of at least 1 node with density in `[0, 1]`, Tiers
+    /// platforms of at least 3 nodes, Gaussian platforms of at least 1
+    /// node, a finite positive slice size, and a batch of 1 up to
+    /// [`RoundingConfig::max_slices_per_period`]'s default.
+    pub(crate) fn rejection(&self) -> Option<String> {
+        match self.family {
+            PlatformFamily::Random { nodes: 0, .. } | PlatformFamily::Gaussian { nodes: 0 } => {
+                return Some("a platform needs at least 1 node".into());
+            }
+            PlatformFamily::Random { density, .. } if !(0.0..=1.0).contains(&density) => {
+                return Some(format!(
+                    "random-platform density {density} is outside [0, 1]"
+                ));
+            }
+            PlatformFamily::Tiers { nodes, .. } if nodes < 3 => {
+                return Some(format!(
+                    "a Tiers platform needs at least 3 nodes, not {nodes}"
+                ));
+            }
+            _ => {}
+        }
+        if !(self.slice_size.is_finite() && self.slice_size > 0.0) {
+            return Some(format!(
+                "slice size {} is not a finite positive number",
+                self.slice_size
+            ));
+        }
+        let max_batch = RoundingConfig::default().max_slices_per_period;
+        if !(1..=max_batch).contains(&self.batch) {
+            return Some(format!("batch {} is outside [1, {max_batch}]", self.batch));
+        }
+        None
+    }
 }
 
 /// One service command. See the module docs for the determinism contract.

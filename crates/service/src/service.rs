@@ -276,6 +276,9 @@ impl Service {
                         reason: format!("session {name:?} already exists"),
                     });
                 }
+                if let Some(reason) = spec.rejection() {
+                    return Ok(Outcome::Rejected { reason });
+                }
                 let digest = platform_digest(&generate_platform(spec));
                 let seed_cuts = self.digest_cache.get(&digest).cloned();
                 let digest_hit = seed_cuts.is_some();

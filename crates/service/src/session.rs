@@ -159,6 +159,11 @@ impl Session {
     /// image was taken at, reassemble the schedule. Malformed images fail
     /// with the owning crate's validation error, never a panic.
     pub fn restore(image: &SessionImage) -> Result<Session, ServiceError> {
+        if let Some(reason) = image.spec.rejection() {
+            return Err(ServiceError::Corrupt(format!(
+                "session image spec: {reason}"
+            )));
+        }
         if image.steps_done > image.spec.drift_steps + 1 {
             return Err(ServiceError::Corrupt(
                 "session image claims more steps than its trace has".into(),

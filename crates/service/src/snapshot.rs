@@ -32,9 +32,11 @@ use std::path::Path;
 const SNAP_MAGIC: &[u8; 4] = b"BSNP";
 /// Version 2 dropped the engine and pricing bytes from the encoded
 /// `SimplexOptions`, `FactSnapshot` and `CutGenOptions`; version 3 dropped
-/// the secondary objective from the encoded `SimplexSnapshot`. Older files
+/// the secondary objective from the encoded `SimplexSnapshot`; version 4
+/// dropped the four simplex tolerances from the encoded `SimplexOptions`
+/// and the iteration budget from the encoded `CutGenOptions`. Older files
 /// are rejected as corrupt and recovery replays the WAL instead.
-const SNAP_VERSION: u32 = 3;
+const SNAP_VERSION: u32 = 4;
 
 /// Everything a snapshot file holds.
 #[derive(Clone, Debug, PartialEq)]

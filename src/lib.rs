@@ -10,9 +10,9 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`net`] (`bcast-net`) | directed-graph substrate: traversals, connectivity, shortest paths, max-flow/min-cut, spanning-tree utilities |
-//! | [`lp`] (`bcast-lp`) | dense two-phase simplex LP solver |
-//! | [`platform`] (`bcast-platform`) | platform model (affine link costs, one-port / multi-port) and generators (random, Tiers-like) |
+//! | [`net`] (`bcast-net`) | directed-graph substrate: reachability, shortest paths, max-flow/min-cut, spanning-tree utilities |
+//! | [`lp`] (`bcast-lp`) | sparse revised simplex LP solver (one-shot and warm-started incremental), with a dense tableau oracle for tests |
+//! | [`platform`] (`bcast-platform`) | platform model (affine link costs, one-port / multi-port), generators (random, Tiers-like, Gaussian) and drift/churn traces |
 //! | [`core`] (`bcast-core`) | the paper's heuristics, the MTP optimal throughput, the evaluation harness |
 //! | [`sched`] (`bcast-sched`) | periodic steady-state schedule synthesis from the LP edge loads |
 //! | [`sim`] (`bcast-sim`) | discrete-event simulator of pipelined broadcasts, including schedule replay |

@@ -21,34 +21,15 @@
 //! throughput, plus the headline perf assert: on a 40-node Tiers churn
 //! trace the warm re-solves use **≥ 5× fewer simplex pivots per step** than
 //! the cold baseline.
+//!
+//! The walk itself lives in `common/` and is shared with the drift suite.
 
-use broadcast_trees::core::optimal::cut_gen;
+mod common;
+
 use broadcast_trees::prelude::*;
+use common::{differential_walk, replay_walk};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const SLICE: f64 = 1.0e6;
-
-fn assert_rel_close(a: f64, b: f64, tol: f64, what: &str) {
-    assert!(
-        (a - b).abs() <= tol * a.abs().max(b.abs()).max(1e-12),
-        "{what}: warm {a} vs cold {b}"
-    );
-}
-
-/// Cold reference for one snapshot: a from-scratch cut-generation solve.
-fn cold_solve(platform: &Platform, source: NodeId) -> CutGenResult {
-    cut_gen::solve_with(
-        platform,
-        source,
-        SLICE,
-        &CutGenOptions {
-            warm_start: false,
-            ..CutGenOptions::default()
-        },
-    )
-    .expect("cold step solvable")
-}
 
 /// Counts the trace's join and leave events.
 fn churn_events(trace: &DriftTrace) -> (usize, usize) {
@@ -64,108 +45,6 @@ fn churn_events(trace: &DriftTrace) -> (usize, usize) {
         }
     }
     (joins, leaves)
-}
-
-/// Walks `trace` with the warm churn pipeline, checking warm ≡ cold and
-/// schedule validity at every step. Returns `(warm_pivots, cold_pivots)`
-/// summed over the churn steps (step 0 is a cold start for both sides and
-/// excluded).
-fn churn_walk(label: &str, trace: &DriftTrace, batch: usize) -> (usize, usize) {
-    let config = SynthesisConfig::with_batch(batch);
-    let snap0 = trace.platform_at(0);
-    let mut session =
-        CutGenSession::new(&snap0, trace.source_at(0), SLICE, CutGenOptions::default())
-            .expect("step-0 platform solvable");
-    let mut previous: Option<PeriodicSchedule> = None;
-    let mut warm_pivots = 0usize;
-    let mut cold_pivots = 0usize;
-    for step in 0..trace.len() {
-        let snapshot = trace.platform_at(step);
-        let source = trace.source_at(step);
-        let warm = if step == 0 {
-            session.solve_step(&snapshot).expect("warm step solvable")
-        } else {
-            let remap = trace.remap(step - 1, step);
-            session
-                .solve_step_churn(&snapshot, &remap)
-                .expect("warm churn step solvable")
-        };
-        let cold = cold_solve(&snapshot, source);
-        assert_rel_close(
-            warm.optimal.throughput,
-            cold.optimal.throughput,
-            1e-6,
-            &format!("{label} step {step} throughput"),
-        );
-        assert_eq!(
-            warm.optimal.edge_load.len(),
-            snapshot.edge_count(),
-            "{label} step {step}: edge loads live in a stale id space"
-        );
-        // The warm loads must support the claimed throughput per
-        // destination (primal feasibility of the full cut LP on the
-        // *churned* snapshot).
-        for w in snapshot.nodes().filter(|&w| w != source) {
-            let flow =
-                broadcast_trees::net::maxflow::max_flow(snapshot.graph(), source, w, |e, _| {
-                    warm.optimal.edge_load[e.index()]
-                });
-            assert!(
-                flow.value >= warm.optimal.throughput * (1.0 - 1e-5),
-                "{label} step {step}: destination {w} flow {} < TP {}",
-                flow.value,
-                warm.optimal.throughput
-            );
-        }
-        // Warm side: repair the previous period across the node-set change.
-        // Cold side: synthesize fresh. Both must validate on the snapshot.
-        let (schedule, report) = match &previous {
-            None => (
-                synthesize_schedule(&snapshot, source, &warm.optimal, SLICE, &config)
-                    .expect("synthesis succeeds"),
-                RepairReport::default(),
-            ),
-            Some(prev) => {
-                let remap = trace.remap(step - 1, step);
-                resynthesize_schedule_churn(
-                    &snapshot,
-                    source,
-                    &warm.optimal,
-                    SLICE,
-                    &config,
-                    prev,
-                    &remap,
-                )
-                .expect("churn repair succeeds")
-            }
-        };
-        schedule
-            .validate(&snapshot)
-            .unwrap_or_else(|e| panic!("{label} step {step}: repaired schedule invalid: {e}"));
-        assert_eq!(
-            schedule.slices_per_period(),
-            batch,
-            "{label} step {step}: repair changed the batch size"
-        );
-        if step > 0 && !report.full_rebuild {
-            assert_eq!(
-                report.kept_trees + report.rebuilt_trees,
-                batch,
-                "{label} step {step}: repair lost trees ({report:?})"
-            );
-        }
-        let cold_schedule = synthesize_schedule(&snapshot, source, &cold.optimal, SLICE, &config)
-            .expect("cold synthesis succeeds");
-        cold_schedule
-            .validate(&snapshot)
-            .unwrap_or_else(|e| panic!("{label} step {step}: cold schedule invalid: {e}"));
-        if step > 0 {
-            warm_pivots += warm.optimal.simplex_iterations;
-            cold_pivots += cold.optimal.simplex_iterations;
-        }
-        previous = Some(schedule);
-    }
-    (warm_pivots, cold_pivots)
 }
 
 /// Warm ≡ cold at every step of a churn trace, on all three platform
@@ -197,7 +76,7 @@ fn warm_churn_resolve_matches_cold_on_all_families() {
         let (joins, leaves) = churn_events(&trace);
         assert!(joins > 0, "{label}: the churn trace produced no joins");
         assert!(leaves > 0, "{label}: the churn trace produced no leaves");
-        churn_walk(label, &trace, 8);
+        differential_walk(label, &trace, 8);
     }
 }
 
@@ -226,7 +105,7 @@ fn simultaneous_join_and_leave_steps_keep_warm_equal_to_cold() {
         }
     }
     let trace = found.expect("no seed produced a simultaneous join+leave step");
-    churn_walk("join+leave-14", &trace, 8);
+    differential_walk("join+leave-14", &trace, 8);
 }
 
 /// The headline perf assert of the node-churn work: on a 40-node Tiers
@@ -236,8 +115,9 @@ fn simultaneous_join_and_leave_steps_keep_warm_equal_to_cold() {
 /// cold start on both sides).
 #[test]
 fn warm_churn_cuts_pivots_5x_on_a_tiers_40_trace() {
-    // Seed re-probed after the join-cost model moved to family-faithful
-    // sampling (which shifts the whole churn RNG stream): 4149 gives 5
+    // Seed re-probed after joiners moved from copied donor links to fresh
+    // draws from the join-cost model (which shifts the whole churn RNG
+    // stream): 4149 gives 5
     // joins + 3 leaves and a measured ~23x warm/cold pivot ratio in
     // release — nearby seeds range 6-60x, so 5x is a regression gate, not
     // a lucky draw.
@@ -249,7 +129,7 @@ fn warm_churn_cuts_pivots_5x_on_a_tiers_40_trace() {
         joins > 0 && leaves > 0,
         "tiers-40 churn trace must exercise both joins ({joins}) and leaves ({leaves})"
     );
-    let (warm, cold) = churn_walk("tiers-40", &trace, 12);
+    let (warm, cold) = differential_walk("tiers-40", &trace, 12);
     eprintln!("tiers-40 churn steps: warm {warm} pivots vs cold {cold} pivots");
     assert!(
         5 * warm <= cold,
@@ -265,56 +145,7 @@ fn churn_repaired_schedules_replay_at_their_stated_throughput() {
     let mut rng = StdRng::seed_from_u64(7028);
     let platform = random_platform(&RandomPlatformConfig::paper(12, 0.15), &mut rng);
     let trace = DriftTrace::generate(&platform, NodeId(0), &DriftConfig::with_churn(6, 777));
-    let batch = 8usize;
-    let config = SynthesisConfig::with_batch(batch);
-    let spec = MessageSpec::new(5.0 * batch as f64 * SLICE, SLICE);
-    let snap0 = trace.platform_at(0);
-    let mut session =
-        CutGenSession::new(&snap0, trace.source_at(0), SLICE, CutGenOptions::default())
-            .expect("step-0 platform solvable");
-    let mut previous: Option<PeriodicSchedule> = None;
-    for step in 0..trace.len() {
-        let snapshot = trace.platform_at(step);
-        let source = trace.source_at(step);
-        let optimal = if step == 0 {
-            session.solve_step(&snapshot).expect("solvable").optimal
-        } else {
-            session
-                .solve_step_churn(&snapshot, &trace.remap(step - 1, step))
-                .expect("solvable")
-                .optimal
-        };
-        let schedule = match &previous {
-            None => synthesize_schedule(&snapshot, source, &optimal, SLICE, &config)
-                .expect("synthesis succeeds"),
-            Some(prev) => {
-                resynthesize_schedule_churn(
-                    &snapshot,
-                    source,
-                    &optimal,
-                    SLICE,
-                    &config,
-                    prev,
-                    &trace.remap(step - 1, step),
-                )
-                .expect("churn repair succeeds")
-                .0
-            }
-        };
-        let report = simulate_schedule(&snapshot, &schedule, &spec);
-        let simulated = report.batch_throughput(batch);
-        assert_rel_close(
-            simulated,
-            schedule.throughput(),
-            1e-6,
-            &format!("step {step} simulated throughput"),
-        );
-        assert!(
-            schedule.efficiency() <= 1.0 + 1e-6,
-            "step {step}: schedule beats the LP bound"
-        );
-        previous = Some(schedule);
-    }
+    replay_walk(&trace, 8);
 }
 
 /// Regression: a heavy leave can kill every cut in the pool (any cut whose
@@ -347,5 +178,5 @@ fn churn_step_that_kills_every_cut_reseeds_and_stays_bounded() {
             joins > 0 && leaves > 0
         })
         .expect("a churn trace with both event kinds exists in the window");
-    churn_walk("cut-killing leave", &trace, 16);
+    differential_walk("cut-killing leave", &trace, 16);
 }

@@ -6,7 +6,7 @@
 //!
 //! * **warm** — one [`CutGenSession`] carries the simplex basis and the cut
 //!   pool across steps (the one-port rows are coefficient-updated in
-//!   place), and `resynthesize_schedule` repairs the previous period's
+//!   place), and the schedule repair mends the previous period's
 //!   arborescence packing and timetable;
 //! * **cold** — the step's platform snapshot is solved from scratch
 //!   (`warm_start: false`, empty cut pool) and a fresh schedule is
@@ -18,116 +18,17 @@
 //! platform work: on a 40-node Tiers trace the cross-step warm re-solves
 //! use **≥ 5× fewer simplex pivots per drift step** than the cold
 //! baseline.
+//!
+//! The walk itself lives in `common/` and is shared with the churn suite:
+//! a drift step is a churn step whose remap is the identity.
+
+mod common;
 
 use broadcast_trees::core::optimal::cut_gen;
 use broadcast_trees::prelude::*;
+use common::{differential_walk, replay_walk, SLICE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const SLICE: f64 = 1.0e6;
-
-fn assert_rel_close(a: f64, b: f64, tol: f64, what: &str) {
-    assert!(
-        (a - b).abs() <= tol * a.abs().max(b.abs()).max(1e-12),
-        "{what}: warm {a} vs cold {b}"
-    );
-}
-
-/// Cold reference for one snapshot: a from-scratch cut-generation solve.
-fn cold_solve(platform: &Platform) -> CutGenResult {
-    cut_gen::solve_with(
-        platform,
-        NodeId(0),
-        SLICE,
-        &CutGenOptions {
-            warm_start: false,
-            ..CutGenOptions::default()
-        },
-    )
-    .expect("cold step solvable")
-}
-
-/// Walks `trace` with the warm pipeline, checking warm ≡ cold and schedule
-/// validity at every step. Returns `(warm_pivots, cold_pivots)` summed over
-/// the drift steps (step 0 is a cold start for both sides and excluded).
-fn differential_walk(label: &str, trace: &DriftTrace, batch: usize) -> (usize, usize) {
-    let source = trace.source();
-    let config = SynthesisConfig::with_batch(batch);
-    let mut session = CutGenSession::new(trace.base(), source, SLICE, CutGenOptions::default())
-        .expect("base platform solvable");
-    let mut previous: Option<PeriodicSchedule> = None;
-    let mut warm_pivots = 0usize;
-    let mut cold_pivots = 0usize;
-    for step in 0..trace.len() {
-        let snapshot = trace.platform_at(step);
-        let warm = session.solve_step(&snapshot).expect("warm step solvable");
-        let cold = cold_solve(&snapshot);
-        assert_rel_close(
-            warm.optimal.throughput,
-            cold.optimal.throughput,
-            1e-6,
-            &format!("{label} step {step} throughput"),
-        );
-        // The warm loads must support the claimed throughput per
-        // destination (primal feasibility of the full cut LP under the
-        // *drifted* costs).
-        for w in snapshot.nodes().filter(|&w| w != source) {
-            let flow =
-                broadcast_trees::net::maxflow::max_flow(snapshot.graph(), source, w, |e, _| {
-                    warm.optimal.edge_load[e.index()]
-                });
-            assert!(
-                flow.value >= warm.optimal.throughput * (1.0 - 1e-5),
-                "{label} step {step}: destination {w} flow {} < TP {}",
-                flow.value,
-                warm.optimal.throughput
-            );
-        }
-        // Warm side: repair the previous schedule. Cold side: synthesize
-        // fresh. Both must validate against the drifted snapshot.
-        let (schedule, report) = match &previous {
-            None => (
-                synthesize_schedule(&snapshot, source, &warm.optimal, SLICE, &config)
-                    .expect("synthesis succeeds"),
-                RepairReport::default(),
-            ),
-            Some(prev) => {
-                resynthesize_schedule(&snapshot, source, &warm.optimal, SLICE, &config, prev)
-                    .expect("repair succeeds")
-            }
-        };
-        schedule
-            .validate(&snapshot)
-            .unwrap_or_else(|e| panic!("{label} step {step}: repaired schedule invalid: {e}"));
-        assert_eq!(
-            schedule.slices_per_period(),
-            batch,
-            "{label} step {step}: repair changed the batch size"
-        );
-        if step > 0 && !report.full_rebuild {
-            assert_eq!(
-                report.kept_trees + report.rebuilt_trees,
-                batch,
-                "{label} step {step}: repair lost trees ({report:?})"
-            );
-        }
-        let cold_schedule = synthesize_schedule(&snapshot, source, &cold.optimal, SLICE, &config)
-            .expect("cold synthesis succeeds");
-        cold_schedule
-            .validate(&snapshot)
-            .unwrap_or_else(|e| panic!("{label} step {step}: cold schedule invalid: {e}"));
-        if step > 0 {
-            warm_pivots += warm.optimal.simplex_iterations;
-            cold_pivots += cold.optimal.simplex_iterations;
-            assert!(
-                warm.reused_cuts > 0,
-                "{label} step {step}: the session reused no cuts"
-            );
-        }
-        previous = Some(schedule);
-    }
-    (warm_pivots, cold_pivots)
-}
 
 /// Warm ≡ cold at every step of a drift trace, on all three platform
 /// families, with link failures and recoveries included.
@@ -204,39 +105,7 @@ fn repaired_schedules_replay_at_their_stated_throughput() {
     let mut rng = StdRng::seed_from_u64(3028);
     let platform = random_platform(&RandomPlatformConfig::paper(12, 0.15), &mut rng);
     let trace = DriftTrace::generate(&platform, NodeId(0), &DriftConfig::with_failures(5, 555));
-    let source = trace.source();
-    let batch = 8usize;
-    let config = SynthesisConfig::with_batch(batch);
-    let spec = MessageSpec::new(5.0 * batch as f64 * SLICE, SLICE);
-    let mut session = CutGenSession::new(trace.base(), source, SLICE, CutGenOptions::default())
-        .expect("base solvable");
-    let mut previous: Option<PeriodicSchedule> = None;
-    for step in 0..trace.len() {
-        let snapshot = trace.platform_at(step);
-        let optimal = session.solve_step(&snapshot).expect("solvable").optimal;
-        let schedule = match &previous {
-            None => synthesize_schedule(&snapshot, source, &optimal, SLICE, &config)
-                .expect("synthesis succeeds"),
-            Some(prev) => {
-                resynthesize_schedule(&snapshot, source, &optimal, SLICE, &config, prev)
-                    .expect("repair succeeds")
-                    .0
-            }
-        };
-        let report = simulate_schedule(&snapshot, &schedule, &spec);
-        let simulated = report.batch_throughput(batch);
-        assert_rel_close(
-            simulated,
-            schedule.throughput(),
-            1e-6,
-            &format!("step {step} simulated throughput"),
-        );
-        assert!(
-            schedule.efficiency() <= 1.0 + 1e-6,
-            "step {step}: schedule beats the LP bound"
-        );
-        previous = Some(schedule);
-    }
+    replay_walk(&trace, 8);
 }
 
 /// Regression for the seed-2004 stall: step 7 of the random-20 trace used

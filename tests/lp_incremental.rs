@@ -251,18 +251,12 @@ fn cut_generation_matches_cold_on_all_families() {
         );
         // The warm loads must support the claimed throughput per destination
         // (primal feasibility of the full cut LP).
-        for w in platform.nodes().filter(|&w| w != NodeId(0)) {
-            let flow =
-                broadcast_trees::net::maxflow::max_flow(platform.graph(), NodeId(0), w, |e, _| {
-                    warm.optimal.edge_load[e.index()]
-                });
-            assert!(
-                flow.value >= warm.optimal.throughput * (1.0 - 1e-5),
-                "{label}: destination {w} flow {} < TP {}",
-                flow.value,
-                warm.optimal.throughput
-            );
-        }
+        let (w, flow) = warm.optimal.min_destination_flow(platform, NodeId(0));
+        assert!(
+            flow >= warm.optimal.throughput * (1.0 - 1e-5),
+            "{label}: destination {w} flow {flow} < TP {}",
+            warm.optimal.throughput
+        );
         assert!(
             warm.optimal.simplex_iterations < cold.optimal.simplex_iterations,
             "{label}: warm start did not reduce pivots \

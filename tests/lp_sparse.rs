@@ -219,18 +219,12 @@ fn cut_generation_tp_matches_across_engines_on_all_families() {
         );
         // The sparse loads must support the claimed throughput per
         // destination (primal feasibility of the full cut LP).
-        for w in platform.nodes().filter(|&w| w != NodeId(0)) {
-            let flow =
-                broadcast_trees::net::maxflow::max_flow(platform.graph(), NodeId(0), w, |e, _| {
-                    result.optimal.edge_load[e.index()]
-                });
-            assert!(
-                flow.value >= result.optimal.throughput * (1.0 - 1e-5),
-                "{label}: destination {w} flow {} < TP {}",
-                flow.value,
-                result.optimal.throughput
-            );
-        }
+        let (w, flow) = result.optimal.min_destination_flow(platform, NodeId(0));
+        assert!(
+            flow >= result.optimal.throughput * (1.0 - 1e-5),
+            "{label}: destination {w} flow {flow} < TP {}",
+            result.optimal.throughput
+        );
     }
 }
 

@@ -59,12 +59,9 @@ proptest! {
             prop_assert!(out <= 1.0 + 1e-6, "out-port violated at {}: {}", u, out);
             prop_assert!(inc <= 1.0 + 1e-6, "in-port violated at {}: {}", u, inc);
         }
-        for w in platform.nodes().filter(|&w| w != NodeId(0)) {
-            let flow = broadcast_trees::net::max_flow(
-                platform.graph(), NodeId(0), w, |e, _| optimal.edge_load[e.index()]);
-            prop_assert!(flow.value >= optimal.throughput * (1.0 - 1e-5),
-                "destination {}: flow {} < TP {}", w, flow.value, optimal.throughput);
-        }
+        let (w, flow) = optimal.min_destination_flow(&platform, NodeId(0));
+        prop_assert!(flow >= optimal.throughput * (1.0 - 1e-5),
+            "destination {}: flow {} < TP {}", w, flow, optimal.throughput);
     }
 
     /// The steady-state period of a tree equals the largest weighted

@@ -20,6 +20,7 @@
 //! degrades gracefully — a full WAL replay or a shorter-but-valid command
 //! prefix — with the session still answering queries, and never a panic.
 
+use bcast_service::snapshot::{encode_snapshot, read_snapshot};
 use bcast_service::{
     flip_byte, session::generate_trace, truncate_file, Command, FaultPlan, KillPoint, Outcome,
     PlatformFamily, Service, ServiceError, SessionSpec, StepStats,
@@ -348,8 +349,138 @@ fn corrupt_snapshot_degrades_to_wal_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot written by the previous format (version field 2, which still
-/// encoded the removed secondary objective) is rejected as `Corrupt` with
+/// A `CreateSession` whose spec is outside what the generators, the solver
+/// and the schedule synthesis accept is rejected with a reason, not a
+/// panic: live, and again when the directory is reopened and the WAL
+/// replays it. No session is created (a `DriftStep` right after finds
+/// none), and a valid spec under the same name then creates the session.
+/// A snapshot whose session image carries such a spec is refused, not
+/// restored, and the WAL replay rebuilds the session instead.
+#[test]
+fn out_of_range_specs_are_rejected_live_and_on_replay() {
+    let valid = SessionSpec {
+        family: PlatformFamily::Tiers {
+            nodes: 12,
+            density: 0.10,
+        },
+        platform_seed: 7025,
+        slice_size: SLICE,
+        batch: 16,
+        drift_steps: STEPS,
+        drift_seed: 0xC4A2,
+        churn: false,
+    };
+    let random = |nodes, density| PlatformFamily::Random { nodes, density };
+    let bad = [
+        SessionSpec {
+            family: random(0, 0.12),
+            ..valid
+        },
+        SessionSpec {
+            family: random(12, 2.0),
+            ..valid
+        },
+        SessionSpec {
+            family: random(12, f64::NAN),
+            ..valid
+        },
+        SessionSpec {
+            family: PlatformFamily::Tiers {
+                nodes: 1,
+                density: 0.10,
+            },
+            ..valid
+        },
+        SessionSpec {
+            family: PlatformFamily::Gaussian { nodes: 0 },
+            ..valid
+        },
+        SessionSpec { batch: 0, ..valid },
+        SessionSpec {
+            batch: 1 << 40,
+            ..valid
+        },
+        SessionSpec {
+            slice_size: 0.0,
+            ..valid
+        },
+        SessionSpec {
+            slice_size: -1.0,
+            ..valid
+        },
+        SessionSpec {
+            slice_size: f64::INFINITY,
+            ..valid
+        },
+    ];
+    let name = "out-of-range";
+    let mut script = Vec::new();
+    for spec in &bad {
+        script.push(Command::CreateSession {
+            name: name.into(),
+            spec: *spec,
+        });
+        script.push(Command::DriftStep {
+            session: name.into(),
+        });
+    }
+    let apply_all = |service: &mut Service| -> Vec<Outcome> {
+        script
+            .iter()
+            .map(|command| service.apply(command).expect("an outcome, not an error"))
+            .collect()
+    };
+
+    let dir = tmp_dir("out-of-range");
+    let live = {
+        let mut service = Service::open(&dir, FaultPlan::none()).expect("open");
+        apply_all(&mut service)
+    };
+    for (command, outcome) in script.iter().zip(&live) {
+        assert!(
+            matches!(outcome, Outcome::Rejected { .. }),
+            "{command:?} was not rejected: {outcome:?}"
+        );
+    }
+    let mut service = Service::open(&dir, FaultPlan::none()).expect("replay does not panic");
+    assert_eq!(service.recovery().replayed, script.len());
+    assert!(
+        service.session_names().is_empty(),
+        "replay created a session"
+    );
+    assert_eq!(
+        apply_all(&mut service),
+        live,
+        "the same outcomes after reopening"
+    );
+    let created = service
+        .apply(&Command::CreateSession {
+            name: name.into(),
+            spec: valid,
+        })
+        .expect("a valid spec creates");
+    assert_eq!(created, Outcome::Created { digest_hit: false });
+    let snapshot = service.apply(&Command::Snapshot).expect("snapshot");
+    assert_eq!(snapshot, Outcome::SnapshotWritten);
+    drop(service);
+    let snap = dir.join("snapshot.bin");
+    let mut image = read_snapshot(&snap)
+        .expect("snapshot readable")
+        .expect("snapshot written");
+    image.sessions[0].1.spec = bad[0];
+    std::fs::write(&snap, encode_snapshot(&image)).expect("rewrite snapshot");
+    let service = Service::open(&dir, FaultPlan::none()).expect("a bad image is not fatal");
+    assert!(
+        service.recovery().snapshot_rejected,
+        "bad spec image refused"
+    );
+    assert_eq!(service.session_names(), vec![name.to_string()]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot written by the previous format (version field 3, which still
+/// encoded the simplex tolerances and the cut-generation iteration budget)
+/// is rejected as `Corrupt` with
 /// the version message — the version sits outside the checksummed
 /// payload, so nothing else trips — and recovery replays the whole WAL to
 /// the same per-step logs as the uninterrupted run.
@@ -368,13 +499,13 @@ fn old_snapshot_version_is_rejected_and_replayed() {
     }
     let snap = dir.join("snapshot.bin");
     let mut bytes = std::fs::read(&snap).expect("snapshot written");
-    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
     std::fs::write(&snap, &bytes).expect("rewrite snapshot");
     match bcast_service::snapshot::decode_snapshot(&bytes) {
         Err(ServiceError::Corrupt(message)) => {
-            assert_eq!(message, "snapshot version 2 (expected 3)")
+            assert_eq!(message, "snapshot version 3 (expected 4)")
         }
-        other => panic!("a version-2 snapshot must be rejected as corrupt: {other:?}"),
+        other => panic!("a version-3 snapshot must be rejected as corrupt: {other:?}"),
     }
     let service = Service::open(&dir, FaultPlan::none()).expect("old snapshot not fatal");
     assert!(service.recovery().snapshot_rejected, "old version detected");
