@@ -76,13 +76,16 @@ const SCREEN_HEADROOM: f64 = 0.1;
 
 /// Separation work — max-flows in a batch × platform edges — below which
 /// the batch runs serially on the calling thread whatever
-/// [`CutGenOptions::separation_threads`] says. Timed on two cores, two
-/// workers took 1.25–2.6× the serial time on 14- and 20-node platforms
-/// (work ≈ 400–900) and 1.08–1.5× on Random-24 (≈ 1,900–2,600), were 4%
-/// slower on average on Tiers-40 (≈ 6,100), and won on Tiers-60
-/// (≈ 16,800: 11% on average) and Tiers-80 (≈ 40,000: 22%);
-/// EXPERIMENTS.md has the timings. Results are bit-identical at any worker
-/// count, so the cut-off changes no answer.
+/// [`CutGenOptions::separation_threads`] says. Timed on two cores with the
+/// warm-started live-arc max-flows, two workers took 1.5–2.4× the serial
+/// time on 14- and 20-node platforms (work ≈ 400–900), 1.25–1.3× on
+/// Random-24 (≈ 1,900–2,800) and 1.06–1.23× on Tiers-40 (≈ 6,100), were
+/// about even on Tiers-60 (≈ 16,800: 0.90–1.04) and won on Tiers-80
+/// (≈ 40,000: 13% on average); EXPERIMENTS.md has the timings. The
+/// break-even still lies between Tiers-40 and Tiers-60, as it did on the
+/// all-arcs max-flows, so the cut-off stays inside that range. Results
+/// are bit-identical at any worker count, so the cut-off changes no
+/// answer.
 pub const PARALLEL_SEPARATION_MIN_WORK: usize = 8192;
 
 /// A source→destination cut stored as a node partition: `source_side[u]` is
@@ -148,7 +151,9 @@ pub struct CutGenOptions {
     /// skip is *sound*, not heuristic. Belt-and-braces, termination is
     /// still only declared from a full unscreened pass at the true master
     /// optimum. Skipped max-flow calls are counted in
-    /// [`CutGenResult::skipped_separations`].
+    /// [`CutGenResult::skipped_separations`]. The stored flow also
+    /// warm-starts the destination's next max-flow, with screening on or
+    /// off; that changes no cut, only where the max-flow starts.
     pub screen_separation: bool,
     /// Worker threads of the separation oracle: each master round's
     /// per-destination max-flows are sharded across this many
@@ -312,13 +317,29 @@ pub struct CutGenSession {
 /// Screening state of one destination: the max-flow measured the last time
 /// its separation oracle actually ran, plus the support of that flow — a
 /// feasibility certificate that lower-bounds the destination's flow at any
-/// later capacity vector (see [`CutGenOptions::screen_separation`]).
+/// later capacity vector (see [`CutGenOptions::screen_separation`]). The
+/// stored flow also warm-starts the destination's next max-flow, with
+/// screening on or off.
 #[derive(Clone, Debug, Default)]
 struct DestScreen {
     valid: bool,
     flow: f64,
     /// `(edge, flow carried)` over the measured flow's support.
     support: Vec<(u32, f64)>,
+}
+
+/// One destination's separation result.
+#[derive(Default)]
+struct Separation {
+    /// Measured max-flow (exact below the augmentation cap).
+    flow: f64,
+    /// `(edge, flow carried)` over the flow's support: the screen's new
+    /// certificate and the next warm start.
+    support: Vec<(u32, f64)>,
+    /// Min-cut source side when the destination was violated.
+    side: Option<Vec<bool>>,
+    /// Dinic phases the max-flow ran.
+    phases: usize,
 }
 
 impl CutGenSession {
@@ -443,18 +464,18 @@ impl CutGenSession {
     /// Runs the separation max-flows for `items` (`(destination index,
     /// node)` pairs) against `point`, sharded across
     /// [`separation_workers`](Self::separation_workers) scoped workers with
-    /// cloned [`MaxFlowSolver`] scratch. Returns, per item *in input
-    /// order*, the measured flow, its support (the screen's certificate),
-    /// and the min-cut source side when the destination was violated.
-    /// Observability stays on the calling thread.
-    #[allow(clippy::type_complexity)]
+    /// cloned [`MaxFlowSolver`] scratch. Each destination's max-flow starts
+    /// from the flow its screen stores, when that is valid. Workers only
+    /// read the screen, so every item's result is independent of the
+    /// worker count. Returns one [`Separation`] per item, *in input
+    /// order*. Observability stays on the calling thread.
     fn run_separations(
         &mut self,
         items: &[(usize, NodeId)],
         point: &[f64],
         tp_value: f64,
         tol: f64,
-    ) -> Vec<(f64, Vec<(u32, f64)>, Option<Vec<bool>>)> {
+    ) -> Vec<Separation> {
         if items.is_empty() {
             return Vec::new();
         }
@@ -467,39 +488,55 @@ impl CutGenSession {
         let threads = self.separation_workers(items.len());
         bcast_obs::counter_add(bcast_obs::names::CUTGEN_SEPARATIONS_RUN, items.len() as u64);
         bcast_obs::gauge_set(bcast_obs::names::CUTGEN_SEP_WORKERS, threads as f64);
-        let separate = |solver: &mut MaxFlowSolver, w: NodeId| {
-            let flow = solver.solve_limited(source, w, |e| point[e.index()], limit);
+        self.maxflow.set_capacities(|e| point[e.index()]);
+        let screen = &self.screen;
+        let separate = |solver: &mut MaxFlowSolver, di: usize, w: NodeId| {
+            // Any maximum flow leaves the same residual-reachable source
+            // side, so the warm start changes no cut.
+            let prior = &screen[di];
+            let warm: &[(u32, f64)] = if prior.valid { &prior.support } else { &[] };
+            let flow = solver.solve_from(source, w, limit, warm);
             // The violated constraint is over the *platform* edges crossing
             // the min-cut partition — including edges whose current load is
             // zero (they are precisely the ones the master may increase).
             let side = (flow + tol < tp_value).then(|| solver.min_cut_source_side(source).to_vec());
-            (flow, solver.flow_support(), side)
-        };
-        if threads <= 1 {
-            return items
-                .iter()
-                .map(|&(_, w)| separate(&mut self.maxflow, w))
-                .collect();
-        }
-        bcast_obs::counter_add(bcast_obs::names::CUTGEN_PARALLEL_BATCHES, 1);
-        // Contiguous shards: every item is computed exactly once, its slot
-        // fixed by input position, so the reduction below is independent of
-        // the worker count and of scheduling order. Each worker's cloned
-        // solver rewrites all capacities and residuals per solve, so the
-        // per-item result equals the serial path's bit for bit.
-        let mut out: Vec<(f64, Vec<(u32, f64)>, Option<Vec<bool>>)> =
-            vec![(0.0, Vec::new(), None); items.len()];
-        let shard = items.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (work, slots) in items.chunks(shard).zip(out.chunks_mut(shard)) {
-                let mut solver = self.maxflow.clone();
-                scope.spawn(move || {
-                    for (&(_, w), slot) in work.iter().zip(slots) {
-                        *slot = separate(&mut solver, w);
-                    }
-                });
+            Separation {
+                flow,
+                support: solver.flow_support(),
+                side,
+                phases: solver.phases(),
             }
-        });
+        };
+        let out: Vec<Separation> = if threads <= 1 {
+            let solver = &mut self.maxflow;
+            items
+                .iter()
+                .map(|&(di, w)| separate(solver, di, w))
+                .collect()
+        } else {
+            bcast_obs::counter_add(bcast_obs::names::CUTGEN_PARALLEL_BATCHES, 1);
+            // Contiguous shards: every item is computed exactly once, its
+            // slot fixed by input position, so the reduction below is
+            // independent of the worker count and of scheduling order. Each
+            // solve resets every residual, so the per-item result equals
+            // the serial path's bit for bit.
+            let mut out: Vec<Separation> =
+                (0..items.len()).map(|_| Separation::default()).collect();
+            let shard = items.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                for (work, slots) in items.chunks(shard).zip(out.chunks_mut(shard)) {
+                    let mut solver = self.maxflow.clone();
+                    scope.spawn(move || {
+                        for (&(di, w), slot) in work.iter().zip(slots) {
+                            *slot = separate(&mut solver, di, w);
+                        }
+                    });
+                }
+            });
+            out
+        };
+        let phases: usize = out.iter().map(|s| s.phases).sum();
+        bcast_obs::counter_add(bcast_obs::names::CUTGEN_MAXFLOW_PHASES, phases as u64);
         out
     }
 
@@ -528,12 +565,12 @@ impl CutGenSession {
         }
         let results = self.run_separations(&items, point, tp_value, tol);
         let mut new_cuts = 0usize;
-        for (&(di, _), (flow, support, side)) in items.iter().zip(results) {
+        for (&(di, _), result) in items.iter().zip(results) {
             let screen = &mut self.screen[di];
             screen.valid = true;
-            screen.flow = flow;
-            screen.support = support;
-            if let Some(side) = side {
+            screen.flow = result.flow;
+            screen.support = result.support;
+            if let Some(side) = result.side {
                 if self.add_cut(platform, side) {
                     new_cuts += 1;
                 }

@@ -9,9 +9,12 @@
 //!   live edges.
 //! * [`shortest_path`] — Dijkstra shortest paths.
 //! * [`maxflow`] — Dinic maximum flow and minimum s–t cuts on `f64`
-//!   capacities: the reusable [`maxflow::MaxFlowSolver`] (the separation
-//!   oracle of the cut-generation optimal broadcast-throughput solver) and
-//!   the one-shot [`max_flow`].
+//!   capacities over one flat residual network,
+//!   [`maxflow::MaxFlowSolver`]: built once per topology, it walks only
+//!   the live arcs of each capacity vector, stops each level search at the
+//!   sink, and can start from a prior flow (the separation oracle of the
+//!   cut-generation optimal broadcast-throughput solver warm-starts each
+//!   destination this way). The one-shot [`max_flow`] wraps it.
 //! * [`spanning`] — spanning-arborescence utilities: validation, parent
 //!   maps, conversion between edge lists and rooted trees.
 //!

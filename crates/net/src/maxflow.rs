@@ -3,177 +3,242 @@
 //! The cut-generation solver for the optimal broadcast throughput (paper
 //! Section 4) needs, for every destination `w`, the maximum flow that the
 //! current per-edge capacity allocation `n_{u,v}` can carry from the source
-//! to `w`, together with a minimum cut when that flow is insufficient. Two
-//! entry points share one private residual network with paired arcs:
-//! [`MaxFlowSolver`], built once per topology and re-solved under new
-//! capacities, and the one-shot [`max_flow`], which builds a network per
-//! call and reports per-edge flows and the cut edges too.
+//! to `w`, together with a minimum cut when that flow is insufficient.
+//!
+//! [`MaxFlowSolver`] is the crate's one residual network: built once per
+//! topology, given a capacity vector by
+//! [`set_capacities`](MaxFlowSolver::set_capacities), and solved from zero
+//! or from a prior flow by [`solve_from`](MaxFlowSolver::solve_from). The
+//! one-shot [`max_flow`] is a thin wrapper that also reports per-edge flows
+//! and the cut edges.
 
 use crate::graph::{DiGraph, EdgeId, NodeId};
-use std::collections::VecDeque;
 
-/// Relative tolerance used to decide whether residual capacity is exhausted.
+/// Absolute tolerance below which a residual capacity counts as exhausted,
+/// and at or below which an edge's capacity counts as zero (a *dead* edge).
 const FLOW_EPS: f64 = 1e-12;
 
-/// Internal arc of the residual network.
-#[derive(Clone, Debug)]
-struct Arc {
-    /// Head of the arc.
-    to: u32,
-    /// Remaining (residual) capacity.
-    residual: f64,
-    /// Original capacity (0 for reverse arcs).
-    capacity: f64,
-    /// Index of the paired reverse arc.
-    rev: u32,
-    /// The platform edge this arc was created from, if any.
-    origin: Option<EdgeId>,
+/// Marks "no level" and "no live arc".
+const NONE: u32 = u32::MAX;
+
+/// A Dinic max-flow solver over one flat residual network, built **once**
+/// per topology and re-solved under new capacities without allocating.
+///
+/// The cut-generation separation oracle runs one max-flow per destination
+/// per master round — tens of thousands of calls against the *same*
+/// topology, a batch of them at each capacity vector.
+///
+/// - **Arc order.** Every node lists its residual arcs in the order of the
+///   edges incident to it, by edge id: an edge's forward arc sits at its
+///   tail and its paired reverse arc at its head. The augmenting paths,
+///   and with them the flow values and cuts, follow from that order.
+/// - **Live arcs.** [`set_capacities`](Self::set_capacities) packs only the
+///   *live* edges — capacity above an absolute `1e-12` — into the working
+///   arrays, both arcs of each, in that same relative order. A dead edge
+///   can never carry flow: its forward arc never has residual above the
+///   tolerance and its reverse arc never gains any. Dropping both changes
+///   no augmenting path, so the result equals the all-arcs network's bit
+///   for bit.
+/// - **Sink-bounded levels.** Each Dinic phase's breadth-first search stops
+///   as soon as it labels the sink, and the blocking-flow search treats
+///   every node at or past the sink's level as a dead end. No such node
+///   lies on a shortest augmenting path, so again no path changes.
+/// - **Warm start.** [`solve_from`](Self::solve_from) may start from a
+///   prior flow, typically the [`flow_support`](Self::flow_support) of an
+///   earlier solve at other capacities. It peels source→sink paths off the
+///   prior over live forward arcs and keeps each at the smaller of its flow
+///   and the capacity still free along it, then finishes with Dinic. Any
+///   prior — empty, stale, negative, above capacity, on dead or unknown
+///   edges — gives a feasible start, so the answer never depends on it:
+///   the value is the maximum flow, and the minimum cut's source side (the
+///   nodes reachable from the source in the residual network) is the same
+///   for every maximum flow.
+///
+/// `Clone` gives each worker of a parallel separation batch its own
+/// scratch. Every solve resets all residuals from the capacities first, so
+/// a clone taken at any moment behaves exactly like the original.
+#[derive(Clone)]
+pub struct MaxFlowSolver {
+    /// Tail and head of each edge, indexed by [`EdgeId`].
+    ends: Vec<(u32, u32)>,
+    /// `incident[incident_start[u]..incident_start[u + 1]]` lists node `u`'s
+    /// arcs in network order, each as `edge << 1 | is_reverse`.
+    incident_start: Vec<u32>,
+    incident: Vec<u32>,
+    /// Capacity of each edge (negative values clamped to zero).
+    capacity: Vec<f64>,
+    /// Live forward arc of each edge, or [`NONE`] when the edge is dead.
+    fwd_arc: Vec<u32>,
+    /// Live reverse arc of each edge (meaningful only while it is live).
+    bwd_arc: Vec<u32>,
+    /// Live arcs leaving node `u`: `first[u]..first[u + 1]`.
+    first: Vec<u32>,
+    /// Head of each live arc.
+    to: Vec<u32>,
+    /// Index of each live arc's paired arc.
+    rev: Vec<u32>,
+    /// Residual capacity of each live arc at the start of a solve: the
+    /// capacity for a forward arc, 0 for a reverse arc.
+    base: Vec<f64>,
+    /// Residual capacity of each live arc.
+    residual: Vec<f64>,
+    /// Prior flow still to peel on each live forward arc (warm start).
+    prior: Vec<f64>,
+    /// BFS level of each node, or [`NONE`].
+    level: Vec<u32>,
+    /// Current-arc cursor of each node (an index into the live arcs).
+    cursor: Vec<u32>,
+    /// Nodes on the warm-start walk's current path.
+    on_path: Vec<bool>,
+    /// BFS queue.
+    queue: Vec<u32>,
+    /// Arcs of the path being searched.
+    path: Vec<u32>,
+    /// Min-cut membership.
+    side: Vec<bool>,
+    /// Dinic phases the last solve ran.
+    phases: usize,
 }
 
-/// The residual network over `n` nodes behind both entry points.
-#[derive(Clone, Debug)]
-struct FlowNetwork {
-    /// `arcs[u]` lists the residual arcs leaving node `u`.
-    arcs: Vec<Vec<Arc>>,
-    /// BFS level of each node (Dinic).
-    level: Vec<i32>,
-    /// Per-node arc cursor (Dinic current-arc optimisation).
-    cursor: Vec<usize>,
-}
-
-impl FlowNetwork {
-    /// Creates an empty network over `n` nodes.
-    fn new(n: usize) -> Self {
-        FlowNetwork {
-            arcs: vec![Vec::new(); n],
-            level: vec![-1; n],
+impl MaxFlowSolver {
+    /// Builds the solver for `graph`'s topology. Every edge starts at
+    /// capacity 0 until [`set_capacities`](Self::set_capacities).
+    pub fn new<N, E>(graph: &DiGraph<N, E>) -> Self {
+        let n = graph.node_count();
+        let m = graph.edge_count();
+        let ends: Vec<(u32, u32)> = graph.edges().map(|e| (e.src.0, e.dst.0)).collect();
+        let mut incident_start = vec![0u32; n + 1];
+        for &(u, v) in &ends {
+            incident_start[u as usize + 1] += 1;
+            incident_start[v as usize + 1] += 1;
+        }
+        for u in 0..n {
+            incident_start[u + 1] += incident_start[u];
+        }
+        let mut fill: Vec<u32> = incident_start[..n].to_vec();
+        let mut incident = vec![0u32; 2 * m];
+        for (e, &(u, v)) in ends.iter().enumerate() {
+            incident[fill[u as usize] as usize] = (e as u32) << 1;
+            fill[u as usize] += 1;
+            incident[fill[v as usize] as usize] = (e as u32) << 1 | 1;
+            fill[v as usize] += 1;
+        }
+        MaxFlowSolver {
+            ends,
+            incident_start,
+            incident,
+            capacity: vec![0.0; m],
+            fwd_arc: vec![NONE; m],
+            bwd_arc: vec![NONE; m],
+            first: vec![0; n + 1],
+            to: Vec::new(),
+            rev: Vec::new(),
+            base: Vec::new(),
+            residual: Vec::new(),
+            prior: Vec::new(),
+            level: vec![NONE; n],
             cursor: vec![0; n],
+            on_path: vec![false; n],
+            queue: Vec::with_capacity(n),
+            path: Vec::new(),
+            side: vec![false; n],
+            phases: 0,
         }
     }
 
-    /// Adds a directed edge `u -> v` with the given capacity.
+    /// Sets every edge's capacity to `capacity(edge)` (negative values
+    /// clamp to zero) and packs the live arcs. Later solves run at these
+    /// capacities until the next call.
+    pub fn set_capacities<C: FnMut(EdgeId) -> f64>(&mut self, mut capacity: C) {
+        for (e, cap) in self.capacity.iter_mut().enumerate() {
+            *cap = capacity(EdgeId(e as u32)).max(0.0);
+        }
+        self.to.clear();
+        self.base.clear();
+        let n = self.level.len();
+        for u in 0..n {
+            self.first[u] = self.to.len() as u32;
+            let arcs = self.incident_start[u] as usize..self.incident_start[u + 1] as usize;
+            for &code in &self.incident[arcs] {
+                let e = (code >> 1) as usize;
+                let cap = self.capacity[e];
+                if cap <= FLOW_EPS {
+                    self.fwd_arc[e] = NONE;
+                    continue;
+                }
+                let arc = self.to.len() as u32;
+                let (tail, head) = self.ends[e];
+                if code & 1 == 0 {
+                    self.fwd_arc[e] = arc;
+                    self.to.push(head);
+                    self.base.push(cap);
+                } else {
+                    self.bwd_arc[e] = arc;
+                    self.to.push(tail);
+                    self.base.push(0.0);
+                }
+            }
+        }
+        let live = self.to.len();
+        self.first[n] = live as u32;
+        self.rev.resize(live, NONE);
+        for (&fwd, &bwd) in self.fwd_arc.iter().zip(&self.bwd_arc) {
+            if fwd != NONE {
+                self.rev[fwd as usize] = bwd;
+                self.rev[bwd as usize] = fwd;
+            }
+        }
+        self.residual.clear();
+        self.residual.extend_from_slice(&self.base);
+        self.prior.clear();
+        self.prior.resize(live, 0.0);
+    }
+
+    /// Computes the maximum `source → sink` flow under the per-edge
+    /// capacities given by `capacity` (negative capacities clamp to zero):
+    /// [`set_capacities`](Self::set_capacities) plus a cold
+    /// [`solve_from`](Self::solve_from).
+    pub fn solve<C: FnMut(EdgeId) -> f64>(
+        &mut self,
+        source: NodeId,
+        sink: NodeId,
+        capacity: C,
+    ) -> f64 {
+        self.set_capacities(capacity);
+        self.solve_from(source, sink, f64::INFINITY, &[])
+    }
+
+    /// Computes the maximum `source → sink` flow at the capacities of the
+    /// last [`set_capacities`](Self::set_capacities), starting from the
+    /// prior flow `warm` (`(edge, flow)` pairs; empty for a cold solve) and
+    /// stopping once `limit` flow is reached. The returned value is exact
+    /// whenever it is below `limit`, and never above the maximum flow.
     ///
-    /// Negative capacities are clamped to zero. `origin` optionally records
-    /// the platform edge this capacity came from so that cuts can be reported
-    /// in terms of platform edges.
-    fn add_edge(&mut self, u: NodeId, v: NodeId, capacity: f64, origin: Option<EdgeId>) {
-        let capacity = capacity.max(0.0);
-        let (ui, vi) = (u.index(), v.index());
-        assert!(
-            ui < self.arcs.len() && vi < self.arcs.len(),
-            "node out of range"
-        );
-        let fwd_rev = self.arcs[vi].len() as u32;
-        let bwd_rev = self.arcs[ui].len() as u32;
-        self.arcs[ui].push(Arc {
-            to: vi as u32,
-            residual: capacity,
-            capacity,
-            rev: fwd_rev,
-            origin,
-        });
-        self.arcs[vi].push(Arc {
-            to: ui as u32,
-            residual: 0.0,
-            capacity: 0.0,
-            rev: bwd_rev,
-            origin: None,
-        });
-    }
-
-    /// Builds the Dinic level graph. Returns `true` when the sink is reachable.
-    fn build_levels(&mut self, source: usize, sink: usize) -> bool {
-        self.level.iter_mut().for_each(|l| *l = -1);
-        self.level[source] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(source);
-        while let Some(u) = queue.pop_front() {
-            for arc in &self.arcs[u] {
-                if arc.residual > FLOW_EPS && self.level[arc.to as usize] < 0 {
-                    self.level[arc.to as usize] = self.level[u] + 1;
-                    queue.push_back(arc.to as usize);
-                }
-            }
-        }
-        self.level[sink] >= 0
-    }
-
-    /// Sends blocking flow along the level graph (iterative DFS), stopping
-    /// early once `limit` total flow has been pushed in this phase.
-    fn augment(&mut self, source: usize, sink: usize, limit: f64) -> f64 {
-        let mut total = 0.0;
-        loop {
-            if total >= limit {
-                return total;
-            }
-            // Find one augmenting path in the level graph.
-            let mut path: Vec<(usize, usize)> = Vec::new(); // (node, arc index)
-            let mut u = source;
-            let found = loop {
-                if u == sink {
-                    break true;
-                }
-                let mut advanced = false;
-                while self.cursor[u] < self.arcs[u].len() {
-                    let ai = self.cursor[u];
-                    let arc = &self.arcs[u][ai];
-                    if arc.residual > FLOW_EPS && self.level[arc.to as usize] == self.level[u] + 1 {
-                        path.push((u, ai));
-                        u = arc.to as usize;
-                        advanced = true;
-                        break;
-                    }
-                    self.cursor[u] += 1;
-                }
-                if !advanced {
-                    if let Some(&(prev, _)) = path.last() {
-                        // Dead end: retreat and advance the parent's cursor.
-                        self.level[u] = -1;
-                        path.pop();
-                        self.cursor[prev] += 1;
-                        u = prev;
-                    } else {
-                        break false;
-                    }
-                }
-            };
-            if !found {
-                return total;
-            }
-            // Bottleneck along the path.
-            let mut bottleneck = f64::INFINITY;
-            for &(u, ai) in &path {
-                bottleneck = bottleneck.min(self.arcs[u][ai].residual);
-            }
-            // Apply.
-            for &(u, ai) in &path {
-                let to = self.arcs[u][ai].to as usize;
-                let rev = self.arcs[u][ai].rev as usize;
-                self.arcs[u][ai].residual -= bottleneck;
-                self.arcs[to][rev].residual += bottleneck;
-            }
-            total += bottleneck;
-        }
-    }
-
-    /// Computes the maximum flow from `source` to `sink` on the current
-    /// residual capacities, but stops augmenting once `limit` flow has been
-    /// reached. The separation oracle only needs to know whether a
-    /// destination's flow clears the current throughput target — pushing
-    /// further is wasted work (and the min cut is only consulted when the
-    /// limit was *not* reached, where the flow is exact).
-    fn max_flow_limited(&mut self, source: NodeId, sink: NodeId, limit: f64) -> f64 {
+    /// The prior only decides where the search starts: source→sink paths
+    /// are peeled off it over live forward arcs, skipping nodes already on
+    /// the path being walked, and each path keeps the smaller of its flow
+    /// and the capacity still free along it. Entries that are negative,
+    /// not finite, on dead edges or on unknown edges are ignored, and flow
+    /// above capacity is clipped, so every prior yields a feasible start.
+    pub fn solve_from(
+        &mut self,
+        source: NodeId,
+        sink: NodeId,
+        limit: f64,
+        warm: &[(u32, f64)],
+    ) -> f64 {
         let (s, t) = (source.index(), sink.index());
-        assert!(
-            s < self.arcs.len() && t < self.arcs.len(),
-            "node out of range"
-        );
+        let n = self.level.len();
+        assert!(s < n && t < n, "node out of range");
+        self.phases = 0;
+        self.residual.copy_from_slice(&self.base);
         if s == t {
             return f64::INFINITY;
         }
-        let mut flow = 0.0;
+        let mut flow = self.install_warm(s, t, warm);
         while flow < limit && self.build_levels(s, t) {
-            self.cursor.iter_mut().for_each(|c| *c = 0);
+            self.phases += 1;
+            self.cursor.copy_from_slice(&self.first[..n]);
             let pushed = self.augment(s, t, limit - flow);
             if pushed <= FLOW_EPS {
                 break;
@@ -183,174 +248,218 @@ impl FlowNetwork {
         flow
     }
 
-    /// After a max-flow computation, returns the source side of a minimum cut
-    /// (the set of nodes reachable from `source` in the residual graph).
-    fn min_cut_source_side(&self, source: NodeId) -> Vec<bool> {
-        let n = self.arcs.len();
-        let mut visited = vec![false; n];
-        let mut queue = VecDeque::new();
-        visited[source.index()] = true;
-        queue.push_back(source.index());
-        while let Some(u) = queue.pop_front() {
-            for arc in &self.arcs[u] {
-                if arc.residual > FLOW_EPS && !visited[arc.to as usize] {
-                    visited[arc.to as usize] = true;
-                    queue.push_back(arc.to as usize);
-                }
-            }
-        }
-        visited
+    /// Dinic phases (level graphs that reached the sink, each followed by
+    /// a blocking flow) the last solve ran.
+    pub fn phases(&self) -> usize {
+        self.phases
     }
 
-    /// After a max-flow computation, lists the *origin* platform edges that
-    /// cross the minimum cut from the source side to the sink side.
-    fn min_cut_edges(&self, source: NodeId) -> Vec<EdgeId> {
-        let side = self.min_cut_source_side(source);
-        let mut cut = Vec::new();
-        for (u, arcs) in self.arcs.iter().enumerate() {
-            if !side[u] {
-                continue;
-            }
-            for arc in arcs {
-                if arc.capacity > 0.0 && !side[arc.to as usize] {
-                    if let Some(origin) = arc.origin {
-                        cut.push(origin);
-                    }
-                }
-            }
-        }
-        cut.sort_unstable();
-        cut.dedup();
-        cut
-    }
-
-    /// Flow currently carried by the arc created from platform edge `origin`
-    /// (sum over all arcs sharing that origin).
-    fn flow_on_origin(&self, origin: EdgeId) -> f64 {
-        let mut f = 0.0;
-        for arcs in &self.arcs {
-            for arc in arcs {
-                if arc.origin == Some(origin) {
-                    f += arc.capacity - arc.residual;
-                }
-            }
-        }
-        f
-    }
-}
-
-/// A max-flow solver whose residual-network structure is built **once** per
-/// graph and whose arcs, level/cursor arrays, and min-cut buffer are reused
-/// across solves.
-///
-/// The cut-generation separation oracle runs one max-flow per destination
-/// per master round — hundreds to thousands of calls against the *same*
-/// topology with different capacities. The one-shot [`max_flow`] wrapper
-/// rebuilds the whole residual network (one allocation per node plus the
-/// per-edge arc pairs) on every call; this solver only rewrites the arc
-/// capacities in place.
-///
-/// `Clone` gives each worker of a parallel separation batch its own
-/// independent scratch: [`solve_limited`](Self::solve_limited) rewrites
-/// every arc's capacity *and* residual before augmenting, so a clone taken
-/// at any moment behaves exactly like a freshly built solver.
-#[derive(Clone)]
-pub struct MaxFlowSolver {
-    net: FlowNetwork,
-    /// Arc location `(tail node, arc index)` of each platform edge, indexed
-    /// by [`EdgeId`].
-    locations: Vec<(u32, u32)>,
-    /// Reused min-cut membership buffer.
-    side: Vec<bool>,
-}
-
-impl MaxFlowSolver {
-    /// Builds the solver for `graph`'s topology (capacities are supplied per
-    /// solve).
-    pub fn new<N, E>(graph: &DiGraph<N, E>) -> Self {
-        let mut net = FlowNetwork::new(graph.node_count());
-        let mut locations = Vec::with_capacity(graph.edge_count());
-        for e in graph.edges() {
-            locations.push((e.src.index() as u32, net.arcs[e.src.index()].len() as u32));
-            net.add_edge(e.src, e.dst, 0.0, Some(e.id));
-        }
-        let side = vec![false; graph.node_count()];
-        MaxFlowSolver {
-            net,
-            locations,
-            side,
-        }
-    }
-
-    /// Computes the maximum `source → sink` flow under the per-edge
-    /// capacities given by `capacity` (negative capacities clamp to zero).
-    /// All internal buffers are reused; no allocation on the hot path.
-    pub fn solve<C: FnMut(EdgeId) -> f64>(
-        &mut self,
-        source: NodeId,
-        sink: NodeId,
-        capacity: C,
-    ) -> f64 {
-        self.solve_limited(source, sink, capacity, f64::INFINITY)
-    }
-
-    /// Like [`solve`](Self::solve) but stops augmenting once `limit` flow is
-    /// reached: the separation oracle only asks whether a destination's flow
-    /// clears the throughput target. The returned value is exact whenever it
-    /// is below `limit`.
-    pub fn solve_limited<C: FnMut(EdgeId) -> f64>(
-        &mut self,
-        source: NodeId,
-        sink: NodeId,
-        mut capacity: C,
-        limit: f64,
-    ) -> f64 {
-        for (i, &(u, a)) in self.locations.iter().enumerate() {
-            let cap = capacity(EdgeId(i as u32)).max(0.0);
-            let arc = &mut self.net.arcs[u as usize][a as usize];
-            arc.capacity = cap;
-            arc.residual = cap;
-            let (to, rev) = (arc.to as usize, arc.rev as usize);
-            self.net.arcs[to][rev].residual = 0.0;
-        }
-        self.net.max_flow_limited(source, sink, limit)
-    }
-
-    /// Support of the flow found by the **last** [`solve`](Self::solve):
-    /// `(platform edge, flow carried)` for every edge with strictly
-    /// positive flow, in [`EdgeId`] order. The list is a feasibility
-    /// certificate — restricted to any capacity vector `p`, the flow still
-    /// carries at least `value − Σ_e (f_e − p_e)⁺` from the same source to
-    /// the same sink.
+    /// Support of the flow found by the **last** solve: `(platform edge,
+    /// flow carried)` for every edge with strictly positive flow, in
+    /// [`EdgeId`] order. The list is a feasibility certificate — restricted
+    /// to any capacity vector `p`, the flow still carries at least
+    /// `value − Σ_e (f_e − p_e)⁺` from the same source to the same sink —
+    /// and a warm start for a later [`solve_from`](Self::solve_from).
     pub fn flow_support(&self) -> Vec<(u32, f64)> {
-        self.locations
+        self.fwd_arc
             .iter()
             .enumerate()
-            .filter_map(|(i, &(u, a))| {
-                let arc = &self.net.arcs[u as usize][a as usize];
-                let f = arc.capacity - arc.residual;
-                (f > 0.0).then_some((i as u32, f))
+            .filter(|&(_, &arc)| arc != NONE)
+            .filter_map(|(e, &arc)| {
+                let f = self.capacity[e] - self.residual[arc as usize];
+                (f > 0.0).then_some((e as u32, f))
             })
             .collect()
     }
 
-    /// Source side of a minimum cut for the **last** [`solve`](Self::solve)
-    /// (nodes reachable from `source` in the residual graph), in a reused
-    /// buffer.
+    /// Source side of a minimum cut for the **last** solve (nodes reachable
+    /// from `source` in the residual network), in a reused buffer.
     pub fn min_cut_source_side(&mut self, source: NodeId) -> &[bool] {
         self.side.iter_mut().for_each(|v| *v = false);
         self.side[source.index()] = true;
-        let mut queue = VecDeque::new();
-        queue.push_back(source.index());
-        while let Some(u) = queue.pop_front() {
-            for arc in &self.net.arcs[u] {
-                if arc.residual > FLOW_EPS && !self.side[arc.to as usize] {
-                    self.side[arc.to as usize] = true;
-                    queue.push_back(arc.to as usize);
+        self.queue.clear();
+        self.queue.push(source.0);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            for arc in self.first[u as usize] as usize..self.first[u as usize + 1] as usize {
+                let v = self.to[arc] as usize;
+                if self.residual[arc] > FLOW_EPS && !self.side[v] {
+                    self.side[v] = true;
+                    self.queue.push(v as u32);
                 }
             }
         }
         &self.side
+    }
+
+    /// Installs the feasible part of the prior flow `warm` in the residual
+    /// network and returns its value. The walk runs depth first over live
+    /// forward arcs that still hold prior flow, never re-enters a node on
+    /// its current path (so prior cycles cannot trap it), and keeps each
+    /// node's cursor for the whole walk, so a node it retreated from stays
+    /// a dead end. Each time it reaches the sink it peels the path: the
+    /// path's prior flow (its smallest arc prior) leaves the prior, and the
+    /// smaller of that and the path's free capacity is pushed.
+    fn install_warm(&mut self, s: usize, t: usize, warm: &[(u32, f64)]) -> f64 {
+        let mut any = false;
+        for &(e, f) in warm {
+            match self.fwd_arc.get(e as usize) {
+                Some(&arc) if arc != NONE && f > 0.0 && f.is_finite() => {
+                    self.prior[arc as usize] += f;
+                    any = true;
+                }
+                _ => {}
+            }
+        }
+        if !any {
+            return 0.0;
+        }
+        let n = self.level.len();
+        self.cursor.copy_from_slice(&self.first[..n]);
+        self.on_path.iter_mut().for_each(|p| *p = false);
+        self.on_path[s] = true;
+        self.path.clear();
+        let mut value = 0.0;
+        let mut u = s;
+        loop {
+            if u == t {
+                let mut peeled = f64::INFINITY;
+                let mut free = f64::INFINITY;
+                for &arc in &self.path {
+                    peeled = peeled.min(self.prior[arc as usize]);
+                    free = free.min(self.residual[arc as usize]);
+                }
+                let pushed = peeled.min(free);
+                for &arc in &self.path {
+                    self.prior[arc as usize] -= peeled;
+                    self.residual[arc as usize] -= pushed;
+                    self.residual[self.rev[arc as usize] as usize] += pushed;
+                    self.on_path[self.to[arc as usize] as usize] = false;
+                }
+                value += pushed;
+                self.path.clear();
+                u = s;
+                continue;
+            }
+            let end = self.first[u + 1];
+            let mut advanced = false;
+            while self.cursor[u] < end {
+                let arc = self.cursor[u] as usize;
+                let v = self.to[arc] as usize;
+                if self.prior[arc] > 0.0 && !self.on_path[v] {
+                    self.path.push(arc as u32);
+                    self.on_path[v] = true;
+                    u = v;
+                    advanced = true;
+                    break;
+                }
+                self.cursor[u] += 1;
+            }
+            if !advanced {
+                let Some(arc) = self.path.pop() else { break };
+                self.on_path[u] = false;
+                let prev = self.to[self.rev[arc as usize] as usize] as usize;
+                self.cursor[prev] += 1;
+                u = prev;
+            }
+        }
+        for &(e, _) in warm {
+            if let Some(&arc) = self.fwd_arc.get(e as usize) {
+                if arc != NONE {
+                    self.prior[arc as usize] = 0.0;
+                }
+            }
+        }
+        value
+    }
+
+    /// Builds the Dinic level graph up to the sink's level. Returns `true`
+    /// when the sink is reachable. Nodes that were labelled at the sink's
+    /// level before the sink are unlabelled again: no shortest augmenting
+    /// path passes through them.
+    fn build_levels(&mut self, s: usize, t: usize) -> bool {
+        self.level.iter_mut().for_each(|l| *l = NONE);
+        self.level[s] = 0;
+        self.queue.clear();
+        self.queue.push(s as u32);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let u = u as usize;
+            let next = self.level[u] + 1;
+            for arc in self.first[u] as usize..self.first[u + 1] as usize {
+                let v = self.to[arc] as usize;
+                if self.residual[arc] > FLOW_EPS && self.level[v] == NONE {
+                    self.level[v] = next;
+                    if v == t {
+                        for &w in &self.queue[head..] {
+                            if self.level[w as usize] == next {
+                                self.level[w as usize] = NONE;
+                            }
+                        }
+                        return true;
+                    }
+                    self.queue.push(v as u32);
+                }
+            }
+        }
+        false
+    }
+
+    /// Sends blocking flow along the level graph (iterative DFS with
+    /// current-arc cursors), stopping early once `limit` total flow has
+    /// been pushed in this phase.
+    fn augment(&mut self, s: usize, t: usize, limit: f64) -> f64 {
+        let mut total = 0.0;
+        loop {
+            if total >= limit {
+                return total;
+            }
+            // Find one augmenting path in the level graph.
+            self.path.clear();
+            let mut u = s;
+            let found = loop {
+                if u == t {
+                    break true;
+                }
+                let end = self.first[u + 1];
+                let mut advanced = false;
+                while self.cursor[u] < end {
+                    let arc = self.cursor[u] as usize;
+                    let v = self.to[arc] as usize;
+                    if self.residual[arc] > FLOW_EPS && self.level[v] == self.level[u] + 1 {
+                        self.path.push(arc as u32);
+                        u = v;
+                        advanced = true;
+                        break;
+                    }
+                    self.cursor[u] += 1;
+                }
+                if !advanced {
+                    let Some(arc) = self.path.pop() else {
+                        break false;
+                    };
+                    // Dead end: retreat and advance the parent's cursor.
+                    self.level[u] = NONE;
+                    let prev = self.to[self.rev[arc as usize] as usize] as usize;
+                    self.cursor[prev] += 1;
+                    u = prev;
+                }
+            };
+            if !found {
+                return total;
+            }
+            let mut bottleneck = f64::INFINITY;
+            for &arc in &self.path {
+                bottleneck = bottleneck.min(self.residual[arc as usize]);
+            }
+            for &arc in &self.path {
+                self.residual[arc as usize] -= bottleneck;
+                self.residual[self.rev[arc as usize] as usize] += bottleneck;
+            }
+            total += bottleneck;
+        }
     }
 }
 
@@ -368,7 +477,7 @@ pub struct MaxFlowResult {
 }
 
 /// Computes the maximum `source -> sink` flow of `graph` where each edge has
-/// capacity `capacity(edge)`.
+/// capacity `capacity(edge)`: a cold solve of a fresh [`MaxFlowSolver`].
 pub fn max_flow<N, E, C>(
     graph: &DiGraph<N, E>,
     source: NodeId,
@@ -378,14 +487,26 @@ pub fn max_flow<N, E, C>(
 where
     C: FnMut(EdgeId, &E) -> f64,
 {
-    let mut net = FlowNetwork::new(graph.node_count());
-    for e in graph.edges() {
-        net.add_edge(e.src, e.dst, capacity(e.id, e.payload), Some(e.id));
+    let capacities: Vec<f64> = graph
+        .edges()
+        .map(|e| capacity(e.id, e.payload).max(0.0))
+        .collect();
+    let mut solver = MaxFlowSolver::new(graph);
+    let value = solver.solve(source, sink, |e| capacities[e.index()]);
+    let mut edge_flow = vec![0.0; capacities.len()];
+    for (e, f) in solver.flow_support() {
+        edge_flow[e as usize] = f;
     }
-    let value = net.max_flow_limited(source, sink, f64::INFINITY);
-    let edge_flow = graph.edge_ids().map(|e| net.flow_on_origin(e)).collect();
-    let source_side = net.min_cut_source_side(source);
-    let cut_edges = net.min_cut_edges(source);
+    let source_side = solver.min_cut_source_side(source).to_vec();
+    let cut_edges = graph
+        .edges()
+        .filter(|e| {
+            capacities[e.id.index()] > 0.0
+                && source_side[e.src.index()]
+                && !source_side[e.dst.index()]
+        })
+        .map(|e| e.id)
+        .collect();
     MaxFlowResult {
         value,
         edge_flow,
@@ -395,7 +516,12 @@ where
 }
 
 #[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::all_arcs_max_flow;
     use super::*;
 
     /// Classic max-flow example with value 19 when capacities are
@@ -509,29 +635,84 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 1.0);
         let mut solver = MaxFlowSolver::new(&g);
         assert!(solver.solve(NodeId(0), NodeId(0), |_| 1.0).is_infinite());
+        // At the same capacities, a solve to a real sink leaves flow; the
+        // next source == sink solve must not report it as its own.
+        let (s, t) = (NodeId(0), NodeId(1));
+        assert_eq!(solver.solve_from(s, t, f64::INFINITY, &[]), 1.0);
+        assert!(solver.solve_from(s, s, f64::INFINITY, &[]).is_infinite());
+        assert!(solver.flow_support().is_empty());
     }
 
     #[test]
     fn persistent_solver_matches_one_shot_across_capacity_sets() {
         let (g, s, t) = classic();
         let mut solver = MaxFlowSolver::new(&g);
-        // Three different capacity assignments against the same topology:
-        // the persistent solver must match the one-shot wrapper on value and
-        // cut partition every time (buffer reuse must not leak state).
-        for scale in [1.0f64, 0.5, 2.25] {
-            let reference = max_flow(&g, s, t, |_, &c| c * scale);
-            let value = solver.solve(s, t, |e| *g.edge(e) * scale);
-            assert!(
-                (value - reference.value).abs() < 1e-9,
-                "scale {scale}: {value} vs {}",
-                reference.value
+        // Capacity sets against the same topology, one of them with dead
+        // edges: the persistent solver must match the all-arcs reference's
+        // value bits and cut partition every time (buffer reuse must not
+        // leak state).
+        for scale in [1.0f64, 0.5, 2.25, 0.0] {
+            let caps: Vec<f64> = g
+                .edges()
+                .map(|e| match e.id.0 {
+                    2 | 6 if scale == 0.5 => 0.0,
+                    _ => *e.payload * scale,
+                })
+                .collect();
+            let edges: Vec<(usize, usize, f64)> = g
+                .edges()
+                .map(|e| (e.src.index(), e.dst.index(), caps[e.id.index()]))
+                .collect();
+            let (value, side) =
+                all_arcs_max_flow(g.node_count(), &edges, s.index(), t.index(), f64::INFINITY);
+            let got = solver.solve(s, t, |e| caps[e.index()]);
+            assert_eq!(
+                got.to_bits(),
+                value.to_bits(),
+                "scale {scale}: {got} vs {value}"
             );
-            assert_eq!(solver.min_cut_source_side(s), &reference.source_side[..]);
+            assert_eq!(solver.min_cut_source_side(s), &side[..]);
         }
-        // Zeroing a previously positive capacity must not leave residual
-        // flow behind.
-        let cut_all = solver.solve(s, t, |_| 0.0);
-        assert_eq!(cut_all, 0.0);
+    }
+
+    #[test]
+    fn warm_start_from_own_max_flow_runs_no_phase() {
+        let (g, s, t) = classic();
+        let mut solver = MaxFlowSolver::new(&g);
+        let cold = solver.solve(s, t, |e| *g.edge(e));
+        assert!(solver.phases() > 0);
+        let support = solver.flow_support();
+        let side = solver.min_cut_source_side(s).to_vec();
+        // Same capacities, warm from the max flow itself: the installed
+        // flow is already maximum, so no level graph reaches the sink.
+        let warm = solver.solve_from(s, t, f64::INFINITY, &support);
+        assert_eq!(solver.phases(), 0, "the warm start was not installed");
+        assert!((warm - cold).abs() <= 1e-12 * cold, "{warm} vs {cold}");
+        assert_eq!(solver.min_cut_source_side(s), &side[..]);
+    }
+
+    #[test]
+    fn warm_start_survives_capacity_changes() {
+        let (g, s, t) = classic();
+        let mut solver = MaxFlowSolver::new(&g);
+        solver.solve(s, t, |e| *g.edge(e));
+        let support = solver.flow_support();
+        // Halve some capacities and zero one edge the prior flow uses: the
+        // clipped prior must still finish at the true maximum.
+        let caps = |e: EdgeId| match e.0 {
+            4 => 0.0,
+            k if k % 2 == 0 => *g.edge(e) * 0.5,
+            _ => *g.edge(e),
+        };
+        let cold = max_flow(&g, s, t, |e, _| caps(e));
+        solver.set_capacities(caps);
+        let warm = solver.solve_from(s, t, f64::INFINITY, &support);
+        assert!(
+            (warm - cold.value).abs() <= 1e-9,
+            "{warm} vs {}",
+            cold.value
+        );
+        assert_eq!(solver.min_cut_source_side(s), &cold.source_side[..]);
     }
 
     #[test]

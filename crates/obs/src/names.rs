@@ -28,6 +28,11 @@ pub const CUTGEN_CUTS_REUSED: &str = "cut_gen.cuts_reused";
 pub const CUTGEN_SEPARATIONS_RUN: &str = "cut_gen.separations_run";
 /// Per-destination separation max-flows skipped by the screen.
 pub const CUTGEN_SEPARATIONS_SCREENED: &str = "cut_gen.separations_screened";
+/// Dinic phases (level graphs that reached the sink, each followed by a
+/// blocking flow) of the separation max-flows, summed over workers.
+/// Divided by `cut_gen.separations_run` it gives phases per max-flow,
+/// which the warm start from each destination's previous flow lowers.
+pub const CUTGEN_MAXFLOW_PHASES: &str = "cut_gen.maxflow_phases";
 /// Nodes grafted onto kept trees by churn repair.
 pub const SCHED_GRAFTS: &str = "sched.repair.grafts";
 /// Nodes pruned from kept trees by churn repair.

@@ -66,17 +66,53 @@ pub struct SessionSpec {
     pub churn: bool,
 }
 
+/// Largest platform a session may ask for, in nodes: the largest platform
+/// this repository solves (a Tiers-1000 cold bound takes about 91 s on one
+/// core; EXPERIMENTS.md).
+pub const MAX_SESSION_NODES: usize = 1_000;
+
+/// Memory budget of one session's drift trace, in bytes (256 MiB). The
+/// trace is generated whole, at create and again on every replay. Its
+/// size is estimated from the costs below; the resident memory of
+/// generated traces (1 to 100 nodes, up to 100,000 steps) came within 1%
+/// of that estimate on complete platforms and below it on sparser ones.
+pub(crate) const MAX_TRACE_BYTES: u128 = 256 << 20;
+
+/// What one trace snapshot stores per edge of the platform it covers, in
+/// bytes: an 8-byte drift factor, a failure and an alive flag, a 4-byte
+/// compact edge id, and up to 2 bytes of the step's failure and recovery
+/// events (about 7% of the links change a step, at 8 bytes each, in a
+/// vector up to twice as long).
+const TRACE_BYTES_PER_EDGE: u128 = 16;
+
+/// Per node: an alive flag and a 4-byte compact node id.
+const TRACE_BYTES_PER_NODE: u128 = 5;
+
+/// Per snapshot, whatever its size: the 176-byte `DriftStep` itself and
+/// its seven heap blocks, which take at least 32 bytes each.
+const TRACE_BYTES_PER_SNAPSHOT: u128 = 400;
+
 impl SessionSpec {
     /// Why a session cannot be built from this spec, if it cannot: the
     /// generators, the solver and the schedule synthesis assert their
-    /// input ranges, so `CreateSession` checks them first and rejects
-    /// instead of panicking (live and again on every replay). Accepted:
-    /// random platforms of at least 1 node with density in `[0, 1]`, Tiers
-    /// platforms of at least 3 nodes, Gaussian platforms of at least 1
-    /// node, a finite positive slice size, and a batch of 1 up to
-    /// [`RoundingConfig::max_slices_per_period`]'s default.
+    /// input ranges, and the drift trace is generated whole, so
+    /// `CreateSession` checks them first and rejects instead of panicking
+    /// or exhausting memory (live and again on every replay). Accepted:
+    ///
+    /// - random platforms of 1 to [`MAX_SESSION_NODES`] nodes with density
+    ///   in `[0, 1]`, Tiers platforms of 3 to [`MAX_SESSION_NODES`] nodes,
+    ///   Gaussian platforms of 1 to [`MAX_SESSION_NODES`] nodes;
+    /// - a trace within [`MAX_TRACE_BYTES`]: `drift_steps + 1` snapshots,
+    ///   each costing 16 bytes per edge, 5 per node and 400 more, on at
+    ///   most `nodes · (nodes − 1)` edges (the generators build simple
+    ///   digraphs). A churn trace also grows by at most one joiner a step,
+    ///   with two links each way. That admits about 663,000 drift steps on
+    ///   1 node, 79,000 on 14 nodes (1,947 on a churn trace), 1,684 on 100
+    ///   nodes and 15 on 1,000;
+    /// - a finite positive slice size, and a batch of 1 up to
+    ///   [`RoundingConfig::max_slices_per_period`]'s default.
     pub(crate) fn rejection(&self) -> Option<String> {
-        match self.family {
+        let nodes = match self.family {
             PlatformFamily::Random { nodes: 0, .. } | PlatformFamily::Gaussian { nodes: 0 } => {
                 return Some("a platform needs at least 1 node".into());
             }
@@ -90,7 +126,26 @@ impl SessionSpec {
                     "a Tiers platform needs at least 3 nodes, not {nodes}"
                 ));
             }
-            _ => {}
+            PlatformFamily::Random { nodes, .. }
+            | PlatformFamily::Tiers { nodes, .. }
+            | PlatformFamily::Gaussian { nodes } => nodes,
+        };
+        if nodes > MAX_SESSION_NODES {
+            return Some(format!(
+                "{nodes} nodes is above the {MAX_SESSION_NODES}-node limit"
+            ));
+        }
+        let steps = self.drift_steps as u128;
+        let joiners = if self.churn { steps } else { 0 };
+        let snapshot = TRACE_BYTES_PER_EDGE * ((nodes * (nodes - 1)) as u128 + 4 * joiners)
+            + TRACE_BYTES_PER_NODE * (nodes as u128 + joiners)
+            + TRACE_BYTES_PER_SNAPSHOT;
+        if (steps + 1).saturating_mul(snapshot) > MAX_TRACE_BYTES {
+            return Some(format!(
+                "{} drift steps on {nodes} nodes exceed the trace budget of \
+                 {MAX_TRACE_BYTES} bytes",
+                self.drift_steps
+            ));
         }
         if !(self.slice_size.is_finite() && self.slice_size > 0.0) {
             return Some(format!(

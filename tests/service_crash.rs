@@ -20,6 +20,7 @@
 //! degrades gracefully — a full WAL replay or a shorter-but-valid command
 //! prefix — with the session still answering queries, and never a panic.
 
+use bcast_service::command::MAX_SESSION_NODES;
 use bcast_service::snapshot::{encode_snapshot, read_snapshot};
 use bcast_service::{
     flip_byte, session::generate_trace, truncate_file, Command, FaultPlan, KillPoint, Outcome,
@@ -410,6 +411,45 @@ fn out_of_range_specs_are_rejected_live_and_on_replay() {
         },
         SessionSpec {
             slice_size: f64::INFINITY,
+            ..valid
+        },
+        // Traces that would not fit in memory, or whose length overflows
+        // (none of these is ever generated).
+        SessionSpec {
+            drift_steps: usize::MAX / 2,
+            ..valid
+        },
+        SessionSpec {
+            drift_steps: usize::MAX,
+            churn: true,
+            ..valid
+        },
+        // One node has no edges, but every snapshot still costs memory.
+        SessionSpec {
+            family: random(1, 0.12),
+            drift_steps: usize::MAX / 2,
+            ..valid
+        },
+        SessionSpec {
+            family: PlatformFamily::Gaussian { nodes: 1 },
+            drift_steps: usize::MAX,
+            ..valid
+        },
+        SessionSpec {
+            family: random(MAX_SESSION_NODES + 1, 0.12),
+            ..valid
+        },
+        SessionSpec {
+            family: PlatformFamily::Tiers {
+                nodes: MAX_SESSION_NODES + 1,
+                density: 0.10,
+            },
+            ..valid
+        },
+        SessionSpec {
+            family: PlatformFamily::Gaussian {
+                nodes: MAX_SESSION_NODES + 1,
+            },
             ..valid
         },
     ];
