@@ -308,24 +308,10 @@ pub struct CutGenSession {
     maxflow: MaxFlowSolver,
     /// Per-destination screening state, indexed like the destination list
     /// (node order with the source removed).
-    screen: Vec<DestScreen>,
+    screen: Vec<ScreenSnapshot>,
     /// Stabilization center for in-out separation: a running average of the
     /// master's optimal load vectors (empty until the first round).
     stab_center: Vec<f64>,
-}
-
-/// Screening state of one destination: the max-flow measured the last time
-/// its separation oracle actually ran, plus the support of that flow — a
-/// feasibility certificate that lower-bounds the destination's flow at any
-/// later capacity vector (see [`CutGenOptions::screen_separation`]). The
-/// stored flow also warm-starts the destination's next max-flow, with
-/// screening on or off.
-#[derive(Clone, Debug, Default)]
-struct DestScreen {
-    valid: bool,
-    flow: f64,
-    /// `(edge, flow carried)` over the measured flow's support.
-    support: Vec<(u32, f64)>,
 }
 
 /// One destination's separation result.
@@ -380,7 +366,7 @@ impl CutGenSession {
             (MasterLp::Cold(base), Vec::new(), Vec::new())
         };
         let maxflow = MaxFlowSolver::new(platform.graph());
-        let screen = vec![DestScreen::default(); n.saturating_sub(1)];
+        let screen = vec![ScreenSnapshot::default(); n.saturating_sub(1)];
         let mut session = CutGenSession {
             options,
             source,
@@ -735,14 +721,7 @@ impl CutGenSession {
         // join keeps every surviving cut meaningful). Two cuts whose
         // crossing-edge sets collapse onto each other are merged; the
         // loser's master row is scheduled for deletion.
-        struct Planned {
-            side: Vec<bool>,
-            edges: Vec<u32>,
-            non_binding_streak: usize,
-            active: bool,
-            row: Option<RowId>,
-        }
-        let mut planned: Vec<Planned> = Vec::with_capacity(self.cuts.len());
+        let mut planned: Vec<Cut> = Vec::with_capacity(self.cuts.len());
         let mut planned_by_edges: HashMap<Vec<u32>, usize> = HashMap::new();
         let mut dead_rows: Vec<RowId> = Vec::new();
         for cut in &self.cuts {
@@ -787,7 +766,7 @@ impl CutGenSession {
                     }
                     None => {
                         planned_by_edges.insert(edges.clone(), planned.len());
-                        planned.push(Planned {
+                        planned.push(Cut {
                             side,
                             edges,
                             non_binding_streak: cut.non_binding_streak,
@@ -906,16 +885,7 @@ impl CutGenSession {
         }
 
         // ---- Install the translated session state. ----
-        self.cuts = planned
-            .into_iter()
-            .map(|p| Cut {
-                side: p.side,
-                edges: p.edges,
-                non_binding_streak: p.non_binding_streak,
-                active: p.active,
-                row: p.row,
-            })
-            .collect();
+        self.cuts = planned;
         self.index_by_edges = self
             .cuts
             .iter()
@@ -927,7 +897,7 @@ impl CutGenSession {
         self.nodes = remap.nodes;
         self.edges = remap.edges;
         self.maxflow = MaxFlowSolver::new(platform.graph());
-        self.screen = vec![DestScreen::default(); remap.nodes.saturating_sub(1)];
+        self.screen = vec![ScreenSnapshot::default(); remap.nodes.saturating_sub(1)];
         // The stabilization center lives in load space: survivors carry
         // their running average over, new edges start from zero.
         if !self.stab_center.is_empty() {
@@ -1209,8 +1179,14 @@ pub struct CutSnapshot {
     pub row: Option<usize>,
 }
 
-/// One destination's separation-screen state inside a [`SessionSnapshot`].
-#[derive(Clone, Debug, PartialEq)]
+/// Screening state of one destination, live in a [`CutGenSession`] and
+/// plain data in a [`SessionSnapshot`]: the max-flow measured the last time
+/// its separation oracle actually ran, plus the support of that flow — a
+/// feasibility certificate that lower-bounds the destination's flow at any
+/// later capacity vector (see [`CutGenOptions::screen_separation`]). The
+/// stored flow also warm-starts the destination's next max-flow, with
+/// screening on or off.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScreenSnapshot {
     /// True when the certificate below is live.
     pub valid: bool,
@@ -1305,15 +1281,7 @@ impl CutGenSession {
                 })
                 .collect(),
             steps: self.steps,
-            screen: self
-                .screen
-                .iter()
-                .map(|s| ScreenSnapshot {
-                    valid: s.valid,
-                    flow: s.flow,
-                    support: s.support.clone(),
-                })
-                .collect(),
+            screen: self.screen.clone(),
             stab_center: self.stab_center.clone(),
         }
     }
@@ -1468,15 +1436,7 @@ impl CutGenSession {
             index_by_edges,
             steps: snapshot.steps,
             maxflow: MaxFlowSolver::new(platform.graph()),
-            screen: snapshot
-                .screen
-                .iter()
-                .map(|s| DestScreen {
-                    valid: s.valid,
-                    flow: s.flow,
-                    support: s.support.clone(),
-                })
-                .collect(),
+            screen: snapshot.screen.clone(),
             stab_center: snapshot.stab_center.clone(),
         })
     }

@@ -1,8 +1,9 @@
 //! Integration tests of the `bcast-obs` instrumentation layer as the
 //! experiment binaries use it: the disabled-overhead guard, the journal
 //! golden (bit-identical across runs after scrubbing wall-clock fields),
-//! the `solver_report` contract (schema check + span coverage) on a real
-//! drift walk, and the schedule-repair label on a churn walk.
+//! the `solver_report` contract (schema check, span coverage and the sched
+//! spans and max-flow counter) on a real drift walk, and the
+//! schedule-repair label on a churn walk.
 //!
 //! The obs sink is process-global, so every test serializes on [`LOCK`]
 //! and leaves the sink disabled and reset behind itself.
@@ -11,7 +12,7 @@ use bcast_core::optimal::cut_gen;
 use bcast_core::optimal::cut_gen::CutGenSession;
 use bcast_core::CutGenOptions;
 use bcast_net::NodeId;
-use bcast_obs::report;
+use bcast_obs::{names, report};
 use bcast_platform::drift::{DriftConfig, DriftTrace};
 use bcast_platform::generators::tiers::{tiers_platform, TiersConfig};
 use bcast_platform::Platform;
@@ -100,7 +101,9 @@ fn journal_run(path: &std::path::Path) -> String {
 
 /// The journal of a fixed-seed drift walk is bit-identical across runs
 /// once wall-clock (`*_ns`) fields are scrubbed, passes the schema
-/// validator, and its span tree covers ≥ 90% of the run.
+/// validator, its span tree covers ≥ 90% of the run, and it holds the
+/// `sched.round`, `sched.pack` and `sched.assemble` spans and a non-zero
+/// `sched.maxflows` counter.
 #[test]
 fn journal_golden_check_and_coverage() {
     let _guard = LOCK.lock().unwrap();
@@ -143,6 +146,25 @@ fn journal_golden_check_and_coverage() {
         rep.coverage * 100.0
     );
     assert_eq!(rep.binary, "observability-test");
+
+    // Sched time splits into rounding, packing and the timetable, and the
+    // packing and rounding max-flows are counted.
+    for span in [
+        names::SPAN_SCHED_ROUND,
+        names::SPAN_SCHED_PACK,
+        names::SPAN_SCHED_ASSEMBLE,
+    ] {
+        assert!(
+            rep.kernels.iter().any(|k| k.name == span && k.calls > 0),
+            "no {span} span in the journal"
+        );
+    }
+    let maxflows = rep
+        .counters
+        .iter()
+        .find(|(name, _)| name == names::SCHED_MAXFLOWS)
+        .map_or(0, |&(_, value)| value);
+    assert!(maxflows > 0, "{} is 0", names::SCHED_MAXFLOWS);
 }
 
 /// The repair label follows the remap, not the entry point: a churn trace

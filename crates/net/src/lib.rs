@@ -10,11 +10,13 @@
 //! * [`shortest_path`] — Dijkstra shortest paths.
 //! * [`maxflow`] — Dinic maximum flow and minimum s–t cuts on `f64`
 //!   capacities over one flat residual network,
-//!   [`maxflow::MaxFlowSolver`]: built once per topology, it walks only
-//!   the live arcs of each capacity vector, stops each level search at the
-//!   sink, and can start from a prior flow (the separation oracle of the
-//!   cut-generation optimal broadcast-throughput solver warm-starts each
-//!   destination this way). The one-shot [`max_flow`] wraps it.
+//!   [`maxflow::MaxFlowSolver`], the crate's only max-flow entry point:
+//!   built once per topology, it walks only the live arcs of each capacity
+//!   vector, stops each level search at the sink, and can start from a
+//!   prior flow. The separation oracle of the cut-generation optimal
+//!   broadcast-throughput solver warm-starts each destination this way;
+//!   the schedule synthesizer builds one solver per packing or rounding
+//!   call and solves it cold for each check.
 //! * [`spanning`] — spanning-arborescence utilities: validation, parent
 //!   maps, conversion between edge lists and rooted trees.
 //!
@@ -31,5 +33,4 @@ pub mod spanning;
 pub mod traversal;
 
 pub use graph::{DiGraph, EdgeId, EdgeRef, NodeId};
-pub use maxflow::{max_flow, MaxFlowResult};
 pub use spanning::{Arborescence, SpanningError};

@@ -8,9 +8,11 @@
 //! [`MaxFlowSolver`] is the crate's one residual network: built once per
 //! topology, given a capacity vector by
 //! [`set_capacities`](MaxFlowSolver::set_capacities), and solved from zero
-//! or from a prior flow by [`solve_from`](MaxFlowSolver::solve_from). The
-//! one-shot [`max_flow`] is a thin wrapper that also reports per-edge flows
-//! and the cut edges.
+//! or from a prior flow by [`solve_from`](MaxFlowSolver::solve_from). A
+//! caller with a single question builds a solver and calls
+//! [`solve`](MaxFlowSolver::solve), then reads the flow from
+//! [`flow_support`](MaxFlowSolver::flow_support) and the cut from
+//! [`min_cut_source_side`](MaxFlowSolver::min_cut_source_side).
 
 use crate::graph::{DiGraph, EdgeId, NodeId};
 
@@ -463,58 +465,6 @@ impl MaxFlowSolver {
     }
 }
 
-/// Result of [`max_flow`]: the flow value plus per-platform-edge flows.
-#[derive(Clone, Debug)]
-pub struct MaxFlowResult {
-    /// Value of the maximum flow.
-    pub value: f64,
-    /// Flow assigned to each platform edge (indexed by [`EdgeId`]).
-    pub edge_flow: Vec<f64>,
-    /// Source-side membership of a minimum cut.
-    pub source_side: Vec<bool>,
-    /// Platform edges crossing the minimum cut.
-    pub cut_edges: Vec<EdgeId>,
-}
-
-/// Computes the maximum `source -> sink` flow of `graph` where each edge has
-/// capacity `capacity(edge)`: a cold solve of a fresh [`MaxFlowSolver`].
-pub fn max_flow<N, E, C>(
-    graph: &DiGraph<N, E>,
-    source: NodeId,
-    sink: NodeId,
-    mut capacity: C,
-) -> MaxFlowResult
-where
-    C: FnMut(EdgeId, &E) -> f64,
-{
-    let capacities: Vec<f64> = graph
-        .edges()
-        .map(|e| capacity(e.id, e.payload).max(0.0))
-        .collect();
-    let mut solver = MaxFlowSolver::new(graph);
-    let value = solver.solve(source, sink, |e| capacities[e.index()]);
-    let mut edge_flow = vec![0.0; capacities.len()];
-    for (e, f) in solver.flow_support() {
-        edge_flow[e as usize] = f;
-    }
-    let source_side = solver.min_cut_source_side(source).to_vec();
-    let cut_edges = graph
-        .edges()
-        .filter(|e| {
-            capacities[e.id.index()] > 0.0
-                && source_side[e.src.index()]
-                && !source_side[e.dst.index()]
-        })
-        .map(|e| e.id)
-        .collect();
-    MaxFlowResult {
-        value,
-        edge_flow,
-        source_side,
-        cut_edges,
-    }
-}
-
 #[cfg(test)]
 #[path = "../tests/reference/mod.rs"]
 mod reference;
@@ -545,34 +495,61 @@ mod tests {
         (g, NodeId(0), NodeId(5))
     }
 
+    /// A cold solve of `g` at its payload capacities: the solver, to read
+    /// the flow and the cut from, and the flow value.
+    fn solve(g: &DiGraph<(), f64>, s: NodeId, t: NodeId) -> (MaxFlowSolver, f64) {
+        let mut solver = MaxFlowSolver::new(g);
+        let value = solver.solve(s, t, |e| *g.edge(e));
+        (solver, value)
+    }
+
+    /// Flow on every edge after the solver's last solve, by edge id.
+    fn edge_flow(solver: &MaxFlowSolver, edges: usize) -> Vec<f64> {
+        let mut flow = vec![0.0; edges];
+        for (e, f) in solver.flow_support() {
+            flow[e as usize] = f;
+        }
+        flow
+    }
+
+    /// Edges of positive capacity from `side` to the other nodes.
+    fn crossing_edges(g: &DiGraph<(), f64>, side: &[bool]) -> Vec<EdgeId> {
+        g.edges()
+            .filter(|e| *e.payload > 0.0 && side[e.src.index()] && !side[e.dst.index()])
+            .map(|e| e.id)
+            .collect()
+    }
+
     #[test]
     fn classic_network_value() {
         let (g, s, t) = classic();
-        let r = max_flow(&g, s, t, |_, &c| c);
-        assert!((r.value - 19.0).abs() < 1e-9, "value = {}", r.value);
+        let (_, value) = solve(&g, s, t);
+        assert!((value - 19.0).abs() < 1e-9, "value = {value}");
     }
 
     #[test]
     fn min_cut_capacity_equals_flow() {
         let (g, s, t) = classic();
-        let r = max_flow(&g, s, t, |_, &c| c);
-        let cut_capacity: f64 = r.cut_edges.iter().map(|&e| *g.edge(e)).sum();
-        assert!((cut_capacity - r.value).abs() < 1e-9);
+        let (mut solver, value) = solve(&g, s, t);
+        let side = solver.min_cut_source_side(s);
+        let cut_capacity: f64 = crossing_edges(&g, side).iter().map(|&e| *g.edge(e)).sum();
+        assert!((cut_capacity - value).abs() < 1e-9);
         // Source is on the source side, sink is not.
-        assert!(r.source_side[s.index()]);
-        assert!(!r.source_side[t.index()]);
+        assert!(side[s.index()]);
+        assert!(!side[t.index()]);
     }
 
     #[test]
     fn flow_conservation_holds() {
         let (g, s, t) = classic();
-        let r = max_flow(&g, s, t, |_, &c| c);
+        let (solver, _) = solve(&g, s, t);
+        let flow = edge_flow(&solver, g.edge_count());
         for u in g.node_ids() {
             if u == s || u == t {
                 continue;
             }
-            let inflow: f64 = g.in_edges(u).map(|e| r.edge_flow[e.id.index()]).sum();
-            let outflow: f64 = g.out_edges(u).map(|e| r.edge_flow[e.id.index()]).sum();
+            let inflow: f64 = g.in_edges(u).map(|e| flow[e.id.index()]).sum();
+            let outflow: f64 = g.out_edges(u).map(|e| flow[e.id.index()]).sum();
             assert!(
                 (inflow - outflow).abs() < 1e-9,
                 "conservation violated at {u:?}: in {inflow} out {outflow}"
@@ -583,9 +560,10 @@ mod tests {
     #[test]
     fn capacities_are_respected() {
         let (g, s, t) = classic();
-        let r = max_flow(&g, s, t, |_, &c| c);
+        let (solver, _) = solve(&g, s, t);
+        let flow = edge_flow(&solver, g.edge_count());
         for e in g.edges() {
-            let f = r.edge_flow[e.id.index()];
+            let f = flow[e.id.index()];
             assert!(f >= -1e-9);
             assert!(f <= *e.payload + 1e-9);
         }
@@ -595,9 +573,9 @@ mod tests {
     fn disconnected_sink_gives_zero_flow() {
         let mut g: DiGraph<(), f64> = DiGraph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1), 5.0);
-        let r = max_flow(&g, NodeId(0), NodeId(2), |_, &c| c);
-        assert_eq!(r.value, 0.0);
-        assert!(r.cut_edges.is_empty());
+        let (mut solver, value) = solve(&g, NodeId(0), NodeId(2));
+        assert_eq!(value, 0.0);
+        assert!(crossing_edges(&g, solver.min_cut_source_side(NodeId(0))).is_empty());
     }
 
     #[test]
@@ -606,9 +584,10 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 4.0);
         let bottleneck = g.add_edge(NodeId(1), NodeId(2), 1.5);
         g.add_edge(NodeId(2), NodeId(3), 4.0);
-        let r = max_flow(&g, NodeId(0), NodeId(3), |_, &c| c);
-        assert!((r.value - 1.5).abs() < 1e-12);
-        assert_eq!(r.cut_edges, vec![bottleneck]);
+        let (mut solver, value) = solve(&g, NodeId(0), NodeId(3));
+        assert!((value - 1.5).abs() < 1e-12);
+        let side = solver.min_cut_source_side(NodeId(0));
+        assert_eq!(crossing_edges(&g, side), vec![bottleneck]);
     }
 
     #[test]
@@ -616,8 +595,8 @@ mod tests {
         let mut g: DiGraph<(), f64> = DiGraph::with_nodes(2);
         g.add_edge(NodeId(0), NodeId(1), 1.0);
         g.add_edge(NodeId(0), NodeId(1), 2.5);
-        let r = max_flow(&g, NodeId(0), NodeId(1), |_, &c| c);
-        assert!((r.value - 3.5).abs() < 1e-12);
+        let (_, value) = solve(&g, NodeId(0), NodeId(1));
+        assert!((value - 3.5).abs() < 1e-12);
     }
 
     #[test]
@@ -625,8 +604,8 @@ mod tests {
         let mut g: DiGraph<(), f64> = DiGraph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1), 0.0);
         g.add_edge(NodeId(1), NodeId(2), -3.0);
-        let r = max_flow(&g, NodeId(0), NodeId(2), |_, &c| c);
-        assert_eq!(r.value, 0.0);
+        let (_, value) = solve(&g, NodeId(0), NodeId(2));
+        assert_eq!(value, 0.0);
     }
 
     #[test]
@@ -704,15 +683,13 @@ mod tests {
             k if k % 2 == 0 => *g.edge(e) * 0.5,
             _ => *g.edge(e),
         };
-        let cold = max_flow(&g, s, t, |e, _| caps(e));
+        let mut fresh = MaxFlowSolver::new(&g);
+        let cold = fresh.solve(s, t, caps);
+        let cold_side = fresh.min_cut_source_side(s).to_vec();
         solver.set_capacities(caps);
         let warm = solver.solve_from(s, t, f64::INFINITY, &support);
-        assert!(
-            (warm - cold.value).abs() <= 1e-9,
-            "{warm} vs {}",
-            cold.value
-        );
-        assert_eq!(solver.min_cut_source_side(s), &cold.source_side[..]);
+        assert!((warm - cold).abs() <= 1e-9, "{warm} vs {cold}");
+        assert_eq!(solver.min_cut_source_side(s), &cold_side[..]);
     }
 
     #[test]
@@ -722,7 +699,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(2), 0.7);
         g.add_edge(NodeId(1), NodeId(3), 0.4);
         g.add_edge(NodeId(2), NodeId(3), 0.5);
-        let r = max_flow(&g, NodeId(0), NodeId(3), |_, &c| c);
-        assert!((r.value - 0.8).abs() < 1e-9, "value = {}", r.value);
+        let (_, value) = solve(&g, NodeId(0), NodeId(3));
+        assert!((value - 0.8).abs() < 1e-9, "value = {value}");
     }
 }

@@ -6,7 +6,7 @@
 mod reference;
 
 use bcast_net::maxflow::MaxFlowSolver;
-use bcast_net::{max_flow, shortest_path, spanning, traversal, DiGraph, NodeId};
+use bcast_net::{shortest_path, spanning, traversal, DiGraph, NodeId};
 use proptest::prelude::*;
 use reference::all_arcs_max_flow;
 
@@ -176,25 +176,23 @@ proptest! {
         let g = build(&desc);
         let s = NodeId(0);
         let t = NodeId((desc.nodes - 1) as u32);
-        let r = max_flow(&g, s, t, |_, &c| c);
-        // Duality: value == capacity of the reported cut.
-        let cut_capacity: f64 = r.cut_edges.iter().map(|&e| *g.edge(e)).sum();
-        prop_assert!((cut_capacity - r.value).abs() < 1e-6,
-            "flow {} vs cut {}", r.value, cut_capacity);
+        let capacity: Vec<f64> = g.edges().map(|e| *e.payload).collect();
+        let mut solver = MaxFlowSolver::new(&g);
+        let value = solver.solve(s, t, |e| capacity[e.index()]);
+        // Duality: value == capacity of the edges leaving the cut's source side.
+        let side = solver.min_cut_source_side(s);
+        let cut_capacity: f64 = g
+            .edges()
+            .filter(|e| side[e.src.index()] && !side[e.dst.index()])
+            .map(|e| *e.payload)
+            .sum();
+        prop_assert!((cut_capacity - value).abs() < 1e-6,
+            "flow {} vs cut {}", value, cut_capacity);
         // The cut actually separates s from t.
-        prop_assert!(r.source_side[s.index()]);
-        prop_assert!(r.value == 0.0 || !r.source_side[t.index()]);
+        prop_assert!(side[s.index()]);
+        prop_assert!(value == 0.0 || !side[t.index()]);
         // Conservation and capacity constraints.
-        for u in g.node_ids() {
-            if u == s || u == t { continue; }
-            let inflow: f64 = g.in_edges(u).map(|e| r.edge_flow[e.id.index()]).sum();
-            let outflow: f64 = g.out_edges(u).map(|e| r.edge_flow[e.id.index()]).sum();
-            prop_assert!((inflow - outflow).abs() < 1e-6);
-        }
-        for e in g.edges() {
-            let f = r.edge_flow[e.id.index()];
-            prop_assert!(f >= -1e-9 && f <= *e.payload + 1e-9);
-        }
+        assert_feasible(&g, &solver.flow_support(), s, t, &capacity);
     }
 
     /// The max-flow value never exceeds the capacity of *any* s–t cut, in
@@ -204,9 +202,9 @@ proptest! {
         let g = build(&desc);
         let s = NodeId(0);
         let t = NodeId((desc.nodes - 1) as u32);
-        let r = max_flow(&g, s, t, |_, &c| c);
+        let value = MaxFlowSolver::new(&g).solve(s, t, |e| *g.edge(e));
         let source_cut: f64 = g.out_edges(s).map(|e| *e.payload).sum();
-        prop_assert!(r.value <= source_cut + 1e-9);
+        prop_assert!(value <= source_cut + 1e-9);
     }
 
     /// Dijkstra distances satisfy the triangle inequality along every edge

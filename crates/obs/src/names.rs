@@ -41,6 +41,10 @@ pub const SCHED_PRUNES: &str = "sched.repair.prunes";
 pub const SCHED_KEPT_TREES: &str = "sched.repair.kept_trees";
 /// Repairs that fell back to a full synthesis.
 pub const SCHED_FULL_REBUILDS: &str = "sched.repair.full_rebuilds";
+/// Max-flows solved by the schedule synthesizer: Edmonds' condition and
+/// the candidate checks of arborescence packing, and the integer-flow
+/// checks of the rounding repair.
+pub const SCHED_MAXFLOWS: &str = "sched.maxflows";
 /// Point-to-point transfers replayed by the schedule simulator.
 pub const SIM_TRANSFERS: &str = "sim.transfers";
 /// Cold LP solves that ended in `LpError::Singular`: the basis could not
@@ -106,6 +110,15 @@ pub const SPAN_SCHED_SYNTHESIZE: &str = "sched.synthesize";
 pub const SPAN_SCHED_REPAIR: &str = "sched.repair";
 /// Incremental schedule repair of a step that changed the node set.
 pub const SPAN_SCHED_REPAIR_CHURN: &str = "sched.repair_churn";
+/// Rounding of the LP loads to integer multiplicities, repair included
+/// (inside a synthesis or repair).
+pub const SPAN_SCHED_ROUND: &str = "sched.round";
+/// Packing of spanning arborescences into integer capacities (inside a
+/// synthesis or repair).
+pub const SPAN_SCHED_PACK: &str = "sched.pack";
+/// Timetabling of one period's trees into a schedule (inside a synthesis,
+/// repair or tree fallback).
+pub const SPAN_SCHED_ASSEMBLE: &str = "sched.assemble";
 /// Schedule replay in the simulator.
 pub const SPAN_SIM_REPLAY: &str = "sim.replay";
 /// One command applied by the `bcast-service` daemon.

@@ -211,10 +211,6 @@ pub struct DriftStep {
     compact_nodes: Vec<NodeId>,
     /// Alive edge ids (full-platform ids, ascending).
     compact_edges: Vec<EdgeId>,
-    /// Broadcast-feasibility verdict of the step's reachability guard,
-    /// cached at generation time (true by construction — every failure and
-    /// departure that would disconnect a survivor is skipped).
-    feasible: bool,
 }
 
 impl DriftStep {
@@ -270,14 +266,6 @@ impl DriftStep {
     /// slice is the edge's id in [`DriftTrace::platform_at`]'s snapshot.
     pub fn compact_edges(&self) -> &[EdgeId] {
         &self.compact_edges
-    }
-
-    /// The reachability-guard verdict cached when the trace was generated:
-    /// every alive node can be reached from the source over alive,
-    /// non-failed links. Always true by construction; cached here so replay
-    /// code does not re-derive reachability per snapshot.
-    pub fn is_feasible(&self) -> bool {
-        self.feasible
     }
 }
 
@@ -777,7 +765,6 @@ fn make_step(
         alive_edges: alive_edges.to_vec(),
         compact_nodes,
         compact_edges,
-        feasible: true,
     }
 }
 
@@ -952,16 +939,14 @@ mod tests {
 
     #[test]
     fn platform_at_matches_map_link_costs_on_churn_free_traces() {
-        // Satellite fix: on churn-free traces `platform_at` must be exactly
-        // the cached-factor cost map over the base platform — no compact
-        // renumbering, no per-call reachability work — and the guard
-        // verdict is cached at generation time.
+        // On churn-free traces `platform_at` must be exactly the
+        // cached-factor cost map over the base platform — no compact
+        // renumbering, no per-call reachability work.
         let platform = fixture();
         let trace = DriftTrace::generate(&platform, NodeId(0), &DriftConfig::with_failures(6, 77));
         assert_eq!(trace.full().node_count(), platform.node_count());
         assert_eq!(trace.full().edge_count(), platform.edge_count());
         for step in 0..trace.len() {
-            assert!(trace.step(step).is_feasible());
             assert_eq!(trace.source_at(step), NodeId(0));
             let snapshot = trace.platform_at(step);
             let state = trace.step(step);

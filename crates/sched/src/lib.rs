@@ -40,7 +40,7 @@ pub mod schedule;
 
 pub use error::SchedError;
 pub use packing::pack_arborescences;
-pub use rounding::{round_loads, RoundedLoads, RoundingConfig};
+pub use rounding::{round_loads, RoundedLoads, MAX_SLICES_PER_PERIOD};
 pub use schedule::{PeriodicSchedule, ScheduleParts, ScheduleRound, ScheduledTransfer};
 
 use bcast_core::{BroadcastStructure, OptimalThroughput};
@@ -54,15 +54,16 @@ pub struct SynthesisConfig {
     /// Port model the timetable is built for ([`CommModel::OnePort`] or
     /// [`CommModel::MultiPort`]).
     pub model: CommModel,
-    /// Batch-size selection (see [`RoundingConfig`]).
-    pub rounding: RoundingConfig,
+    /// Fixed batch size `B` (slices per period); `None` derives it from the
+    /// rounding's loss target (see [`round_loads`]).
+    pub batch: Option<usize>,
 }
 
 impl Default for SynthesisConfig {
     fn default() -> Self {
         SynthesisConfig {
             model: CommModel::OnePort,
-            rounding: RoundingConfig::default(),
+            batch: None,
         }
     }
 }
@@ -71,10 +72,7 @@ impl SynthesisConfig {
     /// A configuration with a fixed batch size `B`.
     pub fn with_batch(batch: usize) -> Self {
         SynthesisConfig {
-            rounding: RoundingConfig {
-                slices_per_period: Some(batch),
-                ..RoundingConfig::default()
-            },
+            batch: Some(batch),
             ..SynthesisConfig::default()
         }
     }
@@ -142,7 +140,7 @@ fn synthesize_schedule_inner(
         &optimal.edge_load,
         optimal.throughput,
         slice_size,
-        &config.rounding,
+        config.batch,
     )?;
     let trees = pack_arborescences(
         platform,
@@ -206,22 +204,7 @@ pub fn synthesize_schedule_with_tree_fallback(
         }
         // The tree's analytic period bound, for the rounding stats: the
         // exact relative loss of this tree against the LP optimum.
-        let mut period_lb: f64 = 0.0;
-        for u in platform.nodes() {
-            let out: f64 = platform
-                .graph()
-                .out_edges(u)
-                .filter(|e| usage[e.id.index()] > 0)
-                .map(|e| e.payload.link_time(slice_size))
-                .sum();
-            let inc: f64 = platform
-                .graph()
-                .in_edges(u)
-                .filter(|e| usage[e.id.index()] > 0)
-                .map(|e| e.payload.link_time(slice_size))
-                .sum();
-            period_lb = period_lb.max(out).max(inc);
-        }
+        let period_lb = rounding::max_port_time(platform, slice_size, |e| usage[e.index()] > 0);
         let rounding = RoundedLoads {
             slices_per_period: 1,
             multiplicity: usage,
@@ -447,17 +430,13 @@ fn repair(
     }
     // Pin the previous batch size: period-to-period stability matters more
     // than re-deriving B from the loss target every step.
-    let rounding_config = RoundingConfig {
-        slices_per_period: Some(batch),
-        ..config.rounding
-    };
     let mut rounded = round_loads(
         platform,
         source,
         &optimal.edge_load,
         optimal.throughput,
         slice_size,
-        &rounding_config,
+        Some(batch),
     )?;
     // 1. Keep what the step left serviceable. `used` counts the kept
     //    trees' edges; the port loads over the period so far are the graft

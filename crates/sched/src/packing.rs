@@ -31,9 +31,16 @@
 //! checks are max-flow computations, made cheap by caching per-node flow
 //! lower bounds (a single unit decrement lowers any max-flow by at most
 //! one, so nodes with slack never need a recomputation).
+//!
+//! Each [`pack_arborescences`] call builds one [`MaxFlowSolver`] for the
+//! platform, and every flow it needs — Edmonds' condition at the start and
+//! each candidate check — is a cold [`solve`](MaxFlowSolver::solve) of
+//! that solver at the remaining capacities.
 
 use crate::error::SchedError;
-use bcast_net::{maxflow, EdgeId, NodeId};
+use bcast_net::maxflow::MaxFlowSolver;
+use bcast_net::{EdgeId, NodeId};
+use bcast_obs::names;
 use bcast_platform::Platform;
 
 /// Packs `count` spanning arborescences rooted at `source` into the integer
@@ -45,6 +52,21 @@ pub fn pack_arborescences(
     source: NodeId,
     capacities: &[u32],
     count: usize,
+) -> Result<Vec<Vec<EdgeId>>, SchedError> {
+    let _span = bcast_obs::span!(names::SPAN_SCHED_PACK);
+    let mut maxflows = 0;
+    let trees = pack(platform, source, capacities, count, &mut maxflows);
+    bcast_obs::counter_add(names::SCHED_MAXFLOWS, maxflows);
+    trees
+}
+
+/// [`pack_arborescences`], counting the max-flows it solves in `maxflows`.
+fn pack(
+    platform: &Platform,
+    source: NodeId,
+    capacities: &[u32],
+    count: usize,
+    maxflows: &mut u64,
 ) -> Result<Vec<Vec<EdgeId>>, SchedError> {
     let n = platform.node_count();
     let graph = platform.graph();
@@ -58,9 +80,11 @@ pub fn pack_arborescences(
     }
 
     let mut remaining: Vec<u32> = capacities.to_vec();
-    let flow_value = |remaining: &[u32], w: NodeId| -> i64 {
-        maxflow::max_flow(graph, source, w, |e, _| f64::from(remaining[e.index()]))
-            .value
+    let mut solver = MaxFlowSolver::new(graph);
+    let mut flow_value = |remaining: &[u32], w: NodeId| -> i64 {
+        *maxflows += 1;
+        solver
+            .solve(source, w, |e| f64::from(remaining[e.index()]))
             .round() as i64
     };
 

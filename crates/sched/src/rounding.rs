@@ -30,18 +30,35 @@
 //! because the LP's one-port constraint bounds `Σ n_e·T_e ≤ 1` per port.
 //! Relative to the ideal period `B/TP` the rounding therefore inflates any
 //! port's busy time by at most `TP·D/B` — choose `B ≥ TP·D/ε` and the loss
-//! is at most `ε`. [`round_loads`] picks `B` this way (clamped to a
-//! practical range) unless the caller fixes it explicitly.
+//! is at most `ε`. Unless the caller fixes `B`, [`round_loads`] picks it
+//! this way for a fixed `ε` of 2%, clamped to 4 to
+//! [`MAX_SLICES_PER_PERIOD`] (96) slices.
 //!
 //! Floating-point noise in the LP solution can make a ceiling land one unit
-//! short of a tight cut; a repair pass runs one integer max-flow per
-//! destination and bumps a crossing edge until every destination reaches
-//! `B`, so the packing precondition holds *exactly*.
+//! short of a tight cut. A repair pass therefore checks every destination
+//! with one [`MaxFlowSolver`], built once per call: each check is a cold
+//! [`solve`](MaxFlowSolver::solve) at the current multiplicities, and while
+//! a destination falls short of `B` the pass bumps an edge leaving the
+//! [`min_cut_source_side`](MaxFlowSolver::min_cut_source_side), so the
+//! packing precondition holds *exactly*.
 
 use crate::error::SchedError;
-use bcast_net::{maxflow, NodeId};
+use bcast_net::maxflow::MaxFlowSolver;
+use bcast_net::{EdgeId, NodeId};
+use bcast_obs::names;
 use bcast_platform::Platform;
 use serde::{Deserialize, Serialize};
+
+/// Relative throughput loss the derived batch size aims for: `B` is the
+/// smallest batch with `TP·D/B ≤ TARGET_LOSS`, before clamping.
+const TARGET_LOSS: f64 = 0.02;
+
+/// Smallest derived batch size.
+const MIN_SLICES_PER_PERIOD: usize = 4;
+
+/// Largest derived batch size: the packing's cost grows with `B`. Callers
+/// that take a fixed batch from outside the program cap it here too.
+pub const MAX_SLICES_PER_PERIOD: usize = 96;
 
 /// Absolute slack subtracted before taking ceilings, so loads that are
 /// integral up to LP tolerance (e.g. `2.0000001`) do not round to the next
@@ -72,41 +89,20 @@ pub struct RoundedLoads {
     pub dominated: Vec<bool>,
 }
 
-/// Choice of the batch size `B`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RoundingConfig {
-    /// Fixed batch size; `None` derives it from `target_loss`.
-    pub slices_per_period: Option<usize>,
-    /// Target relative throughput loss of the rounding (default 2%).
-    pub target_loss: f64,
-    /// Lower clamp on the derived batch size.
-    pub min_slices_per_period: usize,
-    /// Upper clamp on the derived batch size (packing cost grows with `B`).
-    pub max_slices_per_period: usize,
-}
-
-impl Default for RoundingConfig {
-    fn default() -> Self {
-        RoundingConfig {
-            slices_per_period: None,
-            target_loss: 0.02,
-            min_slices_per_period: 4,
-            max_slices_per_period: 96,
-        }
-    }
-}
-
 /// Rounds the fractional edge loads `loads` (with optimal throughput
 /// `throughput`) into integer per-period multiplicities such that every
-/// destination admits an integral flow of `slices_per_period` from `source`.
+/// destination admits an integral flow of `B` slices from `source`. `B` is
+/// `slices_per_period` when given (at least 1), else derived from the 2%
+/// loss target (see the module docs).
 pub fn round_loads(
     platform: &Platform,
     source: NodeId,
     loads: &[f64],
     throughput: f64,
     slice_size: f64,
-    config: &RoundingConfig,
+    slices_per_period: Option<usize>,
 ) -> Result<RoundedLoads, SchedError> {
+    let _span = bcast_obs::span!(names::SPAN_SCHED_ROUND);
     let m = platform.edge_count();
     if loads.len() != m {
         return Err(SchedError::LoadVectorMismatch {
@@ -121,42 +117,24 @@ pub fn round_loads(
     // Support edges and the worst port occupation D over them.
     let support_tol = 1e-9 * throughput;
     let support: Vec<bool> = loads.iter().map(|&l| l > support_tol).collect();
-    let mut max_port_time: f64 = 0.0;
+    let max_port_time = max_port_time(platform, slice_size, |e| support[e.index()]);
     let mut max_edge_time: f64 = 0.0;
-    for u in platform.nodes() {
-        let out: f64 = platform
-            .graph()
-            .out_edges(u)
-            .filter(|e| support[e.id.index()])
-            .map(|e| e.payload.link_time(slice_size))
-            .sum();
-        let inc: f64 = platform
-            .graph()
-            .in_edges(u)
-            .filter(|e| support[e.id.index()])
-            .map(|e| e.payload.link_time(slice_size))
-            .sum();
-        max_port_time = max_port_time.max(out).max(inc);
-    }
     for e in platform.edges() {
         if support[e.index()] {
             max_edge_time = max_edge_time.max(platform.link_time(e, slice_size));
         }
     }
 
-    let batch = match config.slices_per_period {
+    let batch = match slices_per_period {
         Some(b) => b.max(1),
         None => {
-            let needed = (throughput * max_port_time / config.target_loss.max(1e-6)).ceil();
+            let needed = (throughput * max_port_time / TARGET_LOSS).ceil();
             let needed = if needed.is_finite() {
                 needed as usize
             } else {
                 usize::MAX
             };
-            needed.clamp(
-                config.min_slices_per_period.max(1),
-                config.max_slices_per_period.max(1),
-            )
+            needed.clamp(MIN_SLICES_PER_PERIOD, MAX_SLICES_PER_PERIOD)
         }
     };
     // Slices-per-load scale factor and the ideal period `B/TP` are the
@@ -177,8 +155,7 @@ pub fn round_loads(
     let dominated: Vec<bool> = (0..m)
         .map(|e| {
             let ideal = loads[e] * scale;
-            ideal < 1.0
-                && platform.link_time(bcast_net::EdgeId(e as u32), slice_size) > ideal_period
+            ideal < 1.0 && platform.link_time(EdgeId(e as u32), slice_size) > ideal_period
         })
         .collect();
     let mut multiplicity: Vec<u32> = loads
@@ -196,12 +173,14 @@ pub fn round_loads(
 
     // Repair pass: every destination must admit an integral flow of `batch`.
     let graph = platform.graph();
+    let mut solver = MaxFlowSolver::new(graph);
+    let mut maxflows = 0u64;
     let mut repairs = 0usize;
     for w in platform.nodes().filter(|&w| w != source) {
         loop {
-            let flow =
-                maxflow::max_flow(graph, source, w, |e, _| f64::from(multiplicity[e.index()]));
-            if flow.value.round() as i64 >= batch as i64 {
+            let flow = solver.solve(source, w, |e| f64::from(multiplicity[e.index()]));
+            maxflows += 1;
+            if flow.round() as i64 >= batch as i64 {
                 break;
             }
             // Bump the crossing edge that was rounded down the most (the
@@ -209,9 +188,10 @@ pub fn round_loads(
             // id. Dominated (slower-than-the-period) edges are a last
             // resort: a fast edge is bumped whenever one crosses the cut,
             // no matter the deficits.
+            let side = solver.min_cut_source_side(source);
             let mut best: Option<(bool, f64, usize)> = None;
             for e in graph.edges() {
-                if flow.source_side[e.src.index()] && !flow.source_side[e.dst.index()] {
+                if side[e.src.index()] && !side[e.dst.index()] {
                     let fast = !dominated[e.id.index()];
                     let deficit =
                         loads[e.id.index()] * scale - f64::from(multiplicity[e.id.index()]);
@@ -228,12 +208,14 @@ pub fn round_loads(
                 }
             }
             let Some((_, _, e)) = best else {
+                bcast_obs::counter_add(names::SCHED_MAXFLOWS, maxflows);
                 return Err(SchedError::Unreachable { source });
             };
             multiplicity[e] += 1;
             repairs += 1;
         }
     }
+    bcast_obs::counter_add(names::SCHED_MAXFLOWS, maxflows);
 
     let loss_bound = throughput * (max_port_time + repairs as f64 * max_edge_time) / batch as f64;
     Ok(RoundedLoads {
@@ -244,6 +226,33 @@ pub fn round_loads(
         repairs,
         dominated,
     })
+}
+
+/// The largest port busy time over the edges `on` selects: the maximum over
+/// nodes of the summed [`link_time`](bcast_platform::LinkCost::link_time)
+/// of the node's selected out-edges, and of its selected in-edges, each
+/// summed in edge order.
+pub(crate) fn max_port_time(
+    platform: &Platform,
+    slice_size: f64,
+    on: impl Fn(EdgeId) -> bool,
+) -> f64 {
+    let graph = platform.graph();
+    let mut max: f64 = 0.0;
+    for u in platform.nodes() {
+        let out: f64 = graph
+            .out_edges(u)
+            .filter(|e| on(e.id))
+            .map(|e| e.payload.link_time(slice_size))
+            .sum();
+        let inc: f64 = graph
+            .in_edges(u)
+            .filter(|e| on(e.id))
+            .map(|e| e.payload.link_time(slice_size))
+            .sum();
+        max = max.max(out).max(inc);
+    }
+    max
 }
 
 #[cfg(test)]
@@ -271,10 +280,7 @@ mod tests {
             &o.edge_load,
             o.throughput,
             1.0,
-            &RoundingConfig {
-                slices_per_period: Some(8),
-                ..RoundingConfig::default()
-            },
+            Some(8),
         )
         .unwrap();
         assert_eq!(r.slices_per_period, 8);
@@ -295,18 +301,16 @@ mod tests {
             &o.edge_load,
             o.throughput,
             1.0e6,
-            &RoundingConfig::default(),
+            None,
         )
         .unwrap();
         let b = r.slices_per_period as f64;
+        let mut solver = MaxFlowSolver::new(platform.graph());
         for w in platform.nodes().filter(|&w| w != NodeId(0)) {
-            let flow = maxflow::max_flow(platform.graph(), NodeId(0), w, |e, _| {
-                f64::from(r.multiplicity[e.index()])
-            });
+            let flow = solver.solve(NodeId(0), w, |e| f64::from(r.multiplicity[e.index()]));
             assert!(
-                flow.value.round() >= b,
-                "destination {w}: integral flow {} < batch {b}",
-                flow.value
+                flow.round() >= b,
+                "destination {w}: integral flow {flow} < batch {b}"
             );
         }
         assert!(r.loss_bound >= 0.0 && r.loss_bound < 0.5);
@@ -314,41 +318,70 @@ mod tests {
 
     #[test]
     fn derived_batch_size_respects_the_target_loss() {
+        // A unit chain has TP·D = 1: B = 1 / 2% = 50 lies inside the clamp
+        // range, and the bound is the target itself.
+        let mut b = Platform::builder();
+        let p = b.add_processors(3);
+        b.add_link(p[0], p[1], LinkCost::one_port(0.0, 1.0));
+        b.add_link(p[1], p[2], LinkCost::one_port(0.0, 1.0));
+        let chain = b.build();
+        let r = round_loads(&chain, NodeId(0), &[1.0, 1.0], 1.0, 1.0, None).unwrap();
+        assert_eq!(r.slices_per_period, 50);
+        assert!(r.loss_bound <= TARGET_LOSS + 1e-9, "{}", r.loss_bound);
+
+        // On this random platform the target needs more than 96 slices, so
+        // the batch stops at the clamp.
         let mut rng = StdRng::seed_from_u64(32);
         let platform = random_platform(&RandomPlatformConfig::paper(10, 0.2), &mut rng);
         let o =
             optimal_throughput(&platform, NodeId(0), 1.0e6, OptimalMethod::CutGeneration).unwrap();
-        let fine = round_loads(
+        let r = round_loads(
             &platform,
             NodeId(0),
             &o.edge_load,
             o.throughput,
             1.0e6,
-            &RoundingConfig {
-                target_loss: 0.01,
-                max_slices_per_period: 4096,
-                ..RoundingConfig::default()
-            },
+            None,
         )
         .unwrap();
+        assert!((MIN_SLICES_PER_PERIOD..=MAX_SLICES_PER_PERIOD).contains(&r.slices_per_period));
         assert!(
-            fine.loss_bound <= 0.01 + 1e-9 || fine.repairs > 0,
+            r.loss_bound <= TARGET_LOSS + 1e-9
+                || r.repairs > 0
+                || r.slices_per_period == MAX_SLICES_PER_PERIOD,
             "loss bound {} exceeds target",
-            fine.loss_bound
+            r.loss_bound
         );
-        let coarse = round_loads(
-            &platform,
-            NodeId(0),
-            &o.edge_load,
-            o.throughput,
-            1.0e6,
-            &RoundingConfig {
-                target_loss: 0.2,
-                ..RoundingConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(coarse.slices_per_period <= fine.slices_per_period);
+    }
+
+    #[test]
+    fn repair_bumps_a_fast_crossing_edge_before_a_dominated_one() {
+        // 0 -> 1 -> 2 over unit links plus a slow 0 -> 2 shortcut. At
+        // B = 4 the ceilings give 4 and 3 on the chain and the shortcut's
+        // 0.8 slices round down (its 10 s per slice exceeds the 4 s ideal
+        // period), so node 2 is one unit short. Both 1 -> 2 and 0 -> 2
+        // cross the cut; the fast one is bumped although the slow one was
+        // rounded down more.
+        let mut b = Platform::builder();
+        let p = b.add_processors(3);
+        b.add_link(p[0], p[1], LinkCost::one_port(0.0, 1.0));
+        b.add_link(p[1], p[2], LinkCost::one_port(0.0, 1.0));
+        b.add_link(p[0], p[2], LinkCost::one_port(0.0, 10.0));
+        let platform = b.build();
+        let r = round_loads(&platform, NodeId(0), &[1.0, 0.6, 0.2], 1.0, 1.0, Some(4)).unwrap();
+        assert_eq!(r.dominated, vec![false, false, true]);
+        assert_eq!(r.repairs, 1);
+        assert_eq!(r.multiplicity, vec![4, 4, 0]);
+
+        // With no fast edge across the cut, the dominated one is bumped up
+        // to the full batch.
+        let mut b = Platform::builder();
+        let p = b.add_processors(2);
+        b.add_link(p[0], p[1], LinkCost::one_port(0.0, 10.0));
+        let platform = b.build();
+        let r = round_loads(&platform, NodeId(0), &[0.2], 1.0, 1.0, Some(4)).unwrap();
+        assert_eq!(r.repairs, 4);
+        assert_eq!(r.multiplicity, vec![4]);
     }
 
     #[test]
@@ -358,28 +391,14 @@ mod tests {
         b.add_link(p[0], p[1], LinkCost::one_port(0.0, 1.0));
         let platform = b.build();
         assert_eq!(
-            round_loads(
-                &platform,
-                NodeId(0),
-                &[],
-                1.0,
-                1.0,
-                &RoundingConfig::default()
-            ),
+            round_loads(&platform, NodeId(0), &[], 1.0, 1.0, None),
             Err(SchedError::LoadVectorMismatch {
                 expected: 1,
                 found: 0
             })
         );
         assert_eq!(
-            round_loads(
-                &platform,
-                NodeId(0),
-                &[1.0],
-                f64::INFINITY,
-                1.0,
-                &RoundingConfig::default()
-            ),
+            round_loads(&platform, NodeId(0), &[1.0], f64::INFINITY, 1.0, None),
             Err(SchedError::NonPositiveThroughput)
         );
     }

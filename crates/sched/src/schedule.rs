@@ -476,6 +476,7 @@ pub(crate) fn assemble(
     rounding: RoundedLoads,
     trees: Vec<Vec<EdgeId>>,
 ) -> PeriodicSchedule {
+    let _span = bcast_obs::span!(bcast_obs::names::SPAN_SCHED_ASSEMBLE);
     let n = platform.node_count();
     let graph = platform.graph();
 

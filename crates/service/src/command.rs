@@ -15,7 +15,7 @@
 //! proportional to solver state rather than to trace length.
 
 use crate::wire::{Reader, WireError, Writer};
-use bcast_sched::RoundingConfig;
+use bcast_sched::MAX_SLICES_PER_PERIOD;
 
 /// Which platform generator a session draws its base platform from (the
 /// paper's three families, `paper`-parameterised).
@@ -110,7 +110,7 @@ impl SessionSpec {
     ///   1 node, 79,000 on 14 nodes (1,947 on a churn trace), 1,684 on 100
     ///   nodes and 15 on 1,000;
     /// - a finite positive slice size, and a batch of 1 up to
-    ///   [`RoundingConfig::max_slices_per_period`]'s default.
+    ///   [`MAX_SLICES_PER_PERIOD`], the largest batch the rounding derives.
     pub(crate) fn rejection(&self) -> Option<String> {
         let nodes = match self.family {
             PlatformFamily::Random { nodes: 0, .. } | PlatformFamily::Gaussian { nodes: 0 } => {
@@ -153,9 +153,11 @@ impl SessionSpec {
                 self.slice_size
             ));
         }
-        let max_batch = RoundingConfig::default().max_slices_per_period;
-        if !(1..=max_batch).contains(&self.batch) {
-            return Some(format!("batch {} is outside [1, {max_batch}]", self.batch));
+        if !(1..=MAX_SLICES_PER_PERIOD).contains(&self.batch) {
+            return Some(format!(
+                "batch {} is outside [1, {MAX_SLICES_PER_PERIOD}]",
+                self.batch
+            ));
         }
         None
     }

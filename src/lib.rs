@@ -74,8 +74,8 @@ pub mod prelude {
     pub use bcast_platform::{CommModel, LinkCost, MessageSpec, Platform, PlatformBuilder};
     pub use bcast_sched::{
         resynthesize_schedule, resynthesize_schedule_churn, synthesize_schedule,
-        synthesize_schedule_with_tree_fallback, PeriodicSchedule, RepairReport, RoundingConfig,
-        SchedError, SynthesisConfig,
+        synthesize_schedule_with_tree_fallback, PeriodicSchedule, RepairReport, SchedError,
+        SynthesisConfig, MAX_SLICES_PER_PERIOD,
     };
     pub use bcast_sim::{
         simulate_broadcast, simulate_schedule, SimulationConfig, SimulationReport,
