@@ -1201,15 +1201,15 @@ pub struct ScreenSnapshot {
 /// the master LP's [`SimplexSnapshot`] (warm mode), the cut pool, the
 /// separation screen, and the stabilization center.
 ///
-/// Produced by [`CutGenSession::capture`] / [`CutGenSession::snapshot`] and
-/// consumed by [`CutGenSession::restore`], which validates the snapshot
-/// against the platform it is restored onto and returns
-/// [`LpError::CorruptSnapshot`] (wrapped in [`CoreError::Lp`]) instead of
-/// panicking on malformed input. Restoring is *canonicalizing*: derived
-/// state (max-flow scratch, the cut dedup index, the LP factorization) is
-/// rebuilt from the plain data, so a restored session and a live session
-/// that passed through [`CutGenSession::snapshot`] at the same point are
-/// identical and their subsequent solves agree bit for bit.
+/// Produced by [`CutGenSession::capture`] and consumed by
+/// [`CutGenSession::restore`], which validates the snapshot against the
+/// platform it is restored onto and returns [`LpError::CorruptSnapshot`]
+/// (wrapped in [`CoreError::Lp`]) instead of panicking on malformed input.
+/// Restoring rebuilds the derived state (max-flow scratch, the cut dedup
+/// index, the LP's transient factorization numbers) from the plain data,
+/// and the restored session continues exactly as the captured one: every
+/// later step returns the same [`CutGenResult`] bit for bit (see
+/// [`SimplexState::restore`] for why the master LP does).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionSnapshot {
     /// The solver options, verbatim (seed cuts included — they only matter
@@ -1247,9 +1247,9 @@ pub struct SessionSnapshot {
 }
 
 impl CutGenSession {
-    /// Captures the session as plain data. The live session is untouched —
-    /// use [`snapshot`](CutGenSession::snapshot) when the capture must be
-    /// bit-reproducible by a later [`restore`](CutGenSession::restore).
+    /// Captures the session as plain data, leaving it untouched. A session
+    /// [`restore`](CutGenSession::restore)d from the capture continues bit
+    /// for bit as this one.
     pub fn capture(&self) -> SessionSnapshot {
         SessionSnapshot {
             options: self.options.clone(),
@@ -1286,31 +1286,12 @@ impl CutGenSession {
         }
     }
 
-    /// Captures the session *and* canonicalizes the live state to the
-    /// restored image (`*self = restore(platform, &capture)`), so the
-    /// session's subsequent solves agree bit for bit with a session
-    /// restored from the returned snapshot. The canonicalization only
-    /// rebuilds derived scratch (factorization, max-flow residuals, dedup
-    /// index); the mathematical state — basis, cut pool, screen — is
-    /// unchanged.
-    ///
-    /// # Panics
-    /// Panics when `platform` does not share the session's topology (the
-    /// steps reject such a platform with [`CoreError::TopologyMismatch`]).
-    pub fn snapshot(&mut self, platform: &Platform) -> SessionSnapshot {
-        assert!(
-            platform.node_count() == self.nodes && platform.edge_count() == self.edges,
-            "snapshot platform must keep the session's topology \
-             ({}/{} nodes, {}/{} edges)",
-            platform.node_count(),
-            self.nodes,
-            platform.edge_count(),
-            self.edges,
-        );
-        let snapshot = self.capture();
-        *self = Self::restore(platform, &snapshot)
-            .expect("a capture of a live session is structurally valid");
-        snapshot
+    /// The same as [`capture`](CutGenSession::capture); `platform` is not
+    /// read. Its one remaining caller is the ignored `choose_churn_pool`
+    /// test of the `bench_pipeline` crate, and it goes when that crate
+    /// next changes.
+    pub fn snapshot(&self, _platform: &Platform) -> SessionSnapshot {
+        self.capture()
     }
 
     /// Rebuilds a session from a [`SessionSnapshot`] on `platform` (which

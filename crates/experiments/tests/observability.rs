@@ -215,6 +215,7 @@ fn repair_label_follows_the_remap() {
             ("repair_churn", "sched.repair_churn")
         });
     }
+    let counters = bcast_obs::counters_snapshot();
     bcast_obs::flush_journal().expect("journal flushes");
     let text = std::fs::read_to_string(&path).expect("journal readable");
     let _ = std::fs::remove_file(&path);
@@ -222,6 +223,31 @@ fn repair_label_follows_the_remap() {
     assert!(
         expected.iter().any(|e| e.0 == "repair") && expected.iter().any(|e| e.0 == "repair_churn"),
         "the trace must mix identity and churn steps: {expected:?}"
+    );
+    // Every cold fallback of the LP carries exactly one reason.
+    let count = |name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    let reasons = [
+        names::LP_FALLBACK_BINDING_ROW_DELETE,
+        names::LP_FALLBACK_REFUSED_UPDATE,
+        names::LP_FALLBACK_REFUSED_COLUMN_GROWTH,
+        names::LP_FALLBACK_REFUSED_COLUMN_DELETE,
+        names::LP_FALLBACK_UNCLEAN_WARM_PASS,
+        names::LP_FALLBACK_REFUSED_RESTORE,
+    ];
+    let by_reason: Vec<(&str, u64)> = reasons.iter().map(|&n| (n, count(n))).collect();
+    assert_eq!(
+        by_reason.iter().map(|&(_, v)| v).sum::<u64>(),
+        count(names::LP_COLD_REFACTOR_FALLBACK),
+        "the fallback reasons must sum to the total: {by_reason:?}"
+    );
+    assert!(
+        count(names::LP_FALLBACK_BINDING_ROW_DELETE) > 0,
+        "the churn walk deletes a binding row: {by_reason:?}"
     );
     let field = |record: &report::Record, key: &str| match record.get(key) {
         Some(report::Value::Str(value)) => value.clone(),

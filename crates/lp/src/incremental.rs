@@ -201,8 +201,6 @@ struct Fact {
     /// Per *physical* row: its current assembled-row index (shifts down as
     /// earlier rows are deleted; `None` once deleted).
     row_of: Vec<Option<usize>>,
-    /// True when rows were appended or updated since the last optimization.
-    stale: bool,
 }
 
 /// A linear program whose optimal basis persists across row additions and
@@ -327,9 +325,11 @@ impl SimplexState {
     /// next solve is forced through the cold refactorization fallback, which
     /// the `lp.cold_refactor_fallback` counter makes visible in
     /// `solver_report` digests (recovery-forced cold solves included).
-    fn note_cold_fallback(&mut self) {
+    /// `reason` is the `lp.cold_refactor_fallback.*` counter of the path.
+    fn note_cold_fallback(&mut self, reason: &'static str) {
         self.stats.refactorizations += 1;
         bcast_obs::counter_add(bcast_obs::names::LP_COLD_REFACTOR_FALLBACK, 1);
+        bcast_obs::counter_add(reason, 1);
     }
 
     /// Appends one constraint and returns its handle. The solver is not
@@ -407,7 +407,6 @@ impl SimplexState {
                 fact.row_of[p] = Some(fact.sim.prob.m);
                 fact.slack_col[p] = Some(fact.sim.append_le_row(&row.terms, row.rhs));
                 fact.cost.push(0.0);
-                fact.stale = true;
             }
         }
         Ok(ids)
@@ -440,7 +439,7 @@ impl SimplexState {
         }
         if needs_refactor {
             self.fact = None;
-            self.note_cold_fallback();
+            self.note_cold_fallback(bcast_obs::names::LP_FALLBACK_BINDING_ROW_DELETE);
         }
         Ok(())
     }
@@ -498,11 +497,9 @@ impl SimplexState {
                 .iter()
                 .flat_map(|u| self.groups[u.row.0].clone())
                 .collect();
-            if rewrite_rows(fact, &self.rows, &touched) {
-                fact.stale = true;
-            } else {
+            if !rewrite_rows(fact, &self.rows, &touched) {
                 self.fact = None;
-                self.note_cold_fallback();
+                self.note_cold_fallback(bcast_obs::names::LP_FALLBACK_REFUSED_UPDATE);
             }
         }
         Ok(())
@@ -574,10 +571,9 @@ impl SimplexState {
         if let Some(fact) = self.fact.as_mut() {
             if rebuild_grown(fact, &self.rows, &self.live, self.objective.len()) {
                 fact.cost = maximization_cost(self.sense, &self.objective, fact.sim.prob.ncols);
-                fact.stale = true;
             } else {
                 self.fact = None;
-                self.note_cold_fallback();
+                self.note_cold_fallback(bcast_obs::names::LP_FALLBACK_REFUSED_COLUMN_GROWTH);
             }
         }
         Ok(ids)
@@ -606,11 +602,17 @@ impl SimplexState {
         if ids.is_empty() {
             return Ok(());
         }
+        // Live rows that lose a term.
+        let mut touched = Vec::new();
         for &ColId(id) in ids {
             self.cols_live[id] = false;
             self.objective[id] = 0.0;
-            for row in self.rows.iter_mut() {
+            for (p, row) in self.rows.iter_mut().enumerate() {
+                let len = row.terms.len();
                 row.terms.retain(|&(v, _)| v.index() != id);
+                if row.terms.len() < len && self.live[p] {
+                    touched.push(p);
+                }
             }
         }
         self.stats.cols_deleted += ids.len();
@@ -629,14 +631,14 @@ impl SimplexState {
                 }
             }
             if ok {
-                fact.stale = true;
+                reassemble_rows(fact, &self.rows, touched);
             }
         }
         self.stats.total_pivots += pivots;
         bcast_obs::counter_add(bcast_obs::names::LP_PIVOTS, pivots as u64);
         if !ok {
             self.fact = None;
-            self.note_cold_fallback();
+            self.note_cold_fallback(bcast_obs::names::LP_FALLBACK_REFUSED_COLUMN_DELETE);
         }
         Ok(())
     }
@@ -712,13 +714,12 @@ impl SimplexState {
             // warm pivots are charged to the returned solution so callers'
             // iteration totals stay honest.
             self.fact = None;
-            self.note_cold_fallback();
+            self.note_cold_fallback(bcast_obs::names::LP_FALLBACK_UNCLEAN_WARM_PASS);
             let mut solution = self.cold_solve()?;
             solution.iterations += pivots;
             return Ok(solution);
         }
         self.stats.total_pivots += pivots;
-        self.fact.as_mut().expect("factorization alive").stale = false;
         self.stats.warm_solves += 1;
         Ok(self.extract(pivots))
     }
@@ -790,7 +791,6 @@ impl SimplexState {
             slack_col,
             art_col,
             row_of,
-            stale: false,
         };
         let pivots = fact.sim.two_phase(&fact.cost, &self.options)?;
         self.fact = Some(fact);
@@ -860,9 +860,15 @@ fn regenerate_stored_rows(
 
 impl Fact {
     /// The warm repair after edits: refactorize the (possibly grown or
-    /// edited) basis, read the reduced costs, pick the repair pass, then
-    /// certify optimality with a primal pass. Returns `(clean, pivots,
-    /// dual_pivots)`; anything but a clean optimum sends the caller cold.
+    /// edited) basis from its stored order, read the reduced costs, pick the
+    /// repair pass, then certify optimality with a primal pass. Returns
+    /// `(clean, pivots, dual_pivots)`; anything but a clean optimum sends
+    /// the caller cold.
+    ///
+    /// Every call starts from that fresh factorization, whatever the state
+    /// did since the last one, so a state restored from a capture (which
+    /// keeps the basis order and nothing transient) repairs exactly like
+    /// the live one.
     ///
     /// The budget sits deliberately far below the cold solver's: a warm
     /// re-solve normally needs a handful of pivots, and a warm pass that
@@ -870,56 +876,52 @@ impl Fact {
     /// refactorize than to chase a drifting basis.
     fn reoptimize(&mut self, options: &SimplexOptions) -> (bool, usize, usize) {
         let budget = (4 * (self.sim.prob.m + self.sim.prob.ncols)).max(200);
+        if !self.sim.factorize() {
+            // Singular under the edited coefficients: only a cold solve can
+            // answer.
+            return (false, 0, 0);
+        }
         let mut pivots = 0usize;
         let mut dual_pivots = 0usize;
         let mut clean = true;
+        // Classify the start basis. Pure row appends leave the old reduced
+        // costs untouched — dual feasible — and are repaired by the dual
+        // simplex. A coefficient update can break dual feasibility: if the
+        // basis at least stayed primal feasible, the primal pass below
+        // re-optimizes directly; if it lost both, a dual phase with a zero
+        // objective (for which any basis prices out) restores primal
+        // feasibility first.
+        self.sim.compute_reduced_costs(&self.cost);
         // `primary_fresh`: the factorization is live and the reduced costs
-        // match `self.cost`, so the next pass may skip its entry refresh
+        // match `self.cost`, so the primal pass may skip its entry refresh
         // (each refresh is a full refactorization — the dominant cost of a
         // zero-pivot warm re-solve).
-        let mut primary_fresh = false;
-        if self.stale {
-            if self.sim.factorize() {
-                // Classify the start basis. Pure row appends leave the old
-                // reduced costs untouched — dual feasible — and are repaired
-                // by the dual simplex. A coefficient update can break dual
-                // feasibility: if the basis at least stayed primal feasible,
-                // the primal pass below re-optimizes directly; if it lost
-                // both, a dual phase with a zero objective (for which any
-                // basis prices out) restores primal feasibility first.
-                self.sim.compute_reduced_costs(&self.cost);
-                primary_fresh = true;
-                let dual_feasible = self
-                    .sim
-                    .reduced_costs()
-                    .iter()
-                    .zip(&self.sim.prob.allowed)
-                    .all(|(&dj, &ok)| !ok || dj <= COST_TOLERANCE);
-                if dual_feasible {
-                    let (status, iters) = self.sim.dual(&self.cost, options, budget, true);
-                    pivots += iters;
-                    dual_pivots += iters;
-                    clean = status == SolveStatus::Optimal;
-                } else if self.sim.x_b.iter().any(|&bi| bi < -FEASIBILITY_TOLERANCE) {
-                    let zero = vec![0.0; self.sim.prob.ncols];
-                    // The factorization from the classification above is
-                    // still live — only the reduced costs must be redone for
-                    // the zero objective (one BTRAN + column pass, far below
-                    // another full refactorization).
-                    self.sim.compute_reduced_costs(&zero);
-                    let (status, iters) = self.sim.dual(&zero, options, budget, true);
-                    pivots += iters;
-                    dual_pivots += iters;
-                    clean = status == SolveStatus::Optimal;
-                    // `d` now belongs to the zero cost; the primal pass below
-                    // must refresh for the real one.
-                    primary_fresh = false;
-                }
-            } else {
-                // Singular under the edited coefficients: only a cold solve
-                // can answer.
-                clean = false;
-            }
+        let mut primary_fresh = true;
+        let dual_feasible = self
+            .sim
+            .reduced_costs()
+            .iter()
+            .zip(&self.sim.prob.allowed)
+            .all(|(&dj, &ok)| !ok || dj <= COST_TOLERANCE);
+        if dual_feasible {
+            let (status, iters) = self.sim.dual(&self.cost, options, budget, true);
+            pivots += iters;
+            dual_pivots += iters;
+            clean = status == SolveStatus::Optimal;
+        } else if self.sim.x_b.iter().any(|&bi| bi < -FEASIBILITY_TOLERANCE) {
+            let zero = vec![0.0; self.sim.prob.ncols];
+            // The factorization from the classification above is still live
+            // — only the reduced costs must be redone for the zero objective
+            // (one BTRAN + column pass, far below another full
+            // refactorization).
+            self.sim.compute_reduced_costs(&zero);
+            let (status, iters) = self.sim.dual(&zero, options, budget, true);
+            pivots += iters;
+            dual_pivots += iters;
+            clean = status == SolveStatus::Optimal;
+            // `d` now belongs to the zero cost; the primal pass below must
+            // refresh for the real one.
+            primary_fresh = false;
         }
         if clean {
             // Primal cleanup: after a clean dual pass (or a pure deletion)
@@ -1092,6 +1094,29 @@ fn remove_physical_row(fact: &mut Fact, p: usize) -> bool {
     true
 }
 
+/// Re-derives the `touched` physical rows from their stored form after a
+/// column deletion barred their deleted entries in place. A row keeps its
+/// bits unless losing the coefficient changed its equilibration scale;
+/// then it is rescaled exactly as a cold assembly or a restore would
+/// assemble it, so the live rows stay a function of the stored ones. Rows
+/// not in slack form are left barred (a restore refuses them anyway).
+fn reassemble_rows(fact: &mut Fact, rows: &[StoredRow], mut touched: Vec<usize>) {
+    touched.sort_unstable();
+    touched.dedup();
+    for p in touched {
+        if fact.is_slack_form(p, &rows[p]) {
+            fact.sim.rewrite_row(
+                fact.row_of[p].expect("checked above"),
+                &rows[p].terms,
+                slack_form_sign(&rows[p]).expect("checked above"),
+                rows[p].rhs,
+                fact.slack_col[p].expect("checked above"),
+            );
+            fact.sim.prob.cols_stale = true;
+        }
+    }
+}
+
 /// In-place coefficient edits: only the `touched` physical rows are
 /// rewritten (the rest stay verbatim), each must still pass
 /// [`Fact::is_slack_form`], and the batch ends with a same-basis
@@ -1130,11 +1155,13 @@ pub struct SnapshotRow {
     pub rhs: f64,
 }
 
-/// Capture of the live factorization's *restorable* core: the basis and the
-/// row/column bookkeeping, deliberately **without** the LU factors, pricing
-/// weights, or basic values — those are rebuilt deterministically by
-/// [`SimplexState::restore`], which is what makes a restored state
-/// *canonical* (two restores from equal snapshots are bit-identical).
+/// Capture of the live factorization's *restorable* core: the basis in its
+/// stored order and the row/column bookkeeping, deliberately **without**
+/// the LU factors, pricing weights, or basic values. Nothing is lost by
+/// leaving them out: the live state builds every factorization from the
+/// stored basis order and resets its pricing weights at the start of each
+/// simplex pass, so [`SimplexState::restore`] continues exactly as the
+/// captured state would have.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FactSnapshot {
     /// Total column count (structural + slack + artificial).
@@ -1154,9 +1181,10 @@ pub struct FactSnapshot {
 }
 
 /// Complete plain-data capture of a [`SimplexState`], sufficient to rebuild
-/// the solver deterministically via [`SimplexState::restore`]. All fields
-/// are public and contain no solver internals (no factorization numbers),
-/// so callers can serialize them with any codec that preserves `f64` bits.
+/// the solver via [`SimplexState::restore`], which then continues bit for
+/// bit as the captured state. All fields are public and contain no solver
+/// internals (no factorization numbers), so callers can serialize them with
+/// any codec that preserves `f64` bits.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimplexSnapshot {
     /// Solver options the state was built with.
@@ -1184,12 +1212,10 @@ pub struct SimplexSnapshot {
 }
 
 impl SimplexState {
-    /// Captures the state as plain data (see [`SimplexSnapshot`]). The live
-    /// factorization is reduced to its restorable core — basis and
-    /// bookkeeping, not numbers — so `capture` alone does **not** define a
-    /// canonical state; pair it with [`restore`](Self::restore) (or use
-    /// [`snapshot`](Self::snapshot), which does both) when bit-identical
-    /// recovery is required.
+    /// Captures the state as plain data (see [`SimplexSnapshot`]), leaving
+    /// the state untouched. The live factorization is reduced to its
+    /// restorable core — basis and bookkeeping, not numbers — which is all
+    /// [`restore`](Self::restore) needs to continue bit for bit.
     pub fn capture(&self) -> SimplexSnapshot {
         let fact = self.fact.as_ref().map(|f| FactSnapshot {
             cols: f.sim.prob.ncols,
@@ -1231,10 +1257,15 @@ impl SimplexState {
     /// otherwise — including any basis the rules refuse — the factorization
     /// is dropped and the next [`resolve`](Self::resolve) answers with an
     /// authoritative cold solve, counted like every other cold fallback.
-    /// Either way the rebuilt state is *canonical*: every
-    /// restore of an equal snapshot produces bit-identical solver behaviour,
-    /// because all transient numbers (LU factors, pricing weights, basic
-    /// values) are re-derived from the snapshot data alone.
+    ///
+    /// A re-adopted state continues **exactly** as the captured one: every
+    /// later edit and solve gives the same bits, pivots and
+    /// [`stats`](Self::stats). That holds by construction, because the live
+    /// state itself never carries numbers across an operation that a
+    /// capture drops — every factorization is built from the stored basis
+    /// order (re-solves, forced column deletions and in-place rewrites all
+    /// refactorize first), and each simplex pass starts from fresh pricing
+    /// weights.
     ///
     /// Structurally invalid snapshots (inconsistent lengths, out-of-range
     /// indices, non-finite data) are rejected with
@@ -1268,21 +1299,10 @@ impl SimplexState {
                 // cold solve on the next resolve, exactly like any other
                 // inexpressible in-place edit.
                 state.fact = None;
-                state.note_cold_fallback();
+                state.note_cold_fallback(bcast_obs::names::LP_FALLBACK_REFUSED_RESTORE);
             }
         }
         Ok(state)
-    }
-
-    /// Captures the state **and canonicalizes it in place**: the live
-    /// factorization is replaced by the restore-side rebuild of its own
-    /// capture, so the surviving process continues from *exactly* the state
-    /// a crash-recovered process would restore to. This is what makes
-    /// snapshot-based recovery bit-identical to the uninterrupted run.
-    pub fn snapshot(&mut self) -> SimplexSnapshot {
-        let snapshot = self.capture();
-        *self = Self::restore(&snapshot).expect("own capture is structurally valid");
-        snapshot
     }
 
     /// Re-adopts the captured factorization core under the acceptance rules
@@ -1347,16 +1367,15 @@ impl SimplexState {
             cols_stale: false,
         };
         prob.rebuild_cols();
-        // `SparseSimplex::new` is the canonical reset: fresh LU factors,
-        // pricing weights, and scratch — everything transient is re-derived
-        // on the next factorization.
+        // Everything transient (LU factors, basic values, reduced costs,
+        // pricing weights) starts empty: the live state rebuilds it from the
+        // same basis order before using it, so nothing is lost.
         self.fact = Some(Fact {
             sim: SparseSimplex::new(prob),
             cost: maximization_cost(self.sense, &self.objective, fs.cols),
             slack_col: fs.slack_col.clone(),
             art_col: fs.art_col.clone(),
             row_of: fs.row_of.clone(),
-            stale: true,
         });
         true
     }
@@ -1881,6 +1900,110 @@ mod tests {
         assert_close(warm.objective, 30.0); // max 5y, 2y ≤ 12
         assert_close(warm.value(x), 0.0);
         assert_eq!(state.stats().cols_deleted, 2);
+    }
+
+    #[test]
+    fn deleting_a_basic_column_after_row_edits_stays_warm() {
+        // An appended row (or a non-binding row deleted) leaves the live LU
+        // stale. The forced pivot that drives a basic column out must look
+        // the column's row up after refactorizing, which permutes the basis
+        // order; a row looked up before pivots out another basic variable,
+        // bars a column that is still basic, and sends the next resolve
+        // cold. Both LPs below moved the deleted column's row that way.
+        struct Case {
+            objective: &'static [f64],
+            rows: &'static [(&'static [f64], f64)],
+            bounds: &'static [f64],
+            delete_appended_row: bool,
+            col: usize,
+        }
+        let cases = [
+            Case {
+                objective: &[3.0, 5.0, 3.0],
+                rows: &[
+                    (&[1.0, 2.0, 1.0], 6.0),
+                    (&[1.0, 2.0, 0.0], 7.0),
+                    (&[1.0, 3.0, 2.0], 8.0),
+                ],
+                bounds: &[3.0, 4.0, 5.0],
+                delete_appended_row: false,
+                col: 1,
+            },
+            Case {
+                objective: &[3.0, 2.0, 1.0, 2.0, 3.0],
+                rows: &[
+                    (&[2.0, 2.0, 3.0, 2.0, 2.0], 6.0),
+                    (&[2.0, 1.0, 0.0, 0.0, 1.0], 4.0),
+                    (&[0.0, 3.0, 0.0, 2.0, 3.0], 2.0),
+                ],
+                bounds: &[4.0, 4.0, 3.0, 5.0, 3.0],
+                delete_appended_row: true,
+                col: 3,
+            },
+        ];
+        for case in cases {
+            let mut lp = LpProblem::new(Sense::Maximize);
+            let vars: Vec<VarId> = case
+                .objective
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| lp.add_var(format!("x{i}"), c))
+                .collect();
+            for (coeffs, rhs) in case.rows {
+                let terms: Vec<(VarId, f64)> = vars.iter().copied().zip(coeffs.to_vec()).collect();
+                lp.add_le(&terms, *rhs);
+            }
+            for (&v, &bound) in vars.iter().zip(case.bounds) {
+                lp.add_le(&[(v, 1.0)], bound);
+            }
+            let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+            state.solve().unwrap();
+            let all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+            let slack_row = state.add_row(&all, ConstraintOp::Le, 1000.0).unwrap();
+            if case.delete_appended_row {
+                state.resolve().unwrap();
+                state.delete_rows(&[slack_row]).unwrap();
+            }
+            let basis = &state.fact.as_ref().expect("warm").sim.prob.basis;
+            assert!(basis.contains(&case.col), "the deleted column is basic");
+            let before = state.stats();
+            state.delete_cols(&[ColId(case.col)]).unwrap();
+            let warm = state.resolve().unwrap();
+            assert_eq!(state.stats().refactorizations, before.refactorizations);
+            assert_eq!(state.stats().cold_solves, before.cold_solves);
+            let dense =
+                crate::solve_dense(&state.to_problem(), &SimplexOptions::default()).unwrap();
+            assert_close(warm.objective, dense.objective);
+            assert_close(warm.value(vars[case.col]), 0.0);
+        }
+    }
+
+    #[test]
+    fn deleting_a_scale_setting_column_keeps_restore_exact() {
+        // The first row is equilibrated by z's coefficient (5000). Once z
+        // is deleted the row must be rescaled as its stored form now
+        // assembles: a row that kept the old scale solved to y =
+        // 1.416666666666667 live against 1.4166666666666667 restored.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 2.0);
+        let y = lp.add_var("y", 3.0);
+        let z = lp.add_var("z", 0.1);
+        lp.add_le(&[(x, 0.1), (y, 0.6), (z, 5000.0)], 1.0);
+        lp.add_le(&[(x, 1.0)], 1.5);
+        lp.add_le(&[(y, 1.0)], 2.5);
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        state.delete_cols(&[ColId(z.index())]).unwrap();
+        let mut restored = SimplexState::restore(&state.capture()).unwrap();
+        let live = state.resolve().unwrap();
+        let again = restored.resolve().unwrap();
+        assert_eq!(live.objective.to_bits(), again.objective.to_bits());
+        for v in [x, y, z] {
+            assert_eq!(live.value(v).to_bits(), again.value(v).to_bits());
+        }
+        assert_eq!(live.iterations, again.iterations);
+        assert_eq!(state.stats(), restored.stats());
+        assert_close(live.value(y), 0.85 / 0.6);
     }
 
     #[test]

@@ -202,6 +202,11 @@ pub(crate) fn assemble_sparse(n: usize, constraints: &[Constraint]) -> SparsePro
 
 /// The revised-simplex solver state: problem, factorization, basic values,
 /// reduced costs, pricing weights, and reusable sparse workspaces.
+///
+/// Only `prob` persists across edits. The basic values and reduced costs
+/// are recomputed after every factorization, and the pricing weights are
+/// reset at the start of every pass, so an edit of `prob` leaves them stale
+/// until the next factorization rather than patching them.
 pub(crate) struct SparseSimplex {
     pub(crate) prob: SparseProblem,
     eta: EtaBasis,
@@ -223,9 +228,6 @@ pub(crate) struct SparseSimplex {
     ws_btran: ScatterVec,
     ws_tab: ScatterVec,
     ws_fact: ScatterVec,
-    /// False whenever the factorization no longer matches `prob` (structural
-    /// edits, appended/deleted rows); the loops refactorize on entry.
-    factorized: bool,
     /// True when the running solve attempt aborted on a singular
     /// refactorization (reported as [`LpError::Singular`]).
     singular: bool,
@@ -247,7 +249,6 @@ impl SparseSimplex {
             ws_btran: ScatterVec::default(),
             ws_tab: ScatterVec::default(),
             ws_fact: ScatterVec::default(),
-            factorized: false,
             singular: false,
         }
     }
@@ -313,7 +314,6 @@ impl SparseSimplex {
         // refactorization interval.
         self.w_col.resize(self.prob.ncols, 1.0);
         self.w_row.resize(self.prob.m.max(self.w_row.len()), 1.0);
-        self.factorized = true;
         true
     }
 
@@ -475,7 +475,6 @@ impl SparseSimplex {
         max_iterations: usize,
         assume_fresh: bool,
     ) -> (SolveStatus, usize) {
-        debug_assert!(!assume_fresh || self.factorized);
         if !assume_fresh && !self.refresh(cost) {
             return (SolveStatus::IterationLimit, 0);
         }
@@ -640,7 +639,6 @@ impl SparseSimplex {
         max_iterations: usize,
         assume_fresh: bool,
     ) -> (SolveStatus, usize) {
-        debug_assert!(!assume_fresh || self.factorized);
         if !assume_fresh && !self.refresh(cost) {
             return (SolveStatus::IterationLimit, 0);
         }
@@ -832,7 +830,6 @@ impl SparseSimplex {
             self.singular = false;
             self.prob.basis = basis0;
             self.prob.allowed = allowed0;
-            self.factorized = false;
             let retry = SimplexOptions {
                 refactor_interval: 1,
                 ..*options
@@ -965,11 +962,6 @@ impl SparseSimplex {
         self.prob.art_col.push(None);
         self.prob.ncols += 1;
         self.prob.m += 1;
-        self.d.push(0.0);
-        self.w_col.push(1.0);
-        self.w_row.push(1.0);
-        self.x_b.push(rhs);
-        self.factorized = false;
         slack
     }
 
@@ -989,15 +981,12 @@ impl SparseSimplex {
         self.prob.slack_col.remove(row);
         self.prob.art_col.remove(row);
         self.prob.m -= 1;
-        self.x_b.pop();
-        self.w_row.pop();
         // The slack column's only nonzero lived in the removed row, so
         // barring it needs no row scan; the column mirror is rebuilt once
         // per batch, at the next factorization.
         self.prob.allowed[slack] = false;
         self.prob.col_nz[slack].clear();
         self.prob.cols_stale = true;
-        self.factorized = false;
         true
     }
 
@@ -1030,7 +1019,6 @@ impl SparseSimplex {
         new_row.push((slack as u32, 1.0));
         self.prob.row_nz[row] = new_row;
         self.prob.b[row] = rhs;
-        self.factorized = false;
     }
 
     /// Rebuilds the column store and refactorizes with the *current* basis
@@ -1049,17 +1037,25 @@ impl SparseSimplex {
     /// primal or dual feasibility; the caller repairs that on the next
     /// re-solve. Returns `false` when no eligible pivot exists (the caller
     /// must refactorize cold).
+    ///
+    /// The pivot always runs on a fresh factorization of the stored basis
+    /// order, never on a live LU: factorizing permutes `prob.basis`, so the
+    /// column's row is looked up only afterwards, and a state rebuilt from
+    /// the same basis order takes the same pivot bit for bit.
     pub(crate) fn delete_column(&mut self, col: usize) -> bool {
-        if self.prob.cols_stale {
-            self.prob.rebuild_cols();
-        }
-        let Some(r) = self.prob.basis.iter().position(|&bc| bc == col) else {
+        if !self.prob.basis.contains(&col) {
             self.bar_column(col);
             return true;
-        };
-        if !self.factorized && !self.factorize() {
+        }
+        if !self.factorize() {
             return false;
         }
+        let r = self
+            .prob
+            .basis
+            .iter()
+            .position(|&bc| bc == col)
+            .expect("factorizing permutes the basis, it keeps its columns");
         self.compute_tab_row(r);
         let mut entering: Option<usize> = None;
         let mut best = PIVOT_TOLERANCE;

@@ -55,18 +55,32 @@ fn build(lp: &PackingLp) -> (LpProblem, Vec<VarId>) {
 
 /// One step of the column/row churn walk, as plain generated data:
 /// `(kind, pick, coeff, rhs)` where `kind` selects the operation
-/// (0 = add column, 1 = delete column, 2 = append row, 3 = rewrite row) and
-/// the rest parameterise it.
+/// (0 = add column, 1 = delete column, 2 = append row, 3 = rewrite row,
+/// 4 = delete row) and the rest parameterise it.
 type ChurnOp = (u8, usize, f64, f64);
 
+fn churn_op() -> impl Strategy<Value = ChurnOp> {
+    (0u8..5, 0usize..64, 0.1f64..3.0, 0.0f64..6.0)
+}
+
 fn churn_ops() -> impl Strategy<Value = Vec<ChurnOp>> {
-    proptest::collection::vec((0u8..4, 0usize..64, 0.1f64..3.0, 0.0f64..6.0), 4..12)
+    proptest::collection::vec(churn_op(), 4..12)
+}
+
+/// One step of a batched churn walk: the op, then a re-solve only when the
+/// second field is 0 (about every other op), so edits pile up between
+/// re-solves as they do in a cut-generation round.
+type BatchedOp = (ChurnOp, u8);
+
+fn batched_churn_ops() -> impl Strategy<Value = Vec<BatchedOp>> {
+    proptest::collection::vec((churn_op(), 0u8..2), 4..12)
 }
 
 /// The shared mutable bookkeeping of a churn walk: which handles exist
 /// and which row protects boundedness. Both the warm-vs-cold walk and the
 /// snapshot round-trip walk drive their states through this one op
 /// applier, so they exercise identical interleavings.
+#[derive(Clone)]
 struct ChurnDriver {
     live_vars: Vec<VarId>,
     appended_cols: Vec<ColId>,
@@ -90,13 +104,16 @@ impl ChurnDriver {
     fn apply(&mut self, warm: &mut SimplexState, (kind, pick, coeff, rhs): ChurnOp) -> bool {
         match kind {
             // Append a profitable column, sometimes with a term in an
-            // appended cut row (signed: `rhs − 3 ∈ [−3, 3)`).
+            // appended cut row (signed: `rhs − 3 ∈ [−3, 3)`, scaled by 10⁴
+            // for one pick in four, so that the term sets the row's
+            // equilibration scale).
             0 => {
                 let mut terms = vec![(self.protect, coeff)];
                 if !self.appended_rows.is_empty() {
+                    let scale = if pick % 4 == 0 { 1.0e4 } else { 1.0 };
                     terms.push((
                         self.appended_rows[pick % self.appended_rows.len()],
-                        rhs - 3.0,
+                        scale * (rhs - 3.0),
                     ));
                 }
                 let cols = warm
@@ -142,6 +159,14 @@ impl ChurnDriver {
                     .collect();
                 warm.update_coeffs(&[RowUpdate::new(row, terms, rhs)])
                     .expect("valid update");
+            }
+            // Delete an appended row, binding or not, as cut purges and
+            // churn steps do.
+            4 if !self.appended_rows.is_empty() => {
+                let row = self
+                    .appended_rows
+                    .swap_remove(pick % self.appended_rows.len());
+                warm.delete_rows(&[row]).expect("live handle");
             }
             _ => return false,
         }
@@ -194,62 +219,61 @@ fn churn_walk(lp: &PackingLp, ops: &[ChurnOp]) {
     }
 }
 
-/// Snapshot round-trip under churn: after every operation, `capture` →
-/// `restore` must yield a state whose `resolve` agrees with the live one
-/// at 1e-9 relative, and `snapshot` (capture-and-canonicalize in place)
-/// must be idempotent — a second capture of the canonicalized state is
-/// byte-for-byte the snapshot it just returned — without perturbing the
-/// optimum. The walk then *keeps solving on the canonicalized state*, so
-/// later ops exercise warm churn on top of a restored factorization.
-fn snapshot_round_trip_walk(lp: &PackingLp, ops: &[ChurnOp]) {
-    let (mut warm, mut driver) = churn_base(lp);
-    for &op in ops {
-        if !driver.apply(&mut warm, op) {
-            continue;
+/// One re-solve's answer, bit for bit: objective, values and pivots.
+fn solve_bits(state: &mut SimplexState) -> (u64, Vec<u64>, usize) {
+    let sol = state.resolve().expect("churn keeps the LP solvable");
+    let values = sol.values.iter().map(|v| v.to_bits()).collect();
+    (sol.objective.to_bits(), values, sol.iterations)
+}
+
+/// Snapshot round-trip under batched churn: at every split point of the
+/// walk, the live state and `restore(capture())` taken there are driven
+/// through the remaining ops, and every re-solve must return the same
+/// objective and value bits and the same pivot count. After every op both
+/// must report equal `stats()` — which also shows that the restore was not
+/// refused, since a refusal counts a cold fallback — and equal captures.
+fn snapshot_round_trip_walk(lp: &PackingLp, ops: &[BatchedOp]) {
+    for split in 0..=ops.len() {
+        let (mut live, mut driver) = churn_base(lp);
+        for &(op, resolve) in &ops[..split] {
+            if driver.apply(&mut live, op) && resolve == 0 {
+                live.resolve().expect("churn keeps the LP solvable");
+            }
         }
-        let kind = op.0;
-        let live = warm.resolve().expect("churn keeps the LP solvable");
-        let tol = 1e-9 * live.objective.abs().max(1.0);
-
-        // capture → restore → resolve agrees with the live state.
-        let capture = warm.capture();
-        let mut restored = SimplexState::restore(&capture).expect("a live capture restores");
-        let r = restored.resolve().expect("restored state resolves");
+        let mut restored = SimplexState::restore(&live.capture()).expect("a live capture restores");
+        let mut twin = driver.clone();
+        for (i, &(op, resolve)) in ops.iter().enumerate().skip(split) {
+            let kind = op.0;
+            let applied = driver.apply(&mut live, op);
+            prop_assert_eq!(applied, twin.apply(&mut restored, op));
+            if applied && resolve == 0 {
+                prop_assert!(
+                    solve_bits(&mut live) == solve_bits(&mut restored),
+                    "split {split}, op {i} (kind {kind}): the restored state re-solved differently"
+                );
+            }
+            prop_assert_eq!(
+                live.stats(),
+                restored.stats(),
+                "split {}, op {} (kind {})",
+                split,
+                i,
+                kind
+            );
+            prop_assert!(
+                live.capture() == restored.capture(),
+                "split {split}, op {i} (kind {kind}): captures differ"
+            );
+        }
         prop_assert!(
-            (r.objective - live.objective).abs() <= tol,
-            "restore after op {kind}: restored {} vs live {}",
-            r.objective,
-            live.objective
+            solve_bits(&mut live) == solve_bits(&mut restored),
+            "split {split}: the final re-solve differs"
         );
-
-        // The restored point is feasible for the materialised problem.
-        let cold_problem = warm.to_problem();
-        prop_assert!(
-            cold_problem.max_violation(&r.values) < 1e-6,
-            "restored point infeasible after op {kind} (violation {})",
-            cold_problem.max_violation(&r.values)
-        );
-
-        // snapshot() canonicalizes in place (`capture∘restore` is only
-        // idempotent up to a row-permutation of the basis, so we do not
-        // assert byte equality of successive captures). What recovery
-        // actually needs is that restore is a *function*: two restores of
-        // the same capture are indistinguishable — bit-identical captures —
-        // and canonicalization leaves the optimum untouched.
-        let _ = warm.snapshot();
-        let recap = warm.capture();
-        let a = SimplexState::restore(&recap).expect("a canonical capture restores");
-        let b = SimplexState::restore(&recap).expect("a canonical capture restores twice");
-        prop_assert!(
-            a.capture() == b.capture(),
-            "restore is nondeterministic after op {kind}"
-        );
-        let after = warm.resolve().expect("canonical state resolves");
-        prop_assert!(
-            (after.objective - live.objective).abs() <= tol,
-            "canonicalization after op {kind} moved the optimum: {} vs {}",
-            after.objective,
-            live.objective
+        prop_assert_eq!(
+            live.stats(),
+            restored.stats(),
+            "split {}: final stats",
+            split
         );
     }
 }
@@ -759,10 +783,10 @@ proptest! {
     }
 
     /// Random interleavings of `add_cols` / `delete_cols` / `add_row` /
-    /// `update_coeffs` keep the warm state equal to the dense oracle's cold
-    /// solve of the materialised problem at 1e-9 relative after **every**
-    /// operation — the node-churn substrate of the dynamic-platform
-    /// pipeline.
+    /// `update_coeffs` / `delete_rows` keep the warm state equal to the
+    /// dense oracle's cold solve of the materialised problem at 1e-9
+    /// relative after **every** operation — the node-churn substrate of the
+    /// dynamic-platform pipeline.
     #[test]
     fn column_churn_interleavings_keep_warm_equal_to_cold(
         lp in packing_strategy(),
@@ -771,16 +795,14 @@ proptest! {
         churn_walk(&lp, &ops);
     }
 
-    /// Snapshot round-trip under the same random churn interleavings: after
-    /// every operation, `capture` → `restore` →
-    /// `resolve` agrees with the live state at 1e-9 relative, the restored
-    /// point is feasible, and the canonicalizing `snapshot` is a fixed
-    /// point of `capture` that leaves the optimum untouched — the
-    /// persistence substrate of the crash-safe service.
+    /// Snapshot round-trip under random churn interleavings, batched
+    /// between re-solves: a state restored from a capture at any point
+    /// continues bit for bit as the live one — objective and value bits,
+    /// pivots, stats — the persistence substrate of the crash-safe service.
     #[test]
     fn snapshot_round_trip_survives_churn_interleavings(
         lp in packing_strategy(),
-        ops in churn_ops(),
+        ops in batched_churn_ops(),
     ) {
         snapshot_round_trip_walk(&lp, &ops);
     }

@@ -67,8 +67,9 @@ pub struct SessionSpec {
 }
 
 /// Largest platform a session may ask for, in nodes: the largest platform
-/// this repository solves (a Tiers-1000 cold bound takes about 91 s on one
-/// core; EXPERIMENTS.md).
+/// this repository solves (a Tiers-1000 cold bound, `bench_simplex
+/// --family tiers --nodes 1000`, takes about 51 s on a 2-vCPU machine;
+/// EXPERIMENTS.md).
 pub const MAX_SESSION_NODES: usize = 1_000;
 
 /// Memory budget of one session's drift trace, in bytes (256 MiB). The

@@ -9,12 +9,14 @@
 //!   prefixed, checksummed, and `fsync`ed before it executes. Torn final
 //!   records are detected and discarded on read; the valid prefix always
 //!   survives.
-//! * **Snapshots** (`snapshot.bin`): the `Snapshot` command canonicalizes
-//!   every session — simplex basis, cut pool, schedule, step log — into a
-//!   single checksummed file. Canonicalization rebuilds the live sessions
-//!   from their own images, so a run restored from the snapshot and the
-//!   never-crashed run are in the same state bit for bit.
-//! * **Recovery**: restore the latest valid snapshot, replay the WAL tail.
+//! * **Snapshots** (`snapshot.bin`): the `Snapshot` command captures every
+//!   session — simplex basis, cut pool, schedule, step log — into a single
+//!   checksummed file, and changes nothing. Every factorization is built
+//!   from the stored basis order, which the capture keeps, so a run
+//!   restored from the snapshot continues bit for bit as the never-crashed
+//!   run, at any snapshot cadence.
+//! * **Recovery**: restore the latest valid snapshot, replay the WAL tail
+//!   (skipping the reads `QuerySchedule` and `Snapshot`).
 //!   A corrupt snapshot degrades to a full replay from sequence 1 (the WAL
 //!   is never pruned) — never a panic, and the recovered service still
 //!   answers every query.

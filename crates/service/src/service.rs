@@ -23,15 +23,21 @@
 //! bit-identical, counted in `service.corrupt_artifacts`. The snapshot is
 //! an optimization; the log is the authority.
 //!
-//! ## Canonical states and crash equivalence
+//! ## Exact restore and crash equivalence
 //!
-//! The `Snapshot` command does not just *capture* the live sessions — it
-//! canonicalizes them through [`crate::session::Session::snapshot`], which
-//! rebuilds each session in place from its own image. After a `Snapshot`,
-//! the live run and any run restored from that snapshot are in *the same*
-//! state, bit for bit, so every subsequent step produces identical pivots,
-//! throughputs, and schedules. That is the invariant the differential
-//! crash harness in `tests/service_crash.rs` locks.
+//! The `Snapshot` command only reads the live sessions: it writes each
+//! one's [`crate::session::Session::capture`] and changes nothing. A
+//! session restored from that image continues bit for bit as the live
+//! one, because every factorization of its master LP is built from the
+//! stored basis order, which the image keeps (see
+//! `bcast_lp::SimplexState::restore`). So every step after a recovery
+//! produces the pivots, throughputs and schedules of the never-crashed
+//! run, whatever the snapshot cadence. That is the invariant the
+//! differential crash harness in `tests/service_crash.rs` locks.
+//!
+//! Replay therefore applies only the commands that change state:
+//! `QuerySchedule` and `Snapshot` records are skipped (and still counted
+//! in [`RecoveryReport::replayed`]).
 
 use crate::command::Command;
 use crate::error::ServiceError;
@@ -68,7 +74,7 @@ pub enum Outcome {
     },
     /// `QuerySchedule` — `None` before the first step.
     Schedule(Option<ScheduleStats>),
-    /// `Snapshot` canonicalized every session and wrote the file.
+    /// `Snapshot` captured every session and wrote the file.
     SnapshotWritten,
     /// The command was refused deterministically; nothing changed.
     Rejected {
@@ -85,7 +91,8 @@ pub struct RecoveryReport {
     /// A snapshot file existed but was rejected (corrupt or unrestorable);
     /// recovery fell back to a full WAL replay.
     pub snapshot_rejected: bool,
-    /// WAL records replayed after the restored base.
+    /// WAL records replayed after the restored base, counting the
+    /// `QuerySchedule` and `Snapshot` records that replay skips.
     pub replayed: usize,
     /// The WAL ended in a torn record whose bytes were discarded.
     pub wal_torn: bool,
@@ -181,10 +188,13 @@ impl Service {
                     record.seq
                 ))
             })?;
-            // Replay ignores execution outcomes (including deterministic
-            // solver errors): the live run already surfaced them to its
-            // client and kept going, so recovery does the same.
-            let _ = service.execute(&command, record.seq, true);
+            // Reads change no state, so replay skips them. It ignores
+            // execution outcomes (including deterministic solver errors):
+            // the live run already surfaced them to its client and kept
+            // going, so recovery does the same.
+            if !matches!(command, Command::QuerySchedule { .. } | Command::Snapshot) {
+                let _ = service.execute(&command, record.seq);
+            }
             service.recovery.replayed += 1;
         }
         if had_artifacts {
@@ -253,22 +263,17 @@ impl Service {
         if self.fault.hits(KillPoint::BeforeExec(seq)) {
             return Err(ServiceError::Killed(KillPoint::BeforeExec(seq)));
         }
-        let outcome = self.execute(command, seq, false)?;
+        let outcome = self.execute(command, seq)?;
         if self.fault.hits(KillPoint::AfterExec(seq)) {
             return Err(ServiceError::Killed(KillPoint::AfterExec(seq)));
         }
         Ok(outcome)
     }
 
-    /// Executes one command against the in-memory state. `replay` elides
-    /// the side effects recovery must not repeat (the snapshot file
-    /// write); everything else is identical live and replayed.
-    fn execute(
-        &mut self,
-        command: &Command,
-        seq: u64,
-        replay: bool,
-    ) -> Result<Outcome, ServiceError> {
+    /// Executes one command against the in-memory state, live or on
+    /// replay (which never passes the reads `QuerySchedule` and
+    /// `Snapshot`, so the snapshot file is written only live).
+    fn execute(&mut self, command: &Command, seq: u64) -> Result<Outcome, ServiceError> {
         match command {
             Command::CreateSession { name, spec } => {
                 if self.sessions.contains_key(name) {
@@ -314,25 +319,21 @@ impl Service {
                 }
             },
             Command::Snapshot => {
-                // Canonicalize every session — live state and
-                // restored-from-this-snapshot state coincide from here on.
-                let mut images = Vec::with_capacity(self.sessions.len());
-                for (name, session) in self.sessions.iter_mut() {
-                    images.push((name.clone(), session.snapshot()));
+                let image = ServiceImage {
+                    seq,
+                    digest_cache: self.digest_cache.clone(),
+                    sessions: self
+                        .sessions
+                        .iter()
+                        .map(|(name, session)| (name.clone(), session.capture()))
+                        .collect(),
+                };
+                let torn = self.fault.hits(KillPoint::MidSnapshotWrite(seq));
+                write_snapshot(&self.dir.join("snapshot.bin"), &image, torn)?;
+                if torn {
+                    return Err(ServiceError::Killed(KillPoint::MidSnapshotWrite(seq)));
                 }
-                if !replay {
-                    let image = ServiceImage {
-                        seq,
-                        digest_cache: self.digest_cache.clone(),
-                        sessions: images,
-                    };
-                    let torn = self.fault.hits(KillPoint::MidSnapshotWrite(seq));
-                    write_snapshot(&self.dir.join("snapshot.bin"), &image, torn)?;
-                    if torn {
-                        return Err(ServiceError::Killed(KillPoint::MidSnapshotWrite(seq)));
-                    }
-                    bcast_obs::counter_add(bcast_obs::names::SERVICE_SNAPSHOTS, 1);
-                }
+                bcast_obs::counter_add(bcast_obs::names::SERVICE_SNAPSHOTS, 1);
                 Ok(Outcome::SnapshotWritten)
             }
         }

@@ -77,15 +77,16 @@ pub struct ScheduleStats {
 }
 
 /// Plain-data image of a whole [`Session`] for the service snapshot: the
-/// spec (from which platform and trace are regenerated), the canonical
-/// solver snapshot, the schedule parts, and the step log.
+/// spec (from which platform and trace are regenerated), the solver
+/// capture, the schedule parts, and the step log. A session restored from
+/// it continues bit for bit as the live one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionImage {
     /// The session's workload description.
     pub spec: SessionSpec,
     /// Trace steps already executed.
     pub steps_done: usize,
-    /// Canonicalized cut-generation state.
+    /// Captured cut-generation state.
     pub solver: SessionSnapshot,
     /// Current schedule, if a step has produced one.
     pub schedule: Option<ScheduleParts>,
@@ -186,16 +187,14 @@ impl Session {
         })
     }
 
-    /// Captures *and canonicalizes* the session (see
-    /// [`CutGenSession::snapshot`]): after this call the live session's
-    /// future is bit-identical to that of a session restored from the
-    /// returned image.
-    pub fn snapshot(&mut self) -> SessionImage {
-        let platform = self.trace.platform_at(self.steps_done.saturating_sub(1));
+    /// Captures the session as a [`SessionImage`], leaving it untouched:
+    /// the live session's future is bit-identical to that of a session
+    /// restored from the image (see [`CutGenSession::restore`]).
+    pub fn capture(&self) -> SessionImage {
         SessionImage {
             spec: self.spec,
             steps_done: self.steps_done,
-            solver: self.solver.snapshot(&platform),
+            solver: self.solver.capture(),
             schedule: self.schedule.as_ref().map(|s| s.to_parts()),
             log: self.log.clone(),
         }
@@ -306,8 +305,8 @@ impl Session {
     /// The binding cuts of the solver's current pool as node partitions —
     /// the digest cache's payload (empty before the first step).
     pub fn sharable_cuts(&self) -> Vec<Vec<bool>> {
-        // The snapshotable capture exposes the cut pool as plain data;
-        // capture (without canonicalizing) and keep the active cuts.
+        // The solver capture exposes the cut pool as plain data; keep the
+        // active cuts.
         self.solver
             .capture()
             .cuts

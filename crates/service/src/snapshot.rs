@@ -1,5 +1,5 @@
 //! The service snapshot file: a single checksummed image of every
-//! session's canonical solver state plus the platform-digest cache.
+//! session's captured solver state plus the platform-digest cache.
 //!
 //! ## On-disk format
 //!

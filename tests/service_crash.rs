@@ -282,6 +282,83 @@ fn every_kill_point_recovers_bit_identically() {
     }
 }
 
+/// `commands` with its snapshots moved: one after every command
+/// (`every_step: None`), or one after every `k`-th step (`Some(k)`; a `k`
+/// beyond the trace length never snapshots).
+fn with_cadence(commands: &[Command], every_step: Option<usize>) -> Vec<Command> {
+    let mut out = Vec::new();
+    let mut steps = 0usize;
+    for command in commands.iter().filter(|c| !matches!(c, Command::Snapshot)) {
+        out.push(command.clone());
+        let step = matches!(
+            command,
+            Command::DriftStep { .. } | Command::NodeChurn { .. }
+        );
+        steps += usize::from(step);
+        if every_step.is_none_or(|k| step && steps.is_multiple_of(k)) {
+            out.push(Command::Snapshot);
+        }
+    }
+    out
+}
+
+/// A snapshot is a read: the same script snapshotted after every command,
+/// after every third step, and never gives bit-identical per-step logs and
+/// outcomes, and a recovery from each snapshot a run wrote (a crash right
+/// after it, so nothing is replayed) continues to the same logs.
+#[test]
+fn snapshot_cadence_changes_no_bit() {
+    for (name, spec) in fixtures() {
+        let base = script(name, &spec);
+        let never = with_cadence(&base, Some(STEPS + 2));
+        assert!(!never.iter().any(|c| matches!(c, Command::Snapshot)));
+        let reference = baseline(&format!("cadence-never-{name}"), name, &never);
+        assert_eq!(reference.steps_done, STEPS + 1, "{name}: full trace walked");
+        for (label, every_step) in [("every-command", None), ("every-3rd-step", Some(3))] {
+            let commands = with_cadence(&base, every_step);
+            let run = baseline(&format!("cadence-{label}-{name}"), name, &commands);
+            assert_eq!(bits_of(&run.log), bits_of(&reference.log), "{name} {label}");
+            assert_eq!(run.log, reference.log, "{name} {label}: log");
+            assert_eq!(run.digest_cache, reference.digest_cache, "{name} {label}");
+            let reads: Vec<&Option<Outcome>> = run
+                .outcomes
+                .iter()
+                .filter(|o| **o != Some(Outcome::SnapshotWritten))
+                .collect();
+            assert_eq!(reads, reference.outcomes.iter().collect::<Vec<_>>());
+
+            for (at, _) in commands
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| matches!(c, Command::Snapshot))
+            {
+                let dir = tmp_dir(&format!("cadence-{label}-{name}-{at}"));
+                {
+                    let mut service = Service::open(&dir, FaultPlan::none()).expect("open");
+                    for command in &commands[..=at] {
+                        service.apply(command).expect("apply");
+                    }
+                }
+                let mut service = Service::open(&dir, FaultPlan::none()).expect("recover");
+                let recovery = service.recovery();
+                assert!(recovery.snapshot_restored, "{name} {label} @{at}");
+                assert_eq!(recovery.replayed, 0, "{name} {label} @{at}");
+                for command in &commands[at + 1..] {
+                    service.apply(command).expect("post-recovery apply");
+                }
+                let log = service.session(name).expect("session").log().to_vec();
+                assert_eq!(
+                    bits_of(&log),
+                    bits_of(&reference.log),
+                    "{name} {label}: recovered from the snapshot at command {at}"
+                );
+                assert_eq!(log, reference.log, "{name} {label} @{at}");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
 /// Corrupt snapshot files — bit flips and truncations at many offsets —
 /// must degrade recovery to the authoritative WAL replay: same state as
 /// the baseline, queries still answered, never a panic.

@@ -4,14 +4,13 @@
 //! platform families, different seeds, churn and plain-drift traces
 //! mixed — and the harness drives them through an *interleaved* command
 //! schedule: every round, each session advances one step and answers a
-//! query, then a single `Snapshot` canonicalizes the whole fleet.
+//! query, then a single `Snapshot` captures the whole fleet.
 //!
 //! Contracts:
 //!
 //! * **isolation** — each session's per-step log is bit-identical to a
-//!   solo run of the same session in its own service (with snapshots at
-//!   the same per-session positions, since canonicalization is a state
-//!   transition and part of the deterministic schedule);
+//!   solo run of the same session in its own service, which takes no
+//!   snapshot at all (a snapshot is a read);
 //! * **crash-safety under load** — a kill fired mid-interleaving
 //!   recovers to the uninterrupted multi-session run, every session
 //!   intact, per-step bits equal.
@@ -154,8 +153,7 @@ fn step_command(name: &str, spec: &SessionSpec, step: usize) -> Command {
 
 /// The interleaved fleet schedule: create everything, then round-robin —
 /// each round advances every session one step and queries it, then one
-/// `Snapshot` canonicalizes the fleet — then a final warm resolve per
-/// session.
+/// `Snapshot` captures the fleet — then a final warm resolve per session.
 fn interleaved_script(fleet: &[(&'static str, SessionSpec)]) -> Vec<Command> {
     let mut commands: Vec<Command> = fleet
         .iter()
@@ -182,10 +180,9 @@ fn interleaved_script(fleet: &[(&'static str, SessionSpec)]) -> Vec<Command> {
     commands
 }
 
-/// The solo schedule of one session, with `Snapshot` at the same
-/// per-session positions as the interleaved run (after every own step):
-/// canonicalization is a state transition, so bit-identity is only owed
-/// between runs that canonicalize at the same points.
+/// The solo schedule of one session: its steps and queries in the order
+/// of the interleaved run, with no `Snapshot` — a snapshot changes no
+/// state, so the interleaved run's fleet snapshots must not show.
 fn solo_script(name: &str, spec: &SessionSpec) -> Vec<Command> {
     let mut commands = vec![Command::CreateSession {
         name: name.into(),
@@ -196,7 +193,6 @@ fn solo_script(name: &str, spec: &SessionSpec) -> Vec<Command> {
         commands.push(Command::QuerySchedule {
             session: name.into(),
         });
-        commands.push(Command::Snapshot);
     }
     commands.push(Command::Resolve {
         session: name.into(),
