@@ -413,6 +413,16 @@ impl CutGenSession {
         self.cuts.iter().filter(|c| c.active).count()
     }
 
+    /// The source sides of the active cuts, in pool order: node `v` is on
+    /// the source side of a cut when `side[v]` is true.
+    pub fn active_cut_sides(&self) -> Vec<Vec<bool>> {
+        self.cuts
+            .iter()
+            .filter(|c| c.active)
+            .map(|c| c.side.clone())
+            .collect()
+    }
+
     /// True when the screen lets destination `di` skip its max-flow at
     /// `point`: the flow measured when its oracle last ran, restricted to
     /// `point`'s capacities (every unit above `point[e]` cancelled), still

@@ -45,7 +45,7 @@ fn usage() -> ! {
          [--density D] [--steps S] [--seed SEED] [--churn] [--snapshot-every K] \
          [--kill-seq N --kill-kind before-append|mid-append|before-exec|after-exec|mid-snapshot]"
     );
-    std::process::exit(2);
+    std::process::exit(EXIT_USAGE.into());
 }
 
 fn parse_args() -> Args {
@@ -139,6 +139,9 @@ fn spec_of(args: &Args) -> SessionSpec {
     }
 }
 
+/// Exit status 2: a bad argument, including a spec the service refuses.
+const EXIT_USAGE: u8 = 2;
+
 /// Exit status 3: the armed kill point fired. The artifacts under
 /// `--dir` are exactly what a crash would leave; re-running recovers.
 const EXIT_KILLED: u8 = 3;
@@ -166,15 +169,17 @@ fn main() -> ExitCode {
     );
 
     if service.session(SESSION).is_none() {
-        match drive(
-            &mut service,
-            &Command::CreateSession {
-                name: SESSION.into(),
-                spec: spec_of(&args),
-            },
-        ) {
-            Ok(()) => {}
-            Err(code) => return code,
+        let create = Command::CreateSession {
+            name: SESSION.into(),
+            spec: spec_of(&args),
+        };
+        if let Err(code) = drive(&mut service, &create) {
+            return code;
+        }
+        // A spec the service refuses is a bad argument; `drive` printed
+        // the reason.
+        if service.session(SESSION).is_none() {
+            return ExitCode::from(EXIT_USAGE);
         }
     }
 

@@ -234,10 +234,8 @@ fn repair_label_follows_the_remap() {
     let reasons = [
         names::LP_FALLBACK_BINDING_ROW_DELETE,
         names::LP_FALLBACK_REFUSED_UPDATE,
-        names::LP_FALLBACK_REFUSED_COLUMN_GROWTH,
         names::LP_FALLBACK_REFUSED_COLUMN_DELETE,
         names::LP_FALLBACK_UNCLEAN_WARM_PASS,
-        names::LP_FALLBACK_REFUSED_RESTORE,
     ];
     let by_reason: Vec<(&str, u64)> = reasons.iter().map(|&n| (n, count(n))).collect();
     assert_eq!(

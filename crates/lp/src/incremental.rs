@@ -6,10 +6,18 @@
 //! textbook use case: every master round *appends* a handful of violated cut
 //! rows to a previously optimal LP (and occasionally *deletes* stale ones).
 //! Re-solving from scratch discards the basis, rebuilds phase 1 and walks the
-//! whole phase-2 path again; warm-starting reuses all of it. The live state
-//! is the sparse revised simplex of the private `sparse` module (Markowitz
-//! LU basis, Devex pricing), refactorized lazily on the next re-solve after
-//! an edit:
+//! whole phase-2 path again; warm-starting reuses all of it.
+//!
+//! The warm state is the stored rows plus a **basis layout**
+//! ([`FactSnapshot`]): the column of every slack and artificial, each live
+//! row's position, the basis in its stored order, and which columns may
+//! enter. An edit changes only those. Every factorization starts from a
+//! problem assembled from the stored rows under the layout by the one
+//! assembly that also starts every cold solve (the private
+//! `sparse::assemble`), and an assembly is reused only while no edit has
+//! come after it. So the solver's problem is always a function of the
+//! stored rows and the layout, and a capture is a clone of the layout.
+//! The edits:
 //!
 //! * **Append** — a new `≤` row gets a fresh basic slack column. The old
 //!   columns stay basic, the reduced costs of all old columns are untouched
@@ -22,22 +30,20 @@
 //!   exactly, leaves every other basic value untouched, and preserves both
 //!   primal and dual feasibility (the deleted row was non-binding, so its
 //!   multiplier was zero). Deleting a *binding* row would genuinely change
-//!   the basis; that rare case falls back to a cold refactorization and is
-//!   counted in [`IncrementalStats::refactorizations`].
+//!   the basis; that case falls back to a cold solve and is counted in
+//!   [`IncrementalStats::refactorizations`].
 //! * **Update** — [`SimplexState::update_coeffs`] edits the coefficients
-//!   and right-hand sides of *existing* rows in place, the substrate for
-//!   chained LP instances whose data drifts (dynamic platforms: link costs
-//!   change, the constraint structure does not). The edited rows are
-//!   rewritten and the **current basis** is refactorized under the new
-//!   coefficients, then repaired: a still-dual-feasible basis goes through
-//!   the dual simplex as after an append; a basis that lost dual
-//!   feasibility but kept primal feasibility goes straight to the primal
-//!   pass; a basis that lost both runs a zero-objective dual phase (any
-//!   basis is dual feasible for a zero objective) to restore primal
-//!   feasibility first. Anything the in-place path cannot express — a
-//!   singular basis, rows carrying artificials, a stalled repair — falls
-//!   back to a cold refactorization, so an update can never change *what*
-//!   is computed, only how many pivots it takes.
+//!   and right-hand sides of *existing* rows, the substrate for chained LP
+//!   instances whose data drifts (dynamic platforms: link costs change,
+//!   the constraint structure does not). The **current basis** is
+//!   refactorized under the new coefficients, then repaired: a
+//!   still-dual-feasible basis goes through the dual simplex as after an
+//!   append; a basis that lost dual feasibility but kept primal
+//!   feasibility goes straight to the primal pass; a basis that lost both
+//!   runs a zero-objective dual phase (any basis is dual feasible for a
+//!   zero objective) to restore primal feasibility first. A basis gone
+//!   singular or a stalled repair falls back to a cold solve, so an update
+//!   can never change *what* is computed, only how many pivots it takes.
 //!
 //! The state is created from an [`LpProblem`] snapshot (the immutable
 //! "skeleton": variables, objective, base rows); rows appended through
@@ -46,10 +52,9 @@
 //! [`SimplexState::update_coeffs`] (base-row handles come from
 //! [`SimplexState::base_rows`]).
 
-use crate::basis::ScatterVec;
 use crate::model::{Constraint, ConstraintOp, LpError, LpProblem, LpSolution, Sense, VarId};
 use crate::simplex::{self, SimplexOptions, SolveStatus, COST_TOLERANCE, FEASIBILITY_TOLERANCE};
-use crate::sparse::{self, SparseSimplex};
+use crate::sparse::{self, Aux, SparseSimplex};
 
 /// Stable handle of a row added to (or created with) a [`SimplexState`].
 ///
@@ -129,8 +134,11 @@ pub struct IncrementalStats {
     pub cold_solves: usize,
     /// Re-optimizations that reused the previous basis.
     pub warm_solves: usize,
-    /// Cold refactorizations forced by a deletion the incremental path could
-    /// not express (binding row, or a row still carrying an artificial).
+    /// Cold fallbacks: warm states dropped because an edit or a warm pass
+    /// could not keep the basis (a binding row deleted, a basis gone
+    /// singular, a basic column with no pivot to drive it out, an unclean
+    /// warm pass), so the next solve was cold. Each is also counted under
+    /// its `lp.cold_refactor_fallback.*` reason.
     pub refactorizations: usize,
     /// Total simplex pivots, all phases and both pricing directions.
     pub total_pivots: usize,
@@ -148,26 +156,7 @@ pub struct IncrementalStats {
     pub cols_deleted: usize,
 }
 
-/// One stored (problem-form) row; kept so cold refactorizations can rebuild
-/// the LP from first principles.
-#[derive(Clone, Debug)]
-struct StoredRow {
-    terms: Vec<(VarId, f64)>,
-    op: ConstraintOp,
-    rhs: f64,
-}
-
-impl StoredRow {
-    fn as_constraint(&self) -> Constraint {
-        Constraint {
-            terms: self.terms.clone(),
-            op: self.op,
-            rhs: self.rhs,
-        }
-    }
-}
-
-/// One in-place coefficient edit of an existing row, consumed in batches by
+/// One coefficient edit of an existing row, consumed in batches by
 /// [`SimplexState::update_coeffs`].
 #[derive(Clone, Debug)]
 pub struct RowUpdate {
@@ -186,21 +175,19 @@ impl RowUpdate {
     }
 }
 
-/// The live sparse revised-simplex state plus the bookkeeping that ties
-/// physical rows to their assembled rows and auxiliary columns. Appends
-/// keep the basis dual feasible, non-binding deletions are exact and free,
-/// and anything inexpressible falls back to an authoritative cold solve.
+/// The warm state beside the stored rows: the basis layout, which every
+/// edit updates, and the problem last assembled from the rows under it,
+/// which only solves and factorizations use and which the next edit drops.
 struct Fact {
+    layout: FactSnapshot,
+    assembly: Option<Assembly>,
+}
+
+/// One assembly of the stored rows under a layout, with the
+/// maximization-form cost of its columns.
+struct Assembly {
     sim: SparseSimplex,
-    /// Maximization-form cost per column (structural costs + zeros).
     cost: Vec<f64>,
-    /// Per *physical* row: its slack/surplus column, if any.
-    slack_col: Vec<Option<usize>>,
-    /// Per *physical* row: its artificial column, if any.
-    art_col: Vec<Option<usize>>,
-    /// Per *physical* row: its current assembled-row index (shifts down as
-    /// earlier rows are deleted; `None` once deleted).
-    row_of: Vec<Option<usize>>,
 }
 
 /// A linear program whose optimal basis persists across row additions and
@@ -234,7 +221,7 @@ pub struct SimplexState {
     /// Structural objective coefficients (original sense).
     objective: Vec<f64>,
     /// All physical rows ever added, by [`RowId`] order of creation.
-    rows: Vec<StoredRow>,
+    rows: Vec<Constraint>,
     /// Liveness per physical row (deleted rows stay in `rows` as tombstones).
     live: Vec<bool>,
     /// Liveness per structural column, by [`ColId`] order of creation.
@@ -273,14 +260,7 @@ impl SimplexState {
             stats: IncrementalStats::default(),
         };
         for con in problem.constraints() {
-            state.push_group(
-                vec![StoredRow {
-                    terms: con.terms.clone(),
-                    op: con.op,
-                    rhs: con.rhs,
-                }],
-                con.op,
-            );
+            state.push_group(vec![con.clone()], con.op);
         }
         state.base_groups = state.groups.len();
         Ok(state)
@@ -321,8 +301,8 @@ impl SimplexState {
         self.stats
     }
 
-    /// Bookkeeping of every path that discards the live factorization: the
-    /// next solve is forced through the cold refactorization fallback, which
+    /// Bookkeeping of every path that discards the warm state: the next
+    /// solve is forced through the cold refactorization fallback, which
     /// the `lp.cold_refactor_fallback` counter makes visible in
     /// `solver_report` digests (recovery-forced cold solves included).
     /// `reason` is the `lp.cold_refactor_fallback.*` counter of the path.
@@ -353,73 +333,51 @@ impl SimplexState {
     }
 
     /// Appends several constraints (see [`add_row`](Self::add_row)) and
-    /// returns one handle per constraint. On a live factorization the whole
-    /// batch is absorbed by one refactorization at the next re-solve.
+    /// returns one handle per constraint. On a warm state the whole batch is
+    /// absorbed by one assembly and refactorization at the next re-solve.
     pub fn add_rows(&mut self, rows: &[Constraint]) -> Result<Vec<RowId>, LpError> {
         for con in rows {
             self.validate_terms(&con.terms, con.rhs)?;
         }
+        if rows.is_empty() {
+            return Ok(Vec::new());
+        }
         let first_physical = self.rows.len();
         let mut ids = Vec::with_capacity(rows.len());
         for con in rows {
-            let negated = || {
-                con.terms
-                    .iter()
-                    .map(|&(v, c)| (v, -c))
-                    .collect::<Vec<(VarId, f64)>>()
-            };
-            let physical = match con.op {
-                ConstraintOp::Le => vec![StoredRow {
-                    terms: con.terms.clone(),
-                    op: ConstraintOp::Le,
-                    rhs: con.rhs,
-                }],
-                ConstraintOp::Ge => vec![StoredRow {
-                    terms: negated(),
-                    op: ConstraintOp::Le,
-                    rhs: -con.rhs,
-                }],
-                ConstraintOp::Eq => vec![
-                    StoredRow {
-                        terms: con.terms.clone(),
-                        op: ConstraintOp::Le,
-                        rhs: con.rhs,
-                    },
-                    StoredRow {
-                        terms: negated(),
-                        op: ConstraintOp::Le,
-                        rhs: -con.rhs,
-                    },
-                ],
-            };
+            let physical = stored_rows(con.op, false, &con.terms, con.rhs);
             self.stats.rows_added += physical.len();
             ids.push(self.push_group(physical, con.op));
         }
         if let Some(fact) = self.fact.as_mut() {
-            fact.slack_col.resize(self.rows.len(), None);
-            fact.art_col.resize(self.rows.len(), None);
-            fact.row_of.resize(self.rows.len(), None);
-            // Each stored row (always `≤` form) gets a fresh basic slack; the
-            // basis (old columns + new slacks) carries over verbatim, so dual
-            // feasibility is preserved and the next refactorization absorbs
-            // the new rows.
-            for (p, row) in self.rows.iter().enumerate().skip(first_physical) {
-                fact.row_of[p] = Some(fact.sim.prob.m);
-                fact.slack_col[p] = Some(fact.sim.append_le_row(&row.terms, row.rhs));
-                fact.cost.push(0.0);
+            // Each stored row (always `≤` form) gets a fresh basic slack and
+            // the next assembled position; the basis (old columns + new
+            // slacks) carries over verbatim, so dual feasibility is
+            // preserved.
+            let layout = fact.edit();
+            layout.slack_col.resize(self.rows.len(), None);
+            layout.art_col.resize(self.rows.len(), None);
+            layout.row_of.resize(self.rows.len(), None);
+            for p in first_physical..self.rows.len() {
+                layout.row_of[p] = Some(layout.basis.len());
+                layout.slack_col[p] = Some(layout.cols);
+                layout.basis.push(layout.cols);
+                layout.allowed.push(true);
+                layout.cols += 1;
             }
         }
         Ok(ids)
     }
 
-    /// Deletes the given rows. Non-binding rows (slack basic) are removed in
-    /// place, preserving the optimal basis; a binding or artificial-carrying
-    /// row forces a cold refactorization on the next solve. Ids of rows
-    /// already deleted are ignored.
+    /// Deletes the given rows. Non-binding rows (slack basic) leave the
+    /// layout with their slack, preserving the optimal basis; a binding row,
+    /// an `=` row (no slack to carry the deletion) or a row pinned by a
+    /// basic artificial forces a cold solve on the next re-solve. Ids of
+    /// rows already deleted are ignored.
     ///
     /// A handle this state never issued is rejected up front
     /// ([`LpError::UnknownRow`]) with the state untouched, so a failed call
-    /// can never leave the factorization disagreeing with the stored rows.
+    /// can never leave the layout disagreeing with the stored rows.
     pub fn delete_rows(&mut self, ids: &[RowId]) -> Result<(), LpError> {
         if let Some(&RowId(bad)) = ids.iter().find(|&&RowId(id)| id >= self.groups.len()) {
             return Err(LpError::UnknownRow(bad));
@@ -433,7 +391,7 @@ impl SimplexState {
                 self.live[p] = false;
                 self.stats.rows_deleted += 1;
                 if let Some(fact) = self.fact.as_mut() {
-                    needs_refactor |= !remove_physical_row(fact, p);
+                    needs_refactor |= !fact.edit().remove_row(p);
                 }
             }
         }
@@ -444,29 +402,29 @@ impl SimplexState {
         Ok(())
     }
 
-    /// Edits the coefficients and right-hand sides of existing rows in
-    /// place — the cross-instance warm start for chained LPs whose data
-    /// drifts while their structure stays fixed (the dynamic-platform
-    /// master LP re-solved after every link-cost drift step is the intended
-    /// customer). Each update replaces the row's whole left-hand side and
-    /// right-hand side; the operator it was declared with is kept (an
-    /// updated `=` append refreshes both physical rows of its pair).
+    /// Edits the coefficients and right-hand sides of existing rows — the
+    /// cross-instance warm start for chained LPs whose data drifts while
+    /// their structure stays fixed (the dynamic-platform master LP re-solved
+    /// after every link-cost drift step is the intended customer). Each
+    /// update replaces the row's whole left-hand side and right-hand side;
+    /// the operator it was declared with is kept (an updated `=` append
+    /// refreshes both physical rows of its pair).
     ///
     /// The batch is **atomic**: every update is validated up front, and a
     /// handle this state never issued — or one whose row was deleted — is
     /// rejected with [`LpError::UnknownRow`] before anything is touched, so
-    /// a failed call can never leave the factorization disagreeing with the
+    /// a failed call can never leave the layout disagreeing with the
     /// stored rows.
     ///
-    /// With a live factorization the edited rows are rewritten, the
-    /// **current basis** is refactorized under the new coefficients, and the
-    /// next [`resolve`](Self::resolve) repairs it (dual pass, primal pass,
-    /// or a zero-objective dual phase when both feasibilities were lost). An
-    /// edit the in-place path cannot express (rows carrying artificials, a
-    /// basis gone singular under the new coefficients) falls back to a cold
-    /// refactorization — exactly like a binding-row deletion, and counted
-    /// the same way — so updating coefficients can never change the
-    /// returned verdict, only the pivot count.
+    /// On a warm state the **current basis** is refactorized under the new
+    /// coefficients (which puts its stored order in the factorization's
+    /// pivot order), and the next [`resolve`](Self::resolve) repairs it
+    /// (dual pass, primal pass, or a zero-objective dual phase when both
+    /// feasibilities were lost). A basis gone singular under the new
+    /// coefficients falls back to a cold solve — exactly like a
+    /// binding-row deletion, and counted the same way — so updating
+    /// coefficients can never change the returned verdict, only the pivot
+    /// count.
     pub fn update_coeffs(&mut self, updates: &[RowUpdate]) -> Result<(), LpError> {
         for update in updates {
             let RowId(id) = update.row;
@@ -480,7 +438,7 @@ impl SimplexState {
         }
         for update in updates {
             let RowId(id) = update.row;
-            let physical = regenerate_stored_rows(
+            let physical = stored_rows(
                 self.group_ops[id],
                 id < self.base_groups,
                 &update.terms,
@@ -493,11 +451,13 @@ impl SimplexState {
             }
         }
         if let Some(fact) = self.fact.as_mut() {
-            let touched: Vec<usize> = updates
-                .iter()
-                .flat_map(|u| self.groups[u.row.0].clone())
-                .collect();
-            if !rewrite_rows(fact, &self.rows, &touched) {
+            fact.edit();
+            if !fact.on_assembly(
+                &self.rows,
+                self.sense,
+                &self.objective,
+                SparseSimplex::factorize,
+            ) {
                 self.fact = None;
                 self.note_cold_fallback(bcast_obs::names::LP_FALLBACK_REFUSED_UPDATE);
             }
@@ -510,10 +470,8 @@ impl SimplexState {
     /// existing basic value is unchanged, so a primal-feasible basis stays
     /// primal feasible and the next [`resolve`](Self::resolve) merely prices
     /// the new columns in (normally a short primal pass from the old
-    /// vertex). With a live factorization the system is re-derived from the
-    /// stored rows **in the current basis**, and anything the in-place path
-    /// cannot express falls back to an authoritative cold refactorization,
-    /// so adding columns can never change the verdict.
+    /// vertex). The new columns take the structural ids after the old ones,
+    /// so every slack and artificial of the layout moves up by the growth.
     ///
     /// The batch is **atomic**: every column is validated up front
     /// ([`LpError::UnknownRow`] for a dead or foreign row handle,
@@ -569,25 +527,22 @@ impl SimplexState {
         }
         self.stats.cols_added += cols.len();
         if let Some(fact) = self.fact.as_mut() {
-            if rebuild_grown(fact, &self.rows, &self.live, self.objective.len()) {
-                fact.cost = maximization_cost(self.sense, &self.objective, fact.sim.prob.ncols);
-            } else {
-                self.fact = None;
-                self.note_cold_fallback(bcast_obs::names::LP_FALLBACK_REFUSED_COLUMN_GROWTH);
-            }
+            fact.edit()
+                .grow(self.objective.len() - cols.len(), cols.len());
         }
         Ok(ids)
     }
 
     /// Deletes the given columns, tombstoning their [`VarId`]s (indices are
     /// never reused, so handles issued earlier keep their meaning). A column
-    /// that is **nonbasic** in the live factorization sits at value zero, so
-    /// removing it is exact and free; a **basic** column is driven out by
-    /// one forced pivot and the next [`resolve`](Self::resolve) repairs
-    /// whatever feasibility that pivot cost — the same bounded dual/primal
-    /// repair as after a coefficient update, with the cold refactorization
-    /// as the authoritative fallback, so deleting columns can never change
-    /// the verdict, only the pivot count.
+    /// that is **nonbasic** in the warm basis sits at value zero, so barring
+    /// it is exact and free; a **basic** column is driven out by one forced
+    /// pivot, on the problem as it stands before the batch strips any term,
+    /// and the next [`resolve`](Self::resolve) repairs whatever feasibility
+    /// that pivot cost — the same bounded dual/primal repair as after a
+    /// coefficient update, with the cold solve as the authoritative
+    /// fallback, so deleting columns can never change the verdict, only the
+    /// pivot count.
     ///
     /// Unlike row deletion, deleting a column twice is an error: the batch
     /// is **atomic**, and any unknown, already-deleted, or repeated
@@ -602,38 +557,29 @@ impl SimplexState {
         if ids.is_empty() {
             return Ok(());
         }
-        // Live rows that lose a term.
-        let mut touched = Vec::new();
-        for &ColId(id) in ids {
-            self.cols_live[id] = false;
-            self.objective[id] = 0.0;
-            for (p, row) in self.rows.iter_mut().enumerate() {
-                let len = row.terms.len();
-                row.terms.retain(|&(v, _)| v.index() != id);
-                if row.terms.len() < len && self.live[p] {
-                    touched.push(p);
-                }
-            }
-        }
-        self.stats.cols_deleted += ids.len();
         let mut pivots = 0usize;
         let mut ok = true;
         if let Some(fact) = self.fact.as_mut() {
             for &ColId(id) in ids {
-                fact.cost[id] = 0.0;
-                let was_basic = fact.sim.prob.basis.contains(&id);
-                if !fact.sim.delete_column(id) {
-                    ok = false;
-                    break;
-                }
-                if was_basic {
+                if fact.layout.basis.contains(&id) {
+                    let drive_out = |sim: &mut SparseSimplex| sim.drive_out(id);
+                    if !fact.on_assembly(&self.rows, self.sense, &self.objective, drive_out) {
+                        ok = false;
+                        break;
+                    }
                     pivots += 1;
                 }
-            }
-            if ok {
-                reassemble_rows(fact, &self.rows, touched);
+                fact.edit().allowed[id] = false;
             }
         }
+        for &ColId(id) in ids {
+            self.cols_live[id] = false;
+            self.objective[id] = 0.0;
+            for row in &mut self.rows {
+                row.terms.retain(|&(v, _)| v.index() != id);
+            }
+        }
+        self.stats.cols_deleted += ids.len();
         self.stats.total_pivots += pivots;
         bcast_obs::counter_add(bcast_obs::names::LP_PIVOTS, pivots as u64);
         if !ok {
@@ -703,7 +649,8 @@ impl SimplexState {
         let Some(fact) = self.fact.as_mut() else {
             return self.cold_solve();
         };
-        let (clean, pivots, dual_pivots) = fact.reoptimize(&options);
+        let (clean, pivots, dual_pivots) =
+            fact.reoptimize(&self.rows, self.sense, &self.objective, &options);
         self.stats.dual_pivots += dual_pivots;
         if !clean {
             self.stats.total_pivots += pivots;
@@ -739,7 +686,7 @@ impl SimplexState {
         lp
     }
 
-    fn push_group(&mut self, physical: Vec<StoredRow>, op: ConstraintOp) -> RowId {
+    fn push_group(&mut self, physical: Vec<Constraint>, op: ConstraintOp) -> RowId {
         let id = RowId(self.groups.len());
         let mut indices = Vec::with_capacity(physical.len());
         for row in physical {
@@ -767,32 +714,33 @@ impl SimplexState {
         Ok(())
     }
 
-    /// Cold path: assemble every live row from scratch and run the ordinary
-    /// two-phase solve, then adopt the resulting basis as the warm state.
+    /// Cold path: lay out every live row as a fresh cold solve does, run
+    /// the ordinary two-phase solve on its assembly, then keep the basis it
+    /// ends on as the warm state.
     fn cold_solve(&mut self) -> Result<LpSolution, LpError> {
-        let live_physical: Vec<usize> = (0..self.rows.len()).filter(|&p| self.live[p]).collect();
-        let constraints: Vec<Constraint> = live_physical
-            .iter()
-            .map(|&p| self.rows[p].as_constraint())
-            .collect();
-        let prob = sparse::assemble_sparse(self.num_vars(), &constraints);
-        let cost = maximization_cost(self.sense, &self.objective, prob.ncols);
-        let mut slack_col = vec![None; self.rows.len()];
-        let mut art_col = vec![None; self.rows.len()];
-        let mut row_of = vec![None; self.rows.len()];
-        for (i, &p) in live_physical.iter().enumerate() {
-            slack_col[p] = prob.slack_col[i];
-            art_col[p] = prob.art_col[i];
-            row_of[p] = Some(i);
+        let live: Vec<usize> = (0..self.rows.len()).filter(|&p| self.live[p]).collect();
+        let cold = sparse::cold_layout(self.num_vars(), live.iter().map(|&p| &self.rows[p]));
+        let mut layout = FactSnapshot {
+            cols: cold.cols,
+            basis: cold.basis,
+            allowed: vec![true; cold.cols],
+            artificial_cols: cold.artificial_cols,
+            slack_col: vec![None; self.rows.len()],
+            art_col: vec![None; self.rows.len()],
+            row_of: vec![None; self.rows.len()],
+        };
+        for (pos, (&p, aux)) in live.iter().zip(cold.aux).enumerate() {
+            layout.slack_col[p] = aux.slack;
+            layout.art_col[p] = aux.art;
+            layout.row_of[p] = Some(pos);
         }
         let mut fact = Fact {
-            sim: SparseSimplex::new(prob),
-            cost,
-            slack_col,
-            art_col,
-            row_of,
+            layout,
+            assembly: None,
         };
-        let pivots = fact.sim.two_phase(&fact.cost, &self.options)?;
+        let Assembly { sim, cost } = fact.assembly(&self.rows, self.sense, &self.objective);
+        let pivots = sim.two_phase(cost, &self.options)?;
+        fact.keep_basis();
         self.fact = Some(fact);
         self.stats.cold_solves += 1;
         self.stats.total_pivots += pivots;
@@ -803,7 +751,8 @@ impl SimplexState {
         let values = self
             .fact
             .as_ref()
-            .expect("factorization alive")
+            .and_then(|fact| fact.assembly.as_ref())
+            .expect("a solve just ran on the assembly")
             .sim
             .extract_values(self.num_vars());
         let objective = self.objective.iter().zip(&values).map(|(c, x)| c * x).sum();
@@ -816,67 +765,131 @@ impl SimplexState {
     }
 }
 
-/// The stored (physical) form of a row declared as `terms op rhs`: base
-/// rows are stored verbatim (the cold assembly handles every operator),
-/// appended rows are normalized to `≤` form exactly as in
-/// [`SimplexState::add_rows`] — the two paths must keep agreeing or an
-/// update would silently change a row's meaning.
-fn regenerate_stored_rows(
-    op: ConstraintOp,
-    base: bool,
-    terms: &[(VarId, f64)],
-    rhs: f64,
-) -> Vec<StoredRow> {
-    let verbatim = || StoredRow {
+/// The stored (physical) form of a row declared as `terms op rhs`, for
+/// [`SimplexState::add_rows`] and [`SimplexState::update_coeffs`] alike:
+/// base rows are stored verbatim (the assembly handles every operator),
+/// appended rows in `≤` form — a `≥` row negated, an `=` row as the
+/// direct and negated pair.
+fn stored_rows(op: ConstraintOp, base: bool, terms: &[(VarId, f64)], rhs: f64) -> Vec<Constraint> {
+    let direct = Constraint {
         terms: terms.to_vec(),
         op,
         rhs,
     };
-    if base {
-        return vec![verbatim()];
+    if base || op == ConstraintOp::Le {
+        return vec![direct];
     }
-    let negated = || StoredRow {
+    let negated = Constraint {
         terms: terms.iter().map(|&(v, c)| (v, -c)).collect(),
         op: ConstraintOp::Le,
         rhs: -rhs,
     };
     match op {
-        ConstraintOp::Le => vec![StoredRow {
-            terms: terms.to_vec(),
-            op: ConstraintOp::Le,
-            rhs,
-        }],
-        ConstraintOp::Ge => vec![negated()],
         ConstraintOp::Eq => vec![
-            StoredRow {
-                terms: terms.to_vec(),
+            Constraint {
                 op: ConstraintOp::Le,
-                rhs,
+                ..direct
             },
-            negated(),
+            negated,
         ],
+        _ => vec![negated],
     }
 }
 
 impl Fact {
-    /// The warm repair after edits: refactorize the (possibly grown or
-    /// edited) basis from its stored order, read the reduced costs, pick the
-    /// repair pass, then certify optimality with a primal pass. Returns
-    /// `(clean, pivots, dual_pivots)`; anything but a clean optimum sends
-    /// the caller cold.
+    /// Starts an edit of the layout: the last assembly no longer matches.
+    fn edit(&mut self) -> &mut FactSnapshot {
+        self.assembly = None;
+        &mut self.layout
+    }
+
+    /// The assembly to factorize: the last one while no edit has come
+    /// after it, else the stored `rows` assembled under the layout — the
+    /// live rows in their assembled order, each with its slack and
+    /// artificial columns.
+    fn assembly(&mut self, rows: &[Constraint], sense: Sense, objective: &[f64]) -> &mut Assembly {
+        let layout = &self.layout;
+        self.assembly.get_or_insert_with(|| {
+            let mut order = vec![usize::MAX; layout.basis.len()];
+            for (p, pos) in layout.row_of.iter().enumerate() {
+                if let Some(pos) = *pos {
+                    order[pos] = p;
+                }
+            }
+            let prob = sparse::assemble(
+                objective.len(),
+                layout.cols,
+                order.iter().map(|&p| {
+                    let aux = Aux {
+                        slack: layout.slack_col[p],
+                        art: layout.art_col[p],
+                    };
+                    (&rows[p], aux)
+                }),
+                layout.basis.clone(),
+                layout.allowed.clone(),
+                layout.artificial_cols.clone(),
+            );
+            Assembly {
+                sim: SparseSimplex::new(prob),
+                cost: simplex::maximization_cost(sense, objective, layout.cols),
+            }
+        })
+    }
+
+    /// Keeps the basis the assembly's simplex ended on, in its stored
+    /// order, and its enterable columns as the layout's.
+    fn keep_basis(&mut self) {
+        let assembly = self.assembly.as_ref();
+        let prob = &assembly.expect("a solve just ran on the assembly").sim.prob;
+        self.layout.basis.clone_from(&prob.basis);
+        self.layout.allowed.clone_from(&prob.allowed);
+    }
+
+    /// Runs `op` on the assembly of the stored rows and, when it succeeds,
+    /// keeps the basis it leaves in its stored order. `op` is a
+    /// refactorization (which puts the basis in the factorization's pivot
+    /// order) or a forced pivot (`SparseSimplex::drive_out`); it returns
+    /// `false` on a singular basis or when no eligible pivot exists.
+    fn on_assembly(
+        &mut self,
+        rows: &[Constraint],
+        sense: Sense,
+        objective: &[f64],
+        op: impl FnOnce(&mut SparseSimplex) -> bool,
+    ) -> bool {
+        let ok = op(&mut self.assembly(rows, sense, objective).sim);
+        if ok {
+            self.keep_basis();
+        }
+        ok
+    }
+
+    /// The warm repair after edits: factorize the basis, in its stored
+    /// order, on the assembly of the stored rows, read the reduced costs,
+    /// pick the repair pass, then certify optimality with a primal pass.
+    /// Returns `(clean, pivots, dual_pivots)`; anything but a clean optimum
+    /// sends the caller cold.
     ///
     /// Every call starts from that fresh factorization, whatever the state
     /// did since the last one, so a state restored from a capture (which
-    /// keeps the basis order and nothing transient) repairs exactly like
-    /// the live one.
+    /// keeps the layout and nothing transient) repairs exactly like the
+    /// live one.
     ///
     /// The budget sits deliberately far below the cold solver's: a warm
     /// re-solve normally needs a handful of pivots, and a warm pass that
     /// does not converge quickly is numerically suspect — better to
     /// refactorize than to chase a drifting basis.
-    fn reoptimize(&mut self, options: &SimplexOptions) -> (bool, usize, usize) {
-        let budget = (4 * (self.sim.prob.m + self.sim.prob.ncols)).max(200);
-        if !self.sim.factorize() {
+    fn reoptimize(
+        &mut self,
+        rows: &[Constraint],
+        sense: Sense,
+        objective: &[f64],
+        options: &SimplexOptions,
+    ) -> (bool, usize, usize) {
+        let Assembly { sim, cost } = self.assembly(rows, sense, objective);
+        let budget = (4 * (sim.prob.m + sim.prob.ncols)).max(200);
+        if !sim.factorize() {
             // Singular under the edited coefficients: only a cold solve can
             // answer.
             return (false, 0, 0);
@@ -891,31 +904,30 @@ impl Fact {
         // re-optimizes directly; if it lost both, a dual phase with a zero
         // objective (for which any basis prices out) restores primal
         // feasibility first.
-        self.sim.compute_reduced_costs(&self.cost);
+        sim.compute_reduced_costs(cost);
         // `primary_fresh`: the factorization is live and the reduced costs
-        // match `self.cost`, so the primal pass may skip its entry refresh
+        // match `cost`, so the primal pass may skip its entry refresh
         // (each refresh is a full refactorization — the dominant cost of a
         // zero-pivot warm re-solve).
         let mut primary_fresh = true;
-        let dual_feasible = self
-            .sim
+        let dual_feasible = sim
             .reduced_costs()
             .iter()
-            .zip(&self.sim.prob.allowed)
+            .zip(&sim.prob.allowed)
             .all(|(&dj, &ok)| !ok || dj <= COST_TOLERANCE);
         if dual_feasible {
-            let (status, iters) = self.sim.dual(&self.cost, options, budget, true);
+            let (status, iters) = sim.dual(cost, options, budget, true);
             pivots += iters;
             dual_pivots += iters;
             clean = status == SolveStatus::Optimal;
-        } else if self.sim.x_b.iter().any(|&bi| bi < -FEASIBILITY_TOLERANCE) {
-            let zero = vec![0.0; self.sim.prob.ncols];
+        } else if sim.x_b.iter().any(|&bi| bi < -FEASIBILITY_TOLERANCE) {
+            let zero = vec![0.0; sim.prob.ncols];
             // The factorization from the classification above is still live
             // — only the reduced costs must be redone for the zero objective
             // (one BTRAN + column pass, far below another full
             // refactorization).
-            self.sim.compute_reduced_costs(&zero);
-            let (status, iters) = self.sim.dual(&zero, options, budget, true);
+            sim.compute_reduced_costs(&zero);
+            let (status, iters) = sim.dual(&zero, options, budget, true);
             pivots += iters;
             dual_pivots += iters;
             clean = status == SolveStatus::Optimal;
@@ -929,214 +941,79 @@ impl Fact {
             // pivots; it guards the rare case where floating-point drift
             // left a column with a marginally positive reduced cost.
             let remaining = budget.saturating_sub(pivots).max(100);
-            let (status, iters) = self
-                .sim
-                .primal(&self.cost, options, remaining, primary_fresh);
+            let (status, iters) = sim.primal(cost, options, remaining, primary_fresh);
             pivots += iters;
             clean = status == SolveStatus::Optimal;
         }
+        if clean {
+            // A basic artificial (a cold start leaves one in a redundant
+            // row) stays at zero only while the edits keep its row
+            // redundant. A pass that moved one off zero optimized a relaxed
+            // problem, so the cold solve answers instead. Only an
+            // artificial can be basic and barred from entering.
+            clean = sim
+                .prob
+                .basis
+                .iter()
+                .zip(&sim.x_b)
+                .all(|(&bc, &value)| sim.prob.allowed[bc] || value <= FEASIBILITY_TOLERANCE);
+        }
+        self.keep_basis();
         (clean, pivots, dual_pivots)
     }
-
-    /// True when physical row `p` (stored as `row`) sits in the live
-    /// problem as a plain slack-form row — a slack, no artificial, an
-    /// assembled position — in an orientation [`slack_form_sign`] can
-    /// reproduce: the acceptance rule of every in-place rebuild.
-    fn is_slack_form(&self, p: usize, row: &StoredRow) -> bool {
-        self.slack_col[p].is_some()
-            && self.art_col[p].is_none()
-            && self.row_of[p].is_some()
-            && slack_form_sign(row).is_some()
-    }
 }
 
-/// The orientation a live slack-form row was assembled with: appended rows
-/// (always stored `≤`) and `≤` base rows sit verbatim (`+1`), while a base
-/// `≥` row with `rhs ≤ 0` was assembled sign-flipped (`-1`, the
-/// artificial-free `≥ 0` rewrite — see `simplex::normalize_constraint`).
-/// Any other shape carries an artificial under cold assembly, so the
-/// in-place paths refuse it (`None`) rather than guess an orientation.
-fn slack_form_sign(row: &StoredRow) -> Option<f64> {
-    match row.op {
-        ConstraintOp::Le => Some(1.0),
-        ConstraintOp::Ge if row.rhs <= 0.0 => Some(-1.0),
-        _ => None,
-    }
-}
-
-/// Assembles the stored rows `rows[p]` for `p` in `order` (assembled-row
-/// order) in their slack-form orientation over `n` structural columns, each
-/// with its slack column `slack_of(p)`. Every row must pass
-/// [`slack_form_sign`]. Returns the sparse rows and right-hand sides.
-fn assemble_slack_rows(
-    rows: &[StoredRow],
-    order: &[usize],
-    n: usize,
-    slack_of: impl Fn(usize) -> usize,
-) -> (Vec<Vec<(u32, f64)>>, Vec<f64>) {
-    let mut scratch = ScatterVec::default();
-    let mut row_nz = Vec::with_capacity(order.len());
-    let mut b = Vec::with_capacity(order.len());
-    for &p in order {
-        let sign = slack_form_sign(&rows[p]).expect("checked by the caller");
-        let mut rhs = sign * rows[p].rhs;
-        let mut row = sparse::build_structural_row(n, &rows[p].terms, sign, &mut rhs, &mut scratch);
-        row.push((slack_of(p) as u32, 1.0));
-        row_nz.push(row);
-        b.push(rhs);
-    }
-    (row_nz, b)
-}
-
-/// Re-derives the whole sparse problem from the stored rows for a *grown*
-/// variable space of `n` structural columns — old structural columns keep
-/// their indices, every auxiliary column shifts right by the growth — while
-/// keeping the current basis (the new columns enter nonbasic, so the basic
-/// values are unchanged). Returns `false` when the system cannot adopt the
-/// old basis (a live row failing [`Fact::is_slack_form`], or a basis
-/// holding a barred column), in which case the caller refactorizes cold.
-fn rebuild_grown(fact: &mut Fact, rows: &[StoredRow], live: &[bool], n: usize) -> bool {
-    let n_old = fact.sim.prob.n_struct;
-    debug_assert!(n >= n_old);
-    let k = n - n_old;
-    let m = fact.sim.prob.m;
-    let live_rows: Vec<usize> = (0..rows.len()).filter(|&p| live[p]).collect();
-    if live_rows.len() != m || live_rows.iter().any(|&p| !fact.is_slack_form(p, &rows[p])) {
-        return false;
-    }
-    let shift = |c: usize| if c >= n_old { c + k } else { c };
-    let old = &fact.sim.prob;
-    let ncols = old.ncols + k;
-    let mut allowed = Vec::with_capacity(ncols);
-    allowed.extend_from_slice(&old.allowed[..n_old]);
-    allowed.extend(std::iter::repeat_n(true, k));
-    allowed.extend_from_slice(&old.allowed[n_old..]);
-    let basis: Vec<usize> = old.basis.iter().map(|&bc| shift(bc)).collect();
-    if basis.iter().any(|&bc| bc >= ncols || !allowed[bc]) {
-        return false;
-    }
-    let artificial_cols: Vec<usize> = old.artificial_cols.iter().map(|&c| shift(c)).collect();
-    let prob_slack_col: Vec<Option<usize>> = old.slack_col.iter().map(|o| o.map(shift)).collect();
-    let prob_art_col: Vec<Option<usize>> = old.art_col.iter().map(|o| o.map(shift)).collect();
-    // Rebuild the rows in their current assembled order, each with the same
-    // (shifted) slack column it was introduced with.
-    let mut pos_to_p = vec![usize::MAX; m];
-    for &p in &live_rows {
-        pos_to_p[fact.row_of[p].expect("checked above")] = p;
-    }
-    let (row_nz, b) = assemble_slack_rows(rows, &pos_to_p, n, |p| {
-        shift(fact.slack_col[p].expect("checked above"))
-    });
-    let mut prob = sparse::SparseProblem {
-        m,
-        n_struct: n,
-        ncols,
-        row_nz,
-        col_nz: vec![Vec::new(); ncols],
-        b,
-        allowed,
-        basis,
-        artificial_cols,
-        slack_col: prob_slack_col,
-        art_col: prob_art_col,
-        cols_stale: false,
-    };
-    prob.rebuild_cols();
-    fact.sim = SparseSimplex::new(prob);
-    for col in fact.slack_col.iter_mut().flatten() {
-        if *col >= n_old {
-            *col += k;
-        }
-    }
-    for col in fact.art_col.iter_mut().flatten() {
-        if *col >= n_old {
-            *col += k;
-        }
-    }
-    true
-}
-
-/// Tries to remove physical row `p` from the live problem without breaking
-/// the basis: the row's slack must be basic (a non-binding row), and no
-/// basic artificial may pin it. The removal drops the constraint row and
-/// its unit slack column from the sparse store — the remaining basic values
-/// are provably unchanged, so the deletion stays free. Returns `false` when
-/// only a cold refactorization can express the deletion.
-fn remove_physical_row(fact: &mut Fact, p: usize) -> bool {
-    // A lingering basic artificial (degenerate redundant row) pins the
-    // basis in a way plain row removal cannot untangle.
-    if let Some(art) = fact.art_col[p] {
-        if fact.sim.prob.basis.contains(&art) {
+impl FactSnapshot {
+    /// Drops live physical row `p` and its slack from the layout, keeping
+    /// the basis. That needs the slack basic (a non-binding row) and no
+    /// basic artificial pinning the row: the slack is the row's unit
+    /// column, so every other basic value stays. Returns `false`, with the
+    /// layout unchanged, when only a cold solve can express the deletion
+    /// (an `=` row has no slack to carry it).
+    fn remove_row(&mut self, p: usize) -> bool {
+        let (Some(slack), Some(row)) = (self.slack_col[p], self.row_of[p]) else {
+            return false;
+        };
+        if self.art_col[p].is_some_and(|art| self.basis.contains(&art)) {
             return false;
         }
-        fact.sim.bar_column(art);
-    }
-    // An initial `=` row has no slack; there is no column to carry the
-    // deletion through the basis.
-    let Some(slack) = fact.slack_col[p] else {
-        return false;
-    };
-    let Some(row) = fact.row_of[p] else {
-        return false;
-    };
-    if !fact.sim.remove_row(row, slack) {
-        // Slack nonbasic: the row is binding, deletion moves the optimum.
-        return false;
-    }
-    for r in fact.row_of.iter_mut().flatten() {
-        if *r > row {
-            *r -= 1;
+        let Some(pos) = self.basis.iter().position(|&bc| bc == slack) else {
+            return false;
+        };
+        self.basis.remove(pos);
+        self.allowed[slack] = false;
+        if let Some(art) = self.art_col[p] {
+            self.allowed[art] = false;
         }
-    }
-    fact.row_of[p] = None;
-    fact.slack_col[p] = None;
-    fact.art_col[p] = None;
-    true
-}
-
-/// Re-derives the `touched` physical rows from their stored form after a
-/// column deletion barred their deleted entries in place. A row keeps its
-/// bits unless losing the coefficient changed its equilibration scale;
-/// then it is rescaled exactly as a cold assembly or a restore would
-/// assemble it, so the live rows stay a function of the stored ones. Rows
-/// not in slack form are left barred (a restore refuses them anyway).
-fn reassemble_rows(fact: &mut Fact, rows: &[StoredRow], mut touched: Vec<usize>) {
-    touched.sort_unstable();
-    touched.dedup();
-    for p in touched {
-        if fact.is_slack_form(p, &rows[p]) {
-            fact.sim.rewrite_row(
-                fact.row_of[p].expect("checked above"),
-                &rows[p].terms,
-                slack_form_sign(&rows[p]).expect("checked above"),
-                rows[p].rhs,
-                fact.slack_col[p].expect("checked above"),
-            );
-            fact.sim.prob.cols_stale = true;
+        for r in self.row_of.iter_mut().flatten() {
+            if *r > row {
+                *r -= 1;
+            }
         }
+        self.row_of[p] = None;
+        self.slack_col[p] = None;
+        self.art_col[p] = None;
+        true
     }
-}
 
-/// In-place coefficient edits: only the `touched` physical rows are
-/// rewritten (the rest stay verbatim), each must still pass
-/// [`Fact::is_slack_form`], and the batch ends with a same-basis
-/// refactorization. Returns `false` when the edit cannot be expressed
-/// in-place (changed row shape, or the old basis gone singular under the
-/// new coefficients), in which case the caller refactorizes cold.
-fn rewrite_rows(fact: &mut Fact, rows: &[StoredRow], touched: &[usize]) -> bool {
-    if touched.iter().any(|&p| !fact.is_slack_form(p, &rows[p])) {
-        return false;
+    /// Makes room for `k` structural columns appended after the first
+    /// `n_old`: every slack and artificial moves up by `k`, and the new
+    /// columns may enter. They start nonbasic at zero, so the basic values
+    /// stay.
+    fn grow(&mut self, n_old: usize, k: usize) {
+        let shift = |c: &mut usize| {
+            if *c >= n_old {
+                *c += k;
+            }
+        };
+        self.basis.iter_mut().for_each(shift);
+        self.artificial_cols.iter_mut().for_each(shift);
+        self.slack_col.iter_mut().flatten().for_each(shift);
+        self.art_col.iter_mut().flatten().for_each(shift);
+        self.allowed
+            .splice(n_old..n_old, std::iter::repeat_n(true, k));
+        self.cols += k;
     }
-    for &p in touched {
-        fact.sim.rewrite_row(
-            fact.row_of[p].expect("checked above"),
-            &rows[p].terms,
-            slack_form_sign(&rows[p]).expect("checked above"),
-            rows[p].rhs,
-            fact.slack_col[p].expect("checked above"),
-        );
-    }
-    fact.sim.refactor_same_basis()
 }
 
 // ---------------------------------------------------------------------------
@@ -1155,28 +1032,31 @@ pub struct SnapshotRow {
     pub rhs: f64,
 }
 
-/// Capture of the live factorization's *restorable* core: the basis in its
-/// stored order and the row/column bookkeeping, deliberately **without**
-/// the LU factors, pricing weights, or basic values. Nothing is lost by
-/// leaving them out: the live state builds every factorization from the
-/// stored basis order and resets its pricing weights at the start of each
-/// simplex pass, so [`SimplexState::restore`] continues exactly as the
-/// captured state would have.
+/// The basis layout of a warm [`SimplexState`]: where each live row sits
+/// in the assembled problem, the columns of its slack and artificial, the
+/// basis in its stored order, and which columns may enter. Together with
+/// the stored rows it is the whole warm state: edits change only the rows
+/// and this layout, and every factorization starts from a problem
+/// assembled from the rows under it, by the same assembly that starts a
+/// cold solve. The LU factors, basic values and pricing weights are
+/// rebuilt from it before each use, so a capture is a clone of the layout
+/// and [`SimplexState::restore`] continues exactly as the captured state
+/// would have.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FactSnapshot {
     /// Total column count (structural + slack + artificial).
     pub cols: usize,
-    /// Basic column per assembled row.
+    /// Basic column per assembled row, in stored order.
     pub basis: Vec<usize>,
     /// Enterable flag per column (barred tombstones stay barred).
     pub allowed: Vec<bool>,
-    /// Artificial column indices of the original cold assembly.
+    /// Artificial columns of the cold solve the layout started from.
     pub artificial_cols: Vec<usize>,
     /// Per *physical* row: its slack/surplus column, if any.
     pub slack_col: Vec<Option<usize>>,
     /// Per *physical* row: its artificial column, if any.
     pub art_col: Vec<Option<usize>>,
-    /// Per *physical* row: its assembled-row index.
+    /// Per *physical* row: its assembled-row index (`None` once deleted).
     pub row_of: Vec<Option<usize>>,
 }
 
@@ -1207,25 +1087,17 @@ pub struct SimplexSnapshot {
     pub base_groups: usize,
     /// Work counters carried across the snapshot boundary.
     pub stats: IncrementalStats,
-    /// Restorable core of the live factorization, if one was alive.
+    /// Basis layout of the warm state, if the state was warm.
     pub fact: Option<FactSnapshot>,
 }
 
 impl SimplexState {
     /// Captures the state as plain data (see [`SimplexSnapshot`]), leaving
-    /// the state untouched. The live factorization is reduced to its
-    /// restorable core — basis and bookkeeping, not numbers — which is all
+    /// the state untouched. A warm state is captured as its basis layout —
+    /// basis and bookkeeping, not numbers — which is all
     /// [`restore`](Self::restore) needs to continue bit for bit.
     pub fn capture(&self) -> SimplexSnapshot {
-        let fact = self.fact.as_ref().map(|f| FactSnapshot {
-            cols: f.sim.prob.ncols,
-            basis: f.sim.prob.basis.clone(),
-            allowed: f.sim.prob.allowed.clone(),
-            artificial_cols: f.sim.prob.artificial_cols.clone(),
-            slack_col: f.slack_col.clone(),
-            art_col: f.art_col.clone(),
-            row_of: f.row_of.clone(),
-        });
+        let fact = self.fact.as_ref().map(|f| f.layout.clone());
         SimplexSnapshot {
             options: self.options,
             sense: self.sense,
@@ -1249,37 +1121,33 @@ impl SimplexState {
         }
     }
 
-    /// Rebuilds a solver from a [`SimplexSnapshot`].
+    /// Rebuilds a solver from a [`SimplexSnapshot`]. A captured basis
+    /// layout is adopted as it is, so a state captured warm restores warm,
+    /// whatever its rows look like.
     ///
-    /// The factorization core is re-adopted **warm** when the snapshot's
-    /// basis passes the same acceptance rules as the in-place rebuild paths
-    /// (plain slack-form rows, no live artificials);
-    /// otherwise — including any basis the rules refuse — the factorization
-    /// is dropped and the next [`resolve`](Self::resolve) answers with an
-    /// authoritative cold solve, counted like every other cold fallback.
-    ///
-    /// A re-adopted state continues **exactly** as the captured one: every
+    /// The restored state continues **exactly** as the captured one: every
     /// later edit and solve gives the same bits, pivots and
     /// [`stats`](Self::stats). That holds by construction, because the live
-    /// state itself never carries numbers across an operation that a
-    /// capture drops — every factorization is built from the stored basis
-    /// order (re-solves, forced column deletions and in-place rewrites all
-    /// refactorize first), and each simplex pass starts from fresh pricing
-    /// weights.
+    /// state keeps nothing else across an operation either: every
+    /// factorization starts from the stored rows assembled under the layout
+    /// and from the basis in its stored order (re-solves, coefficient
+    /// updates and forced column deletions all factorize first), and each
+    /// simplex pass starts from fresh pricing weights.
     ///
-    /// Structurally invalid snapshots (inconsistent lengths, out-of-range
-    /// indices, non-finite data) are rejected with
-    /// [`LpError::CorruptSnapshot`] — restore never panics on bad input.
+    /// Structurally invalid snapshots (inconsistent lengths, out-of-range or
+    /// repeated indices, a layout that does not cover the live rows,
+    /// non-finite data) are rejected with [`LpError::CorruptSnapshot`] —
+    /// restore never panics on bad input.
     pub fn restore(snapshot: &SimplexSnapshot) -> Result<Self, LpError> {
         validate_snapshot(snapshot)?;
-        let mut state = SimplexState {
+        Ok(SimplexState {
             options: snapshot.options,
             sense: snapshot.sense,
             objective: snapshot.objective.clone(),
             rows: snapshot
                 .rows
                 .iter()
-                .map(|r| StoredRow {
+                .map(|r| Constraint {
                     terms: r.terms.clone(),
                     op: r.op,
                     rhs: r.rhs,
@@ -1290,109 +1158,13 @@ impl SimplexState {
             groups: snapshot.groups.clone(),
             group_ops: snapshot.group_ops.clone(),
             base_groups: snapshot.base_groups,
-            fact: None,
+            fact: snapshot.fact.clone().map(|layout| Fact {
+                layout,
+                assembly: None,
+            }),
             stats: snapshot.stats,
-        };
-        if let Some(fs) = snapshot.fact.as_ref() {
-            if !state.adopt_fact(fs) {
-                // The snapshot's basis cannot be re-adopted: degrade to a
-                // cold solve on the next resolve, exactly like any other
-                // inexpressible in-place edit.
-                state.fact = None;
-                state.note_cold_fallback(bcast_obs::names::LP_FALLBACK_REFUSED_RESTORE);
-            }
-        }
-        Ok(state)
+        })
     }
-
-    /// Re-adopts the captured factorization core under the acceptance rules
-    /// of the in-place rebuild paths. Returns `false` on refusal (caller
-    /// falls back to a cold solve).
-    fn adopt_fact(&mut self, fs: &FactSnapshot) -> bool {
-        let n = self.objective.len();
-        let live_rows: Vec<usize> = (0..self.rows.len()).filter(|&p| self.live[p]).collect();
-        let m = live_rows.len();
-        if fs.basis.len() != m || fs.allowed.len() != fs.cols || fs.cols < n {
-            return false;
-        }
-        if fs.slack_col.len() != self.rows.len()
-            || fs.art_col.len() != self.rows.len()
-            || fs.row_of.len() != self.rows.len()
-        {
-            return false;
-        }
-        for &p in &live_rows {
-            let Some(slack) = fs.slack_col[p] else {
-                return false;
-            };
-            if slack >= fs.cols
-                || fs.art_col[p].is_some()
-                || slack_form_sign(&self.rows[p]).is_none()
-            {
-                return false;
-            }
-        }
-        if fs.basis.iter().any(|&bc| bc >= fs.cols || !fs.allowed[bc]) {
-            return false;
-        }
-        // Assembled-row order must be a permutation of the live rows.
-        let mut pos_to_p = vec![usize::MAX; m];
-        for &p in &live_rows {
-            let Some(pos) = fs.row_of[p] else {
-                return false;
-            };
-            if pos >= m || pos_to_p[pos] != usize::MAX {
-                return false;
-            }
-            pos_to_p[pos] = p;
-        }
-        if fs.artificial_cols.iter().any(|&c| c >= fs.cols) {
-            return false;
-        }
-        let (row_nz, b) = assemble_slack_rows(&self.rows, &pos_to_p, n, |p| {
-            fs.slack_col[p].expect("checked above")
-        });
-        let mut prob = sparse::SparseProblem {
-            m,
-            n_struct: n,
-            ncols: fs.cols,
-            row_nz,
-            col_nz: vec![Vec::new(); fs.cols],
-            b,
-            allowed: fs.allowed.clone(),
-            basis: fs.basis.clone(),
-            artificial_cols: fs.artificial_cols.clone(),
-            slack_col: pos_to_p.iter().map(|&p| fs.slack_col[p]).collect(),
-            art_col: pos_to_p.iter().map(|&p| fs.art_col[p]).collect(),
-            cols_stale: false,
-        };
-        prob.rebuild_cols();
-        // Everything transient (LU factors, basic values, reduced costs,
-        // pricing weights) starts empty: the live state rebuilds it from the
-        // same basis order before using it, so nothing is lost.
-        self.fact = Some(Fact {
-            sim: SparseSimplex::new(prob),
-            cost: maximization_cost(self.sense, &self.objective, fs.cols),
-            slack_col: fs.slack_col.clone(),
-            art_col: fs.art_col.clone(),
-            row_of: fs.row_of.clone(),
-        });
-        true
-    }
-}
-
-/// Maximization-form cost vector over `cols` total columns: the structural
-/// objective in the sense of the solver, zeros on every auxiliary column.
-fn maximization_cost(sense: Sense, objective: &[f64], cols: usize) -> Vec<f64> {
-    let sign = match sense {
-        Sense::Maximize => 1.0,
-        Sense::Minimize => -1.0,
-    };
-    let mut cost = vec![0.0; cols];
-    for (j, &c) in objective.iter().enumerate() {
-        cost[j] = sign * c;
-    }
-    cost
 }
 
 /// Structural validation of a snapshot before any of it is indexed: every
@@ -1434,7 +1206,61 @@ fn validate_snapshot(s: &SimplexSnapshot) -> Result<(), LpError> {
     if !seen.iter().all(|&v| v) {
         return Err(bad());
     }
-    Ok(())
+    match &s.fact {
+        Some(layout) if !valid_layout(s, layout) => Err(bad()),
+        _ => Ok(()),
+    }
+}
+
+/// True when `layout` describes a warm state over `s`'s rows that every
+/// path can assemble and factorize without indexing out of range: the live
+/// rows fill the assembled positions once each, a row has a slack exactly
+/// when it is not `=` and an `=` row has an artificial, no column serves
+/// two rows, no structural column serves as an auxiliary one, and the
+/// basis holds distinct columns, one per live row.
+fn valid_layout(s: &SimplexSnapshot, layout: &FactSnapshot) -> bool {
+    let (n, rows, cols) = (s.objective.len(), s.rows.len(), layout.cols);
+    let m = s.live.iter().filter(|&&l| l).count();
+    if cols < n
+        || layout.allowed.len() != cols
+        || layout.basis.len() != m
+        || [&layout.slack_col, &layout.art_col, &layout.row_of]
+            .iter()
+            .any(|v| v.len() != rows)
+        || layout.artificial_cols.iter().any(|&c| c < n || c >= cols)
+    {
+        return false;
+    }
+    let mut filled = vec![false; m];
+    let mut taken = vec![false; cols];
+    for p in 0..rows {
+        let (slack, art, pos) = (layout.slack_col[p], layout.art_col[p], layout.row_of[p]);
+        if !s.live[p] {
+            if slack.is_some() || art.is_some() || pos.is_some() {
+                return false;
+            }
+            continue;
+        }
+        let eq = s.rows[p].op == ConstraintOp::Eq;
+        match pos {
+            Some(pos) if pos < m && !filled[pos] => filled[pos] = true,
+            _ => return false,
+        }
+        if slack.is_some() == eq || (eq && art.is_none()) {
+            return false;
+        }
+        for c in slack.into_iter().chain(art) {
+            if c < n || c >= cols || taken[c] {
+                return false;
+            }
+            taken[c] = true;
+        }
+    }
+    let mut basic = vec![false; cols];
+    layout
+        .basis
+        .iter()
+        .all(|&c| c < cols && !std::mem::replace(&mut basic[c], true))
 }
 
 #[cfg(test)]
@@ -1964,7 +1790,7 @@ mod tests {
                 state.resolve().unwrap();
                 state.delete_rows(&[slack_row]).unwrap();
             }
-            let basis = &state.fact.as_ref().expect("warm").sim.prob.basis;
+            let basis = &state.fact.as_ref().expect("warm").layout.basis;
             assert!(basis.contains(&case.col), "the deleted column is basic");
             let before = state.stats();
             state.delete_cols(&[ColId(case.col)]).unwrap();
@@ -2004,6 +1830,72 @@ mod tests {
         assert_eq!(live.iterations, again.iterations);
         assert_eq!(state.stats(), restored.stats());
         assert_close(live.value(y), 0.85 / 0.6);
+    }
+
+    #[test]
+    fn an_equality_base_row_stays_warm_through_column_growth_and_restore() {
+        // The `=` row carries an artificial. The layout keeps such a row
+        // like any other, so a column append, a restore and an update of
+        // the row itself all stay warm.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 3.0);
+        let y = lp.add_var("y", 5.0);
+        lp.add_eq(&[(x, 1.0), (y, 1.0)], 4.0);
+        lp.add_le(&[(x, 1.0)], 3.0);
+        lp.add_le(&[(y, 1.0)], 2.0);
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        assert_close(state.solve().unwrap().objective, 16.0);
+        let eq = state.base_rows()[0];
+        let z = state
+            .add_cols(&[NewCol::new(4.0, vec![(eq, 1.0)])])
+            .unwrap()[0]
+            .var();
+        let dense = |state: &SimplexState| {
+            crate::solve_dense(&state.to_problem(), &SimplexOptions::default()).unwrap()
+        };
+        let warm = state.resolve().unwrap();
+        assert_close(warm.objective, dense(&state).objective);
+        assert_close(warm.value(z), 2.0);
+        let mut restored = SimplexState::restore(&state.capture()).unwrap();
+        let update = RowUpdate::new(eq, vec![(x, 1.0), (y, 1.0), (z, 1.0)], 3.0);
+        state.update_coeffs(std::slice::from_ref(&update)).unwrap();
+        restored.update_coeffs(&[update]).unwrap();
+        let live = state.resolve().unwrap();
+        let again = restored.resolve().unwrap();
+        assert_close(again.objective, dense(&restored).objective);
+        assert_eq!(live.objective.to_bits(), again.objective.to_bits());
+        for st in [&state, &restored] {
+            assert_eq!(st.stats().cold_solves, 1, "a solve went cold");
+            assert_eq!(st.stats().refactorizations, 0, "a fallback was counted");
+        }
+    }
+
+    #[test]
+    fn a_basic_artificial_moved_off_zero_sends_the_resolve_cold() {
+        // Two copies of the `=` row leave one artificial basic at zero in
+        // a redundant row after the cold solve. A column entering only the
+        // copy, negated, makes that artificial grow with it: a warm pass
+        // that kept it basic would report z = 1 for a problem that forces
+        // z = 0.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 1.0);
+        let y = lp.add_var("y", 1.0);
+        lp.add_eq(&[(x, 1.0), (y, 1.0)], 4.0);
+        lp.add_eq(&[(x, 1.0), (y, 1.0)], 4.0);
+        lp.add_le(&[(x, 1.0)], 3.0);
+        lp.add_le(&[(y, 1.0)], 3.0);
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        assert_close(state.solve().unwrap().objective, 4.0);
+        let rows = state.base_rows();
+        let z = state
+            .add_cols(&[NewCol::new(10.0, vec![(rows[1], -1.0)])])
+            .unwrap()[0]
+            .var();
+        state.add_row(&[(z, 1.0)], ConstraintOp::Le, 1.0).unwrap();
+        let sol = state.resolve().unwrap();
+        let dense = crate::solve_dense(&state.to_problem(), &SimplexOptions::default()).unwrap();
+        assert_close(sol.objective, dense.objective);
+        assert_close(sol.value(z), 0.0);
     }
 
     #[test]

@@ -463,14 +463,15 @@ fn extract_values(tab: &Tableau, n: usize) -> Vec<f64> {
     values
 }
 
-/// The phase-2 cost row (maximization form) of `problem`, padded to `cols`.
-pub(crate) fn maximization_cost(problem: &LpProblem, cols: usize) -> Vec<f64> {
-    let sign = match problem.sense() {
+/// The phase-2 cost row (maximization form) of the structural `objective`
+/// under `sense`, padded with zeros to `cols` columns.
+pub(crate) fn maximization_cost(sense: Sense, objective: &[f64], cols: usize) -> Vec<f64> {
+    let sign = match sense {
         Sense::Maximize => 1.0,
         Sense::Minimize => -1.0,
     };
     let mut cost = vec![0.0; cols];
-    for (j, &c) in problem.objective().iter().enumerate() {
+    for (j, &c) in objective.iter().enumerate() {
         cost[j] = sign * c;
     }
     cost
@@ -519,7 +520,7 @@ pub fn solve_dense(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSo
     problem.validate()?;
     let n = problem.num_vars();
     let mut asm = assemble(n, problem.constraints());
-    let phase2_cost = maximization_cost(problem, asm.tab.cols);
+    let phase2_cost = maximization_cost(problem.sense(), problem.objective(), asm.tab.cols);
     let total_iterations = two_phase(&mut asm.tab, &asm.artificial_cols, &phase2_cost, options)?;
     let values = extract_values(&asm.tab, n);
     let objective = problem.eval_objective(&values);

@@ -35,21 +35,21 @@ use crate::simplex::{
 };
 
 /// The assembled LP in sparse standard form `Ax = b` (after slack /
-/// artificial augmentation), plus the per-row auxiliary-column map that the
-/// incremental solver needs for deletions and in-place updates.
+/// artificial augmentation), built by [`assemble`] and never edited
+/// afterwards except for the basis and the enterable columns, which the
+/// simplex passes move.
 pub(crate) struct SparseProblem {
     /// Number of constraint rows.
     pub(crate) m: usize,
-    /// Number of structural variables (the first `n_struct` columns).
-    pub(crate) n_struct: usize,
     /// Total number of columns (structural + slack + artificial).
     pub(crate) ncols: usize,
     /// Row-major nonzeros (including slack/artificial entries).
     pub(crate) row_nz: Vec<Vec<(u32, f64)>>,
     /// Column-major mirror of `row_nz`.
     pub(crate) col_nz: Vec<Vec<(u32, f64)>>,
-    /// Right-hand side per row (non-negative after normalization for
-    /// assembled rows; appended rows may go negative — the dual's cue).
+    /// Right-hand side per row (non-negative after normalization for rows
+    /// with an artificial; a slack-form row may go negative — the dual's
+    /// cue).
     pub(crate) b: Vec<f64>,
     /// Columns that may enter the basis.
     pub(crate) allowed: Vec<bool>,
@@ -57,37 +57,12 @@ pub(crate) struct SparseProblem {
     pub(crate) basis: Vec<usize>,
     /// Every artificial column, in assembly order.
     pub(crate) artificial_cols: Vec<usize>,
-    /// Slack/surplus column per row, if the row got one.
-    pub(crate) slack_col: Vec<Option<usize>>,
-    /// Artificial column per row, if the row got one.
-    pub(crate) art_col: Vec<Option<usize>>,
-    /// True when `col_nz` no longer mirrors `row_nz` (set by row deletions,
-    /// which defer the O(nnz) rebuild so a batch pays it once — the next
-    /// factorization refreshes the mirror before touching columns).
-    pub(crate) cols_stale: bool,
-}
-
-impl SparseProblem {
-    /// Rebuilds the column-major mirror from the row-major store (called
-    /// after any structural row edit).
-    pub(crate) fn rebuild_cols(&mut self) {
-        for col in &mut self.col_nz {
-            col.clear();
-        }
-        self.col_nz.resize(self.ncols, Vec::new());
-        for (r, row) in self.row_nz.iter().enumerate() {
-            for &(c, v) in row {
-                self.col_nz[c as usize].push((r as u32, v));
-            }
-        }
-        self.cols_stale = false;
-    }
 }
 
 /// Sums sparse `(var, coeff)` terms into dense-indexed structural values,
 /// applies the row-equilibration rule of the dense oracle's assembly, and
 /// returns the surviving nonzeros (exact zeros are dropped).
-pub(crate) fn build_structural_row(
+fn build_structural_row(
     n: usize,
     terms: &[(crate::model::VarId, f64)],
     sign: f64,
@@ -124,89 +99,146 @@ pub(crate) fn build_structural_row(
     out
 }
 
-/// Assembles `constraints` over `n` structural variables into sparse
-/// standard form, mirroring the dense oracle's assembly exactly (same
-/// normalization, same column layout `[structural | slack | artificial]`,
-/// same starting basis).
-pub(crate) fn assemble_sparse(n: usize, constraints: &[Constraint]) -> SparseProblem {
-    let m = constraints.len();
-    let mut num_slack = 0usize;
-    let mut num_artificial = 0usize;
-    for c in constraints {
-        match simplex::normalize_constraint(c).0 {
-            ConstraintOp::Le => num_slack += 1,
-            ConstraintOp::Ge => {
-                num_slack += 1;
-                num_artificial += 1;
-            }
-            ConstraintOp::Eq => num_artificial += 1,
-        }
-    }
-    let slack_base = n;
-    let art_base = n + num_slack;
-    let ncols = n + num_slack + num_artificial;
+/// The auxiliary columns of one assembled row: its slack (or surplus), its
+/// artificial, or both.
+#[derive(Clone, Copy)]
+pub(crate) struct Aux {
+    pub(crate) slack: Option<usize>,
+    pub(crate) art: Option<usize>,
+}
 
-    let mut prob = SparseProblem {
-        m,
-        n_struct: n,
-        ncols,
-        row_nz: Vec::with_capacity(m),
-        col_nz: vec![Vec::new(); ncols],
-        b: vec![0.0; m],
-        allowed: vec![true; ncols],
-        basis: vec![usize::MAX; m],
+/// The columns and starting basis of a cold solve (see [`cold_layout`]).
+pub(crate) struct ColdLayout {
+    /// Total column count.
+    pub(crate) cols: usize,
+    /// Auxiliary columns per row.
+    pub(crate) aux: Vec<Aux>,
+    /// Basic column per row.
+    pub(crate) basis: Vec<usize>,
+    /// Every artificial column, in row order.
+    pub(crate) artificial_cols: Vec<usize>,
+}
+
+/// Where a cold solve puts the auxiliary columns of `constraints` over `n`
+/// structural variables, and the basis it starts from. The columns are
+/// `[structural | slack | artificial]`, numbered in row order after
+/// [`simplex::normalize_constraint`]: a `≤` row gets a basic slack, a `≥`
+/// row a surplus and a basic artificial, an `=` row a basic artificial.
+pub(crate) fn cold_layout<'a>(
+    n: usize,
+    constraints: impl Iterator<Item = &'a Constraint>,
+) -> ColdLayout {
+    let ops: Vec<ConstraintOp> = constraints
+        .map(|c| simplex::normalize_constraint(c).0)
+        .collect();
+    let num_slack = ops.iter().filter(|&&op| op != ConstraintOp::Eq).count();
+    let num_artificial = ops.iter().filter(|&&op| op != ConstraintOp::Le).count();
+    let mut layout = ColdLayout {
+        cols: n + num_slack + num_artificial,
+        aux: Vec::with_capacity(ops.len()),
+        basis: Vec::with_capacity(ops.len()),
         artificial_cols: Vec::with_capacity(num_artificial),
-        slack_col: vec![None; m],
-        art_col: vec![None; m],
-        cols_stale: false,
     };
+    let mut next_slack = n;
+    let mut next_art = n + num_slack;
+    for op in ops {
+        let slack = (op != ConstraintOp::Eq).then_some(next_slack);
+        let art = (op != ConstraintOp::Le).then_some(next_art);
+        next_slack += usize::from(slack.is_some());
+        next_art += usize::from(art.is_some());
+        layout.aux.push(Aux { slack, art });
+        layout
+            .basis
+            .push(art.or(slack).expect("every row gets a column"));
+        layout.artificial_cols.extend(art);
+    }
+    layout
+}
 
+/// The one assembly of the sparse standard form `Ax = b`: every cold solve
+/// and every factorization of a warm state starts from a problem built
+/// here. `rows` are the constraints in assembled-row order, each with its
+/// auxiliary columns; `cols`, `basis`, `allowed` and `artificial_cols`
+/// complete the layout.
+///
+/// A row with an artificial is written as the cold solve writes it: in
+/// the orientation of [`simplex::normalize_constraint`], with slack `+1`
+/// (surplus `−1` on a normalized `≥` row) and artificial `+1`. A row
+/// without one is a `≤` row in its stored orientation (a `≥` row negated)
+/// with slack `+1`; its right-hand side may be negative, which is the dual
+/// simplex's cue. Both rules agree wherever a cold layout gives a row no
+/// artificial. Every row is equilibrated by [`build_structural_row`].
+pub(crate) fn assemble<'a>(
+    n: usize,
+    cols: usize,
+    rows: impl Iterator<Item = (&'a Constraint, Aux)>,
+    basis: Vec<usize>,
+    allowed: Vec<bool>,
+    artificial_cols: Vec<usize>,
+) -> SparseProblem {
+    let m = basis.len();
+    let mut row_nz = Vec::with_capacity(m);
+    let mut b = Vec::with_capacity(m);
     let mut scratch = ScatterVec::default();
-    let mut next_slack = slack_base;
-    let mut next_art = art_base;
-    for (r, con) in constraints.iter().enumerate() {
-        let (op, sign) = simplex::normalize_constraint(con);
+    for (con, aux) in rows {
+        let (op, sign) = match (aux.art, con.op) {
+            (Some(_), _) => simplex::normalize_constraint(con),
+            (None, ConstraintOp::Ge) => (ConstraintOp::Le, -1.0),
+            (None, _) => (ConstraintOp::Le, 1.0),
+        };
         let mut rhs = sign * con.rhs;
         let mut row = build_structural_row(n, &con.terms, sign, &mut rhs, &mut scratch);
-        prob.b[r] = rhs;
-        match op {
-            ConstraintOp::Le => {
-                row.push((next_slack as u32, 1.0));
-                prob.basis[r] = next_slack;
-                prob.slack_col[r] = Some(next_slack);
-                next_slack += 1;
-            }
-            ConstraintOp::Ge => {
-                row.push((next_slack as u32, -1.0));
-                prob.slack_col[r] = Some(next_slack);
-                next_slack += 1;
-                row.push((next_art as u32, 1.0));
-                prob.basis[r] = next_art;
-                prob.art_col[r] = Some(next_art);
-                prob.artificial_cols.push(next_art);
-                next_art += 1;
-            }
-            ConstraintOp::Eq => {
-                row.push((next_art as u32, 1.0));
-                prob.basis[r] = next_art;
-                prob.art_col[r] = Some(next_art);
-                prob.artificial_cols.push(next_art);
-                next_art += 1;
-            }
+        if let Some(slack) = aux.slack {
+            let coeff = if op == ConstraintOp::Ge { -1.0 } else { 1.0 };
+            row.push((slack as u32, coeff));
         }
-        prob.row_nz.push(row);
+        if let Some(art) = aux.art {
+            row.push((art as u32, 1.0));
+        }
+        row_nz.push(row);
+        b.push(rhs);
     }
-    prob.rebuild_cols();
-    prob
+    debug_assert_eq!(row_nz.len(), m);
+    let mut col_nz = vec![Vec::new(); cols];
+    for (r, row) in row_nz.iter().enumerate() {
+        for &(c, v) in row {
+            col_nz[c as usize].push((r as u32, v));
+        }
+    }
+    SparseProblem {
+        m,
+        ncols: cols,
+        row_nz,
+        col_nz,
+        b,
+        allowed,
+        basis,
+        artificial_cols,
+    }
+}
+
+/// Assembles `constraints` under their cold layout: the start of a one-shot
+/// cold solve.
+pub(crate) fn assemble_cold(n: usize, constraints: &[Constraint]) -> SparseProblem {
+    let layout = cold_layout(n, constraints.iter());
+    let cols = layout.cols;
+    assemble(
+        n,
+        cols,
+        constraints.iter().zip(layout.aux),
+        layout.basis,
+        vec![true; cols],
+        layout.artificial_cols,
+    )
 }
 
 /// The revised-simplex solver state: problem, factorization, basic values,
 /// reduced costs, pricing weights, and reusable sparse workspaces.
 ///
-/// Only `prob` persists across edits. The basic values and reduced costs
-/// are recomputed after every factorization, and the pricing weights are
-/// reset at the start of every pass, so an edit of `prob` leaves them stale
-/// until the next factorization rather than patching them.
+/// A solver lives on one assembled problem: an edit of a warm state
+/// assembles a new one rather than patching `prob`. Within it, the basic
+/// values and reduced costs are recomputed after every factorization, and
+/// the pricing weights are reset at the start of every pass.
 pub(crate) struct SparseSimplex {
     pub(crate) prob: SparseProblem,
     eta: EtaBasis,
@@ -262,9 +294,6 @@ impl SparseSimplex {
     /// Refactorizes the current basis and recomputes `x_B`. Returns `false`
     /// when the basis is numerically singular (caller must fall back cold).
     pub(crate) fn factorize(&mut self) -> bool {
-        if self.prob.cols_stale {
-            self.prob.rebuild_cols();
-        }
         let m = self.prob.m;
         let cols = &self.prob.col_nz;
         let Some(new_basis) = self.eta.refactorize(
@@ -927,126 +956,17 @@ impl SparseSimplex {
         values
     }
 
-    // ------------------------------------------------------------------
-    // Incremental mutations (used by `crate::incremental::SimplexState`).
-    // ------------------------------------------------------------------
-
-    /// Appends a `≤` row (possibly negative rhs) with a fresh basic slack
-    /// column, exactly like the dense incremental append: the old reduced
-    /// costs are untouched and the new slack prices out at zero, so a
-    /// previously optimal basis stays dual feasible. Returns the new slack
-    /// column index. The factorization is refreshed lazily on the next loop
-    /// entry.
-    pub(crate) fn append_le_row(
-        &mut self,
-        terms: &[(crate::model::VarId, f64)],
-        rhs: f64,
-    ) -> usize {
-        let slack = self.prob.ncols;
-        let row_index = self.prob.m;
-        let mut rhs = rhs;
-        let mut row =
-            build_structural_row(self.prob.n_struct, terms, 1.0, &mut rhs, &mut self.ws_fact);
-        row.push((slack as u32, 1.0));
-        for &(c, v) in &row {
-            if (c as usize) < self.prob.ncols {
-                self.prob.col_nz[c as usize].push((row_index as u32, v));
-            }
-        }
-        self.prob.col_nz.push(vec![(row_index as u32, 1.0)]);
-        self.prob.row_nz.push(row);
-        self.prob.b.push(rhs);
-        self.prob.basis.push(slack);
-        self.prob.allowed.push(true);
-        self.prob.slack_col.push(Some(slack));
-        self.prob.art_col.push(None);
-        self.prob.ncols += 1;
-        self.prob.m += 1;
-        slack
-    }
-
-    /// Removes constraint row `row` whose slack column `slack` is basic.
-    /// Because the slack column is the unit vector `e_row`, dropping the row
-    /// together with the column leaves every other basic value unchanged and
-    /// the remaining basis nonsingular — the deletion is exact and costs
-    /// zero pivots. Returns `false` when the slack is not basic (binding
-    /// row: the caller must refactorize cold).
-    pub(crate) fn remove_row(&mut self, row: usize, slack: usize) -> bool {
-        let Some(pos) = self.prob.basis.iter().position(|&bc| bc == slack) else {
-            return false;
-        };
-        self.prob.basis.remove(pos);
-        self.prob.row_nz.remove(row);
-        self.prob.b.remove(row);
-        self.prob.slack_col.remove(row);
-        self.prob.art_col.remove(row);
-        self.prob.m -= 1;
-        // The slack column's only nonzero lived in the removed row, so
-        // barring it needs no row scan; the column mirror is rebuilt once
-        // per batch, at the next factorization.
-        self.prob.allowed[slack] = false;
-        self.prob.col_nz[slack].clear();
-        self.prob.cols_stale = true;
-        true
-    }
-
-    /// Bars a (now meaningless) column from entering and clears its data so
-    /// stale coefficients cannot perturb later passes.
-    pub(crate) fn bar_column(&mut self, col: usize) {
-        self.prob.allowed[col] = false;
-        for r in 0..self.prob.m {
-            self.prob.row_nz[r].retain(|&(c, _)| c as usize != col);
-        }
-        self.prob.col_nz[col].clear();
-    }
-
-    /// Rewrites the structural part and rhs of constraint row `row` in
-    /// place, keeping its slack column (coefficient +1, as every slack-form
-    /// row this path accepts is written). `sign` is the orientation the row
-    /// was originally assembled with. The caller must finish the batch with
-    /// [`refactor_same_basis`](Self::refactor_same_basis).
-    pub(crate) fn rewrite_row(
-        &mut self,
-        row: usize,
-        terms: &[(crate::model::VarId, f64)],
-        sign: f64,
-        rhs: f64,
-        slack: usize,
-    ) {
-        let mut rhs = sign * rhs;
-        let mut new_row =
-            build_structural_row(self.prob.n_struct, terms, sign, &mut rhs, &mut self.ws_fact);
-        new_row.push((slack as u32, 1.0));
-        self.prob.row_nz[row] = new_row;
-        self.prob.b[row] = rhs;
-    }
-
-    /// Rebuilds the column store and refactorizes with the *current* basis
-    /// after a batch of [`rewrite_row`](Self::rewrite_row) edits. Returns
-    /// `false` when the old basis is singular under the new coefficients
-    /// (caller must refactorize cold).
-    pub(crate) fn refactor_same_basis(&mut self) -> bool {
-        self.prob.rebuild_cols();
-        self.factorize()
-    }
-
-    /// Deletes structural column `col` from the live system. A nonbasic
-    /// column sits at value zero, so barring it is exact and free. A basic
-    /// column is driven out with one forced pivot — the largest-magnitude
-    /// eligible entry of its basis row enters in its place — which may cost
-    /// primal or dual feasibility; the caller repairs that on the next
-    /// re-solve. Returns `false` when no eligible pivot exists (the caller
-    /// must refactorize cold).
+    /// Drives basic column `col` out of the basis with one forced pivot —
+    /// the largest-magnitude eligible entry of its basis row enters in its
+    /// place — which may cost primal or dual feasibility; the caller bars
+    /// the column and repairs that on the next re-solve. Returns `false`
+    /// when no eligible pivot exists (the caller must go cold).
     ///
     /// The pivot always runs on a fresh factorization of the stored basis
-    /// order, never on a live LU: factorizing permutes `prob.basis`, so the
-    /// column's row is looked up only afterwards, and a state rebuilt from
-    /// the same basis order takes the same pivot bit for bit.
-    pub(crate) fn delete_column(&mut self, col: usize) -> bool {
-        if !self.prob.basis.contains(&col) {
-            self.bar_column(col);
-            return true;
-        }
+    /// order: factorizing permutes `prob.basis`, so the column's row is
+    /// looked up only afterwards, and a state rebuilt from the same basis
+    /// order takes the same pivot bit for bit.
+    pub(crate) fn drive_out(&mut self, col: usize) -> bool {
         if !self.factorize() {
             return false;
         }
@@ -1078,7 +998,6 @@ impl SparseSimplex {
             return false;
         }
         self.apply_pivot(q, r);
-        self.bar_column(col);
         true
     }
 }
@@ -1088,8 +1007,8 @@ impl SparseSimplex {
 pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
     problem.validate()?;
     let n = problem.num_vars();
-    let prob = assemble_sparse(n, problem.constraints());
-    let cost = simplex::maximization_cost(problem, prob.ncols);
+    let prob = assemble_cold(n, problem.constraints());
+    let cost = simplex::maximization_cost(problem.sense(), problem.objective(), prob.ncols);
     let mut sim = SparseSimplex::new(prob);
     let iterations = sim.two_phase(&cost, options)?;
     let values = sim.extract_values(n);
@@ -1234,9 +1153,9 @@ mod tests {
         let y = lp.add_var("y", 1.0);
         lp.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
         lp.add_le(&[(x, 2.0), (y, 2.0)], 8.0);
-        let mut prob = assemble_sparse(lp.num_vars(), lp.constraints());
+        let mut prob = assemble_cold(lp.num_vars(), lp.constraints());
         prob.basis = vec![x.index(), y.index()];
-        let cost = simplex::maximization_cost(&lp, prob.ncols);
+        let cost = simplex::maximization_cost(lp.sense(), lp.objective(), prob.ncols);
         let mut sim = SparseSimplex::new(prob);
         assert_eq!(
             sim.two_phase(&cost, &SimplexOptions::default()),

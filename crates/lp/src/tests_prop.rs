@@ -76,28 +76,25 @@ fn batched_churn_ops() -> impl Strategy<Value = Vec<BatchedOp>> {
     proptest::collection::vec((churn_op(), 0u8..2), 4..12)
 }
 
-/// The shared mutable bookkeeping of a churn walk: which handles exist
-/// and which row protects boundedness. Both the warm-vs-cold walk and the
-/// snapshot round-trip walk drive their states through this one op
-/// applier, so they exercise identical interleavings.
+/// The shared mutable bookkeeping of a churn walk: which handles exist,
+/// which base rows carry an artificial and which row protects
+/// boundedness. Both the warm-vs-cold walk and the snapshot round-trip
+/// walk drive their states through this one op applier, so they exercise
+/// identical interleavings.
 #[derive(Clone)]
 struct ChurnDriver {
     live_vars: Vec<VarId>,
     appended_cols: Vec<ColId>,
     appended_rows: Vec<RowId>,
+    /// The base rows with an artificial (see [`churn_base`]): the two
+    /// copies of the `=` row, then the `≥` row.
+    pinned: [RowId; 3],
+    /// The variable `s` of the `≥` row, which no op puts in another row.
+    ge_var: VarId,
     protect: RowId,
 }
 
 impl ChurnDriver {
-    fn new(warm: &SimplexState, vars: Vec<VarId>) -> ChurnDriver {
-        ChurnDriver {
-            live_vars: vars,
-            appended_cols: Vec::new(),
-            appended_rows: Vec::new(),
-            protect: *warm.base_rows().last().expect("protected row exists"),
-        }
-    }
-
     /// Applies one op to `warm`; `false` means the op was a structural
     /// no-op (e.g. a delete with nothing to delete) and verification
     /// should be skipped.
@@ -106,7 +103,9 @@ impl ChurnDriver {
             // Append a profitable column, sometimes with a term in an
             // appended cut row (signed: `rhs − 3 ∈ [−3, 3)`, scaled by 10⁴
             // for one pick in four, so that the term sets the row's
-            // equilibration scale).
+            // equilibration scale), and for one pick in three with a
+            // signed term in a pinned row (in one copy of the `=` row, it
+            // forces the column to zero).
             0 => {
                 let mut terms = vec![(self.protect, coeff)];
                 if !self.appended_rows.is_empty() {
@@ -115,6 +114,9 @@ impl ChurnDriver {
                         self.appended_rows[pick % self.appended_rows.len()],
                         scale * (rhs - 3.0),
                     ));
+                }
+                if pick % 3 == 0 {
+                    terms.push((self.pinned[(pick / 3) % 3], rhs - 3.0));
                 }
                 let cols = warm
                     .add_cols(&[NewCol::new(coeff + rhs, terms)])
@@ -148,15 +150,25 @@ impl ChurnDriver {
                         .expect("valid row"),
                 );
             }
-            // Rewrite an appended row in place (signed coefficients).
-            3 if !self.appended_rows.is_empty() => {
-                let row = self.appended_rows[pick % self.appended_rows.len()];
-                let terms: Vec<(VarId, f64)> = self
+            // Rewrite an appended row in place (signed coefficients), or
+            // for one pick in three a pinned row: a copy of the `=` row
+            // keeps rhs 0 and the `≥` row keeps its own variable, so both
+            // stay satisfiable.
+            3 if pick % 3 == 0 || !self.appended_rows.is_empty() => {
+                let mut terms: Vec<(VarId, f64)> = self
                     .live_vars
                     .iter()
                     .enumerate()
                     .map(|(j, &v)| (v, coeff - (j % 3) as f64))
                     .collect();
+                let (row, rhs) = match (pick % 3, (pick / 3) % 3) {
+                    (0, 2) => {
+                        terms.push((self.ge_var, 1.0));
+                        (self.pinned[2], rhs)
+                    }
+                    (0, copy) => (self.pinned[copy], 0.0),
+                    _ => (self.appended_rows[pick % self.appended_rows.len()], rhs),
+                };
                 warm.update_coeffs(&[RowUpdate::new(row, terms, rhs)])
                     .expect("valid update");
             }
@@ -174,14 +186,33 @@ impl ChurnDriver {
     }
 }
 
-/// Builds the protected-base warm state both walks start from.
+/// Builds the protected-base warm state both walks start from: the packing
+/// LP plus three rows that the cold layout gives an artificial — two
+/// copies of `x₀ − x₁ = 0`, which leave one artificial basic at zero in a
+/// redundant row, and `x₀ + s ≥ bound₀` over a costly variable `s` that no
+/// other row holds — and the protected row `Σ x + s ≤ 100`.
 fn churn_base(lp: &PackingLp) -> (SimplexState, ChurnDriver) {
     let (mut problem, vars) = build(lp);
-    let all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+    let ge_var = problem.add_var("s", -1.0);
+    let first = problem.constraints().len();
+    let pair = [(vars[0], 1.0), (vars[1], -1.0)];
+    problem.add_eq(&pair, 0.0);
+    problem.add_eq(&pair, 0.0);
+    problem.add_ge(&[(vars[0], 1.0), (ge_var, 1.0)], lp.bounds[0]);
+    let mut all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+    all.push((ge_var, 1.0));
     problem.add_le(&all, 100.0);
     let mut warm = SimplexState::new(&problem, SimplexOptions::default()).expect("valid base");
     warm.solve().expect("base solvable");
-    let driver = ChurnDriver::new(&warm, vars);
+    let base = warm.base_rows();
+    let driver = ChurnDriver {
+        live_vars: vars,
+        appended_cols: Vec::new(),
+        appended_rows: Vec::new(),
+        pinned: [base[first], base[first + 1], base[first + 2]],
+        ge_var,
+        protect: base[first + 3],
+    };
     (warm, driver)
 }
 
@@ -191,9 +222,11 @@ fn churn_base(lp: &PackingLp) -> (SimplexState, ChurnDriver) {
 ///
 /// Boundedness/feasibility invariant: a protected base row caps the sum of
 /// every column — present and future — at 100 (each appended column carries
-/// a positive coefficient there), and every row of the walk is `≤` with a
-/// non-negative rhs, so `x = 0` stays feasible and the walk can never make
-/// the LP unbounded or infeasible.
+/// a positive coefficient there). Every `≤` row of the walk has a
+/// non-negative rhs, the `=` rows keep rhs 0, and besides the protected
+/// row only the `≥` row holds `s`, with coefficient 1 and an rhs below
+/// 100, so `x = 0` with `s` at that rhs stays feasible and the walk can
+/// never make the LP unbounded or infeasible.
 fn churn_walk(lp: &PackingLp, ops: &[ChurnOp]) {
     let (mut warm, mut driver) = churn_base(lp);
     for &op in ops {

@@ -56,30 +56,26 @@ pub const LP_SINGULAR_FALLBACK: &str = "lp.singular_fallback";
 /// Separation max-flow batches executed by parallel workers (one increment
 /// per sharded batch, not per destination).
 pub const CUTGEN_PARALLEL_BATCHES: &str = "cut_gen.parallel_batches";
-/// Warm-path bailouts of the incremental LP: edits the in-place paths could
-/// not express (binding-row deletes, artificial-carrying rows, singular
-/// rebuilt bases, stalled warm passes, refused snapshot restores) that
-/// forced the next solve through the cold refactorization fallback. The
-/// six `lp.cold_refactor_fallback.*` counters below split it by reason and
-/// sum to it.
+/// Warm-path bailouts of the incremental LP: edits or warm passes that
+/// could not keep the basis (binding-row deletes, bases gone singular,
+/// basic-column deletes with no pivot, unclean warm passes) and forced the
+/// next solve through the cold refactorization fallback. The four
+/// `lp.cold_refactor_fallback.*` counters below split it by reason and sum
+/// to it.
 pub const LP_COLD_REFACTOR_FALLBACK: &str = "lp.cold_refactor_fallback";
-/// Cold fallbacks forced by deleting a binding row (or one whose
-/// artificial is still basic).
+/// Cold fallbacks forced by deleting a binding row, an `=` row, or a row
+/// whose artificial is still basic.
 pub const LP_FALLBACK_BINDING_ROW_DELETE: &str = "lp.cold_refactor_fallback.binding_row_delete";
-/// Cold fallbacks forced by a coefficient update the in-place rewrite
-/// refused (changed row shape, or a basis gone singular).
+/// Cold fallbacks forced by a coefficient update under which the current
+/// basis is singular.
 pub const LP_FALLBACK_REFUSED_UPDATE: &str = "lp.cold_refactor_fallback.refused_update";
-/// Cold fallbacks forced by a column append the grown rebuild refused.
-pub const LP_FALLBACK_REFUSED_COLUMN_GROWTH: &str =
-    "lp.cold_refactor_fallback.refused_column_growth";
 /// Cold fallbacks forced by a basic-column delete with no eligible pivot.
 pub const LP_FALLBACK_REFUSED_COLUMN_DELETE: &str =
     "lp.cold_refactor_fallback.refused_column_delete";
 /// Cold fallbacks after a warm re-solve that did not end on a clean
-/// optimum (stall, apparent infeasibility, singular basis, budget).
+/// optimum (stall, apparent infeasibility, singular basis, budget, a basic
+/// artificial moved off zero).
 pub const LP_FALLBACK_UNCLEAN_WARM_PASS: &str = "lp.cold_refactor_fallback.unclean_warm_pass";
-/// Cold fallbacks forced by a snapshot whose basis restore refused.
-pub const LP_FALLBACK_REFUSED_RESTORE: &str = "lp.cold_refactor_fallback.refused_restore";
 /// Commands applied by the `bcast-service` daemon (all sessions).
 pub const SERVICE_COMMANDS: &str = "service.commands";
 /// Service snapshots written.

@@ -195,7 +195,7 @@ pub enum Command {
         session: String,
     },
     /// Reads the named session's current schedule statistics. Mutates
-    /// nothing (logged like every command; replays as the same no-op).
+    /// nothing: it is logged like every command, and replay skips it.
     QuerySchedule {
         /// Target session.
         session: String,
@@ -207,7 +207,8 @@ pub enum Command {
         /// Target session.
         session: String,
     },
-    /// Canonicalizes every session and writes the service snapshot file.
+    /// Captures every session, changing none, and writes the service
+    /// snapshot file. Replay skips it, as it skips every read.
     Snapshot,
 }
 

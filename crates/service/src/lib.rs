@@ -27,7 +27,7 @@
 //!   kill point is bit-identical to never crashing.
 //! * **Platform-digest cache**: sessions created on structurally identical
 //!   platforms (same topology, same cost bits) seed their cut pools from
-//!   the first session's binding cuts.
+//!   the first session's active cuts.
 //!
 //! No serialization framework is involved: the wire format is a small
 //! hand-rolled little-endian codec ([`wire`]) with checksums and

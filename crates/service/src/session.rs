@@ -302,18 +302,10 @@ impl Session {
         Ok((result.optimal.throughput, result.optimal.simplex_iterations))
     }
 
-    /// The binding cuts of the solver's current pool as node partitions —
+    /// The active cuts of the solver's current pool as node partitions —
     /// the digest cache's payload (empty before the first step).
     pub fn sharable_cuts(&self) -> Vec<Vec<bool>> {
-        // The solver capture exposes the cut pool as plain data; keep the
-        // active cuts.
-        self.solver
-            .capture()
-            .cuts
-            .iter()
-            .filter(|c| c.active)
-            .map(|c| c.side.clone())
-            .collect()
+        self.solver.active_cut_sides()
     }
 
     /// Schedule statistics for `QuerySchedule` (None before step 0).

@@ -44,8 +44,8 @@ pub struct ServiceImage {
     /// WAL sequence number of the `Snapshot` command that produced this
     /// image; replay resumes after it.
     pub seq: u64,
-    /// Platform digest → binding cuts of the first solve on a platform
-    /// with that digest.
+    /// Platform digest → active cuts of the first solve on a platform with
+    /// that digest.
     pub digest_cache: BTreeMap<u64, Vec<Vec<bool>>>,
     /// Name-sorted session images.
     pub sessions: Vec<(String, SessionImage)>,
