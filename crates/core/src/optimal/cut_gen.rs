@@ -1174,12 +1174,13 @@ impl CutGenSession {
 
 /// One cut of a [`SessionSnapshot`] — the plain-data image of the private
 /// cut-pool entry, with the master row handle flattened to its raw index.
+/// The cut's crossing edges are not stored: [`CutGenSession::restore`]
+/// recomputes them from the node side and the platform, as every cut
+/// append and churn translation does.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CutSnapshot {
     /// Source-side membership of the cut's node partition.
     pub side: Vec<bool>,
-    /// Crossing platform edges (sorted raw indices).
-    pub edges: Vec<u32>,
     /// Consecutive master rounds with strictly positive slack.
     pub non_binding_streak: usize,
     /// False once purged (until re-separated).
@@ -1284,7 +1285,6 @@ impl CutGenSession {
                 .iter()
                 .map(|c| CutSnapshot {
                     side: c.side.clone(),
-                    edges: c.edges.clone(),
                     non_binding_streak: c.non_binding_streak,
                     active: c.active,
                     row: c.row.map(|r| r.index()),
@@ -1346,15 +1346,30 @@ impl CutGenSession {
                 return Err(corrupt());
             }
         }
+        // Each cut's crossing edges are recomputed from its node side, so
+        // a side must be a valid cut that crosses an edge, and no two cuts
+        // may cross the same edge set.
+        let source = NodeId(snapshot.source as u32);
         let mut index_by_edges = HashMap::with_capacity(snapshot.cuts.len());
+        let mut cuts = Vec::with_capacity(snapshot.cuts.len());
         for (i, cut) in snapshot.cuts.iter().enumerate() {
-            if cut.side.len() != n
-                || cut.edges.is_empty()
-                || cut.edges.iter().any(|&e| e as usize >= m)
-                || index_by_edges.insert(cut.edges.clone(), i).is_some()
-            {
+            let probe = NodeCutSet {
+                source_side: cut.side.clone(),
+            };
+            if !probe.is_valid_for(platform, source) {
                 return Err(corrupt());
             }
+            let edges = probe.crossing_edges(platform);
+            if edges.is_empty() || index_by_edges.insert(edges.clone(), i).is_some() {
+                return Err(corrupt());
+            }
+            cuts.push(Cut {
+                side: probe.source_side,
+                edges,
+                non_binding_streak: cut.non_binding_streak,
+                active: cut.active,
+                row: cut.row.map(RowId::from_index),
+            });
         }
         if snapshot.options.warm_start != snapshot.master.is_some()
             || snapshot.port_rows.len() != snapshot.port_keys.len()
@@ -1393,7 +1408,7 @@ impl CutGenSession {
         };
         Ok(CutGenSession {
             options: snapshot.options.clone(),
-            source: NodeId(snapshot.source as u32),
+            source,
             slice_size: snapshot.slice_size,
             nodes: n,
             edges: m,
@@ -1413,17 +1428,7 @@ impl CutGenSession {
                     out,
                 })
                 .collect(),
-            cuts: snapshot
-                .cuts
-                .iter()
-                .map(|c| Cut {
-                    side: c.side.clone(),
-                    edges: c.edges.clone(),
-                    non_binding_streak: c.non_binding_streak,
-                    active: c.active,
-                    row: c.row.map(RowId::from_index),
-                })
-                .collect(),
+            cuts,
             index_by_edges,
             steps: snapshot.steps,
             maxflow: MaxFlowSolver::new(platform.graph()),

@@ -13,6 +13,11 @@
 //! concatenated golden lines of the killed+resumed run equal those of an
 //! uninterrupted run.
 //!
+//! Before any golden line, stderr gets one `recovered:` line: whether a
+//! snapshot was restored, why one was rejected (`none`, or the quoted
+//! reason), how many WAL records were replayed, and whether the WAL ended
+//! in a torn record.
+//!
 //! ```text
 //! cargo run --release -p bcast-experiments --bin bcast_serviced -- \
 //!     --dir /tmp/svc --family tiers --nodes 20 --steps 8 --seed 7025 \
@@ -163,7 +168,10 @@ fn main() -> ExitCode {
     eprintln!(
         "recovered: snapshot_restored={} snapshot_rejected={} replayed={} wal_torn={}",
         recovery.snapshot_restored,
-        recovery.snapshot_rejected,
+        recovery
+            .snapshot_rejected
+            .as_ref()
+            .map_or_else(|| "none".to_string(), |reason| format!("{reason:?}")),
         recovery.replayed,
         recovery.wal_torn
     );

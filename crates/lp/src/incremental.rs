@@ -11,27 +11,34 @@
 //! The warm state is the stored rows plus a **basis layout**
 //! ([`FactSnapshot`]): the column of every slack and artificial, each live
 //! row's position, the basis in its stored order, and which columns may
-//! enter. An edit changes only those. Every factorization starts from a
-//! problem assembled from the stored rows under the layout by the one
-//! assembly that also starts every cold solve (the private
-//! `sparse::assemble`), and an assembly is reused only while no edit has
-//! come after it. So the solver's problem is always a function of the
-//! stored rows and the layout, and a capture is a clone of the layout.
-//! The edits:
+//! enter. Every row is stored once, as it was declared, and [`RowId`]`(i)`
+//! is row `i`. An edit changes only the rows and the layout. Every
+//! factorization starts from a problem assembled from the stored rows
+//! under the layout by the one assembly that also starts every cold solve
+//! (the private `sparse::assemble`), which is the only code that orients a
+//! row; an assembly is reused only while no edit has come after it. So
+//! the solver's problem is always a function of the stored rows and the
+//! layout, and a capture is a clone of both. The edits:
 //!
-//! * **Append** — a new `≤` row gets a fresh basic slack column. The old
-//!   columns stay basic, the reduced costs of all old columns are untouched
-//!   and the new slack prices out at zero — the basis stays *dual
-//!   feasible*, only the new row's basic value may be negative. The dual
-//!   simplex then restores primal feasibility in a few pivots instead of a
-//!   full re-solve.
+//! * **Append** — a new row gets the next assembled position and one
+//!   fresh basic column, as a cold layout would give it. For a `≤` or `≥`
+//!   row that column is its slack (the assembly writes a `≥` row negated,
+//!   so the slack enters with `+1`); an `=` row has no slack and gets an
+//!   artificial, which may not enter the basis again once it leaves. The
+//!   old columns stay basic, the reduced costs of all old columns are
+//!   untouched and the new column prices out at zero — the basis stays
+//!   *dual feasible*, only the new row's basic value may be negative. The
+//!   dual simplex then restores primal feasibility in a few pivots instead
+//!   of a full re-solve. A re-solve that ends with an `=` row's artificial
+//!   basic above zero solved a relaxed problem and goes cold.
 //! * **Delete** — a row whose slack is *basic* owns a unit slack column, so
 //!   dropping the row together with that column removes the constraint
 //!   exactly, leaves every other basic value untouched, and preserves both
 //!   primal and dual feasibility (the deleted row was non-binding, so its
 //!   multiplier was zero). Deleting a *binding* row would genuinely change
 //!   the basis; that case falls back to a cold solve and is counted in
-//!   [`IncrementalStats::refactorizations`].
+//!   [`IncrementalStats::refactorizations`]. A deleted row keeps its id
+//!   but not its terms.
 //! * **Update** — [`SimplexState::update_coeffs`] edits the coefficients
 //!   and right-hand sides of *existing* rows, the substrate for chained LP
 //!   instances whose data drifts (dynamic platforms: link costs change,
@@ -144,11 +151,11 @@ pub struct IncrementalStats {
     pub total_pivots: usize,
     /// Pivots performed by the dual simplex (subset of `total_pivots`).
     pub dual_pivots: usize,
-    /// Physical rows appended after construction.
+    /// Rows appended after construction (an `=` row counts once).
     pub rows_added: usize,
-    /// Physical rows deleted.
+    /// Rows deleted.
     pub rows_deleted: usize,
-    /// Physical rows whose coefficients were edited in place.
+    /// Rows whose coefficients were edited in place.
     pub rows_updated: usize,
     /// Structural columns appended after construction.
     pub cols_added: usize,
@@ -220,22 +227,15 @@ pub struct SimplexState {
     sense: Sense,
     /// Structural objective coefficients (original sense).
     objective: Vec<f64>,
-    /// All physical rows ever added, by [`RowId`] order of creation.
-    rows: Vec<Constraint>,
-    /// Liveness per physical row (deleted rows stay in `rows` as tombstones).
-    live: Vec<bool>,
+    /// Every row ever added, by [`RowId`], as it was declared; `None` once
+    /// deleted.
+    rows: Vec<Option<Constraint>>,
     /// Liveness per structural column, by [`ColId`] order of creation.
     /// Deleted columns stay in `objective` as zero-cost tombstones so every
     /// [`VarId`] keeps its index across any sequence of column edits.
     cols_live: Vec<bool>,
-    /// Physical rows of each [`RowId`] (an `=` append expands to two rows).
-    groups: Vec<Vec<usize>>,
-    /// Constraint operator each [`RowId`] was declared with (needed to
-    /// re-apply the storage normalization when the row is updated).
-    group_ops: Vec<ConstraintOp>,
-    /// Number of groups that came from the base [`LpProblem`] (their stored
-    /// rows are verbatim; appended groups are normalized to `≤` form).
-    base_groups: usize,
+    /// Number of rows that came from the base [`LpProblem`].
+    base_rows: usize,
     fact: Option<Fact>,
     stats: IncrementalStats,
 }
@@ -246,31 +246,23 @@ impl SimplexState {
     /// [`solve`](Self::solve) / [`resolve`](Self::resolve) factorizes cold.
     pub fn new(problem: &LpProblem, options: SimplexOptions) -> Result<Self, LpError> {
         problem.validate()?;
-        let mut state = SimplexState {
+        Ok(SimplexState {
             options,
             sense: problem.sense(),
             objective: problem.objective().to_vec(),
-            rows: Vec::new(),
-            live: Vec::new(),
+            rows: problem.constraints().iter().cloned().map(Some).collect(),
             cols_live: vec![true; problem.objective().len()],
-            groups: Vec::new(),
-            group_ops: Vec::new(),
-            base_groups: 0,
+            base_rows: problem.constraints().len(),
             fact: None,
             stats: IncrementalStats::default(),
-        };
-        for con in problem.constraints() {
-            state.push_group(vec![con.clone()], con.op);
-        }
-        state.base_groups = state.groups.len();
-        Ok(state)
+        })
     }
 
     /// Handles of the base problem's constraints, in declaration order —
     /// the addressing scheme for [`update_coeffs`](Self::update_coeffs) on
     /// rows that were part of the construction snapshot.
     pub fn base_rows(&self) -> Vec<RowId> {
-        (0..self.base_groups).map(RowId).collect()
+        (0..self.base_rows).map(RowId).collect()
     }
 
     /// Number of structural variable slots (construction columns plus every
@@ -291,9 +283,14 @@ impl SimplexState {
         Ok(ColId(var.index()))
     }
 
-    /// Number of live rows (physical; an appended `=` counts as two).
+    /// Number of live rows (an `=` row counts once).
     pub fn num_rows(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
+        self.rows.iter().flatten().count()
+    }
+
+    /// True when `id` names a row that exists and was not deleted.
+    fn is_live(&self, RowId(id): RowId) -> bool {
+        matches!(self.rows.get(id), Some(Some(_)))
     }
 
     /// The accumulated work counters.
@@ -312,12 +309,14 @@ impl SimplexState {
         bcast_obs::counter_add(reason, 1);
     }
 
-    /// Appends one constraint and returns its handle. The solver is not
-    /// re-optimized until the next [`resolve`](Self::resolve).
+    /// Appends one constraint, stored as declared, and returns its handle.
+    /// The solver is not re-optimized until the next
+    /// [`resolve`](Self::resolve).
     ///
-    /// `≥` rows are stored negated as `≤` rows so every appended row carries
-    /// exactly one slack column (no artificials, hence no phase 1); an `=`
-    /// row expands to the `≤`/`≥` pair under a single handle.
+    /// On a warm state the row gets one fresh basic column: a `≤` or `≥`
+    /// row its slack, so no phase 1 is needed; an `=` row an artificial
+    /// that may not re-enter the basis once it leaves. A re-solve that
+    /// ends with that artificial basic above zero goes cold.
     pub fn add_row(
         &mut self,
         terms: &[(VarId, f64)],
@@ -342,57 +341,50 @@ impl SimplexState {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        let first_physical = self.rows.len();
-        let mut ids = Vec::with_capacity(rows.len());
-        for con in rows {
-            let physical = stored_rows(con.op, false, &con.terms, con.rhs);
-            self.stats.rows_added += physical.len();
-            ids.push(self.push_group(physical, con.op));
-        }
+        let first = self.rows.len();
+        self.rows.extend(rows.iter().cloned().map(Some));
+        self.stats.rows_added += rows.len();
         if let Some(fact) = self.fact.as_mut() {
-            // Each stored row (always `≤` form) gets a fresh basic slack and
-            // the next assembled position; the basis (old columns + new
-            // slacks) carries over verbatim, so dual feasibility is
-            // preserved.
+            // Each row gets the next assembled position and a fresh basic
+            // column; the basis (old columns + new ones) carries over
+            // verbatim, so dual feasibility is preserved.
             let layout = fact.edit();
-            layout.slack_col.resize(self.rows.len(), None);
-            layout.art_col.resize(self.rows.len(), None);
-            layout.row_of.resize(self.rows.len(), None);
-            for p in first_physical..self.rows.len() {
-                layout.row_of[p] = Some(layout.basis.len());
-                layout.slack_col[p] = Some(layout.cols);
-                layout.basis.push(layout.cols);
-                layout.allowed.push(true);
+            for con in rows {
+                let col = layout.cols;
+                let eq = con.op == ConstraintOp::Eq;
+                layout.row_of.push(Some(layout.basis.len()));
+                layout.slack_col.push((!eq).then_some(col));
+                layout.art_col.push(eq.then_some(col));
+                layout.basis.push(col);
+                layout.allowed.push(!eq);
                 layout.cols += 1;
             }
         }
-        Ok(ids)
+        Ok((first..self.rows.len()).map(RowId).collect())
     }
 
-    /// Deletes the given rows. Non-binding rows (slack basic) leave the
-    /// layout with their slack, preserving the optimal basis; a binding row,
-    /// an `=` row (no slack to carry the deletion) or a row pinned by a
-    /// basic artificial forces a cold solve on the next re-solve. Ids of
-    /// rows already deleted are ignored.
+    /// Deletes the given rows; a deleted row keeps its id but not its
+    /// terms. Non-binding rows (slack basic) leave the layout with their
+    /// slack, preserving the optimal basis; a binding row, an `=` row (no
+    /// slack to carry the deletion) or a row pinned by a basic artificial
+    /// forces a cold solve on the next re-solve. Ids of rows already
+    /// deleted are ignored.
     ///
     /// A handle this state never issued is rejected up front
     /// ([`LpError::UnknownRow`]) with the state untouched, so a failed call
     /// can never leave the layout disagreeing with the stored rows.
     pub fn delete_rows(&mut self, ids: &[RowId]) -> Result<(), LpError> {
-        if let Some(&RowId(bad)) = ids.iter().find(|&&RowId(id)| id >= self.groups.len()) {
+        if let Some(&RowId(bad)) = ids.iter().find(|&&RowId(id)| id >= self.rows.len()) {
             return Err(LpError::UnknownRow(bad));
         }
         let mut needs_refactor = false;
         for &RowId(id) in ids {
-            for p in self.groups[id].clone() {
-                if !self.live[p] {
-                    continue;
-                }
-                self.live[p] = false;
-                self.stats.rows_deleted += 1;
-                if let Some(fact) = self.fact.as_mut() {
-                    needs_refactor |= !fact.edit().remove_row(p);
-                }
+            if self.rows[id].take().is_none() {
+                continue;
+            }
+            self.stats.rows_deleted += 1;
+            if let Some(fact) = self.fact.as_mut() {
+                needs_refactor |= !fact.edit().remove_row(id);
             }
         }
         if needs_refactor {
@@ -407,8 +399,7 @@ impl SimplexState {
     /// their structure stays fixed (the dynamic-platform master LP re-solved
     /// after every link-cost drift step is the intended customer). Each
     /// update replaces the row's whole left-hand side and right-hand side;
-    /// the operator it was declared with is kept (an updated `=` append
-    /// refreshes both physical rows of its pair).
+    /// the operator it was declared with is kept.
     ///
     /// The batch is **atomic**: every update is validated up front, and a
     /// handle this state never issued — or one whose row was deleted — is
@@ -427,9 +418,8 @@ impl SimplexState {
     /// count.
     pub fn update_coeffs(&mut self, updates: &[RowUpdate]) -> Result<(), LpError> {
         for update in updates {
-            let RowId(id) = update.row;
-            if id >= self.groups.len() || self.groups[id].iter().any(|&p| !self.live[p]) {
-                return Err(LpError::UnknownRow(id));
+            if !self.is_live(update.row) {
+                return Err(LpError::UnknownRow(update.row.0));
             }
             self.validate_terms(&update.terms, update.rhs)?;
         }
@@ -437,19 +427,11 @@ impl SimplexState {
             return Ok(());
         }
         for update in updates {
-            let RowId(id) = update.row;
-            let physical = stored_rows(
-                self.group_ops[id],
-                id < self.base_groups,
-                &update.terms,
-                update.rhs,
-            );
-            debug_assert_eq!(physical.len(), self.groups[id].len());
-            for (&p, row) in self.groups[id].clone().iter().zip(physical) {
-                self.rows[p] = row;
-                self.stats.rows_updated += 1;
-            }
+            let row = self.rows[update.row.0].as_mut().expect("validated above");
+            row.terms.clone_from(&update.terms);
+            row.rhs = update.rhs;
         }
+        self.stats.rows_updated += updates.len();
         if let Some(fact) = self.fact.as_mut() {
             fact.edit();
             if !fact.on_assembly(
@@ -482,9 +464,9 @@ impl SimplexState {
             if !col.objective.is_finite() {
                 return Err(LpError::NotFinite);
             }
-            for &(RowId(id), c) in &col.terms {
-                if id >= self.groups.len() || self.groups[id].iter().any(|&p| !self.live[p]) {
-                    return Err(LpError::UnknownRow(id));
+            for &(row, c) in &col.terms {
+                if !self.is_live(row) {
+                    return Err(LpError::UnknownRow(row.0));
                 }
                 if !c.is_finite() {
                     return Err(LpError::NotFinite);
@@ -501,28 +483,8 @@ impl SimplexState {
             self.objective.push(col.objective);
             self.cols_live.push(true);
             for &(RowId(id), c) in &col.terms {
-                for (slot, &p) in self.groups[id].clone().iter().enumerate() {
-                    // Base rows are stored verbatim; appended groups were
-                    // normalized to `≤` form (`≥` negated, `=` expanded to a
-                    // direct/negated pair). Mirror that normalization or the
-                    // stored rows would stop agreeing with `add_rows`.
-                    let sign = if id < self.base_groups {
-                        1.0
-                    } else {
-                        match self.group_ops[id] {
-                            ConstraintOp::Le => 1.0,
-                            ConstraintOp::Ge => -1.0,
-                            ConstraintOp::Eq => {
-                                if slot == 0 {
-                                    1.0
-                                } else {
-                                    -1.0
-                                }
-                            }
-                        }
-                    };
-                    self.rows[p].terms.push((var, sign * c));
-                }
+                let row = self.rows[id].as_mut().expect("validated above");
+                row.terms.push((var, c));
             }
         }
         self.stats.cols_added += cols.len();
@@ -575,7 +537,7 @@ impl SimplexState {
         for &ColId(id) in ids {
             self.cols_live[id] = false;
             self.objective[id] = 0.0;
-            for row in &mut self.rows {
+            for row in self.rows.iter_mut().flatten() {
                 row.terms.retain(|&(v, _)| v.index() != id);
             }
         }
@@ -678,25 +640,10 @@ impl SimplexState {
         for (i, &c) in self.objective.iter().enumerate() {
             lp.add_var(format!("x{i}"), c);
         }
-        for (p, row) in self.rows.iter().enumerate() {
-            if self.live[p] {
-                lp.add_constraint(&row.terms, row.op, row.rhs);
-            }
+        for row in self.rows.iter().flatten() {
+            lp.add_constraint(&row.terms, row.op, row.rhs);
         }
         lp
-    }
-
-    fn push_group(&mut self, physical: Vec<Constraint>, op: ConstraintOp) -> RowId {
-        let id = RowId(self.groups.len());
-        let mut indices = Vec::with_capacity(physical.len());
-        for row in physical {
-            indices.push(self.rows.len());
-            self.rows.push(row);
-            self.live.push(true);
-        }
-        self.groups.push(indices);
-        self.group_ops.push(op);
-        id
     }
 
     fn validate_terms(&self, terms: &[(VarId, f64)], rhs: f64) -> Result<(), LpError> {
@@ -718,8 +665,7 @@ impl SimplexState {
     /// the ordinary two-phase solve on its assembly, then keep the basis it
     /// ends on as the warm state.
     fn cold_solve(&mut self) -> Result<LpSolution, LpError> {
-        let live: Vec<usize> = (0..self.rows.len()).filter(|&p| self.live[p]).collect();
-        let cold = sparse::cold_layout(self.num_vars(), live.iter().map(|&p| &self.rows[p]));
+        let cold = sparse::cold_layout(self.num_vars(), self.rows.iter().flatten());
         let mut layout = FactSnapshot {
             cols: cold.cols,
             basis: cold.basis,
@@ -729,7 +675,8 @@ impl SimplexState {
             art_col: vec![None; self.rows.len()],
             row_of: vec![None; self.rows.len()],
         };
-        for (pos, (&p, aux)) in live.iter().zip(cold.aux).enumerate() {
+        let live = (0..self.rows.len()).filter(|&p| self.rows[p].is_some());
+        for (pos, (p, aux)) in live.zip(cold.aux).enumerate() {
             layout.slack_col[p] = aux.slack;
             layout.art_col[p] = aux.art;
             layout.row_of[p] = Some(pos);
@@ -765,37 +712,6 @@ impl SimplexState {
     }
 }
 
-/// The stored (physical) form of a row declared as `terms op rhs`, for
-/// [`SimplexState::add_rows`] and [`SimplexState::update_coeffs`] alike:
-/// base rows are stored verbatim (the assembly handles every operator),
-/// appended rows in `≤` form — a `≥` row negated, an `=` row as the
-/// direct and negated pair.
-fn stored_rows(op: ConstraintOp, base: bool, terms: &[(VarId, f64)], rhs: f64) -> Vec<Constraint> {
-    let direct = Constraint {
-        terms: terms.to_vec(),
-        op,
-        rhs,
-    };
-    if base || op == ConstraintOp::Le {
-        return vec![direct];
-    }
-    let negated = Constraint {
-        terms: terms.iter().map(|&(v, c)| (v, -c)).collect(),
-        op: ConstraintOp::Le,
-        rhs: -rhs,
-    };
-    match op {
-        ConstraintOp::Eq => vec![
-            Constraint {
-                op: ConstraintOp::Le,
-                ..direct
-            },
-            negated,
-        ],
-        _ => vec![negated],
-    }
-}
-
 impl Fact {
     /// Starts an edit of the layout: the last assembly no longer matches.
     fn edit(&mut self) -> &mut FactSnapshot {
@@ -807,7 +723,12 @@ impl Fact {
     /// after it, else the stored `rows` assembled under the layout — the
     /// live rows in their assembled order, each with its slack and
     /// artificial columns.
-    fn assembly(&mut self, rows: &[Constraint], sense: Sense, objective: &[f64]) -> &mut Assembly {
+    fn assembly(
+        &mut self,
+        rows: &[Option<Constraint>],
+        sense: Sense,
+        objective: &[f64],
+    ) -> &mut Assembly {
         let layout = &self.layout;
         self.assembly.get_or_insert_with(|| {
             let mut order = vec![usize::MAX; layout.basis.len()];
@@ -824,7 +745,7 @@ impl Fact {
                         slack: layout.slack_col[p],
                         art: layout.art_col[p],
                     };
-                    (&rows[p], aux)
+                    (rows[p].as_ref().expect("a placed row is live"), aux)
                 }),
                 layout.basis.clone(),
                 layout.allowed.clone(),
@@ -853,7 +774,7 @@ impl Fact {
     /// `false` on a singular basis or when no eligible pivot exists.
     fn on_assembly(
         &mut self,
-        rows: &[Constraint],
+        rows: &[Option<Constraint>],
         sense: Sense,
         objective: &[f64],
         op: impl FnOnce(&mut SparseSimplex) -> bool,
@@ -882,7 +803,7 @@ impl Fact {
     /// refactorize than to chase a drifting basis.
     fn reoptimize(
         &mut self,
-        rows: &[Constraint],
+        rows: &[Option<Constraint>],
         sense: Sense,
         objective: &[f64],
         options: &SimplexOptions,
@@ -964,7 +885,7 @@ impl Fact {
 }
 
 impl FactSnapshot {
-    /// Drops live physical row `p` and its slack from the layout, keeping
+    /// Drops live row `p` and its slack from the layout, keeping
     /// the basis. That needs the slack basic (a non-binding row) and no
     /// basic artificial pinning the row: the slack is the row's unit
     /// column, so every other basic value stays. Returns `false`, with the
@@ -1020,17 +941,11 @@ impl FactSnapshot {
 // Snapshot / restore — plain-data capture of the incremental solver
 // ---------------------------------------------------------------------------
 
-/// One stored physical row of a [`SimplexSnapshot`] (the public mirror of
-/// the private row store: already normalized exactly as the state keeps it).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SnapshotRow {
-    /// Sparse left-hand side, in stored (normalized) form.
-    pub terms: Vec<(VarId, f64)>,
-    /// Stored operator (appended rows are always `≤`; base rows verbatim).
-    pub op: ConstraintOp,
-    /// Stored right-hand side.
-    pub rhs: f64,
-}
+/// One live row of a [`SimplexSnapshot`]: the row exactly as it was
+/// declared (or last updated), with the columns appended since. The state
+/// stores every row in that one form and only the assembly orients it, so
+/// a snapshot row is the stored [`Constraint`] itself.
+pub type SnapshotRow = Constraint;
 
 /// The basis layout of a warm [`SimplexState`]: where each live row sits
 /// in the assembled problem, the columns of its slack and artificial, the
@@ -1052,11 +967,12 @@ pub struct FactSnapshot {
     pub allowed: Vec<bool>,
     /// Artificial columns of the cold solve the layout started from.
     pub artificial_cols: Vec<usize>,
-    /// Per *physical* row: its slack/surplus column, if any.
+    /// Per row, by [`RowId`]: its slack/surplus column, if any.
     pub slack_col: Vec<Option<usize>>,
-    /// Per *physical* row: its artificial column, if any.
+    /// Per row, by [`RowId`]: its artificial column, if any.
     pub art_col: Vec<Option<usize>>,
-    /// Per *physical* row: its assembled-row index (`None` once deleted).
+    /// Per row, by [`RowId`]: its assembled-row index (`None` once
+    /// deleted).
     pub row_of: Vec<Option<usize>>,
 }
 
@@ -1065,6 +981,9 @@ pub struct FactSnapshot {
 /// bit as the captured state. All fields are public and contain no solver
 /// internals (no factorization numbers), so callers can serialize them with
 /// any codec that preserves `f64` bits.
+///
+/// Row `i` is the row of [`RowId`]`(i)`, as declared; a deleted row keeps
+/// its slot, as `None`, but not its terms.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimplexSnapshot {
     /// Solver options the state was built with.
@@ -1073,18 +992,12 @@ pub struct SimplexSnapshot {
     pub sense: Sense,
     /// Structural objective coefficients (original sense), tombstones zero.
     pub objective: Vec<f64>,
-    /// All physical rows ever added, including tombstones, in order.
-    pub rows: Vec<SnapshotRow>,
-    /// Liveness per physical row.
-    pub live: Vec<bool>,
+    /// Every row ever added, by [`RowId`]; `None` once deleted.
+    pub rows: Vec<Option<SnapshotRow>>,
     /// Liveness per structural column.
     pub cols_live: Vec<bool>,
-    /// Physical rows of each [`RowId`] group.
-    pub groups: Vec<Vec<usize>>,
-    /// Declared operator per group.
-    pub group_ops: Vec<ConstraintOp>,
-    /// Number of groups that came from the base problem.
-    pub base_groups: usize,
+    /// Number of rows that came from the base problem (the first ones).
+    pub base_rows: usize,
     /// Work counters carried across the snapshot boundary.
     pub stats: IncrementalStats,
     /// Basis layout of the warm state, if the state was warm.
@@ -1102,20 +1015,9 @@ impl SimplexState {
             options: self.options,
             sense: self.sense,
             objective: self.objective.clone(),
-            rows: self
-                .rows
-                .iter()
-                .map(|r| SnapshotRow {
-                    terms: r.terms.clone(),
-                    op: r.op,
-                    rhs: r.rhs,
-                })
-                .collect(),
-            live: self.live.clone(),
+            rows: self.rows.clone(),
             cols_live: self.cols_live.clone(),
-            groups: self.groups.clone(),
-            group_ops: self.group_ops.clone(),
-            base_groups: self.base_groups,
+            base_rows: self.base_rows,
             stats: self.stats,
             fact,
         }
@@ -1144,20 +1046,9 @@ impl SimplexState {
             options: snapshot.options,
             sense: snapshot.sense,
             objective: snapshot.objective.clone(),
-            rows: snapshot
-                .rows
-                .iter()
-                .map(|r| Constraint {
-                    terms: r.terms.clone(),
-                    op: r.op,
-                    rhs: r.rhs,
-                })
-                .collect(),
-            live: snapshot.live.clone(),
+            rows: snapshot.rows.clone(),
             cols_live: snapshot.cols_live.clone(),
-            groups: snapshot.groups.clone(),
-            group_ops: snapshot.group_ops.clone(),
-            base_groups: snapshot.base_groups,
+            base_rows: snapshot.base_rows,
             fact: snapshot.fact.clone().map(|layout| Fact {
                 layout,
                 assembly: None,
@@ -1172,16 +1063,13 @@ impl SimplexState {
 fn validate_snapshot(s: &SimplexSnapshot) -> Result<(), LpError> {
     let n = s.objective.len();
     let bad = || LpError::CorruptSnapshot;
-    if s.cols_live.len() != n || s.live.len() != s.rows.len() {
-        return Err(bad());
-    }
-    if s.group_ops.len() != s.groups.len() || s.base_groups > s.groups.len() {
+    if s.cols_live.len() != n || s.base_rows > s.rows.len() {
         return Err(bad());
     }
     if s.objective.iter().any(|c| !c.is_finite()) {
         return Err(bad());
     }
-    for row in &s.rows {
+    for row in s.rows.iter().flatten() {
         if !row.rhs.is_finite() {
             return Err(bad());
         }
@@ -1190,21 +1078,6 @@ fn validate_snapshot(s: &SimplexSnapshot) -> Result<(), LpError> {
                 return Err(bad());
             }
         }
-    }
-    let mut seen = vec![false; s.rows.len()];
-    for group in &s.groups {
-        if group.is_empty() {
-            return Err(bad());
-        }
-        for &p in group {
-            if p >= s.rows.len() || seen[p] {
-                return Err(bad());
-            }
-            seen[p] = true;
-        }
-    }
-    if !seen.iter().all(|&v| v) {
-        return Err(bad());
     }
     match &s.fact {
         Some(layout) if !valid_layout(s, layout) => Err(bad()),
@@ -1216,11 +1089,13 @@ fn validate_snapshot(s: &SimplexSnapshot) -> Result<(), LpError> {
 /// path can assemble and factorize without indexing out of range: the live
 /// rows fill the assembled positions once each, a row has a slack exactly
 /// when it is not `=` and an `=` row has an artificial, no column serves
-/// two rows, no structural column serves as an auxiliary one, and the
-/// basis holds distinct columns, one per live row.
+/// two rows, no structural column serves as an auxiliary one, no
+/// artificial may enter (a warm pass that priced one in would solve a
+/// relaxed problem), and the basis holds distinct columns, one per live
+/// row.
 fn valid_layout(s: &SimplexSnapshot, layout: &FactSnapshot) -> bool {
     let (n, rows, cols) = (s.objective.len(), s.rows.len(), layout.cols);
-    let m = s.live.iter().filter(|&&l| l).count();
+    let m = s.rows.iter().flatten().count();
     if cols < n
         || layout.allowed.len() != cols
         || layout.basis.len() != m
@@ -1233,15 +1108,15 @@ fn valid_layout(s: &SimplexSnapshot, layout: &FactSnapshot) -> bool {
     }
     let mut filled = vec![false; m];
     let mut taken = vec![false; cols];
-    for p in 0..rows {
+    for (p, row) in s.rows.iter().enumerate() {
         let (slack, art, pos) = (layout.slack_col[p], layout.art_col[p], layout.row_of[p]);
-        if !s.live[p] {
+        let Some(row) = row else {
             if slack.is_some() || art.is_some() || pos.is_some() {
                 return false;
             }
             continue;
-        }
-        let eq = s.rows[p].op == ConstraintOp::Eq;
+        };
+        let eq = row.op == ConstraintOp::Eq;
         match pos {
             Some(pos) if pos < m && !filled[pos] => filled[pos] = true,
             _ => return false,
@@ -1254,6 +1129,9 @@ fn valid_layout(s: &SimplexSnapshot, layout: &FactSnapshot) -> bool {
                 return false;
             }
             taken[c] = true;
+        }
+        if art.is_some_and(|a| layout.allowed[a]) {
+            return false;
         }
     }
     let mut basic = vec![false; cols];
@@ -1507,7 +1385,7 @@ mod tests {
     }
 
     #[test]
-    fn updating_an_appended_eq_pair_updates_both_rows() {
+    fn updating_an_appended_eq_row_moves_its_pin() {
         let (lp, x, _) = base_problem();
         let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
         state.solve().unwrap();
@@ -1522,6 +1400,99 @@ mod tests {
         assert_close(
             warm.objective,
             state.to_problem().solve().unwrap().objective,
+        );
+    }
+
+    #[test]
+    fn eq_appends_stay_warm_until_their_artificial_stays_positive() {
+        // At the optimum (2, 6), `x = 1` leaves the new row's artificial
+        // basic at 1 − 2 < 0: the dual pivots it out and the re-solve
+        // stays warm; `y = 5` then leaves it at 5 − 6 < 0 too. From (2, 6)
+        // again, `x = 3` leaves it at 3 − 2 > 0, which no warm pass drives
+        // out: the re-solve must go cold and still answer the pinned
+        // problem.
+        let (lp, x, y) = base_problem();
+        let dense = |state: &SimplexState| {
+            crate::solve_dense(&state.to_problem(), &SimplexOptions::default()).unwrap()
+        };
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        for (var, rhs) in [(x, 1.0), (y, 5.0)] {
+            state.add_row(&[(var, 1.0)], ConstraintOp::Eq, rhs).unwrap();
+            let warm = state.resolve().unwrap();
+            assert_close(warm.objective, dense(&state).objective);
+            assert_close(warm.value(var), rhs);
+        }
+        assert_eq!(state.stats().cold_solves, 1, "an `=` append went cold");
+        assert_eq!(state.stats().rows_added, 2, "an `=` row counts once");
+        assert_eq!(state.num_rows(), 5);
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        state.add_row(&[(x, 1.0)], ConstraintOp::Eq, 3.0).unwrap();
+        let warm = state.resolve().unwrap();
+        assert_close(warm.objective, dense(&state).objective);
+        assert_close(warm.value(x), 3.0);
+        assert_eq!(state.stats().refactorizations, 1, "the guard went cold");
+        assert_eq!(state.stats().cold_solves, 2);
+    }
+
+    #[test]
+    fn a_layout_with_an_enterable_artificial_is_corrupt() {
+        let (lp, x, _) = base_problem();
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        let eq = state.add_row(&[(x, 1.0)], ConstraintOp::Eq, 3.0).unwrap();
+        let mut snapshot = state.capture();
+        assert!(SimplexState::restore(&snapshot).is_ok());
+        let layout = snapshot.fact.as_mut().expect("warm");
+        let art = layout.art_col[eq.index()].expect("an `=` row has an artificial");
+        layout.allowed[art] = true;
+        assert_eq!(
+            SimplexState::restore(&snapshot).err(),
+            Some(LpError::CorruptSnapshot)
+        );
+    }
+
+    #[test]
+    fn a_deleted_row_keeps_no_terms() {
+        let (lp, x, y) = base_problem();
+        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        state.solve().unwrap();
+        let slack = state
+            .add_row(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 100.0)
+            .unwrap();
+        let binding = state
+            .add_row(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 7.0)
+            .unwrap();
+        state.resolve().unwrap();
+        state.delete_rows(&[slack]).unwrap();
+        assert!(state.rows[slack.index()].is_none());
+        assert!(state.capture().rows[slack.index()].is_none());
+        assert_eq!(state.stats().refactorizations, 0, "the delete stayed warm");
+        // x is basic: the forced pivot and the stripped terms see only the
+        // live rows, and the answer still matches the dense oracle.
+        assert!(state
+            .fact
+            .as_ref()
+            .expect("warm")
+            .layout
+            .basis
+            .contains(&x.index()));
+        state.delete_cols(&[ColId(x.index())]).unwrap();
+        let warm = state.resolve().unwrap();
+        let dense = crate::solve_dense(&state.to_problem(), &SimplexOptions::default()).unwrap();
+        assert_close(warm.objective, dense.objective);
+        assert_eq!(state.stats().cold_solves, 1, "the column delete went cold");
+        // A binding delete goes cold, and keeps nothing either.
+        state.delete_rows(&[binding]).unwrap();
+        let capture = state.capture();
+        assert_eq!(capture.rows.len(), 5);
+        assert_eq!(capture.rows.iter().flatten().count(), 3);
+        assert_close(
+            state.resolve().unwrap().objective,
+            crate::solve_dense(&state.to_problem(), &SimplexOptions::default())
+                .unwrap()
+                .objective,
         );
     }
 
@@ -1981,8 +1952,8 @@ mod tests {
             .unwrap();
         let eq = state.add_row(&[(x, 1.0)], ConstraintOp::Eq, 2.0).unwrap();
         state.resolve().unwrap();
-        // A column with coefficients in the `≥` row and the `=` pair:
-        // the stored (negated) physical rows must see mirrored signs.
+        // A column with coefficients in the `≥` row and the `=` row: the
+        // assembly must orient the new terms with the rest of each row.
         state
             .add_cols(&[NewCol::new(2.0, vec![(ge, 1.0), (eq, 1.0)])])
             .unwrap();

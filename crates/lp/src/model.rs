@@ -49,7 +49,7 @@ impl fmt::Display for ConstraintOp {
 }
 
 /// A single linear constraint in sparse form.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Constraint {
     /// Sparse `(variable, coefficient)` terms.
     pub terms: Vec<(VarId, f64)>,

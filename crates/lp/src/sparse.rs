@@ -161,10 +161,11 @@ pub(crate) fn cold_layout<'a>(
 /// auxiliary columns; `cols`, `basis`, `allowed` and `artificial_cols`
 /// complete the layout.
 ///
-/// A row with an artificial is written as the cold solve writes it: in
-/// the orientation of [`simplex::normalize_constraint`], with slack `+1`
-/// (surplus `−1` on a normalized `≥` row) and artificial `+1`. A row
-/// without one is a `≤` row in its stored orientation (a `≥` row negated)
+/// This is the only code that orients a row; the rows come in as they
+/// were declared. A row with an artificial is written as the cold solve
+/// writes it: in the orientation of [`simplex::normalize_constraint`],
+/// with slack `+1` (surplus `−1` on a normalized `≥` row) and artificial
+/// `+1`. A row without one is written as a `≤` row (a `≥` row negated)
 /// with slack `+1`; its right-hand side may be negative, which is the dual
 /// simplex's cue. Both rules agree wherever a cold layout gives a row no
 /// artificial. Every row is equilibrated by [`build_structural_row`].

@@ -56,11 +56,12 @@ fn build(lp: &PackingLp) -> (LpProblem, Vec<VarId>) {
 /// One step of the column/row churn walk, as plain generated data:
 /// `(kind, pick, coeff, rhs)` where `kind` selects the operation
 /// (0 = add column, 1 = delete column, 2 = append row, 3 = rewrite row,
-/// 4 = delete row) and the rest parameterise it.
+/// 4 = delete row, 5 = append, rewrite or delete an `=` row, or add a
+/// column into one) and the rest parameterise it.
 type ChurnOp = (u8, usize, f64, f64);
 
 fn churn_op() -> impl Strategy<Value = ChurnOp> {
-    (0u8..5, 0usize..64, 0.1f64..3.0, 0.0f64..6.0)
+    (0u8..6, 0usize..64, 0.1f64..3.0, 0.0f64..6.0)
 }
 
 fn churn_ops() -> impl Strategy<Value = Vec<ChurnOp>> {
@@ -86,6 +87,8 @@ struct ChurnDriver {
     live_vars: Vec<VarId>,
     appended_cols: Vec<ColId>,
     appended_rows: Vec<RowId>,
+    /// The appended `=` rows, all with rhs 0.
+    eq_rows: Vec<RowId>,
     /// The base rows with an artificial (see [`churn_base`]): the two
     /// copies of the `=` row, then the `≥` row.
     pinned: [RowId; 3],
@@ -180,6 +183,53 @@ impl ChurnDriver {
                     .swap_remove(pick % self.appended_rows.len());
                 warm.delete_rows(&[row]).expect("live handle");
             }
+            // The `=` rows: delete one, add a column with a signed term in
+            // one, or append or rewrite one over a subset of the live
+            // columns with signed coefficients. The rhs stays 0, so x = 0
+            // stays feasible; the new row's artificial starts basic at
+            // minus the row's activity, so appends reach both the dual
+            // pivoting it out and the cold fallback for one left above 0.
+            5 => {
+                let existing = (!self.eq_rows.is_empty()).then(|| pick % self.eq_rows.len());
+                match (pick % 4, existing) {
+                    (0, Some(i)) => {
+                        let row = self.eq_rows.swap_remove(i);
+                        warm.delete_rows(&[row]).expect("live handle");
+                    }
+                    (1, Some(i)) => {
+                        let terms = vec![(self.protect, coeff), (self.eq_rows[i], rhs - 3.0)];
+                        let cols = warm
+                            .add_cols(&[NewCol::new(coeff + rhs, terms)])
+                            .expect("valid column");
+                        self.live_vars.push(cols[0].var());
+                        self.appended_cols.push(cols[0]);
+                    }
+                    (which, existing) => {
+                        let terms: Vec<(VarId, f64)> = self
+                            .live_vars
+                            .iter()
+                            .enumerate()
+                            .filter(|(j, _)| (j + pick) % 3 != 0)
+                            .map(|(j, &v)| {
+                                let sign = if (j + which) % 2 == 0 { 1.0 } else { -1.0 };
+                                (v, sign * coeff * ((j % 4) as f64 + 0.5))
+                            })
+                            .collect();
+                        if terms.is_empty() {
+                            return false;
+                        }
+                        match (which, existing) {
+                            (2, Some(i)) => warm
+                                .update_coeffs(&[RowUpdate::new(self.eq_rows[i], terms, 0.0)])
+                                .expect("valid update"),
+                            _ => self.eq_rows.push(
+                                warm.add_row(&terms, ConstraintOp::Eq, 0.0)
+                                    .expect("valid row"),
+                            ),
+                        }
+                    }
+                }
+            }
             _ => return false,
         }
         true
@@ -209,6 +259,7 @@ fn churn_base(lp: &PackingLp) -> (SimplexState, ChurnDriver) {
         live_vars: vars,
         appended_cols: Vec::new(),
         appended_rows: Vec::new(),
+        eq_rows: Vec::new(),
         pinned: [base[first], base[first + 1], base[first + 2]],
         ge_var,
         protect: base[first + 3],
@@ -223,10 +274,10 @@ fn churn_base(lp: &PackingLp) -> (SimplexState, ChurnDriver) {
 /// Boundedness/feasibility invariant: a protected base row caps the sum of
 /// every column — present and future — at 100 (each appended column carries
 /// a positive coefficient there). Every `≤` row of the walk has a
-/// non-negative rhs, the `=` rows keep rhs 0, and besides the protected
-/// row only the `≥` row holds `s`, with coefficient 1 and an rhs below
-/// 100, so `x = 0` with `s` at that rhs stays feasible and the walk can
-/// never make the LP unbounded or infeasible.
+/// non-negative rhs, the `=` rows (base and appended) keep rhs 0, and
+/// besides the protected row only the `≥` row holds `s`, with coefficient
+/// 1 and an rhs below 100, so `x = 0` with `s` at that rhs stays feasible
+/// and the walk can never make the LP unbounded or infeasible.
 fn churn_walk(lp: &PackingLp, ops: &[ChurnOp]) {
     let (mut warm, mut driver) = churn_base(lp);
     for &op in ops {

@@ -347,9 +347,12 @@ impl PeriodicSchedule {
 
     /// Reassembles a schedule from [`ScheduleParts`] captured on a platform
     /// with `platform`'s topology. Every index and length is
-    /// bounds-checked against `platform` first — malformed parts (from a
+    /// bounds-checked against `platform` first, and every tree must be a
+    /// spanning arborescence rooted at the source, listed parent before
+    /// child: a later repair may keep a tree as it is and re-time it, and
+    /// the timetable's lags need that order. Malformed parts (from a
     /// truncated or corrupted snapshot) yield [`SchedError::Invalid`],
-    /// never a panic — but *semantic* schedule invariants are not
+    /// never a panic — but the timetable's own invariants are not
     /// re-proved here; run [`PeriodicSchedule::validate`] for that.
     pub fn from_parts(platform: &Platform, parts: &ScheduleParts) -> Result<Self, SchedError> {
         let n = platform.node_count();
@@ -392,12 +395,14 @@ impl PeriodicSchedule {
                 return invalid("non-finite round duration");
             }
         }
-        if parts
+        if let Some(j) = parts
             .trees
             .iter()
-            .any(|tree| tree.iter().any(|e| e.index() >= m))
+            .position(|tree| !spans_in_order(platform, parts.source, tree))
         {
-            return invalid("tree edge out of range");
+            return Err(SchedError::Invalid(format!(
+                "schedule parts: tree {j} is not a spanning arborescence listed parent before child"
+            )));
         }
         if parts.rounding.multiplicity.len() != m || parts.rounding.dominated.len() != m {
             return invalid("rounding vectors do not match the platform");
@@ -449,6 +454,22 @@ pub struct ScheduleParts {
     pub max_lag: usize,
     /// Rounding statistics (batch size, multiplicities, loss bound).
     pub rounding: RoundedLoads,
+}
+
+/// True when `tree` reaches every node of `platform` from `source` with
+/// one in-range edge into each other node, each edge listed after the edge
+/// that reaches its tail.
+fn spans_in_order(platform: &Platform, source: usize, tree: &[EdgeId]) -> bool {
+    let graph = platform.graph();
+    let mut reached = vec![false; graph.node_count()];
+    reached[source] = true;
+    tree.len() + 1 == reached.len()
+        && tree.iter().all(|&e| {
+            e.index() < graph.edge_count() && {
+                let (u, v) = graph.endpoints(e);
+                reached[u.index()] && !std::mem::replace(&mut reached[v.index()], true)
+            }
+        })
 }
 
 /// How long a transfer occupies its sender's port.

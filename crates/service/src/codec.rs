@@ -159,14 +159,9 @@ pub fn put_simplex_snapshot(w: &mut Writer, s: &SimplexSnapshot) {
     put_simplex_options(w, &s.options);
     put_sense(w, s.sense);
     w.put_seq(&s.objective, |w, &c| w.put_f64(c));
-    w.put_seq(&s.rows, put_snapshot_row);
-    w.put_seq(&s.live, |w, &l| w.put_bool(l));
+    w.put_seq(&s.rows, |w, row| w.put_opt(row, put_snapshot_row));
     w.put_seq(&s.cols_live, |w, &l| w.put_bool(l));
-    w.put_seq(&s.groups, |w, group| {
-        w.put_seq(group, |w, &p| w.put_usize(p))
-    });
-    w.put_seq(&s.group_ops, |w, &op| put_op(w, op));
-    w.put_usize(s.base_groups);
+    w.put_usize(s.base_rows);
     put_incremental_stats(w, &s.stats);
     w.put_opt(&s.fact, put_fact);
 }
@@ -177,12 +172,9 @@ pub fn get_simplex_snapshot(r: &mut Reader) -> Result<SimplexSnapshot, WireError
         options: get_simplex_options(r)?,
         sense: get_sense(r)?,
         objective: r.get_seq(8, |r| r.get_f64())?,
-        rows: r.get_seq(17, get_snapshot_row)?,
-        live: r.get_seq(1, |r| r.get_bool())?,
+        rows: r.get_seq(1, |r| r.get_opt(get_snapshot_row))?,
         cols_live: r.get_seq(1, |r| r.get_bool())?,
-        groups: r.get_seq(8, |r| r.get_seq(8, |r| r.get_usize()))?,
-        group_ops: r.get_seq(1, get_op)?,
-        base_groups: r.get_usize()?,
+        base_rows: r.get_usize()?,
         stats: get_incremental_stats(r)?,
         fact: r.get_opt(get_fact)?,
     })
@@ -216,7 +208,6 @@ fn get_cut_gen_options(r: &mut Reader) -> Result<CutGenOptions, WireError> {
 
 fn put_cut(w: &mut Writer, c: &CutSnapshot) {
     w.put_seq(&c.side, |w, &s| w.put_bool(s));
-    w.put_seq(&c.edges, |w, &e| w.put_u32(e));
     w.put_usize(c.non_binding_streak);
     w.put_bool(c.active);
     w.put_opt_usize(&c.row);
@@ -225,7 +216,6 @@ fn put_cut(w: &mut Writer, c: &CutSnapshot) {
 fn get_cut(r: &mut Reader) -> Result<CutSnapshot, WireError> {
     Ok(CutSnapshot {
         side: r.get_seq(1, |r| r.get_bool())?,
-        edges: r.get_seq(4, |r| r.get_u32())?,
         non_binding_streak: r.get_usize()?,
         active: r.get_bool()?,
         row: r.get_opt_usize()?,

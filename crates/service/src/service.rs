@@ -88,9 +88,10 @@ pub enum Outcome {
 pub struct RecoveryReport {
     /// A snapshot file was restored (valid and all sessions rebuildable).
     pub snapshot_restored: bool,
-    /// A snapshot file existed but was rejected (corrupt or unrestorable);
-    /// recovery fell back to a full WAL replay.
-    pub snapshot_rejected: bool,
+    /// Why a snapshot file that existed was rejected (corrupt or
+    /// unrestorable), as the error's text; recovery then fell back to a
+    /// full WAL replay. `None` when no snapshot was rejected.
+    pub snapshot_rejected: Option<String>,
     /// WAL records replayed after the restored base, counting the
     /// `QuerySchedule` and `Snapshot` records that replay skips.
     pub replayed: usize,
@@ -130,7 +131,7 @@ impl Service {
 
         let mut recovery = RecoveryReport {
             snapshot_restored: false,
-            snapshot_rejected: false,
+            snapshot_rejected: None,
             replayed: 0,
             wal_torn: false,
         };
@@ -152,12 +153,12 @@ impl Service {
                     base_seq = image.seq;
                     recovery.snapshot_restored = true;
                 }
-                Err(_) => recovery.snapshot_rejected = true,
+                Err(e) => recovery.snapshot_rejected = Some(e.to_string()),
             },
             Err(ServiceError::Io(e)) => return Err(ServiceError::Io(e)),
-            Err(_) => recovery.snapshot_rejected = true,
+            Err(e) => recovery.snapshot_rejected = Some(e.to_string()),
         }
-        if recovery.snapshot_rejected {
+        if recovery.snapshot_rejected.is_some() {
             bcast_obs::counter_add(bcast_obs::names::SERVICE_CORRUPT_ARTIFACTS, 1);
         }
 

@@ -34,9 +34,14 @@ const SNAP_MAGIC: &[u8; 4] = b"BSNP";
 /// `SimplexOptions`, `FactSnapshot` and `CutGenOptions`; version 3 dropped
 /// the secondary objective from the encoded `SimplexSnapshot`; version 4
 /// dropped the four simplex tolerances from the encoded `SimplexOptions`
-/// and the iteration budget from the encoded `CutGenOptions`. Older files
-/// are rejected as corrupt and recovery replays the WAL instead.
-const SNAP_VERSION: u32 = 4;
+/// and the iteration budget from the encoded `CutGenOptions`; version 5
+/// stores each `SimplexSnapshot` row once, as declared, and a deleted row
+/// as an empty slot (the per-row liveness flags, the row groups and their
+/// operators went, and the base group count became a base row count), and
+/// drops each `CutSnapshot`'s crossing edges, which restore recomputes
+/// from the cut's node side. Older files are rejected as corrupt and
+/// recovery replays the WAL instead.
+const SNAP_VERSION: u32 = 5;
 
 /// Everything a snapshot file holds.
 #[derive(Clone, Debug, PartialEq)]

@@ -26,7 +26,7 @@ use bcast_service::{
     flip_byte, session::generate_trace, truncate_file, Command, FaultPlan, KillPoint, Outcome,
     PlatformFamily, Service, ServiceError, SessionSpec, StepStats,
 };
-use broadcast_trees::prelude::DriftEvent;
+use broadcast_trees::prelude::{DriftEvent, EdgeId};
 use std::path::PathBuf;
 
 const SLICE: f64 = 1.0e6;
@@ -396,7 +396,7 @@ fn corrupt_snapshot_degrades_to_wal_replay() {
         let mut service =
             Service::open(&dir, FaultPlan::none()).expect("corrupt snapshot not fatal");
         assert!(
-            service.recovery().snapshot_rejected,
+            service.recovery().snapshot_rejected.is_some(),
             "offset {offset}: corruption detected"
         );
         // Every WAL record replays (the trailing queries of earlier loop
@@ -420,7 +420,10 @@ fn corrupt_snapshot_degrades_to_wal_replay() {
         std::fs::write(&snap, &pristine).expect("restore pristine snapshot");
         truncate_file(&snap, cut).expect("truncate");
         let service = Service::open(&dir, FaultPlan::none()).expect("torn snapshot not fatal");
-        assert!(service.recovery().snapshot_rejected, "cut {cut}: detected");
+        assert!(
+            service.recovery().snapshot_rejected.is_some(),
+            "cut {cut}: detected"
+        );
         let run = run_trace_of(&service, name, Vec::new());
         assert_eq!(bits_of(&run.log), bits_of(&reference.log), "cut {cut}");
     }
@@ -588,19 +591,19 @@ fn out_of_range_specs_are_rejected_live_and_on_replay() {
     std::fs::write(&snap, encode_snapshot(&image)).expect("rewrite snapshot");
     let service = Service::open(&dir, FaultPlan::none()).expect("a bad image is not fatal");
     assert!(
-        service.recovery().snapshot_rejected,
+        service.recovery().snapshot_rejected.is_some(),
         "bad spec image refused"
     );
     assert_eq!(service.session_names(), vec![name.to_string()]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot written by the previous format (version field 3, which still
-/// encoded the simplex tolerances and the cut-generation iteration budget)
-/// is rejected as `Corrupt` with
-/// the version message — the version sits outside the checksummed
-/// payload, so nothing else trips — and recovery replays the whole WAL to
-/// the same per-step logs as the uninterrupted run.
+/// A snapshot written by the previous format (version field 4, which still
+/// encoded the row groups of the master LP and each cut's crossing edges)
+/// is rejected as `Corrupt` with the version message — the version sits
+/// outside the checksummed payload, so nothing else trips — recovery says
+/// so, and it replays the whole WAL to the same per-step logs as the
+/// uninterrupted run.
 #[test]
 fn old_snapshot_version_is_rejected_and_replayed() {
     let (name, spec) = ("tiers-12", fixtures().remove(1).1);
@@ -616,16 +619,20 @@ fn old_snapshot_version_is_rejected_and_replayed() {
     }
     let snap = dir.join("snapshot.bin");
     let mut bytes = std::fs::read(&snap).expect("snapshot written");
-    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
     std::fs::write(&snap, &bytes).expect("rewrite snapshot");
     match bcast_service::snapshot::decode_snapshot(&bytes) {
         Err(ServiceError::Corrupt(message)) => {
-            assert_eq!(message, "snapshot version 3 (expected 4)")
+            assert_eq!(message, "snapshot version 4 (expected 5)")
         }
-        other => panic!("a version-3 snapshot must be rejected as corrupt: {other:?}"),
+        other => panic!("a version-4 snapshot must be rejected as corrupt: {other:?}"),
     }
     let service = Service::open(&dir, FaultPlan::none()).expect("old snapshot not fatal");
-    assert!(service.recovery().snapshot_rejected, "old version detected");
+    assert_eq!(
+        service.recovery().snapshot_rejected.as_deref(),
+        Some("corrupt artifact: snapshot version 4 (expected 5)"),
+        "old version detected"
+    );
     assert!(!service.recovery().snapshot_restored);
     assert!(service.recovery().replayed >= commands.len(), "full replay");
     let run = run_trace_of(&service, name, Vec::new());
@@ -633,6 +640,86 @@ fn old_snapshot_version_is_rejected_and_replayed() {
     assert_eq!(run.log, reference.log);
     assert_eq!(run.steps_done, reference.steps_done);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot whose checksum is valid but whose first schedule tree was
+/// rewritten by `rewrite` is refused by `PeriodicSchedule::from_parts`,
+/// recovery says why, and the WAL replay continues to the uninterrupted
+/// run's log. Restored, such a tree would be kept as it is by the next
+/// drift step's repair and re-timed, which the timetable cannot do for a
+/// tree that is not a spanning arborescence listed parent before child.
+fn malformed_tree_is_rejected_and_replayed(tag: &str, rewrite: fn(&mut Vec<EdgeId>)) {
+    let name = "trees";
+    let spec = SessionSpec {
+        family: PlatformFamily::Tiers {
+            nodes: 12,
+            density: 0.10,
+        },
+        platform_seed: 7025,
+        slice_size: SLICE,
+        batch: 8,
+        drift_steps: 5,
+        drift_seed: 0xC4A2,
+        churn: false,
+    };
+    let mut commands = vec![Command::CreateSession {
+        name: name.into(),
+        spec,
+    }];
+    let step = Command::DriftStep {
+        session: name.into(),
+    };
+    commands.extend(std::iter::repeat_n(step.clone(), 3));
+    commands.push(Command::Snapshot);
+    let snapshot_at = commands.len();
+    commands.extend(std::iter::repeat_n(step, 3));
+    let reference = baseline(&format!("{tag}-base"), name, &commands);
+
+    let dir = tmp_dir(tag);
+    {
+        let mut service = Service::open(&dir, FaultPlan::none()).expect("open");
+        for command in &commands[..snapshot_at] {
+            service.apply(command).expect("apply");
+        }
+    }
+    let snap = dir.join("snapshot.bin");
+    let mut image = read_snapshot(&snap)
+        .expect("snapshot readable")
+        .expect("snapshot written");
+    let parts = image.sessions[0].1.schedule.as_mut().expect("a schedule");
+    rewrite(&mut parts.trees[0]);
+    std::fs::write(&snap, encode_snapshot(&image)).expect("rewrite snapshot");
+    let mut service = Service::open(&dir, FaultPlan::none()).expect("a bad tree is not fatal");
+    assert_eq!(
+        service.recovery().snapshot_rejected.as_deref(),
+        Some(
+            "schedule failure: invalid schedule: schedule parts: \
+             tree 0 is not a spanning arborescence listed parent before child"
+        ),
+        "{tag}: the tree check fired"
+    );
+    assert!(!service.recovery().snapshot_restored);
+    assert_eq!(service.recovery().replayed, snapshot_at);
+    for command in &commands[snapshot_at..] {
+        service.apply(command).expect("post-recovery apply");
+    }
+    let run = run_trace_of(&service, name, Vec::new());
+    assert_eq!(bits_of(&run.log), bits_of(&reference.log), "{tag}");
+    assert_eq!(run.log, reference.log, "{tag}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_tree_with_a_repeated_edge_is_rejected() {
+    malformed_tree_is_rejected_and_replayed("tree-repeated-edge", |tree| {
+        let last = tree.len() - 1;
+        tree[last] = tree[0];
+    });
+}
+
+#[test]
+fn snapshot_tree_listed_children_first_is_rejected() {
+    malformed_tree_is_rejected_and_replayed("tree-children-first", |tree| tree.reverse());
 }
 
 /// A torn or bit-flipped WAL tail loses at most the damaged suffix: the
