@@ -2,8 +2,8 @@
 //! experiment binaries use it: the disabled-overhead guard, the journal
 //! golden (bit-identical across runs after scrubbing wall-clock fields),
 //! the `solver_report` contract (schema check, span coverage and the sched
-//! spans and max-flow counter) on a real drift walk, and the
-//! schedule-repair label on a churn walk.
+//! spans and max-flow counter) on a real drift walk, the schedule-repair
+//! label on a churn walk, and the live sizes an `lp_solve` record reports.
 //!
 //! The obs sink is process-global, so every test serializes on [`LOCK`]
 //! and leaves the sink disabled and reset behind itself.
@@ -11,6 +11,7 @@
 use bcast_core::optimal::cut_gen;
 use bcast_core::optimal::cut_gen::CutGenSession;
 use bcast_core::CutGenOptions;
+use bcast_lp::{ConstraintOp, LpProblem, Sense, SimplexOptions, SimplexState, VarId};
 use bcast_net::NodeId;
 use bcast_obs::{names, report};
 use bcast_platform::drift::{DriftConfig, DriftTrace};
@@ -262,6 +263,58 @@ fn repair_label_follows_the_remap() {
         .map(|(k, s)| (k.as_str(), s.as_str()))
         .collect();
     assert_eq!(labels, expected);
+}
+
+/// An `lp_solve` record reports the live master: after rows and a column
+/// are deleted, the re-solve journals the live row count and the live
+/// structural columns, not the slots the deletions leave behind.
+#[test]
+fn lp_solve_records_count_live_rows_and_columns() {
+    let _guard = LOCK.lock().unwrap();
+    // max x + y + z  s.t.  x ≤ 3, y ≤ 2, z ≤ 1, then two appended cuts.
+    let mut lp = LpProblem::new(Sense::Maximize);
+    let vars: Vec<VarId> = ["x", "y", "z"].map(|name| lp.add_var(name, 1.0)).to_vec();
+    for (&var, cap) in vars.iter().zip([3.0, 2.0, 1.0]) {
+        lp.add_le(&[(var, 1.0)], cap);
+    }
+    let mut state = SimplexState::new(&lp, SimplexOptions::default()).expect("valid LP");
+    state.solve().expect("solvable");
+    let sum: Vec<(VarId, f64)> = vars.iter().map(|&var| (var, 1.0)).collect();
+    let cuts = [
+        state
+            .add_row(&sum, ConstraintOp::Le, 5.0)
+            .expect("valid cut"),
+        state
+            .add_row(&sum[..2], ConstraintOp::Le, 4.0)
+            .expect("valid cut"),
+    ];
+    state.resolve().expect("solvable");
+    state.delete_rows(&cuts).expect("issued rows");
+    let z = state.col_id(vars[2]).expect("live column");
+    state.delete_cols(&[z]).expect("live column");
+
+    let path = std::env::temp_dir().join("bcast_obs_lp_solve_sizes.jsonl");
+    bcast_obs::install_journal(&path, "observability-test").expect("journal installs");
+    state.resolve().expect("solvable");
+    bcast_obs::flush_journal().expect("journal flushes");
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    let _ = std::fs::remove_file(&path);
+
+    let number = |record: &report::Record, key: &str| match record.get(key) {
+        Some(report::Value::Num(value)) => *value,
+        other => panic!("journal field {key}: {other:?}"),
+    };
+    let sizes: Vec<(f64, f64)> = text
+        .lines()
+        .map(|line| report::parse_line(line).expect("journal line parses"))
+        .filter(|r| matches!(r.get("type"), Some(report::Value::Str(t)) if t == "lp_solve"))
+        .map(|r| (number(&r, "rows"), number(&r, "cols")))
+        .collect();
+    assert_eq!(
+        sizes,
+        [(3.0, 2.0)],
+        "one re-solve of 3 live rows over x and y"
+    );
 }
 
 /// The disabled-sink cost of the instrumentation on a Tiers-65 cut

@@ -9,10 +9,11 @@
 //! whole phase-2 path again; warm-starting reuses all of it.
 //!
 //! The warm state is the stored rows plus a **basis layout**
-//! ([`FactSnapshot`]): the column of every slack and artificial, each live
-//! row's position, the basis in its stored order, and which columns may
-//! enter. Every row is stored once, as it was declared, and [`RowId`]`(i)`
-//! is row `i`. An edit changes only the rows and the layout. Every
+//! ([`FactSnapshot`]): the basis in its stored order, which columns may
+//! enter, and each row's slack and artificial column. Every row is stored
+//! once, as it was declared, and [`RowId`]`(i)` is row `i`; a live row's
+//! assembled position is its rank among the live rows, so the layout does
+//! not store it. An edit changes only the rows and the layout. Every
 //! factorization starts from a problem assembled from the stored rows
 //! under the layout by the one assembly that also starts every cold solve
 //! (the private `sparse::assemble`), which is the only code that orients a
@@ -352,7 +353,6 @@ impl SimplexState {
             for con in rows {
                 let col = layout.cols;
                 let eq = con.op == ConstraintOp::Eq;
-                layout.row_of.push(Some(layout.basis.len()));
                 layout.slack_col.push((!eq).then_some(col));
                 layout.art_col.push(eq.then_some(col));
                 layout.basis.push(col);
@@ -579,7 +579,8 @@ impl SimplexState {
             bcast_obs::span!(bcast_obs::names::SPAN_LP_SOLVE)
         };
         let start = std::time::Instant::now();
-        let (rows, cols) = (self.rows.len(), self.num_vars());
+        let live_cols = self.cols_live.iter().filter(|&&live| live).count();
+        let (rows, cols) = (self.num_rows(), live_cols);
         let result = self.resolve_inner();
         let pivots = result.as_ref().map_or(0, |sol| sol.iterations) as u64;
         bcast_obs::counter_add(
@@ -663,30 +664,28 @@ impl SimplexState {
 
     /// Cold path: lay out every live row as a fresh cold solve does, run
     /// the ordinary two-phase solve on its assembly, then keep the basis it
-    /// ends on as the warm state.
+    /// ends on as the warm state. The cold layout's artificial columns go
+    /// to this solve's phase 1 and nowhere else.
     fn cold_solve(&mut self) -> Result<LpSolution, LpError> {
         let cold = sparse::cold_layout(self.num_vars(), self.rows.iter().flatten());
         let mut layout = FactSnapshot {
             cols: cold.cols,
             basis: cold.basis,
             allowed: vec![true; cold.cols],
-            artificial_cols: cold.artificial_cols,
             slack_col: vec![None; self.rows.len()],
             art_col: vec![None; self.rows.len()],
-            row_of: vec![None; self.rows.len()],
         };
         let live = (0..self.rows.len()).filter(|&p| self.rows[p].is_some());
-        for (pos, (p, aux)) in live.zip(cold.aux).enumerate() {
+        for (p, aux) in live.zip(cold.aux) {
             layout.slack_col[p] = aux.slack;
             layout.art_col[p] = aux.art;
-            layout.row_of[p] = Some(pos);
         }
         let mut fact = Fact {
             layout,
             assembly: None,
         };
         let Assembly { sim, cost } = fact.assembly(&self.rows, self.sense, &self.objective);
-        let pivots = sim.two_phase(cost, &self.options)?;
+        let pivots = sim.two_phase(cost, &cold.artificial_cols, &self.options)?;
         fact.keep_basis();
         self.fact = Some(fact);
         self.stats.cold_solves += 1;
@@ -721,8 +720,8 @@ impl Fact {
 
     /// The assembly to factorize: the last one while no edit has come
     /// after it, else the stored `rows` assembled under the layout — the
-    /// live rows in their assembled order, each with its slack and
-    /// artificial columns.
+    /// live rows in [`RowId`] order, each with its slack and artificial
+    /// columns.
     fn assembly(
         &mut self,
         rows: &[Option<Constraint>],
@@ -731,25 +730,19 @@ impl Fact {
     ) -> &mut Assembly {
         let layout = &self.layout;
         self.assembly.get_or_insert_with(|| {
-            let mut order = vec![usize::MAX; layout.basis.len()];
-            for (p, pos) in layout.row_of.iter().enumerate() {
-                if let Some(pos) = *pos {
-                    order[pos] = p;
-                }
-            }
+            let live = rows.iter().enumerate().filter_map(|(p, row)| {
+                let aux = Aux {
+                    slack: layout.slack_col[p],
+                    art: layout.art_col[p],
+                };
+                row.as_ref().map(|row| (row, aux))
+            });
             let prob = sparse::assemble(
                 objective.len(),
                 layout.cols,
-                order.iter().map(|&p| {
-                    let aux = Aux {
-                        slack: layout.slack_col[p],
-                        art: layout.art_col[p],
-                    };
-                    (rows[p].as_ref().expect("a placed row is live"), aux)
-                }),
+                live,
                 layout.basis.clone(),
                 layout.allowed.clone(),
-                layout.artificial_cols.clone(),
             );
             Assembly {
                 sim: SparseSimplex::new(prob),
@@ -888,11 +881,12 @@ impl FactSnapshot {
     /// Drops live row `p` and its slack from the layout, keeping
     /// the basis. That needs the slack basic (a non-binding row) and no
     /// basic artificial pinning the row: the slack is the row's unit
-    /// column, so every other basic value stays. Returns `false`, with the
-    /// layout unchanged, when only a cold solve can express the deletion
-    /// (an `=` row has no slack to carry it).
+    /// column, so every other basic value stays, and every live row above
+    /// `p` moves down one assembled position with its rank. Returns
+    /// `false`, with the layout unchanged, when only a cold solve can
+    /// express the deletion (an `=` row has no slack to carry it).
     fn remove_row(&mut self, p: usize) -> bool {
-        let (Some(slack), Some(row)) = (self.slack_col[p], self.row_of[p]) else {
+        let Some(slack) = self.slack_col[p] else {
             return false;
         };
         if self.art_col[p].is_some_and(|art| self.basis.contains(&art)) {
@@ -906,12 +900,6 @@ impl FactSnapshot {
         if let Some(art) = self.art_col[p] {
             self.allowed[art] = false;
         }
-        for r in self.row_of.iter_mut().flatten() {
-            if *r > row {
-                *r -= 1;
-            }
-        }
-        self.row_of[p] = None;
         self.slack_col[p] = None;
         self.art_col[p] = None;
         true
@@ -928,7 +916,6 @@ impl FactSnapshot {
             }
         };
         self.basis.iter_mut().for_each(shift);
-        self.artificial_cols.iter_mut().for_each(shift);
         self.slack_col.iter_mut().flatten().for_each(shift);
         self.art_col.iter_mut().flatten().for_each(shift);
         self.allowed
@@ -947,16 +934,18 @@ impl FactSnapshot {
 /// a snapshot row is the stored [`Constraint`] itself.
 pub type SnapshotRow = Constraint;
 
-/// The basis layout of a warm [`SimplexState`]: where each live row sits
-/// in the assembled problem, the columns of its slack and artificial, the
-/// basis in its stored order, and which columns may enter. Together with
-/// the stored rows it is the whole warm state: edits change only the rows
-/// and this layout, and every factorization starts from a problem
-/// assembled from the rows under it, by the same assembly that starts a
-/// cold solve. The LU factors, basic values and pricing weights are
-/// rebuilt from it before each use, so a capture is a clone of the layout
-/// and [`SimplexState::restore`] continues exactly as the captured state
-/// would have.
+/// The basis layout of a warm [`SimplexState`]: the basis in its stored
+/// order, which columns may enter, and the columns of each row's slack and
+/// artificial. A live row's assembled position is its rank among the live
+/// rows: a cold layout numbers them in [`RowId`] order, an append takes
+/// the next position with the next id, and a delete moves every row above
+/// it down one. Together with the stored rows the layout is the whole warm
+/// state: edits change only the rows and this layout, and every
+/// factorization starts from a problem assembled from the rows under it,
+/// by the same assembly that starts a cold solve. The LU factors, basic
+/// values and pricing weights are rebuilt from it before each use, so a
+/// capture is a clone of the layout and [`SimplexState::restore`]
+/// continues exactly as the captured state would have.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FactSnapshot {
     /// Total column count (structural + slack + artificial).
@@ -965,15 +954,10 @@ pub struct FactSnapshot {
     pub basis: Vec<usize>,
     /// Enterable flag per column (barred tombstones stay barred).
     pub allowed: Vec<bool>,
-    /// Artificial columns of the cold solve the layout started from.
-    pub artificial_cols: Vec<usize>,
     /// Per row, by [`RowId`]: its slack/surplus column, if any.
     pub slack_col: Vec<Option<usize>>,
     /// Per row, by [`RowId`]: its artificial column, if any.
     pub art_col: Vec<Option<usize>>,
-    /// Per row, by [`RowId`]: its assembled-row index (`None` once
-    /// deleted).
-    pub row_of: Vec<Option<usize>>,
 }
 
 /// Complete plain-data capture of a [`SimplexState`], sufficient to rebuild
@@ -1086,41 +1070,33 @@ fn validate_snapshot(s: &SimplexSnapshot) -> Result<(), LpError> {
 }
 
 /// True when `layout` describes a warm state over `s`'s rows that every
-/// path can assemble and factorize without indexing out of range: the live
-/// rows fill the assembled positions once each, a row has a slack exactly
-/// when it is not `=` and an `=` row has an artificial, no column serves
-/// two rows, no structural column serves as an auxiliary one, no
-/// artificial may enter (a warm pass that priced one in would solve a
-/// relaxed problem), and the basis holds distinct columns, one per live
-/// row.
+/// path can assemble and factorize without indexing out of range: a live
+/// row has a slack exactly when it is not `=` and an `=` row has an
+/// artificial, a deleted row has neither, no column serves two rows, no
+/// structural column serves as an auxiliary one, no artificial may enter
+/// (a warm pass that priced one in would solve a relaxed problem), and the
+/// basis holds distinct columns, one per live row.
 fn valid_layout(s: &SimplexSnapshot, layout: &FactSnapshot) -> bool {
     let (n, rows, cols) = (s.objective.len(), s.rows.len(), layout.cols);
     let m = s.rows.iter().flatten().count();
     if cols < n
         || layout.allowed.len() != cols
         || layout.basis.len() != m
-        || [&layout.slack_col, &layout.art_col, &layout.row_of]
-            .iter()
-            .any(|v| v.len() != rows)
-        || layout.artificial_cols.iter().any(|&c| c < n || c >= cols)
+        || layout.slack_col.len() != rows
+        || layout.art_col.len() != rows
     {
         return false;
     }
-    let mut filled = vec![false; m];
     let mut taken = vec![false; cols];
     for (p, row) in s.rows.iter().enumerate() {
-        let (slack, art, pos) = (layout.slack_col[p], layout.art_col[p], layout.row_of[p]);
+        let (slack, art) = (layout.slack_col[p], layout.art_col[p]);
         let Some(row) = row else {
-            if slack.is_some() || art.is_some() || pos.is_some() {
+            if slack.is_some() || art.is_some() {
                 return false;
             }
             continue;
         };
         let eq = row.op == ConstraintOp::Eq;
-        match pos {
-            Some(pos) if pos < m && !filled[pos] => filled[pos] = true,
-            _ => return false,
-        }
         if slack.is_some() == eq || (eq && art.is_none()) {
             return false;
         }

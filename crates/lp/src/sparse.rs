@@ -55,8 +55,6 @@ pub(crate) struct SparseProblem {
     pub(crate) allowed: Vec<bool>,
     /// Basic column of each row position.
     pub(crate) basis: Vec<usize>,
-    /// Every artificial column, in assembly order.
-    pub(crate) artificial_cols: Vec<usize>,
 }
 
 /// Sums sparse `(var, coeff)` terms into dense-indexed structural values,
@@ -158,8 +156,7 @@ pub(crate) fn cold_layout<'a>(
 /// The one assembly of the sparse standard form `Ax = b`: every cold solve
 /// and every factorization of a warm state starts from a problem built
 /// here. `rows` are the constraints in assembled-row order, each with its
-/// auxiliary columns; `cols`, `basis`, `allowed` and `artificial_cols`
-/// complete the layout.
+/// auxiliary columns; `cols`, `basis` and `allowed` complete the layout.
 ///
 /// This is the only code that orients a row; the rows come in as they
 /// were declared. A row with an artificial is written as the cold solve
@@ -175,7 +172,6 @@ pub(crate) fn assemble<'a>(
     rows: impl Iterator<Item = (&'a Constraint, Aux)>,
     basis: Vec<usize>,
     allowed: Vec<bool>,
-    artificial_cols: Vec<usize>,
 ) -> SparseProblem {
     let m = basis.len();
     let mut row_nz = Vec::with_capacity(m);
@@ -214,23 +210,22 @@ pub(crate) fn assemble<'a>(
         b,
         allowed,
         basis,
-        artificial_cols,
     }
 }
 
-/// Assembles `constraints` under their cold layout: the start of a one-shot
-/// cold solve.
-pub(crate) fn assemble_cold(n: usize, constraints: &[Constraint]) -> SparseProblem {
+/// Assembles `constraints` under their cold layout, with the layout's
+/// artificial columns for phase 1: the start of a one-shot cold solve.
+pub(crate) fn assemble_cold(n: usize, constraints: &[Constraint]) -> (SparseProblem, Vec<usize>) {
     let layout = cold_layout(n, constraints.iter());
     let cols = layout.cols;
-    assemble(
+    let prob = assemble(
         n,
         cols,
         constraints.iter().zip(layout.aux),
         layout.basis,
         vec![true; cols],
-        layout.artificial_cols,
-    )
+    );
+    (prob, layout.artificial_cols)
 }
 
 /// The revised-simplex solver state: problem, factorization, basic values,
@@ -833,8 +828,9 @@ impl SparseSimplex {
         }
     }
 
-    /// Runs phase 1 (when artificials exist) and phase 2, with the dense
-    /// oracle's error mapping.
+    /// Runs phase 1 (when `artificial_cols`, the artificial columns of a
+    /// cold layout, is not empty) and phase 2, with the dense oracle's
+    /// error mapping.
     ///
     /// An [`LpError::IterationLimit`] from the first attempt is retried once
     /// from the initial basis with per-pivot refactorization
@@ -850,12 +846,13 @@ impl SparseSimplex {
     pub(crate) fn two_phase(
         &mut self,
         phase2_cost: &[f64],
+        artificial_cols: &[usize],
         options: &SimplexOptions,
     ) -> Result<usize, LpError> {
         self.singular = false;
         let basis0 = self.prob.basis.clone();
         let allowed0 = self.prob.allowed.clone();
-        let mut result = self.two_phase_inner(phase2_cost, options);
+        let mut result = self.two_phase_inner(phase2_cost, artificial_cols, options);
         if matches!(result, Err(LpError::IterationLimit)) && options.refactor_interval > 1 {
             self.singular = false;
             self.prob.basis = basis0;
@@ -864,7 +861,7 @@ impl SparseSimplex {
                 refactor_interval: 1,
                 ..*options
             };
-            result = self.two_phase_inner(phase2_cost, &retry);
+            result = self.two_phase_inner(phase2_cost, artificial_cols, &retry);
         }
         if matches!(result, Err(LpError::IterationLimit)) && self.singular {
             bcast_obs::counter_add(bcast_obs::names::LP_SINGULAR_FALLBACK, 1);
@@ -876,15 +873,16 @@ impl SparseSimplex {
     fn two_phase_inner(
         &mut self,
         phase2_cost: &[f64],
+        artificial_cols: &[usize],
         options: &SimplexOptions,
     ) -> Result<usize, LpError> {
         let max_iterations =
             simplex::default_iteration_budget(options, self.prob.m, self.prob.ncols);
         let mut total_iterations = 0usize;
-        if !self.prob.artificial_cols.is_empty() {
-            let art_base = *self.prob.artificial_cols.iter().min().expect("non-empty");
+        if !artificial_cols.is_empty() {
+            let art_base = *artificial_cols.iter().min().expect("non-empty");
             let mut phase1_cost = vec![0.0; self.prob.ncols];
-            for &c in &self.prob.artificial_cols {
+            for &c in artificial_cols {
                 phase1_cost[c] = -1.0;
             }
             let (status, iters) = self.primal(&phase1_cost, options, max_iterations, false);
@@ -930,7 +928,7 @@ impl SparseSimplex {
                     }
                 }
             }
-            for &c in &self.prob.artificial_cols {
+            for &c in artificial_cols {
                 self.prob.allowed[c] = false;
             }
         }
@@ -1008,10 +1006,10 @@ impl SparseSimplex {
 pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
     problem.validate()?;
     let n = problem.num_vars();
-    let prob = assemble_cold(n, problem.constraints());
+    let (prob, artificial_cols) = assemble_cold(n, problem.constraints());
     let cost = simplex::maximization_cost(problem.sense(), problem.objective(), prob.ncols);
     let mut sim = SparseSimplex::new(prob);
-    let iterations = sim.two_phase(&cost, options)?;
+    let iterations = sim.two_phase(&cost, &artificial_cols, options)?;
     let values = sim.extract_values(n);
     let objective = problem.eval_objective(&values);
     Ok(LpSolution {
@@ -1154,12 +1152,12 @@ mod tests {
         let y = lp.add_var("y", 1.0);
         lp.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
         lp.add_le(&[(x, 2.0), (y, 2.0)], 8.0);
-        let mut prob = assemble_cold(lp.num_vars(), lp.constraints());
+        let (mut prob, artificial_cols) = assemble_cold(lp.num_vars(), lp.constraints());
         prob.basis = vec![x.index(), y.index()];
         let cost = simplex::maximization_cost(lp.sense(), lp.objective(), prob.ncols);
         let mut sim = SparseSimplex::new(prob);
         assert_eq!(
-            sim.two_phase(&cost, &SimplexOptions::default()),
+            sim.two_phase(&cost, &artificial_cols, &SimplexOptions::default()),
             Err(LpError::Singular)
         );
     }

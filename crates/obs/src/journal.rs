@@ -79,9 +79,10 @@ pub enum Event {
     LpSolve {
         /// Cold solve or incremental resolve.
         kind: LpSolveKind,
-        /// Constraint rows at solve time.
+        /// Live constraint rows at solve time (deleted rows not counted).
         rows: usize,
-        /// Structural columns at solve time.
+        /// Live structural columns at solve time (deleted columns not
+        /// counted).
         cols: usize,
         /// Simplex pivots this solve performed.
         pivots: u64,

@@ -33,7 +33,7 @@ pub enum SchedError {
         /// Index of the tree that could not be completed.
         tree: usize,
     },
-    /// A synthesized schedule failed validation (internal bug).
+    /// A schedule failed validation, or its snapshot parts are malformed.
     Invalid(String),
     /// A repair was handed a node-churn remap that does not target the
     /// platform (the reason says which count differs).

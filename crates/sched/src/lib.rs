@@ -124,11 +124,24 @@ fn synthesize_schedule_inner(
         return Err(SchedError::UnsupportedModel);
     }
     if platform.node_count() == 1 {
-        return Ok(schedule::trivial(
+        // One slice per period along the empty tree: no transfer, period 0.
+        let m = platform.edge_count();
+        let rounding = RoundedLoads {
+            slices_per_period: 1,
+            multiplicity: vec![0; m],
+            ideal_period: 0.0,
+            loss_bound: 0.0,
+            repairs: 0,
+            dominated: vec![false; m],
+        };
+        return Ok(schedule::assemble(
+            platform,
             source,
             config.model,
             slice_size,
             optimal.throughput,
+            rounding,
+            vec![Vec::new()],
         ));
     }
     if !platform.is_broadcast_feasible(source) {

@@ -37,7 +37,7 @@
 //! never affect the steady-state throughput `B / period`.
 
 use crate::error::SchedError;
-use crate::rounding::RoundedLoads;
+use crate::rounding::{RoundedLoads, MAX_SLICES_PER_PERIOD};
 use bcast_net::{spanning::Arborescence, EdgeId, NodeId};
 use bcast_platform::{CommModel, Platform};
 use serde::{Deserialize, Serialize};
@@ -325,133 +325,119 @@ impl PeriodicSchedule {
         Ok(())
     }
 
-    /// Disassembles the schedule into its plain-data [`ScheduleParts`] —
-    /// the snapshot surface of `bcast-service`. Lossless:
-    /// [`PeriodicSchedule::from_parts`] reassembles an identical schedule.
+    /// Disassembles the schedule into its plain-data [`ScheduleParts`],
+    /// the snapshot surface of `bcast-service`: what the timetable is built
+    /// from, not the timetable. [`PeriodicSchedule::from_parts`] on the
+    /// platform the schedule was assembled on rebuilds it bit for bit.
     pub fn to_parts(&self) -> ScheduleParts {
         ScheduleParts {
             source: self.source.index(),
             model: self.model,
             slice_size: self.slice_size,
-            period: self.period,
             lp_throughput: self.lp_throughput,
-            transfers: self.transfers.clone(),
-            rounds: self.rounds.clone(),
             trees: self.trees.clone(),
-            send_busy: self.send_busy.clone(),
-            recv_busy: self.recv_busy.clone(),
-            max_lag: self.max_lag,
             rounding: self.rounding.clone(),
         }
     }
 
-    /// Reassembles a schedule from [`ScheduleParts`] captured on a platform
-    /// with `platform`'s topology. Every index and length is
-    /// bounds-checked against `platform` first, and every tree must be a
-    /// spanning arborescence rooted at the source, listed parent before
-    /// child: a later repair may keep a tree as it is and re-time it, and
-    /// the timetable's lags need that order. Malformed parts (from a
-    /// truncated or corrupted snapshot) yield [`SchedError::Invalid`],
-    /// never a panic — but the timetable's own invariants are not
-    /// re-proved here; run [`PeriodicSchedule::validate`] for that.
+    /// Rebuilds a schedule from [`ScheduleParts`] by re-assembling its
+    /// timetable on `platform`. The rounds, start times, lags and port busy
+    /// times are a deterministic function of the trees, the rounding and
+    /// the platform, so the parts of a schedule assembled on `platform`
+    /// give that schedule back, bit for bit.
+    ///
+    /// The parts are checked against `platform` first: the source is in
+    /// range, the scalars are finite and the slice size positive, the model
+    /// is one synthesis accepts, both rounding vectors have one entry per
+    /// edge, there is one tree per batch slice (at least one, and at most
+    /// [`MAX_SLICES_PER_PERIOD`], the cap on a batch from outside the
+    /// program), each tree is a spanning arborescence rooted at the source
+    /// listed parent before child, and the trees use no edge beyond its
+    /// multiplicity.
+    /// Parts that fail a check (from a truncated or corrupted snapshot)
+    /// yield [`SchedError::Invalid`], never a panic; parts that pass
+    /// assemble into a schedule that [`PeriodicSchedule::validate`]
+    /// accepts.
     pub fn from_parts(platform: &Platform, parts: &ScheduleParts) -> Result<Self, SchedError> {
-        let n = platform.node_count();
         let m = platform.edge_count();
-        let invalid = |reason: &str| Err(SchedError::Invalid(format!("schedule parts: {reason}")));
-        if parts.source >= n {
-            return invalid("source out of range");
+        let rounding = &parts.rounding;
+        let invalid =
+            |reason: String| Err(SchedError::Invalid(format!("schedule parts: {reason}")));
+        if parts.source >= platform.node_count() {
+            return invalid("source out of range".into());
         }
-        if !parts.slice_size.is_finite()
-            || parts.slice_size <= 0.0
-            || !parts.period.is_finite()
-            || parts.period < 0.0
-            || !parts.lp_throughput.is_finite()
-        {
-            return invalid("non-finite or non-positive scalars");
+        let scalars = [
+            parts.slice_size,
+            parts.lp_throughput,
+            rounding.ideal_period,
+            rounding.loss_bound,
+        ];
+        if scalars.iter().any(|x| !x.is_finite()) || parts.slice_size <= 0.0 {
+            return invalid("non-finite or non-positive scalars".into());
         }
-        if parts.send_busy.len() != n
-            || parts.recv_busy.len() != n
-            || parts.send_busy.iter().any(|b| !b.is_finite())
-            || parts.recv_busy.iter().any(|b| !b.is_finite())
-        {
-            return invalid("port busy vectors do not match the platform");
+        if matches!(parts.model, CommModel::OnePortUnidirectional) {
+            return invalid("synthesis does not support the unidirectional model".into());
         }
-        for t in &parts.transfers {
-            if t.edge.index() >= m {
-                return invalid("transfer edge out of range");
-            }
-            if t.round >= parts.rounds.len() {
-                return invalid("transfer round out of range");
-            }
-            if !t.start.is_finite() || !t.finish.is_finite() {
-                return invalid("non-finite transfer times");
-            }
+        if rounding.multiplicity.len() != m || rounding.dominated.len() != m {
+            return invalid("rounding vectors do not match the platform".into());
         }
-        for round in &parts.rounds {
-            if round.transfers.iter().any(|&t| t >= parts.transfers.len()) {
-                return invalid("round references a missing transfer");
-            }
-            if !round.duration.is_finite() {
-                return invalid("non-finite round duration");
-            }
+        let batch = rounding.slices_per_period;
+        if parts.trees.is_empty() || parts.trees.len() != batch {
+            return invalid(format!(
+                "{} trees for a batch of {batch} slices",
+                parts.trees.len()
+            ));
+        }
+        if batch > MAX_SLICES_PER_PERIOD {
+            return invalid(format!(
+                "a batch of {batch} slices exceeds {MAX_SLICES_PER_PERIOD}"
+            ));
         }
         if let Some(j) = parts
             .trees
             .iter()
             .position(|tree| !spans_in_order(platform, parts.source, tree))
         {
-            return Err(SchedError::Invalid(format!(
-                "schedule parts: tree {j} is not a spanning arborescence listed parent before child"
-            )));
+            return invalid(format!(
+                "tree {j} is not a spanning arborescence listed parent before child"
+            ));
         }
-        if parts.rounding.multiplicity.len() != m || parts.rounding.dominated.len() != m {
-            return invalid("rounding vectors do not match the platform");
+        let mut usage = vec![0u32; m];
+        for &e in parts.trees.iter().flatten() {
+            usage[e.index()] += 1;
         }
-        Ok(PeriodicSchedule {
-            source: NodeId(parts.source as u32),
-            model: parts.model,
-            slice_size: parts.slice_size,
-            period: parts.period,
-            lp_throughput: parts.lp_throughput,
-            transfers: parts.transfers.clone(),
-            rounds: parts.rounds.clone(),
-            trees: parts.trees.clone(),
-            send_busy: parts.send_busy.clone(),
-            recv_busy: parts.recv_busy.clone(),
-            max_lag: parts.max_lag,
-            rounding: parts.rounding.clone(),
-        })
+        if let Some(e) = (0..m).find(|&e| usage[e] > rounding.multiplicity[e]) {
+            return invalid(format!("the trees use edge {e} beyond its multiplicity"));
+        }
+        Ok(assemble(
+            platform,
+            NodeId(parts.source as u32),
+            parts.model,
+            parts.slice_size,
+            parts.lp_throughput,
+            rounding.clone(),
+            parts.trees.clone(),
+        ))
     }
 }
 
-/// The plain-data image of a [`PeriodicSchedule`] — every private field,
-/// flattened for external serialization (the `bcast-service` snapshot
-/// codec). Produced by [`PeriodicSchedule::to_parts`], consumed by
-/// [`PeriodicSchedule::from_parts`].
+/// The plain-data image of a [`PeriodicSchedule`]: what its timetable is
+/// built from, for external serialization (the `bcast-service` snapshot
+/// codec). The timetable itself is not kept; [`PeriodicSchedule::from_parts`]
+/// re-assembles it. Produced by [`PeriodicSchedule::to_parts`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleParts {
     /// Broadcast source node index.
     pub source: usize,
-    /// Port model the timetable was built for.
+    /// Port model the timetable is built for.
     pub model: CommModel,
     /// Slice size the schedule is calibrated for, in bytes.
     pub slice_size: f64,
-    /// Achieved period in seconds.
-    pub period: f64,
     /// LP throughput bound the schedule was synthesized against.
     pub lp_throughput: f64,
-    /// The scheduled transfers of one period.
-    pub transfers: Vec<ScheduledTransfer>,
-    /// The communication rounds (matchings) of one period.
-    pub rounds: Vec<ScheduleRound>,
-    /// `trees[j]` is the spanning arborescence of batch slice `j`.
+    /// `trees[j]` is the spanning arborescence of batch slice `j`, in
+    /// parent-before-child order.
     pub trees: Vec<Vec<EdgeId>>,
-    /// Send-port busy time per node and period, in seconds.
-    pub send_busy: Vec<f64>,
-    /// Receive-port busy time per node and period, in seconds.
-    pub recv_busy: Vec<f64>,
-    /// Largest inter-period lag.
-    pub max_lag: usize,
     /// Rounding statistics (batch size, multiplicities, loss bound).
     pub rounding: RoundedLoads,
 }
@@ -692,33 +678,274 @@ pub(crate) fn assemble(
     }
 }
 
-/// A degenerate schedule for a platform the source spans trivially (one
-/// node): zero period, no transfers.
-pub(crate) fn trivial(
-    source: NodeId,
-    model: CommModel,
-    slice_size: f64,
-    lp_throughput: f64,
-) -> PeriodicSchedule {
-    PeriodicSchedule {
-        source,
-        model,
-        slice_size,
-        period: 0.0,
-        lp_throughput,
-        transfers: Vec::new(),
-        rounds: Vec::new(),
-        trees: vec![Vec::new()],
-        send_busy: vec![0.0],
-        recv_busy: vec![0.0],
-        max_lag: 0,
-        rounding: RoundedLoads {
-            slices_per_period: 1,
-            multiplicity: Vec::new(),
-            ideal_period: 0.0,
-            loss_bound: 0.0,
-            repairs: 0,
-            dominated: Vec::new(),
-        },
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{resynthesize_schedule_churn, synthesize_schedule, SynthesisConfig};
+    use bcast_core::{CutGenOptions, CutGenSession};
+    use bcast_platform::drift::{DriftConfig, DriftTrace};
+    use bcast_platform::generators::gaussian_field::{gaussian_platform, GaussianPlatformConfig};
+    use bcast_platform::generators::random::{random_platform, RandomPlatformConfig};
+    use bcast_platform::generators::tiers::{tiers_platform, TiersConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const SLICE: f64 = 1.0e6;
+
+    /// One base platform of each family.
+    fn platforms(seed: u64) -> Vec<Platform> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        vec![
+            random_platform(&RandomPlatformConfig::paper(12, 0.15), &mut rng),
+            tiers_platform(&TiersConfig::paper(14, 0.10), &mut rng),
+            gaussian_platform(&GaussianPlatformConfig::paper(12), &mut rng),
+        ]
+    }
+
+    /// The schedules of a warm walk along the trace `config` draws from
+    /// `base`, each with the platform it was assembled on and how it was
+    /// made: step 0's synthesis, then one repair per step. A repair that
+    /// kept trees is a drift repair under an identity remap and a churn
+    /// repair otherwise; both grandfather the kept trees' multiplicities.
+    fn walk(
+        base: &Platform,
+        model: CommModel,
+        config: &DriftConfig,
+    ) -> Vec<(Platform, PeriodicSchedule, &'static str)> {
+        let trace = DriftTrace::generate(base, NodeId(0), config);
+        let synthesis = SynthesisConfig {
+            model,
+            ..SynthesisConfig::with_batch(8)
+        };
+        let platform = trace.platform_at(0);
+        let source = trace.source_at(0);
+        let mut session =
+            CutGenSession::new(&platform, source, SLICE, CutGenOptions::default()).unwrap();
+        let optimal = session.solve_step(&platform).unwrap().optimal;
+        let schedule = synthesize_schedule(&platform, source, &optimal, SLICE, &synthesis).unwrap();
+        let mut walked = vec![(platform, schedule, "synthesis")];
+        for step in 1..trace.len() {
+            let platform = trace.platform_at(step);
+            let remap = trace.remap(step - 1, step);
+            let optimal = session.solve_step_churn(&platform, &remap).unwrap().optimal;
+            let previous = &walked.last().expect("step 0 is in").1;
+            let (schedule, report) = resynthesize_schedule_churn(
+                &platform,
+                trace.source_at(step),
+                &optimal,
+                SLICE,
+                &synthesis,
+                previous,
+                &remap,
+            )
+            .unwrap();
+            let kind = match (
+                report.full_rebuild || report.kept_trees == 0,
+                remap.is_identity(),
+            ) {
+                (true, _) => "rebuild",
+                (false, true) => "drift repair",
+                (false, false) => "churn repair",
+            };
+            walked.push((platform, schedule, kind));
+        }
+        walked
+    }
+
+    fn transfer_bits(s: &PeriodicSchedule) -> Vec<(EdgeId, usize, usize, usize, u64, u64)> {
+        s.transfers
+            .iter()
+            .map(|t| {
+                let times = (t.start.to_bits(), t.finish.to_bits());
+                (t.edge, t.slice, t.round, t.lag, times.0, times.1)
+            })
+            .collect()
+    }
+
+    fn round_bits(s: &PeriodicSchedule) -> Vec<(Vec<usize>, u64)> {
+        s.rounds
+            .iter()
+            .map(|r| (r.transfers.clone(), r.duration.to_bits()))
+            .collect()
+    }
+
+    fn float_bits(s: &PeriodicSchedule) -> Vec<u64> {
+        let r = &s.rounding;
+        [
+            s.slice_size,
+            s.period,
+            s.lp_throughput,
+            r.ideal_period,
+            r.loss_bound,
+        ]
+        .iter()
+        .chain(&s.send_busy)
+        .chain(&s.recv_busy)
+        .map(|x| x.to_bits())
+        .collect()
+    }
+
+    /// Asserts that every field of `restored` equals `live`'s, each `f64`
+    /// bit for bit.
+    fn assert_bit_identical(live: &PeriodicSchedule, restored: &PeriodicSchedule, what: &str) {
+        assert_eq!(
+            transfer_bits(live),
+            transfer_bits(restored),
+            "{what}: transfers"
+        );
+        assert_eq!(round_bits(live), round_bits(restored), "{what}: rounds");
+        assert_eq!(
+            float_bits(live),
+            float_bits(restored),
+            "{what}: scalars, busy times"
+        );
+        assert_eq!(live.source, restored.source, "{what}: source");
+        assert_eq!(live.model, restored.model, "{what}: model");
+        assert_eq!(live.max_lag, restored.max_lag, "{what}: max_lag");
+        assert_eq!(live.trees, restored.trees, "{what}: trees");
+        let (a, b) = (&live.rounding, &restored.rounding);
+        assert_eq!(a.slices_per_period, b.slices_per_period, "{what}: batch");
+        assert_eq!(a.multiplicity, b.multiplicity, "{what}: multiplicity");
+        assert_eq!(a.repairs, b.repairs, "{what}: repairs");
+        assert_eq!(a.dominated, b.dominated, "{what}: dominated");
+    }
+
+    /// On all three families and both port models, the parts of a
+    /// synthesized, a drift-repaired and a churn-repaired schedule
+    /// re-assemble, on the platform the schedule was assembled on, into
+    /// the same schedule bit for bit.
+    #[test]
+    fn parts_reassemble_every_field_bit_for_bit() {
+        let mut seen = Vec::new();
+        for (i, base) in platforms(91).iter().enumerate() {
+            for model in [CommModel::OnePort, CommModel::MultiPort] {
+                let base = match model {
+                    CommModel::MultiPort => base.with_multiport_overheads(0.5, SLICE),
+                    _ => base.clone(),
+                };
+                let seed = 300 + i as u64;
+                for config in [
+                    DriftConfig::with_failures(4, seed),
+                    DriftConfig::with_churn(6, seed),
+                ] {
+                    for (step, (platform, live, kind)) in
+                        walk(&base, model, &config).into_iter().enumerate()
+                    {
+                        let restored = PeriodicSchedule::from_parts(&platform, &live.to_parts())
+                            .unwrap_or_else(|e| panic!("family {i} {model:?} step {step}: {e}"));
+                        let what = format!("family {i} {model:?} step {step} ({kind})");
+                        assert_bit_identical(&live, &restored, &what);
+                        seen.push(kind);
+                    }
+                }
+            }
+        }
+        for kind in ["synthesis", "drift repair", "churn repair"] {
+            assert!(seen.contains(&kind), "no {kind} was round-tripped");
+        }
+    }
+
+    /// Applies mutation `kind` to real `parts` over `m` edges and returns
+    /// whether the checks must reject the result. Only a tree edge
+    /// replaced by another in-range id and two swapped trees may pass.
+    fn mutate(parts: &mut ScheduleParts, kind: usize, m: usize, rng: &mut StdRng) -> bool {
+        let b = parts.trees.len();
+        let j = rng.gen_range(0..b);
+        let k = rng.gen_range(0..parts.trees[j].len());
+        match kind {
+            0 => parts.trees[j][k] = EdgeId(rng.gen_range(0..m as u32)),
+            1 => parts.trees[j][k] = EdgeId(rng.gen_range(m as u32..=u32::MAX)),
+            2 => {
+                parts.trees.remove(j);
+            }
+            3 => parts.trees.push(parts.trees[j].clone()),
+            4 => {
+                let delta = rng.gen_range(1..=b);
+                let batch = &mut parts.rounding.slices_per_period;
+                *batch = if rng.gen_bool(0.5) {
+                    b + delta
+                } else {
+                    b - delta
+                };
+            }
+            5 => {
+                let e = parts.trees[j][k];
+                let usage = parts.trees.iter().flatten().filter(|&&f| f == e).count();
+                parts.rounding.multiplicity[e.index()] = usage as u32 - 1;
+            }
+            6 => {
+                let len = rng.gen_range(0..m);
+                if rng.gen_bool(0.5) {
+                    parts.rounding.multiplicity.truncate(len);
+                } else {
+                    parts.rounding.dominated.truncate(len);
+                }
+            }
+            7 => {
+                let value = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+                let r = &mut parts.rounding;
+                let scalars = [
+                    &mut parts.slice_size,
+                    &mut parts.lp_throughput,
+                    &mut r.ideal_period,
+                    &mut r.loss_bound,
+                ];
+                *scalars
+                    .into_iter()
+                    .nth(rng.gen_range(0..4usize))
+                    .expect("in range") = value;
+            }
+            8 => parts.model = CommModel::OnePortUnidirectional,
+            9 => parts.trees.swap(j, rng.gen_range(0..b)),
+            10 => {
+                // A consistent batch one beyond the cap: without the cap
+                // it would assemble (and validate).
+                let batch = MAX_SLICES_PER_PERIOD + 1;
+                parts.trees = parts.trees.iter().cycle().take(batch).cloned().collect();
+                parts.rounding.slices_per_period = batch;
+                parts.rounding.multiplicity.fill(batch as u32);
+            }
+            _ => unreachable!("mutation {kind}"),
+        }
+        !matches!(kind, 0 | 9)
+    }
+
+    /// `from_parts` is total: every mutation of real parts, with a fixed
+    /// seed, is rejected as `SchedError::Invalid` (always, where a check
+    /// covers it) or assembles a schedule that `validate` accepts, and
+    /// none panics. So a restored schedule always validates.
+    #[test]
+    fn mutated_parts_are_rejected_or_assemble_a_valid_schedule() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let (mut rejected, mut accepted) = (0usize, 0usize);
+        for (i, base) in platforms(93).iter().enumerate() {
+            let config = DriftConfig::with_churn(4, 40 + i as u64);
+            for (platform, schedule, kind) in walk(base, CommModel::OnePort, &config) {
+                let parts = schedule.to_parts();
+                for mutation in 0..11 {
+                    for _ in 0..4 {
+                        let mut bad = parts.clone();
+                        let must_reject =
+                            mutate(&mut bad, mutation, platform.edge_count(), &mut rng);
+                        let what = format!("family {i} {kind}, mutation {mutation}");
+                        match PeriodicSchedule::from_parts(&platform, &bad) {
+                            Err(SchedError::Invalid(_)) => rejected += 1,
+                            Err(other) => panic!("{what}: unexpected error {other:?}"),
+                            Ok(_) if must_reject => panic!("{what}: accepted"),
+                            Ok(restored) => {
+                                if let Err(e) = restored.validate(&platform) {
+                                    panic!("{what}: assembled an invalid schedule: {e}");
+                                }
+                                accepted += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            rejected > 0 && accepted > 0,
+            "{rejected} rejected, {accepted} accepted"
+        );
     }
 }

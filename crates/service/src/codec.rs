@@ -7,6 +7,13 @@
 //! on-disk encoding lives here, next to the only consumer. All `f64`s
 //! travel as IEEE-754 bit patterns, so a round trip is bit-exact.
 //!
+//! Each snapshot type holds what its owner rebuilds from, nothing it can
+//! derive: a master LP is its stored rows plus a basis layout (the basis,
+//! the enterable flags, and each row's slack and artificial), a cut its
+//! node side, and a schedule the trees and rounding its timetable is
+//! assembled from. The rounds, start times, lags and port busy times are
+//! not encoded; `PeriodicSchedule::from_parts` re-assembles them.
+//!
 //! Decoders are *total* — corrupt bytes produce [`WireError`], never a
 //! panic — but deliberately shallow: structural validation (index ranges,
 //! length agreement, finiteness) is the job of the owning crates'
@@ -20,7 +27,7 @@ use bcast_lp::{
 };
 use bcast_net::EdgeId;
 use bcast_platform::CommModel;
-use bcast_sched::{RoundedLoads, ScheduleParts, ScheduleRound, ScheduledTransfer};
+use bcast_sched::{RoundedLoads, ScheduleParts};
 
 // ---- small enums -------------------------------------------------------
 
@@ -108,10 +115,8 @@ fn put_fact(w: &mut Writer, f: &FactSnapshot) {
     w.put_usize(f.cols);
     w.put_seq(&f.basis, |w, &b| w.put_usize(b));
     w.put_seq(&f.allowed, |w, &a| w.put_bool(a));
-    w.put_seq(&f.artificial_cols, |w, &a| w.put_usize(a));
     w.put_seq(&f.slack_col, |w, s| w.put_opt_usize(s));
     w.put_seq(&f.art_col, |w, a| w.put_opt_usize(a));
-    w.put_seq(&f.row_of, |w, p| w.put_opt_usize(p));
 }
 
 fn get_fact(r: &mut Reader) -> Result<FactSnapshot, WireError> {
@@ -119,10 +124,8 @@ fn get_fact(r: &mut Reader) -> Result<FactSnapshot, WireError> {
         cols: r.get_usize()?,
         basis: r.get_seq(8, |r| r.get_usize())?,
         allowed: r.get_seq(1, |r| r.get_bool())?,
-        artificial_cols: r.get_seq(8, |r| r.get_usize())?,
         slack_col: r.get_seq(1, |r| r.get_opt_usize())?,
         art_col: r.get_seq(1, |r| r.get_opt_usize())?,
-        row_of: r.get_seq(1, |r| r.get_opt_usize())?,
     })
 }
 
@@ -282,26 +285,6 @@ pub fn get_session_snapshot(r: &mut Reader) -> Result<SessionSnapshot, WireError
 
 // ---- bcast-sched: ScheduleParts ----------------------------------------
 
-fn put_transfer(w: &mut Writer, t: &ScheduledTransfer) {
-    w.put_u32(t.edge.0);
-    w.put_usize(t.slice);
-    w.put_usize(t.round);
-    w.put_usize(t.lag);
-    w.put_f64(t.start);
-    w.put_f64(t.finish);
-}
-
-fn get_transfer(r: &mut Reader) -> Result<ScheduledTransfer, WireError> {
-    Ok(ScheduledTransfer {
-        edge: EdgeId(r.get_u32()?),
-        slice: r.get_usize()?,
-        round: r.get_usize()?,
-        lag: r.get_usize()?,
-        start: r.get_f64()?,
-        finish: r.get_f64()?,
-    })
-}
-
 fn put_rounding(w: &mut Writer, rl: &RoundedLoads) {
     w.put_usize(rl.slices_per_period);
     w.put_seq(&rl.multiplicity, |w, &m| w.put_u32(m));
@@ -327,17 +310,8 @@ pub fn put_schedule_parts(w: &mut Writer, p: &ScheduleParts) {
     w.put_usize(p.source);
     put_model(w, p.model);
     w.put_f64(p.slice_size);
-    w.put_f64(p.period);
     w.put_f64(p.lp_throughput);
-    w.put_seq(&p.transfers, put_transfer);
-    w.put_seq(&p.rounds, |w, round| {
-        w.put_seq(&round.transfers, |w, &t| w.put_usize(t));
-        w.put_f64(round.duration);
-    });
     w.put_seq(&p.trees, |w, tree| w.put_seq(tree, |w, &e| w.put_u32(e.0)));
-    w.put_seq(&p.send_busy, |w, &b| w.put_f64(b));
-    w.put_seq(&p.recv_busy, |w, &b| w.put_f64(b));
-    w.put_usize(p.max_lag);
     put_rounding(w, &p.rounding);
 }
 
@@ -347,19 +321,8 @@ pub fn get_schedule_parts(r: &mut Reader) -> Result<ScheduleParts, WireError> {
         source: r.get_usize()?,
         model: get_model(r)?,
         slice_size: r.get_f64()?,
-        period: r.get_f64()?,
         lp_throughput: r.get_f64()?,
-        transfers: r.get_seq(44, get_transfer)?,
-        rounds: r.get_seq(16, |r| {
-            Ok(ScheduleRound {
-                transfers: r.get_seq(8, |r| r.get_usize())?,
-                duration: r.get_f64()?,
-            })
-        })?,
         trees: r.get_seq(8, |r| r.get_seq(4, |r| Ok(EdgeId(r.get_u32()?))))?,
-        send_busy: r.get_seq(8, |r| r.get_f64())?,
-        recv_busy: r.get_seq(8, |r| r.get_f64())?,
-        max_lag: r.get_usize()?,
         rounding: get_rounding(r)?,
     })
 }

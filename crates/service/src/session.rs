@@ -88,7 +88,9 @@ pub struct SessionImage {
     pub steps_done: usize,
     /// Captured cut-generation state.
     pub solver: SessionSnapshot,
-    /// Current schedule, if a step has produced one.
+    /// The parts of the current schedule, if a step has produced one:
+    /// its trees and rounding, from which restore re-assembles the
+    /// timetable.
     pub schedule: Option<ScheduleParts>,
     /// Per-step statistics so far.
     pub log: Vec<StepStats>,
@@ -157,8 +159,10 @@ impl Session {
 
     /// Rebuilds a session from its snapshot image: regenerate the trace
     /// from the spec, restore the solver onto the platform of the step the
-    /// image was taken at, reassemble the schedule. Malformed images fail
-    /// with the owning crate's validation error, never a panic.
+    /// image was taken at, and re-assemble the schedule's timetable on that
+    /// same platform, which gives the live schedule back bit for bit.
+    /// Malformed images fail with the owning crate's validation error,
+    /// never a panic.
     pub fn restore(image: &SessionImage) -> Result<Session, ServiceError> {
         if let Some(reason) = image.spec.rejection() {
             return Err(ServiceError::Corrupt(format!(

@@ -39,9 +39,14 @@ const SNAP_MAGIC: &[u8; 4] = b"BSNP";
 /// as an empty slot (the per-row liveness flags, the row groups and their
 /// operators went, and the base group count became a base row count), and
 /// drops each `CutSnapshot`'s crossing edges, which restore recomputes
-/// from the cut's node side. Older files are rejected as corrupt and
-/// recovery replays the WAL instead.
-const SNAP_VERSION: u32 = 5;
+/// from the cut's node side; version 6 stores a schedule as the parts its
+/// timetable is assembled from (source, model, slice size, LP bound, trees
+/// and rounding), dropping the period, transfers, rounds, port busy times
+/// and largest lag, which restore re-assembles, and drops each
+/// `FactSnapshot`'s artificial-column list and row positions (a row's
+/// position is its rank among the live rows). Older files are rejected as
+/// corrupt and recovery replays the WAL instead.
+const SNAP_VERSION: u32 = 6;
 
 /// Everything a snapshot file holds.
 #[derive(Clone, Debug, PartialEq)]

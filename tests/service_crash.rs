@@ -598,10 +598,10 @@ fn out_of_range_specs_are_rejected_live_and_on_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot written by the previous format (version field 4, which still
-/// encoded the row groups of the master LP and each cut's crossing edges)
-/// is rejected as `Corrupt` with the version message — the version sits
-/// outside the checksummed payload, so nothing else trips — recovery says
+/// A snapshot written by the previous format (version field 5, which still
+/// encoded each schedule's whole timetable) is rejected as `Corrupt` with
+/// the version message — the version sits outside the checksummed
+/// payload, so nothing else trips — recovery says
 /// so, and it replays the whole WAL to the same per-step logs as the
 /// uninterrupted run.
 #[test]
@@ -619,18 +619,18 @@ fn old_snapshot_version_is_rejected_and_replayed() {
     }
     let snap = dir.join("snapshot.bin");
     let mut bytes = std::fs::read(&snap).expect("snapshot written");
-    bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
     std::fs::write(&snap, &bytes).expect("rewrite snapshot");
     match bcast_service::snapshot::decode_snapshot(&bytes) {
         Err(ServiceError::Corrupt(message)) => {
-            assert_eq!(message, "snapshot version 4 (expected 5)")
+            assert_eq!(message, "snapshot version 5 (expected 6)")
         }
-        other => panic!("a version-4 snapshot must be rejected as corrupt: {other:?}"),
+        other => panic!("a version-5 snapshot must be rejected as corrupt: {other:?}"),
     }
     let service = Service::open(&dir, FaultPlan::none()).expect("old snapshot not fatal");
     assert_eq!(
         service.recovery().snapshot_rejected.as_deref(),
-        Some("corrupt artifact: snapshot version 4 (expected 5)"),
+        Some("corrupt artifact: snapshot version 5 (expected 6)"),
         "old version detected"
     );
     assert!(!service.recovery().snapshot_restored);
@@ -642,13 +642,18 @@ fn old_snapshot_version_is_rejected_and_replayed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot whose checksum is valid but whose first schedule tree was
-/// rewritten by `rewrite` is refused by `PeriodicSchedule::from_parts`,
-/// recovery says why, and the WAL replay continues to the uninterrupted
-/// run's log. Restored, such a tree would be kept as it is by the next
-/// drift step's repair and re-timed, which the timetable cannot do for a
-/// tree that is not a spanning arborescence listed parent before child.
-fn malformed_tree_is_rejected_and_replayed(tag: &str, rewrite: fn(&mut Vec<EdgeId>)) {
+/// A snapshot whose checksum is valid but whose schedule trees were
+/// rewritten by `rewrite` is refused by `PeriodicSchedule::from_parts` for
+/// `reason`, recovery says so, and the WAL replay continues to the
+/// uninterrupted run's log. Restore re-assembles the timetable from the
+/// trees, which it cannot do for a tree that is not a spanning
+/// arborescence listed parent before child or for a tree count other than
+/// the batch size.
+fn malformed_tree_is_rejected_and_replayed(
+    tag: &str,
+    rewrite: fn(&mut Vec<Vec<EdgeId>>),
+    reason: &str,
+) {
     let name = "trees";
     let spec = SessionSpec {
         family: PlatformFamily::Tiers {
@@ -687,15 +692,14 @@ fn malformed_tree_is_rejected_and_replayed(tag: &str, rewrite: fn(&mut Vec<EdgeI
         .expect("snapshot readable")
         .expect("snapshot written");
     let parts = image.sessions[0].1.schedule.as_mut().expect("a schedule");
-    rewrite(&mut parts.trees[0]);
+    rewrite(&mut parts.trees);
     std::fs::write(&snap, encode_snapshot(&image)).expect("rewrite snapshot");
     let mut service = Service::open(&dir, FaultPlan::none()).expect("a bad tree is not fatal");
     assert_eq!(
-        service.recovery().snapshot_rejected.as_deref(),
-        Some(
-            "schedule failure: invalid schedule: schedule parts: \
-             tree 0 is not a spanning arborescence listed parent before child"
-        ),
+        service.recovery().snapshot_rejected,
+        Some(format!(
+            "schedule failure: invalid schedule: schedule parts: {reason}"
+        )),
         "{tag}: the tree check fired"
     );
     assert!(!service.recovery().snapshot_restored);
@@ -709,17 +713,29 @@ fn malformed_tree_is_rejected_and_replayed(tag: &str, rewrite: fn(&mut Vec<EdgeI
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+const NOT_IN_ORDER: &str = "tree 0 is not a spanning arborescence listed parent before child";
+
 #[test]
 fn snapshot_tree_with_a_repeated_edge_is_rejected() {
-    malformed_tree_is_rejected_and_replayed("tree-repeated-edge", |tree| {
+    let rewrite = |trees: &mut Vec<Vec<EdgeId>>| {
+        let tree = &mut trees[0];
         let last = tree.len() - 1;
         tree[last] = tree[0];
-    });
+    };
+    malformed_tree_is_rejected_and_replayed("tree-repeated-edge", rewrite, NOT_IN_ORDER);
 }
 
 #[test]
 fn snapshot_tree_listed_children_first_is_rejected() {
-    malformed_tree_is_rejected_and_replayed("tree-children-first", |tree| tree.reverse());
+    let rewrite = |trees: &mut Vec<Vec<EdgeId>>| trees[0].reverse();
+    malformed_tree_is_rejected_and_replayed("tree-children-first", rewrite, NOT_IN_ORDER);
+}
+
+#[test]
+fn snapshot_with_one_tree_too_many_is_rejected() {
+    let rewrite = |trees: &mut Vec<Vec<EdgeId>>| trees.push(trees[0].clone());
+    let reason = "9 trees for a batch of 8 slices";
+    malformed_tree_is_rejected_and_replayed("tree-one-too-many", rewrite, reason);
 }
 
 /// A torn or bit-flipped WAL tail loses at most the damaged suffix: the
