@@ -262,7 +262,7 @@ fn schedule_resolution(args: &ExperimentArgs) {
             )
             .unwrap();
             rel.push(schedule.efficiency());
-            rounds.push(schedule.rounds().len() as f64);
+            rounds.push(schedule.rounds(&platform).len() as f64);
             bound = bound.max(schedule.rounding().loss_bound);
         }
         let (mean, dev) = mean_and_deviation(&rel);

@@ -133,7 +133,7 @@ fn run_instance(
             best_label,
             sched_rel,
             batch,
-            rounds: schedule.rounds().len(),
+            rounds: schedule.rounds(platform).len(),
             max_lag: schedule.max_lag(),
             lp_rounds: optimal.iterations,
             lp_pivots: optimal.simplex_iterations,

@@ -18,17 +18,21 @@
 //!    `B` spanning arborescences (Edmonds' theorem, constructive à la
 //!    Lovász): batch slice `j` travels along tree `j`, so every processor
 //!    receives every slice exactly once per period.
-//! 3. **Schedule** ([`schedule`]) — peel the period's transfers into
-//!    one-port-feasible communication rounds (greedy Birkhoff–von-Neumann
-//!    matchings by decreasing duration; a multi-port variant only
-//!    serialises the sender overheads), timetable them without barriers,
-//!    and assign inter-period lags so causality holds.
+//! 3. **Schedule** ([`schedule`]) — sort the period's transfers by
+//!    decreasing duration, timetable them without barriers (a list
+//!    scheduler that starts the transfer on the most loaded ports first; a
+//!    multi-port variant only serialises the sender overheads), and assign
+//!    inter-period lags so causality holds.
 //!
-//! The result is a [`PeriodicSchedule`]: rounds, per-transfer start
-//! offsets, achieved period, and per-node port utilisation. `bcast-sim`
-//! replays it (`simulate_schedule`) so the synthesized schedule's simulated
-//! throughput can be checked against the LP bound — the `table_sched`
-//! experiment does exactly that against the single-tree heuristics.
+//! The result is a [`PeriodicSchedule`]: the parts it was assembled from
+//! (trees and rounding), per-transfer start offsets and lags, and the
+//! achieved period. Its one-port communication rounds (greedy
+//! Birkhoff–von-Neumann matchings of the sorted transfers), per-node port
+//! utilisation and pipeline depth are computed from the timetable when
+//! asked. `bcast-sim` replays it (`simulate_schedule`) so the synthesized
+//! schedule's simulated throughput can be checked against the LP bound —
+//! the `table_sched` experiment does exactly that against the single-tree
+//! heuristics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +45,7 @@ pub mod schedule;
 pub use error::SchedError;
 pub use packing::pack_arborescences;
 pub use rounding::{round_loads, RoundedLoads, MAX_SLICES_PER_PERIOD};
-pub use schedule::{PeriodicSchedule, ScheduleParts, ScheduleRound, ScheduledTransfer};
+pub use schedule::{PeriodicSchedule, ScheduleParts, ScheduledTransfer};
 
 use bcast_core::{BroadcastStructure, OptimalThroughput};
 use bcast_net::{EdgeId, NodeId};
@@ -123,7 +127,7 @@ fn synthesize_schedule_inner(
     if matches!(config.model, CommModel::OnePortUnidirectional) {
         return Err(SchedError::UnsupportedModel);
     }
-    if platform.node_count() == 1 {
+    let (rounding, trees) = if platform.node_count() == 1 {
         // One slice per period along the empty tree: no transfer, period 0.
         let m = platform.edge_count();
         let rounding = RoundedLoads {
@@ -134,41 +138,37 @@ fn synthesize_schedule_inner(
             repairs: 0,
             dominated: vec![false; m],
         };
-        return Ok(schedule::assemble(
+        (rounding, vec![Vec::new()])
+    } else {
+        if !platform.is_broadcast_feasible(source) {
+            return Err(SchedError::Unreachable { source });
+        }
+        let rounded = round_loads(
             platform,
             source,
-            config.model,
-            slice_size,
+            &optimal.edge_load,
             optimal.throughput,
-            rounding,
-            vec![Vec::new()],
-        ));
-    }
-    if !platform.is_broadcast_feasible(source) {
-        return Err(SchedError::Unreachable { source });
-    }
-    let rounded = round_loads(
-        platform,
-        source,
-        &optimal.edge_load,
-        optimal.throughput,
-        slice_size,
-        config.batch,
-    )?;
-    let trees = pack_arborescences(
-        platform,
-        source,
-        &rounded.multiplicity,
-        rounded.slices_per_period,
-    )?;
+            slice_size,
+            config.batch,
+        )?;
+        let trees = pack_arborescences(
+            platform,
+            source,
+            &rounded.multiplicity,
+            rounded.slices_per_period,
+        )?;
+        (rounded, trees)
+    };
     let schedule = schedule::assemble(
         platform,
-        source,
-        config.model,
-        slice_size,
-        optimal.throughput,
-        rounded,
-        trees,
+        ScheduleParts {
+            source: source.index(),
+            model: config.model,
+            slice_size,
+            lp_throughput: optimal.throughput,
+            trees,
+            rounding,
+        },
     );
     debug_assert!(schedule.validate(platform).is_ok());
     Ok(schedule)
@@ -228,12 +228,14 @@ pub fn synthesize_schedule_with_tree_fallback(
         };
         let candidate = schedule::assemble(
             platform,
-            source,
-            config.model,
-            slice_size,
-            optimal.throughput,
-            rounding,
-            vec![edges],
+            ScheduleParts {
+                source: source.index(),
+                model: config.model,
+                slice_size,
+                lp_throughput: optimal.throughput,
+                trees: vec![edges],
+                rounding,
+            },
         );
         debug_assert!(candidate.validate(platform).is_ok());
         if candidate.throughput() > best.throughput() {
@@ -524,12 +526,14 @@ fn repair(
     // 3. Re-time the period against the new costs.
     let schedule = schedule::assemble(
         platform,
-        source,
-        config.model,
-        slice_size,
-        optimal.throughput,
-        rounded,
-        trees,
+        ScheduleParts {
+            source: source.index(),
+            model: config.model,
+            slice_size,
+            lp_throughput: optimal.throughput,
+            trees,
+            rounding: rounded,
+        },
     );
     debug_assert!(schedule.validate(platform).is_ok());
     // Quality gate: a repair below REPAIR_EFFICIENCY_FLOOR of the LP bound
@@ -766,7 +770,7 @@ mod tests {
         assert!(schedule.efficiency() <= 1.0 + 1e-9, "beats the LP bound");
         // Port utilisation is a fraction.
         for u in platform.nodes() {
-            let (s, r) = schedule.port_utilisation(u);
+            let (s, r) = schedule.port_utilisation(&platform, u);
             assert!((0.0..=1.0 + 1e-9).contains(&s));
             assert!((0.0..=1.0 + 1e-9).contains(&r));
         }

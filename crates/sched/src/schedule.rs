@@ -1,36 +1,36 @@
-//! The [`PeriodicSchedule`] artifact: one-port-feasible communication
-//! rounds, per-transfer start times within the period, and inter-period
-//! lags.
+//! The [`PeriodicSchedule`] artifact: the trees of one period, their
+//! barrier-free timetable (per-transfer start times within the period),
+//! and inter-period lags.
 //!
-//! ## From trees to rounds
+//! ## From trees to a timetable
 //!
 //! The packing stage assigns every batch slice `j ∈ 0..B` its own spanning
 //! arborescence; the multiset of `(slice, edge)` pairs is the work of one
-//! period. Viewing each node as a send port and a receive port, a set of
-//! transfers can run concurrently under the one-port model exactly when it
-//! is a **matching** of the bipartite send×receive multigraph — no node
-//! sends twice, no node receives twice. The decomposition below is the
-//! Birkhoff–von-Neumann-style greedy: transfers sorted by decreasing link
-//! occupation are peeled off into maximal matchings, so each round groups
-//! transfers of similar duration and the barrier loss stays small.
+//! period. The assembler sorts it by decreasing link occupation (ties by
+//! edge, then slice) and times it with an event-driven list scheduler:
+//! whenever a port frees, the pending transfer whose ports carry the most
+//! remaining work starts first (critical-resource-first, which keeps the
+//! bottleneck port dense). Under the one-port model both ports stay busy
+//! for the link occupation; under the multi-port variant only the sender
+//! *overhead* occupies the send port while the receiver is engaged for the
+//! full occupation. The achieved period is the latest port completion time.
 //!
-//! ## From rounds to a timetable
+//! ## Rounds, on request
 //!
-//! Rounds are the combinatorial decomposition; executing them with barriers
-//! would charge every transfer the longest duration of its round. The
-//! timetable therefore re-times the same transfer multiset with an
-//! event-driven list scheduler: whenever a port frees, the pending transfer
-//! whose ports carry the most remaining work starts first
-//! (critical-resource-first, which keeps the bottleneck port dense). Under
-//! the one-port model both ports stay busy for the link occupation; under
-//! the multi-port variant only the sender *overhead* occupies the send port
-//! while the receiver is engaged for the full occupation. The achieved
-//! period is the latest port completion time.
+//! Viewing each node as a send port and a receive port, a set of transfers
+//! can run concurrently under the one-port model exactly when it is a
+//! **matching** of the bipartite send×receive multigraph — no node sends
+//! twice, no node receives twice. [`PeriodicSchedule::rounds`] peels the
+//! sorted transfers into maximal matchings (the Birkhoff–von-Neumann-style
+//! greedy), so each round groups transfers of similar duration. The rounds
+//! are a decomposition computed when asked: nothing executes them, and the
+//! timetable never reads them, because running rounds with barriers would
+//! charge every transfer the longest duration of its round.
 //!
 //! ## Lags
 //!
 //! A relay must hold a slice before forwarding it. Rather than constraining
-//! the round order, every transfer gets a **lag** `ℓ`: in period `p` it
+//! the transfer order, every transfer gets a **lag** `ℓ`: in period `p` it
 //! carries the slice of batch `p − ℓ`. A child transfer scheduled no
 //! earlier than its parent's arrival inherits the parent's lag; otherwise
 //! it forwards the previous batch (`ℓ + 1`). Lags add pipeline latency but
@@ -38,7 +38,7 @@
 
 use crate::error::SchedError;
 use crate::rounding::{RoundedLoads, MAX_SLICES_PER_PERIOD};
-use bcast_net::{spanning::Arborescence, EdgeId, NodeId};
+use bcast_net::{EdgeId, NodeId};
 use bcast_platform::{CommModel, Platform};
 use serde::{Deserialize, Serialize};
 
@@ -53,8 +53,6 @@ pub struct ScheduledTransfer {
     /// Batch slice index in `0..slices_per_period` (= the tree the slice
     /// follows).
     pub slice: usize,
-    /// Communication round the transfer belongs to.
-    pub round: usize,
     /// Inter-period lag: in period `p` the transfer carries the slice of
     /// batch `p − lag` (it idles while `p < lag`).
     pub lag: usize,
@@ -64,56 +62,39 @@ pub struct ScheduledTransfer {
     pub finish: f64,
 }
 
-/// One communication round: a send/receive matching of the platform.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ScheduleRound {
-    /// Indices into [`PeriodicSchedule::transfers`].
-    pub transfers: Vec<usize>,
-    /// Longest link occupation in the round, in seconds.
-    pub duration: f64,
-}
-
 /// A periodic steady-state broadcast schedule realising the LP edge loads.
 ///
 /// Every period of [`PeriodicSchedule::period`] seconds, the source injects
 /// [`PeriodicSchedule::slices_per_period`] fresh slices and every processor
 /// receives every slice exactly once (slice `j` travels along spanning
-/// arborescence `j`). The schedule is an explicit timetable: each transfer
-/// has a round, a start offset, and an inter-period lag.
+/// arborescence `j`). The schedule is its [`ScheduleParts`] plus an
+/// explicit timetable: each transfer has a start offset and an
+/// inter-period lag. The matching rounds, the port utilisation and the
+/// largest lag are computed from the timetable when asked.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PeriodicSchedule {
-    source: NodeId,
-    model: CommModel,
-    slice_size: f64,
-    period: f64,
-    lp_throughput: f64,
+    /// What the timetable was assembled from.
+    parts: ScheduleParts,
+    /// One period's transfers, longest link occupation first (ties by
+    /// edge, then slice).
     transfers: Vec<ScheduledTransfer>,
-    rounds: Vec<ScheduleRound>,
-    /// `trees[j]` is the spanning arborescence of batch slice `j`, in
-    /// parent-before-child order.
-    trees: Vec<Vec<EdgeId>>,
-    /// Send-port busy time per node and period, in seconds.
-    send_busy: Vec<f64>,
-    /// Receive-port busy time per node and period, in seconds.
-    recv_busy: Vec<f64>,
-    max_lag: usize,
-    rounding: RoundedLoads,
+    period: f64,
 }
 
 impl PeriodicSchedule {
     /// The broadcast source.
     pub fn source(&self) -> NodeId {
-        self.source
+        NodeId(self.parts.source as u32)
     }
 
     /// The port model the timetable was built for.
     pub fn model(&self) -> CommModel {
-        self.model
+        self.parts.model
     }
 
     /// Slice size the schedule is calibrated for, in bytes.
     pub fn slice_size(&self) -> f64 {
-        self.slice_size
+        self.parts.slice_size
     }
 
     /// Achieved period in seconds (0 for a single-node platform).
@@ -123,13 +104,13 @@ impl PeriodicSchedule {
 
     /// Slices broadcast per period (the batch size `B`).
     pub fn slices_per_period(&self) -> usize {
-        self.rounding.slices_per_period
+        self.parts.rounding.slices_per_period
     }
 
     /// Steady-state throughput of the schedule, in slices per time unit.
     pub fn throughput(&self) -> f64 {
         if self.period > 0.0 {
-            self.rounding.slices_per_period as f64 / self.period
+            self.slices_per_period() as f64 / self.period
         } else {
             f64::INFINITY
         }
@@ -137,126 +118,126 @@ impl PeriodicSchedule {
 
     /// The LP optimal throughput the schedule was synthesized from.
     pub fn lp_throughput(&self) -> f64 {
-        self.lp_throughput
+        self.parts.lp_throughput
     }
 
     /// `throughput / lp_throughput`: 1 means the schedule realises the LP
-    /// bound exactly; rounding and round-packing keep it slightly below.
+    /// bound exactly; rounding and the timetable keep it slightly below.
     pub fn efficiency(&self) -> f64 {
-        if self.lp_throughput > 0.0 && self.lp_throughput.is_finite() {
-            self.throughput() / self.lp_throughput
+        let lp = self.parts.lp_throughput;
+        if lp > 0.0 && lp.is_finite() {
+            self.throughput() / lp
         } else {
             1.0
         }
     }
 
-    /// The scheduled transfers of one period.
+    /// The scheduled transfers of one period, longest link occupation
+    /// first (ties by edge, then slice).
     pub fn transfers(&self) -> &[ScheduledTransfer] {
         &self.transfers
     }
 
-    /// The communication rounds (matchings) of one period.
-    pub fn rounds(&self) -> &[ScheduleRound] {
-        &self.rounds
+    /// The communication rounds of one period, computed on each call: the
+    /// transfers, in their stored order, peeled greedily into maximal
+    /// send/receive matchings of `platform`, the platform the schedule was
+    /// assembled on. `rounds[r]` lists round `r`'s indices into
+    /// [`PeriodicSchedule::transfers`] in increasing order.
+    pub fn rounds(&self, platform: &Platform) -> Vec<Vec<usize>> {
+        let n = platform.node_count();
+        let mut placed = vec![false; self.transfers.len()];
+        let mut left = self.transfers.len();
+        let mut rounds = Vec::new();
+        while left > 0 {
+            let mut send_used = vec![false; n];
+            let mut recv_used = vec![false; n];
+            let mut round = Vec::new();
+            for (i, t) in self.transfers.iter().enumerate() {
+                let (u, v) = platform.graph().endpoints(t.edge);
+                if placed[i] || send_used[u.index()] || recv_used[v.index()] {
+                    continue;
+                }
+                placed[i] = true;
+                send_used[u.index()] = true;
+                recv_used[v.index()] = true;
+                round.push(i);
+            }
+            left -= round.len();
+            rounds.push(round);
+        }
+        rounds
     }
 
     /// The spanning arborescence followed by batch slice `j`.
     pub fn trees(&self) -> &[Vec<EdgeId>] {
-        &self.trees
+        &self.parts.trees
     }
 
     /// Largest inter-period lag — the pipeline depth in periods.
     pub fn max_lag(&self) -> usize {
-        self.max_lag
+        self.transfers.iter().map(|t| t.lag).max().unwrap_or(0)
     }
 
     /// Rounding statistics (batch size, loss bound, repairs).
     pub fn rounding(&self) -> &RoundedLoads {
-        &self.rounding
+        &self.parts.rounding
     }
 
-    /// Send- and receive-port utilisation of `node` (busy fraction of the
+    /// Send- and receive-port utilisation of `node` on `platform`, the
+    /// platform the schedule was assembled on (busy fraction of the
     /// period; 0 when the period is 0).
-    pub fn port_utilisation(&self, node: NodeId) -> (f64, f64) {
-        if self.period > 0.0 {
-            (
-                self.send_busy[node.index()] / self.period,
-                self.recv_busy[node.index()] / self.period,
-            )
-        } else {
-            (0.0, 0.0)
+    pub fn port_utilisation(&self, platform: &Platform, node: NodeId) -> (f64, f64) {
+        if self.period <= 0.0 {
+            return (0.0, 0.0);
         }
+        let (slice_size, model) = (self.parts.slice_size, self.parts.model);
+        let (mut send, mut recv) = (0.0f64, 0.0f64);
+        for t in &self.transfers {
+            let (u, v) = platform.graph().endpoints(t.edge);
+            if u == node {
+                send += sender_occupation(platform, t.edge, slice_size, model);
+            }
+            if v == node {
+                recv += platform.link_time(t.edge, slice_size);
+            }
+        }
+        (send / self.period, recv / self.period)
     }
 
     /// Exhaustively re-checks the schedule against `platform`:
     ///
-    /// 1. every tree is a spanning arborescence rooted at the source,
-    /// 2. every round is a send/receive matching (one-port feasibility),
+    /// 1. the parts pass the checks of [`PeriodicSchedule::from_parts`]
+    ///    (all but its cap on the batch): among them, every tree is a
+    ///    spanning arborescence rooted at the source, listed parent before
+    ///    child, and the trees use no edge beyond its rounded multiplicity,
+    /// 2. the transfers are the trees' edges, one per slice and tree edge,
+    ///    each lasting its link occupation,
     /// 3. port busy intervals never overlap within a period,
     /// 4. transfers stay inside `[0, period]` (so periods never collide),
-    /// 5. lags respect causality (a slice arrives before it is forwarded),
-    /// 6. edge usage stays within the rounded multiplicities.
+    /// 5. lags respect causality (a slice arrives before it is forwarded).
     pub fn validate(&self, platform: &Platform) -> Result<(), SchedError> {
+        check_parts(platform, &self.parts)?;
         let n = platform.node_count();
+        let m = platform.edge_count();
+        let (slice_size, trees) = (self.parts.slice_size, &self.parts.trees);
         let invalid = |reason: String| Err(SchedError::Invalid(reason));
-        if n <= 1 {
-            return Ok(());
-        }
-        // 1. Trees span, and the transfer list matches them exactly.
-        if self.trees.len() != self.slices_per_period() {
-            return invalid("tree count differs from the batch size".into());
-        }
-        for (j, tree) in self.trees.iter().enumerate() {
-            if Arborescence::from_edges(platform.graph(), self.source, tree).is_err() {
-                return invalid(format!("tree {j} is not a spanning arborescence"));
-            }
-        }
+        // 2. As many transfers as tree edges; step 5 finds one for each.
         if self.transfers.len() != self.slices_per_period() * (n - 1) {
             return invalid("transfer count differs from B·(n−1)".into());
-        }
-        // 2. Rounds partition the transfers into matchings.
-        let mut seen = vec![false; self.transfers.len()];
-        for (r, round) in self.rounds.iter().enumerate() {
-            let mut sends = vec![false; n];
-            let mut recvs = vec![false; n];
-            for &t in &round.transfers {
-                let transfer = &self.transfers[t];
-                if transfer.round != r {
-                    return invalid(format!("transfer {t} disagrees with its round index"));
-                }
-                if seen[t] {
-                    return invalid(format!("transfer {t} appears in two rounds"));
-                }
-                seen[t] = true;
-                let u = platform.graph().src(transfer.edge);
-                let v = platform.graph().dst(transfer.edge);
-                if sends[u.index()] {
-                    return invalid(format!("round {r}: node {u} sends twice"));
-                }
-                if recvs[v.index()] {
-                    return invalid(format!("round {r}: node {v} receives twice"));
-                }
-                sends[u.index()] = true;
-                recvs[v.index()] = true;
-            }
-        }
-        if seen.iter().any(|&s| !s) {
-            return invalid("some transfer belongs to no round".into());
         }
         // 3.–4. Port intervals disjoint and inside the period.
         let mut send_intervals: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n];
         let mut recv_intervals: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n];
         for t in &self.transfers {
-            let u = platform.graph().src(t.edge);
-            let v = platform.graph().dst(t.edge);
-            let link = platform.link_time(t.edge, self.slice_size);
+            let (u, v) = platform.graph().endpoints(t.edge);
+            let link = platform.link_time(t.edge, slice_size);
             if (t.finish - t.start - link).abs() > TIME_TOL * link.max(1.0) {
                 return invalid(format!("transfer on {:?} has a wrong duration", t.edge));
             }
             if t.start < -TIME_TOL || t.finish > self.period + TIME_TOL {
                 return invalid(format!("transfer on {:?} leaves the period", t.edge));
             }
-            let send_hold = sender_occupation(platform, t.edge, self.slice_size, self.model);
+            let send_hold = sender_occupation(platform, t.edge, slice_size, self.parts.model);
             send_intervals[u.index()].push((t.start, t.start + send_hold));
             recv_intervals[v.index()].push((t.start, t.finish));
         }
@@ -272,54 +253,34 @@ impl PeriodicSchedule {
         }
         // 5. Causality through the trees. Flat slice×edge index for O(1)
         // lookups (the linear-scan alternative is quadratic in transfers).
-        let m = platform.edge_count();
-        let mut transfer_index = vec![usize::MAX; m * self.trees.len().max(1)];
+        let mut transfer_index = vec![usize::MAX; m * trees.len()];
         for (i, t) in self.transfers.iter().enumerate() {
-            if t.slice >= self.trees.len() || t.edge.index() >= m {
-                return invalid(format!("transfer {i} references an unknown slice or edge"));
+            if t.slice >= trees.len() {
+                return invalid(format!("transfer {i} references an unknown slice"));
             }
             transfer_index[t.slice * m + t.edge.index()] = i;
         }
         let by_slice_edge = |slice: usize, edge: EdgeId| {
             let i = transfer_index[slice * m + edge.index()];
-            if i == usize::MAX {
-                None
-            } else {
-                Some(&self.transfers[i])
-            }
+            (i != usize::MAX).then(|| &self.transfers[i])
         };
-        for (j, tree) in self.trees.iter().enumerate() {
-            let mut parent_edge: Vec<Option<EdgeId>> = vec![None; n];
+        for (j, tree) in trees.iter().enumerate() {
+            // Listed parent before child, so a relay's incoming transfer is
+            // known before its outgoing ones; the source holds every batch.
+            let mut incoming: Vec<Option<&ScheduledTransfer>> = vec![None; n];
             for &e in tree {
-                parent_edge[platform.graph().dst(e).index()] = Some(e);
-            }
-            for &e in tree {
-                let u = platform.graph().src(e);
+                let (u, v) = platform.graph().endpoints(e);
                 let Some(child) = by_slice_edge(j, e) else {
                     return invalid(format!("missing transfer for slice {j} on {e:?}"));
                 };
-                if u == self.source {
-                    continue;
+                if let Some(parent) = incoming[u.index()] {
+                    let arrival = parent.lag as f64 * self.period + parent.finish;
+                    let departure = child.lag as f64 * self.period + child.start;
+                    if departure + TIME_TOL < arrival {
+                        return invalid(format!("slice {j} forwarded from {u} before it arrives"));
+                    }
                 }
-                let Some(pe) = parent_edge[u.index()] else {
-                    return invalid(format!("tree {j}: node {u} has no parent"));
-                };
-                let parent = by_slice_edge(j, pe).expect("checked above");
-                let arrival = parent.lag as f64 * self.period + parent.finish;
-                let departure = child.lag as f64 * self.period + child.start;
-                if departure + TIME_TOL < arrival {
-                    return invalid(format!("slice {j} forwarded from {u} before it arrives"));
-                }
-            }
-        }
-        // 6. Edge usage within the rounded multiplicities.
-        let mut usage = vec![0u32; platform.edge_count()];
-        for t in &self.transfers {
-            usage[t.edge.index()] += 1;
-        }
-        for (e, &u) in usage.iter().enumerate() {
-            if u > self.rounding.multiplicity[e] {
-                return invalid(format!("edge {e} used beyond its multiplicity"));
+                incoming[v.index()] = Some(child);
             }
         }
         Ok(())
@@ -330,94 +291,37 @@ impl PeriodicSchedule {
     /// from, not the timetable. [`PeriodicSchedule::from_parts`] on the
     /// platform the schedule was assembled on rebuilds it bit for bit.
     pub fn to_parts(&self) -> ScheduleParts {
-        ScheduleParts {
-            source: self.source.index(),
-            model: self.model,
-            slice_size: self.slice_size,
-            lp_throughput: self.lp_throughput,
-            trees: self.trees.clone(),
-            rounding: self.rounding.clone(),
-        }
+        self.parts.clone()
     }
 
     /// Rebuilds a schedule from [`ScheduleParts`] by re-assembling its
-    /// timetable on `platform`. The rounds, start times, lags and port busy
-    /// times are a deterministic function of the trees, the rounding and
-    /// the platform, so the parts of a schedule assembled on `platform`
-    /// give that schedule back, bit for bit.
+    /// timetable on `platform`. The start times and lags are a
+    /// deterministic function of the trees, the rounding and the platform,
+    /// so the parts of a schedule assembled on `platform` give that
+    /// schedule back, bit for bit.
     ///
-    /// The parts are checked against `platform` first: the source is in
-    /// range, the scalars are finite and the slice size positive, the model
-    /// is one synthesis accepts, both rounding vectors have one entry per
-    /// edge, there is one tree per batch slice (at least one, and at most
+    /// The parts are checked against `platform` first: the batch is at most
     /// [`MAX_SLICES_PER_PERIOD`], the cap on a batch from outside the
-    /// program), each tree is a spanning arborescence rooted at the source
-    /// listed parent before child, and the trees use no edge beyond its
-    /// multiplicity.
+    /// program; the source is in range; the scalars are finite (except an
+    /// LP throughput of +∞, cut generation's bound on a one-node platform)
+    /// and the slice size positive; the model is one synthesis accepts;
+    /// both rounding vectors have one entry per edge; there is one tree per
+    /// batch slice, and at least one; each tree is a spanning arborescence
+    /// rooted at the source listed parent before child; and the trees use
+    /// no edge beyond its multiplicity.
     /// Parts that fail a check (from a truncated or corrupted snapshot)
     /// yield [`SchedError::Invalid`], never a panic; parts that pass
     /// assemble into a schedule that [`PeriodicSchedule::validate`]
     /// accepts.
     pub fn from_parts(platform: &Platform, parts: &ScheduleParts) -> Result<Self, SchedError> {
-        let m = platform.edge_count();
-        let rounding = &parts.rounding;
-        let invalid =
-            |reason: String| Err(SchedError::Invalid(format!("schedule parts: {reason}")));
-        if parts.source >= platform.node_count() {
-            return invalid("source out of range".into());
-        }
-        let scalars = [
-            parts.slice_size,
-            parts.lp_throughput,
-            rounding.ideal_period,
-            rounding.loss_bound,
-        ];
-        if scalars.iter().any(|x| !x.is_finite()) || parts.slice_size <= 0.0 {
-            return invalid("non-finite or non-positive scalars".into());
-        }
-        if matches!(parts.model, CommModel::OnePortUnidirectional) {
-            return invalid("synthesis does not support the unidirectional model".into());
-        }
-        if rounding.multiplicity.len() != m || rounding.dominated.len() != m {
-            return invalid("rounding vectors do not match the platform".into());
-        }
-        let batch = rounding.slices_per_period;
-        if parts.trees.is_empty() || parts.trees.len() != batch {
-            return invalid(format!(
-                "{} trees for a batch of {batch} slices",
-                parts.trees.len()
-            ));
-        }
+        let batch = parts.rounding.slices_per_period;
         if batch > MAX_SLICES_PER_PERIOD {
-            return invalid(format!(
-                "a batch of {batch} slices exceeds {MAX_SLICES_PER_PERIOD}"
-            ));
+            return Err(SchedError::Invalid(format!(
+                "schedule parts: a batch of {batch} slices exceeds {MAX_SLICES_PER_PERIOD}"
+            )));
         }
-        if let Some(j) = parts
-            .trees
-            .iter()
-            .position(|tree| !spans_in_order(platform, parts.source, tree))
-        {
-            return invalid(format!(
-                "tree {j} is not a spanning arborescence listed parent before child"
-            ));
-        }
-        let mut usage = vec![0u32; m];
-        for &e in parts.trees.iter().flatten() {
-            usage[e.index()] += 1;
-        }
-        if let Some(e) = (0..m).find(|&e| usage[e] > rounding.multiplicity[e]) {
-            return invalid(format!("the trees use edge {e} beyond its multiplicity"));
-        }
-        Ok(assemble(
-            platform,
-            NodeId(parts.source as u32),
-            parts.model,
-            parts.slice_size,
-            parts.lp_throughput,
-            rounding.clone(),
-            parts.trees.clone(),
-        ))
+        check_parts(platform, parts)?;
+        Ok(assemble(platform, parts.clone()))
     }
 }
 
@@ -440,6 +344,55 @@ pub struct ScheduleParts {
     pub trees: Vec<Vec<EdgeId>>,
     /// Rounding statistics (batch size, multiplicities, loss bound).
     pub rounding: RoundedLoads,
+}
+
+/// The checks of [`PeriodicSchedule::from_parts`] but its batch cap, which
+/// [`PeriodicSchedule::validate`] shares: `round_loads` takes any batch it
+/// is given, so a schedule that synthesis built must keep validating.
+fn check_parts(platform: &Platform, parts: &ScheduleParts) -> Result<(), SchedError> {
+    let m = platform.edge_count();
+    let rounding = &parts.rounding;
+    let invalid = |reason: String| Err(SchedError::Invalid(format!("schedule parts: {reason}")));
+    if parts.source >= platform.node_count() {
+        return invalid("source out of range".into());
+    }
+    // Cut generation bounds a one-node platform's throughput by +∞.
+    let lp = parts.lp_throughput;
+    let lp_ok = lp.is_finite() || (lp == f64::INFINITY && platform.node_count() == 1);
+    let scalars = [parts.slice_size, rounding.ideal_period, rounding.loss_bound];
+    if !lp_ok || scalars.iter().any(|x| !x.is_finite()) || parts.slice_size <= 0.0 {
+        return invalid("non-finite or non-positive scalars".into());
+    }
+    if matches!(parts.model, CommModel::OnePortUnidirectional) {
+        return invalid("synthesis does not support the unidirectional model".into());
+    }
+    if rounding.multiplicity.len() != m || rounding.dominated.len() != m {
+        return invalid("rounding vectors do not match the platform".into());
+    }
+    let batch = rounding.slices_per_period;
+    if parts.trees.is_empty() || parts.trees.len() != batch {
+        return invalid(format!(
+            "{} trees for a batch of {batch} slices",
+            parts.trees.len()
+        ));
+    }
+    if let Some(j) = parts
+        .trees
+        .iter()
+        .position(|tree| !spans_in_order(platform, parts.source, tree))
+    {
+        return invalid(format!(
+            "tree {j} is not a spanning arborescence listed parent before child"
+        ));
+    }
+    let mut usage = vec![0u32; m];
+    for &e in parts.trees.iter().flatten() {
+        usage[e.index()] += 1;
+    }
+    if let Some(e) = (0..m).find(|&e| usage[e] > rounding.multiplicity[e]) {
+        return invalid(format!("the trees use edge {e} beyond its multiplicity"));
+    }
+    Ok(())
 }
 
 /// True when `tree` reaches every node of `platform` from `source` with
@@ -472,20 +425,14 @@ pub(crate) fn sender_occupation(
     }
 }
 
-/// Assembles the full schedule from the packed trees: greedy matching
-/// rounds, the barrier-free timetable, and the causality lags.
-pub(crate) fn assemble(
-    platform: &Platform,
-    source: NodeId,
-    model: CommModel,
-    slice_size: f64,
-    lp_throughput: f64,
-    rounding: RoundedLoads,
-    trees: Vec<Vec<EdgeId>>,
-) -> PeriodicSchedule {
+/// Assembles the schedule of `parts` on `platform`: the barrier-free
+/// timetable and the causality lags. Every tree must be listed parent
+/// before child.
+pub(crate) fn assemble(platform: &Platform, parts: ScheduleParts) -> PeriodicSchedule {
     let _span = bcast_obs::span!(bcast_obs::names::SPAN_SCHED_ASSEMBLE);
     let n = platform.node_count();
     let graph = platform.graph();
+    let (slice_size, model, trees) = (parts.slice_size, parts.model, &parts.trees);
 
     // All transfers of one period, longest link occupation first (ties by
     // edge then slice index for determinism).
@@ -504,35 +451,11 @@ pub(crate) fn assemble(
             .then_with(|| a.0.cmp(&b.0))
     });
 
-    // Greedy maximal matchings over the remaining transfers.
-    let mut round_of: Vec<usize> = vec![usize::MAX; order.len()];
-    let mut assigned = 0usize;
-    let mut rounds_count = 0usize;
-    while assigned < order.len() {
-        let mut send_used = vec![false; n];
-        let mut recv_used = vec![false; n];
-        for (i, &(_, e)) in order.iter().enumerate() {
-            if round_of[i] != usize::MAX {
-                continue;
-            }
-            let u = graph.src(e).index();
-            let v = graph.dst(e).index();
-            if send_used[u] || recv_used[v] {
-                continue;
-            }
-            send_used[u] = true;
-            recv_used[v] = true;
-            round_of[i] = rounds_count;
-            assigned += 1;
-        }
-        rounds_count += 1;
-    }
-
-    // Event-driven list timetable over the same transfer multiset: whenever
-    // ports free up, start the pending transfer whose two ports carry the
-    // most remaining work (critical-resource-first). This keeps the
-    // bottleneck port dense where a round-ordered timetable would let it
-    // idle behind unrelated long transfers.
+    // Event-driven list timetable: whenever ports free up, start the
+    // pending transfer whose two ports carry the most remaining work
+    // (critical-resource-first). This keeps the bottleneck port dense where
+    // a round-ordered timetable would let it idle behind unrelated long
+    // transfers.
     let mut send_free = vec![0.0f64; n];
     let mut recv_free = vec![0.0f64; n];
     let mut remaining_send = vec![0.0f64; n];
@@ -597,28 +520,20 @@ pub(crate) fn assemble(
         scheduled[i] = Some((start, start + link));
         left -= 1;
     }
-    let mut transfers: Vec<ScheduledTransfer> = Vec::with_capacity(order.len());
-    let mut rounds: Vec<ScheduleRound> = (0..rounds_count)
-        .map(|_| ScheduleRound {
-            transfers: Vec::new(),
-            duration: 0.0,
+    let mut transfers: Vec<ScheduledTransfer> = order
+        .iter()
+        .zip(&scheduled)
+        .map(|(&(slice, edge), times)| {
+            let (start, finish) = times.expect("all transfers scheduled");
+            ScheduledTransfer {
+                edge,
+                slice,
+                lag: 0,
+                start,
+                finish,
+            }
         })
         .collect();
-    for (i, &(j, e)) in order.iter().enumerate() {
-        let (start, finish) = scheduled[i].expect("all transfers scheduled");
-        let r = round_of[i];
-        let index = transfers.len();
-        transfers.push(ScheduledTransfer {
-            edge: e,
-            slice: j,
-            round: r,
-            lag: 0,
-            start,
-            finish,
-        });
-        rounds[r].transfers.push(index);
-        rounds[r].duration = rounds[r].duration.max(platform.link_time(e, slice_size));
-    }
     let period = send_free
         .iter()
         .chain(recv_free.iter())
@@ -629,7 +544,6 @@ pub(crate) fn assemble(
     for (i, t) in transfers.iter().enumerate() {
         index_of[t.slice * platform.edge_count() + t.edge.index()] = i;
     }
-    let mut max_lag = 0usize;
     for (j, tree) in trees.iter().enumerate() {
         let mut parent_transfer: Vec<Option<usize>> = vec![None; n];
         for &e in tree {
@@ -647,34 +561,14 @@ pub(crate) fn assemble(
                 }
             };
             transfers[child].lag = lag;
-            max_lag = max_lag.max(lag);
             parent_transfer[graph.dst(e).index()] = Some(child);
         }
     }
 
-    // Port busy totals.
-    let mut send_busy = vec![0.0f64; n];
-    let mut recv_busy = vec![0.0f64; n];
-    for t in &transfers {
-        let u = graph.src(t.edge).index();
-        let v = graph.dst(t.edge).index();
-        send_busy[u] += sender_occupation(platform, t.edge, slice_size, model);
-        recv_busy[v] += platform.link_time(t.edge, slice_size);
-    }
-
     PeriodicSchedule {
-        source,
-        model,
-        slice_size,
-        period,
-        lp_throughput,
+        parts,
         transfers,
-        rounds,
-        trees,
-        send_busy,
-        recv_busy,
-        max_lag,
-        rounding,
+        period,
     }
 }
 
@@ -752,72 +646,80 @@ mod tests {
         walked
     }
 
-    fn transfer_bits(s: &PeriodicSchedule) -> Vec<(EdgeId, usize, usize, usize, u64, u64)> {
+    fn transfer_bits(s: &PeriodicSchedule) -> Vec<(EdgeId, usize, usize, u64, u64)> {
         s.transfers
             .iter()
             .map(|t| {
                 let times = (t.start.to_bits(), t.finish.to_bits());
-                (t.edge, t.slice, t.round, t.lag, times.0, times.1)
+                (t.edge, t.slice, t.lag, times.0, times.1)
             })
             .collect()
     }
 
-    fn round_bits(s: &PeriodicSchedule) -> Vec<(Vec<usize>, u64)> {
-        s.rounds
-            .iter()
-            .map(|r| (r.transfers.clone(), r.duration.to_bits()))
-            .collect()
-    }
-
-    fn float_bits(s: &PeriodicSchedule) -> Vec<u64> {
-        let r = &s.rounding;
+    fn float_bits(platform: &Platform, s: &PeriodicSchedule) -> Vec<u64> {
+        let (p, r) = (&s.parts, &s.parts.rounding);
+        let utilisation = platform.nodes().flat_map(|u| {
+            let (send, recv) = s.port_utilisation(platform, u);
+            [send, recv]
+        });
         [
-            s.slice_size,
+            p.slice_size,
             s.period,
-            s.lp_throughput,
+            p.lp_throughput,
             r.ideal_period,
             r.loss_bound,
         ]
-        .iter()
-        .chain(&s.send_busy)
-        .chain(&s.recv_busy)
-        .map(|x| x.to_bits())
+        .into_iter()
+        .chain(utilisation)
+        .map(f64::to_bits)
         .collect()
     }
 
-    /// Asserts that every field of `restored` equals `live`'s, each `f64`
-    /// bit for bit.
-    fn assert_bit_identical(live: &PeriodicSchedule, restored: &PeriodicSchedule, what: &str) {
+    /// Asserts that every field of `restored` equals `live`'s, and so does
+    /// everything computed from them on `platform`, each `f64` bit for bit.
+    fn assert_bit_identical(
+        platform: &Platform,
+        live: &PeriodicSchedule,
+        restored: &PeriodicSchedule,
+        what: &str,
+    ) {
         assert_eq!(
             transfer_bits(live),
             transfer_bits(restored),
             "{what}: transfers"
         );
-        assert_eq!(round_bits(live), round_bits(restored), "{what}: rounds");
         assert_eq!(
-            float_bits(live),
-            float_bits(restored),
-            "{what}: scalars, busy times"
+            live.rounds(platform),
+            restored.rounds(platform),
+            "{what}: rounds"
         );
-        assert_eq!(live.source, restored.source, "{what}: source");
-        assert_eq!(live.model, restored.model, "{what}: model");
-        assert_eq!(live.max_lag, restored.max_lag, "{what}: max_lag");
-        assert_eq!(live.trees, restored.trees, "{what}: trees");
-        let (a, b) = (&live.rounding, &restored.rounding);
-        assert_eq!(a.slices_per_period, b.slices_per_period, "{what}: batch");
-        assert_eq!(a.multiplicity, b.multiplicity, "{what}: multiplicity");
-        assert_eq!(a.repairs, b.repairs, "{what}: repairs");
-        assert_eq!(a.dominated, b.dominated, "{what}: dominated");
+        assert_eq!(
+            float_bits(platform, live),
+            float_bits(platform, restored),
+            "{what}: scalars, port utilisation"
+        );
+        assert_eq!(live.max_lag(), restored.max_lag(), "{what}: max_lag");
+        assert_eq!(live.parts, restored.parts, "{what}: parts");
     }
 
-    /// On all three families and both port models, the parts of a
-    /// synthesized, a drift-repaired and a churn-repaired schedule
-    /// re-assemble, on the platform the schedule was assembled on, into
-    /// the same schedule bit for bit.
+    /// On all three families, on one-node platforms of two of them, and
+    /// under both port models, the parts of a synthesized, a drift-repaired
+    /// and a churn-repaired schedule re-assemble, on the platform the
+    /// schedule was assembled on, into the same schedule bit for bit.
     #[test]
     fn parts_reassemble_every_field_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(92);
+        let mut bases = platforms(91);
+        bases.push(random_platform(
+            &RandomPlatformConfig::paper(1, 0.15),
+            &mut rng,
+        ));
+        bases.push(gaussian_platform(
+            &GaussianPlatformConfig::paper(1),
+            &mut rng,
+        ));
         let mut seen = Vec::new();
-        for (i, base) in platforms(91).iter().enumerate() {
+        for (i, base) in bases.iter().enumerate() {
             for model in [CommModel::OnePort, CommModel::MultiPort] {
                 let base = match model {
                     CommModel::MultiPort => base.with_multiport_overheads(0.5, SLICE),
@@ -834,7 +736,7 @@ mod tests {
                         let restored = PeriodicSchedule::from_parts(&platform, &live.to_parts())
                             .unwrap_or_else(|e| panic!("family {i} {model:?} step {step}: {e}"));
                         let what = format!("family {i} {model:?} step {step} ({kind})");
-                        assert_bit_identical(&live, &restored, &what);
+                        assert_bit_identical(&platform, &live, &restored, &what);
                         seen.push(kind);
                     }
                 }

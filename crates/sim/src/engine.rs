@@ -22,34 +22,10 @@ use bcast_platform::{CommModel, MessageSpec, Platform};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Configuration of one simulation run.
-#[derive(Clone, Copy, Debug)]
-pub struct SimulationConfig {
-    /// Port model under which ports are occupied.
-    pub model: CommModel,
-    /// Safety cap on processed events (guards against bugs in the structure;
-    /// the default is plenty for every realistic run).
-    pub max_events: usize,
-}
-
-impl Default for SimulationConfig {
-    fn default() -> Self {
-        SimulationConfig {
-            model: CommModel::OnePort,
-            max_events: 50_000_000,
-        }
-    }
-}
-
-impl SimulationConfig {
-    /// Convenience constructor for a given port model.
-    pub fn new(model: CommModel) -> Self {
-        SimulationConfig {
-            model,
-            ..SimulationConfig::default()
-        }
-    }
-}
+/// Safety cap on processed events: a structure that spans the platform
+/// finishes far below it in every realistic run, so reaching it means the
+/// simulation stopped making progress.
+const MAX_EVENTS: usize = 50_000_000;
 
 /// A queued simulation event.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -117,18 +93,18 @@ impl SenderState {
 }
 
 /// Simulates the pipelined broadcast of `spec` from `structure.source()`
-/// along `structure`, and reports completion times and steady-state
-/// estimates.
+/// along `structure`, with ports occupied under `model`, and reports
+/// completion times and steady-state estimates.
 ///
 /// # Panics
 /// Panics if the structure's slice transfers cannot all complete within
-/// `config.max_events` events (which would indicate an internal bug — the
-/// structure is validated to span the platform at construction time).
+/// 50,000,000 events (which would indicate an internal bug — the structure
+/// is validated to span the platform at construction time).
 pub fn simulate_broadcast(
     platform: &Platform,
     structure: &BroadcastStructure,
     spec: &MessageSpec,
-    config: &SimulationConfig,
+    model: CommModel,
 ) -> SimulationReport {
     let n = platform.node_count();
     let slices = spec.slice_count();
@@ -220,7 +196,7 @@ pub fn simulate_broadcast(
         // Start the transfer.
         let slice_len = spec.slice_len(slice);
         let link_time = platform.link_time(edge, slice_len);
-        let sender_busy = match_sender_busy(platform, edge, slice_len, link_time, config.model);
+        let sender_busy = match_sender_busy(platform, edge, slice_len, link_time, model);
         senders[u.index()].next += 1;
         senders[u.index()].port_free_at = now + sender_busy;
         recv_free_at[dst.index()] = now + link_time;
@@ -242,9 +218,8 @@ pub fn simulate_broadcast(
     while let Some(event) = queue.pop() {
         events += 1;
         assert!(
-            events <= config.max_events,
-            "simulation exceeded {} events — structure does not make progress",
-            config.max_events
+            events <= MAX_EVENTS,
+            "simulation exceeded {MAX_EVENTS} events — structure does not make progress"
         );
         now = event.time;
         match event.kind {
@@ -374,12 +349,7 @@ mod tests {
     fn single_slice_matches_sta_makespan() {
         for (platform, tree) in [chain(), star()] {
             let spec = MessageSpec::atomic(1.0);
-            let report = simulate_broadcast(
-                &platform,
-                &tree,
-                &spec,
-                &SimulationConfig::new(CommModel::OnePort),
-            );
+            let report = simulate_broadcast(&platform, &tree, &spec, CommModel::OnePort);
             let expected = sta_makespan(&platform, &tree, 1.0).unwrap();
             assert!(
                 (report.makespan - expected).abs() < 1e-9,
@@ -394,12 +364,7 @@ mod tests {
     fn steady_state_period_matches_analytic_formula_chain() {
         let (platform, tree) = chain();
         let spec = MessageSpec::new(200.0, 1.0);
-        let report = simulate_broadcast(
-            &platform,
-            &tree,
-            &spec,
-            &SimulationConfig::new(CommModel::OnePort),
-        );
+        let report = simulate_broadcast(&platform, &tree, &spec, CommModel::OnePort);
         let analytic = steady_state_period(&platform, &tree, CommModel::OnePort, 1.0);
         assert!(
             (report.estimated_period() - analytic).abs() < 1e-6,
@@ -413,12 +378,7 @@ mod tests {
     fn steady_state_period_matches_analytic_formula_star() {
         let (platform, tree) = star();
         let spec = MessageSpec::new(200.0, 1.0);
-        let report = simulate_broadcast(
-            &platform,
-            &tree,
-            &spec,
-            &SimulationConfig::new(CommModel::OnePort),
-        );
+        let report = simulate_broadcast(&platform, &tree, &spec, CommModel::OnePort);
         let analytic = steady_state_period(&platform, &tree, CommModel::OnePort, 1.0);
         assert!(
             (report.estimated_period() - analytic).abs() < 1e-6,
@@ -433,18 +393,8 @@ mod tests {
         let (platform, tree) = star();
         let platform = platform.with_multiport_overheads(0.5, 1.0);
         let spec = MessageSpec::new(100.0, 1.0);
-        let one = simulate_broadcast(
-            &platform,
-            &tree,
-            &spec,
-            &SimulationConfig::new(CommModel::OnePort),
-        );
-        let multi = simulate_broadcast(
-            &platform,
-            &tree,
-            &spec,
-            &SimulationConfig::new(CommModel::MultiPort),
-        );
+        let one = simulate_broadcast(&platform, &tree, &spec, CommModel::OnePort);
+        let multi = simulate_broadcast(&platform, &tree, &spec, CommModel::MultiPort);
         assert!(multi.makespan < one.makespan);
         assert!(multi.estimated_period() <= one.estimated_period() + 1e-12);
     }
@@ -452,10 +402,13 @@ mod tests {
     #[test]
     fn makespan_grows_linearly_with_slices() {
         let (platform, tree) = chain();
-        let cfg = SimulationConfig::new(CommModel::OnePort);
-        let m10 = simulate_broadcast(&platform, &tree, &MessageSpec::new(10.0, 1.0), &cfg).makespan;
-        let m20 = simulate_broadcast(&platform, &tree, &MessageSpec::new(20.0, 1.0), &cfg).makespan;
-        let m30 = simulate_broadcast(&platform, &tree, &MessageSpec::new(30.0, 1.0), &cfg).makespan;
+        let model = CommModel::OnePort;
+        let m10 =
+            simulate_broadcast(&platform, &tree, &MessageSpec::new(10.0, 1.0), model).makespan;
+        let m20 =
+            simulate_broadcast(&platform, &tree, &MessageSpec::new(20.0, 1.0), model).makespan;
+        let m30 =
+            simulate_broadcast(&platform, &tree, &MessageSpec::new(30.0, 1.0), model).makespan;
         let d1 = m20 - m10;
         let d2 = m30 - m20;
         assert!((d1 - d2).abs() < 1e-9, "non-linear growth: {d1} vs {d2}");
@@ -471,7 +424,7 @@ mod tests {
             &platform,
             &tree,
             &MessageSpec::new(10.0, 1.0),
-            &SimulationConfig::default(),
+            CommModel::OnePort,
         );
         assert_eq!(report.makespan, 0.0);
         assert_eq!(report.transfers, 0);
@@ -481,12 +434,7 @@ mod tests {
     fn all_nodes_receive_all_slices() {
         let (platform, tree) = star();
         let spec = MessageSpec::new(50.0, 1.0);
-        let report = simulate_broadcast(
-            &platform,
-            &tree,
-            &spec,
-            &SimulationConfig::new(CommModel::OnePort),
-        );
+        let report = simulate_broadcast(&platform, &tree, &spec, CommModel::OnePort);
         assert_eq!(report.slices, 50);
         assert!(report.slice_completion.iter().all(|t| t.is_finite()));
         assert!(report.node_completion.iter().all(|t| t.is_finite()));

@@ -29,6 +29,6 @@ pub mod engine;
 pub mod report;
 pub mod schedule_exec;
 
-pub use engine::{simulate_broadcast, SimulationConfig};
+pub use engine::simulate_broadcast;
 pub use report::SimulationReport;
 pub use schedule_exec::simulate_schedule;

@@ -4,8 +4,11 @@
 //! output) by emergent event order. A [`PeriodicSchedule`] is the opposite
 //! kind of object — an explicit timetable — so its execution mode is a
 //! *checked replay*: the schedule is first re-validated against the platform
-//! (port matchings, interval disjointness, causality lags, spanning trees;
-//! see [`PeriodicSchedule::validate`]), then unrolled period by period:
+//! (spanning trees and multiplicities, one transfer per tree edge, port
+//! interval disjointness, causality lags; see
+//! [`PeriodicSchedule::validate`]), then unrolled period by period. The
+//! replay reads each transfer's finish time and lag; the schedule's
+//! matching rounds play no part:
 //!
 //! * in period `p`, the transfer `t` carries slice `(p − t.lag)·B + t.slice`
 //!   and completes at `p·P + t.finish`;

@@ -86,12 +86,7 @@ fn main() {
             .expect("heuristic succeeds");
         let spec = MessageSpec::new(100.0e6, slice);
         let bandwidth = steady_state_bandwidth(&platform, &structure, CommModel::OnePort, &spec);
-        let report = simulate_broadcast(
-            &platform,
-            &structure,
-            &spec,
-            &SimulationConfig::new(CommModel::OnePort),
-        );
+        let report = simulate_broadcast(&platform, &structure, &spec, CommModel::OnePort);
         println!(
             "{:<24} {:>14.1} {:>9.1}% {:>14.3}",
             kind.label(),

@@ -71,12 +71,7 @@ fn main() {
     );
     for &slice_mb in &[0.125f64, 0.5, 1.0, 4.0, 16.0, 64.0, 200.0] {
         let spec = MessageSpec::new(200.0e6, slice_mb * 1.0e6);
-        let report = simulate_broadcast(
-            &one_port,
-            &tree,
-            &spec,
-            &SimulationConfig::new(CommModel::OnePort),
-        );
+        let report = simulate_broadcast(&one_port, &tree, &spec, CommModel::OnePort);
         println!(
             "{:>12.3} {:>10} {:>16.3}",
             slice_mb,

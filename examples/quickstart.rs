@@ -66,12 +66,7 @@ fn main() {
     )
     .unwrap();
     let spec = MessageSpec::new(100.0e6, slice); // 100 MB message in 1 MB slices
-    let report = simulate_broadcast(
-        &platform,
-        &tree,
-        &spec,
-        &SimulationConfig::new(CommModel::OnePort),
-    );
+    let report = simulate_broadcast(&platform, &tree, &spec, CommModel::OnePort);
     println!(
         "\nsimulated broadcast of 100 MB: makespan {:.3} s, steady-state {:.2} slices/s \
          (analytic {:.2})",

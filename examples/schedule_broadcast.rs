@@ -70,7 +70,7 @@ fn main() {
         "\nsynthesized schedule: {} slices per period of {:.4} s ({} rounds, pipeline depth {} periods)",
         schedule.slices_per_period(),
         schedule.period(),
-        schedule.rounds().len(),
+        schedule.rounds(&platform).len(),
         schedule.max_lag()
     );
     println!(
@@ -81,12 +81,12 @@ fn main() {
     let busiest = platform
         .nodes()
         .max_by(|&a, &b| {
-            let (sa, _) = schedule.port_utilisation(a);
-            let (sb, _) = schedule.port_utilisation(b);
+            let (sa, _) = schedule.port_utilisation(&platform, a);
+            let (sb, _) = schedule.port_utilisation(&platform, b);
             sa.partial_cmp(&sb).unwrap()
         })
         .unwrap();
-    let (send_util, recv_util) = schedule.port_utilisation(busiest);
+    let (send_util, recv_util) = schedule.port_utilisation(&platform, busiest);
     println!(
         "busiest port: {busiest} sends {:.0}% / receives {:.0}% of every period",
         100.0 * send_util,

@@ -77,7 +77,5 @@ pub mod prelude {
         synthesize_schedule_with_tree_fallback, PeriodicSchedule, RepairReport, SchedError,
         SynthesisConfig, MAX_SLICES_PER_PERIOD,
     };
-    pub use bcast_sim::{
-        simulate_broadcast, simulate_schedule, SimulationConfig, SimulationReport,
-    };
+    pub use bcast_sim::{simulate_broadcast, simulate_schedule, SimulationReport};
 }

@@ -147,14 +147,14 @@ fn schedule_synthesis_matches_its_golden_digest() {
     println!(
         "observed: period {:.9}, rounds {}, max_lag {}, transfers {}, tree0 {:?}",
         schedule.period(),
-        schedule.rounds().len(),
+        schedule.rounds(&platform).len(),
         schedule.max_lag(),
         schedule.transfers().len(),
         first_tree,
     );
     assert_eq!(schedule.slices_per_period(), 16);
     assert_eq!(schedule.transfers().len(), 16 * 11);
-    assert_eq!(schedule.rounds().len(), GOLDEN_SCHED_ROUNDS);
+    assert_eq!(schedule.rounds(&platform).len(), GOLDEN_SCHED_ROUNDS);
     assert_eq!(schedule.max_lag(), GOLDEN_SCHED_MAX_LAG);
     assert!(
         (schedule.period() - GOLDEN_SCHED_PERIOD).abs() <= 1e-6 * GOLDEN_SCHED_PERIOD,
@@ -675,14 +675,7 @@ fn simulation_reports_are_deterministic() {
     )
     .unwrap();
     let spec = MessageSpec::new(50.0 * SLICE, SLICE);
-    let run = || {
-        simulate_broadcast(
-            &platform,
-            &tree,
-            &spec,
-            &SimulationConfig::new(CommModel::OnePort),
-        )
-    };
+    let run = || simulate_broadcast(&platform, &tree, &spec, CommModel::OnePort);
     let a = run();
     let b = run();
     assert_eq!(a.makespan, b.makespan);

@@ -95,7 +95,7 @@ proptest! {
         let slices = 20usize;
         let spec = MessageSpec::new(slices as f64 * SLICE, SLICE);
         let report = simulate_broadcast(
-            &platform, &tree, &spec, &SimulationConfig::new(CommModel::OnePort));
+            &platform, &tree, &spec, CommModel::OnePort);
         prop_assert_eq!(report.slices, slices);
         prop_assert!(report.slice_completion.iter().all(|t| t.is_finite()));
         let period = steady_state_period(&platform, &tree, CommModel::OnePort, SLICE);
@@ -145,10 +145,10 @@ proptest! {
         prop_assert!(schedule.validate(&platform).is_ok(),
             "validator rejected the schedule: {:?}", schedule.validate(&platform));
         // One-port round feasibility, checked directly against the rounds.
-        for round in schedule.rounds() {
+        for round in schedule.rounds(&platform) {
             let mut sends = vec![false; platform.node_count()];
             let mut recvs = vec![false; platform.node_count()];
-            for &t in &round.transfers {
+            for &t in &round {
                 let edge = schedule.transfers()[t].edge;
                 let u = platform.graph().src(edge);
                 let v = platform.graph().dst(edge);

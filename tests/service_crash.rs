@@ -738,6 +738,73 @@ fn snapshot_with_one_tree_too_many_is_rejected() {
     malformed_tree_is_rejected_and_replayed("tree-one-too-many", rewrite, reason);
 }
 
+/// A fleet that holds one-node sessions restores from its snapshot. Cut
+/// generation bounds a one-node platform's throughput by +∞, the schedule
+/// keeps that as its LP bound, and `from_parts` accepts it on one node
+/// only; rejecting it would reject the whole snapshot and replay the WAL.
+#[test]
+fn one_node_sessions_restore_from_the_snapshot() {
+    let spec = |family| SessionSpec {
+        family,
+        platform_seed: 7025,
+        slice_size: SLICE,
+        batch: 8,
+        drift_steps: 2,
+        drift_seed: 0xC4A2,
+        churn: false,
+    };
+    let fleet = [
+        (
+            "tiers-12",
+            spec(PlatformFamily::Tiers {
+                nodes: 12,
+                density: 0.10,
+            }),
+        ),
+        (
+            "random-1",
+            spec(PlatformFamily::Random {
+                nodes: 1,
+                density: 0.12,
+            }),
+        ),
+        ("gaussian-1", spec(PlatformFamily::Gaussian { nodes: 1 })),
+    ];
+    let mut commands: Vec<Command> = fleet
+        .iter()
+        .map(|&(name, spec)| Command::CreateSession {
+            name: name.into(),
+            spec,
+        })
+        .collect();
+    commands.extend(fleet.iter().map(|&(name, _)| Command::DriftStep {
+        session: name.into(),
+    }));
+    commands.push(Command::Snapshot);
+
+    let dir = tmp_dir("one-node");
+    let live: Vec<Vec<StepStats>> = {
+        let mut service = Service::open(&dir, FaultPlan::none()).expect("open");
+        for command in &commands {
+            service.apply(command).expect("apply");
+        }
+        fleet
+            .iter()
+            .map(|(name, _)| service.session(name).expect("session").log().to_vec())
+            .collect()
+    };
+    let service = Service::open(&dir, FaultPlan::none()).expect("reopen");
+    assert_eq!(service.recovery().snapshot_rejected, None, "rejected");
+    assert!(service.recovery().snapshot_restored);
+    assert_eq!(service.recovery().replayed, 0);
+    for ((name, _), live) in fleet.iter().zip(&live) {
+        let restored = service.session(name).expect("session restored").log();
+        assert_eq!(bits_of(restored), bits_of(live), "{name}");
+        assert_eq!(restored, live.as_slice(), "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A torn or bit-flipped WAL tail loses at most the damaged suffix: the
 /// valid prefix recovers cleanly and re-submitting the lost commands
 /// reconverges with the baseline.

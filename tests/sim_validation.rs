@@ -23,12 +23,7 @@ fn simulated_period_matches_analytic_one_port() {
                 build_structure(&platform, NodeId(0), kind, CommModel::OnePort, SLICE).unwrap();
             let analytic = steady_state_period(&platform, &tree, CommModel::OnePort, SLICE);
             let spec = MessageSpec::new(300.0 * SLICE, SLICE);
-            let report = simulate_broadcast(
-                &platform,
-                &tree,
-                &spec,
-                &SimulationConfig::new(CommModel::OnePort),
-            );
+            let report = simulate_broadcast(&platform, &tree, &spec, CommModel::OnePort);
             let simulated = report.estimated_period();
             let rel_err = (simulated - analytic).abs() / analytic;
             assert!(
@@ -54,12 +49,7 @@ fn simulated_period_matches_analytic_multi_port() {
     .unwrap();
     let analytic = steady_state_period(&platform, &tree, CommModel::MultiPort, SLICE);
     let spec = MessageSpec::new(300.0 * SLICE, SLICE);
-    let report = simulate_broadcast(
-        &platform,
-        &tree,
-        &spec,
-        &SimulationConfig::new(CommModel::MultiPort),
-    );
+    let report = simulate_broadcast(&platform, &tree, &spec, CommModel::MultiPort);
     let simulated = report.estimated_period();
     let rel_err = (simulated - analytic).abs() / analytic;
     assert!(
@@ -85,12 +75,7 @@ fn simulation_bounds_are_consistent() {
     .unwrap();
     let total = 50.0 * SLICE;
     let spec = MessageSpec::new(total, SLICE);
-    let report = simulate_broadcast(
-        &platform,
-        &tree,
-        &spec,
-        &SimulationConfig::new(CommModel::OnePort),
-    );
+    let report = simulate_broadcast(&platform, &tree, &spec, CommModel::OnePort);
     let period = steady_state_period(&platform, &tree, CommModel::OnePort, SLICE);
     // Lower bound: the source alone needs (slices - 1) periods plus the time
     // of the first slice to reach the farthest node.
@@ -123,12 +108,7 @@ fn binomial_overlay_simulates_correctly() {
     )
     .unwrap();
     let spec = MessageSpec::new(30.0 * SLICE, SLICE);
-    let report = simulate_broadcast(
-        &platform,
-        &overlay,
-        &spec,
-        &SimulationConfig::new(CommModel::OnePort),
-    );
+    let report = simulate_broadcast(&platform, &overlay, &spec, CommModel::OnePort);
     assert_eq!(report.slices, 30);
     assert!(report.slice_completion.iter().all(|t| t.is_finite()));
     assert!(report.makespan > 0.0);
