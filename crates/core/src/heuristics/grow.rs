@@ -10,6 +10,8 @@
 //! * **multi-port** (Algorithm 5): the new node period of `u`,
 //!   `max((δ_out(u)+1) · send_u, max(T_{u,x}, T_{u,v}))`.
 //!
+//! Both are [`CommModel::port_period`] over `u`'s tree edges plus `(u, v)`.
+//!
 //! The paper's pseudo-code accumulates costs incrementally; we evaluate the
 //! same quantity directly from the tree built so far, which is equivalent
 //! for the one-port metric and matches the stated intent ("add the edge
@@ -31,23 +33,9 @@ pub fn grow_tree(
 ) -> Result<BroadcastStructure, CoreError> {
     let graph = platform.graph();
     let edges = spanning::grow_arborescence(graph, source, |u, _v, edge, children| {
-        let new_edge_time = platform.link_time(edge, slice_size);
-        let child_times: Vec<f64> = children[u.index()]
-            .iter()
-            .map(|&e| platform.link_time(e, slice_size))
-            .collect();
-        match model {
-            CommModel::OnePort | CommModel::OnePortUnidirectional => {
-                // New weighted out-degree of the sender.
-                new_edge_time + child_times.iter().sum::<f64>()
-            }
-            CommModel::MultiPort => {
-                let send = platform.node_send_time(u, slice_size);
-                let overhead = (child_times.len() + 1) as f64 * send;
-                let longest = child_times.iter().copied().fold(new_edge_time, f64::max);
-                overhead.max(longest)
-            }
-        }
+        // The sender's port period with the edge added after its children.
+        let out = children[u.index()].iter().copied().chain([edge]);
+        model.port_period(platform, u, out, slice_size)
     })
     .ok_or(CoreError::Unreachable { source })?;
     BroadcastStructure::new(platform, source, edges)

@@ -58,30 +58,6 @@ pub fn prune_simple(
     BroadcastStructure::new(platform, source, edges)
 }
 
-/// Weighted out-degree (one-port) or node period (multi-port) of `node`
-/// restricted to the live edges — the pruning priority of Algorithm 2.
-fn node_metric(
-    platform: &Platform,
-    mask: &[bool],
-    node: NodeId,
-    model: CommModel,
-    slice_size: f64,
-) -> f64 {
-    let out: Vec<f64> = platform
-        .graph()
-        .out_edges(node)
-        .filter(|e| mask[e.id.index()])
-        .map(|e| e.payload.link_time(slice_size))
-        .collect();
-    match model {
-        CommModel::OnePort | CommModel::OnePortUnidirectional => out.iter().sum(),
-        CommModel::MultiPort => {
-            let send = platform.node_send_time(node, slice_size);
-            (out.len() as f64 * send).max(out.iter().copied().fold(0.0, f64::max))
-        }
-    }
-}
-
 /// Algorithm 2 — Refined Platform Pruning (`Topo-Prune-Degree`), and its
 /// multi-port variant (`Multiport-Prune-Degree`, paper Section 5.2.2).
 ///
@@ -104,10 +80,13 @@ pub fn prune_degree(
     let n = platform.node_count();
     let mut mask = vec![true; platform.edge_count()];
     let mut live = platform.edge_count();
-    let mut metric: Vec<f64> = platform
-        .nodes()
-        .map(|u| node_metric(platform, &mask, u, model, slice_size))
-        .collect();
+    // A node's port period over its live out-edges: the weighted out-degree
+    // under the one-port model.
+    let metric_of = |mask: &[bool], u: NodeId| {
+        let out = graph.out_edges(u).filter(|e| mask[e.id.index()]);
+        model.port_period(platform, u, out.map(|e| e.id), slice_size)
+    };
+    let mut metric: Vec<f64> = platform.nodes().map(|u| metric_of(&mask, u)).collect();
 
     while live > n.saturating_sub(1) {
         let mut nodes: Vec<NodeId> = platform.nodes().collect();
@@ -146,7 +125,7 @@ pub fn prune_degree(
             // can only happen when the graph is already minimal, i.e. a tree.
             break;
         };
-        metric[tail.index()] = node_metric(platform, &mask, tail, model, slice_size);
+        metric[tail.index()] = metric_of(&mask, tail);
     }
     let edges: Vec<EdgeId> = platform.edges().filter(|e| mask[e.index()]).collect();
     BroadcastStructure::new(platform, source, edges)
@@ -176,11 +155,15 @@ mod tests {
         let n = platform.node_count();
         let mut mask = vec![true; platform.edge_count()];
         let mut live = platform.edge_count();
+        let metric = |mask: &[bool], u: NodeId| {
+            let out = graph.out_edges(u).filter(|e| mask[e.id.index()]);
+            model.port_period(platform, u, out.map(|e| e.id), slice_size)
+        };
         while live > n.saturating_sub(1) {
             let mut nodes: Vec<NodeId> = platform.nodes().collect();
             nodes.sort_by(|&a, &b| {
-                node_metric(platform, &mask, b, model, slice_size)
-                    .partial_cmp(&node_metric(platform, &mask, a, model, slice_size))
+                metric(&mask, b)
+                    .partial_cmp(&metric(&mask, a))
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });

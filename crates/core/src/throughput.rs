@@ -1,25 +1,25 @@
 //! Steady-state throughput of a broadcast structure, and STA makespan.
 //!
+//! In steady state a new slice leaves the source every period, and the
+//! period is the largest port period over the nodes, each taken over the
+//! node's structure edges by [`CommModel::port_period`]. The throughput —
+//! the average number of slices injected by the source per time unit — is
+//! its inverse.
+//!
 //! Under the **bidirectional one-port** model a node sends to its children
 //! one after the other while (independently) receiving from its parent, so
-//! in steady state a new slice leaves node `u` every
-//! `period(u) = max(Σ_out T_e, Σ_in T_e)` seconds (for a tree the incoming
-//! term is a single edge, already counted in the parent's outgoing sum). The
-//! pipeline's period is the maximum over all nodes and the throughput — the
-//! average number of slices injected by the source per time unit — is its
-//! inverse.
-//!
-//! Under the **multi-port** model (paper Section 3.2, Figure 3) the link
-//! occupations of a node's outgoing messages overlap; only the per-message
-//! sender overhead `send_u` serialises, so
-//! `period(u) = max(δ_out(u) · send_u, max_out T_e)`.
+//! `period(u) = max(Σ_out T_e, Σ_in T_e)` (for a tree the incoming term is
+//! a single edge, already counted in the parent's outgoing sum). Under the
+//! **multi-port** model (paper Section 3.2, Figure 3) the link occupations
+//! of a node's outgoing messages overlap; only the per-message sender
+//! overhead `send_u` serialises, so the send side is
+//! `max(δ_out(u) · send_u, max_out T_e)`.
 //!
 //! [`sta_makespan`] evaluates the *atomic* (STA) regime for completeness:
 //! the total time for a single message to reach every node when each node
 //! forwards it to its children in a fixed order.
 
 use crate::tree::BroadcastStructure;
-use bcast_net::NodeId;
 use bcast_platform::{CommModel, MessageSpec, Platform};
 
 /// Steady-state period of `structure` on `platform`: the time between two
@@ -33,60 +33,18 @@ pub fn steady_state_period(
     model: CommModel,
     slice_size: f64,
 ) -> f64 {
+    let graph = platform.graph();
     let mask = structure.edge_mask();
     let mut period: f64 = 0.0;
     for u in platform.nodes() {
-        period = period.max(node_period(
-            platform, structure, &mask, u, model, slice_size,
-        ));
+        let edges = graph
+            .out_edges(u)
+            .chain(graph.in_edges(u))
+            .filter(|e| mask[e.id.index()])
+            .map(|e| e.id);
+        period = period.max(model.port_period(platform, u, edges, slice_size));
     }
     period
-}
-
-/// Steady-state period contribution of a single node (see module docs).
-pub fn node_period(
-    platform: &Platform,
-    _structure: &BroadcastStructure,
-    mask: &[bool],
-    node: NodeId,
-    model: CommModel,
-    slice_size: f64,
-) -> f64 {
-    let graph = platform.graph();
-    let out_times: Vec<f64> = graph
-        .out_edges(node)
-        .filter(|e| mask[e.id.index()])
-        .map(|e| e.payload.link_time(slice_size))
-        .collect();
-    let in_times: Vec<f64> = graph
-        .in_edges(node)
-        .filter(|e| mask[e.id.index()])
-        .map(|e| e.payload.link_time(slice_size))
-        .collect();
-    match model {
-        CommModel::OnePort => {
-            // Sends serialise; receives serialise; the two directions overlap.
-            let send: f64 = out_times.iter().sum();
-            let recv: f64 = in_times.iter().sum();
-            send.max(recv)
-        }
-        CommModel::OnePortUnidirectional => {
-            // A single port shared by sends and receives: everything serialises.
-            out_times.iter().sum::<f64>() + in_times.iter().sum::<f64>()
-        }
-        CommModel::MultiPort => {
-            // Sender overheads serialise, link occupations overlap
-            // (paper Section 3.2): period = max(δ_out · send_u, max_out T).
-            let send_u = platform.node_send_time(node, slice_size);
-            let overhead = out_times.len() as f64 * send_u;
-            let longest_out = out_times.iter().copied().fold(0.0, f64::max);
-            // A receiver is engaged for the full occupation of each incoming
-            // message; for trees there is a single parent, for overlays the
-            // receives serialise.
-            let recv: f64 = in_times.iter().sum();
-            overhead.max(longest_out).max(recv)
-        }
-    }
 }
 
 /// Steady-state throughput (slices per time unit) of `structure`:
@@ -167,7 +125,7 @@ pub fn pipelined_completion_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcast_net::EdgeId;
+    use bcast_net::{EdgeId, NodeId};
     use bcast_platform::LinkCost;
 
     /// Star platform: node 0 linked to 1, 2, 3 with betas 1, 2, 3.
@@ -223,17 +181,6 @@ mod tests {
         let one = steady_state_period(&p, &t, CommModel::OnePort, 1.0);
         let ten = steady_state_period(&p, &t, CommModel::OnePort, 10.0);
         assert!((ten - 10.0 * one).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unidirectional_one_port_is_slower_than_bidirectional() {
-        let p = chain();
-        let t = chain_tree(&p);
-        let bi = steady_state_period(&p, &t, CommModel::OnePort, 1.0);
-        let uni = steady_state_period(&p, &t, CommModel::OnePortUnidirectional, 1.0);
-        // Node 1 both receives (1) and sends (2): serialised = 3 > 2.
-        assert_eq!(uni, 3.0);
-        assert!(uni > bi);
     }
 
     #[test]

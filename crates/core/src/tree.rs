@@ -97,16 +97,6 @@ impl BroadcastStructure {
         Arborescence::from_edges(platform.graph(), self.source, &self.edges)
             .map_err(CoreError::from)
     }
-
-    /// Sum of the link occupation times of the structure's edges for a slice
-    /// of `slice_size` bytes — a simple "total cost" metric used in tests and
-    /// ablation output.
-    pub fn total_link_time(&self, platform: &Platform, slice_size: f64) -> f64 {
-        self.edges
-            .iter()
-            .map(|&e| platform.link_time(e, slice_size))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +123,6 @@ mod tests {
         assert_eq!(s.node_count(), 3);
         let arb = s.as_arborescence(&p).unwrap();
         assert_eq!(arb.parent(NodeId(2)), Some(NodeId(1)));
-        assert_eq!(s.total_link_time(&p, 1.0), 3.0);
     }
 
     #[test]

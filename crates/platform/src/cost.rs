@@ -13,8 +13,10 @@ use serde::{Deserialize, Serialize};
 /// The one-port model of the paper collapses the three durations
 /// (`send = recv = T`); the multi-port model keeps a sender occupation
 /// strictly smaller than the link occupation so that consecutive sends can
-/// overlap on the network. [`LinkCost::one_port`] and
-/// [`LinkCost::multi_port`] build the two shapes directly.
+/// overlap on the network. [`LinkCost::one_port`] builds the first shape,
+/// and [`LinkCost::with_absolute_send_time`] derives the second from it,
+/// as [`Platform::with_multiport_overheads`](crate::Platform::with_multiport_overheads)
+/// does for every link of a platform.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LinkCost {
     /// Start-up cost (latency) of the link occupation, in seconds.
@@ -49,24 +51,6 @@ impl LinkCost {
     pub fn from_bandwidth(bandwidth: f64) -> Self {
         assert!(bandwidth > 0.0, "bandwidth must be positive");
         Self::one_port(0.0, 1.0 / bandwidth)
-    }
-
-    /// A multi-port link: the sender is only busy for `overlap` of the link
-    /// occupation (`0 < overlap ≤ 1`), the receiver for the full occupation.
-    ///
-    /// The paper's multi-port experiments use `overlap = 0.8` applied to the
-    /// *fastest* outgoing link of the sender; see
-    /// [`Platform::with_multiport_overheads`](crate::Platform::with_multiport_overheads).
-    pub fn multi_port(alpha: f64, beta: f64, overlap: f64) -> Self {
-        assert!(overlap > 0.0 && overlap <= 1.0, "overlap must be in (0, 1]");
-        LinkCost {
-            alpha,
-            beta,
-            send_latency: alpha * overlap,
-            send_per_byte: beta * overlap,
-            recv_latency: alpha,
-            recv_per_byte: beta,
-        }
     }
 
     /// Link occupation `T_{u,v}(L)` for a message of `size` bytes.
@@ -113,18 +97,6 @@ impl LinkCost {
             && self.recv_per_byte <= self.beta + 1e-12
     }
 
-    /// Returns a copy of this cost with the sender occupation scaled to
-    /// `fraction` of the link occupation (used to derive multi-port variants
-    /// of an existing one-port platform).
-    pub fn with_send_fraction(&self, fraction: f64) -> Self {
-        assert!(fraction > 0.0 && fraction <= 1.0);
-        LinkCost {
-            send_latency: self.alpha * fraction,
-            send_per_byte: self.beta * fraction,
-            ..*self
-        }
-    }
-
     /// Returns a copy with the sender occupation set to an absolute duration
     /// `send_time` for messages of size `size` (latency-free form).
     pub fn with_absolute_send_time(&self, send_time: f64, size: f64) -> Self {
@@ -159,7 +131,7 @@ mod tests {
 
     #[test]
     fn multi_port_sender_is_cheaper() {
-        let c = LinkCost::multi_port(0.0, 1.0, 0.8);
+        let c = LinkCost::one_port(0.0, 1.0).with_absolute_send_time(8.0, 10.0);
         assert_eq!(c.link_time(10.0), 10.0);
         assert!((c.send_time(10.0) - 8.0).abs() < 1e-12);
         assert_eq!(c.recv_time(10.0), 10.0);
@@ -191,13 +163,6 @@ mod tests {
             ..LinkCost::default()
         };
         assert!(!neg.is_valid());
-    }
-
-    #[test]
-    fn send_fraction_rescales() {
-        let c = LinkCost::one_port(2.0, 4.0).with_send_fraction(0.5);
-        assert_eq!(c.send_time(1.0), 0.5 * c.link_time(1.0));
-        assert!(c.is_valid());
     }
 
     #[test]

@@ -101,16 +101,8 @@ pub struct DriftConfig {
     /// Per-step probability that one uniformly-chosen alive non-source node
     /// leaves. A departure that would disconnect a surviving node (over the
     /// alive, non-failed edge set) is skipped, as is one that would leave
-    /// fewer than two nodes. Departed nodes stay out unless
-    /// [`DriftConfig::rejoin_rate`] brings them back.
+    /// fewer than two nodes. Departed nodes stay out.
     pub leave_rate: f64,
-    /// Per-step probability that one uniformly-chosen *departed* non-source
-    /// node rejoins the platform under its original identity (same node id,
-    /// same processor name, same attachment links with their drifted cost
-    /// factors). A rejoin that would still leave the platform disconnected
-    /// is skipped. `0.0` — the default of every constructor — draws no RNG,
-    /// keeping older traces bit-identical.
-    pub rejoin_rate: f64,
     /// Number of distinct alive nodes a joining node attaches to (clamped
     /// to the current alive count).
     pub attach_degree: usize,
@@ -133,7 +125,6 @@ impl DriftConfig {
             seed,
             join_rate: 0.0,
             leave_rate: 0.0,
-            rejoin_rate: 0.0,
             attach_degree: 2,
             join_cost: JoinCostModel::default(),
         }
@@ -180,14 +171,8 @@ pub enum DriftEvent {
     /// Its attachment links start with cost factor 1.0.
     NodeJoin(NodeId),
     /// The node left the platform, taking every incident link with it
-    /// (id in the trace's *full* platform). A departed node stays out
-    /// unless a [`DriftEvent::NodeRejoin`] brings it back.
+    /// (id in the trace's *full* platform). A departed node stays out.
     NodeLeave(NodeId),
-    /// A previously departed node returned under its original identity (id
-    /// in the trace's *full* platform): same processor, and its incident
-    /// links to currently alive nodes come back with the cost factors they
-    /// kept drifting towards while the node was away.
-    NodeRejoin(NodeId),
 }
 
 /// One snapshot of the trace: cumulative per-edge cost factors, the set of
@@ -378,10 +363,8 @@ impl DriftTrace {
             "the factor corridor must contain 1.0"
         );
         assert!(
-            (0.0..=1.0).contains(&config.join_rate)
-                && (0.0..=1.0).contains(&config.leave_rate)
-                && (0.0..=1.0).contains(&config.rejoin_rate),
-            "join/leave/rejoin rates are probabilities"
+            (0.0..=1.0).contains(&config.join_rate) && (0.0..=1.0).contains(&config.leave_rate),
+            "join/leave rates are probabilities"
         );
         assert!(
             config.join_rate == 0.0
@@ -461,9 +444,7 @@ impl DriftTrace {
             }
             // 4. At most one departure per step: a uniformly-chosen alive
             //    non-source node, guarded by reachability of the survivors
-            //    over alive non-failed links. Departed nodes stay out until
-            //    the rejoin pass (step 6) revives them.
-            let mut left_now = None;
+            //    over alive non-failed links. Departed nodes stay out.
             if config.leave_rate > 0.0 && rng.gen_range(0.0..1.0) < config.leave_rate {
                 let candidates: Vec<NodeId> = (0..graph.node_count())
                     .map(|i| NodeId(i as u32))
@@ -483,7 +464,6 @@ impl DriftTrace {
                     }
                     if churn_feasible(&graph, source, &alive_nodes, &alive_edges, &failed) {
                         events.push(DriftEvent::NodeLeave(v));
-                        left_now = Some(v);
                     } else {
                         // Would disconnect a survivor: the node stays.
                         alive_nodes[v.index()] = true;
@@ -534,47 +514,6 @@ impl DriftTrace {
                         }
                     }
                     events.push(DriftEvent::NodeJoin(v));
-                }
-            }
-            // 6. At most one rejoin per step: a uniformly-chosen departed
-            //    non-source node returns under its original identity. Its
-            //    links to currently alive endpoints come back with the
-            //    cost factors they kept accumulating while it was away
-            //    (links to still-departed nodes stay down). A rejoin whose
-            //    surviving links cannot reach the node is reverted. A node
-            //    that departed this very step is shielded (like links in
-            //    the recovery pass) so it cannot flap within one step.
-            if config.rejoin_rate > 0.0 && rng.gen_range(0.0..1.0) < config.rejoin_rate {
-                let departed: Vec<NodeId> = (0..graph.node_count())
-                    .map(|i| NodeId(i as u32))
-                    .filter(|&v| !alive_nodes[v.index()] && v != source && left_now != Some(v))
-                    .collect();
-                if !departed.is_empty() {
-                    let v = departed[rng.gen_range(0..departed.len())];
-                    alive_nodes[v.index()] = true;
-                    let revived: Vec<usize> = graph
-                        .out_edges(v)
-                        .chain(graph.in_edges(v))
-                        .filter(|e| {
-                            let (src, dst) = (e.src, e.dst);
-                            let other = if src == v { dst } else { src };
-                            alive_nodes[other.index()] && !alive_edges[e.id.index()]
-                        })
-                        .map(|e| e.id.index())
-                        .collect();
-                    for &e in &revived {
-                        alive_edges[e] = true;
-                    }
-                    if churn_feasible(&graph, source, &alive_nodes, &alive_edges, &failed) {
-                        events.push(DriftEvent::NodeRejoin(v));
-                    } else {
-                        // Still unreachable (e.g. all revived links are
-                        // failed): the node stays out.
-                        alive_nodes[v.index()] = false;
-                        for &e in &revived {
-                            alive_edges[e] = false;
-                        }
-                    }
                 }
             }
             debug_assert!(churn_feasible(
@@ -1066,56 +1005,6 @@ mod tests {
             }
         }
         assert!(joiner_links >= 4, "join_rate 1.0 produced no attachments");
-    }
-
-    #[test]
-    fn rejoins_revive_departed_nodes_with_stable_identity() {
-        let platform = fixture();
-        let config = DriftConfig {
-            rejoin_rate: 0.7,
-            ..DriftConfig::with_churn(30, 42)
-        };
-        let trace = DriftTrace::generate(&platform, NodeId(0), &config);
-        let mut rejoins = 0usize;
-        for step in 1..trace.len() {
-            let state = trace.step(step);
-            for event in &state.events {
-                if let DriftEvent::NodeRejoin(v) = event {
-                    rejoins += 1;
-                    // The node was alive earlier, departed, and is back.
-                    assert!(state.is_alive_node(*v));
-                    assert!(!trace.step(step - 1).is_alive_node(*v));
-                    assert!((0..step).any(|s| trace.step(s).is_alive_node(*v)));
-                    assert_ne!(*v, NodeId(0), "the source never departs");
-                    // Original identity: the snapshot exposes the same
-                    // processor name the node had before leaving, and the
-                    // remap reports it as a newcomer to incremental state.
-                    let compact = state
-                        .compact_nodes()
-                        .iter()
-                        .position(|&n| n == *v)
-                        .expect("rejoined node is in the compact set");
-                    let snapshot = trace.platform_at(step);
-                    assert_eq!(
-                        snapshot.processor(NodeId(compact as u32)).name,
-                        trace.full().processor(*v).name
-                    );
-                    let remap = trace.remap(step - 1, step);
-                    assert!(remap.new_nodes.contains(&NodeId(compact as u32)));
-                    // It came back connected: at least one incident link
-                    // to an alive endpoint is alive again.
-                    let g = trace.full().graph();
-                    assert!(g
-                        .out_edges(*v)
-                        .chain(g.in_edges(*v))
-                        .any(|e| state.is_alive_edge(e.id)));
-                }
-            }
-            assert!(trace
-                .platform_at(step)
-                .is_broadcast_feasible(trace.source_at(step)));
-        }
-        assert!(rejoins > 0, "rejoin config never revived a node");
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   outgoing messages, but the per-message sender overheads `send_u`
 //!   serialise (Bar-Noy et al. model, Equation (1) of the paper).
 //!
+//! [`CommModel::send_hold`] and [`CommModel::port_period`] state what each
+//! model means for a transfer and for a node's ports, for every layer.
+//!
 //! The crate also provides the two platform families of the evaluation
 //! section: [`generators::random`] (paper Table 2) and
 //! [`generators::tiers`], a re-implementation of a Tiers-style hierarchical

@@ -89,7 +89,8 @@ impl Platform {
 
     /// Per-message sender overhead of node `u` under the multi-port model of
     /// Bar-Noy et al., where the overhead depends only on the sender: the
-    /// minimum sender occupation over all outgoing links of `u`.
+    /// minimum sender occupation over all outgoing links of `u`. The `send_u`
+    /// of [`CommModel::port_period`](crate::CommModel::port_period).
     ///
     /// Returns 0 when `u` has no outgoing link.
     pub fn node_send_time(&self, node: NodeId, size: f64) -> f64 {
@@ -98,14 +99,6 @@ impl Platform {
             .map(|e| e.payload.send_time(size))
             .fold(f64::INFINITY, f64::min)
             .let_finite_or(0.0)
-    }
-
-    /// All link occupation times for a message of `size` bytes, indexed by edge.
-    pub fn link_times(&self, size: f64) -> Vec<f64> {
-        self.graph
-            .edges()
-            .map(|e| e.payload.link_time(size))
-            .collect()
     }
 
     /// True when every processor can be reached from `source` along directed
@@ -287,8 +280,6 @@ mod tests {
         assert_eq!(p.link_time(e, 2.0), 8.0);
         assert_eq!(p.send_time(e, 2.0), 8.0);
         assert_eq!(p.recv_time(e, 2.0), 8.0);
-        let times = p.link_times(1.0);
-        assert_eq!(times.len(), 5);
     }
 
     #[test]

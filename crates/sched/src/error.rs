@@ -23,9 +23,6 @@ pub enum SchedError {
         /// Length of the supplied load vector.
         found: usize,
     },
-    /// Schedule synthesis supports the bidirectional one-port and the
-    /// multi-port models only (the LP bound is defined for those).
-    UnsupportedModel,
     /// The arborescence packing could not complete a spanning tree — this
     /// indicates an internal bug (the rounded capacities are repaired to
     /// satisfy Edmonds' condition before packing starts).
@@ -54,10 +51,6 @@ impl fmt::Display for SchedError {
             SchedError::LoadVectorMismatch { expected, found } => write!(
                 f,
                 "edge-load vector has {found} entries but the platform has {expected} edges"
-            ),
-            SchedError::UnsupportedModel => write!(
-                f,
-                "schedule synthesis supports the bidirectional one-port and multi-port models"
             ),
             SchedError::PackingFailed { tree } => {
                 write!(f, "arborescence packing failed while building tree {tree}")

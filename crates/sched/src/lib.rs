@@ -47,7 +47,7 @@ pub use packing::pack_arborescences;
 pub use rounding::{round_loads, RoundedLoads, MAX_SLICES_PER_PERIOD};
 pub use schedule::{PeriodicSchedule, ScheduleParts, ScheduledTransfer};
 
-use bcast_core::{BroadcastStructure, OptimalThroughput};
+use bcast_core::{steady_state_period, BroadcastStructure, OptimalThroughput};
 use bcast_net::{EdgeId, NodeId};
 use bcast_platform::drift::ChurnRemap;
 use bcast_platform::{CommModel, Platform};
@@ -55,8 +55,7 @@ use bcast_platform::{CommModel, Platform};
 /// Options of [`synthesize_schedule`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SynthesisConfig {
-    /// Port model the timetable is built for ([`CommModel::OnePort`] or
-    /// [`CommModel::MultiPort`]).
+    /// Port model the timetable is built for.
     pub model: CommModel,
     /// Fixed batch size `B` (slices per period); `None` derives it from the
     /// rounding's loss target (see [`round_loads`]).
@@ -123,9 +122,6 @@ fn synthesize_schedule_inner(
 ) -> Result<PeriodicSchedule, SchedError> {
     if platform.node_count() == 0 {
         return Err(SchedError::EmptyPlatform);
-    }
-    if matches!(config.model, CommModel::OnePortUnidirectional) {
-        return Err(SchedError::UnsupportedModel);
     }
     let (rounding, trees) = if platform.node_count() == 1 {
         // One slice per period along the empty tree: no transfer, period 0.
@@ -215,9 +211,9 @@ pub fn synthesize_schedule_with_tree_fallback(
         for &e in &edges {
             usage[e.index()] += 1;
         }
-        // The tree's analytic period bound, for the rounding stats: the
+        // The tree's analytic one-port period, for the rounding stats: the
         // exact relative loss of this tree against the LP optimum.
-        let period_lb = rounding::max_port_time(platform, slice_size, |e| usage[e.index()] > 0);
+        let period_lb = steady_state_period(platform, structure, CommModel::OnePort, slice_size);
         let rounding = RoundedLoads {
             slices_per_period: 1,
             multiplicity: usage,
@@ -433,9 +429,6 @@ fn repair(
             .all(|t| t.len() == old_n - 1 && t.iter().all(|e| e.index() < old_m));
     if !usable {
         return full_rebuild();
-    }
-    if matches!(config.model, CommModel::OnePortUnidirectional) {
-        return Err(SchedError::UnsupportedModel);
     }
     if !platform.is_broadcast_feasible(source) {
         return Err(SchedError::Unreachable { source });
@@ -836,28 +829,6 @@ mod tests {
         assert_eq!(s.period(), 0.0);
         assert!(s.throughput().is_infinite());
         assert!(s.validate(&platform).is_ok());
-    }
-
-    #[test]
-    fn unidirectional_model_is_rejected() {
-        let mut b = Platform::builder();
-        let p = b.add_processors(2);
-        b.add_bidirectional_link(p[0], p[1], LinkCost::one_port(0.0, 1.0));
-        let platform = b.build();
-        let optimal =
-            optimal_throughput(&platform, NodeId(0), 1.0, OptimalMethod::CutGeneration).unwrap();
-        let err = synthesize_schedule(
-            &platform,
-            NodeId(0),
-            &optimal,
-            1.0,
-            &SynthesisConfig {
-                model: CommModel::OnePortUnidirectional,
-                ..SynthesisConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, SchedError::UnsupportedModel);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! The price is at most one extra slice per support edge and period. With
 //! `T_e` the per-slice occupation of edge `e` and
 //! `D = max_u max(Σ_out T_e, Σ_in T_e)` (sums over the support edges
-//! adjacent to `u`), each port's work per period is at most
+//! adjacent to `u`: the one-port [`CommModel::port_period`]), each port's
+//! work per period is at most
 //!
 //! ```text
 //!   Σ c_e·T_e  ≤  (B / TP) · Σ n_e·T_e  +  Σ T_e  ≤  B/TP + D ,
@@ -46,7 +47,7 @@ use crate::error::SchedError;
 use bcast_net::maxflow::MaxFlowSolver;
 use bcast_net::{EdgeId, NodeId};
 use bcast_obs::names;
-use bcast_platform::Platform;
+use bcast_platform::{CommModel, Platform};
 use serde::{Deserialize, Serialize};
 
 /// Relative throughput loss the derived batch size aims for: `B` is the
@@ -117,7 +118,15 @@ pub fn round_loads(
     // Support edges and the worst port occupation D over them.
     let support_tol = 1e-9 * throughput;
     let support: Vec<bool> = loads.iter().map(|&l| l > support_tol).collect();
-    let max_port_time = max_port_time(platform, slice_size, |e| support[e.index()]);
+    let graph = platform.graph();
+    let worst_port_time = platform
+        .nodes()
+        .map(|u| {
+            let edges = graph.out_edges(u).chain(graph.in_edges(u));
+            let on = edges.filter(|e| support[e.id.index()]).map(|e| e.id);
+            CommModel::OnePort.port_period(platform, u, on, slice_size)
+        })
+        .fold(0.0, f64::max);
     let mut max_edge_time: f64 = 0.0;
     for e in platform.edges() {
         if support[e.index()] {
@@ -128,7 +137,7 @@ pub fn round_loads(
     let batch = match slices_per_period {
         Some(b) => b.max(1),
         None => {
-            let needed = (throughput * max_port_time / TARGET_LOSS).ceil();
+            let needed = (throughput * worst_port_time / TARGET_LOSS).ceil();
             let needed = if needed.is_finite() {
                 needed as usize
             } else {
@@ -172,7 +181,6 @@ pub fn round_loads(
         .collect();
 
     // Repair pass: every destination must admit an integral flow of `batch`.
-    let graph = platform.graph();
     let mut solver = MaxFlowSolver::new(graph);
     let mut maxflows = 0u64;
     let mut repairs = 0usize;
@@ -217,7 +225,7 @@ pub fn round_loads(
     }
     bcast_obs::counter_add(names::SCHED_MAXFLOWS, maxflows);
 
-    let loss_bound = throughput * (max_port_time + repairs as f64 * max_edge_time) / batch as f64;
+    let loss_bound = throughput * (worst_port_time + repairs as f64 * max_edge_time) / batch as f64;
     Ok(RoundedLoads {
         slices_per_period: batch,
         multiplicity,
@@ -226,33 +234,6 @@ pub fn round_loads(
         repairs,
         dominated,
     })
-}
-
-/// The largest port busy time over the edges `on` selects: the maximum over
-/// nodes of the summed [`link_time`](bcast_platform::LinkCost::link_time)
-/// of the node's selected out-edges, and of its selected in-edges, each
-/// summed in edge order.
-pub(crate) fn max_port_time(
-    platform: &Platform,
-    slice_size: f64,
-    on: impl Fn(EdgeId) -> bool,
-) -> f64 {
-    let graph = platform.graph();
-    let mut max: f64 = 0.0;
-    for u in platform.nodes() {
-        let out: f64 = graph
-            .out_edges(u)
-            .filter(|e| on(e.id))
-            .map(|e| e.payload.link_time(slice_size))
-            .sum();
-        let inc: f64 = graph
-            .in_edges(u)
-            .filter(|e| on(e.id))
-            .map(|e| e.payload.link_time(slice_size))
-            .sum();
-        max = max.max(out).max(inc);
-    }
-    max
 }
 
 #[cfg(test)]

@@ -10,10 +10,11 @@
 //! edge, then slice) and times it with an event-driven list scheduler:
 //! whenever a port frees, the pending transfer whose ports carry the most
 //! remaining work starts first (critical-resource-first, which keeps the
-//! bottleneck port dense). Under the one-port model both ports stay busy
-//! for the link occupation; under the multi-port variant only the sender
-//! *overhead* occupies the send port while the receiver is engaged for the
-//! full occupation. The achieved period is the latest port completion time.
+//! bottleneck port dense). How long a transfer holds its send port is
+//! [`CommModel::send_hold`]: the link occupation under the one-port model,
+//! only the sender *overhead* under the multi-port variant; the receiver is
+//! engaged for the full occupation under both. The achieved period is the
+//! latest port completion time.
 //!
 //! ## Rounds, on request
 //!
@@ -195,7 +196,7 @@ impl PeriodicSchedule {
         for t in &self.transfers {
             let (u, v) = platform.graph().endpoints(t.edge);
             if u == node {
-                send += sender_occupation(platform, t.edge, slice_size, model);
+                send += model.send_hold(platform, t.edge, slice_size);
             }
             if v == node {
                 recv += platform.link_time(t.edge, slice_size);
@@ -237,7 +238,7 @@ impl PeriodicSchedule {
             if t.start < -TIME_TOL || t.finish > self.period + TIME_TOL {
                 return invalid(format!("transfer on {:?} leaves the period", t.edge));
             }
-            let send_hold = sender_occupation(platform, t.edge, slice_size, self.parts.model);
+            let send_hold = self.parts.model.send_hold(platform, t.edge, slice_size);
             send_intervals[u.index()].push((t.start, t.start + send_hold));
             recv_intervals[v.index()].push((t.start, t.finish));
         }
@@ -304,11 +305,10 @@ impl PeriodicSchedule {
     /// [`MAX_SLICES_PER_PERIOD`], the cap on a batch from outside the
     /// program; the source is in range; the scalars are finite (except an
     /// LP throughput of +∞, cut generation's bound on a one-node platform)
-    /// and the slice size positive; the model is one synthesis accepts;
-    /// both rounding vectors have one entry per edge; there is one tree per
-    /// batch slice, and at least one; each tree is a spanning arborescence
-    /// rooted at the source listed parent before child; and the trees use
-    /// no edge beyond its multiplicity.
+    /// and the slice size positive; both rounding vectors have one entry
+    /// per edge; there is one tree per batch slice, and at least one; each
+    /// tree is a spanning arborescence rooted at the source listed parent
+    /// before child; and the trees use no edge beyond its multiplicity.
     /// Parts that fail a check (from a truncated or corrupted snapshot)
     /// yield [`SchedError::Invalid`], never a panic; parts that pass
     /// assemble into a schedule that [`PeriodicSchedule::validate`]
@@ -363,9 +363,6 @@ fn check_parts(platform: &Platform, parts: &ScheduleParts) -> Result<(), SchedEr
     if !lp_ok || scalars.iter().any(|x| !x.is_finite()) || parts.slice_size <= 0.0 {
         return invalid("non-finite or non-positive scalars".into());
     }
-    if matches!(parts.model, CommModel::OnePortUnidirectional) {
-        return invalid("synthesis does not support the unidirectional model".into());
-    }
     if rounding.multiplicity.len() != m || rounding.dominated.len() != m {
         return invalid("rounding vectors do not match the platform".into());
     }
@@ -411,20 +408,6 @@ fn spans_in_order(platform: &Platform, source: usize, tree: &[EdgeId]) -> bool {
         })
 }
 
-/// How long a transfer occupies its sender's port.
-pub(crate) fn sender_occupation(
-    platform: &Platform,
-    edge: EdgeId,
-    slice_size: f64,
-    model: CommModel,
-) -> f64 {
-    let link = platform.link_time(edge, slice_size);
-    match model {
-        CommModel::OnePort | CommModel::OnePortUnidirectional => link,
-        CommModel::MultiPort => platform.send_time(edge, slice_size).min(link),
-    }
-}
-
 /// Assembles the schedule of `parts` on `platform`: the barrier-free
 /// timetable and the causality lags. Every tree must be listed parent
 /// before child.
@@ -461,7 +444,7 @@ pub(crate) fn assemble(platform: &Platform, parts: ScheduleParts) -> PeriodicSch
     let mut remaining_send = vec![0.0f64; n];
     let mut remaining_recv = vec![0.0f64; n];
     for &(_, e) in &order {
-        remaining_send[graph.src(e).index()] += sender_occupation(platform, e, slice_size, model);
+        remaining_send[graph.src(e).index()] += model.send_hold(platform, e, slice_size);
         remaining_recv[graph.dst(e).index()] += platform.link_time(e, slice_size);
     }
     let mut scheduled: Vec<Option<(f64, f64)>> = vec![None; order.len()]; // (start, finish)
@@ -511,7 +494,7 @@ pub(crate) fn assemble(platform: &Platform, parts: ScheduleParts) -> PeriodicSch
         let u = graph.src(e).index();
         let v = graph.dst(e).index();
         let link = platform.link_time(e, slice_size);
-        let hold = sender_occupation(platform, e, slice_size, model);
+        let hold = model.send_hold(platform, e, slice_size);
         let start = send_free[u].max(recv_free[v]);
         send_free[u] = start + hold;
         recv_free[v] = start + link;
@@ -749,7 +732,8 @@ mod tests {
 
     /// Applies mutation `kind` to real `parts` over `m` edges and returns
     /// whether the checks must reject the result. Only a tree edge
-    /// replaced by another in-range id and two swapped trees may pass.
+    /// replaced by another in-range id, the other port model and two
+    /// swapped trees may pass.
     fn mutate(parts: &mut ScheduleParts, kind: usize, m: usize, rng: &mut StdRng) -> bool {
         let b = parts.trees.len();
         let j = rng.gen_range(0..b);
@@ -797,7 +781,12 @@ mod tests {
                     .nth(rng.gen_range(0..4usize))
                     .expect("in range") = value;
             }
-            8 => parts.model = CommModel::OnePortUnidirectional,
+            8 => {
+                parts.model = match parts.model {
+                    CommModel::OnePort => CommModel::MultiPort,
+                    CommModel::MultiPort => CommModel::OnePort,
+                }
+            }
             9 => parts.trees.swap(j, rng.gen_range(0..b)),
             10 => {
                 // A consistent batch one beyond the cap: without the cap
@@ -809,7 +798,7 @@ mod tests {
             }
             _ => unreachable!("mutation {kind}"),
         }
-        !matches!(kind, 0 | 9)
+        !matches!(kind, 0 | 8 | 9)
     }
 
     /// `from_parts` is total: every mutation of real parts, with a fixed

@@ -44,7 +44,7 @@ pub struct Timetable {
 fn sender_occupation(platform: &Platform, edge: EdgeId, slice_size: f64, model: CommModel) -> f64 {
     let link = platform.link_time(edge, slice_size);
     match model {
-        CommModel::OnePort | CommModel::OnePortUnidirectional => link,
+        CommModel::OnePort => link,
         CommModel::MultiPort => platform.send_time(edge, slice_size).min(link),
     }
 }

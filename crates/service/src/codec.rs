@@ -66,7 +66,6 @@ fn get_op(r: &mut Reader) -> Result<ConstraintOp, WireError> {
 fn put_model(w: &mut Writer, model: CommModel) {
     w.put_u8(match model {
         CommModel::OnePort => 0,
-        CommModel::OnePortUnidirectional => 1,
         CommModel::MultiPort => 2,
     });
 }
@@ -74,7 +73,6 @@ fn put_model(w: &mut Writer, model: CommModel) {
 fn get_model(r: &mut Reader) -> Result<CommModel, WireError> {
     match r.get_u8()? {
         0 => Ok(CommModel::OnePort),
-        1 => Ok(CommModel::OnePortUnidirectional),
         2 => Ok(CommModel::MultiPort),
         t => Err(WireError::BadTag(t)),
     }
@@ -325,4 +323,60 @@ pub fn get_schedule_parts(r: &mut Reader) -> Result<ScheduleParts, WireError> {
         trees: r.get_seq(8, |r| r.get_seq(4, |r| Ok(EdgeId(r.get_u32()?))))?,
         rounding: get_rounding(r)?,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parts(model: CommModel) -> ScheduleParts {
+        ScheduleParts {
+            source: 0,
+            model,
+            slice_size: 1.0e6,
+            lp_throughput: 2.0,
+            trees: vec![vec![EdgeId(0)]],
+            rounding: RoundedLoads {
+                slices_per_period: 1,
+                multiplicity: vec![1, 0],
+                ideal_period: 0.5,
+                loss_bound: 0.0,
+                repairs: 0,
+                dominated: vec![false, false],
+            },
+        }
+    }
+
+    fn encode(parts: &ScheduleParts) -> Vec<u8> {
+        let mut w = Writer::new();
+        put_schedule_parts(&mut w, parts);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<ScheduleParts, WireError> {
+        let mut r = Reader::new(bytes);
+        let parts = get_schedule_parts(&mut r)?;
+        r.finish()?;
+        Ok(parts)
+    }
+
+    /// Both port models round-trip, and tag 1 in their place is a decode
+    /// error, not a panic: it named a unidirectional one-port model that
+    /// no session ever stored, and the tag stays retired.
+    #[test]
+    fn retired_model_tag_is_a_decode_error() {
+        let (one_port, multi_port) = (parts(CommModel::OnePort), parts(CommModel::MultiPort));
+        let (a, b) = (encode(&one_port), encode(&multi_port));
+        assert_eq!(decode(&a), Ok(one_port));
+        assert_eq!(decode(&b), Ok(multi_port));
+        // The two encodings differ in the model byte only.
+        assert_eq!(a.len(), b.len());
+        let differ: Vec<usize> = (0..a.len()).filter(|&i| a[i] != b[i]).collect();
+        let [at] = differ[..] else {
+            panic!("the encodings differ at {differ:?}");
+        };
+        let mut retired = a;
+        retired[at] = 1;
+        assert_eq!(decode(&retired), Err(WireError::BadTag(1)));
+    }
 }

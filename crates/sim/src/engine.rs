@@ -7,8 +7,9 @@
 //! 1. `u` holds slice `k`,
 //! 2. all earlier transfers of `u` (head-of-line order: slices in order,
 //!    children in edge order) have *started*,
-//! 3. `u`'s send port is free (one-port: busy for the whole link occupation;
-//!    multi-port: busy only for the sender overhead),
+//! 3. `u`'s send port is free (held for [`CommModel::send_hold`]: the whole
+//!    link occupation under one-port, only the sender overhead under
+//!    multi-port),
 //! 4. `v`'s receive port is free (busy for the whole link occupation in both
 //!    models).
 //!
@@ -196,7 +197,7 @@ pub fn simulate_broadcast(
         // Start the transfer.
         let slice_len = spec.slice_len(slice);
         let link_time = platform.link_time(edge, slice_len);
-        let sender_busy = match_sender_busy(platform, edge, slice_len, link_time, model);
+        let sender_busy = model.send_hold(platform, edge, slice_len);
         senders[u.index()].next += 1;
         senders[u.index()].port_free_at = now + sender_busy;
         recv_free_at[dst.index()] = now + link_time;
@@ -297,20 +298,6 @@ pub fn simulate_broadcast(
         makespan,
         transfers,
         events,
-    }
-}
-
-/// Duration for which the sender's port stays busy for one transfer.
-fn match_sender_busy(
-    platform: &Platform,
-    edge: EdgeId,
-    slice_len: f64,
-    link_time: f64,
-    model: CommModel,
-) -> f64 {
-    match model {
-        CommModel::OnePort | CommModel::OnePortUnidirectional => link_time,
-        CommModel::MultiPort => platform.send_time(edge, slice_len).min(link_time),
     }
 }
 

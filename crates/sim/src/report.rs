@@ -46,12 +46,6 @@ impl SimulationReport {
         }
     }
 
-    /// Time needed for the first slice to reach every processor (pipeline
-    /// fill time).
-    pub fn fill_time(&self) -> f64 {
-        self.slice_completion.first().copied().unwrap_or(0.0)
-    }
-
     /// Per-slice steady-state period measured over batch-strided completion
     /// gaps: when the broadcast delivers `batch` slices per period (the
     /// schedule-driven execution mode), `completion[k + batch] −
@@ -104,7 +98,6 @@ mod tests {
         let r = report(vec![3.0, 5.0, 7.0, 9.0, 11.0, 13.0]);
         assert!((r.estimated_period() - 2.0).abs() < 1e-12);
         assert!((r.estimated_throughput() - 0.5).abs() < 1e-12);
-        assert_eq!(r.fill_time(), 3.0);
     }
 
     #[test]

@@ -109,6 +109,102 @@ fn rebuilding_from_the_same_seed_is_identical() {
     }
 }
 
+/// The fixture with the paper's multi-port sender overheads
+/// (`send_u = 0.8 · min_w T_{u,w}` for a slice).
+fn multiport_fixture() -> Platform {
+    fixture().with_multiport_overheads(0.8, SLICE)
+}
+
+/// `(heuristic, steady-state throughput bits, tree edge ids)` for the
+/// multi-port fixture, each tree built and evaluated under
+/// `CommModel::MultiPort`: the multi-port heuristic costs and period
+/// differ from the one-port goldens above.
+fn multiport_golden() -> Vec<(HeuristicKind, u64, Vec<u32>)> {
+    vec![
+        (
+            HeuristicKind::PruneSimple,
+            0x404382b2cfb75625,
+            vec![0, 2, 5, 8, 11, 13, 14, 17, 21, 22, 31],
+        ),
+        (
+            HeuristicKind::PruneDegree,
+            0x4051043334af0ad5,
+            vec![1, 11, 13, 14, 17, 21, 22, 24, 26, 31, 37],
+        ),
+        (
+            HeuristicKind::GrowTree,
+            0x404a039914f472db,
+            vec![1, 5, 11, 13, 14, 17, 21, 22, 26, 33, 37],
+        ),
+        (
+            HeuristicKind::LpGrow,
+            0x4051043334af0ad5,
+            vec![1, 3, 8, 10, 13, 16, 22, 27, 28, 33, 39],
+        ),
+        (
+            HeuristicKind::LpPrune,
+            0x4051043334af0ad5,
+            vec![1, 3, 8, 10, 13, 16, 22, 27, 28, 33, 39],
+        ),
+        (
+            HeuristicKind::Binomial,
+            0x403d65421c4d90cf,
+            vec![
+                1, 2, 3, 4, 5, 8, 10, 11, 13, 14, 15, 19, 20, 22, 24, 26, 27, 28, 30, 32, 36,
+            ],
+        ),
+    ]
+}
+
+/// Makespan bits of the multi-port Grow Tree broadcast of 50.5 slices on
+/// the multi-port fixture: the last, half-size slice holds its sender's
+/// port for a shorter time.
+const GOLDEN_MULTIPORT_SIM_MAKESPAN: u64 = 0x3ff02bf75cc2e8b4;
+
+#[test]
+fn every_heuristic_matches_its_multi_port_golden_tree_and_throughput_bits() {
+    let platform = multiport_fixture();
+    for (kind, expected_tp, expected_edges) in multiport_golden() {
+        let tree =
+            build_structure(&platform, NodeId(0), kind, CommModel::MultiPort, SLICE).unwrap();
+        let observed: Vec<u32> = tree.edges().iter().map(|e| e.0).collect();
+        let tp = steady_state_throughput(&platform, &tree, CommModel::MultiPort, SLICE);
+        assert_eq!(
+            observed,
+            expected_edges,
+            "{kind:?} built a different multi-port tree (observed tp {:#x})",
+            tp.to_bits()
+        );
+        assert_eq!(
+            tp.to_bits(),
+            expected_tp,
+            "{kind:?} multi-port throughput drifted: observed {tp} ({:#x})",
+            tp.to_bits()
+        );
+    }
+}
+
+#[test]
+fn multi_port_simulation_matches_its_golden_makespan() {
+    let platform = multiport_fixture();
+    let tree = build_structure(
+        &platform,
+        NodeId(0),
+        HeuristicKind::GrowTree,
+        CommModel::MultiPort,
+        SLICE,
+    )
+    .unwrap();
+    let spec = MessageSpec::new(50.5 * SLICE, SLICE);
+    let makespan = simulate_broadcast(&platform, &tree, &spec, CommModel::MultiPort).makespan;
+    assert_eq!(
+        makespan.to_bits(),
+        GOLDEN_MULTIPORT_SIM_MAKESPAN,
+        "observed makespan {makespan} ({:#x})",
+        makespan.to_bits()
+    );
+}
+
 #[test]
 fn optimal_solvers_are_deterministic_and_agree() {
     let platform = fixture();

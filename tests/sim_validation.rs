@@ -34,28 +34,29 @@ fn simulated_period_matches_analytic_one_port() {
     }
 }
 
+/// The same check under the multi-port model, for every spanning-tree
+/// heuristic. The binomial overlay is left out: it is not a tree.
 #[test]
 fn simulated_period_matches_analytic_multi_port() {
     let mut rng = StdRng::seed_from_u64(8);
     let platform = random_platform(&RandomPlatformConfig::paper(15, 0.15), &mut rng)
         .with_multiport_overheads(0.8, SLICE);
-    let tree = build_structure(
-        &platform,
-        NodeId(0),
-        HeuristicKind::GrowTree,
-        CommModel::MultiPort,
-        SLICE,
-    )
-    .unwrap();
-    let analytic = steady_state_period(&platform, &tree, CommModel::MultiPort, SLICE);
-    let spec = MessageSpec::new(300.0 * SLICE, SLICE);
-    let report = simulate_broadcast(&platform, &tree, &spec, CommModel::MultiPort);
-    let simulated = report.estimated_period();
-    let rel_err = (simulated - analytic).abs() / analytic;
-    assert!(
-        rel_err < 0.02,
-        "multi-port: simulated {simulated} vs analytic {analytic}"
-    );
+    for kind in HeuristicKind::ALL {
+        if kind == HeuristicKind::Binomial {
+            continue;
+        }
+        let tree =
+            build_structure(&platform, NodeId(0), kind, CommModel::MultiPort, SLICE).unwrap();
+        let analytic = steady_state_period(&platform, &tree, CommModel::MultiPort, SLICE);
+        let spec = MessageSpec::new(300.0 * SLICE, SLICE);
+        let report = simulate_broadcast(&platform, &tree, &spec, CommModel::MultiPort);
+        let simulated = report.estimated_period();
+        let rel_err = (simulated - analytic).abs() / analytic;
+        assert!(
+            rel_err < 0.02,
+            "{kind:?}, multi-port: simulated {simulated} vs analytic {analytic}"
+        );
+    }
 }
 
 /// The simulator never beats the analytic steady state (it also pays the
