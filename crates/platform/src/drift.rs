@@ -9,15 +9,20 @@
 //!
 //! * every step multiplies each link's cost by a lognormal factor
 //!   `exp(σ·z)`, `z ~ N(0, 1)` — bandwidth random-walks around its base
-//!   value, clamped to a configurable corridor so a long trace cannot drift
-//!   into degeneracy;
+//!   value, its cumulative factor clamped to `[0.25, 4]` so a long trace
+//!   cannot drift into degeneracy;
 //! * links fail (and later recover) with configurable per-step
 //!   probabilities. A failure is **soft**: the link's cost is scaled by
 //!   [`FAILED_COST_FACTOR`] instead of the edge being removed, so every
 //!   snapshot shares the base platform's edge identities — the property
 //!   that lets the LP variable space, the simplex basis, and the cut pool
 //!   survive across steps. A failure that would disconnect the broadcast
-//!   source is skipped (the trace stays feasible by construction).
+//!   source is skipped (the trace stays feasible by construction);
+//! * nodes join and leave with configurable per-step probabilities. A
+//!   joiner attaches to two distinct alive nodes, and each attachment
+//!   link's bandwidth is a fresh draw from the paper's Table 2
+//!   distribution (100 ± 20 MB/s, floored at 10 MB/s), whatever family the
+//!   base platform came from.
 //!
 //! The whole trace is generated up front from one seed (`StdRng`), so two
 //! generations from the same `(platform, source, config)` are bit-identical
@@ -37,36 +42,22 @@ use rand::{Rng, SeedableRng};
 /// load to numerical zero.
 pub const FAILED_COST_FACTOR: f64 = 1.0e6;
 
-/// Link-cost distribution for nodes joining a drift trace: a joiner's
-/// attachment links are fresh draws from it, not empirical copies of
-/// existing (possibly already drifted or atypical) links. Every trace in
-/// this repository uses [`JoinCostModel::default`], the paper's Table 2
-/// distribution, whatever family the base platform came from.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct JoinCostModel {
-    /// Mean link bandwidth in bytes/second.
-    pub bandwidth_mean: f64,
-    /// Standard deviation of the link bandwidth.
-    pub bandwidth_dev: f64,
-    /// Lower truncation bound on sampled bandwidths (keeps costs finite).
-    pub bandwidth_floor: f64,
-    /// Per-link start-up latency in seconds.
-    pub latency: f64,
-}
+// The corridor a link's cumulative drift factor is clamped to.
+const MIN_FACTOR: f64 = 0.25;
+const MAX_FACTOR: f64 = 4.0;
 
-impl Default for JoinCostModel {
-    /// The paper's Table 2 distribution: 100 ± 20 MB/s, floored at
-    /// 10 MB/s, no latency — the parameters shared by the paper's random
-    /// and Tiers configurations.
-    fn default() -> Self {
-        JoinCostModel {
-            bandwidth_mean: 100.0e6,
-            bandwidth_dev: 20.0e6,
-            bandwidth_floor: 10.0e6,
-            latency: 0.0,
-        }
-    }
-}
+/// Number of distinct alive nodes a joining node attaches to (clamped to
+/// the current alive count).
+const ATTACH_DEGREE: usize = 2;
+
+// Bandwidth distribution of a joiner's attachment links, in bytes/second:
+// the paper's Table 2 (100 ± 20 MB/s, floored at 10 MB/s so costs stay
+// finite), the parameters shared by its random and Tiers configurations.
+// Links are latency-free. A joiner's links are fresh draws, not copies of
+// existing (possibly already drifted or atypical) links.
+const JOIN_BANDWIDTH_MEAN: f64 = 100.0e6;
+const JOIN_BANDWIDTH_DEV: f64 = 20.0e6;
+const JOIN_BANDWIDTH_FLOOR: f64 = 10.0e6;
 
 /// Parameters of [`DriftTrace::generate`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -84,16 +75,10 @@ pub struct DriftConfig {
     pub failure_rate: f64,
     /// Per-step probability that a failed link recovers.
     pub recovery_rate: f64,
-    /// Lower clamp on a link's cumulative drift factor.
-    pub min_factor: f64,
-    /// Upper clamp on a link's cumulative drift factor.
-    pub max_factor: f64,
     /// RNG seed; the trace is a pure function of `(platform, source, self)`.
     pub seed: u64,
-    /// Per-step probability that a new node joins the platform. Joiners
-    /// attach bidirectionally to [`DriftConfig::attach_degree`] distinct
-    /// alive nodes; each attachment link's cost is a fresh draw from
-    /// [`DriftConfig::join_cost`].
+    /// Per-step probability that a new node joins the platform, attached
+    /// as the module docs describe.
     /// `0.0` — the default of every cost-only constructor — disables
     /// topology churn entirely and keeps the RNG stream bit-identical to
     /// pre-churn traces.
@@ -103,13 +88,6 @@ pub struct DriftConfig {
     /// alive, non-failed edge set) is skipped, as is one that would leave
     /// fewer than two nodes. Departed nodes stay out.
     pub leave_rate: f64,
-    /// Number of distinct alive nodes a joining node attaches to (clamped
-    /// to the current alive count).
-    pub attach_degree: usize,
-    /// Link-cost distribution for joining nodes' attachment links. Every
-    /// constructor sets the paper's Table 2 parameters
-    /// ([`JoinCostModel::default`]) on every platform family.
-    pub join_cost: JoinCostModel,
 }
 
 impl DriftConfig {
@@ -120,13 +98,9 @@ impl DriftConfig {
             sigma: 0.15,
             failure_rate: 0.0,
             recovery_rate: 0.0,
-            min_factor: 0.25,
-            max_factor: 4.0,
             seed,
             join_rate: 0.0,
             leave_rate: 0.0,
-            attach_degree: 2,
-            join_cost: JoinCostModel::default(),
         }
     }
 
@@ -148,15 +122,8 @@ impl DriftConfig {
         DriftConfig {
             join_rate: 0.45,
             leave_rate: 0.35,
-            attach_degree: 2,
             ..Self::with_failures(steps, seed)
         }
-    }
-}
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig::gentle(10, 2004)
     }
 }
 
@@ -346,7 +313,7 @@ impl DriftTrace {
     /// # Panics
     /// Panics when the base platform cannot broadcast from `source` (a
     /// trace over an infeasible platform is meaningless) or when the
-    /// config's probabilities/factors are out of range.
+    /// config's `sigma` is negative or its rates are not probabilities.
     pub fn generate(base: &Platform, source: NodeId, config: &DriftConfig) -> DriftTrace {
         assert!(
             base.is_broadcast_feasible(source),
@@ -359,24 +326,8 @@ impl DriftTrace {
             "failure/recovery rates are probabilities"
         );
         assert!(
-            config.min_factor > 0.0 && config.min_factor <= 1.0 && config.max_factor >= 1.0,
-            "the factor corridor must contain 1.0"
-        );
-        assert!(
             (0.0..=1.0).contains(&config.join_rate) && (0.0..=1.0).contains(&config.leave_rate),
             "join/leave rates are probabilities"
-        );
-        assert!(
-            config.join_rate == 0.0
-                || (config.join_cost.bandwidth_floor <= config.join_cost.bandwidth_mean
-                    && config.join_cost.bandwidth_floor > 0.0
-                    && config.join_cost.bandwidth_dev >= 0.0
-                    && config.join_cost.latency >= 0.0),
-            "the join cost model must describe a positive truncated normal"
-        );
-        assert!(
-            config.join_rate == 0.0 || config.attach_degree >= 1,
-            "joining nodes need at least one attachment link"
         );
         let mut rng = StdRng::seed_from_u64(config.seed);
         // The growing "full" graph: base plus every joiner. Churn-free
@@ -405,8 +356,7 @@ impl DriftTrace {
             if config.sigma > 0.0 {
                 for factor in factors.iter_mut() {
                     let z = sample_normal(&mut rng, 0.0, 1.0);
-                    *factor = (*factor * (config.sigma * z).exp())
-                        .clamp(config.min_factor, config.max_factor);
+                    *factor = (*factor * (config.sigma * z).exp()).clamp(MIN_FACTOR, MAX_FACTOR);
                 }
             }
             // 2. Recoveries before failures; a link that just recovered is
@@ -474,9 +424,9 @@ impl DriftTrace {
                 }
             }
             // 5. At most one join per step: a fresh node attached
-            //    bidirectionally to `attach_degree` distinct alive nodes.
+            //    bidirectionally to `ATTACH_DEGREE` distinct alive nodes.
             //    Each physical attachment link's bandwidth is a fresh draw
-            //    from `config.join_cost` — both directions share the
+            //    from the Table 2 distribution — both directions share the
             //    sample, matching the generators' bidirectional one-port
             //    links — rather than a copy of an existing (drifted) link.
             //    New links start at cost factor 1.0 and drift from the
@@ -486,7 +436,7 @@ impl DriftTrace {
                     .map(|i| NodeId(i as u32))
                     .filter(|&v| alive_nodes[v.index()])
                     .collect();
-                let degree = config.attach_degree.min(targets.len());
+                let degree = ATTACH_DEGREE.min(targets.len());
                 if degree >= 1 {
                     // Partial Fisher-Yates: the first `degree` entries end
                     // up a uniform distinct sample of the alive nodes.
@@ -497,15 +447,14 @@ impl DriftTrace {
                     let name = format!("J{}", graph.node_count());
                     let v = graph.add_node(crate::platform::Processor::new(name));
                     alive_nodes.push(true);
-                    let model = &config.join_cost;
                     for &t in &targets[..degree] {
                         let bandwidth = sample_normal_at_least(
                             &mut rng,
-                            model.bandwidth_mean,
-                            model.bandwidth_dev,
-                            model.bandwidth_floor,
+                            JOIN_BANDWIDTH_MEAN,
+                            JOIN_BANDWIDTH_DEV,
+                            JOIN_BANDWIDTH_FLOOR,
                         );
-                        let cost = LinkCost::one_port(model.latency, 1.0 / bandwidth);
+                        let cost = LinkCost::from_bandwidth(bandwidth);
                         for (src, dst) in [(v, t), (t, v)] {
                             graph.add_edge(src, dst, cost);
                             factors.push(1.0);
@@ -787,7 +736,7 @@ mod tests {
             for e in platform.edges() {
                 let factor = trace.step(step).factor(e);
                 assert!(
-                    (config.min_factor..=config.max_factor).contains(&factor),
+                    (MIN_FACTOR..=MAX_FACTOR).contains(&factor),
                     "factor {factor} left the corridor"
                 );
                 let base = platform.link_cost(e);
@@ -961,26 +910,20 @@ mod tests {
     }
 
     #[test]
-    fn joiner_link_costs_follow_the_family_model() {
-        // A base platform whose every link has bandwidth 50 MB/s, and a
-        // join model pinned (dev = 0) to 200 MB/s: every attachment link
-        // must carry the model's cost exactly — a copied donor link would
-        // carry 50 MB/s and fail the assertion.
+    fn joiner_links_are_fresh_table_2_draws() {
+        // A base platform whose every link has bandwidth 50 MB/s: a link
+        // copied from it would carry 50 MB/s. Every joiner link must be a
+        // fresh draw instead, at least the 10 MB/s floor, with one sample
+        // for both directions of an attachment.
         let mut b = Platform::builder();
         let p = b.add_processors(6);
-        let base_cost = LinkCost::one_port(0.0, 1.0 / 50.0e6);
+        let base_cost = LinkCost::from_bandwidth(50.0e6);
         for i in 1..6 {
             b.add_bidirectional_link(p[0], p[i], base_cost);
         }
         let platform = b.build();
         let config = DriftConfig {
             join_rate: 1.0,
-            join_cost: JoinCostModel {
-                bandwidth_mean: 200.0e6,
-                bandwidth_dev: 0.0,
-                bandwidth_floor: 10.0e6,
-                latency: 0.0,
-            },
             ..DriftConfig::gentle(6, 31)
         };
         let trace = DriftTrace::generate(&platform, NodeId(0), &config);
@@ -988,19 +931,24 @@ mod tests {
         let mut joiner_links = 0usize;
         for step in 1..trace.len() {
             for event in &trace.step(step).events {
-                if let DriftEvent::NodeJoin(v) = event {
-                    for e in g.out_edges(*v).chain(g.in_edges(*v)) {
-                        // Only links created *with* the join carry the
-                        // model cost; links added by later joiners
-                        // attaching to `v` do too, so check them all.
-                        let beta = g.edge(e.id).beta;
-                        assert!(
-                            (beta - 1.0 / 200.0e6).abs() <= 1e-18,
-                            "joiner link bandwidth {} not from the model",
-                            1.0 / beta
-                        );
-                        joiner_links += 1;
-                    }
+                let DriftEvent::NodeJoin(v) = *event else {
+                    continue;
+                };
+                // Links added by later joiners attaching to `v` are
+                // fresh draws too, so check them all.
+                for e in g.out_edges(v) {
+                    let beta = e.payload.beta;
+                    assert_ne!(beta, base_cost.beta, "joiner link copied a base link");
+                    assert!(
+                        beta <= 1.0 / JOIN_BANDWIDTH_FLOOR,
+                        "joiner link bandwidth {} below the floor",
+                        1.0 / beta
+                    );
+                    let back = g
+                        .find_edge(e.dst, v)
+                        .expect("attachments are bidirectional");
+                    assert_eq!(g.edge(back).beta, beta, "one draw per attachment");
+                    joiner_links += 1;
                 }
             }
         }

@@ -4,8 +4,9 @@
 //! endpoints, and every layer asks it rather than restating the rule:
 //!
 //! * [`CommModel::send_hold`] — how long one transfer holds its sender's
-//!   port (the schedule timetable, its validation and port utilisation, and
-//!   the simulator);
+//!   port (the simulator's replay of a tree; a periodic schedule is
+//!   one-port, like the LP whose loads it realises, so its transfers hold
+//!   both ports for `T_e`);
 //! * [`CommModel::port_period`] — a node's steady-state port period over a
 //!   set of its edges, one slice per edge (the analytic throughput, the
 //!   pruning and growing heuristics' costs, and the rounding bound `D` of

@@ -19,9 +19,9 @@
 //!    Lovász): batch slice `j` travels along tree `j`, so every processor
 //!    receives every slice exactly once per period.
 //! 3. **Schedule** ([`schedule`]) — sort the period's transfers by
-//!    decreasing duration, timetable them without barriers (a list
-//!    scheduler that starts the transfer on the most loaded ports first; a
-//!    multi-port variant only serialises the sender overheads), and assign
+//!    decreasing duration, timetable them without barriers under the
+//!    bidirectional one-port model the LP bounds (a list scheduler that
+//!    starts the transfer on the most loaded ports first), and assign
 //!    inter-period lags so causality holds.
 //!
 //! The result is a [`PeriodicSchedule`]: the parts it was assembled from
@@ -53,31 +53,17 @@ use bcast_platform::drift::ChurnRemap;
 use bcast_platform::{CommModel, Platform};
 
 /// Options of [`synthesize_schedule`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SynthesisConfig {
-    /// Port model the timetable is built for.
-    pub model: CommModel,
     /// Fixed batch size `B` (slices per period); `None` derives it from the
     /// rounding's loss target (see [`round_loads`]).
     pub batch: Option<usize>,
 }
 
-impl Default for SynthesisConfig {
-    fn default() -> Self {
-        SynthesisConfig {
-            model: CommModel::OnePort,
-            batch: None,
-        }
-    }
-}
-
 impl SynthesisConfig {
     /// A configuration with a fixed batch size `B`.
     pub fn with_batch(batch: usize) -> Self {
-        SynthesisConfig {
-            batch: Some(batch),
-            ..SynthesisConfig::default()
-        }
+        SynthesisConfig { batch: Some(batch) }
     }
 }
 
@@ -159,7 +145,6 @@ fn synthesize_schedule_inner(
         platform,
         ScheduleParts {
             source: source.index(),
-            model: config.model,
             slice_size,
             lp_throughput: optimal.throughput,
             trees,
@@ -226,7 +211,6 @@ pub fn synthesize_schedule_with_tree_fallback(
             platform,
             ScheduleParts {
                 source: source.index(),
-                model: config.model,
                 slice_size,
                 lp_throughput: optimal.throughput,
                 trees: vec![edges],
@@ -521,7 +505,6 @@ fn repair(
         platform,
         ScheduleParts {
             source: source.index(),
-            model: config.model,
             slice_size,
             lp_throughput: optimal.throughput,
             trees,
@@ -552,12 +535,12 @@ fn repair(
 /// edges; everything the churn disconnected (joining nodes, subtrees whose
 /// parent edge died) is grafted back greedily: among all serviceable edges
 /// from the connected part to a disconnected node, pick the one minimising
-/// the resulting one-port busy time `max(out_load(u) + T_e, in_load(v) +
-/// T_e)`, where the loads accumulate over the *whole period* (`out_load` /
-/// `in_load` carry the trees already repaired; this tree's kept and grafted
-/// edges are added on top) — that is the port budget: grafting under an
-/// already-busy parent costs its whole backlog. Ties break on edge id for
-/// determinism.
+/// the resulting busy time `max(out_load(u) + T_e, in_load(v) + T_e)` of
+/// its two ports, which is the port work the one-port timetable pays. The
+/// loads accumulate over the *whole period* (`out_load` / `in_load` carry
+/// the trees already repaired; this tree's kept and grafted edges are added
+/// on top) — that is the port budget: grafting under an already-busy
+/// parent costs its whole backlog. Ties break on edge id for determinism.
 ///
 /// Returns the tree's edges in parent-before-child order (as the assembler
 /// requires), or `None` when the connected part cannot reach every node
@@ -779,36 +762,6 @@ mod tests {
             "efficiency {}",
             schedule.efficiency()
         );
-    }
-
-    #[test]
-    fn multiport_timetable_overlaps_links() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let platform = random_platform(&RandomPlatformConfig::paper(10, 0.2), &mut rng)
-            .with_multiport_overheads(0.5, SLICE);
-        let optimal =
-            optimal_throughput(&platform, NodeId(0), SLICE, OptimalMethod::CutGeneration).unwrap();
-        let one = synthesize_schedule(
-            &platform,
-            NodeId(0),
-            &optimal,
-            SLICE,
-            &SynthesisConfig::with_batch(12),
-        )
-        .unwrap();
-        let multi = synthesize_schedule(
-            &platform,
-            NodeId(0),
-            &optimal,
-            SLICE,
-            &SynthesisConfig {
-                model: CommModel::MultiPort,
-                ..SynthesisConfig::with_batch(12)
-            },
-        )
-        .unwrap();
-        multi.validate(&platform).unwrap();
-        assert!(multi.period() <= one.period() + 1e-9);
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //! edge, then slice) and times it with an event-driven list scheduler:
 //! whenever a port frees, the pending transfer whose ports carry the most
 //! remaining work starts first (critical-resource-first, which keeps the
-//! bottleneck port dense). How long a transfer holds its send port is
-//! [`CommModel::send_hold`]: the link occupation under the one-port model,
-//! only the sender *overhead* under the multi-port variant; the receiver is
-//! engaged for the full occupation under both. The achieved period is the
-//! latest port completion time.
+//! bottleneck port dense). The timetable is one-port, like the LP whose
+//! loads it realises: a transfer on edge `e` holds both its sender's send
+//! port and its receiver's receive port for the link occupation `T_e`. The
+//! achieved period is the latest port completion time.
 //!
 //! ## Rounds, on request
 //!
@@ -40,7 +39,7 @@
 use crate::error::SchedError;
 use crate::rounding::{RoundedLoads, MAX_SLICES_PER_PERIOD};
 use bcast_net::{EdgeId, NodeId};
-use bcast_platform::{CommModel, Platform};
+use bcast_platform::Platform;
 use serde::{Deserialize, Serialize};
 
 /// Tolerance for timetable comparisons (start/finish times in seconds).
@@ -86,11 +85,6 @@ impl PeriodicSchedule {
     /// The broadcast source.
     pub fn source(&self) -> NodeId {
         NodeId(self.parts.source as u32)
-    }
-
-    /// The port model the timetable was built for.
-    pub fn model(&self) -> CommModel {
-        self.parts.model
     }
 
     /// Slice size the schedule is calibrated for, in bytes.
@@ -191,15 +185,15 @@ impl PeriodicSchedule {
         if self.period <= 0.0 {
             return (0.0, 0.0);
         }
-        let (slice_size, model) = (self.parts.slice_size, self.parts.model);
         let (mut send, mut recv) = (0.0f64, 0.0f64);
         for t in &self.transfers {
             let (u, v) = platform.graph().endpoints(t.edge);
+            let link = platform.link_time(t.edge, self.parts.slice_size);
             if u == node {
-                send += model.send_hold(platform, t.edge, slice_size);
+                send += link;
             }
             if v == node {
-                recv += platform.link_time(t.edge, slice_size);
+                recv += link;
             }
         }
         (send / self.period, recv / self.period)
@@ -213,7 +207,9 @@ impl PeriodicSchedule {
     ///    child, and the trees use no edge beyond its rounded multiplicity,
     /// 2. the transfers are the trees' edges, one per slice and tree edge,
     ///    each lasting its link occupation,
-    /// 3. port busy intervals never overlap within a period,
+    /// 3. each transfer holds its sender's send port and its receiver's
+    ///    receive port over `[start, finish)`, and no port is held twice at
+    ///    once within a period,
     /// 4. transfers stay inside `[0, period]` (so periods never collide),
     /// 5. lags respect causality (a slice arrives before it is forwarded).
     pub fn validate(&self, platform: &Platform) -> Result<(), SchedError> {
@@ -238,8 +234,7 @@ impl PeriodicSchedule {
             if t.start < -TIME_TOL || t.finish > self.period + TIME_TOL {
                 return invalid(format!("transfer on {:?} leaves the period", t.edge));
             }
-            let send_hold = self.parts.model.send_hold(platform, t.edge, slice_size);
-            send_intervals[u.index()].push((t.start, t.start + send_hold));
+            send_intervals[u.index()].push((t.start, t.finish));
             recv_intervals[v.index()].push((t.start, t.finish));
         }
         for (intervals, what) in [(&mut send_intervals, "send"), (&mut recv_intervals, "recv")] {
@@ -333,8 +328,6 @@ impl PeriodicSchedule {
 pub struct ScheduleParts {
     /// Broadcast source node index.
     pub source: usize,
-    /// Port model the timetable is built for.
-    pub model: CommModel,
     /// Slice size the schedule is calibrated for, in bytes.
     pub slice_size: f64,
     /// LP throughput bound the schedule was synthesized against.
@@ -415,7 +408,7 @@ pub(crate) fn assemble(platform: &Platform, parts: ScheduleParts) -> PeriodicSch
     let _span = bcast_obs::span!(bcast_obs::names::SPAN_SCHED_ASSEMBLE);
     let n = platform.node_count();
     let graph = platform.graph();
-    let (slice_size, model, trees) = (parts.slice_size, parts.model, &parts.trees);
+    let (slice_size, trees) = (parts.slice_size, &parts.trees);
 
     // All transfers of one period, longest link occupation first (ties by
     // edge then slice index for determinism).
@@ -444,8 +437,9 @@ pub(crate) fn assemble(platform: &Platform, parts: ScheduleParts) -> PeriodicSch
     let mut remaining_send = vec![0.0f64; n];
     let mut remaining_recv = vec![0.0f64; n];
     for &(_, e) in &order {
-        remaining_send[graph.src(e).index()] += model.send_hold(platform, e, slice_size);
-        remaining_recv[graph.dst(e).index()] += platform.link_time(e, slice_size);
+        let link = platform.link_time(e, slice_size);
+        remaining_send[graph.src(e).index()] += link;
+        remaining_recv[graph.dst(e).index()] += link;
     }
     let mut scheduled: Vec<Option<(f64, f64)>> = vec![None; order.len()]; // (start, finish)
     let mut left = order.len();
@@ -494,13 +488,13 @@ pub(crate) fn assemble(platform: &Platform, parts: ScheduleParts) -> PeriodicSch
         let u = graph.src(e).index();
         let v = graph.dst(e).index();
         let link = platform.link_time(e, slice_size);
-        let hold = model.send_hold(platform, e, slice_size);
         let start = send_free[u].max(recv_free[v]);
-        send_free[u] = start + hold;
-        recv_free[v] = start + link;
-        remaining_send[u] -= hold;
+        let finish = start + link;
+        send_free[u] = finish;
+        recv_free[v] = finish;
+        remaining_send[u] -= link;
         remaining_recv[v] -= link;
-        scheduled[i] = Some((start, start + link));
+        scheduled[i] = Some((start, finish));
         left -= 1;
     }
     let mut transfers: Vec<ScheduledTransfer> = order
@@ -586,14 +580,10 @@ mod tests {
     /// repair otherwise; both grandfather the kept trees' multiplicities.
     fn walk(
         base: &Platform,
-        model: CommModel,
         config: &DriftConfig,
     ) -> Vec<(Platform, PeriodicSchedule, &'static str)> {
         let trace = DriftTrace::generate(base, NodeId(0), config);
-        let synthesis = SynthesisConfig {
-            model,
-            ..SynthesisConfig::with_batch(8)
-        };
+        let synthesis = SynthesisConfig::with_batch(8);
         let platform = trace.platform_at(0);
         let source = trace.source_at(0);
         let mut session =
@@ -685,10 +675,10 @@ mod tests {
         assert_eq!(live.parts, restored.parts, "{what}: parts");
     }
 
-    /// On all three families, on one-node platforms of two of them, and
-    /// under both port models, the parts of a synthesized, a drift-repaired
-    /// and a churn-repaired schedule re-assemble, on the platform the
-    /// schedule was assembled on, into the same schedule bit for bit.
+    /// On all three families and on one-node platforms of two of them, the
+    /// parts of a synthesized, a drift-repaired and a churn-repaired
+    /// schedule re-assemble, on the platform the schedule was assembled on,
+    /// into the same schedule bit for bit.
     #[test]
     fn parts_reassemble_every_field_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(92);
@@ -703,25 +693,17 @@ mod tests {
         ));
         let mut seen = Vec::new();
         for (i, base) in bases.iter().enumerate() {
-            for model in [CommModel::OnePort, CommModel::MultiPort] {
-                let base = match model {
-                    CommModel::MultiPort => base.with_multiport_overheads(0.5, SLICE),
-                    _ => base.clone(),
-                };
-                let seed = 300 + i as u64;
-                for config in [
-                    DriftConfig::with_failures(4, seed),
-                    DriftConfig::with_churn(6, seed),
-                ] {
-                    for (step, (platform, live, kind)) in
-                        walk(&base, model, &config).into_iter().enumerate()
-                    {
-                        let restored = PeriodicSchedule::from_parts(&platform, &live.to_parts())
-                            .unwrap_or_else(|e| panic!("family {i} {model:?} step {step}: {e}"));
-                        let what = format!("family {i} {model:?} step {step} ({kind})");
-                        assert_bit_identical(&platform, &live, &restored, &what);
-                        seen.push(kind);
-                    }
+            let seed = 300 + i as u64;
+            for config in [
+                DriftConfig::with_failures(4, seed),
+                DriftConfig::with_churn(6, seed),
+            ] {
+                for (step, (platform, live, kind)) in walk(base, &config).into_iter().enumerate() {
+                    let restored = PeriodicSchedule::from_parts(&platform, &live.to_parts())
+                        .unwrap_or_else(|e| panic!("family {i} step {step}: {e}"));
+                    let what = format!("family {i} step {step} ({kind})");
+                    assert_bit_identical(&platform, &live, &restored, &what);
+                    seen.push(kind);
                 }
             }
         }
@@ -732,8 +714,7 @@ mod tests {
 
     /// Applies mutation `kind` to real `parts` over `m` edges and returns
     /// whether the checks must reject the result. Only a tree edge
-    /// replaced by another in-range id, the other port model and two
-    /// swapped trees may pass.
+    /// replaced by another in-range id and two swapped trees may pass.
     fn mutate(parts: &mut ScheduleParts, kind: usize, m: usize, rng: &mut StdRng) -> bool {
         let b = parts.trees.len();
         let j = rng.gen_range(0..b);
@@ -781,14 +762,8 @@ mod tests {
                     .nth(rng.gen_range(0..4usize))
                     .expect("in range") = value;
             }
-            8 => {
-                parts.model = match parts.model {
-                    CommModel::OnePort => CommModel::MultiPort,
-                    CommModel::MultiPort => CommModel::OnePort,
-                }
-            }
-            9 => parts.trees.swap(j, rng.gen_range(0..b)),
-            10 => {
+            8 => parts.trees.swap(j, rng.gen_range(0..b)),
+            9 => {
                 // A consistent batch one beyond the cap: without the cap
                 // it would assemble (and validate).
                 let batch = MAX_SLICES_PER_PERIOD + 1;
@@ -798,7 +773,7 @@ mod tests {
             }
             _ => unreachable!("mutation {kind}"),
         }
-        !matches!(kind, 0 | 8 | 9)
+        !matches!(kind, 0 | 8)
     }
 
     /// `from_parts` is total: every mutation of real parts, with a fixed
@@ -811,9 +786,9 @@ mod tests {
         let (mut rejected, mut accepted) = (0usize, 0usize);
         for (i, base) in platforms(93).iter().enumerate() {
             let config = DriftConfig::with_churn(4, 40 + i as u64);
-            for (platform, schedule, kind) in walk(base, CommModel::OnePort, &config) {
+            for (platform, schedule, kind) in walk(base, &config) {
                 let parts = schedule.to_parts();
-                for mutation in 0..11 {
+                for mutation in 0..10 {
                     for _ in 0..4 {
                         let mut bad = parts.clone();
                         let must_reject =

@@ -3,14 +3,15 @@
 //! its port busy totals and its largest lag. It sorts one period's
 //! transfers by link time, peels them into greedy send/receive matchings,
 //! times them with the critical-resource-first list scheduler, sums the
-//! port busy times and assigns the causality lags, all in one pass. It is
-//! kept only for the tests.
+//! port busy times and assigns the causality lags, all in one pass. Every
+//! transfer holds its sender's and its receiver's port for its link time
+//! (the one-port model). It is kept only for the tests.
 //!
 //! It takes a schedule's [`ScheduleParts`] and the platform they were
 //! assembled on, so that any test holding a schedule can compare it.
 
 use bcast_net::EdgeId;
-use bcast_platform::{CommModel, Platform};
+use bcast_platform::Platform;
 use bcast_sched::ScheduleParts;
 
 /// Tolerance for timetable comparisons (start/finish times in seconds).
@@ -40,22 +41,13 @@ pub struct Timetable {
     pub max_lag: usize,
 }
 
-/// How long a transfer occupies its sender's port.
-fn sender_occupation(platform: &Platform, edge: EdgeId, slice_size: f64, model: CommModel) -> f64 {
-    let link = platform.link_time(edge, slice_size);
-    match model {
-        CommModel::OnePort => link,
-        CommModel::MultiPort => platform.send_time(edge, slice_size).min(link),
-    }
-}
-
 /// Assembles the timetable of `parts` on `platform`: greedy matching
 /// rounds, the barrier-free list timetable, the port busy totals and the
 /// causality lags. Every tree must be listed parent before child.
 pub fn assemble(platform: &Platform, parts: &ScheduleParts) -> Timetable {
     let n = platform.node_count();
     let graph = platform.graph();
-    let (slice_size, model, trees) = (parts.slice_size, parts.model, &parts.trees);
+    let (slice_size, trees) = (parts.slice_size, &parts.trees);
 
     // All transfers of one period, longest link occupation first (ties by
     // edge then slice index for determinism).
@@ -105,7 +97,7 @@ pub fn assemble(platform: &Platform, parts: &ScheduleParts) -> Timetable {
     let mut remaining_send = vec![0.0f64; n];
     let mut remaining_recv = vec![0.0f64; n];
     for &(_, e) in &order {
-        remaining_send[graph.src(e).index()] += sender_occupation(platform, e, slice_size, model);
+        remaining_send[graph.src(e).index()] += platform.link_time(e, slice_size);
         remaining_recv[graph.dst(e).index()] += platform.link_time(e, slice_size);
     }
     let mut scheduled: Vec<Option<(f64, f64)>> = vec![None; order.len()]; // (start, finish)
@@ -155,11 +147,10 @@ pub fn assemble(platform: &Platform, parts: &ScheduleParts) -> Timetable {
         let u = graph.src(e).index();
         let v = graph.dst(e).index();
         let link = platform.link_time(e, slice_size);
-        let hold = sender_occupation(platform, e, slice_size, model);
         let start = send_free[u].max(recv_free[v]);
-        send_free[u] = start + hold;
+        send_free[u] = start + link;
         recv_free[v] = start + link;
-        remaining_send[u] -= hold;
+        remaining_send[u] -= link;
         remaining_recv[v] -= link;
         scheduled[i] = Some((start, start + link));
         left -= 1;
@@ -217,7 +208,7 @@ pub fn assemble(platform: &Platform, parts: &ScheduleParts) -> Timetable {
     for t in &transfers {
         let u = graph.src(t.edge).index();
         let v = graph.dst(t.edge).index();
-        send_busy[u] += sender_occupation(platform, t.edge, slice_size, model);
+        send_busy[u] += platform.link_time(t.edge, slice_size);
         recv_busy[v] += platform.link_time(t.edge, slice_size);
     }
 

@@ -2,10 +2,10 @@
 //! assembler that stored the matching rounds, the port busy totals and the
 //! largest lag with the schedule). Every schedule that synthesis, a drift
 //! repair with link failures and a churn repair produce, on Random, Tiers
-//! and Gaussian platforms under the one-port and the multi-port model,
-//! must have the reference's transfers (edge, slice, lag, start and
-//! finish), period, largest lag, port utilisation of every node and
-//! matching rounds, bit for bit.
+//! and Gaussian platforms, at a fixed batch of 8 and at the batch synthesis
+//! derives (4 to 96 slices), must have the reference's transfers (edge,
+//! slice, lag, start and finish), period, largest lag, port utilisation of
+//! every node and matching rounds, bit for bit.
 
 mod reference;
 
@@ -15,9 +15,10 @@ use bcast_platform::drift::{DriftConfig, DriftEvent, DriftTrace};
 use bcast_platform::generators::gaussian_field::{gaussian_platform, GaussianPlatformConfig};
 use bcast_platform::generators::random::{random_platform, RandomPlatformConfig};
 use bcast_platform::generators::tiers::{tiers_platform, TiersConfig};
-use bcast_platform::{CommModel, Platform};
+use bcast_platform::Platform;
 use bcast_sched::{
     resynthesize_schedule_churn, synthesize_schedule, PeriodicSchedule, SynthesisConfig,
+    MAX_SLICES_PER_PERIOD,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,27 +89,24 @@ enum Made {
 }
 
 /// Walks the trace `config` draws from `base` with one warm cut-generation
-/// session, checks every schedule against the reference, and returns how
-/// each was made.
+/// session, synthesizing and repairing under `synthesis`, checks every
+/// schedule against the reference, and returns how each was made and its
+/// batch.
 fn walk_and_check(
     base: &Platform,
-    model: CommModel,
+    synthesis: &SynthesisConfig,
     config: &DriftConfig,
     what: &str,
-) -> Vec<Made> {
+) -> Vec<(Made, usize)> {
     let trace = DriftTrace::generate(base, NodeId(0), config);
-    let synthesis = SynthesisConfig {
-        model,
-        ..SynthesisConfig::with_batch(8)
-    };
     let platform = trace.platform_at(0);
     let source = trace.source_at(0);
     let mut session =
         CutGenSession::new(&platform, source, SLICE, CutGenOptions::default()).unwrap();
     let optimal = session.solve_step(&platform).unwrap().optimal;
-    let mut schedule = synthesize_schedule(&platform, source, &optimal, SLICE, &synthesis).unwrap();
+    let mut schedule = synthesize_schedule(&platform, source, &optimal, SLICE, synthesis).unwrap();
     assert_matches_reference(&platform, &schedule, &format!("{what} step 0"));
-    let mut made = vec![Made::Synthesis];
+    let mut made = vec![(Made::Synthesis, schedule.slices_per_period())];
     for step in 1..trace.len() {
         let platform = trace.platform_at(step);
         let remap = trace.remap(step - 1, step);
@@ -118,7 +116,7 @@ fn walk_and_check(
             trace.source_at(step),
             &optimal,
             SLICE,
-            &synthesis,
+            synthesis,
             &schedule,
             &remap,
         )
@@ -129,13 +127,14 @@ fn walk_and_check(
             .events
             .iter()
             .any(|e| matches!(e, DriftEvent::LinkFailed(_) | DriftEvent::LinkRecovered(_)));
-        made.push(if report.full_rebuild || report.kept_trees == 0 {
+        let kind = if report.full_rebuild || report.kept_trees == 0 {
             Made::Rebuild
         } else if remap.is_identity() {
             Made::DriftRepair(link_events)
         } else {
             Made::ChurnRepair
-        });
+        };
+        made.push((kind, repaired.slices_per_period()));
         schedule = repaired;
     }
     made
@@ -158,24 +157,33 @@ fn timetables_match_the_reference_bit_for_bit() {
             gaussian_platform(&GaussianPlatformConfig::paper(12), &mut rng),
         ),
     ];
+    let batches = [
+        ("batch 8", SynthesisConfig::with_batch(8)),
+        ("derived batch", SynthesisConfig::default()),
+    ];
     let mut made = Vec::new();
     for (i, (family, base)) in families.iter().enumerate() {
-        for model in [CommModel::OnePort, CommModel::MultiPort] {
-            let base = match model {
-                CommModel::MultiPort => base.with_multiport_overheads(0.5, SLICE),
-                _ => base.clone(),
-            };
-            let seed = 500 + i as u64;
-            for (trace, config) in [
-                ("failures", DriftConfig::with_failures(6, seed)),
-                ("churn", DriftConfig::with_churn(6, seed)),
-            ] {
-                let what = format!("{family} {model:?} {trace}");
-                made.extend(walk_and_check(&base, model, &config, &what));
+        let seed = 500 + i as u64;
+        for (trace, config) in [
+            ("failures", DriftConfig::with_failures(6, seed)),
+            ("churn", DriftConfig::with_churn(6, seed)),
+        ] {
+            for (batch, synthesis) in &batches {
+                let what = format!("{family} {trace} {batch}");
+                made.extend(walk_and_check(base, synthesis, &config, &what));
             }
         }
     }
     for kind in [Made::Synthesis, Made::DriftRepair(true), Made::ChurnRepair] {
-        assert!(made.contains(&kind), "no schedule was made by {kind:?}");
+        assert!(
+            made.iter().any(|&(k, _)| k == kind),
+            "no schedule was made by {kind:?}"
+        );
     }
+    let largest = made.iter().map(|&(_, b)| b).max();
+    assert_eq!(
+        largest,
+        Some(MAX_SLICES_PER_PERIOD),
+        "no walk reached the batch cap"
+    );
 }

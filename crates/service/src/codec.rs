@@ -26,7 +26,6 @@ use bcast_lp::{
     SnapshotRow, VarId,
 };
 use bcast_net::EdgeId;
-use bcast_platform::CommModel;
 use bcast_sched::{RoundedLoads, ScheduleParts};
 
 // ---- small enums -------------------------------------------------------
@@ -59,21 +58,6 @@ fn get_op(r: &mut Reader) -> Result<ConstraintOp, WireError> {
         0 => Ok(ConstraintOp::Le),
         1 => Ok(ConstraintOp::Ge),
         2 => Ok(ConstraintOp::Eq),
-        t => Err(WireError::BadTag(t)),
-    }
-}
-
-fn put_model(w: &mut Writer, model: CommModel) {
-    w.put_u8(match model {
-        CommModel::OnePort => 0,
-        CommModel::MultiPort => 2,
-    });
-}
-
-fn get_model(r: &mut Reader) -> Result<CommModel, WireError> {
-    match r.get_u8()? {
-        0 => Ok(CommModel::OnePort),
-        2 => Ok(CommModel::MultiPort),
         t => Err(WireError::BadTag(t)),
     }
 }
@@ -306,7 +290,6 @@ fn get_rounding(r: &mut Reader) -> Result<RoundedLoads, WireError> {
 /// Encodes [`ScheduleParts`].
 pub fn put_schedule_parts(w: &mut Writer, p: &ScheduleParts) {
     w.put_usize(p.source);
-    put_model(w, p.model);
     w.put_f64(p.slice_size);
     w.put_f64(p.lp_throughput);
     w.put_seq(&p.trees, |w, tree| w.put_seq(tree, |w, &e| w.put_u32(e.0)));
@@ -317,66 +300,9 @@ pub fn put_schedule_parts(w: &mut Writer, p: &ScheduleParts) {
 pub fn get_schedule_parts(r: &mut Reader) -> Result<ScheduleParts, WireError> {
     Ok(ScheduleParts {
         source: r.get_usize()?,
-        model: get_model(r)?,
         slice_size: r.get_f64()?,
         lp_throughput: r.get_f64()?,
         trees: r.get_seq(8, |r| r.get_seq(4, |r| Ok(EdgeId(r.get_u32()?))))?,
         rounding: get_rounding(r)?,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parts(model: CommModel) -> ScheduleParts {
-        ScheduleParts {
-            source: 0,
-            model,
-            slice_size: 1.0e6,
-            lp_throughput: 2.0,
-            trees: vec![vec![EdgeId(0)]],
-            rounding: RoundedLoads {
-                slices_per_period: 1,
-                multiplicity: vec![1, 0],
-                ideal_period: 0.5,
-                loss_bound: 0.0,
-                repairs: 0,
-                dominated: vec![false, false],
-            },
-        }
-    }
-
-    fn encode(parts: &ScheduleParts) -> Vec<u8> {
-        let mut w = Writer::new();
-        put_schedule_parts(&mut w, parts);
-        w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<ScheduleParts, WireError> {
-        let mut r = Reader::new(bytes);
-        let parts = get_schedule_parts(&mut r)?;
-        r.finish()?;
-        Ok(parts)
-    }
-
-    /// Both port models round-trip, and tag 1 in their place is a decode
-    /// error, not a panic: it named a unidirectional one-port model that
-    /// no session ever stored, and the tag stays retired.
-    #[test]
-    fn retired_model_tag_is_a_decode_error() {
-        let (one_port, multi_port) = (parts(CommModel::OnePort), parts(CommModel::MultiPort));
-        let (a, b) = (encode(&one_port), encode(&multi_port));
-        assert_eq!(decode(&a), Ok(one_port));
-        assert_eq!(decode(&b), Ok(multi_port));
-        // The two encodings differ in the model byte only.
-        assert_eq!(a.len(), b.len());
-        let differ: Vec<usize> = (0..a.len()).filter(|&i| a[i] != b[i]).collect();
-        let [at] = differ[..] else {
-            panic!("the encodings differ at {differ:?}");
-        };
-        let mut retired = a;
-        retired[at] = 1;
-        assert_eq!(decode(&retired), Err(WireError::BadTag(1)));
-    }
 }

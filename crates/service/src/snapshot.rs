@@ -44,9 +44,11 @@ const SNAP_MAGIC: &[u8; 4] = b"BSNP";
 /// and rounding), dropping the period, transfers, rounds, port busy times
 /// and largest lag, which restore re-assembles, and drops each
 /// `FactSnapshot`'s artificial-column list and row positions (a row's
-/// position is its rank among the live rows). Older files are rejected as
-/// corrupt and recovery replays the WAL instead.
-const SNAP_VERSION: u32 = 6;
+/// position is its rank among the live rows); version 7 drops the port
+/// model byte from a schedule's parts, since every schedule is one-port.
+/// Older files are rejected as corrupt and recovery replays the WAL
+/// instead.
+const SNAP_VERSION: u32 = 7;
 
 /// Everything a snapshot file holds.
 #[derive(Clone, Debug, PartialEq)]

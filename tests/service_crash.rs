@@ -598,8 +598,8 @@ fn out_of_range_specs_are_rejected_live_and_on_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot written by the previous format (version field 5, which still
-/// encoded each schedule's whole timetable) is rejected as `Corrupt` with
+/// A snapshot written by the previous format (version field 6, which still
+/// encoded each schedule's port model) is rejected as `Corrupt` with
 /// the version message — the version sits outside the checksummed
 /// payload, so nothing else trips — recovery says
 /// so, and it replays the whole WAL to the same per-step logs as the
@@ -619,18 +619,18 @@ fn old_snapshot_version_is_rejected_and_replayed() {
     }
     let snap = dir.join("snapshot.bin");
     let mut bytes = std::fs::read(&snap).expect("snapshot written");
-    bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&6u32.to_le_bytes());
     std::fs::write(&snap, &bytes).expect("rewrite snapshot");
     match bcast_service::snapshot::decode_snapshot(&bytes) {
         Err(ServiceError::Corrupt(message)) => {
-            assert_eq!(message, "snapshot version 5 (expected 6)")
+            assert_eq!(message, "snapshot version 6 (expected 7)")
         }
-        other => panic!("a version-5 snapshot must be rejected as corrupt: {other:?}"),
+        other => panic!("a version-6 snapshot must be rejected as corrupt: {other:?}"),
     }
     let service = Service::open(&dir, FaultPlan::none()).expect("old snapshot not fatal");
     assert_eq!(
         service.recovery().snapshot_rejected.as_deref(),
-        Some("corrupt artifact: snapshot version 5 (expected 6)"),
+        Some("corrupt artifact: snapshot version 6 (expected 7)"),
         "old version detected"
     );
     assert!(!service.recovery().snapshot_restored);
