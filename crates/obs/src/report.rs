@@ -583,6 +583,106 @@ pub fn render(report: &Report) -> String {
     out
 }
 
+// ---- two journals side by side -----------------------------------------
+
+/// One row of [`diff`]: a span leaf name's `(calls, total_ns)` in two
+/// journals, `(0, 0)` on a side where the name does not appear.
+#[derive(Debug)]
+pub(crate) struct KernelDelta {
+    /// The leaf span name.
+    name: String,
+    /// Calls and inclusive nanoseconds in the first journal.
+    before: (u64, u64),
+    /// Calls and inclusive nanoseconds in the second journal.
+    after: (u64, u64),
+}
+
+fn ms_per_call((calls, total_ns): (u64, u64)) -> Option<f64> {
+    (calls > 0).then(|| ms(total_ns) / calls as f64)
+}
+
+impl KernelDelta {
+    /// Milliseconds per call in the second journal over the first: 1 when
+    /// they are equal, `None` when a side has no call.
+    fn ratio(&self) -> Option<f64> {
+        let (before, after) = (ms_per_call(self.before)?, ms_per_call(self.after)?);
+        Some(if after == before { 1.0 } else { after / before })
+    }
+
+    /// The change in total time, second journal minus first, in ms.
+    fn delta_ms(&self) -> f64 {
+        ms(self.after.1) - ms(self.before.1)
+    }
+}
+
+/// Pairs the hot-kernel tables of two reports by span name, largest change
+/// in total time first (ties by name).
+pub(crate) fn diff(before: &Report, after: &Report) -> Vec<KernelDelta> {
+    let mut rows: Vec<KernelDelta> = before
+        .kernels
+        .iter()
+        .map(|k| KernelDelta {
+            name: k.name.clone(),
+            before: (k.calls, k.total_ns),
+            after: (0, 0),
+        })
+        .collect();
+    for k in &after.kernels {
+        match rows.iter_mut().find(|row| row.name == k.name) {
+            Some(row) => row.after = (k.calls, k.total_ns),
+            None => rows.push(KernelDelta {
+                name: k.name.clone(),
+                before: (0, 0),
+                after: (k.calls, k.total_ns),
+            }),
+        }
+    }
+    rows.sort_by(|a, b| {
+        b.delta_ms()
+            .abs()
+            .total_cmp(&a.delta_ms().abs())
+            .then_with(|| a.name.cmp(&b.name))
+    });
+    rows
+}
+
+/// Renders the hot-kernel tables of two reports side by side as the text
+/// `solver_report --diff` prints: one header line per journal, then one
+/// row per span name with the calls and ms per call on each side, their
+/// ratio (`-` where a side has no call) and the change in total time,
+/// largest change first.
+pub fn render_diff(before: &Report, after: &Report) -> String {
+    let mut out = String::new();
+    for (side, report) in [("A", before), ("B", after)] {
+        out.push_str(&format!(
+            "{side}: {} ({:.3} s wall-clock)\n",
+            report.binary,
+            report.wall_ns as f64 / 1.0e9
+        ));
+    }
+    out.push_str(&format!(
+        "\n{:<28} {:>9} {:>11} {:>9} {:>11} {:>7} {:>13}\n",
+        "kernel (all paths)", "calls A", "ms/call A", "calls B", "ms/call B", "B/A", "Δ total ms"
+    ));
+    let cell = |value: Option<f64>, digits: usize| match value {
+        Some(v) => format!("{v:.digits$}"),
+        None => "-".into(),
+    };
+    for row in diff(before, after) {
+        out.push_str(&format!(
+            "{:<28} {:>9} {:>11} {:>9} {:>11} {:>7} {:>13.1}\n",
+            row.name,
+            row.before.0,
+            cell(ms_per_call(row.before), 4),
+            row.after.0,
+            cell(ms_per_call(row.after), 4),
+            cell(row.ratio(), 2),
+            row.delta_ms(),
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,6 +780,61 @@ mod tests {
         // Render doesn't panic and mentions the coverage figure.
         let text = render(&report);
         assert!(text.contains("span coverage: 90.9%"), "{text}");
+    }
+
+    #[test]
+    fn diff_pairs_kernels_by_name_and_sorts_by_the_change_in_total_time() {
+        let after_text = concat!(
+            "{\"type\":\"meta\",\"schema\":\"bcast-obs/2\",\"binary\":\"after\"}\n",
+            "{\"type\":\"span\",\"path\":\"run\",\"calls\":1,\"total_ns\":700}\n",
+            "{\"type\":\"span\",\"path\":\"run/cut_gen.solve\",\"calls\":2,\"total_ns\":800}\n",
+            "{\"type\":\"span\",\"path\":\"run/cut_gen.solve/lp.ftran\",\"calls\":80,\"total_ns\":200}\n",
+            "{\"type\":\"span\",\"path\":\"run/sched.assemble\",\"calls\":5,\"total_ns\":50}\n",
+            "{\"type\":\"run_end\",\"wall_ns\":800}\n",
+        );
+        check(after_text).expect("valid journal");
+        let (before, after) = (build_report(SAMPLE), build_report(after_text));
+        let rows = diff(&before, &after);
+        let names: Vec<&str> = rows.iter().map(|row| row.name.as_str()).collect();
+        // |Δ total|: run 300 ns, lp.ftran 100, sched.assemble 50, cut_gen.solve 0.
+        assert_eq!(
+            names,
+            ["run", "lp.ftran", "sched.assemble", "cut_gen.solve"]
+        );
+        let ftran = &rows[1];
+        assert_eq!((ftran.before, ftran.after), ((40, 300), (80, 200)));
+        // 2.5 ns per call against 7.5.
+        assert!((ftran.ratio().unwrap() - 1.0 / 3.0).abs() < 1e-12);
+        assert!((ftran.delta_ms() + 1.0e-4).abs() < 1e-15);
+        assert_eq!(rows[2].before, (0, 0));
+        assert_eq!(rows[2].ratio(), None);
+        assert_eq!(rows[3].ratio(), Some(1.0));
+        let text = render_diff(&before, &after);
+        assert!(
+            text.starts_with("A: test (0.000 s wall-clock)\nB: after"),
+            "{text}"
+        );
+        let assemble = text
+            .lines()
+            .find(|line| line.starts_with("sched.assemble"))
+            .expect("a row per name");
+        let cells: Vec<&str> = assemble.split_whitespace().collect();
+        assert_eq!(
+            cells,
+            ["sched.assemble", "0", "-", "5", "0.0000", "-", "0.0"]
+        );
+
+        // A journal against itself: every ratio is 1 and nothing changes.
+        let same = diff(&before, &before);
+        assert_eq!(same.len(), before.kernels.len());
+        assert!(same
+            .iter()
+            .all(|row| row.ratio() == Some(1.0) && row.delta_ms() == 0.0));
+        let text = render_diff(&before, &before);
+        assert!(text
+            .lines()
+            .skip(4)
+            .all(|line| line.split_whitespace().nth(5) == Some("1.00")));
     }
 
     #[test]

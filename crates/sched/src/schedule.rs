@@ -15,6 +15,17 @@
 //! port and its receiver's receive port for the link occupation `T_e`. The
 //! achieved period is the latest port completion time.
 //!
+//! The sort makes each edge's transfers one contiguous **block** with one
+//! sender, one receiver and one link time, hence one ready time and one
+//! set of priority keys. So the scheduler scans blocks, not transfers,
+//! and places the picked block's first pending transfer. That is the
+//! transfer a scan over every pending transfer picks: a block's later
+//! members tie its first pending member on every key, a candidate
+//! replaces the best one so far only when it is better by more than the
+//! timetable tolerance, and the blocks keep the sort's order. One
+//! assembly of the `T = B·(n−1)` transfers of a period on `E` used edges
+//! therefore costs O(T·E) time rather than O(T²).
+//!
 //! ## Rounds, on request
 //!
 //! Viewing each node as a send port and a receive port, a set of transfers
@@ -294,7 +305,9 @@ impl PeriodicSchedule {
     /// timetable on `platform`. The start times and lags are a
     /// deterministic function of the trees, the rounding and the platform,
     /// so the parts of a schedule assembled on `platform` give that
-    /// schedule back, bit for bit.
+    /// schedule back, bit for bit. The re-assembly costs what synthesis
+    /// paid for it, O(T·E) time for the `T = B·(n−1)` transfers on `E`
+    /// used edges (see the module docs, *From trees to a timetable*).
     ///
     /// The parts are checked against `platform` first: the batch is at most
     /// [`MAX_SLICES_PER_PERIOD`], the cap on a batch from outside the
@@ -401,9 +414,21 @@ fn spans_in_order(platform: &Platform, source: usize, tree: &[EdgeId]) -> bool {
         })
 }
 
+/// The pending transfers of one edge in the list timetable:
+/// `order[next..end]`, all from `sender` to `receiver`, each holding both
+/// ports for `link` seconds.
+struct EdgeBlock {
+    sender: usize,
+    receiver: usize,
+    link: f64,
+    next: usize,
+    end: usize,
+}
+
 /// Assembles the schedule of `parts` on `platform`: the barrier-free
-/// timetable and the causality lags. Every tree must be listed parent
-/// before child.
+/// timetable and the causality lags, in O(T·E) time for the T transfers
+/// of a period on E used edges. Every tree must be listed parent before
+/// child.
 pub(crate) fn assemble(platform: &Platform, parts: ScheduleParts) -> PeriodicSchedule {
     let _span = bcast_obs::span!(bcast_obs::names::SPAN_SCHED_ASSEMBLE);
     let n = platform.node_count();
@@ -432,85 +457,98 @@ pub(crate) fn assemble(platform: &Platform, parts: ScheduleParts) -> PeriodicSch
     // (critical-resource-first). This keeps the bottleneck port dense where
     // a round-ordered timetable would let it idle behind unrelated long
     // transfers.
+    //
+    // The scans visit edge blocks, not transfers: the sort makes each
+    // edge's transfers one contiguous run, whose members share their
+    // ports, link time, readiness and priority keys. A block's later
+    // members tie its first pending member on every key, a candidate
+    // replaces the best one only when it is better beyond `TIME_TOL`, and
+    // the blocks keep the sort's order, so a scan over every pending
+    // transfer would pick the first pending member of the block picked
+    // here. Each placement costs O(E) for E used edges, not O(T).
+    let mut transfers: Vec<ScheduledTransfer> = order
+        .iter()
+        .map(|&(slice, edge)| ScheduledTransfer {
+            edge,
+            slice,
+            lag: 0,
+            start: 0.0,
+            finish: 0.0,
+        })
+        .collect();
+    let mut blocks: Vec<EdgeBlock> = Vec::new();
+    for run in order.chunk_by(|a, b| a.1 == b.1) {
+        let e = run[0].1;
+        let next = blocks.last().map_or(0, |b| b.end);
+        blocks.push(EdgeBlock {
+            sender: graph.src(e).index(),
+            receiver: graph.dst(e).index(),
+            link: platform.link_time(e, slice_size),
+            next,
+            end: next + run.len(),
+        });
+    }
     let mut send_free = vec![0.0f64; n];
     let mut recv_free = vec![0.0f64; n];
     let mut remaining_send = vec![0.0f64; n];
     let mut remaining_recv = vec![0.0f64; n];
-    for &(_, e) in &order {
-        let link = platform.link_time(e, slice_size);
-        remaining_send[graph.src(e).index()] += link;
-        remaining_recv[graph.dst(e).index()] += link;
+    // One addition per transfer, in the sort's order: `count × link` would
+    // round differently.
+    for b in &blocks {
+        for _ in b.next..b.end {
+            remaining_send[b.sender] += b.link;
+            remaining_recv[b.receiver] += b.link;
+        }
     }
-    let mut scheduled: Vec<Option<(f64, f64)>> = vec![None; order.len()]; // (start, finish)
-    let mut left = order.len();
-    while left > 0 {
+    while !blocks.is_empty() {
         // Earliest feasible start among the pending transfers.
         let mut ready = f64::INFINITY;
-        for (i, &(_, e)) in order.iter().enumerate() {
-            if scheduled[i].is_none() {
-                let t = send_free[graph.src(e).index()].max(recv_free[graph.dst(e).index()]);
-                if t < ready {
-                    ready = t;
-                }
+        for b in &blocks {
+            let t = send_free[b.sender].max(recv_free[b.receiver]);
+            if t < ready {
+                ready = t;
             }
         }
         // Among the transfers startable at that instant, pick the one whose
         // ports are the most loaded (ties: heavier combined load, longer
-        // duration, then the deterministic `order` position).
+        // duration, then the block's place, which follows `order`).
         let mut best: Option<(f64, f64, f64, usize)> = None;
-        for (i, &(_, e)) in order.iter().enumerate() {
-            if scheduled[i].is_some() {
-                continue;
-            }
-            let u = graph.src(e).index();
-            let v = graph.dst(e).index();
+        for (k, b) in blocks.iter().enumerate() {
+            let (u, v) = (b.sender, b.receiver);
             if send_free[u].max(recv_free[v]) > ready + TIME_TOL {
                 continue;
             }
             let critical = remaining_send[u].max(remaining_recv[v]);
             let combined = remaining_send[u] + remaining_recv[v];
-            let link = platform.link_time(e, slice_size);
             let better = match best {
                 None => true,
                 Some((c, s, l, _)) => {
                     critical > c + TIME_TOL
                         || (critical > c - TIME_TOL
                             && (combined > s + TIME_TOL
-                                || (combined > s - TIME_TOL && link > l + TIME_TOL)))
+                                || (combined > s - TIME_TOL && b.link > l + TIME_TOL)))
                 }
             };
             if better {
-                best = Some((critical, combined, link, i));
+                best = Some((critical, combined, b.link, k));
             }
         }
-        let (_, _, _, i) = best.expect("some transfer is startable at the ready time");
-        let (_, e) = order[i];
-        let u = graph.src(e).index();
-        let v = graph.dst(e).index();
-        let link = platform.link_time(e, slice_size);
+        let (_, _, _, k) = best.expect("some transfer is startable at the ready time");
+        let b = &mut blocks[k];
+        let (u, v) = (b.sender, b.receiver);
         let start = send_free[u].max(recv_free[v]);
-        let finish = start + link;
+        let finish = start + b.link;
         send_free[u] = finish;
         recv_free[v] = finish;
-        remaining_send[u] -= link;
-        remaining_recv[v] -= link;
-        scheduled[i] = Some((start, finish));
-        left -= 1;
+        remaining_send[u] -= b.link;
+        remaining_recv[v] -= b.link;
+        transfers[b.next].start = start;
+        transfers[b.next].finish = finish;
+        b.next += 1;
+        if b.next == b.end {
+            blocks.remove(k);
+        }
     }
-    let mut transfers: Vec<ScheduledTransfer> = order
-        .iter()
-        .zip(&scheduled)
-        .map(|(&(slice, edge), times)| {
-            let (start, finish) = times.expect("all transfers scheduled");
-            ScheduledTransfer {
-                edge,
-                slice,
-                lag: 0,
-                start,
-                finish,
-            }
-        })
-        .collect();
     let period = send_free
         .iter()
         .chain(recv_free.iter())
