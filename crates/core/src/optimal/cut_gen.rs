@@ -27,11 +27,11 @@
 //! Two refinements keep the master LP small on repeated / large solves:
 //!
 //! * **Purging** — a cut whose slack stayed strictly positive (non-binding)
-//!   for [`CutGenOptions::purge_after`] consecutive master rounds is dropped
-//!   from the master. Correctness is unaffected: termination is certified by
-//!   the separation oracle over *all* cuts (the per-destination max-flows),
-//!   not by the stored subset, and a purged cut that becomes violated again
-//!   is simply re-separated and reactivated.
+//!   for `PURGE_AFTER` (2) consecutive master rounds is dropped from the
+//!   master. Correctness is unaffected: termination is certified by the
+//!   separation oracle over *all* cuts (the per-destination max-flows), not
+//!   by the stored subset, and a purged cut that becomes violated again is
+//!   simply re-separated and reactivated.
 //! * **Sharing** — every cut is stored as a *node partition* (the source
 //!   side of the min cut), so binding cuts of one platform instance can seed
 //!   the master LP of another instance with the same node count (the sweep
@@ -43,21 +43,36 @@
 //! The per-edge loads `n_e` of the master's optimal solution are returned
 //! and feed the LP-based heuristics exactly as in the paper; the binding
 //! cuts are returned alongside for reuse.
+//!
+//! ## Separation screening
+//!
+//! Each destination's last measured max-flow is kept as a *flow
+//! certificate* ([`ScreenSnapshot`]) — the per-edge flows of its support —
+//! and the destination is skipped when the old flow, restricted to the
+//! separation point actually being separated, still carries at least the
+//! current TP (`flow − Σ_e (f_e − p_e)⁺ ≥ TP`). The discounted value is a
+//! certified lower bound on the destination's current max-flow, so the
+//! skip is *sound*, not heuristic. Belt-and-braces, termination is still
+//! only declared from a full unscreened pass at the true master optimum.
+//! Skipped max-flow calls are counted in
+//! [`CutGenResult::skipped_separations`]. The stored flow also warm-starts
+//! the destination's next max-flow, screened or not; that changes no cut,
+//! only where the max-flow starts.
 
 use crate::error::CoreError;
 use crate::optimal::{
-    edge_lp_skeleton, edge_lp_vars, port_constraints, port_constraints_keyed, OptimalThroughput,
-    PortKey,
+    edge_lp_skeleton, edge_lp_vars, port_constraints, port_keys, OptimalThroughput, PortKey,
 };
 use bcast_lp::{
     Constraint, ConstraintOp, LpError, LpProblem, LpSolution, NewCol, RowId, RowUpdate,
-    SimplexOptions, SimplexSnapshot, SimplexState, VarId,
+    SimplexSnapshot, SimplexState, VarId,
 };
 use bcast_net::maxflow::MaxFlowSolver;
 use bcast_net::NodeId;
 use bcast_platform::drift::ChurnRemap;
 use bcast_platform::Platform;
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// Hard cap on the number of master-LP rounds; each round adds at least one
 /// new cut per violated destination, so realistic instances converge in a
@@ -66,6 +81,11 @@ const MAX_ROUNDS: usize = 400;
 
 /// Relative feasibility tolerance for the separation oracle.
 const SEPARATION_TOL: f64 = 1e-7;
+
+/// Consecutive master rounds a cut's slack may stay strictly positive
+/// before the cut is purged from the master (see *Cut purging and cut
+/// sharing* in the module docs).
+const PURGE_AFTER: usize = 2;
 
 /// Measurement headroom of the separation max-flow: augmentation stops at
 /// `(1 + headroom)·TP`, so a measured flow is exact up to that ceiling. The
@@ -128,9 +148,6 @@ impl NodeCutSet {
 /// Options of the cut-generation solver.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CutGenOptions {
-    /// Purge a cut after its slack stayed non-binding for this many
-    /// consecutive master rounds; `None` disables purging.
-    pub purge_after: Option<usize>,
     /// Node cuts used to seed the master LP (typically the binding cuts of a
     /// previously solved instance with the same node count). Invalid entries
     /// (wrong length, source outside, empty sink side) are ignored.
@@ -141,20 +158,6 @@ pub struct CutGenOptions {
     /// round — the pre-incremental behaviour, kept as the reference side of
     /// the differential tests.
     pub warm_start: bool,
-    /// Cheap separation screening (the default): each destination's last
-    /// measured max-flow is kept as a *flow certificate* — the per-edge
-    /// flows of its support — and the destination is skipped when the old
-    /// flow, restricted to the separation point actually being separated,
-    /// still carries at least the current TP
-    /// (`flow − Σ_e (f_e − p_e)⁺ ≥ TP`). The discounted value is a
-    /// certified lower bound on the destination's current max-flow, so the
-    /// skip is *sound*, not heuristic. Belt-and-braces, termination is
-    /// still only declared from a full unscreened pass at the true master
-    /// optimum. Skipped max-flow calls are counted in
-    /// [`CutGenResult::skipped_separations`]. The stored flow also
-    /// warm-starts the destination's next max-flow, with screening on or
-    /// off; that changes no cut, only where the max-flow starts.
-    pub screen_separation: bool,
     /// Worker threads of the separation oracle: each master round's
     /// per-destination max-flows are sharded across this many
     /// `std::thread::scope` workers, each with its own cloned
@@ -171,10 +174,8 @@ pub struct CutGenOptions {
 impl Default for CutGenOptions {
     fn default() -> Self {
         CutGenOptions {
-            purge_after: Some(2),
             seed_cuts: Vec::new(),
             warm_start: true,
-            screen_separation: true,
             separation_threads: default_separation_threads(),
         }
     }
@@ -183,9 +184,12 @@ impl Default for CutGenOptions {
 /// Default worker count of the parallel separation oracle: the machine's
 /// available parallelism, capped at 4 — separation batches are short (one
 /// max-flow per violated destination), so wider fan-out drowns in thread
-/// spawn overhead before it pays.
+/// spawn overhead before it pays. Read once per process: on Linux
+/// `available_parallelism` reads the cgroup quota files (about 23 µs a
+/// call on a 2-vCPU VM), and every restored session asks for it.
 fn default_separation_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(4)))
 }
 
 /// Outcome of [`solve_with`] / [`CutGenSession::solve_step`]: the optimal
@@ -204,8 +208,7 @@ pub struct CutGenResult {
     /// Per-destination max-flow calls the separation screen skipped. Skips
     /// taken in a would-be-final round are re-verified before termination
     /// (still counted here; the re-run shows up as ordinary separation
-    /// work), so the optimum is always certified unscreened. 0 when
-    /// [`CutGenOptions::screen_separation`] is off.
+    /// work), so the optimum is always certified unscreened.
     pub skipped_separations: usize,
 }
 
@@ -240,7 +243,7 @@ fn cut_row_terms(edges: &[u32], tp: VarId, n_vars: &[VarId]) -> Vec<(VarId, f64)
 }
 
 /// Solves the MTP optimal-throughput problem by cut generation with default
-/// options (purging enabled, no seed cuts).
+/// options (warm master, no seed cuts).
 pub fn solve(
     platform: &Platform,
     source: NodeId,
@@ -285,7 +288,9 @@ pub fn solve_with(
 /// (`tests/dynamic_drift.rs` and `tests/churn_drift.rs` pin warm ≡ cold
 /// per step differentially).
 pub struct CutGenSession {
-    options: CutGenOptions,
+    /// [`CutGenOptions::separation_threads`]; the other options only shape
+    /// the session [`new`](Self::new) builds.
+    separation_threads: usize,
     source: NodeId,
     slice_size: f64,
     nodes: usize,
@@ -350,17 +355,18 @@ impl CutGenSession {
         // instances (measured in EXPERIMENTS.md, which also records the
         // unmeasured tie-break that was tried and dropped).
         let (master, port_rows, port_keys) = if options.warm_start {
-            let mut state =
-                SimplexState::new(&vars_only, SimplexOptions::default()).map_err(CoreError::Lp)?;
+            let mut state = SimplexState::new(&vars_only).map_err(CoreError::Lp)?;
             // The port rows are appended (not part of the construction
             // snapshot's constraints) so the session holds their handles
             // for the per-step coefficient updates. The assembled tableau
             // is identical either way.
-            let keyed = port_constraints_keyed(platform, slice_size, &n_vars);
-            let constraints: Vec<Constraint> = keyed.iter().map(|(_, c)| c.clone()).collect();
+            let constraints = port_constraints(platform, slice_size, &n_vars);
             let port_rows = state.add_rows(&constraints).map_err(CoreError::Lp)?;
-            let port_keys = keyed.into_iter().map(|(k, _)| k).collect();
-            (MasterLp::Warm(Box::new(state)), port_rows, port_keys)
+            (
+                MasterLp::Warm(Box::new(state)),
+                port_rows,
+                port_keys(platform),
+            )
         } else {
             let (base, _, _) = edge_lp_skeleton(platform, slice_size);
             (MasterLp::Cold(base), Vec::new(), Vec::new())
@@ -368,7 +374,7 @@ impl CutGenSession {
         let maxflow = MaxFlowSolver::new(platform.graph());
         let screen = vec![ScreenSnapshot::default(); n.saturating_sub(1)];
         let mut session = CutGenSession {
-            options,
+            separation_threads: options.separation_threads,
             source,
             slice_size,
             nodes: n,
@@ -396,14 +402,13 @@ impl CutGenSession {
             all_but_w[w.index()] = false;
             session.add_cut(platform, all_but_w);
         }
-        let seeds = session.options.seed_cuts.clone();
-        for seed in seeds {
+        for seed in options.seed_cuts {
             session.add_cut(platform, seed.source_side);
         }
         Ok(session)
     }
 
-    /// Number of snapshots solved so far.
+    /// Number of snapshots solved so far, one-node snapshots included.
     pub fn steps(&self) -> usize {
         self.steps
     }
@@ -454,7 +459,7 @@ impl CutGenSession {
         if batch.saturating_mul(self.edges) < PARALLEL_SEPARATION_MIN_WORK {
             return 1;
         }
-        self.options.separation_threads.max(1).min(batch)
+        self.separation_threads.max(1).min(batch)
     }
 
     /// Runs the separation max-flows for `items` (`(destination index,
@@ -801,19 +806,7 @@ impl CutGenSession {
             }
         }
         if let MasterLp::Warm(state) = &mut self.master {
-            let graph = platform.graph();
-            // Port keys of the new platform, in port_constraints order.
-            let keys_new: Vec<PortKey> = platform
-                .nodes()
-                .flat_map(|u| {
-                    let out = (graph.out_degree(u) > 0).then_some(PortKey { node: u, out: true });
-                    let inc = (graph.in_degree(u) > 0).then_some(PortKey {
-                        node: u,
-                        out: false,
-                    });
-                    out.into_iter().chain(inc)
-                })
-                .collect();
+            let keys_new = port_keys(platform);
             let keys_new_set: HashSet<PortKey> = keys_new.iter().copied().collect();
             // Surviving port rows, addressed by their *new-space* key.
             let mut surviving_ports: HashMap<PortKey, RowId> = HashMap::new();
@@ -855,12 +848,12 @@ impl CutGenSession {
             // 4. Reconcile the port rows: reuse survivors (their
             //    coefficients are rewritten by the per-step update in the
             //    solve below, like on every drift step), append the rest.
-            let keyed = port_constraints_keyed(platform, self.slice_size, &new_n_vars);
-            debug_assert_eq!(keyed.iter().map(|(k, _)| *k).collect::<Vec<_>>(), keys_new);
-            let missing: Vec<Constraint> = keyed
+            let rows = port_constraints(platform, self.slice_size, &new_n_vars);
+            let missing: Vec<Constraint> = keys_new
                 .iter()
+                .zip(rows)
                 .filter(|(k, _)| !surviving_ports.contains_key(k))
-                .map(|(_, c)| c.clone())
+                .map(|(_, c)| c)
                 .collect();
             let mut appended = state.add_rows(&missing).map_err(CoreError::Lp)?.into_iter();
             let mut port_rows = Vec::with_capacity(keys_new.len());
@@ -991,6 +984,8 @@ impl CutGenSession {
             return Err(CoreError::Unreachable { source });
         }
         let destinations: Vec<NodeId> = platform.nodes().filter(|&u| u != source).collect();
+        let step = self.steps;
+        self.steps += 1;
         if destinations.is_empty() {
             // Single processor: nothing to broadcast.
             return Ok(CutGenResult {
@@ -1007,8 +1002,6 @@ impl CutGenSession {
                 skipped_separations: 0,
             });
         }
-        let step = self.steps;
-        self.steps += 1;
         let reused_cuts = if step > 0 { self.active_cuts() } else { 0 };
         // Rewrite the one-port rows for this snapshot's link costs — on
         // every step, not just step > 0: the first snapshot is allowed to
@@ -1034,7 +1027,6 @@ impl CutGenSession {
             }
         }
 
-        let screening = self.options.screen_separation;
         let mut rounds = 0usize;
         let mut purged = 0usize;
         let mut simplex_iterations = 0usize;
@@ -1074,14 +1066,8 @@ impl CutGenSession {
             };
 
             let sep_span = bcast_obs::span!(bcast_obs::names::SPAN_CUTGEN_SEPARATION);
-            let (mut new_cuts, skipped_this_round) = self.separate_batch(
-                platform,
-                &destinations,
-                &sep_point,
-                tp_value,
-                tol,
-                screening,
-            );
+            let (mut new_cuts, skipped_this_round) =
+                self.separate_batch(platform, &destinations, &sep_point, tp_value, tol, true);
             skipped_separations += skipped_this_round;
             if new_cuts == 0 {
                 // Exact pass at the true master solution: the stabilized
@@ -1128,34 +1114,32 @@ impl CutGenSession {
                     skipped_separations,
                 });
             }
-            // Purge cuts whose slack stayed non-binding for `purge_after`
+            // Purge cuts whose slack stayed non-binding for `PURGE_AFTER`
             // consecutive rounds (counted on the rounds where they were
             // priced). In warm mode the rows are deleted from the live
             // basis right away: a non-binding cut's slack is basic, so the
             // deletion keeps the factorization valid (a degenerate
             // exception falls back to one cold refactorization inside the
             // solver).
-            if let Some(limit) = self.options.purge_after {
-                let mut purged_rows: Vec<RowId> = Vec::new();
-                for cut in self.cuts.iter_mut().filter(|c| c.active) {
-                    if cut_slack(cut, &loads, tp_value) > tol {
-                        cut.non_binding_streak += 1;
-                        if cut.non_binding_streak >= limit {
-                            cut.active = false;
-                            cut.non_binding_streak = 0;
-                            purged += 1;
-                            if let Some(row) = cut.row.take() {
-                                purged_rows.push(row);
-                            }
-                        }
-                    } else {
+            let mut purged_rows: Vec<RowId> = Vec::new();
+            for cut in self.cuts.iter_mut().filter(|c| c.active) {
+                if cut_slack(cut, &loads, tp_value) > tol {
+                    cut.non_binding_streak += 1;
+                    if cut.non_binding_streak >= PURGE_AFTER {
+                        cut.active = false;
                         cut.non_binding_streak = 0;
+                        purged += 1;
+                        if let Some(row) = cut.row.take() {
+                            purged_rows.push(row);
+                        }
                     }
+                } else {
+                    cut.non_binding_streak = 0;
                 }
-                if !purged_rows.is_empty() {
-                    if let MasterLp::Warm(state) = &mut self.master {
-                        state.delete_rows(&purged_rows).map_err(CoreError::Lp)?;
-                    }
+            }
+            if !purged_rows.is_empty() {
+                if let MasterLp::Warm(state) = &mut self.master {
+                    state.delete_rows(&purged_rows).map_err(CoreError::Lp)?;
                 }
             }
             if self.stab_center.len() == loads.len() {
@@ -1194,9 +1178,9 @@ pub struct CutSnapshot {
 /// plain data in a [`SessionSnapshot`]: the max-flow measured the last time
 /// its separation oracle actually ran, plus the support of that flow — a
 /// feasibility certificate that lower-bounds the destination's flow at any
-/// later capacity vector (see [`CutGenOptions::screen_separation`]). The
-/// stored flow also warm-starts the destination's next max-flow, with
-/// screening on or off.
+/// later capacity vector (see *Separation screening* in the module docs).
+/// The stored flow also warm-starts the destination's next max-flow,
+/// screened or not.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScreenSnapshot {
     /// True when the certificate below is live.
@@ -1207,10 +1191,16 @@ pub struct ScreenSnapshot {
     pub support: Vec<(u32, f64)>,
 }
 
-/// Plain-data snapshot of a [`CutGenSession`]: everything the session
-/// carries across steps that is not derivable from the platform — options,
-/// the master LP's [`SimplexSnapshot`] (warm mode), the cut pool, the
-/// separation screen, and the stabilization center.
+/// Plain-data snapshot of a [`CutGenSession`]: what the session carries
+/// across steps that the platform does not give back — the master LP's
+/// [`SimplexSnapshot`] (warm mode) and the handles of its port rows, the
+/// cut pool, the separation screen, and the stabilization center.
+///
+/// The platform gives back the rest, so it is not stored: restore takes
+/// the node and edge counts from the platform, and each port row's
+/// `(node, direction)` key from the platform's ports, in the order the
+/// port constraints list them. `TP` is always column 0 of the master. No
+/// options are stored either (see [`CutGenSession::restore`]).
 ///
 /// Produced by [`CutGenSession::capture`] and consumed by
 /// [`CutGenSession::restore`], which validates the snapshot against the
@@ -1223,29 +1213,19 @@ pub struct ScreenSnapshot {
 /// [`SimplexState::restore`] for why the master LP does).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionSnapshot {
-    /// The solver options, verbatim (seed cuts included — they only matter
-    /// at construction time but keep the snapshot self-describing).
-    pub options: CutGenOptions,
     /// Broadcast source node index.
     pub source: usize,
     /// Slice size the port constraints were built with.
     pub slice_size: f64,
-    /// Node count of the session's topology.
-    pub nodes: usize,
-    /// Edge count of the session's topology.
-    pub edges: usize,
-    /// Raw variable index of the throughput variable `TP`.
-    pub tp: usize,
     /// Raw variable indices of the per-edge load variables.
     pub n_vars: Vec<usize>,
     /// Warm mode: the master's [`SimplexSnapshot`]. `None` in cold mode
     /// (the cold base is rebuilt from the platform — the live solver
     /// rewrites it from the platform every step anyway).
     pub master: Option<SimplexSnapshot>,
-    /// Warm mode: raw indices of the one-port row handles.
+    /// Warm mode: raw indices of the one-port row handles, one per port
+    /// of the platform, in port-constraint order.
     pub port_rows: Vec<usize>,
-    /// Warm mode: `(node index, is output port)` identity of each port row.
-    pub port_keys: Vec<(usize, bool)>,
     /// The cut pool.
     pub cuts: Vec<CutSnapshot>,
     /// Snapshots solved so far.
@@ -1263,23 +1243,14 @@ impl CutGenSession {
     /// for bit as this one.
     pub fn capture(&self) -> SessionSnapshot {
         SessionSnapshot {
-            options: self.options.clone(),
             source: self.source.index(),
             slice_size: self.slice_size,
-            nodes: self.nodes,
-            edges: self.edges,
-            tp: self.tp.index(),
             n_vars: self.n_vars.iter().map(|v| v.index()).collect(),
             master: match &self.master {
                 MasterLp::Warm(state) => Some(state.capture()),
                 MasterLp::Cold(_) => None,
             },
             port_rows: self.port_rows.iter().map(|r| r.index()).collect(),
-            port_keys: self
-                .port_keys
-                .iter()
-                .map(|k| (k.node.index(), k.out))
-                .collect(),
             cuts: self
                 .cuts
                 .iter()
@@ -1309,19 +1280,26 @@ impl CutGenSession {
     /// read fresh from `platform` on the next solve, exactly as the live
     /// session would).
     ///
+    /// The restored session runs [`CutGenOptions::default`] with
+    /// `warm_start` set exactly when the snapshot holds a master. That
+    /// changes no result: seed cuts only shape a [`new`](Self::new)
+    /// session, and separation gives the same bits at any
+    /// [`separation_threads`](CutGenOptions::separation_threads).
+    ///
     /// Every structural invariant is validated first; malformed input —
     /// truncated files, flipped bytes, a snapshot from a different
     /// platform — yields `Err(CoreError::Lp(LpError::CorruptSnapshot))`,
-    /// never a panic. A structurally valid snapshot whose simplex basis
-    /// cannot be re-factorized degrades inside the LP layer to its
-    /// deterministic cold-solve fallback.
+    /// never a panic. That includes every master row handle: the master's
+    /// live rows must be exactly the port rows (`≤`), one per port of
+    /// `platform`, plus the rows the cuts hold (`≥`), each named once (a
+    /// cold snapshot names none). A structurally valid snapshot whose
+    /// simplex basis cannot be re-factorized degrades inside the LP layer
+    /// to its deterministic cold-solve fallback.
     pub fn restore(platform: &Platform, snapshot: &SessionSnapshot) -> Result<Self, CoreError> {
         let corrupt = || CoreError::Lp(LpError::CorruptSnapshot);
-        let n = snapshot.nodes;
-        let m = snapshot.edges;
+        let n = platform.node_count();
+        let m = platform.edge_count();
         if n == 0
-            || platform.node_count() != n
-            || platform.edge_count() != m
             || snapshot.source >= n
             || !snapshot.slice_size.is_finite()
             || snapshot.slice_size <= 0.0
@@ -1371,48 +1349,64 @@ impl CutGenSession {
                 row: cut.row.map(RowId::from_index),
             });
         }
-        if snapshot.options.warm_start != snapshot.master.is_some()
-            || snapshot.port_rows.len() != snapshot.port_keys.len()
-            || snapshot.port_keys.iter().any(|&(node, _)| node >= n)
-        {
-            return Err(corrupt());
-        }
-        let master = match &snapshot.master {
+        let tp = VarId(0);
+        let (master, port_keys) = match &snapshot.master {
             Some(master) => {
+                let port_keys = port_keys(platform);
+                // Each step rewrites the port rows (`≤`) in key order and
+                // the cut rows (`≥`) by cut, and a rewrite keeps a row's
+                // operator, so the live rows must be exactly those, each
+                // named once and under its own operator.
+                let ports = snapshot.port_rows.iter().map(|&r| (r, ConstraintOp::Le));
+                let cut_rows = snapshot.cuts.iter().filter_map(|c| c.row);
+                let named: Vec<(usize, ConstraintOp)> = ports
+                    .chain(cut_rows.map(|r| (r, ConstraintOp::Ge)))
+                    .collect();
+                let mut seen = HashSet::with_capacity(named.len());
+                if snapshot.port_rows.len() != port_keys.len()
+                    || named.len() != master.rows.iter().flatten().count()
+                    || !named.iter().all(|&(r, op)| {
+                        matches!(master.rows.get(r), Some(Some(row)) if row.op == op)
+                            && seen.insert(r)
+                    })
+                {
+                    return Err(corrupt());
+                }
                 let state = SimplexState::restore(master).map_err(CoreError::Lp)?;
                 // Churn steps renumber columns, so the variable layout is
                 // not canonical in warm mode; instead, every session
                 // variable must resolve to a live column of the restored
                 // master, and no two may alias.
                 let mut seen = HashSet::with_capacity(m + 1);
-                for &v in std::iter::once(&snapshot.tp).chain(&snapshot.n_vars) {
+                for v in std::iter::once(tp.index()).chain(snapshot.n_vars.iter().copied()) {
                     if !seen.insert(v) || state.col_id(VarId(v)).is_err() {
                         return Err(corrupt());
                     }
                 }
-                MasterLp::Warm(Box::new(state))
+                (MasterLp::Warm(Box::new(state)), port_keys)
             }
             None => {
                 // Cold mode rebuilds the base LP from `edge_lp_skeleton`
                 // on every solve, so the layout must be the canonical one:
-                // TP first, then one load variable per edge.
-                if snapshot.tp != 0
-                    || snapshot.n_vars.iter().enumerate().any(|(e, &v)| v != e + 1)
+                // TP first, then one load variable per edge; and it has no
+                // master rows to name.
+                if snapshot.n_vars.iter().enumerate().any(|(e, &v)| v != e + 1)
                     || !snapshot.port_rows.is_empty()
+                    || snapshot.cuts.iter().any(|c| c.row.is_some())
                 {
                     return Err(corrupt());
                 }
                 let (base, _, _) = edge_lp_skeleton(platform, snapshot.slice_size);
-                MasterLp::Cold(base)
+                (MasterLp::Cold(base), Vec::new())
             }
         };
         Ok(CutGenSession {
-            options: snapshot.options.clone(),
+            separation_threads: default_separation_threads(),
             source,
             slice_size: snapshot.slice_size,
             nodes: n,
             edges: m,
-            tp: VarId(snapshot.tp),
+            tp,
             n_vars: snapshot.n_vars.iter().map(|&v| VarId(v)).collect(),
             master,
             port_rows: snapshot
@@ -1420,14 +1414,7 @@ impl CutGenSession {
                 .iter()
                 .map(|&r| RowId::from_index(r))
                 .collect(),
-            port_keys: snapshot
-                .port_keys
-                .iter()
-                .map(|&(node, out)| PortKey {
-                    node: NodeId(node as u32),
-                    out,
-                })
-                .collect(),
+            port_keys,
             cuts,
             index_by_edges,
             steps: snapshot.steps,
@@ -1446,6 +1433,7 @@ fn cut_slack(cut: &Cut, loads: &[f64], tp: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcast_lp::SimplexOptions;
     use bcast_platform::generators::random::{random_platform, RandomPlatformConfig};
     use bcast_platform::LinkCost;
     use rand::rngs::StdRng;
@@ -1502,40 +1490,21 @@ mod tests {
         assert!(o.iterations < MAX_ROUNDS, "rounds = {}", o.iterations);
     }
 
+    /// A solve that purges cuts reaches the optimum of LP (2) itself,
+    /// solved verbatim by `direct_lp`.
     #[test]
     fn purging_preserves_the_optimum() {
         let mut rng = StdRng::seed_from_u64(21);
         let platform = random_platform(&RandomPlatformConfig::paper(20, 0.12), &mut rng);
-        let purged = solve_with(
-            &platform,
-            NodeId(0),
-            1.0e6,
-            &CutGenOptions {
-                purge_after: Some(2),
-                seed_cuts: Vec::new(),
-                ..CutGenOptions::default()
-            },
-        )
-        .unwrap();
-        let kept = solve_with(
-            &platform,
-            NodeId(0),
-            1.0e6,
-            &CutGenOptions {
-                purge_after: None,
-                seed_cuts: Vec::new(),
-                ..CutGenOptions::default()
-            },
-        )
-        .unwrap();
+        let purged = solve(&platform, NodeId(0), 1.0e6).unwrap();
+        let reference = crate::optimal::direct_lp::solve(&platform, NodeId(0), 1.0e6).unwrap();
+        assert!(purged.purged_cuts > 0, "purging never triggered");
         assert!(
-            (purged.optimal.throughput - kept.optimal.throughput).abs()
-                <= 1e-6 * kept.optimal.throughput,
-            "purged {} vs kept {}",
-            purged.optimal.throughput,
-            kept.optimal.throughput
+            (purged.throughput - reference.throughput).abs() <= 1e-6 * reference.throughput,
+            "purged {} vs LP (2) {}",
+            purged.throughput,
+            reference.throughput
         );
-        assert_eq!(kept.optimal.purged_cuts, 0);
     }
 
     #[test]
@@ -1565,7 +1534,6 @@ mod tests {
             NodeId(0),
             1.0e6,
             &CutGenOptions {
-                purge_after: Some(2),
                 seed_cuts: first.binding_cuts.clone(),
                 ..CutGenOptions::default()
             },
@@ -1802,6 +1770,106 @@ mod tests {
         assert_eq!(session.steps(), 2);
     }
 
+    /// A warm Random-20 session after one step, which purged cuts, and
+    /// its capture.
+    fn solved_capture() -> (Platform, SessionSnapshot) {
+        let mut rng = StdRng::seed_from_u64(21);
+        let platform = random_platform(&RandomPlatformConfig::paper(20, 0.12), &mut rng);
+        let mut session =
+            CutGenSession::new(&platform, NodeId(0), 1.0e6, CutGenOptions::default()).unwrap();
+        session.solve_step(&platform).unwrap();
+        let snapshot = session.capture();
+        assert!(CutGenSession::restore(&platform, &snapshot).is_ok());
+        (platform, snapshot)
+    }
+
+    fn assert_corrupt(platform: &Platform, snapshot: &SessionSnapshot, what: &str) {
+        match CutGenSession::restore(platform, snapshot) {
+            Err(CoreError::Lp(LpError::CorruptSnapshot)) => {}
+            Err(e) => panic!("{what}: wrong error {e:?}"),
+            Ok(_) => panic!("{what}: restored"),
+        }
+    }
+
+    /// Indices of the cuts that hold a master row.
+    fn cuts_with_rows(snapshot: &SessionSnapshot) -> Vec<usize> {
+        let with_row = |(i, c): (usize, &CutSnapshot)| c.row.map(|_| i);
+        let cuts: Vec<usize> = snapshot
+            .cuts
+            .iter()
+            .enumerate()
+            .filter_map(with_row)
+            .collect();
+        assert!(cuts.len() >= 2, "the session holds {} cut rows", cuts.len());
+        cuts
+    }
+
+    #[test]
+    fn restore_rejects_a_dropped_port_row() {
+        let (platform, snapshot) = solved_capture();
+        for first in [true, false] {
+            let mut dropped = snapshot.clone();
+            if first {
+                dropped.port_rows.remove(0);
+            } else {
+                dropped.port_rows.pop();
+            }
+            assert_corrupt(&platform, &dropped, &format!("first {first}"));
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_port_row_that_names_a_cut_row() {
+        let (platform, snapshot) = solved_capture();
+        let cut = cuts_with_rows(&snapshot)[0];
+        let mut shared = snapshot.clone();
+        shared.port_rows[0] = snapshot.cuts[cut].row.unwrap();
+        assert_corrupt(&platform, &shared, "port row on a cut row");
+        // Swapped, each row is still named once, but a port update would
+        // rewrite a `≥` cut row and a cut update a `≤` port row.
+        let mut swapped = shared;
+        swapped.cuts[cut].row = Some(snapshot.port_rows[0]);
+        assert_corrupt(&platform, &swapped, "port row swapped with a cut row");
+    }
+
+    #[test]
+    fn restore_rejects_a_cut_row_that_names_a_port_row_or_an_empty_slot() {
+        let (platform, snapshot) = solved_capture();
+        let cut = cuts_with_rows(&snapshot)[0];
+        let master = snapshot.master.as_ref().unwrap();
+        let empty = master.rows.iter().position(Option::is_none);
+        let empty = empty.expect("a purged cut left an empty slot");
+        for row in [snapshot.port_rows[0], empty, master.rows.len()] {
+            let mut bad = snapshot.clone();
+            bad.cuts[cut].row = Some(row);
+            assert_corrupt(&platform, &bad, &format!("cut row on row {row}"));
+        }
+        // A cold session has no master, so no cut may name a row.
+        let mut cold = CutGenSession::new(
+            &platform,
+            NodeId(0),
+            1.0e6,
+            CutGenOptions {
+                warm_start: false,
+                ..CutGenOptions::default()
+            },
+        )
+        .unwrap();
+        cold.solve_step(&platform).unwrap();
+        let mut bad = cold.capture();
+        assert!(CutGenSession::restore(&platform, &bad).is_ok());
+        bad.cuts[0].row = Some(0);
+        assert_corrupt(&platform, &bad, "cold cut row");
+    }
+
+    #[test]
+    fn restore_rejects_two_cuts_that_share_a_row() {
+        let (platform, mut snapshot) = solved_capture();
+        let cuts = cuts_with_rows(&snapshot);
+        snapshot.cuts[cuts[1]].row = snapshot.cuts[cuts[0]].row;
+        assert_corrupt(&platform, &snapshot, "shared cut row");
+    }
+
     #[test]
     fn infeasible_and_trivial_platforms_are_handled() {
         // Unreachable destination: explicit error, not a bogus throughput.
@@ -1824,7 +1892,7 @@ mod tests {
         // The screen's habitat is a drift session: between consecutive
         // steps the separation points barely move, so destinations whose
         // certified flow still clears the (possibly lowered) target must be
-        // skipped — and every step's optimum must equal the unscreened one.
+        // skipped — and every step's optimum must equal a fresh solve's.
         use bcast_platform::drift::{DriftConfig, DriftTrace};
         use bcast_platform::generators::tiers::{tiers_platform, TiersConfig};
         let mut rng = StdRng::seed_from_u64(77);
@@ -1832,28 +1900,17 @@ mod tests {
         let trace = DriftTrace::generate(&platform, NodeId(0), &DriftConfig::gentle(12, 77));
         let mut screened =
             CutGenSession::new(trace.base(), NodeId(0), 1.0e6, CutGenOptions::default()).unwrap();
-        let mut unscreened = CutGenSession::new(
-            trace.base(),
-            NodeId(0),
-            1.0e6,
-            CutGenOptions {
-                screen_separation: false,
-                ..CutGenOptions::default()
-            },
-        )
-        .unwrap();
         let mut skipped = 0usize;
         for step in 0..trace.len() {
             let snapshot = trace.platform_at(step);
             let s = screened.solve_step(&snapshot).unwrap();
-            let u = unscreened.solve_step(&snapshot).unwrap();
-            assert_eq!(u.skipped_separations, 0);
+            let fresh = solve(&snapshot, NodeId(0), 1.0e6).unwrap();
             skipped += s.skipped_separations;
             assert!(
-                (s.optimal.throughput - u.optimal.throughput).abs() <= 1e-6 * u.optimal.throughput,
-                "step {step}: screened {} vs unscreened {}",
+                (s.optimal.throughput - fresh.throughput).abs() <= 1e-6 * fresh.throughput,
+                "step {step}: screened {} vs fresh {}",
                 s.optimal.throughput,
-                u.optimal.throughput
+                fresh.throughput
             );
         }
         assert!(skipped > 0, "drift walk exercised no screen skips");
@@ -1957,7 +2014,6 @@ mod tests {
             NodeId(0),
             1.0,
             &CutGenOptions {
-                purge_after: Some(2),
                 seed_cuts: bogus,
                 ..CutGenOptions::default()
             },

@@ -30,7 +30,7 @@ pub use cut_gen::{
 use crate::error::CoreError;
 use bcast_lp::{Constraint, ConstraintOp, LpProblem, Sense, VarId};
 use bcast_net::maxflow::MaxFlowSolver;
-use bcast_net::NodeId;
+use bcast_net::{EdgeRef, NodeId};
 use bcast_platform::Platform;
 use serde::{Deserialize, Serialize};
 
@@ -48,20 +48,29 @@ pub(crate) fn edge_lp_vars(edge_count: usize) -> (LpProblem, VarId, Vec<VarId>) 
     (lp, tp, n_vars)
 }
 
-/// The one-port constraints `Σ n_e·T_e ≤ 1` of `platform` (output port
-/// first, then input, in node order — the ordering is part of the
-/// deterministic pivot sequence and must not change casually). The
-/// coefficients are the only part of the master LP that depends on the
-/// link costs, which is what makes a drifting platform an in-place
-/// coefficient update of these rows rather than a new LP.
+/// The one-port constraints `Σ n_e·T_e ≤ 1` of `platform`, one per
+/// [`port_keys`] entry and in that order. The coefficients are the only
+/// part of the master LP that depends on the link costs, which is what
+/// makes a drifting platform an in-place coefficient update of these rows
+/// rather than a new LP.
 pub(crate) fn port_constraints(
     platform: &Platform,
     slice_size: f64,
     n_vars: &[VarId],
 ) -> Vec<Constraint> {
-    port_constraints_keyed(platform, slice_size, n_vars)
+    let graph = platform.graph();
+    let term = |e: EdgeRef<'_, _>| (n_vars[e.id.index()], platform.link_time(e.id, slice_size));
+    port_keys(platform)
         .into_iter()
-        .map(|(_, con)| con)
+        .map(|key| Constraint {
+            terms: if key.out {
+                graph.out_edges(key.node).map(term).collect()
+            } else {
+                graph.in_edges(key.node).map(term).collect()
+            },
+            op: ConstraintOp::Le,
+            rhs: 1.0,
+        })
         .collect()
 }
 
@@ -75,49 +84,21 @@ pub(crate) struct PortKey {
     pub out: bool,
 }
 
-/// [`port_constraints`] with each row tagged by its [`PortKey`], in the
-/// same deterministic order.
-pub(crate) fn port_constraints_keyed(
-    platform: &Platform,
-    slice_size: f64,
-    n_vars: &[VarId],
-) -> Vec<(PortKey, Constraint)> {
+/// The ports of `platform` that carry a one-port row: per node in node
+/// order, its output port and then its input port, each only when the
+/// node has an edge in that direction. This is the order of the port
+/// rows; it is part of the deterministic pivot sequence and must not
+/// change casually.
+pub(crate) fn port_keys(platform: &Platform) -> Vec<PortKey> {
     let graph = platform.graph();
-    let mut rows = Vec::with_capacity(2 * platform.node_count());
-    for u in platform.nodes() {
-        let out_terms: Vec<(VarId, f64)> = graph
-            .out_edges(u)
-            .map(|e| (n_vars[e.id.index()], platform.link_time(e.id, slice_size)))
-            .collect();
-        if !out_terms.is_empty() {
-            rows.push((
-                PortKey { node: u, out: true },
-                Constraint {
-                    terms: out_terms,
-                    op: ConstraintOp::Le,
-                    rhs: 1.0,
-                },
-            ));
-        }
-        let in_terms: Vec<(VarId, f64)> = graph
-            .in_edges(u)
-            .map(|e| (n_vars[e.id.index()], platform.link_time(e.id, slice_size)))
-            .collect();
-        if !in_terms.is_empty() {
-            rows.push((
-                PortKey {
-                    node: u,
-                    out: false,
-                },
-                Constraint {
-                    terms: in_terms,
-                    op: ConstraintOp::Le,
-                    rhs: 1.0,
-                },
-            ));
-        }
-    }
-    rows
+    platform
+        .nodes()
+        .flat_map(|node| {
+            let out = (graph.out_degree(node) > 0).then_some(PortKey { node, out: true });
+            let inc = (graph.in_degree(node) > 0).then_some(PortKey { node, out: false });
+            out.into_iter().chain(inc)
+        })
+        .collect()
 }
 
 /// Builds the LP skeleton shared by both optimal solvers: the throughput
@@ -160,7 +141,7 @@ pub struct OptimalThroughput {
     /// Number of cut constraints generated (0 for the direct LP).
     pub cuts: usize,
     /// Number of cuts purged from the master LP after staying non-binding
-    /// (0 for the direct LP or when purging is disabled).
+    /// for two consecutive master rounds (0 for the direct LP).
     pub purged_cuts: usize,
     /// Total simplex pivots across every LP solve of the computation: the
     /// single solve of the direct LP, or all master-round (re-)solves of the

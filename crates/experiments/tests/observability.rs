@@ -11,7 +11,7 @@
 use bcast_core::optimal::cut_gen;
 use bcast_core::optimal::cut_gen::CutGenSession;
 use bcast_core::CutGenOptions;
-use bcast_lp::{ConstraintOp, LpProblem, Sense, SimplexOptions, SimplexState, VarId};
+use bcast_lp::{ConstraintOp, LpProblem, Sense, SimplexState, VarId};
 use bcast_net::NodeId;
 use bcast_obs::{names, report};
 use bcast_platform::drift::{DriftConfig, DriftTrace};
@@ -277,7 +277,7 @@ fn lp_solve_records_count_live_rows_and_columns() {
     for (&var, cap) in vars.iter().zip([3.0, 2.0, 1.0]) {
         lp.add_le(&[(var, 1.0)], cap);
     }
-    let mut state = SimplexState::new(&lp, SimplexOptions::default()).expect("valid LP");
+    let mut state = SimplexState::new(&lp).expect("valid LP");
     state.solve().expect("solvable");
     let sum: Vec<(VarId, f64)> = vars.iter().map(|&var| (var, 1.0)).collect();
     let cuts = [

@@ -202,7 +202,7 @@ struct Assembly {
 /// deletions, re-optimized by warm-started dual simplex.
 ///
 /// ```
-/// use bcast_lp::{ConstraintOp, LpProblem, Sense, SimplexOptions, SimplexState};
+/// use bcast_lp::{ConstraintOp, LpProblem, Sense, SimplexState};
 ///
 /// // max x + y  s.t.  x ≤ 3, y ≤ 2
 /// let mut lp = LpProblem::new(Sense::Maximize);
@@ -211,7 +211,7 @@ struct Assembly {
 /// lp.add_le(&[(x, 1.0)], 3.0);
 /// lp.add_le(&[(y, 1.0)], 2.0);
 ///
-/// let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+/// let mut state = SimplexState::new(&lp).unwrap();
 /// assert_eq!(state.solve().unwrap().objective, 5.0);
 ///
 /// // Append a cut: x + y ≤ 4. The old optimum (3, 2) violates it; the dual
@@ -224,7 +224,6 @@ struct Assembly {
 /// assert_eq!(state.resolve().unwrap().objective, 5.0);
 /// ```
 pub struct SimplexState {
-    options: SimplexOptions,
     sense: Sense,
     /// Structural objective coefficients (original sense).
     objective: Vec<f64>,
@@ -245,10 +244,11 @@ impl SimplexState {
     /// Snapshots `problem` (variables, objective, constraints) as the base
     /// of an incremental solver. Nothing is solved yet; the first call to
     /// [`solve`](Self::solve) / [`resolve`](Self::resolve) factorizes cold.
-    pub fn new(problem: &LpProblem, options: SimplexOptions) -> Result<Self, LpError> {
+    /// Every solve runs at [`SimplexOptions::default`]; only the one-shot
+    /// [`solve`](crate::solve) takes other options.
+    pub fn new(problem: &LpProblem) -> Result<Self, LpError> {
         problem.validate()?;
         Ok(SimplexState {
-            options,
             sense: problem.sense(),
             objective: problem.objective().to_vec(),
             rows: problem.constraints().iter().cloned().map(Some).collect(),
@@ -608,12 +608,10 @@ impl SimplexState {
     }
 
     fn resolve_inner(&mut self) -> Result<LpSolution, LpError> {
-        let options = self.options;
         let Some(fact) = self.fact.as_mut() else {
             return self.cold_solve();
         };
-        let (clean, pivots, dual_pivots) =
-            fact.reoptimize(&self.rows, self.sense, &self.objective, &options);
+        let (clean, pivots, dual_pivots) = fact.reoptimize(&self.rows, self.sense, &self.objective);
         self.stats.dual_pivots += dual_pivots;
         if !clean {
             self.stats.total_pivots += pivots;
@@ -685,7 +683,7 @@ impl SimplexState {
             assembly: None,
         };
         let Assembly { sim, cost } = fact.assembly(&self.rows, self.sense, &self.objective);
-        let pivots = sim.two_phase(cost, &cold.artificial_cols, &self.options)?;
+        let pivots = sim.two_phase(cost, &cold.artificial_cols, &SimplexOptions::default())?;
         fact.keep_basis();
         self.fact = Some(fact);
         self.stats.cold_solves += 1;
@@ -799,8 +797,8 @@ impl Fact {
         rows: &[Option<Constraint>],
         sense: Sense,
         objective: &[f64],
-        options: &SimplexOptions,
     ) -> (bool, usize, usize) {
+        let options = &SimplexOptions::default();
         let Assembly { sim, cost } = self.assembly(rows, sense, objective);
         let budget = (4 * (sim.prob.m + sim.prob.ncols)).max(200);
         if !sim.factorize() {
@@ -970,8 +968,6 @@ pub struct FactSnapshot {
 /// its slot, as `None`, but not its terms.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimplexSnapshot {
-    /// Solver options the state was built with.
-    pub options: SimplexOptions,
     /// Objective sense.
     pub sense: Sense,
     /// Structural objective coefficients (original sense), tombstones zero.
@@ -996,7 +992,6 @@ impl SimplexState {
     pub fn capture(&self) -> SimplexSnapshot {
         let fact = self.fact.as_ref().map(|f| f.layout.clone());
         SimplexSnapshot {
-            options: self.options,
             sense: self.sense,
             objective: self.objective.clone(),
             rows: self.rows.clone(),
@@ -1027,7 +1022,6 @@ impl SimplexState {
     pub fn restore(snapshot: &SimplexSnapshot) -> Result<Self, LpError> {
         validate_snapshot(snapshot)?;
         Ok(SimplexState {
-            options: snapshot.options,
             sense: snapshot.sense,
             objective: snapshot.objective.clone(),
             rows: snapshot.rows.clone(),
@@ -1139,7 +1133,7 @@ mod tests {
     #[test]
     fn first_solve_matches_the_cold_solver() {
         let (lp, _, _) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         let warm = state.solve().unwrap();
         let cold = lp.solve().unwrap();
         assert_close(warm.objective, cold.objective);
@@ -1149,7 +1143,7 @@ mod tests {
     #[test]
     fn appended_cut_is_reoptimized_dually() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         state
             .add_row(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 6.0)
@@ -1164,7 +1158,7 @@ mod tests {
     #[test]
     fn ge_and_eq_appends_agree_with_cold() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         state
             .add_row(&[(x, 1.0), (y, -1.0)], ConstraintOp::Ge, 0.0)
@@ -1185,7 +1179,7 @@ mod tests {
     #[test]
     fn deleting_a_nonbinding_row_is_free() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         // x + y ≤ 100 is slack at (2, 6): deletion must not refactorize.
         let id = state
@@ -1203,7 +1197,7 @@ mod tests {
     #[test]
     fn deleting_a_binding_row_refactorizes_and_recovers() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let id = state
             .add_row(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 5.0)
@@ -1219,7 +1213,7 @@ mod tests {
     #[test]
     fn infeasible_append_is_detected() {
         let (lp, x, _) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         state.add_row(&[(x, 1.0)], ConstraintOp::Le, -1.0).unwrap();
         assert_eq!(state.resolve().unwrap_err(), LpError::Infeasible);
@@ -1231,7 +1225,7 @@ mod tests {
     #[test]
     fn double_delete_is_idempotent() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let id = state
             .add_row(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 50.0)
@@ -1247,7 +1241,7 @@ mod tests {
     #[test]
     fn rows_added_before_first_solve_are_folded_into_the_cold_factorization() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         let id = state
             .add_row(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 6.0)
             .unwrap();
@@ -1262,7 +1256,7 @@ mod tests {
     #[test]
     fn unknown_variable_and_nonfinite_rows_are_rejected() {
         let (lp, x, _) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         assert_eq!(
             state
                 .add_row(&[(VarId(9), 1.0)], ConstraintOp::Le, 1.0)
@@ -1280,7 +1274,7 @@ mod tests {
     #[test]
     fn delete_with_an_unknown_id_is_rejected_and_leaves_the_state_untouched() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let id = state
             .add_row(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 5.0)
@@ -1300,7 +1294,7 @@ mod tests {
     #[test]
     fn updating_a_binding_base_row_tracks_the_cold_solver() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         // Tighten the binding row 3x + 2y ≤ 18 to 3x + 2y ≤ 12 in place.
         let rows = state.base_rows();
@@ -1323,7 +1317,7 @@ mod tests {
         // The drift shape: every base row's coefficients are rescaled (like
         // link costs drifting), warm must equal cold at each step.
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let rows = state.base_rows();
         for scale in [1.3, 0.7, 2.4, 0.45] {
@@ -1342,7 +1336,7 @@ mod tests {
     #[test]
     fn updating_an_appended_ge_row_keeps_its_normalization() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let id = state
             .add_row(&[(x, 1.0), (y, -1.0)], ConstraintOp::Ge, 0.0)
@@ -1363,7 +1357,7 @@ mod tests {
     #[test]
     fn updating_an_appended_eq_row_moves_its_pin() {
         let (lp, x, _) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let id = state.add_row(&[(x, 1.0)], ConstraintOp::Eq, 1.0).unwrap();
         let pinned = state.resolve().unwrap();
@@ -1391,7 +1385,7 @@ mod tests {
         let dense = |state: &SimplexState| {
             crate::solve_dense(&state.to_problem(), &SimplexOptions::default()).unwrap()
         };
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         for (var, rhs) in [(x, 1.0), (y, 5.0)] {
             state.add_row(&[(var, 1.0)], ConstraintOp::Eq, rhs).unwrap();
@@ -1402,7 +1396,7 @@ mod tests {
         assert_eq!(state.stats().cold_solves, 1, "an `=` append went cold");
         assert_eq!(state.stats().rows_added, 2, "an `=` row counts once");
         assert_eq!(state.num_rows(), 5);
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         state.add_row(&[(x, 1.0)], ConstraintOp::Eq, 3.0).unwrap();
         let warm = state.resolve().unwrap();
@@ -1415,7 +1409,7 @@ mod tests {
     #[test]
     fn a_layout_with_an_enterable_artificial_is_corrupt() {
         let (lp, x, _) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let eq = state.add_row(&[(x, 1.0)], ConstraintOp::Eq, 3.0).unwrap();
         let mut snapshot = state.capture();
@@ -1432,7 +1426,7 @@ mod tests {
     #[test]
     fn a_deleted_row_keeps_no_terms() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let slack = state
             .add_row(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 100.0)
@@ -1487,7 +1481,7 @@ mod tests {
         lp.add_le(&[(x, 1.0)], 4.0);
         lp.add_le(&[(y, 1.0)], 3.0);
         lp.add_ge(&[(x, 1.0), (y, -1.0)], 0.0);
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let rows = state.base_rows();
         for rhs in [5.0, 2.0, 6.0] {
@@ -1520,7 +1514,7 @@ mod tests {
     #[test]
     fn update_with_bad_handles_is_atomic() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let rows = state.base_rows();
         let before = state.resolve().unwrap().objective;
@@ -1554,7 +1548,7 @@ mod tests {
     #[test]
     fn update_that_makes_the_lp_infeasible_is_detected_warm_and_cold() {
         let (lp, x, _) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let id = state.add_row(&[(x, 1.0)], ConstraintOp::Le, 10.0).unwrap();
         state.resolve().unwrap();
@@ -1573,7 +1567,7 @@ mod tests {
     #[test]
     fn updates_compose_with_appends_and_deletions() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let cut = state
             .add_row(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 6.0)
@@ -1608,7 +1602,7 @@ mod tests {
     #[test]
     fn appended_column_is_priced_in_warm() {
         let (lp, _, _) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let rows = state.base_rows();
         // A profitable new activity consuming the binding row's capacity.
@@ -1634,7 +1628,7 @@ mod tests {
     #[test]
     fn unprofitable_appended_column_costs_nothing() {
         let (lp, _, _) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let rows = state.base_rows();
         let pivots_before = state.stats().total_pivots;
@@ -1656,7 +1650,7 @@ mod tests {
         lp.add_le(&[(x, 1.0)], 4.0);
         lp.add_le(&[(y, 2.0)], 12.0);
         lp.add_le(&[(x, 3.0), (y, 2.0), (z, 5.0)], 18.0);
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         // z is nonbasic: deletion must not refactorize or pivot.
         let pivots_before = state.stats().total_pivots;
@@ -1729,7 +1723,7 @@ mod tests {
             for (&v, &bound) in vars.iter().zip(case.bounds) {
                 lp.add_le(&[(v, 1.0)], bound);
             }
-            let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+            let mut state = SimplexState::new(&lp).unwrap();
             state.solve().unwrap();
             let all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
             let slack_row = state.add_row(&all, ConstraintOp::Le, 1000.0).unwrap();
@@ -1764,7 +1758,7 @@ mod tests {
         lp.add_le(&[(x, 0.1), (y, 0.6), (z, 5000.0)], 1.0);
         lp.add_le(&[(x, 1.0)], 1.5);
         lp.add_le(&[(y, 1.0)], 2.5);
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         state.delete_cols(&[ColId(z.index())]).unwrap();
         let mut restored = SimplexState::restore(&state.capture()).unwrap();
@@ -1790,7 +1784,7 @@ mod tests {
         lp.add_eq(&[(x, 1.0), (y, 1.0)], 4.0);
         lp.add_le(&[(x, 1.0)], 3.0);
         lp.add_le(&[(y, 1.0)], 2.0);
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         assert_close(state.solve().unwrap().objective, 16.0);
         let eq = state.base_rows()[0];
         let z = state
@@ -1831,7 +1825,7 @@ mod tests {
         lp.add_eq(&[(x, 1.0), (y, 1.0)], 4.0);
         lp.add_le(&[(x, 1.0)], 3.0);
         lp.add_le(&[(y, 1.0)], 3.0);
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         assert_close(state.solve().unwrap().objective, 4.0);
         let rows = state.base_rows();
         let z = state
@@ -1848,7 +1842,7 @@ mod tests {
     #[test]
     fn column_edits_keep_varid_indexing_stable() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let rows = state.base_rows();
         let added = state
@@ -1874,7 +1868,7 @@ mod tests {
     #[test]
     fn unknown_column_deletes_are_atomic() {
         let (lp, x, _) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let before = state.resolve().unwrap().objective;
         // Never-issued handle.
@@ -1898,7 +1892,7 @@ mod tests {
     #[test]
     fn add_cols_validates_handles_and_data_atomically() {
         let (lp, _, _) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let rows = state.base_rows();
         let err = state
@@ -1921,7 +1915,7 @@ mod tests {
     #[test]
     fn columns_into_appended_ge_and_eq_rows_keep_their_normalization() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let ge = state
             .add_row(&[(x, 1.0), (y, -1.0)], ConstraintOp::Ge, -10.0)
@@ -1941,7 +1935,7 @@ mod tests {
     #[test]
     fn column_and_row_edits_compose() {
         let (lp, x, y) = base_problem();
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         let rows = state.base_rows();
         let cols = state
@@ -1993,7 +1987,7 @@ mod tests {
         for &v in &vars {
             lp.add_le(&[(v, 1.0)], 3.0);
         }
-        let mut state = SimplexState::new(&lp, SimplexOptions::default()).unwrap();
+        let mut state = SimplexState::new(&lp).unwrap();
         state.solve().unwrap();
         for i in 0..vars.len() {
             let j = (i + 1) % vars.len();

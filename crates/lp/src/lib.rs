@@ -12,10 +12,13 @@
 //! * [`LpProblem`] — a model builder: named non-negative variables, linear
 //!   constraints (`≤`, `≥`, `=`), a linear objective to maximise or minimise.
 //! * [`solve`] / [`LpProblem::solve`] — a one-shot two-phase solve.
+//!   [`SimplexOptions`] (iteration cap, refactorization interval) are set
+//!   only here, through [`solve`] and [`LpProblem::solve_with`].
 //! * [`SimplexState`] — an *incremental* solver: the optimal basis persists
 //!   across appended, deleted, and coefficient-updated rows and columns and
 //!   is re-optimized by warm-started dual simplex (the cut-generation master
-//!   LP is the intended customer).
+//!   LP is the intended customer). It always runs at the default options,
+//!   so its [`SimplexSnapshot`] stores none.
 //! * [`LpSolution`] — objective value and per-variable values.
 //! * [`solve_dense`] — a cold one-shot dense-tableau solver, kept only as
 //!   the differential oracle the tests compare the sparse engine against.

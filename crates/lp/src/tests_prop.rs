@@ -252,7 +252,7 @@ fn churn_base(lp: &PackingLp) -> (SimplexState, ChurnDriver) {
     let mut all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
     all.push((ge_var, 1.0));
     problem.add_le(&all, 100.0);
-    let mut warm = SimplexState::new(&problem, SimplexOptions::default()).expect("valid base");
+    let mut warm = SimplexState::new(&problem).expect("valid base");
     warm.solve().expect("base solvable");
     let base = warm.base_rows();
     let driver = ChurnDriver {
@@ -623,7 +623,7 @@ proptest! {
         pairs in proptest::collection::vec((0usize..6, 0usize..6), 1..4),
     ) {
         let (problem, vars) = build(&lp);
-        let mut warm = SimplexState::new(&problem, SimplexOptions::default())
+        let mut warm = SimplexState::new(&problem)
             .expect("valid base");
         let first = warm.solve().expect("base solvable");
         // Degenerate difference rows x_i − x_j ≥ 0.
@@ -669,7 +669,7 @@ proptest! {
     ) {
         let (problem, vars) = build(&lp);
         let base_objective = problem.solve().expect("base solvable").objective;
-        let mut warm = SimplexState::new(&problem, SimplexOptions::default())
+        let mut warm = SimplexState::new(&problem)
             .expect("valid base");
         let first = warm.solve().expect("base solvable");
         let total: f64 = first.values.iter().sum();
@@ -693,7 +693,7 @@ proptest! {
     #[test]
     fn infeasible_after_append_is_detected(lp in packing_strategy(), k in 0usize..6) {
         let (problem, vars) = build(&lp);
-        let mut warm = SimplexState::new(&problem, SimplexOptions::default())
+        let mut warm = SimplexState::new(&problem)
             .expect("valid base");
         warm.solve().expect("base solvable");
         let v = vars[k % vars.len()];
@@ -715,7 +715,7 @@ proptest! {
         ),
     ) {
         let (problem, vars) = build(&lp);
-        let mut warm = SimplexState::new(&problem, SimplexOptions::default())
+        let mut warm = SimplexState::new(&problem)
             .expect("valid base");
         warm.solve().expect("base solvable");
         let rows = warm.base_rows();
@@ -762,7 +762,7 @@ proptest! {
         scale in 0.2f64..3.0,
     ) {
         let (problem, vars) = build(&lp);
-        let mut warm = SimplexState::new(&problem, SimplexOptions::default())
+        let mut warm = SimplexState::new(&problem)
             .expect("valid base");
         let before = warm.solve().expect("base solvable").objective;
         let rows = warm.base_rows();
@@ -904,7 +904,7 @@ proptest! {
         let (mut problem, vars) = build(&lp);
         let all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
         problem.add_le(&all, 100.0);
-        let mut warm = SimplexState::new(&problem, SimplexOptions::default()).expect("valid base");
+        let mut warm = SimplexState::new(&problem).expect("valid base");
         let before = warm.solve().expect("base solvable").objective;
         let protect = *warm.base_rows().last().expect("protected row exists");
         // Never-issued handle.

@@ -12,7 +12,10 @@
 //! the enterable flags, and each row's slack and artificial), a cut its
 //! node side, and a schedule the trees and rounding its timetable is
 //! assembled from. The rounds, start times, lags and port busy times are
-//! not encoded; `PeriodicSchedule::from_parts` re-assembles them.
+//! not encoded; `PeriodicSchedule::from_parts` re-assembles them. No
+//! solver options are encoded, and a cut-generation session stores
+//! neither its node and edge counts, nor its `TP` column, nor its port
+//! rows' keys: `CutGenSession::restore` takes them from the platform.
 //!
 //! Decoders are *total* — corrupt bytes produce [`WireError`], never a
 //! panic — but deliberately shallow: structural validation (index ranges,
@@ -20,10 +23,9 @@
 //! `restore` functions, which these decoders feed.
 
 use crate::wire::{Reader, WireError, Writer};
-use bcast_core::{CutGenOptions, CutSnapshot, NodeCutSet, ScreenSnapshot, SessionSnapshot};
+use bcast_core::{CutSnapshot, ScreenSnapshot, SessionSnapshot};
 use bcast_lp::{
-    ConstraintOp, FactSnapshot, IncrementalStats, Sense, SimplexOptions, SimplexSnapshot,
-    SnapshotRow, VarId,
+    ConstraintOp, FactSnapshot, IncrementalStats, Sense, SimplexSnapshot, SnapshotRow, VarId,
 };
 use bcast_net::EdgeId;
 use bcast_sched::{RoundedLoads, ScheduleParts};
@@ -63,18 +65,6 @@ fn get_op(r: &mut Reader) -> Result<ConstraintOp, WireError> {
 }
 
 // ---- bcast-lp: SimplexSnapshot -----------------------------------------
-
-fn put_simplex_options(w: &mut Writer, o: &SimplexOptions) {
-    w.put_usize(o.max_iterations);
-    w.put_usize(o.refactor_interval);
-}
-
-fn get_simplex_options(r: &mut Reader) -> Result<SimplexOptions, WireError> {
-    Ok(SimplexOptions {
-        max_iterations: r.get_usize()?,
-        refactor_interval: r.get_usize()?,
-    })
-}
 
 fn put_snapshot_row(w: &mut Writer, row: &SnapshotRow) {
     w.put_seq(&row.terms, |w, &(var, coeff)| {
@@ -141,7 +131,6 @@ fn get_incremental_stats(r: &mut Reader) -> Result<IncrementalStats, WireError> 
 
 /// Encodes a [`SimplexSnapshot`].
 pub fn put_simplex_snapshot(w: &mut Writer, s: &SimplexSnapshot) {
-    put_simplex_options(w, &s.options);
     put_sense(w, s.sense);
     w.put_seq(&s.objective, |w, &c| w.put_f64(c));
     w.put_seq(&s.rows, |w, row| w.put_opt(row, put_snapshot_row));
@@ -154,7 +143,6 @@ pub fn put_simplex_snapshot(w: &mut Writer, s: &SimplexSnapshot) {
 /// Decodes a [`SimplexSnapshot`].
 pub fn get_simplex_snapshot(r: &mut Reader) -> Result<SimplexSnapshot, WireError> {
     Ok(SimplexSnapshot {
-        options: get_simplex_options(r)?,
         sense: get_sense(r)?,
         objective: r.get_seq(8, |r| r.get_f64())?,
         rows: r.get_seq(1, |r| r.get_opt(get_snapshot_row))?,
@@ -166,30 +154,6 @@ pub fn get_simplex_snapshot(r: &mut Reader) -> Result<SimplexSnapshot, WireError
 }
 
 // ---- bcast-core: SessionSnapshot ---------------------------------------
-
-fn put_cut_gen_options(w: &mut Writer, o: &CutGenOptions) {
-    w.put_opt_usize(&o.purge_after);
-    w.put_seq(&o.seed_cuts, |w, cut| {
-        w.put_seq(&cut.source_side, |w, &s| w.put_bool(s))
-    });
-    w.put_bool(o.warm_start);
-    w.put_bool(o.screen_separation);
-    w.put_usize(o.separation_threads);
-}
-
-fn get_cut_gen_options(r: &mut Reader) -> Result<CutGenOptions, WireError> {
-    Ok(CutGenOptions {
-        purge_after: r.get_opt_usize()?,
-        seed_cuts: r.get_seq(8, |r| {
-            Ok(NodeCutSet {
-                source_side: r.get_seq(1, |r| r.get_bool())?,
-            })
-        })?,
-        warm_start: r.get_bool()?,
-        screen_separation: r.get_bool()?,
-        separation_threads: r.get_usize()?,
-    })
-}
 
 fn put_cut(w: &mut Writer, c: &CutSnapshot) {
     w.put_seq(&c.side, |w, &s| w.put_bool(s));
@@ -226,19 +190,11 @@ fn get_screen(r: &mut Reader) -> Result<ScreenSnapshot, WireError> {
 
 /// Encodes a cut-generation [`SessionSnapshot`].
 pub fn put_session_snapshot(w: &mut Writer, s: &SessionSnapshot) {
-    put_cut_gen_options(w, &s.options);
     w.put_usize(s.source);
     w.put_f64(s.slice_size);
-    w.put_usize(s.nodes);
-    w.put_usize(s.edges);
-    w.put_usize(s.tp);
     w.put_seq(&s.n_vars, |w, &v| w.put_usize(v));
     w.put_opt(&s.master, put_simplex_snapshot);
     w.put_seq(&s.port_rows, |w, &p| w.put_usize(p));
-    w.put_seq(&s.port_keys, |w, &(node, out)| {
-        w.put_usize(node);
-        w.put_bool(out);
-    });
     w.put_seq(&s.cuts, put_cut);
     w.put_usize(s.steps);
     w.put_seq(&s.screen, put_screen);
@@ -248,16 +204,11 @@ pub fn put_session_snapshot(w: &mut Writer, s: &SessionSnapshot) {
 /// Decodes a cut-generation [`SessionSnapshot`].
 pub fn get_session_snapshot(r: &mut Reader) -> Result<SessionSnapshot, WireError> {
     Ok(SessionSnapshot {
-        options: get_cut_gen_options(r)?,
         source: r.get_usize()?,
         slice_size: r.get_f64()?,
-        nodes: r.get_usize()?,
-        edges: r.get_usize()?,
-        tp: r.get_usize()?,
         n_vars: r.get_seq(8, |r| r.get_usize())?,
         master: r.get_opt(get_simplex_snapshot)?,
         port_rows: r.get_seq(8, |r| r.get_usize())?,
-        port_keys: r.get_seq(9, |r| Ok((r.get_usize()?, r.get_bool()?)))?,
         cuts: r.get_seq(26, get_cut)?,
         steps: r.get_usize()?,
         screen: r.get_seq(17, get_screen)?,

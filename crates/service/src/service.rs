@@ -153,7 +153,7 @@ impl Service {
                     base_seq = image.seq;
                     recovery.snapshot_restored = true;
                 }
-                Err(e) => recovery.snapshot_rejected = Some(e.to_string()),
+                Err(reason) => recovery.snapshot_rejected = Some(reason),
             },
             Err(ServiceError::Io(e)) => return Err(ServiceError::Io(e)),
             Err(e) => recovery.snapshot_rejected = Some(e.to_string()),
@@ -366,10 +366,14 @@ fn unknown(name: &str) -> Outcome {
     }
 }
 
-fn restore_sessions(image: &ServiceImage) -> Result<BTreeMap<String, Session>, ServiceError> {
+/// Rebuilds every session of `image`, or says which one could not be
+/// rebuilt and why, as `session "<name>": <reason>`.
+fn restore_sessions(image: &ServiceImage) -> Result<BTreeMap<String, Session>, String> {
     let mut sessions = BTreeMap::new();
     for (name, session_image) in &image.sessions {
-        sessions.insert(name.clone(), Session::restore(session_image)?);
+        let session =
+            Session::restore(session_image).map_err(|e| format!("session {name:?}: {e}"))?;
+        sessions.insert(name.clone(), session);
     }
     Ok(sessions)
 }

@@ -162,17 +162,34 @@ impl Session {
     /// image was taken at, and re-assemble the schedule's timetable on that
     /// same platform, which gives the live schedule back bit for bit.
     /// Malformed images fail with the owning crate's validation error,
-    /// never a panic.
+    /// never a panic. An image must also agree with itself: one log entry
+    /// per step taken, a schedule exactly once a step has been taken, and
+    /// a solver that has solved at least those steps (a `Resolve` solves
+    /// one more without taking a step).
     pub fn restore(image: &SessionImage) -> Result<Session, ServiceError> {
         if let Some(reason) = image.spec.rejection() {
             return Err(ServiceError::Corrupt(format!(
                 "session image spec: {reason}"
             )));
         }
-        if image.steps_done > image.spec.drift_steps + 1 {
-            return Err(ServiceError::Corrupt(
-                "session image claims more steps than its trace has".into(),
-            ));
+        let (steps, solved) = (image.steps_done, image.solver.steps);
+        let disagreement = if steps > image.spec.drift_steps + 1 {
+            Some("claims more steps than its trace has".to_string())
+        } else if image.log.len() != steps {
+            Some(format!("logs {} steps but took {steps}", image.log.len()))
+        } else if image.schedule.is_some() && steps == 0 {
+            Some("has a schedule before its first step".to_string())
+        } else if image.schedule.is_none() && steps > 0 {
+            Some(format!("has no schedule after {steps} steps"))
+        } else if solved < steps {
+            Some(format!(
+                "has a solver that solved {solved} of its {steps} steps"
+            ))
+        } else {
+            None
+        };
+        if let Some(what) = disagreement {
+            return Err(ServiceError::Corrupt(format!("session image {what}")));
         }
         let trace = generate_trace(&image.spec);
         let platform = trace.platform_at(image.steps_done.saturating_sub(1));
@@ -355,4 +372,71 @@ pub fn platform_digest(platform: &Platform) -> u64 {
         }
     }
     crate::wire::checksum(&bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A drift session on Tiers-12 after `steps` steps, and its image.
+    fn image_after(steps: usize) -> SessionImage {
+        let spec = SessionSpec {
+            family: PlatformFamily::Tiers {
+                nodes: 12,
+                density: 0.10,
+            },
+            platform_seed: 7025,
+            slice_size: 1.0e6,
+            batch: 8,
+            drift_steps: 4,
+            drift_seed: 0xC4A2,
+            churn: false,
+        };
+        let mut session = Session::create(spec, CutGenOptions::default()).expect("create");
+        for _ in 0..steps {
+            session.advance().expect("advance");
+        }
+        let image = session.capture();
+        assert!(Session::restore(&image).is_ok(), "the capture restores");
+        image
+    }
+
+    fn assert_rejected(image: &SessionImage, reason: &str) {
+        match Session::restore(image) {
+            Err(ServiceError::Corrupt(message)) => {
+                assert_eq!(message, format!("session image {reason}"))
+            }
+            Err(e) => panic!("{reason}: wrong error {e}"),
+            Ok(_) => panic!("{reason}: restored"),
+        }
+    }
+
+    #[test]
+    fn an_image_whose_log_was_cut_is_rejected() {
+        let mut image = image_after(2);
+        image.log.pop();
+        assert_rejected(&image, "logs 1 steps but took 2");
+    }
+
+    #[test]
+    fn an_image_with_a_schedule_before_its_first_step_is_rejected() {
+        let schedule = image_after(1).schedule;
+        let mut image = image_after(0);
+        image.schedule = schedule;
+        assert_rejected(&image, "has a schedule before its first step");
+    }
+
+    #[test]
+    fn an_image_without_a_schedule_after_a_step_is_rejected() {
+        let mut image = image_after(2);
+        image.schedule = None;
+        assert_rejected(&image, "has no schedule after 2 steps");
+    }
+
+    #[test]
+    fn an_image_whose_solver_is_behind_its_steps_is_rejected() {
+        let mut image = image_after(2);
+        image.solver = image_after(1).solver;
+        assert_rejected(&image, "has a solver that solved 1 of its 2 steps");
+    }
 }

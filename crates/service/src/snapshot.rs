@@ -30,11 +30,12 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 const SNAP_MAGIC: &[u8; 4] = b"BSNP";
-/// Version 2 dropped the engine and pricing bytes from the encoded
-/// `SimplexOptions`, `FactSnapshot` and `CutGenOptions`; version 3 dropped
+/// Version 2 dropped the engine and pricing bytes from the encoded simplex
+/// options, `FactSnapshot` and cut-generation options; version 3 dropped
 /// the secondary objective from the encoded `SimplexSnapshot`; version 4
-/// dropped the four simplex tolerances from the encoded `SimplexOptions`
-/// and the iteration budget from the encoded `CutGenOptions`; version 5
+/// dropped the four simplex tolerances from the encoded simplex options
+/// and the iteration budget from the encoded cut-generation options;
+/// version 5
 /// stores each `SimplexSnapshot` row once, as declared, and a deleted row
 /// as an empty slot (the per-row liveness flags, the row groups and their
 /// operators went, and the base group count became a base row count), and
@@ -45,10 +46,12 @@ const SNAP_MAGIC: &[u8; 4] = b"BSNP";
 /// and largest lag, which restore re-assembles, and drops each
 /// `FactSnapshot`'s artificial-column list and row positions (a row's
 /// position is its rank among the live rows); version 7 drops the port
-/// model byte from a schedule's parts, since every schedule is one-port.
-/// Older files are rejected as corrupt and recovery replays the WAL
-/// instead.
-const SNAP_VERSION: u32 = 7;
+/// model byte from a schedule's parts, since every schedule is one-port;
+/// version 8 drops the simplex and cut-generation options and a session's
+/// node and edge counts, `TP` column and port keys, which restore takes
+/// from the platform. Older files are rejected as corrupt and recovery
+/// replays the WAL instead.
+const SNAP_VERSION: u32 = 8;
 
 /// Everything a snapshot file holds.
 #[derive(Clone, Debug, PartialEq)]

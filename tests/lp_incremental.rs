@@ -16,7 +16,7 @@
 //! run (the acceptance criterion of the warm-start work).
 
 use broadcast_trees::core::optimal::cut_gen;
-use broadcast_trees::lp::{ConstraintOp, LpError, LpProblem, Sense, SimplexOptions, SimplexState};
+use broadcast_trees::lp::{ConstraintOp, LpError, LpProblem, Sense, SimplexState};
 use broadcast_trees::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,7 +98,7 @@ fn warm_and_cold_agree_on_random_append_sequences() {
         let mut state = 0x9E3779B97F4A7C15u64.wrapping_mul(seed);
         let vars = 4 + (seed as usize % 5);
         let base = random_base(vars, 3, &mut state);
-        let mut warm = SimplexState::new(&base, SimplexOptions::default()).unwrap();
+        let mut warm = SimplexState::new(&base).unwrap();
         let mut solution = warm.solve().unwrap();
         for round in 0..8 {
             let (terms, op, rhs) = random_extra_row(&base, &solution.values, &mut state);
@@ -140,7 +140,7 @@ fn warm_and_cold_agree_after_deletions() {
     for seed in 10u64..=15 {
         let mut state = 0xD1B54A32D192ED03u64.wrapping_mul(seed);
         let base = random_base(6, 4, &mut state);
-        let mut warm = SimplexState::new(&base, SimplexOptions::default()).unwrap();
+        let mut warm = SimplexState::new(&base).unwrap();
         let mut solution = warm.solve().unwrap();
         let mut appended = Vec::new();
         for _ in 0..6 {
@@ -184,7 +184,7 @@ fn warm_and_cold_agree_after_deletions() {
 fn infeasible_append_is_detected_by_both_paths() {
     let mut state = 0xABCDEFu64;
     let base = random_base(5, 3, &mut state);
-    let mut warm = SimplexState::new(&base, SimplexOptions::default()).unwrap();
+    let mut warm = SimplexState::new(&base).unwrap();
     warm.solve().unwrap();
     // x_0 ≤ −1 contradicts non-negativity outright.
     warm.add_row(
@@ -315,39 +315,22 @@ fn warm_start_halves_simplex_iterations_on_tiers_65() {
 }
 
 /// Purging under warm start deletes live rows from the basis; the optimum
-/// must match a purge-free run exactly (same tolerance as the cold analogue
-/// in `cut_gen`'s unit tests).
+/// must match LP (2) itself, solved verbatim by the direct LP (same
+/// tolerance as `cut_gen`'s `purging_preserves_the_optimum`).
 #[test]
 fn warm_purging_preserves_the_optimum() {
     let mut rng = StdRng::seed_from_u64(21);
     let platform = random_platform(&RandomPlatformConfig::paper(20, 0.12), &mut rng);
-    let purged = cut_gen::solve_with(
-        &platform,
-        NodeId(0),
-        1.0e6,
-        &CutGenOptions {
-            purge_after: Some(1), // aggressive: maximise deletions
-            warm_start: true,
-            ..CutGenOptions::default()
-        },
-    )
-    .unwrap();
-    let kept = cut_gen::solve_with(
-        &platform,
-        NodeId(0),
-        1.0e6,
-        &CutGenOptions {
-            purge_after: None,
-            warm_start: true,
-            ..CutGenOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(purged.optimal.purged_cuts > 0, "purging never triggered");
+    let purged = cut_gen::solve_with(&platform, NodeId(0), 1.0e6, &CutGenOptions::default())
+        .unwrap()
+        .optimal;
+    let reference =
+        optimal_throughput(&platform, NodeId(0), 1.0e6, OptimalMethod::DirectLp).unwrap();
+    assert!(purged.purged_cuts > 0, "purging never triggered");
     assert_rel_close(
-        purged.optimal.throughput,
-        kept.optimal.throughput,
+        purged.throughput,
+        reference.throughput,
         1e-6,
-        "purged vs kept",
+        "purged vs LP (2)",
     );
 }

@@ -590,16 +590,18 @@ fn out_of_range_specs_are_rejected_live_and_on_replay() {
     image.sessions[0].1.spec = bad[0];
     std::fs::write(&snap, encode_snapshot(&image)).expect("rewrite snapshot");
     let service = Service::open(&dir, FaultPlan::none()).expect("a bad image is not fatal");
+    let rejected = service.recovery().snapshot_rejected.as_deref();
     assert!(
-        service.recovery().snapshot_rejected.is_some(),
-        "bad spec image refused"
+        rejected.is_some_and(|r| r.starts_with("session \"out-of-range\": ")),
+        "bad spec image refused, naming its session: {rejected:?}"
     );
     assert_eq!(service.session_names(), vec![name.to_string()]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot written by the previous format (version field 6, which still
-/// encoded each schedule's port model) is rejected as `Corrupt` with
+/// A snapshot written by the previous format (version field 7, which still
+/// encoded the solver options and each session's node and edge counts,
+/// `TP` column and port keys) is rejected as `Corrupt` with
 /// the version message — the version sits outside the checksummed
 /// payload, so nothing else trips — recovery says
 /// so, and it replays the whole WAL to the same per-step logs as the
@@ -619,18 +621,18 @@ fn old_snapshot_version_is_rejected_and_replayed() {
     }
     let snap = dir.join("snapshot.bin");
     let mut bytes = std::fs::read(&snap).expect("snapshot written");
-    bytes[4..8].copy_from_slice(&6u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&7u32.to_le_bytes());
     std::fs::write(&snap, &bytes).expect("rewrite snapshot");
     match bcast_service::snapshot::decode_snapshot(&bytes) {
         Err(ServiceError::Corrupt(message)) => {
-            assert_eq!(message, "snapshot version 6 (expected 7)")
+            assert_eq!(message, "snapshot version 7 (expected 8)")
         }
-        other => panic!("a version-6 snapshot must be rejected as corrupt: {other:?}"),
+        other => panic!("a version-7 snapshot must be rejected as corrupt: {other:?}"),
     }
     let service = Service::open(&dir, FaultPlan::none()).expect("old snapshot not fatal");
     assert_eq!(
         service.recovery().snapshot_rejected.as_deref(),
-        Some("corrupt artifact: snapshot version 6 (expected 7)"),
+        Some("corrupt artifact: snapshot version 7 (expected 8)"),
         "old version detected"
     );
     assert!(!service.recovery().snapshot_restored);
@@ -698,7 +700,7 @@ fn malformed_tree_is_rejected_and_replayed(
     assert_eq!(
         service.recovery().snapshot_rejected,
         Some(format!(
-            "schedule failure: invalid schedule: schedule parts: {reason}"
+            "session \"{name}\": schedule failure: invalid schedule: schedule parts: {reason}"
         )),
         "{tag}: the tree check fired"
     );
